@@ -52,6 +52,13 @@ const (
 	discoverAllocBudget = 400 // whole self-join (300 passes), not one query
 )
 
+// Multi-reference calls: per-worker searchers, the result slices, and one
+// match list per reference that has matches.
+const (
+	batchAllocBudget           = 80 // 16 references in one call (57 measured)
+	discoverAgainstAllocBudget = 32 // 4 references in one call (20 measured)
+)
+
 func measureAllocs(t *testing.T, name string, budget float64, f func()) {
 	t.Helper()
 	f() // warm scratch arenas and pools
@@ -64,14 +71,17 @@ func measureAllocs(t *testing.T, name string, budget float64, f func()) {
 }
 
 // TestQueryAllocationBudgets pins steady-state allocations of the public
-// Search, SearchTopK, and Discover paths on serial and sharded engines, so
-// the pipeline's zero-allocation property cannot silently regress.
+// Search, SearchTopK, Discover, SearchBatch, and DiscoverAgainst paths on
+// one shard and on several, so the pipeline's zero-allocation property
+// cannot silently regress — and, the shards=1 budgets carrying no fan-out
+// allowance, so one shard cannot start paying for a scatter.
 func TestQueryAllocationBudgets(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
 	}
 	sets := allocCorpus(300)
 	ref := sets[7]
+	batch, against := sets[20:36], sets[40:44]
 	for _, shards := range []int{1, 3} {
 		eng, err := NewEngine(sets, Config{
 			Similarity:  Jaccard,
@@ -86,9 +96,12 @@ func TestQueryAllocationBudgets(t *testing.T) {
 		// Sharded paths pay a fixed per-query fan-out cost (one goroutine
 		// and result rewrite per shard), and discovery pays it per pass.
 		extra, discoverExtra := 0.0, 0.0
+		batchExtra, againstExtra := 0.0, 0.0
 		if shards > 1 {
 			extra = 30
 			discoverExtra = 800
+			batchExtra = 50
+			againstExtra = 16
 		}
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			measureAllocs(t, "Search", searchAllocBudget+extra, func() {
@@ -103,6 +116,16 @@ func TestQueryAllocationBudgets(t *testing.T) {
 			})
 			measureAllocs(t, "Discover", discoverAllocBudget+discoverExtra, func() {
 				eng.Discover()
+			})
+			measureAllocs(t, "SearchBatch", batchAllocBudget+batchExtra, func() {
+				if _, err := eng.SearchBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			measureAllocs(t, "DiscoverAgainst", discoverAgainstAllocBudget+againstExtra, func() {
+				if _, err := eng.DiscoverAgainst(against); err != nil {
+					t.Fatal(err)
+				}
 			})
 		})
 	}

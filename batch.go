@@ -7,17 +7,16 @@ import (
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
-	"silkmoth/internal/shard"
 )
 
 // SearchBatch answers one related-set search per reference set in a
 // single call. The whole batch is tokenized in one pass — amortizing
 // dictionary interning across queries — and the searches run concurrently,
-// bounded by Config.Concurrency; on a sharded engine each query
-// additionally fans out across all shards. Results are positionally
-// aligned with refs, each sorted exactly as Search sorts. Options apply to
-// every item of the batch (a WithExplain capture sums the items' funnels);
-// for per-item options use SearchBatchQueries.
+// bounded by Config.Concurrency (each worker visits the shards in turn, so
+// batch parallelism never compounds with shard fan-out). Results are
+// positionally aligned with refs, each sorted exactly as Search sorts.
+// Options apply to every item of the batch (a WithExplain capture sums the
+// items' funnels); for per-item options use SearchBatchQueries.
 func (e *Engine) SearchBatch(refs []Set, opts ...QueryOption) ([][]Match, error) {
 	return e.SearchBatchContext(context.Background(), refs, opts...)
 }
@@ -46,7 +45,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []Set, opts ...Que
 	if qo.explain != nil {
 		start = time.Now()
 	}
-	// The read lock must span result conversion too: finishMatches reads
+	// The read lock must span result conversion too: toMatches reads
 	// e.coll, which a concurrent Add/Delete/Compact mutates.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -56,7 +55,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []Set, opts ...Que
 	}
 	out := make([][]Match, len(per))
 	for i, ms := range per {
-		m := e.finishMatches(ms)
+		m := e.toMatches(ms)
 		if qo.hasK && len(m) > qo.k {
 			m = m[:qo.k]
 		}
@@ -99,7 +98,7 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 			qs[i] = q
 		}
 	}
-	// The read lock must span result conversion too: finishMatches reads
+	// The read lock must span result conversion too: toMatches reads
 	// e.coll, which a concurrent Add/Delete/Compact mutates.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -109,7 +108,7 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 	}
 	out := make([]Result, len(per))
 	for i, ms := range per {
-		m := e.finishMatches(ms)
+		m := e.toMatches(ms)
 		if qos[i].hasK && len(m) > qos[i].k {
 			m = m[:qos[i].k]
 		}
@@ -125,66 +124,19 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 	return out, nil
 }
 
-// searchBatchCore tokenizes the batch and fans it out on whichever engine
-// backs e. qs, when non-nil, aligns per-item queries with refs. Callers
-// must hold at least the read lock — and keep holding it while converting
-// the returned core matches, whose indices are only meaningful against
-// the collection they were computed on.
+// searchBatchCore tokenizes the batch and fans it out across the shard
+// set: queries run concurrently on up to Config.Concurrency workers, each
+// item's passes serial within its worker. qs, when non-nil, aligns
+// per-item queries with refs. Callers must hold at least the read lock —
+// and keep holding it while converting the returned core matches, whose
+// indices are only meaningful against the collection they were computed
+// on.
 func (e *Engine) searchBatchCore(ctx context.Context, refs []Set, qs []*core.Query) ([][]core.Match, error) {
 	qc, release := e.tokenizeQuery(refs)
 	defer release()
-	if e.sh != nil {
-		rs := make([]*dataset.Set, len(qc.Sets))
-		for i := range qc.Sets {
-			rs[i] = &qc.Sets[i]
-		}
-		return e.sh.SearchBatchQueries(ctx, rs, qs)
+	rs := make([]*dataset.Set, len(qc.Sets))
+	for i := range qc.Sets {
+		rs[i] = &qc.Sets[i]
 	}
-	return e.searchBatchSerial(ctx, qc, qs)
-}
-
-// searchBatchSerial fans a batch across the unsharded engine: queries run
-// concurrently on up to Concurrency workers, each owning one reusable
-// core.Searcher (verification runs serially within a pass — the batch's
-// parallelism is across queries, so it never compounds with per-pass
-// verification fan-out). Callers must hold at least the read lock.
-func (e *Engine) searchBatchSerial(ctx context.Context, qc *dataset.Collection, qs []*core.Query) ([][]core.Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	workers := shard.Workers(e.eng.Options().Concurrency, len(qc.Sets))
-	searchers := make([]*core.Searcher, workers)
-	for w := range searchers {
-		searchers[w] = e.eng.NewSearcher()
-	}
-	defer func() {
-		for _, sr := range searchers {
-			sr.Close()
-		}
-	}()
-	out := make([][]core.Match, len(qc.Sets))
-	err := shard.FanOut(ctx, len(qc.Sets), workers, func(ctx context.Context, w, qi int) error {
-		var q *core.Query
-		if qs != nil {
-			q = qs[qi]
-		}
-		var start time.Time
-		timed := q != nil && q.Stats != nil
-		if timed {
-			start = time.Now()
-		}
-		ms, err := searchers[w].SearchQuery(ctx, &qc.Sets[qi], -1, q)
-		if err != nil {
-			return err
-		}
-		if timed {
-			q.Stats.AddElapsed(time.Since(start))
-		}
-		out[qi] = ms
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.sh.SearchBatchQueries(ctx, rs, qs)
 }

@@ -7,7 +7,6 @@ import (
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
-	"silkmoth/internal/index"
 	"silkmoth/internal/shard"
 	"silkmoth/internal/wal"
 )
@@ -19,7 +18,7 @@ var ErrNoDataDir = errors.New("silkmoth: durability not enabled (Config.DataDir 
 // newDurableEngine opens (or initializes) the snapshot/WAL store on fsys
 // and returns a recovered or bootstrapped engine. When the store holds a
 // snapshot, the engine is reconstructed from it — no re-tokenization, and
-// for an unsharded engine no re-indexing either — and the paired log is
+// for a single-shard engine no re-indexing either — and the paired log is
 // replayed over it; otherwise build supplies a fresh engine and the
 // initial snapshot is written before the first mutation can be logged.
 func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*Engine, error) {
@@ -39,27 +38,13 @@ func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*
 	if err != nil {
 		return nil, err
 	}
-	if m != nil {
-		// The store memory-mapped the snapshot. When the engine's index
-		// borrowed the mapped container bytes (compressed lazy load), the
-		// mapping must outlive the engine — retain it for Close to unmap.
-		// Every other load path copied what it needed.
-		if e != nil && e.sh == nil && e.eng.Index().SharesContainers() {
-			e.snapMap = m
-		} else {
-			m.Close()
-		}
-	}
 	if loaded {
-		e.store = st
-		e.recovered = true
-		n, torn, err := st.ReplayWAL(func(rec *wal.Record) error { return e.applyRecord(rec) })
-		if err != nil {
-			return nil, fmt.Errorf("silkmoth: recovering from %q: %w", cfg.DataDir, err)
-		}
-		e.replayed, e.torn = n, torn
-		if err := st.Begin(); err != nil {
-			return nil, err
+		// The store handed over the snapshot's bytes, memory-mapped when it
+		// could. The engine owns them from here: Close — on every error
+		// return below too — unshares the index and unmaps.
+		e.snapMap = m
+		if err := e.finishRecovery(st); err != nil {
+			return nil, errors.Join(fmt.Errorf("silkmoth: recovering from %q: %w", cfg.DataDir, err), e.Close())
 		}
 		return e, nil
 	}
@@ -75,10 +60,35 @@ func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*
 	return e, nil
 }
 
+// finishRecovery finishes opening an engine loaded from st's snapshot: a
+// mapping the index does not borrow from is released at once (every load
+// path but the compressed lazy one copied what it needed), the paired log
+// is replayed, and the log is opened for appending.
+func (e *Engine) finishRecovery(st *wal.Store) error {
+	if !e.sh.SharesContainers() {
+		m := e.snapMap
+		e.snapMap = nil
+		if err := m.Close(); err != nil {
+			return err
+		}
+	}
+	e.recovered = true
+	n, torn, err := st.ReplayWAL(e.applyRecord)
+	if err != nil {
+		return err
+	}
+	e.replayed, e.torn = n, torn
+	if err := st.Begin(); err != nil {
+		return err
+	}
+	e.store = st
+	return nil
+}
+
 // engineFromSnapshot reconstructs an engine from a loaded snapshot image:
 // collection and dictionary as persisted (dead slots empty, ids intact for
-// WAL replay), tombstone bitmap restored, and — unsharded, when the image
-// carries postings — the inverted index imported instead of rebuilt.
+// WAL replay), tombstones restored, and the inverted index imported or
+// rebuilt as the shard set decides.
 func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error) {
 	opts, err := cfg.coreOptions()
 	if err != nil {
@@ -87,45 +97,14 @@ func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error)
 	if opts.Delta <= 0 || opts.Delta > 1 {
 		return nil, errors.New("silkmoth: Config.Delta must be in (0, 1]")
 	}
-	coll := snap.Coll
 	if opts.Q == 0 {
-		opts.Q = coll.Q
+		opts.Q = snap.Coll.Q
 	}
-	if cfg.Shards > 1 {
-		sh, err := shard.NewFromSnapshot(coll, cfg.Shards, opts, snap.Dead)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{sh: sh, coll: coll}, nil
-	}
-	var eng *core.Engine
-	switch {
-	case opts.CompressPostings && snap.Containers != nil:
-		// Zero-copy lazy load: wrap the snapshot's encoded containers —
-		// possibly aliasing a memory-mapped file — and decode a posting
-		// list only when a probe first touches it.
-		ix := index.FromContainers(coll, snap.Containers, true, opts.PostingCacheBytes)
-		eng, err = core.NewEngineFromIndex(ix, opts)
-	case snap.HasPostings():
-		var lists [][]index.Posting
-		lists, err = snap.DecodePostings()
-		if err != nil {
-			return nil, fmt.Errorf("silkmoth: decoding snapshot postings: %w", err)
-		}
-		if opts.CompressPostings {
-			// Legacy image under a compressed config: re-encode.
-			eng, err = core.NewEngineFromIndex(index.FromListsCompressed(coll, lists, opts.PostingCacheBytes), opts)
-		} else {
-			eng, err = core.NewEngineFromIndex(index.FromLists(coll, lists), opts)
-		}
-	default:
-		eng, err = core.NewEngine(coll, opts)
-	}
+	sh, err := shard.NewFromSnapshot(snap, max(1, cfg.Shards), opts)
 	if err != nil {
 		return nil, err
 	}
-	eng.MarkDeadSlots(snap.Dead)
-	return &Engine{eng: eng, coll: coll}, nil
+	return &Engine{sh: sh, coll: snap.Coll}, nil
 }
 
 // applyRecord replays one WAL record against the engine's in-memory state.
@@ -136,7 +115,9 @@ func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error)
 func (e *Engine) applyRecord(rec *wal.Record) error {
 	switch rec.Op {
 	case wal.OpAdd:
-		e.applyAdd(rec.Sets)
+		// Add and Update append at len(coll.Sets) unconditionally, which
+		// is what makes replay reproduce the original id assignment.
+		e.sh.Add(rec.Sets)
 		return nil
 	case wal.OpDelete:
 		return e.applyDelete(rec.ID)
@@ -151,28 +132,9 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 	}
 }
 
-// applyAdd grows the collection and index in memory. Add and Update append
-// at len(coll.Sets) unconditionally, which is what makes WAL replay
-// reproduce the original id assignment exactly.
-func (e *Engine) applyAdd(raws []dataset.RawSet) {
-	if e.sh != nil {
-		// The sharded engine appends to e.coll (its global collection)
-		// itself and routes each new set to its owning shard.
-		e.sh.Add(raws)
-		return
-	}
-	from := dataset.Append(e.coll, raws)
-	e.eng.AppendSets(from)
-}
-
 // applyDelete tombstones id in memory.
 func (e *Engine) applyDelete(id int) error {
-	var err error
-	if e.sh != nil {
-		err = e.sh.Delete(id)
-	} else {
-		err = e.eng.Delete(id)
-	}
+	err := e.sh.Delete(id)
 	if errors.Is(err, core.ErrNotFound) {
 		return ErrNotFound
 	}
@@ -181,22 +143,11 @@ func (e *Engine) applyDelete(id int) error {
 
 // applyUpdate replaces id in memory, returning the replacement's new id.
 func (e *Engine) applyUpdate(id int, raw dataset.RawSet) (int, error) {
-	if e.sh != nil {
-		newID, err := e.sh.Update(id, raw)
-		if errors.Is(err, core.ErrNotFound) {
-			return 0, ErrNotFound
-		}
-		return newID, err
-	}
-	if !e.eng.Alive(id) {
+	newID, err := e.sh.Update(id, raw)
+	if errors.Is(err, core.ErrNotFound) {
 		return 0, ErrNotFound
 	}
-	newID := dataset.Append(e.coll, []dataset.RawSet{raw})
-	e.eng.AppendSets(newID)
-	if err := e.eng.Delete(id); err != nil {
-		return 0, err // unreachable: aliveness was just checked
-	}
-	return newID, nil
+	return newID, err
 }
 
 // appendWAL logs one mutation record, fsync'd, before the mutation is
@@ -208,14 +159,6 @@ func (e *Engine) appendWAL(rec *wal.Record) error {
 		return nil
 	}
 	return e.store.Append(rec)
-}
-
-// liveLocked is Live for callers already holding a lock.
-func (e *Engine) liveLocked(id int) bool {
-	if e.sh != nil {
-		return e.sh.Alive(id)
-	}
-	return e.eng.Alive(id)
 }
 
 // Snapshot writes a new durable snapshot of the engine's current state and
@@ -233,48 +176,13 @@ func (e *Engine) Snapshot() error {
 	return e.writeSnapshotLocked()
 }
 
+// writeSnapshotLocked persists the shard set's durable image (which
+// decides what it carries: see shard.Engine.SnapshotData). Callers hold the
+// write lock, which keeps mutations out while the writer reads the index.
 func (e *Engine) writeSnapshotLocked() error {
 	return e.store.WriteSnapshot(func(w io.Writer) error {
-		return dataset.SaveSnapshot(w, e.snapshotData())
+		return dataset.SaveSnapshot(w, e.sh.SnapshotData())
 	})
-}
-
-// snapshotData assembles the engine's durable image. The id space is
-// preserved verbatim — dead slots persist as empty placeholders — because
-// any WAL record appended after this snapshot references these runtime
-// ids. Unsharded engines contribute their posting lists (imported, not
-// rebuilt, at load); sharded engines persist no postings — the per-shard
-// lists are meaningless globally — and rebuild per shard at load, still
-// without re-tokenizing.
-func (e *Engine) snapshotData() *dataset.SnapshotData {
-	sd := &dataset.SnapshotData{Coll: e.coll}
-	if e.sh != nil {
-		live := e.sh.LiveSnapshot()
-		var dead []bool
-		for g, l := range live {
-			if !l {
-				if dead == nil {
-					dead = make([]bool, len(live))
-				}
-				dead[g] = true
-			}
-		}
-		sd.Dead = dead
-		return sd
-	}
-	if e.eng.LiveCount() != len(e.coll.Sets) {
-		dead := make([]bool, len(e.coll.Sets))
-		for i := range dead {
-			dead[i] = !e.eng.Alive(i)
-		}
-		sd.Dead = dead
-	}
-	// The index itself is the postings source: the writer pulls lists on
-	// demand (heap form) or copies encoded containers verbatim when exact
-	// (compressed form), so snapshotting a lazily loaded index never forces
-	// a full materialization.
-	sd.Source = e.eng.Index()
-	return sd
 }
 
 // Close releases the engine's durability resources (the open write-ahead
@@ -285,18 +193,17 @@ func (e *Engine) snapshotData() *dataset.SnapshotData {
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var err error
 	if e.snapMap != nil {
 		// The index borrowed the mapped snapshot's container bytes; copy
 		// them onto the heap before the mapping goes away so reads after
 		// Close stay safe.
-		if e.eng != nil {
-			e.eng.Index().UnshareContainers()
-		}
-		e.snapMap.Close()
+		e.sh.UnshareContainers()
+		err = e.snapMap.Close()
 		e.snapMap = nil
 	}
-	if e.store == nil {
-		return nil
+	if e.store != nil {
+		err = errors.Join(err, e.store.Close())
 	}
-	return e.store.Close()
+	return err
 }

@@ -179,7 +179,7 @@ func liveRaws(e *Engine) []Set {
 	defer e.mu.RUnlock()
 	var out []Set
 	for i := range e.coll.Sets {
-		if !e.liveLocked(i) {
+		if !e.sh.Alive(i) {
 			continue
 		}
 		s := &e.coll.Sets[i]
@@ -245,9 +245,21 @@ func verifyRecovery(t *testing.T, label string, disk *failfs.FS, boot []Set, cfg
 			label, setNames(got), setNames(wantA))
 	}
 
-	// Oracle: a fresh heap build over exactly the surviving sets. The
-	// recovered engine's live ids ascend, and the oracle assigns dense ids
-	// in the same order, so canonical orderings agree pair for pair.
+	requireFreshBuildSurface(t, label, rec, got, cfg)
+
+	// The recovered engine must stay writable: its log is live again.
+	if err := rec.Add([]Set{{Name: "post-recovery", Elements: []string{"Lake St"}}}); err != nil {
+		t.Fatalf("%s: recovered engine rejects mutations: %v", label, err)
+	}
+}
+
+// requireFreshBuildSurface is the oracle check: rec, whose live sets are
+// got, must answer Discover and a Search per live set exactly like a fresh
+// heap build of cfg over those sets. The engine's live ids ascend, and the
+// oracle assigns dense ids in the same order, so canonical orderings agree
+// pair for pair.
+func requireFreshBuildSurface(t *testing.T, label string, rec *Engine, got []Set, cfg Config) {
+	t.Helper()
 	heapCfg := cfg
 	heapCfg.DataDir = ""
 	oracle, err := NewEngine(got, heapCfg)
@@ -288,11 +300,6 @@ func verifyRecovery(t *testing.T, label string, disk *failfs.FS, boot []Set, cfg
 				t.Fatalf("%s: query %q match %d = %+v, oracle %+v", label, q.Name, i, gk[i], wk[i])
 			}
 		}
-	}
-
-	// The recovered engine must stay writable: its log is live again.
-	if err := rec.Add([]Set{{Name: "post-recovery", Elements: []string{"Lake St"}}}); err != nil {
-		t.Fatalf("%s: recovered engine rejects mutations: %v", label, err)
 	}
 }
 

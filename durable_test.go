@@ -1,11 +1,18 @@
 package silkmoth
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"silkmoth/internal/raceflag"
+	"silkmoth/internal/wal"
 )
 
 func durableCorpus() []Set {
@@ -142,6 +149,150 @@ func TestSnapshotDifferentialGrid(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReshardAcrossReopen changes Config.Shards between runs of one data
+// directory: written by one shard (postings persisted), reopened by three
+// (postings ignored, per-shard rebuild) and mutated, snapshotted there (no
+// postings), and reopened by one shard again (index rebuilt). At every step
+// the engine must answer like a fresh volatile build over the survivors.
+func TestReshardAcrossReopen(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compressed=%v", compressed), func(t *testing.T) {
+			cfg := Config{
+				Similarity:         Jaccard,
+				Delta:              0.5,
+				DataDir:            t.TempDir(),
+				CompressedPostings: compressed,
+			}
+			open := func(stage string, shards int, boot []Set) *Engine {
+				t.Helper()
+				cfg.Shards = shards
+				eng, err := NewEngine(boot, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				if got := eng.Shards(); got != shards {
+					t.Fatalf("%s: Shards() = %d, want %d", stage, got, shards)
+				}
+				requireFreshBuildSurface(t, stage, eng, liveRaws(eng), cfg)
+				return eng
+			}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			one := open("written at 1", 1, durableCorpus())
+			must(one.Delete(1)) // replayed by the resharded open below
+			must(one.Close())
+
+			three := open("reopened at 3", 3, nil)
+			if st := three.Stats(); !st.RecoveredSnapshot || st.WALReplayed != 1 {
+				t.Fatalf("reopen at 3: stats %+v, want the snapshot plus one replayed record", st)
+			}
+			must(three.Add([]Set{{Name: "I", Elements: []string{"Mass Ave", "Lake St Boston"}}}))
+			_, err := three.Update(3, Set{Name: "D+v2", Elements: []string{"Lake Shore Dr Chicago", "5th Ave"}})
+			must(err)
+			must(three.Delete(0))
+			requireFreshBuildSurface(t, "mutated at 3", three, liveRaws(three), cfg)
+			must(three.Snapshot())
+			must(three.Add([]Set{{Name: "J", Elements: []string{"Main St Chicago", "5th St"}}}))
+			want := liveRaws(three)
+			must(three.Close())
+
+			back := open("reopened at 1", 1, nil)
+			defer back.Close()
+			if got := liveRaws(back); !rawSetsEqual(got, want) {
+				t.Fatalf("reopened at 1 with %v, want %v", setNames(got), setNames(want))
+			}
+			// The next snapshot persists postings again: a second open at
+			// one shard imports them.
+			must(back.Snapshot())
+			must(back.Close())
+			again := open("reopened at 1 from its own snapshot", 1, nil)
+			if compressed && runtime.GOOS == "linux" && !again.Stats().SnapshotMapped {
+				t.Error("one shard's compressed reopen did not map its persisted postings")
+			}
+			must(again.Close())
+		})
+	}
+}
+
+// TestFailedRecoveryUnmapsSnapshot: a compressed durable engine reopens
+// over its memory-mapped snapshot, so every exit from recovery owes an
+// unmap — Close, and a WAL replay that fails after the mapped load. The
+// log's middle record is overwritten with a frame that checksums (so it is
+// not a torn tail) but decodes to no operation.
+func TestFailedRecoveryUnmapsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Similarity: Jaccard, Delta: 0.5, DataDir: dir, CompressedPostings: true}
+	snapshotMapped := func() bool {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Contains(maps, []byte(filepath.Join(dir, "snap-")))
+	}
+
+	eng, err := NewEngine(durableCorpus(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"I", "J", "K"} {
+		if err := eng.Add([]Set{{Name: name, Elements: []string{"Lake St Boston"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err = NewEngine(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && !(eng.Stats().SnapshotMapped && snapshotMapped()) {
+		t.Fatal("compressed reopen did not map its snapshot")
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && snapshotMapped() {
+		t.Fatal("snapshot still mapped after Close")
+	}
+
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("logs = %v, %v", logs, err)
+	}
+	buf, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := wal.DecodeRecord(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := buf[first:] // [len u32][crc32 u32][payload]
+	payload := frame[8 : 8+binary.LittleEndian.Uint32(frame[0:4])]
+	for i := range payload {
+		payload[i] = 0xFF
+	}
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(logs[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if eng, err := NewEngine(nil, cfg); err == nil {
+		eng.Close()
+		t.Fatal("reopen over a corrupted mid-log record succeeded")
+	}
+	if runtime.GOOS == "linux" && snapshotMapped() {
+		t.Fatal("failed recovery left the snapshot mapped")
 	}
 }
 

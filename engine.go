@@ -3,13 +3,11 @@ package silkmoth
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
-	"silkmoth/internal/index"
 	"silkmoth/internal/mmap"
 	"silkmoth/internal/shard"
 	"silkmoth/internal/tokens"
@@ -22,13 +20,14 @@ import (
 // block each other: the token dictionary is internally synchronized, so
 // parallel searches proceed without a shared engine lock.
 //
-// With Config.Shards > 1 the collection is hash-partitioned across
-// independently indexed shards and every query scatter-gathers across
-// them; the Engine's API and results are unchanged.
+// An Engine is a set of Config.Shards ≥ 1 independently indexed shards
+// over a hash-partitioned collection. With one shard (the default) a query
+// is a single pass on the caller's goroutine; with more, every query
+// scatter-gathers across them. The API and results are the same at every
+// shard count.
 type Engine struct {
-	// Exactly one of eng (unsharded) and sh (sharded) is non-nil.
-	eng  *core.Engine
-	sh   *shard.Engine
+	sh *shard.Engine
+	// coll is sh's global collection, under the ids the API speaks.
 	coll *dataset.Collection
 	// mu serializes mutations (Add, Delete, Update, Compact) against
 	// queries: mutators take the write side, queries the read side —
@@ -50,8 +49,7 @@ type Engine struct {
 }
 
 // NewEngine tokenizes the collection according to cfg and builds the
-// inverted index over it (or, with cfg.Shards > 1, the per-shard indexes,
-// in parallel).
+// per-shard inverted indexes over it, in parallel.
 //
 // With Config.DataDir set, NewEngine is also the recovery entry point: if
 // the directory holds durable state, that state wins — sets is ignored and
@@ -94,30 +92,18 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 	return newEngineOverColl(coll, cfg, opts)
 }
 
-// newEngineOverColl builds the unsharded or sharded engine over an
-// already-tokenized collection, per cfg.Shards.
+// newEngineOverColl builds the shard set over an already-tokenized
+// collection.
 func newEngineOverColl(coll *dataset.Collection, cfg Config, opts core.Options) (*Engine, error) {
-	if cfg.Shards > 1 {
-		sh, err := shard.New(coll, cfg.Shards, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{sh: sh, coll: coll}, nil
-	}
-	eng, err := core.NewEngine(coll, opts)
+	sh, err := shard.New(coll, max(1, cfg.Shards), opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: eng, coll: coll}, nil
+	return &Engine{sh: sh, coll: coll}, nil
 }
 
-// Shards returns the engine's shard count: 1 for an unsharded engine.
-func (e *Engine) Shards() int {
-	if e.sh != nil {
-		return e.sh.Shards()
-	}
-	return 1
-}
+// Shards returns the engine's shard count, at least 1.
+func (e *Engine) Shards() int { return e.sh.Shards() }
 
 func toRaw(sets []Set) []dataset.RawSet {
 	raws := make([]dataset.RawSet, len(sets))
@@ -161,8 +147,10 @@ func (e *Engine) Search(ref Set, opts ...QueryOption) ([]Match, error) {
 }
 
 // SearchContext is Search with cancellation: the pass aborts and returns
-// ctx.Err() when ctx is done. With Config.Concurrency > 1 the pass's
-// candidate verification is sharded across a worker pool.
+// ctx.Err() when ctx is done. On a single-shard engine with
+// Config.Concurrency > 1 the pass's candidate verification is spread
+// across a worker pool; with more shards the scatter is the query's
+// parallelism.
 func (e *Engine) SearchContext(ctx context.Context, ref Set, opts ...QueryOption) ([]Match, error) {
 	res, err := e.searchResult(ctx, ref, opts, false)
 	return res.Matches, err
@@ -204,24 +192,17 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 	defer release()
 	r := &qc.Sets[0]
 	var ms []core.Match
-	switch {
-	case e.sh != nil && qo.hasK:
-		// The sharded top-k path answers with k·Shards heap-merged
-		// candidates instead of a full sort.
+	if qo.hasK {
+		// The top-k path answers with k·Shards heap-merged candidates
+		// instead of a full sort.
 		ms, err = e.sh.SearchTopKQueryContext(ctx, r, qo.k, q)
-	case e.sh != nil:
+	} else {
 		ms, err = e.sh.SearchQueryContext(ctx, r, q)
-	default:
-		ms, err = e.eng.SearchQueryContext(ctx, r, q)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	out := e.finishMatches(ms)
-	if qo.hasK && len(out) > qo.k {
-		out = out[:qo.k] // matches are canonical, so the prefix is the top k
-	}
-	res := Result{Matches: out}
+	res := Result{Matches: e.toMatches(ms)}
 	if qo.explain != nil {
 		qo.finishExplain(ps, time.Since(start))
 		res.Explain = qo.explain
@@ -229,21 +210,11 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 	return res, nil
 }
 
-// finishMatches rewrites core matches into the public form and sorts them
-// canonically — the one post-processing step every search path (serial,
-// sharded, batch) shares. The sharded engine's merged output is already
-// canonical, and the canonical order is total (indices are unique), so
-// re-sorting it is a deterministic no-op; hoisting the sort here keeps the
-// two engine shapes on identical code. Callers must hold at least the
-// read lock.
-func (e *Engine) finishMatches(ms []core.Match) []Match {
-	out := e.toMatches(ms)
-	sortMatches(out)
-	return out
-}
-
 // toMatches rewrites core matches into the public form, resolving names
-// from the engine's collection. Callers must hold at least the read lock.
+// from the engine's collection — the one post-processing step every search
+// path shares. The order is the shard set's: canonical (descending
+// relatedness, ties by ascending index). Callers must hold at least the
+// read lock.
 func (e *Engine) toMatches(ms []core.Match) []Match {
 	out := make([]Match, len(ms))
 	for i, m := range ms {
@@ -255,20 +226,6 @@ func (e *Engine) toMatches(ms []core.Match) []Match {
 		}
 	}
 	return out
-}
-
-// sortMatches orders public matches canonically: descending relatedness,
-// ties by ascending index.
-func sortMatches(ms []Match) {
-	slices.SortFunc(ms, func(a, b Match) int {
-		if a.Relatedness != b.Relatedness {
-			if a.Relatedness > b.Relatedness {
-				return -1
-			}
-			return 1
-		}
-		return a.Index - b.Index
-	})
 }
 
 // Discover returns all related pairs within the engine's collection — the
@@ -309,23 +266,14 @@ func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, o
 	if qo.explain != nil {
 		start = time.Now()
 	}
-	ps, err := e.discoverPairs(ctx, refs, q)
+	// Passing e.coll itself selects self-join semantics.
+	ps, err := e.sh.DiscoverQueryContext(ctx, refs, q)
 	if err != nil {
 		return nil, err
 	}
 	out := e.toPairs(ps, refs)
 	qo.finishExplain(psc, time.Since(start))
 	return out, nil
-}
-
-// discoverPairs runs core-level discovery on whichever engine backs e.
-// Passing e.coll itself selects self-join semantics in both backends.
-// Callers must hold at least the read lock.
-func (e *Engine) discoverPairs(ctx context.Context, refs *dataset.Collection, q *core.Query) ([]core.Pair, error) {
-	if e.sh != nil {
-		return e.sh.DiscoverQueryContext(ctx, refs, q)
-	}
-	return e.eng.DiscoverQueryContext(ctx, refs, q)
 }
 
 // DiscoverAgainst finds all related pairs ⟨R, S⟩ with R from refs and S from
@@ -343,10 +291,8 @@ func (e *Engine) DiscoverAgainstContext(ctx context.Context, refs []Set, opts ..
 	return e.discoverLocked(ctx, qc, opts)
 }
 
-// toPairs rewrites core pairs into the public form and sorts them by
-// (R, S) — like finishMatches, the ordering runs unconditionally so both
-// engine shapes share one post-processing path (the order is total, so
-// re-sorting the sharded engine's pre-sorted output changes nothing).
+// toPairs rewrites core pairs into the public form, keeping the shard
+// set's (R, S) order.
 func (e *Engine) toPairs(ps []core.Pair, refs *dataset.Collection) []Pair {
 	out := make([]Pair, len(ps))
 	for i, p := range ps {
@@ -358,12 +304,6 @@ func (e *Engine) toPairs(ps []core.Pair, refs *dataset.Collection) []Pair {
 			MatchingScore: p.Score,
 		}
 	}
-	slices.SortFunc(out, func(a, b Pair) int {
-		if a.R != b.R {
-			return a.R - b.R
-		}
-		return a.S - b.S
-	})
 	return out
 }
 
@@ -373,10 +313,7 @@ func (e *Engine) toPairs(ps []core.Pair, refs *dataset.Collection) []Pair {
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.sh != nil {
-		return e.sh.Len()
-	}
-	return e.eng.LiveCount()
+	return e.sh.Len()
 }
 
 // SetName returns the name of collection set i.
@@ -386,23 +323,17 @@ func (e *Engine) SetName(i int) string {
 	return e.coll.Sets[i].Name
 }
 
-// Stats returns the engine's cumulative pruning funnel (summed across
-// shards on a sharded engine) and collection lifecycle counters.
+// Stats returns the engine's cumulative pruning funnel, summed across
+// shards, and collection lifecycle counters.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var st core.StatsSnapshot
-	out := Stats{}
-	if e.sh != nil {
-		st = e.sh.Stats()
-		out.Live = e.sh.Len()
-		out.Tombstones = e.sh.Tombstones()
-		out.Compactions = e.sh.Compactions()
-	} else {
-		st = e.eng.Stats()
-		out.Live = e.eng.LiveCount()
-		out.Tombstones = e.eng.Tombstones()
-		out.Compactions = e.eng.Compactions()
+	st := e.sh.Stats()
+	out := Stats{
+		Live:        e.sh.Len(),
+		Tombstones:  e.sh.Tombstones(),
+		Compactions: e.sh.Compactions(),
+		Stragglers:  e.sh.Stragglers(),
 	}
 	out.SearchPasses = st.SearchPasses
 	out.FullScans = st.FullScans
@@ -424,13 +355,7 @@ func (e *Engine) Stats() Stats {
 		Refine:    time.Duration(st.RefineNanos),
 		Verify:    time.Duration(st.VerifyNanos),
 	}
-	var ps index.StorageStats
-	if e.sh != nil {
-		out.Stragglers = e.sh.Stragglers()
-		ps = e.sh.Storage()
-	} else {
-		ps = e.eng.Storage()
-	}
+	ps := e.sh.Storage()
 	out.CompressedPostings = ps.Compressed
 	out.Postings = ps.Postings
 	out.PostingHeapBytes = ps.HeapBytes

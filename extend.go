@@ -20,10 +20,9 @@ func (e *Engine) SearchTopK(ref Set, k int, opts ...QueryOption) ([]Match, error
 	return e.SearchTopKContext(context.Background(), ref, k, opts...)
 }
 
-// SearchTopKContext is SearchTopK with cancellation. On a sharded engine
-// each shard contributes its local top k and a heap merge selects the
-// global winners, so the answer costs k·Shards merged candidates instead
-// of a full sort.
+// SearchTopKContext is SearchTopK with cancellation. Each shard
+// contributes its local top k and a heap merge selects the global winners,
+// so the answer costs k·Shards merged candidates instead of a full sort.
 func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...QueryOption) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -51,7 +50,7 @@ func (e *Engine) Add(sets []Set) error {
 	if err := e.appendWAL(&wal.Record{Op: wal.OpAdd, Sets: raws}); err != nil {
 		return err
 	}
-	e.applyAdd(raws)
+	e.sh.Add(raws)
 	return nil
 }
 
@@ -67,15 +66,9 @@ func (e *Engine) Add(sets []Set) error {
 func (e *Engine) SaveCollection(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.sh != nil {
-		if e.sh.Len() != len(e.coll.Sets) {
-			live := e.sh.LiveSnapshot()
-			return dataset.SaveCollectionLive(w, e.coll, func(i int) bool { return live[i] })
-		}
-		return dataset.SaveCollection(w, e.coll)
-	}
-	if e.eng.LiveCount() != len(e.coll.Sets) {
-		return dataset.SaveCollectionLive(w, e.coll, e.eng.Alive)
+	if e.sh.Len() != len(e.coll.Sets) {
+		live := e.sh.LiveSnapshot()
+		return dataset.SaveCollectionLive(w, e.coll, func(i int) bool { return live[i] })
 	}
 	return dataset.SaveCollection(w, e.coll)
 }
@@ -183,5 +176,5 @@ func (e *Engine) matchScore(r Set) (score float64, nR, nS int) {
 	defer release()
 	rs := &qc.Sets[0]
 	ss := &e.coll.Sets[0]
-	return e.eng.MatchScore(rs, ss), len(rs.Elements), len(ss.Elements)
+	return e.sh.MatchScore(rs, ss), len(rs.Elements), len(ss.Elements)
 }

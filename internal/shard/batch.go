@@ -79,11 +79,12 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 			if err != nil {
 				return err
 			}
-			g := e.l2g[s]
-			for i := range sm {
-				sm[i].Set = g[sm[i].Set]
+			e.toGlobal(s, sm)
+			if ms == nil {
+				ms = sm // the pass's own slice: one shard copies nothing
+			} else {
+				ms = append(ms, sm...)
 			}
-			ms = append(ms, sm...)
 		}
 		sortMatches(ms)
 		out[qi] = ms

@@ -10,10 +10,9 @@ import (
 	"silkmoth/internal/dataset"
 )
 
-// The sharded-vs-serial benchmark pairs. Results are recorded in
-// BENCH_shard.json; on a single-core container the sharded numbers track
-// the serial ones (scatter-gather adds only goroutine overhead), with the
-// speedup appearing as cores do.
+// The sharded-vs-serial benchmark pairs. On a single-core container the
+// sharded numbers track the serial ones (scatter-gather adds only goroutine
+// overhead), with the speedup appearing as cores do.
 
 const benchTables = 300
 

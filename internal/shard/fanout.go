@@ -24,9 +24,10 @@ func Workers(requested, n int) int {
 // worker so fn can keep per-worker scratch (a core.Searcher, say). The
 // first error cancels the context handed to the remaining calls and is
 // returned — preferring a real failure over the context.Canceled noise
-// that cancellation propagation causes in sibling workers. It is the one
-// bounded scatter-gather loop behind the sharded engine's query paths and
-// the public batch API.
+// that cancellation propagation causes in sibling workers. A fan-out of
+// one worker has no siblings to cancel or wait for: it runs on the
+// caller's goroutine under the caller's context. It is the one bounded
+// scatter-gather loop behind the engine's query paths.
 func FanOut(parent context.Context, n, workers int, fn func(ctx context.Context, w, i int) error) error {
 	if err := parent.Err(); err != nil {
 		return err
@@ -34,9 +35,17 @@ func FanOut(parent context.Context, n, workers int, fn func(ctx context.Context,
 	if n == 0 {
 		return nil
 	}
+	workers = Workers(workers, n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(parent, 0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	workers = Workers(workers, n)
 	errs := make([]error, workers)
 	var next int64
 	var wg sync.WaitGroup

@@ -11,6 +11,11 @@
 // score depends only on the two sets, never on which index holds them).
 // The package's differential tests pin this equivalence against the serial
 // engine for every metric and similarity function.
+//
+// It is the only engine shape the public package holds. A shard set of one
+// is the unpartitioned engine: its single shard indexes the global
+// collection itself (no header copy, no index map), and its queries run on
+// the caller's goroutine with no scatter and no merge.
 package shard
 
 import (
@@ -48,12 +53,11 @@ type Engine struct {
 	// l2g maps each shard's local indices back to global ones (the
 	// global-to-local direction is recomputed from ShardOf when needed).
 	// Sets are assigned in increasing global order, so every l2g[s] is
-	// sorted ascending — the self-join dedup below depends on that.
+	// sorted ascending — the self-join dedup below depends on that. A
+	// shard set of one has colls[0] == global and an identity map, kept
+	// nil. Liveness has one source at every N: the owning shard's core
+	// tombstone bitmap, reached through localOf.
 	l2g [][]int
-	// dead is the global tombstone bitmap mirroring the per-shard core
-	// bitmaps; self-join discovery consults it to skip dead references.
-	dead    []bool
-	numDead int
 	// threshold is the engine-level tombstone ratio that triggers
 	// compaction of every shard (<= 0 disables automatic compaction).
 	// Per-shard core thresholds are disabled: the sharded engine drives
@@ -98,11 +102,28 @@ func ShardOf(g, n int) int {
 // New hash-partitions coll into shards independent core engines and builds
 // their inverted indexes in parallel. The shard collections share coll's
 // dictionary, tokenization mode, and element storage: only the Set headers
-// are copied, so sharding costs O(sets) extra memory, not O(tokens).
+// are copied, so sharding costs O(sets) extra memory, not O(tokens) — and a
+// shard set of one copies nothing, its shard indexes coll itself.
 func New(coll *dataset.Collection, shards int, opts core.Options) (*Engine, error) {
+	return NewFromSnapshot(&dataset.SnapshotData{Coll: coll}, shards, opts)
+}
+
+// NewFromSnapshot is New for a collection loaded from a snapshot, whose
+// dead slots persist as empty placeholders: each shard marks its dead
+// locals, so global ids — which WAL records replayed on top of the
+// snapshot reference — keep their meaning. Empty dead slots contribute no
+// postings and no refcounts, so no release/compaction bookkeeping is owed
+// for them.
+//
+// A shard set of one imports the index image the snapshot carries instead
+// of rebuilding it. Persisted postings are global, so with more shards
+// they are ignored and every shard rebuilds its index from its (already
+// tokenized) collection.
+func NewFromSnapshot(snap *dataset.SnapshotData, shards int, opts core.Options) (*Engine, error) {
 	if shards < 1 {
 		return nil, errors.New("shard: shard count must be >= 1")
 	}
+	coll := snap.Coll
 	e := &Engine{
 		nshards:   shards,
 		global:    coll,
@@ -110,17 +131,16 @@ func New(coll *dataset.Collection, shards int, opts core.Options) (*Engine, erro
 		engines:   make([]*core.Engine, shards),
 		l2g:       make([][]int, shards),
 		threshold: opts.CompactionThreshold,
+		shardHist: make([]obs.Histogram, shards),
 	}
-	e.shardHist = make([]obs.Histogram, shards)
 	opts.CompactionThreshold = 0 // compaction is driven globally, not per shard
-	for s := range e.colls {
-		e.colls[s] = &dataset.Collection{Dict: coll.Dict, Mode: coll.Mode, Q: coll.Q}
-	}
-	for g := range coll.Sets {
-		s := ShardOf(g, shards)
-		c := e.colls[s]
-		c.Sets = append(c.Sets, coll.Sets[g])
-		e.l2g[s] = append(e.l2g[s], g)
+	if shards == 1 {
+		e.colls[0] = coll
+	} else {
+		for s := range e.colls {
+			e.colls[s] = &dataset.Collection{Dict: coll.Dict, Mode: coll.Mode, Q: coll.Q}
+		}
+		e.route(0)
 	}
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -128,7 +148,7 @@ func New(coll *dataset.Collection, shards int, opts core.Options) (*Engine, erro
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			e.engines[s], errs[s] = core.NewEngine(e.colls[s], opts)
+			e.engines[s], errs[s] = e.buildShard(s, snap, opts)
 		}(s)
 	}
 	wg.Wait()
@@ -138,47 +158,100 @@ func New(coll *dataset.Collection, shards int, opts core.Options) (*Engine, erro
 		}
 	}
 	e.opts = e.engines[0].Options()
+	if snap.Dead == nil {
+		return e, nil
+	}
+	for s, eng := range e.engines {
+		local := snap.Dead
+		if shards > 1 {
+			local = make([]bool, len(e.l2g[s]))
+			for li, g := range e.l2g[s] {
+				local[li] = g < len(snap.Dead) && snap.Dead[g]
+			}
+		}
+		eng.MarkDeadSlots(local)
+	}
 	return e, nil
 }
 
-// NewFromSnapshot is New for a collection loaded from a snapshot, whose
-// dead slots persist as empty placeholders: the global tombstone bitmap is
-// restored and each shard marks its dead locals, so global ids — which WAL
-// records replayed on top of the snapshot reference — keep their meaning.
-// The per-shard indexes are rebuilt from the (already tokenized) shard
-// collections; empty dead slots contribute no postings and no refcounts,
-// so no release/compaction bookkeeping is owed for them.
-func NewFromSnapshot(coll *dataset.Collection, shards int, opts core.Options, dead []bool) (*Engine, error) {
-	e, err := New(coll, shards, opts)
-	if err != nil {
-		return nil, err
+// buildShard indexes shard s's collection — or, for a shard set of one
+// over a snapshot that carries an index image, imports that image.
+func (e *Engine) buildShard(s int, snap *dataset.SnapshotData, opts core.Options) (*core.Engine, error) {
+	if e.nshards > 1 || !snap.HasPostings() {
+		return core.NewEngine(e.colls[s], opts)
 	}
-	n := 0
-	for _, d := range dead {
-		if d {
-			n++
+	var ix *index.Inverted
+	if opts.CompressPostings && snap.Containers != nil {
+		// Zero-copy lazy load: wrap the snapshot's encoded containers —
+		// possibly aliasing a memory-mapped file — and decode a posting
+		// list only when a probe first touches it.
+		ix = index.FromContainers(snap.Coll, snap.Containers, true, opts.PostingCacheBytes)
+	} else {
+		lists, err := snap.DecodePostings()
+		if err != nil {
+			return nil, fmt.Errorf("decoding snapshot postings: %w", err)
+		}
+		if opts.CompressPostings {
+			// Legacy image under a compressed config: re-encode.
+			ix = index.FromListsCompressed(snap.Coll, lists, opts.PostingCacheBytes)
+		} else {
+			ix = index.FromLists(snap.Coll, lists)
 		}
 	}
-	if n == 0 {
-		return e, nil
+	return core.NewEngineFromIndex(ix, opts)
+}
+
+// route copies the headers of global sets [from, len) into their owning
+// shards' collections and extends l2g. A shard set of one shares the
+// global collection and has nothing to copy.
+func (e *Engine) route(from int) {
+	if e.nshards == 1 {
+		return
 	}
-	e.growDeadLocked()
-	copy(e.dead, dead)
-	e.numDead = n
-	for s := 0; s < shards; s++ {
-		local := make([]bool, len(e.l2g[s]))
-		any := false
-		for li, g := range e.l2g[s] {
-			if g < len(dead) && dead[g] {
-				local[li] = true
-				any = true
-			}
-		}
-		if any {
-			e.engines[s].MarkDeadSlots(local)
-		}
+	for g := from; g < len(e.global.Sets); g++ {
+		s := ShardOf(g, e.nshards)
+		e.colls[s].Sets = append(e.colls[s].Sets, e.global.Sets[g])
+		e.l2g[s] = append(e.l2g[s], g)
 	}
-	return e, nil
+}
+
+// localOf resolves a global set index to its owning shard and the local
+// index within it. Callers must hold the engine's lock.
+func (e *Engine) localOf(g int) (shard, local int) {
+	s := ShardOf(g, e.nshards)
+	return s, e.localRank(s, g)
+}
+
+// localRank counts shard s's sets with a global index below g — g's local
+// index when s owns g.
+func (e *Engine) localRank(s, g int) int {
+	if e.nshards == 1 {
+		return g
+	}
+	return sort.SearchInts(e.l2g[s], g)
+}
+
+// globalOf is localOf's inverse.
+//
+//silkmoth:hotpath
+func (e *Engine) globalOf(shard, local int) int {
+	if e.nshards == 1 {
+		return local
+	}
+	return e.l2g[shard][local]
+}
+
+// toGlobal rewrites shard s's matches from local to global set indices.
+//
+//silkmoth:hotpath
+func (e *Engine) toGlobal(s int, ms []core.Match) {
+	if e.nshards == 1 {
+		return
+	}
+	g := e.l2g[s]
+	for i := range ms {
+		ms[i].Set = g[ms[i].Set]
+	}
 }
 
 // Shards returns the shard count.
@@ -196,7 +269,15 @@ func (e *Engine) Collection() *dataset.Collection { return e.global }
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.global.Sets) - e.numDead
+	return e.liveLocked()
+}
+
+func (e *Engine) liveLocked() int {
+	n := 0
+	for _, eng := range e.engines {
+		n += eng.LiveCount()
+	}
+	return n
 }
 
 // NumSlots returns the size of the global index space: live sets plus
@@ -214,6 +295,14 @@ func (e *Engine) Alive(g int) bool {
 	return e.aliveLocked(g)
 }
 
+func (e *Engine) aliveLocked(g int) bool {
+	if g < 0 || g >= len(e.global.Sets) {
+		return false
+	}
+	s, local := e.localOf(g)
+	return e.engines[s].Alive(local)
+}
+
 // LiveSnapshot returns the liveness of every global slot under a single
 // lock acquisition, for callers that sweep the whole collection (the
 // compacted save path) and would otherwise pay one lock round-trip per
@@ -221,23 +310,71 @@ func (e *Engine) Alive(g int) bool {
 func (e *Engine) LiveSnapshot() []bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.liveSnapshotLocked()
+}
+
+func (e *Engine) liveSnapshotLocked() []bool {
 	out := make([]bool, len(e.global.Sets))
-	for g := range out {
-		out[g] = g >= len(e.dead) || !e.dead[g]
+	for s, eng := range e.engines {
+		for l := range e.colls[s].Sets {
+			out[e.globalOf(s, l)] = eng.Alive(l)
+		}
 	}
 	return out
 }
 
-func (e *Engine) aliveLocked(g int) bool {
-	return g >= 0 && g < len(e.global.Sets) && (g >= len(e.dead) || !e.dead[g])
+// SnapshotData assembles the engine's durable image. The id space is
+// preserved verbatim — dead slots persist as empty placeholders — because
+// any WAL record appended after the snapshot references these runtime ids.
+// A shard set of one contributes its posting lists (imported, not rebuilt,
+// at load): the index itself is the source, so the writer pulls lists on
+// demand (heap form) or copies encoded containers verbatim (compressed
+// form) and snapshotting a lazily loaded index never forces a full
+// materialization. Per-shard lists are meaningless globally, so with more
+// shards no postings persist. The caller must keep mutations out until the
+// image is written.
+func (e *Engine) SnapshotData() *dataset.SnapshotData {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	sd := &dataset.SnapshotData{Coll: e.global}
+	if e.liveLocked() != len(e.global.Sets) {
+		sd.Dead = e.liveSnapshotLocked()
+		for g, live := range sd.Dead {
+			sd.Dead[g] = !live
+		}
+	}
+	if e.nshards == 1 {
+		sd.Source = e.engines[0].Index()
+	}
+	return sd
 }
 
-// growDeadLocked sizes the global tombstone bitmap to the collection,
-// allocating it on first use. Callers hold the write lock.
-func (e *Engine) growDeadLocked() {
-	for len(e.dead) < len(e.global.Sets) {
-		e.dead = append(e.dead, false)
+// SharesContainers reports whether a shard's index borrows its container
+// bytes from an external backing (a memory-mapped snapshot): the owner
+// must call UnshareContainers before that backing is released.
+func (e *Engine) SharesContainers() bool {
+	for _, eng := range e.engines {
+		if eng.Index().SharesContainers() {
+			return true
+		}
 	}
+	return false
+}
+
+// UnshareContainers copies borrowed container bytes onto the heap so the
+// indexes survive their backing.
+func (e *Engine) UnshareContainers() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, eng := range e.engines {
+		eng.Index().UnshareContainers()
+	}
+}
+
+// MatchScore computes the maximum matching score |r ∩̃ s| under the
+// engine's options; it depends on the two sets only, never on a shard.
+func (e *Engine) MatchScore(r, s *dataset.Set) float64 {
+	return e.engines[0].MatchScore(r, s)
 }
 
 // Tombstones returns the number of deleted sets still occupying postings,
@@ -245,6 +382,10 @@ func (e *Engine) growDeadLocked() {
 func (e *Engine) Tombstones() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.tombstonesLocked()
+}
+
+func (e *Engine) tombstonesLocked() int {
 	n := 0
 	for _, eng := range e.engines {
 		n += eng.Tombstones()
@@ -323,37 +464,17 @@ func (e *Engine) Add(raws []dataset.RawSet) {
 }
 
 func (e *Engine) addLocked(raws []dataset.RawSet) {
-	from := dataset.Append(e.global, raws)
-	// froms[s] is the local index the shard's index extension starts at,
-	// or -1 for shards this batch never touches.
+	// Each shard's index extension starts where its collection ends now.
 	froms := make([]int, e.nshards)
-	for s := range froms {
-		froms[s] = -1
+	for s, c := range e.colls {
+		froms[s] = len(c.Sets)
 	}
-	for g := from; g < len(e.global.Sets); g++ {
-		s := ShardOf(g, e.nshards)
-		c := e.colls[s]
-		if froms[s] < 0 {
-			froms[s] = len(c.Sets)
-		}
-		c.Sets = append(c.Sets, e.global.Sets[g])
-		e.l2g[s] = append(e.l2g[s], g)
-	}
+	e.route(dataset.Append(e.global, raws))
 	for s, f := range froms {
-		if f >= 0 {
+		if f < len(e.colls[s].Sets) {
 			e.engines[s].AppendSets(f)
 		}
 	}
-	if e.dead != nil { // stays nil (all-alive fast path) until first Delete
-		e.growDeadLocked()
-	}
-}
-
-// localOf resolves a global set index to its owning shard and the local
-// index within it. Callers must hold the engine's lock.
-func (e *Engine) localOf(g int) (shard, local int) {
-	s := ShardOf(g, e.nshards)
-	return s, sort.SearchInts(e.l2g[s], g)
 }
 
 // Delete tombstones global set g across the engine: the owning shard's
@@ -385,9 +506,6 @@ func (e *Engine) deleteLocked(g int) error {
 	if err := e.engines[s].Delete(local); err != nil {
 		return err
 	}
-	e.growDeadLocked()
-	e.dead[g] = true
-	e.numDead++
 	e.maybeCompactLocked()
 	return nil
 }
@@ -416,14 +534,11 @@ func (e *Engine) maybeCompactLocked() {
 	if e.threshold <= 0 {
 		return
 	}
-	tomb := 0
-	for _, eng := range e.engines {
-		tomb += eng.Tombstones()
-	}
+	tomb := e.tombstonesLocked()
 	if tomb == 0 {
 		return
 	}
-	if float64(tomb) >= e.threshold*float64(len(e.global.Sets)-e.numDead+tomb) {
+	if float64(tomb) >= e.threshold*float64(e.liveLocked()+tomb) {
 		e.compactLocked()
 	}
 }
@@ -439,16 +554,19 @@ func (e *Engine) Compact() {
 }
 
 func (e *Engine) compactLocked() {
-	// The shard collections copy Set headers from the global collection,
-	// so the per-shard compaction below only clears the local copies;
-	// clear the global headers too or the element storage stays reachable.
-	for g := range e.dead {
-		if e.dead[g] && e.global.Sets[g].Elements != nil {
-			e.global.Sets[g].Elements = nil
-		}
-	}
 	for _, eng := range e.engines {
 		eng.Compact()
+	}
+	// Shard collections copy Set headers from the global collection, so
+	// per-shard compaction cleared only the local copies; clear the global
+	// headers too or the element storage stays reachable. (A shard set of
+	// one compacted the global collection itself: its l2g is nil.)
+	for s, g := range e.l2g {
+		for local, gi := range g {
+			if e.colls[s].Sets[local].Elements == nil {
+				e.global.Sets[gi].Elements = nil
+			}
+		}
 	}
 }
 
@@ -510,10 +628,7 @@ func (e *Engine) scatter(ctx context.Context, r *dataset.Set, k int, q *core.Que
 		if err != nil {
 			return err
 		}
-		g := e.l2g[s]
-		for i := range ms {
-			ms[i].Set = g[ms[i].Set]
-		}
+		e.toGlobal(s, ms)
 		if k >= 0 {
 			ms = localTopK(ms, k)
 		}
@@ -607,14 +722,37 @@ func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]core.Matc
 // capture threaded into every shard's pass. A nil q is exactly
 // SearchContext.
 func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *core.Query) ([]core.Match, error) {
+	return e.search(ctx, r, -1, q)
+}
+
+// search answers one reference in canonical order, truncated to the top k
+// when k ≥ 0.
+func (e *Engine) search(ctx context.Context, r *dataset.Set, k int, q *core.Query) ([]core.Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	per, err := e.scatter(ctx, r, -1, q)
+	if e.nshards == 1 {
+		// One shard's pass is the whole answer: it runs on the caller's
+		// goroutine with nothing to gather, and — the query having no
+		// fan-out to be its parallelism — may verify in parallel.
+		ms, err := e.engines[0].SearchQueryContext(ctx, r, q)
+		if err != nil {
+			return nil, err
+		}
+		if k >= 0 {
+			return localTopK(ms, k), nil
+		}
+		sortMatches(ms)
+		return ms, nil
+	}
+	per, err := e.scatter(ctx, r, k, q)
 	if err != nil {
 		return nil, err
+	}
+	if k >= 0 {
+		return mergeTopK(per, k), nil
 	}
 	n := 0
 	for _, ms := range per {
@@ -673,26 +811,24 @@ func (e *Engine) DiscoverQueryContext(ctx context.Context, refs *dataset.Collect
 	locals := make([][]core.Pair, workers)
 
 	err := FanOut(ctx, n, workers, func(ctx context.Context, w, ri int) error {
-		if selfJoin && ri < len(e.dead) && e.dead[ri] {
+		if selfJoin && !e.aliveLocked(ri) {
 			return nil // deleted sets are no longer references
 		}
 		r := &refs.Sets[ri]
 		for s := 0; s < e.nshards; s++ {
 			skip := -1
 			if selfJoin && e.opts.Metric == core.SetSimilarity {
-				// The serial engine skips candidates with global index
-				// ≤ ri; within this shard those are exactly the locals
-				// whose global index is ≤ ri, a prefix of the sorted
-				// l2g list.
-				skip = sort.SearchInts(e.l2g[s], ri+1) - 1
+				// Candidates with global index ≤ ri are skipped; within
+				// this shard those are exactly the locals whose global
+				// index is ≤ ri, a prefix of the sorted l2g list.
+				skip = e.localRank(s, ri+1) - 1
 			}
 			ms, err := searchers[w][s].SearchQuery(ctx, r, skip, q)
 			if err != nil {
 				return err
 			}
-			g := e.l2g[s]
 			for _, m := range ms {
-				gi := g[m.Set]
+				gi := e.globalOf(s, m.Set)
 				if selfJoin && gi == ri {
 					continue // no self-pairs
 				}

@@ -25,16 +25,7 @@ func (e *Engine) SearchTopKQueryContext(ctx context.Context, r *dataset.Set, k i
 	if k <= 0 {
 		return nil, nil
 	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	per, err := e.scatter(ctx, r, k, q)
-	if err != nil {
-		return nil, err
-	}
-	return mergeTopK(per, k), nil
+	return e.search(ctx, r, k, q)
 }
 
 // mergeTopK merges per-stream sorted match lists (descending relatedness,

@@ -27,7 +27,7 @@ var ErrNotFound = errors.New("silkmoth: no such set")
 func (e *Engine) Delete(id int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.liveLocked(id) {
+	if !e.sh.Alive(id) {
 		return ErrNotFound
 	}
 	if err := e.appendWAL(&wal.Record{Op: wal.OpDelete, ID: id}); err != nil {
@@ -48,7 +48,7 @@ func (e *Engine) Update(id int, set Set) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	raw := dataset.RawSet{Name: set.Name, Elements: set.Elements}
-	if !e.liveLocked(id) {
+	if !e.sh.Alive(id) {
 		return 0, ErrNotFound
 	}
 	if err := e.appendWAL(&wal.Record{Op: wal.OpUpdate, ID: id, Sets: []dataset.RawSet{raw}}); err != nil {
@@ -66,11 +66,7 @@ func (e *Engine) Update(id int, set Set) (int, error) {
 func (e *Engine) Compact() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.sh != nil {
-		e.sh.Compact()
-		return
-	}
-	e.eng.Compact()
+	e.sh.Compact()
 }
 
 // Live reports whether the set with the given id exists and has not been
@@ -78,8 +74,5 @@ func (e *Engine) Compact() {
 func (e *Engine) Live(id int) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.sh != nil {
-		return e.sh.Alive(id)
-	}
-	return e.eng.Alive(id)
+	return e.sh.Alive(id)
 }

@@ -58,14 +58,9 @@ type StageLatencies struct {
 }
 
 // StageLatencies returns the engine's per-stage latency histograms, merged
-// across shards on a sharded engine.
+// across shards.
 func (e *Engine) StageLatencies() StageLatencies {
-	var hs [core.NumStages]obs.HistogramSnapshot
-	if e.sh != nil {
-		hs = e.sh.StageLatencies()
-	} else {
-		hs = e.eng.StageLatencies()
-	}
+	hs := e.sh.StageLatencies()
 	return StageLatencies{
 		Signature: fromSnapshot(hs[core.StageSignature]),
 		Collect:   fromSnapshot(hs[core.StageCollect]),
@@ -75,11 +70,11 @@ func (e *Engine) StageLatencies() StageLatencies {
 }
 
 // ShardLatencies returns per-shard scatter-pass latency histograms,
-// indexed by shard: every sharded query observes each shard's pass wall
+// indexed by shard: every scattered query observes each shard's pass wall
 // time, so a hot or slow shard shows as a diverging distribution. Nil on
-// an unsharded engine.
+// a single-shard engine, whose queries never scatter.
 func (e *Engine) ShardLatencies() []LatencyHistogram {
-	if e.sh == nil {
+	if e.sh.Shards() == 1 {
 		return nil
 	}
 	snaps := e.sh.ShardLatencies()

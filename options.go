@@ -37,8 +37,8 @@ type queryOptions struct {
 }
 
 // WithK truncates the query's matches to the k most related (k ≥ 1), like
-// SearchTopK. On a sharded engine the heap-merged top-k path answers it
-// with k·Shards merged candidates instead of a full sort.
+// SearchTopK. The heap-merged top-k path answers it with k·Shards merged
+// candidates instead of a full sort.
 func WithK(k int) QueryOption {
 	return func(qo *queryOptions) error {
 		if k < 1 {

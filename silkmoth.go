@@ -63,8 +63,8 @@
 // Explain (or the Engine.Explain method, which returns a Result) reports
 // the executed plan: the concrete scheme that probed the index, the
 // per-stage pruning funnel — signature tokens, candidates, check-filter
-// and NN-filter survivors, verifications — and wall time. On a sharded
-// engine the capture merges all shards (one pass each). SearchBatchQueries
+// and NN-filter survivors, verifications — and wall time. The capture
+// merges all shards (one pass each). SearchBatchQueries
 // is the per-item batch form: each BatchQuery carries its own options, so
 // a mixed workload can pin schemes and capture explains item by item.
 //
@@ -85,17 +85,17 @@
 // Engines are safe for concurrent use: parallel queries do not serialize
 // on a shared lock, mutations (Add, Delete, Update, Compact) are safely
 // interleaved with in-flight queries, and
-// Config.Concurrency parallelizes Discover's reference passes and shards
-// each query's candidate verification across a worker pool. The
+// Config.Concurrency parallelizes Discover's reference passes and, on a
+// single-shard engine, each query's candidate verification. The
 // context-aware variants (SearchContext, SearchTopKContext,
 // DiscoverContext, DiscoverAgainstContext) abort cleanly on cancellation.
 //
-// Config.Shards > 1 additionally hash-partitions the collection into
-// independently indexed shards: index builds parallelize across shards and
-// every query fans out and merges by scatter-gather, with results
-// guaranteed identical to the unsharded engine. SearchBatch answers many
-// searches in one call, amortizing tokenization and fanning the batch
-// across shards and workers.
+// An engine is always a set of Config.Shards ≥ 1 shards. More than one
+// hash-partitions the collection into independently indexed shards: index
+// builds parallelize across shards and every query fans out and merges by
+// scatter-gather, with results guaranteed identical at every shard count.
+// SearchBatch answers many searches in one call, amortizing tokenization
+// and fanning the batch across workers.
 //
 // To serve an engine over HTTP/JSON — search, top-k, discovery, compare,
 // explain, and incremental indexing behind a bounded worker pool with an
@@ -281,9 +281,11 @@ type Config struct {
 	Concurrency int
 	// Shards hash-partitions the collection into this many independently
 	// indexed shards whose indexes build in parallel and whose queries run
-	// by scatter-gather, with results provably identical to the unsharded
-	// engine (same matches, same scores, same order). Values < 2 mean a
-	// single unsharded engine.
+	// by scatter-gather, with results provably identical at every count
+	// (same matches, same scores, same order). Values < 2 mean one shard:
+	// the same engine with nothing to scatter — a query is one pass on the
+	// caller's goroutine, and a durable engine persists its postings so
+	// reopening skips the index build.
 	Shards int
 	// StageSample controls per-stage wall timing of search passes: one in
 	// every StageSample passes records its signature/collect/refine/verify
@@ -445,17 +447,16 @@ type Stats struct {
 	// TimedPasses for a mean per-pass stage profile.
 	TimedPasses int64
 	Stages      StageTimes
-	// Stragglers counts sharded scatters whose slowest shard took more
-	// than twice the median shard's time — the scatter-gather tail-latency
-	// signal. Always zero on an unsharded engine.
+	// Stragglers counts scatters whose slowest shard took more than twice
+	// the median shard's time — the scatter-gather tail-latency signal.
+	// Always zero on a single-shard engine.
 	Stragglers int64
 	// Live is the number of live (non-deleted) sets.
 	Live int
 	// Tombstones is the number of deleted sets whose postings are still
 	// in the inverted index (zero right after a compaction).
 	Tombstones int
-	// Compactions counts compaction passes run (per shard on a sharded
-	// engine).
+	// Compactions counts compaction passes run, per shard.
 	Compactions int64
 	// Snapshots counts durable snapshots written since the engine opened
 	// (including the bootstrap snapshot). Zero on a heap-only engine.
