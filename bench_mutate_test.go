@@ -4,7 +4,7 @@
 // tombstones versus running over a compacted index. Together they are the
 // tuning data for Config.CompactionThreshold: deletes are cheap and O(set),
 // compaction is O(corpus) but makes search stop paying the dead-posting
-// tax. Results land in BENCH_mutate.json.
+// tax. cmd/silkbench's core.delete_ns / core.compact_s track the same costs.
 package silkmoth_test
 
 import (

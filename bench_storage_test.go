@@ -1,9 +1,8 @@
 // Benchmarks for the posting-storage tentpole: the query-side cost of
 // compressed containers (heap lists vs adaptive containers behind the decode
 // cache) and the cold-open cost of a durable engine (eager posting
-// materialization vs the lazy zero-copy load). Results land in
-// BENCH_storage.json; the postings-section-only open comparison lives in
-// internal/index/storage_bench_test.go.
+// materialization vs the lazy zero-copy load). The postings-section-only
+// open comparison lives in internal/index/storage_bench_test.go.
 package silkmoth_test
 
 import (

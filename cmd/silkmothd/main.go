@@ -1,6 +1,6 @@
 // Command silkmothd serves related-set queries over HTTP/JSON. It loads a
 // collection at startup — from a plain-text set file, CSV columns, a JSON
-// set array, or a previously saved binary collection — builds the engine
+// set array, or a previously saved engine image — builds the engine
 // once, and serves the full library surface concurrently:
 //
 //	POST /v1/search            related sets for one reference set
@@ -52,7 +52,7 @@ func main() {
 		input    = flag.String("input", "", "set file to index (one set per line)")
 		csvFile  = flag.String("csv", "", "CSV file whose columns become sets")
 		jsonFile = flag.String("json", "", "JSON file with an array of {name, elements} sets")
-		saved    = flag.String("saved", "", "binary collection previously written by the library's SaveCollection")
+		saved    = flag.String("saved", "", "engine image previously written by the library's SaveCollection, or a snap-*.snap file copied out of a -data-dir")
 		dataDir  = flag.String("data-dir", "",
 			"durability directory: recover from its latest snapshot + WAL at startup (the input flags then only bootstrap an empty directory); POST /v1/snapshot rotates")
 		metric    = flag.String("metric", "similarity", "similarity or containment")

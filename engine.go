@@ -89,12 +89,6 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 		}
 		coll = dataset.BuildQGram(dict, raws, opts.Q)
 	}
-	return newEngineOverColl(coll, cfg, opts)
-}
-
-// newEngineOverColl builds the shard set over an already-tokenized
-// collection.
-func newEngineOverColl(coll *dataset.Collection, cfg Config, opts core.Options) (*Engine, error) {
 	sh, err := shard.New(coll, max(1, cfg.Shards), opts)
 	if err != nil {
 		return nil, err

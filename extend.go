@@ -2,7 +2,6 @@ package silkmoth
 
 import (
 	"context"
-	"errors"
 	"io"
 	"slices"
 	"time"
@@ -54,63 +53,57 @@ func (e *Engine) Add(sets []Set) error {
 	return nil
 }
 
-// SaveCollection writes the engine's tokenized collection to w in a
-// self-contained binary form. Reload it with NewEngineFromSaved to skip
-// re-tokenizing large corpora.
+// SaveCollection writes the engine's persisted image to w: byte for byte
+// the snapshot file Snapshot would write under Config.DataDir at the same
+// state — tokenized sets, tombstones, and (at one shard) the inverted
+// index. Reload it with NewEngineFromSaved to skip re-tokenizing, and at
+// one shard re-indexing, a large corpus.
 //
-// A mutated engine saves compacted: only live sets are written, densely
-// renumbered with a token table pruned to what they use, so the reloaded
-// engine is indistinguishable from one built fresh over the surviving
-// sets. Set ids therefore change across a save/load cycle once anything
-// was deleted (live ids keep their relative order).
+// A mutated engine saves compacted — the token table is pruned to what
+// live sets use and deleted sets persist as empty placeholders — so set
+// ids survive the save/load cycle and the reloaded engine answers like a
+// fresh build over the surviving sets.
 func (e *Engine) SaveCollection(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.sh.Len() != len(e.coll.Sets) {
-		live := e.sh.LiveSnapshot()
-		return dataset.SaveCollectionLive(w, e.coll, func(i int) bool { return live[i] })
-	}
-	return dataset.SaveCollection(w, e.coll)
+	return dataset.SaveSnapshot(w, e.sh.SnapshotData())
 }
 
-// NewEngineFromSaved builds an engine from a collection previously written
-// by SaveCollection. cfg must request the same tokenization the collection
-// was built with: a word-token similarity (Jaccard, Dice, Cosine) for
-// word-tokenized collections, an edit similarity with the same Q for q-gram
-// collections (Q = 0 adopts the persisted value).
+// NewEngineFromSaved builds an engine from an image written by
+// SaveCollection (or a snap-*.snap file copied out of a data dir): durable
+// recovery minus the write-ahead log. cfg must request the tokenization
+// the image was built with: a word-token similarity (Jaccard, Dice,
+// Cosine) for word-tokenized collections, an edit similarity with the same
+// Q for q-gram collections (Q = 0 adopts the persisted value). Shards and
+// CompressedPostings need not match the saving engine's.
 //
 // With Config.DataDir set, existing durable state in the directory wins
 // exactly as in NewEngine: r is only consumed when the directory is empty,
 // to bootstrap the engine and its initial snapshot.
 func NewEngineFromSaved(r io.Reader, cfg Config) (*Engine, error) {
-	if cfg.DataDir != "" {
-		fsys, err := wal.DirFS(cfg.DataDir)
+	build := func() (*Engine, error) {
+		snap, err := dataset.LoadSnapshot(r)
 		if err != nil {
 			return nil, err
 		}
-		return newDurableEngine(func() (*Engine, error) {
-			return newHeapEngineFromSaved(r, cfg)
-		}, cfg, fsys)
+		e, err := engineFromSnapshot(snap, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// A compressed index views its containers inside the buffer
+		// LoadSnapshot read; copy them out so the engine does not pin the
+		// whole file image.
+		e.sh.UnshareContainers()
+		return e, nil
 	}
-	return newHeapEngineFromSaved(r, cfg)
-}
-
-func newHeapEngineFromSaved(r io.Reader, cfg Config) (*Engine, error) {
-	opts, err := cfg.coreOptions()
+	if cfg.DataDir == "" {
+		return build()
+	}
+	fsys, err := wal.DirFS(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Delta <= 0 || opts.Delta > 1 {
-		return nil, errors.New("silkmoth: Config.Delta must be in (0, 1]")
-	}
-	coll, err := dataset.LoadCollection(r)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Q == 0 {
-		opts.Q = coll.Q
-	}
-	return newEngineOverColl(coll, cfg, opts)
+	return newDurableEngine(build, cfg, fsys)
 }
 
 // SortMatchesByIndex re-sorts a search result list by collection index,

@@ -46,9 +46,8 @@ func benchFixture(b *testing.B, scheme signature.Kind, alpha float64) (*Engine, 
 	return e, &coll.Sets[7]
 }
 
-// BenchmarkPipelineSearch is the per-query hot path benchmark the CI smoke
-// step records (BENCH_pipeline.json): one full search pass on a reused
-// Searcher. allocs/op is the load-bearing number — steady state must stay
+// BenchmarkPipelineSearch is the per-query hot path benchmark: one full
+// search pass on a reused Searcher. allocs/op is the load-bearing number — steady state must stay
 // O(1) per query.
 func BenchmarkPipelineSearch(b *testing.B) {
 	for _, cfg := range []struct {

@@ -183,3 +183,32 @@ func TestTokenModeString(t *testing.T) {
 		t.Error("unknown mode should still render")
 	}
 }
+
+func TestAppend(t *testing.T) {
+	dict := tokens.NewDictionary()
+	c := BuildWord(dict, []RawSet{{Name: "A", Elements: []string{"x y"}}})
+	from := Append(c, []RawSet{
+		{Name: "B", Elements: []string{"x z"}},
+		{Name: "C", Elements: []string{"fresh words"}},
+	})
+	if from != 1 || len(c.Sets) != 3 {
+		t.Fatalf("from=%d len=%d", from, len(c.Sets))
+	}
+	// Shared tokens keep their ids; new tokens extend the dictionary.
+	idX, ok := dict.Lookup("x")
+	if !ok {
+		t.Fatal("x missing")
+	}
+	foundX := false
+	for _, id := range c.Sets[1].Elements[0].Tokens {
+		if id == idX {
+			foundX = true
+		}
+	}
+	if !foundX {
+		t.Error("appended set does not share dictionary ids")
+	}
+	if _, ok := dict.Lookup("fresh"); !ok {
+		t.Error("new tokens not interned")
+	}
+}

@@ -36,40 +36,36 @@ type PostingProvider interface {
 	AppendPostings(t int, dst []Posting) []Posting
 }
 
-// SnapshotData is the full durable image of an engine's logical state: the
-// tokenized collection (dead slots as empty placeholders, preserving the
-// runtime id space that WAL records reference), the tombstone bitmap, and
-// optionally the inverted-index posting lists so a load rebuilds nothing.
+// SnapshotData is the full persisted image of an engine's logical state —
+// the one on-disk form, written under Config.DataDir and by SaveCollection
+// alike: the tokenized collection (dead slots as empty placeholders,
+// preserving the runtime id space that WAL records reference), the
+// tombstone bitmap, and optionally the inverted-index posting lists so a
+// load rebuilds nothing. The index image travels one way per direction:
+// a writer sets Source, a loader gets Containers.
 type SnapshotData struct {
 	Coll *Collection
 	// Dead marks tombstoned slots; nil (or all-false) means every slot is
 	// live. Saved snapshots are compacted images: dead slots persist with
 	// no elements, name, or postings, only their index reservation.
 	Dead []bool
-	// Postings holds materialized posting lists by token id. On save it
-	// is one possible source (see Source); LoadSnapshot no longer fills
-	// it — decode Containers lazily, or call DecodePostings.
-	Postings [][]Posting
+	// Source, when non-nil, supplies the postings SaveSnapshot writes —
+	// typically the live inverted index. A nil Source saves no index
+	// image (the loader rebuilds it from the tokenized sets).
+	Source PostingProvider
 	// Containers is the postings section viewed in place: token-indexed
 	// encoded container blobs, possibly aliasing a memory-mapped file.
-	// Set by LoadSnapshot(Bytes) when the snapshot carries postings.
+	// Set by LoadSnapshot(Bytes) when the snapshot carries postings;
+	// SaveSnapshot does not read it.
 	Containers *ContainerStore
-	// Source, when non-nil, supplies postings on save (it wins over
-	// Postings and Containers). Typically the live inverted index.
-	Source PostingProvider
 }
 
-// HasPostings reports whether the snapshot carries an index image.
-func (sd *SnapshotData) HasPostings() bool {
-	return sd.Source != nil || sd.Postings != nil || sd.Containers != nil
-}
-
-// DecodePostings materializes every posting list from Containers (or
-// returns Postings as-is when already materialized). Each container is
-// fully validated; a decode error means the snapshot is corrupt.
+// DecodePostings materializes every posting list from Containers (nil
+// when the snapshot carries none). Each container is fully validated; a
+// decode error means the snapshot is corrupt.
 func (sd *SnapshotData) DecodePostings() ([][]Posting, error) {
-	if sd.Postings != nil || sd.Containers == nil {
-		return sd.Postings, nil
+	if sd.Containers == nil {
+		return nil, nil
 	}
 	eb := ElemBase(sd.Coll)
 	lists := make([][]Posting, sd.Containers.NumTokens())
@@ -90,7 +86,7 @@ func (sd *SnapshotData) DecodePostings() ([][]Posting, error) {
 // UnsupportedVersionError reports a persisted artifact written by a newer
 // format version than this build can read.
 type UnsupportedVersionError struct {
-	Format    string // "collection" or "snapshot"
+	Format    string // "snapshot"
 	Version   int
 	Supported int
 }
@@ -109,9 +105,8 @@ func (e *UnsupportedVersionError) Error() string {
 // so every byte of content is covered by a checksum and a reader can
 // verify each section before trusting its lengths structurally.
 //
-// Version 1 stored postings as one delta-varint stream per token, decoded
-// eagerly. Version 2 stores the postings section as adaptive container
-// blobs behind a fixed-width offset table:
+// The postings section holds adaptive container blobs behind a fixed-width
+// offset table:
 //
 //	[uvarint numTokens]
 //	[(numTokens+1) × uint32 LE blob offsets]
@@ -119,11 +114,15 @@ func (e *UnsupportedVersionError) Error() string {
 //
 // which a loader can hand to the index as in-place byte views (the file
 // may stay memory-mapped): resolving one token's blob is O(1), and a blob
-// is decoded only on first probe. Version 1 snapshots remain readable.
+// is decoded only on first probe.
+//
+// Version 2 is the only version this build reads or writes. Two older
+// forms are retired (see retiredFormat): version 1, which stored postings
+// as one delta-varint stream per token, and the separate collection file
+// SaveCollection used to write.
 const (
-	snapshotMagic     = "SMOTHSNP"
-	snapshotVersion   = 2
-	snapshotVersionV1 = 1
+	snapshotMagic   = "SMOTHSNP"
+	snapshotVersion = 2
 
 	secMeta     = 0x01
 	secDict     = 0x02
@@ -145,35 +144,13 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrSnapshotCorrupt}, args...)...)
 }
 
-// listsProvider adapts materialized [][]Posting to PostingProvider.
-type listsProvider struct{ lists [][]Posting }
+// ErrRetiredFormat is the sentinel wrapped when a file is a well-formed
+// artifact of a format this build no longer reads. It is deliberately not
+// ErrSnapshotCorrupt: the bytes are intact, the reader is gone.
+var ErrRetiredFormat = errors.New("dataset: retired format")
 
-func (p listsProvider) NumTokens() int                      { return len(p.lists) }
-func (p listsProvider) EncodedContainer(int) ([]byte, bool) { return nil, false }
-func (p listsProvider) AppendPostings(t int, dst []Posting) []Posting {
-	if t < len(p.lists) {
-		return append(dst, p.lists[t]...)
-	}
-	return dst
-}
-
-// containerProvider adapts a loaded ContainerStore to PostingProvider
-// (used when re-saving a loaded snapshot without an index).
-type containerProvider struct {
-	cs *ContainerStore
-	eb []int32
-}
-
-func (p containerProvider) NumTokens() int { return p.cs.NumTokens() }
-func (p containerProvider) EncodedContainer(t int) ([]byte, bool) {
-	return p.cs.Blob(t), true
-}
-func (p containerProvider) AppendPostings(t int, dst []Posting) []Posting {
-	out, err := NewPostingList(p.cs.Blob(t), p.eb).Materialize(dst)
-	if err != nil {
-		return dst
-	}
-	return out
+func retiredFormat(what string) error {
+	return fmt.Errorf("%w: %s is no longer readable; re-save with the previous build (opening the file there with a data dir writes a current snapshot)", ErrRetiredFormat, what)
 }
 
 // SaveSnapshot writes snap to w in the versioned binary snapshot format.
@@ -188,8 +165,8 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	c := snap.Coll
 	alive := func(i int) bool { return i >= len(snap.Dead) || !snap.Dead[i] }
 
-	// Prune and monotonically renumber the token table, exactly like the
-	// compacted collection save.
+	// Prune and monotonically renumber the token table (ascending old id →
+	// ascending new id; the identity when every token is in use).
 	used := make([]bool, c.Dict.Size())
 	for i := range c.Sets {
 		if !alive(i) {
@@ -221,7 +198,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 		return err
 	}
 
-	hasPostings := snap.HasPostings()
+	hasPostings := snap.Source != nil
 	var meta binenc.Writer
 	meta.Uint(int(c.Mode))
 	meta.Uint(c.Q)
@@ -276,11 +253,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	}
 
 	if hasPostings {
-		payload, err := encodePostingsSection(snap, used, len(words), alive)
-		if err != nil {
-			return err
-		}
-		if err := writeSection(w, secPostings, payload); err != nil {
+		if err := writeSection(w, secPostings, encodePostingsSection(snap, used, len(words), alive)); err != nil {
 			return err
 		}
 	}
@@ -288,20 +261,13 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	return writeSection(w, secEnd, nil)
 }
 
-// encodePostingsSection builds the v2 postings payload: container blobs in
-// remapped token order behind an offset table. Blobs carry no token ids,
-// so a still-exact container can be copied verbatim even though the token
-// table is renumbered.
-func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive func(int) bool) ([]byte, error) {
+// encodePostingsSection builds the postings payload from snap.Source:
+// container blobs in remapped token order behind an offset table. Blobs
+// carry no token ids, so a still-exact container can be copied verbatim
+// even though the token table is renumbered.
+func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive func(int) bool) []byte {
 	c := snap.Coll
 	src := snap.Source
-	if src == nil {
-		if snap.Postings != nil {
-			src = listsProvider{snap.Postings}
-		} else {
-			src = containerProvider{cs: snap.Containers, eb: ElemBase(c)}
-		}
-	}
 
 	// Verbatim blob reuse is sound only when the save-side element-id
 	// space equals the live one a provider's containers were encoded
@@ -352,7 +318,7 @@ func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive fu
 	payload = binary.AppendUvarint(payload, uint64(numTok))
 	payload = append(payload, cs.offs...)
 	payload = append(payload, cs.data...)
-	return payload, nil
+	return payload
 }
 
 func writeSection(w io.Writer, tag byte, payload []byte) error {
@@ -417,7 +383,9 @@ func (r *byteSections) expect(want byte) ([]byte, error) {
 func LoadSnapshot(r io.Reader) (*SnapshotData, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, corrupt("reading snapshot: %v", err)
+		// The reader failed, not the image: keep the cause, and do not
+		// call a closed file or a broken pipe corruption.
+		return nil, fmt.Errorf("dataset: reading snapshot: %w", err)
 	}
 	return LoadSnapshotBytes(data)
 }
@@ -434,14 +402,20 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	if len(data) < len(snapshotMagic)+1 {
 		return nil, corrupt("truncated header")
 	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, corrupt("bad magic %q", data[:len(snapshotMagic)])
+	switch magic := string(data[:len(snapshotMagic)]); magic {
+	case snapshotMagic:
+	case "SMOTHCOL":
+		return nil, retiredFormat("the SMOTHCOL collection format")
+	default:
+		return nil, corrupt("bad magic %q", magic)
 	}
-	version := int(data[len(snapshotMagic)])
-	if version != snapshotVersion && version != snapshotVersionV1 {
-		if version > snapshotVersion {
-			return nil, &UnsupportedVersionError{Format: "snapshot", Version: version, Supported: snapshotVersion}
-		}
+	switch version := int(data[len(snapshotMagic)]); {
+	case version == snapshotVersion:
+	case version > snapshotVersion:
+		return nil, &UnsupportedVersionError{Format: "snapshot", Version: version, Supported: snapshotVersion}
+	case version == 1:
+		return nil, retiredFormat("snapshot format version 1")
+	default:
 		return nil, corrupt("unknown snapshot version %d", version)
 	}
 	r := &byteSections{rest: data[len(snapshotMagic)+1:]}
@@ -571,18 +545,9 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 		if err != nil {
 			return nil, err
 		}
-		if version == snapshotVersionV1 {
-			lists, err := decodePostingsV1(postPayload, numWords, numSets, dead, c)
-			if err != nil {
-				return nil, err
-			}
-			snap.Postings = lists
-		} else {
-			cs, err := decodePostingsV2(postPayload, numWords)
-			if err != nil {
-				return nil, err
-			}
-			snap.Containers = cs
+		snap.Containers, err = decodePostings(postPayload, numWords)
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -595,10 +560,10 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	return snap, nil
 }
 
-// decodePostingsV2 wraps the container postings payload in place: a
+// decodePostings wraps the container postings payload in place: a
 // uvarint token count, the offset table, and the blob area, all validated
 // structurally in O(numTokens) with zero decoding of blob contents.
-func decodePostingsV2(payload []byte, numWords int) (*ContainerStore, error) {
+func decodePostings(payload []byte, numWords int) (*ContainerStore, error) {
 	numTok, sz := binary.Uvarint(payload)
 	if sz <= 0 || numTok != uint64(numWords) {
 		return nil, corrupt("postings token count %d, want %d", numTok, numWords)
@@ -613,44 +578,4 @@ func decodePostingsV2(payload []byte, numWords int) (*ContainerStore, error) {
 		return nil, corrupt("postings: %v", err)
 	}
 	return cs, nil
-}
-
-// decodePostingsV1 decodes the version-1 postings payload: one
-// delta-varint stream per token, eagerly materialized and validated.
-func decodePostingsV1(payload []byte, numWords, numSets int, dead []bool, c *Collection) ([][]Posting, error) {
-	pr := binenc.NewReader(payload)
-	lists := make([][]Posting, numWords)
-	for t := 0; t < numWords; t++ {
-		n := pr.Count(2) // each posting costs ≥ 2 bytes
-		if err := pr.Err(); err != nil {
-			return nil, corrupt("postings for token %d: %v", t, err)
-		}
-		if n == 0 {
-			continue
-		}
-		list := make([]Posting, n)
-		set := int32(0)
-		for k := 0; k < n; k++ {
-			set += int32(pr.Uint())
-			elem := pr.Uint()
-			if err := pr.Err(); err != nil {
-				return nil, corrupt("postings for token %d: %v", t, err)
-			}
-			if int(set) >= numSets || set < 0 {
-				return nil, corrupt("posting set %d out of range for token %d", set, t)
-			}
-			if dead != nil && dead[set] {
-				return nil, corrupt("posting references dead set %d", set)
-			}
-			if elem >= len(c.Sets[set].Elements) {
-				return nil, corrupt("posting element %d out of range for set %d", elem, set)
-			}
-			list[k] = Posting{Set: set, Elem: int32(elem)}
-		}
-		lists[t] = list
-	}
-	if pr.Remaining() != 0 {
-		return nil, corrupt("%d trailing posting bytes", pr.Remaining())
-	}
-	return lists, nil
 }

@@ -78,8 +78,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 				}
 			}
 		}
-		// A loaded snapshot must save again cleanly (the writer trusts the
-		// invariants the loader enforced).
+		// A loaded snapshot must save again cleanly, index image included
+		// (the writer trusts the invariants the loader enforced).
+		if postings != nil {
+			got.Source = testLists(postings)
+		}
 		var out bytes.Buffer
 		if err := SaveSnapshot(&out, got); err != nil {
 			t.Fatalf("re-saving a loaded snapshot: %v", err)

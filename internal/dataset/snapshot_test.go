@@ -3,10 +3,23 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"silkmoth/internal/tokens"
 )
+
+// testLists is the fixture's PostingProvider: materialized lists by token
+// id, never an encoded container (the index is the production provider).
+type testLists [][]Posting
+
+func (p testLists) NumTokens() int                      { return len(p) }
+func (p testLists) EncodedContainer(int) ([]byte, bool) { return nil, false }
+func (p testLists) AppendPostings(t int, dst []Posting) []Posting {
+	return append(dst, p[t]...)
+}
 
 // buildSnapshotFixture tokenizes a small word collection, tombstones one
 // slot, and assembles a SnapshotData with postings filtered the way the
@@ -34,7 +47,7 @@ func buildSnapshotFixture() *SnapshotData {
 	// Mimic the engine: dead slots keep their index reservation but hold
 	// nothing (the saver writes them as placeholders regardless, but the
 	// fixture should match the runtime shape post-compaction too).
-	return &SnapshotData{Coll: c, Dead: dead, Postings: lists}
+	return &SnapshotData{Coll: c, Dead: dead, Source: testLists(lists)}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -90,8 +103,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("live token lost")
 	}
 	// Postings round-trip: same per-token multiset of (set, elem) pairs,
-	// modulo the token renumbering — compare via token strings. v2 keeps
-	// them as lazy containers; DecodePostings materializes and validates.
+	// modulo the token renumbering — compare via token strings. They load
+	// as lazy containers; DecodePostings materializes and validates.
 	if got.Containers == nil {
 		t.Fatal("postings not persisted")
 	}
@@ -99,7 +112,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for old, list := range snap.Postings {
+	for old, list := range snap.Source.(testLists) {
 		if len(list) == 0 {
 			continue
 		}
@@ -134,7 +147,7 @@ func TestSnapshotRoundTripQGramNoPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.HasPostings() {
+	if got.Containers != nil {
 		t.Fatal("postings materialized from a snapshot without them")
 	}
 	gc := got.Coll
@@ -199,5 +212,140 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 		if _, err := LoadSnapshot(bytes.NewReader(valid[:cut])); err == nil {
 			t.Errorf("truncation to %d bytes loaded successfully", cut)
 		}
+	}
+}
+
+// saveLoad round-trips a bare collection through the snapshot image.
+func saveLoad(t *testing.T, c *Collection) *SnapshotData {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, &SnapshotData{Coll: c}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// With every slot live and every token in use the save-side remap is the
+// identity: ids, dictionary size and token strings all survive verbatim.
+func TestSaveLoadWordCollection(t *testing.T) {
+	dict := tokens.NewDictionary()
+	orig := BuildWord(dict, []RawSet{
+		{Name: "A", Elements: []string{"77 Mass Ave", "5th St", ""}},
+		{Name: "B", Elements: []string{"77 5th St Chicago IL"}},
+	})
+	snap := saveLoad(t, orig)
+	got := snap.Coll
+	if snap.Dead != nil {
+		t.Errorf("dead bitmap %v on an all-live image", snap.Dead)
+	}
+	if got.Mode != orig.Mode || got.Q != orig.Q {
+		t.Errorf("mode/q = %v/%d", got.Mode, got.Q)
+	}
+	if got.Dict.Size() != orig.Dict.Size() {
+		t.Errorf("dict size = %d, want %d", got.Dict.Size(), orig.Dict.Size())
+	}
+	compareSets(t, got.Sets, orig.Sets)
+	for i := 0; i < orig.Dict.Size(); i++ {
+		if got.Dict.String(tokens.ID(i)) != orig.Dict.String(tokens.ID(i)) {
+			t.Fatalf("token %d renamed", i)
+		}
+	}
+}
+
+func TestSaveLoadQGramCollection(t *testing.T) {
+	dict := tokens.NewDictionary()
+	orig := BuildQGram(dict, []RawSet{
+		{Name: "A", Elements: []string{"Database", "Systems"}},
+	}, 3)
+	snap := saveLoad(t, orig)
+	if snap.Coll.Q != 3 || snap.Coll.Mode != ModeQGram {
+		t.Errorf("q/mode = %d/%v", snap.Coll.Q, snap.Coll.Mode)
+	}
+	compareSets(t, snap.Coll.Sets, orig.Sets)
+}
+
+// compareSets compares collections semantically: the decoder leaves empty
+// slices nil, which reflect.DeepEqual would flag spuriously.
+func compareSets(t *testing.T, got, want []Set) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("set count %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := &got[i], &want[i]
+		if g.Name != w.Name || len(g.Elements) != len(w.Elements) {
+			t.Fatalf("set %d shape differs", i)
+		}
+		for j := range g.Elements {
+			ge, we := &g.Elements[j], &w.Elements[j]
+			if ge.Raw != we.Raw || ge.Length != we.Length ||
+				!reflect.DeepEqual(append([]tokens.ID{}, ge.Tokens...), append([]tokens.ID{}, we.Tokens...)) ||
+				!reflect.DeepEqual(append([]tokens.ID{}, ge.Chunks...), append([]tokens.ID{}, we.Chunks...)) {
+				t.Fatalf("set %d element %d differs: %+v vs %+v", i, j, ge, we)
+			}
+		}
+	}
+}
+
+func TestLoadCorrupt(t *testing.T) {
+	for name, data := range map[string][]byte{"garbage": {1, 2, 3}, "empty": nil} {
+		if _, err := LoadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s stream: got %v, want ErrSnapshotCorrupt", name, err)
+		}
+	}
+}
+
+// A reader that fails is not a corrupt image: the cause must come back
+// wrapped, and must not match ErrSnapshotCorrupt.
+func TestLoadSnapshotReaderError(t *testing.T) {
+	boom := errors.New("broken pipe")
+	_, err := LoadSnapshot(iotest.ErrReader(boom))
+	if !errors.Is(err, boom) {
+		t.Fatalf("reader error lost: %v", err)
+	}
+	if errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("reader error reported as corruption: %v", err)
+	}
+}
+
+// Files of the two retired formats — the SMOTHCOL collection file and
+// snapshot version 1 — are intact artifacts this build has no reader for.
+// Each must fail with an error that names the format and the way out, and
+// that is neither corruption nor the newer-version error.
+func TestRetiredFormatsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, buildSnapshotFixture()); err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte(nil), buf.Bytes()...)
+	v1[len(snapshotMagic)] = 1
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		names string
+	}{
+		{"collection file", []byte("SMOTHCOL\x02\x00\x00\x01\x01\x01x"), "SMOTHCOL"},
+		{"collection file, gob era", []byte("SMOTHCOL\x01"), "SMOTHCOL"},
+		{"snapshot v1", v1, "version 1"},
+	} {
+		_, err := LoadSnapshotBytes(tc.data)
+		var uve *UnsupportedVersionError
+		if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrSnapshotCorrupt) || errors.As(err, &uve) {
+			t.Errorf("%s: got %v, want ErrRetiredFormat only", tc.name, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.names) || !strings.Contains(msg, "re-save with the previous build") {
+			t.Errorf("%s: error %q does not name the format and the migration", tc.name, msg)
+		}
+	}
+	// Version 0 was never written by any build: that is corruption.
+	v0 := append([]byte(nil), buf.Bytes()...)
+	v0[len(snapshotMagic)] = 0
+	if _, err := LoadSnapshotBytes(v0); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("version 0: got %v, want ErrSnapshotCorrupt", err)
 	}
 }

@@ -42,19 +42,6 @@ func FromContainers(c *dataset.Collection, cs *dataset.ContainerStore, shared bo
 	}
 }
 
-// FromListsCompressed imports already-built posting lists (a legacy
-// snapshot's, which persisted decoded lists) and re-encodes them into
-// containers, for engines configured compressed whose snapshot predates the
-// container format. lists as in FromLists; cacheBytes as in BuildCompressed.
-func FromListsCompressed(c *dataset.Collection, lists [][]Posting, cacheBytes int64) *Inverted {
-	for len(lists) < c.Dict.Size() {
-		lists = append(lists, nil)
-	}
-	ix := &Inverted{coll: c, compress: true, cache: newListCache(cacheBytes)}
-	ix.adoptCompressed(lists)
-	return ix
-}
-
 // Compressed reports whether the index stores its lists as containers.
 func (ix *Inverted) Compressed() bool { return ix.compress }
 

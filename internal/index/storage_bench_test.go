@@ -2,7 +2,6 @@
 // postings section costs eagerly (decode every container into heap lists,
 // the uncompressed engine's load) versus lazily (wrap the container bytes,
 // decode on first probe), and what compressed probes cost hot and cold.
-// Results land in BENCH_storage.json.
 package index
 
 import (
@@ -34,7 +33,7 @@ func storageBenchSnap(b *testing.B) *dataset.SnapshotData {
 }
 
 // TestStorageFootprintReport logs the posting-section footprint of the
-// benchmark corpora (run with -v); the numbers feed BENCH_storage.json.
+// benchmark corpora (run with -v).
 func TestStorageFootprintReport(t *testing.T) {
 	for _, tc := range []struct {
 		name        string

@@ -177,11 +177,11 @@ func NewFromSnapshot(snap *dataset.SnapshotData, shards int, opts core.Options) 
 // buildShard indexes shard s's collection — or, for a shard set of one
 // over a snapshot that carries an index image, imports that image.
 func (e *Engine) buildShard(s int, snap *dataset.SnapshotData, opts core.Options) (*core.Engine, error) {
-	if e.nshards > 1 || !snap.HasPostings() {
+	if e.nshards > 1 || snap.Containers == nil {
 		return core.NewEngine(e.colls[s], opts)
 	}
 	var ix *index.Inverted
-	if opts.CompressPostings && snap.Containers != nil {
+	if opts.CompressPostings {
 		// Zero-copy lazy load: wrap the snapshot's encoded containers —
 		// possibly aliasing a memory-mapped file — and decode a posting
 		// list only when a probe first touches it.
@@ -191,12 +191,7 @@ func (e *Engine) buildShard(s int, snap *dataset.SnapshotData, opts core.Options
 		if err != nil {
 			return nil, fmt.Errorf("decoding snapshot postings: %w", err)
 		}
-		if opts.CompressPostings {
-			// Legacy image under a compressed config: re-encode.
-			ix = index.FromListsCompressed(snap.Coll, lists, opts.PostingCacheBytes)
-		} else {
-			ix = index.FromLists(snap.Coll, lists)
-		}
+		ix = index.FromLists(snap.Coll, lists)
 	}
 	return core.NewEngineFromIndex(ix, opts)
 }
@@ -303,16 +298,7 @@ func (e *Engine) aliveLocked(g int) bool {
 	return e.engines[s].Alive(local)
 }
 
-// LiveSnapshot returns the liveness of every global slot under a single
-// lock acquisition, for callers that sweep the whole collection (the
-// compacted save path) and would otherwise pay one lock round-trip per
-// set.
-func (e *Engine) LiveSnapshot() []bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.liveSnapshotLocked()
-}
-
+// liveSnapshotLocked returns the liveness of every global slot.
 func (e *Engine) liveSnapshotLocked() []bool {
 	out := make([]bool, len(e.global.Sets))
 	for s, eng := range e.engines {

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"io/fs"
 	"sort"
 	"sync"
 
@@ -290,6 +291,10 @@ func (f *FS) Open(name string) (io.ReadCloser, error) {
 type notExistError struct{ name string }
 
 func (e *notExistError) Error() string { return "failfs: file does not exist: " + e.name }
+
+// Is lets callers tell a missing file from any other failure the way they
+// would on a real filesystem.
+func (e *notExistError) Is(target error) bool { return target == fs.ErrNotExist }
 
 func (f *FS) Rename(oldname, newname string) error {
 	f.mu.Lock()

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// RecoverData mirrors Recover but hands the loader the snapshot as bytes —
-// memory-mapped over dirFS — and transfers mapping ownership on success.
+// RecoverData hands the loader the snapshot as bytes — memory-mapped over
+// dirFS — and transfers mapping ownership on success.
 func TestStoreRecoverData(t *testing.T) {
 	dir := t.TempDir()
 	st := openDir(t, dir)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -57,7 +58,7 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 // Open scans fsys for existing snapshot/log pairs. It performs no
 // destructive operation: leftover temp files from an interrupted snapshot
 // are removed only once a later WriteSnapshot succeeds them, and the
-// choice of which snapshot to load belongs to Recover.
+// choice of which snapshot to load belongs to RecoverData.
 func Open(fsys FS) (*Store, error) {
 	s := &Store{fsys: fsys}
 	seqs, err := s.snapshotSeqs()
@@ -87,52 +88,20 @@ func (s *Store) snapshotSeqs() ([]uint64, error) {
 	return seqs, nil
 }
 
-// Recover walks the store's snapshots newest-first, calling load on each
-// until one succeeds; the store's sequence then points at it, so ReplayWAL
-// replays its paired log. It returns (false, nil) on an empty store. When
+// RecoverData walks the store's snapshots newest-first, calling load on
+// each until one succeeds; the store's sequence then points at it, so
+// ReplayWAL replays its paired log. Each candidate is handed over as one
+// byte slice, memory-mapped when the FS supports it (zero-copy — the loader
+// can keep sub-slices of the image alive) and read whole otherwise. When
 // snapshots exist but none loads, the newest one's error is returned —
 // under the store's crash discipline a renamed snapshot is always fully
-// synced, so an unloadable one is real corruption, not a crash artifact.
-func (s *Store) Recover(load func(io.Reader) error) (bool, error) {
-	seqs, err := s.snapshotSeqs()
-	if err != nil {
-		return false, err
-	}
-	var firstErr error
-	for _, seq := range seqs {
-		rc, err := s.fsys.Open(snapName(seq))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		err = load(rc)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			s.seq = seq
-			return true, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return false, fmt.Errorf("wal: no loadable snapshot: %w", firstErr)
-	}
-	return false, nil
-}
-
-// RecoverData is Recover for loaders that consume the snapshot as one byte
-// slice: each candidate is memory-mapped when the FS supports it (zero-copy
-// — the loader can keep sub-slices of the image alive) and read whole
-// otherwise. On success the returned Mapping backs the bytes that were
-// handed to load; the caller owns it and must keep it open for as long as
-// any slice of the image is referenced, then Close it. Mappings for
-// candidates that failed to load are closed here. Returns (false, nil, nil)
-// on an empty store.
+// synced, so an unloadable one is real corruption (or a retired format),
+// not a crash artifact.
+//
+// On success the returned Mapping backs the bytes that were handed to load;
+// the caller owns it and must keep it open for as long as any slice of the
+// image is referenced, then Close it. Mappings for candidates that failed
+// to load are closed here. Returns (false, nil, nil) on an empty store.
 func (s *Store) RecoverData(load func(data []byte) error) (bool, *mmap.Mapping, error) {
 	seqs, err := s.snapshotSeqs()
 	if err != nil {
@@ -194,16 +163,22 @@ func (s *Store) openSnapshotData(seq uint64) (*mmap.Mapping, error) {
 // expected shape after a crash mid-append — stops replay cleanly: the log
 // is truncated back to its valid prefix (so future appends extend intact
 // history) and torn reports it happened. Corruption before the tail, or an
-// apply error, aborts with an error. A missing log file replays zero
-// records (the crash window between snapshot rename and log creation).
+// apply error, aborts with an error. A log that does not exist replays
+// zero records (the crash window between snapshot rename and log
+// creation); any other failure to open it fails recovery — treating a
+// transient EMFILE/EIO/EACCES as "no log" would open the engine on the bare
+// snapshot and let the next append land after records never replayed.
 func (s *Store) ReplayWAL(apply func(*Record) error) (replayed int, torn bool, err error) {
 	if s.seq == 0 {
 		return 0, false, nil
 	}
 	name := logName(s.seq)
 	rc, err := s.fsys.Open(name)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
 	}
 	buf, err := io.ReadAll(rc)
 	if cerr := rc.Close(); err == nil {
@@ -241,7 +216,7 @@ func (s *Store) ReplayWAL(apply func(*Record) error) (replayed int, torn bool, e
 
 // Begin opens the current pair's log for appending, creating it if the
 // crash window left it missing, and makes its directory entry durable.
-// Call it after Recover/ReplayWAL; WriteSnapshot opens its own log.
+// Call it after RecoverData/ReplayWAL; WriteSnapshot opens its own log.
 func (s *Store) Begin() error {
 	if s.closed {
 		return ErrClosed

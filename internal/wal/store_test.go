@@ -29,20 +29,27 @@ func writeString(s string) func(io.Writer) error {
 	}
 }
 
-// readAll is a snapshot loader capturing the image into dst.
-func readAll(dst *string) func(io.Reader) error {
-	return func(r io.Reader) error {
-		b, err := io.ReadAll(r)
-		*dst = string(b)
-		return err
+// recoverImage runs RecoverData with a loader that accepts every image,
+// captures the winner into dst, and releases its mapping.
+func recoverImage(t *testing.T, st *Store, dst *string) (bool, error) {
+	t.Helper()
+	loaded, m, err := st.RecoverData(func(data []byte) error {
+		*dst = string(data)
+		return nil
+	})
+	if m != nil {
+		if cerr := m.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
 	}
+	return loaded, err
 }
 
 func TestStoreEmptyRecovery(t *testing.T) {
 	st := openDir(t, t.TempDir())
-	loaded, err := st.Recover(func(io.Reader) error { t.Fatal("load on empty store"); return nil })
-	if err != nil || loaded {
-		t.Fatalf("Recover on empty store = (%v, %v), want (false, nil)", loaded, err)
+	loaded, m, err := st.RecoverData(func([]byte) error { t.Fatal("load on empty store"); return nil })
+	if err != nil || loaded || m != nil {
+		t.Fatalf("RecoverData on empty store = (%v, %v, %v), want (false, nil, nil)", loaded, m, err)
 	}
 	n, torn, err := st.ReplayWAL(func(*Record) error { t.Fatal("apply on empty store"); return nil })
 	if n != 0 || torn || err != nil {
@@ -75,9 +82,9 @@ func TestStoreSnapshotAppendRecover(t *testing.T) {
 	// Reopen: the snapshot loads and the log replays in order.
 	st2 := openDir(t, dir)
 	var img string
-	loaded, err := st2.Recover(readAll(&img))
+	loaded, err := recoverImage(t, st2, &img)
 	if err != nil || !loaded {
-		t.Fatalf("Recover = (%v, %v), want (true, nil)", loaded, err)
+		t.Fatalf("RecoverData = (%v, %v), want (true, nil)", loaded, err)
 	}
 	if img != "image-1" {
 		t.Fatalf("recovered image %q", img)
@@ -99,7 +106,7 @@ func TestStoreSnapshotAppendRecover(t *testing.T) {
 	}
 
 	st3 := openDir(t, dir)
-	if _, err := st3.Recover(readAll(&img)); err != nil {
+	if _, err := recoverImage(t, st3, &img); err != nil {
 		t.Fatal(err)
 	}
 	n, _, err = st3.ReplayWAL(func(*Record) error { return nil })
@@ -131,8 +138,8 @@ func TestStoreRotation(t *testing.T) {
 
 	st2 := openDir(t, dir)
 	var img string
-	if loaded, err := st2.Recover(readAll(&img)); err != nil || !loaded {
-		t.Fatalf("Recover = (%v, %v)", loaded, err)
+	if loaded, err := recoverImage(t, st2, &img); err != nil || !loaded {
+		t.Fatalf("RecoverData = (%v, %v)", loaded, err)
 	}
 	if img != "v2" {
 		t.Fatalf("recovered %q, want the newest snapshot", img)
@@ -184,7 +191,7 @@ func TestStoreTornTail(t *testing.T) {
 
 	st2 := openDir(t, dir)
 	var img string
-	if _, err := st2.Recover(readAll(&img)); err != nil {
+	if _, err := recoverImage(t, st2, &img); err != nil {
 		t.Fatal(err)
 	}
 	n, torn, err := st2.ReplayWAL(func(*Record) error { return nil })
@@ -199,7 +206,7 @@ func TestStoreTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	st3 := openDir(t, dir)
-	if _, err := st3.Recover(readAll(&img)); err != nil {
+	if _, err := recoverImage(t, st3, &img); err != nil {
 		t.Fatal(err)
 	}
 	var ids []int
@@ -233,7 +240,7 @@ func TestStoreMidLogCorruption(t *testing.T) {
 
 	st2 := openDir(t, dir)
 	var img string
-	if _, err := st2.Recover(readAll(&img)); err != nil {
+	if _, err := recoverImage(t, st2, &img); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st2.ReplayWAL(func(*Record) error { return nil }); err == nil {
@@ -255,7 +262,7 @@ func TestStoreApplyError(t *testing.T) {
 	}
 	st2 := openDir(t, dir)
 	var img string
-	if _, err := st2.Recover(readAll(&img)); err != nil {
+	if _, err := recoverImage(t, st2, &img); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
@@ -271,7 +278,9 @@ func TestStoreApplyError(t *testing.T) {
 }
 
 // Recovery falls back to an older snapshot when the newest fails to load,
-// and errors only when none loads.
+// and errors only when none loads — here over an FS without the MapFS
+// capability, so the candidates travel the read-whole path
+// (TestStoreRecoverDataFallback covers the mapped one).
 func TestStoreRecoverFallback(t *testing.T) {
 	dir := t.TempDir()
 	st := openDir(t, dir)
@@ -290,23 +299,30 @@ func TestStoreRecoverFallback(t *testing.T) {
 	f.Close()
 	fsys.SyncDir()
 
-	st2 := openDir(t, dir)
-	var img string
-	loaded, err := st2.Recover(func(r io.Reader) error {
-		b, _ := io.ReadAll(r)
-		if string(b) != "old" {
-			return fmt.Errorf("unloadable image %q", b)
+	unmapped := struct{ FS }{fsys} // embedding the interface hides dirFS.Map
+	st2, err := Open(unmapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, m, err := st2.RecoverData(func(data []byte) error {
+		if string(data) != "old" {
+			return fmt.Errorf("unloadable image %q", data)
 		}
-		img = string(b)
 		return nil
 	})
-	if err != nil || !loaded || img != "old" {
-		t.Fatalf("fallback Recover = (%v, %v), img %q", loaded, err, img)
+	if err != nil || !loaded || string(m.Data()) != "old" || m.Mapped() {
+		t.Fatalf("fallback RecoverData = (%v, %v), mapped %v", loaded, err, m != nil && m.Mapped())
+	}
+	if st2.Seq() != st.Seq() {
+		t.Fatalf("Seq = %d, want the older snapshot's %d", st2.Seq(), st.Seq())
 	}
 
-	st3 := openDir(t, dir)
-	if _, err := st3.Recover(func(io.Reader) error { return errors.New("nope") }); err == nil {
-		t.Fatal("Recover with no loadable snapshot should error")
+	st3, err := Open(unmapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st3.RecoverData(func([]byte) error { return errors.New("nope") }); err == nil {
+		t.Fatal("RecoverData with no loadable snapshot should error")
 	}
 }
 

@@ -78,7 +78,8 @@
 // reaches Config.CompactionThreshold (or on an explicit Compact call).
 // Mutations never change what queries return: a mutated engine answers
 // exactly like one built fresh from its surviving sets, and SaveCollection
-// persists that compacted form.
+// persists that compacted form under the same ids — the one snapshot image
+// Config.DataDir also stores (see the README's Durability section).
 //
 // # Concurrency and serving
 //
