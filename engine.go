@@ -338,6 +338,8 @@ func (e *Engine) Stats() Stats {
 	out.AfterNN = st.AfterNN
 	out.NNPruned = st.NNPruned
 	out.Verified = st.Verified
+	out.SimEvals = st.SimEvals
+	out.SimMemoHits = st.SimMemoHits
 	out.SchemeWeighted = st.SchemeWeighted
 	out.SchemeSkyline = st.SchemeSkyline
 	out.SchemeDichotomy = st.SchemeDichotomy

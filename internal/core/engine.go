@@ -131,11 +131,11 @@ func phiFunc(o Options) filter.SimFunc {
 		}
 	case Eds:
 		return func(r, s *dataset.Element) float64 {
-			return sim.EdsAlpha(r.Raw, s.Raw, alpha)
+			return sim.EdsAlphaLen(r.Raw, s.Raw, r.Length, s.Length, alpha)
 		}
 	case NEds:
 		return func(r, s *dataset.Element) float64 {
-			return sim.NEdsAlpha(r.Raw, s.Raw, alpha)
+			return sim.NEdsAlphaLen(r.Raw, s.Raw, r.Length, s.Length, alpha)
 		}
 	case Dice:
 		return func(r, s *dataset.Element) float64 {

@@ -42,6 +42,10 @@ type PassStats struct {
 	NNPruned    int64
 	// Verified counts maximum-matching computations.
 	Verified int64
+	// SimEvals/SimMemoHits split the filters' φ_α requests into kernel
+	// calls and per-pass memo hits (see StatsSnapshot).
+	SimEvals    int64
+	SimMemoHits int64
 	// Scheme* count signatured passes by the concrete scheme that probed
 	// the index (per-shard choices may differ under Auto).
 	SchemeWeighted       int64
@@ -119,6 +123,13 @@ func (ps *PassStats) addVerified(n int64) {
 	}
 }
 
+func (ps *PassStats) addSim(n filter.SimCounts) {
+	if ps != nil {
+		atomic.AddInt64(&ps.SimEvals, n.Evals)
+		atomic.AddInt64(&ps.SimMemoHits, n.MemoHits)
+	}
+}
+
 func (ps *PassStats) addScheme(k signature.Kind) {
 	if ps == nil {
 		return
@@ -168,8 +179,9 @@ func (ps *PassStats) Elapsed() time.Duration {
 // pass reuses across queries so the steady-state hot path performs no
 // per-query heap allocations:
 //
-//   - the candidate collector (pooled Candidate slots),
-//   - the nearest-neighbor searcher,
+//   - the candidate collector (pooled Candidate slots) and the nearest-
+//     neighbor searcher, each with its per-pass φ_α memo (allocated by the
+//     worker's first pass, not by newWorker),
 //   - the signature selector (two generator arenas, for Scheme Auto),
 //   - the verification scratch (flat Hungarian buffers, interned key
 //     slices),
@@ -411,6 +423,7 @@ func (p *plan) collect() {
 		PruneThreshold: p.pruneThreshold,
 	})
 	p.cands = cands
+	p.chargeSim(w, w.cl.TakeSimCounts())
 	w.st.addCandidates(int64(raw))
 	p.ps.addCandidates(int64(raw))
 	w.st.addAfterCheck(int64(len(cands)))
@@ -419,6 +432,15 @@ func (p *plan) collect() {
 		w.st.addCheckPruned(int64(raw - len(cands)))
 		p.ps.addCheckPruned(int64(raw - len(cands)))
 	}
+}
+
+// chargeSim books the φ_α counts one of the pass's filters kept in plain
+// integers on worker w: once per stage and worker, never per posting.
+//
+//silkmoth:hotpath
+func (p *plan) chargeSim(w *worker, n filter.SimCounts) {
+	w.st.addSim(n)
+	p.ps.addSim(n)
 }
 
 // prepareRefine precomputes the nearest-neighbor filter's no-share floors
@@ -443,17 +465,20 @@ func (p *plan) verifyAll(ctx context.Context) ([]Match, error) {
 		return p.verifyParallel(ctx)
 	}
 	var out []Match
+	var err error
 	for i, c := range p.cands {
 		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if err = ctx.Err(); err != nil {
+				out = nil
+				break
 			}
 		}
 		if m, ok := p.refineAndVerify(c, p.w); ok {
 			out = append(out, m)
 		}
 	}
-	return out, nil
+	p.chargeSim(p.w, p.w.ns.TakeSimCounts())
+	return out, err
 }
 
 // refineAndVerify runs one candidate through the nearest-neighbor filter and
@@ -532,6 +557,8 @@ func (p *plan) verifyParallel(ctx context.Context) ([]Match, error) {
 			if sr != nil {
 				defer sr.Close()
 			}
+			// Runs before Close folds the borrowed worker's shard away.
+			defer func() { p.chargeSim(sw, sw.ns.TakeSimCounts()) }()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(cands) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"silkmoth/internal/filter"
 	"silkmoth/internal/signature"
 )
 
@@ -21,6 +22,10 @@ type Stats struct {
 	afterNN      int64
 	nnPruned     int64
 	verified     int64
+	// φ_α across the check and nearest-neighbor filters: kernel calls, and
+	// requests the per-pass memo answered instead (filter.SimCounts).
+	simEvals    int64
+	simMemoHits int64
 	// Concrete scheme each signatured pass probed with — under Scheme
 	// Auto this is the per-query cost-based choice; under a fixed scheme
 	// it just counts passes.
@@ -47,6 +52,12 @@ func (s *Stats) addCheckPruned(n int64)  { atomic.AddInt64(&s.checkPruned, n) }
 func (s *Stats) addAfterNN(n int64)      { atomic.AddInt64(&s.afterNN, n) }
 func (s *Stats) addNNPruned(n int64)     { atomic.AddInt64(&s.nnPruned, n) }
 func (s *Stats) addVerified(n int64)     { atomic.AddInt64(&s.verified, n) }
+
+// addSim records the φ_α counts a worker's filters took over one pass.
+func (s *Stats) addSim(n filter.SimCounts) {
+	atomic.AddInt64(&s.simEvals, n.Evals)
+	atomic.AddInt64(&s.simMemoHits, n.MemoHits)
+}
 
 // addStageNanos records one timed pass's per-stage wall time.
 func (s *Stats) addStageNanos(sig, collect, refine, verify int64) {
@@ -84,6 +95,8 @@ func (s *Stats) merge(from *Stats) {
 	atomic.AddInt64(&s.afterNN, atomic.LoadInt64(&from.afterNN))
 	atomic.AddInt64(&s.nnPruned, atomic.LoadInt64(&from.nnPruned))
 	atomic.AddInt64(&s.verified, atomic.LoadInt64(&from.verified))
+	atomic.AddInt64(&s.simEvals, atomic.LoadInt64(&from.simEvals))
+	atomic.AddInt64(&s.simMemoHits, atomic.LoadInt64(&from.simMemoHits))
 	atomic.AddInt64(&s.schemeWeighted, atomic.LoadInt64(&from.schemeWeighted))
 	atomic.AddInt64(&s.schemeComb, atomic.LoadInt64(&from.schemeComb))
 	atomic.AddInt64(&s.schemeSkyline, atomic.LoadInt64(&from.schemeSkyline))
@@ -127,6 +140,12 @@ type StatsSnapshot struct {
 	NNPruned int64
 	// Verified counts maximum-matching computations.
 	Verified int64
+	// SimEvals counts φ_α kernel calls made by the check and nearest-
+	// neighbor filters; SimMemoHits counts the requests their per-pass
+	// memo answered without one. Both repeat exactly for a given corpus
+	// and query mix (verification's kernel calls are not included).
+	SimEvals    int64
+	SimMemoHits int64
 	// Scheme* count signatured passes by the concrete scheme that
 	// generated the probe signature. Under Scheme Auto they expose the
 	// per-query cost-based selection; under a fixed scheme exactly one
@@ -157,6 +176,8 @@ func (e *Engine) Stats() StatsSnapshot {
 		AfterNN:              atomic.LoadInt64(&e.st.afterNN),
 		NNPruned:             atomic.LoadInt64(&e.st.nnPruned),
 		Verified:             atomic.LoadInt64(&e.st.verified),
+		SimEvals:             atomic.LoadInt64(&e.st.simEvals),
+		SimMemoHits:          atomic.LoadInt64(&e.st.simMemoHits),
 		SchemeWeighted:       atomic.LoadInt64(&e.st.schemeWeighted),
 		SchemeCombUnweighted: atomic.LoadInt64(&e.st.schemeComb),
 		SchemeSkyline:        atomic.LoadInt64(&e.st.schemeSkyline),
@@ -180,6 +201,8 @@ func (e *Engine) ResetStats() {
 	atomic.StoreInt64(&e.st.afterNN, 0)
 	atomic.StoreInt64(&e.st.nnPruned, 0)
 	atomic.StoreInt64(&e.st.verified, 0)
+	atomic.StoreInt64(&e.st.simEvals, 0)
+	atomic.StoreInt64(&e.st.simMemoHits, 0)
 	atomic.StoreInt64(&e.st.schemeWeighted, 0)
 	atomic.StoreInt64(&e.st.schemeComb, 0)
 	atomic.StoreInt64(&e.st.schemeSkyline, 0)

@@ -54,8 +54,9 @@ type Element struct {
 	// dictionary's key space (Dict.Keys()): two elements over the same
 	// dictionary are identical iff their Keys are equal and not NoKey.
 	// The §5.3 verification reduction compares these integers instead of
-	// materializing ElementKey strings per pair. NoKey marks elements
-	// that can never be reduced (no tokens / empty raw).
+	// materializing ElementKey strings per pair, and the filters memoize
+	// φ_α under them for the length of a pass. NoKey marks elements that
+	// can never be reduced (no tokens / empty raw).
 	Key tokens.ID
 }
 

@@ -3,6 +3,13 @@
 // neighbor filter of Algorithm 2, including the efficient index-based
 // nearest-neighbor search, computation reuse, and early termination.
 //
+// Computation reuse is wider than §5.2's: besides the nearest-neighbor
+// filter reusing the check filter's best similarities within one candidate
+// set, each stage remembers φ_α per ⟨reference element, candidate element
+// content⟩ for the length of a pass (simMemo), so an element that recurs
+// across postings and across candidate sets costs one kernel call per
+// stage, up to the evictions of a bounded table.
+//
 // All pruning in this package is conservative: a candidate is dropped only
 // when a sound upper bound on its maximum matching score sits below the
 // pruning threshold supplied by the caller, so no truly related set is ever
@@ -36,6 +43,10 @@ type Candidate struct {
 	Passed []bool
 	// NumPassed counts true entries of Passed.
 	NumPassed int
+	// pass is the process-unique number of the Collect call that produced
+	// the candidate (0 for one built by hand): what NNFilter checks before
+	// it trusts the searcher's memo.
+	pass uint64
 }
 
 // Options configures candidate collection.
@@ -82,6 +93,9 @@ type Collector struct {
 	order []int32
 	// out is the reused survivor slice handed to the caller.
 	out []*Candidate
+	// memo holds the current pass's φ_α values; pass is that pass's number.
+	memo simMemo
+	pass uint64
 }
 
 // Trim policy: every trimInterval passes, pooled Candidates for slots
@@ -105,9 +119,14 @@ func NewCollector(ix *index.Inverted) *Collector {
 }
 
 // Collect implements candidate selection plus the check filter
-// (Algorithm 1). It probes the inverted index with every signature token,
-// computes φ_α for the probed ⟨reference element, candidate element⟩ pairs
-// (at most once per pair), and returns the surviving candidates.
+// (Algorithm 1). It probes the inverted index with every signature token
+// and needs φ_α once per posting: a pair sharing k signature tokens is
+// asked for k times, and identical elements of different sets once each.
+// The kernel runs far less often — the collector's per-pass memo answers
+// every repeat of a ⟨reference element, candidate element content⟩ pair, so
+// kernel calls per pass are bounded by the distinct such pairs plus the
+// evictions of the fixed-size table (and by the posting count, which they
+// equal only when no content repeats). TakeSimCounts reports both numbers.
 //
 // A candidate is dropped only when no pair passed its element bound test
 // and the signature's SumBound proves every such set unrelated
@@ -136,6 +155,10 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 		cl.epoch = 1
 	}
 	cl.order = cl.order[:0]
+	cl.pass = passSeq.Add(1)
+	if opts.CheckFilter {
+		cl.memo.reset()
+	}
 	n := len(r.Elements)
 
 	for i := range sig.Elements {
@@ -174,7 +197,7 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 					continue
 				}
 				sElem := &coll.Sets[p.Set].Elements[p.Elem]
-				score := phi(rElem, sElem)
+				score := cl.memo.eval(phi, i, rElem, sElem)
 				if score > c.BestSim[i] {
 					c.BestSim[i] = score
 					if !c.Passed[i] && score > 0 && score >= esig.Bound {
@@ -236,8 +259,13 @@ func (cl *Collector) candidateFor(set int32, n int) *Candidate {
 		c.Passed[i] = false
 	}
 	c.NumPassed = 0
+	c.pass = cl.pass
 	return c
 }
+
+// TakeSimCounts returns the kernel evaluations and memo hits of the Collect
+// calls since the last take.
+func (cl *Collector) TakeSimCounts() SimCounts { return cl.memo.take() }
 
 // collectorPool recycles whole Collectors for the single-shot Collect form.
 // Entries are bound to the index they were built over; a pooled collector
@@ -262,6 +290,7 @@ func Collect(r *dataset.Set, sig *signature.Signature, ix *index.Inverted, phi S
 			BestSim:   append([]float64(nil), c.BestSim...),
 			Passed:    append([]bool(nil), c.Passed...),
 			NumPassed: c.NumPassed,
+			pass:      c.pass,
 		}
 		out[i] = cp
 	}

@@ -9,9 +9,13 @@ import (
 // NNSearcher finds nearest neighbors of reference elements inside one
 // candidate set via the inverted index (§5.2, adapting the prefix-filter
 // technique of Xiao et al.): it walks the reference element's tokens,
-// locates the candidate set's postings by binary search, and evaluates φ_α
-// against each distinct candidate element found. It is not safe for
-// concurrent use; create one per worker.
+// locates the candidate set's postings by binary search, and needs φ_α
+// against each distinct candidate element found. Its per-pass memo answers
+// for every element whose content the pass has already met, in this
+// candidate set or an earlier one, so the kernel runs once per distinct
+// ⟨reference element, candidate element content⟩ pair, up to the evictions
+// of the fixed-size table. It is not safe for concurrent use; create one
+// per worker.
 type NNSearcher struct {
 	ix  *index.Inverted
 	phi SimFunc
@@ -23,6 +27,9 @@ type NNSearcher struct {
 	// probed range must come off a compressed container, keeping per-probe
 	// work allocation-free in steady state.
 	scratch []index.Posting
+	// memo holds φ_α values of pass number pass (a Candidate's stamp).
+	memo simMemo
+	pass uint64
 }
 
 // NewNNSearcher returns a searcher over the given index and similarity.
@@ -32,8 +39,29 @@ func NewNNSearcher(ix *index.Inverted, phi SimFunc) *NNSearcher {
 
 // Search returns the largest φ_α between r and any element of candidate set
 // `set` that shares at least one token with r. Elements sharing no token are
-// not probed; callers must account for them with a no-share floor.
+// not probed; callers must account for them with a no-share floor. A call
+// is a pass of its own: nothing is remembered from one Search to the next.
 func (s *NNSearcher) Search(r *dataset.Element, set int32) float64 {
+	s.beginPass(0)
+	return s.search(r, 0, set)
+}
+
+// beginPass empties the memo for the pass numbered pass.
+//
+//silkmoth:hotpath
+func (s *NNSearcher) beginPass(pass uint64) {
+	s.pass = pass
+	s.memo.reset()
+}
+
+// TakeSimCounts returns the kernel evaluations and memo hits of the
+// searches since the last take.
+func (s *NNSearcher) TakeSimCounts() SimCounts { return s.memo.take() }
+
+// search is Search for the current pass's reference element number ref.
+//
+//silkmoth:hotpath
+func (s *NNSearcher) search(r *dataset.Element, ref int, set int32) float64 {
 	coll := s.ix.Collection()
 	elems := coll.Sets[set].Elements
 	if len(s.visited) < len(elems) {
@@ -55,7 +83,7 @@ func (s *NNSearcher) Search(r *dataset.Element, set int32) float64 {
 				continue
 			}
 			s.visited[p.Elem] = s.epoch
-			if score := s.phi(r, &elems[p.Elem]); score > best {
+			if score := s.memo.eval(s.phi, ref, r, &elems[p.Elem]); score > best {
 				best = score
 			}
 		}
@@ -74,6 +102,9 @@ func (s *NNSearcher) Search(r *dataset.Element, set int32) float64 {
 // |r|/(|r|+⌈|r|/q⌉) (thresholded by α and capped at Bound_i) under edit
 // similarity.
 func NNFilter(r *dataset.Set, sig *signature.Signature, c *Candidate, ns *NNSearcher, noShareFloor []float64, pruneThreshold float64) bool {
+	if c.pass == 0 || c.pass != ns.pass {
+		ns.beginPass(c.pass)
+	}
 	total := sig.SumBound
 	// Computation reuse: for passed elements the check filter's best
 	// similarity is exactly the nearest-neighbor similarity (§5.2).
@@ -96,7 +127,7 @@ func NNFilter(r *dataset.Set, sig *signature.Signature, c *Candidate, ns *NNSear
 		if esig.Bound == 0 {
 			continue // bound already tight: nothing to gain
 		}
-		nn := ns.Search(&r.Elements[i], c.Set)
+		nn := ns.search(&r.Elements[i], i, c.Set)
 		if floor := noShareFloor[i]; floor > nn {
 			nn = floor
 		}

@@ -10,8 +10,9 @@ import (
 // ExplainJSON is a query's execution metadata on the wire: the concrete
 // signature scheme that probed the index, the per-stage pruning funnel
 // (candidates = after_check + check_pruned; after_check = after_nn +
-// nn_pruned; every after_nn survivor is verified), and wall time in
-// microseconds.
+// nn_pruned; every after_nn survivor is verified), the filters' φ_α
+// requests split into kernel calls and per-pass memo hits, and wall time
+// in microseconds.
 type ExplainJSON struct {
 	Scheme      string           `json:"scheme"`
 	Schemes     map[string]int64 `json:"schemes,omitempty"`
@@ -24,6 +25,8 @@ type ExplainJSON struct {
 	AfterNN     int64            `json:"after_nn"`
 	NNPruned    int64            `json:"nn_pruned"`
 	Verified    int64            `json:"verified"`
+	SimEvals    int64            `json:"sim_evals"`
+	SimMemoHits int64            `json:"sim_memo_hits"`
 	ElapsedUS   int64            `json:"elapsed_us"`
 }
 
@@ -40,6 +43,8 @@ func explainJSON(ex *silkmoth.Explain) *ExplainJSON {
 		AfterNN:     ex.AfterNN,
 		NNPruned:    ex.NNPruned,
 		Verified:    ex.Verified,
+		SimEvals:    ex.SimEvals,
+		SimMemoHits: ex.SimMemoHits,
 		ElapsedUS:   ex.Elapsed.Microseconds(),
 	}
 }

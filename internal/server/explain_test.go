@@ -77,6 +77,16 @@ func TestExplainEndpoint(t *testing.T) {
 			}
 			gresp := decode[explainResponse](t, g)
 			checkFunnel(t, "get", gresp.Explain)
+			// The filters' similarity counts are work counts: the same query
+			// against the same engine repeats them exactly, and a candidate
+			// is reached through at least one compared element pair.
+			px, gx := resp.Explain, gresp.Explain
+			if px.SimEvals == 0 || px.SimEvals+px.SimMemoHits < px.Candidates {
+				t.Fatalf("sim_evals %d + sim_memo_hits %d for %d candidates", px.SimEvals, px.SimMemoHits, px.Candidates)
+			}
+			if gx.SimEvals != px.SimEvals || gx.SimMemoHits != px.SimMemoHits {
+				t.Fatalf("sim counts do not repeat: POST %d/%d, GET %d/%d", px.SimEvals, px.SimMemoHits, gx.SimEvals, gx.SimMemoHits)
+			}
 			if len(gresp.Matches) != len(resp.Matches) {
 				t.Fatalf("GET explain %d matches, POST %d", len(gresp.Matches), len(resp.Matches))
 			}

@@ -1115,6 +1115,8 @@ type statsResponse struct {
 		AfterNN      int64 `json:"after_nn"`
 		NNPruned     int64 `json:"nn_pruned"`
 		Verified     int64 `json:"verified"`
+		SimEvals     int64 `json:"sim_evals"`
+		SimMemoHits  int64 `json:"sim_memo_hits"`
 		Compactions  int64 `json:"compactions"`
 		// Scheme counts signatured passes by the concrete signature
 		// scheme that probed the index; with -scheme auto it exposes
@@ -1193,6 +1195,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.AfterNN = st.AfterNN
 	resp.Engine.NNPruned = st.NNPruned
 	resp.Engine.Verified = st.Verified
+	resp.Engine.SimEvals = st.SimEvals
+	resp.Engine.SimMemoHits = st.SimMemoHits
 	resp.Engine.Compactions = st.Compactions
 	resp.Engine.Scheme.Weighted = st.SchemeWeighted
 	resp.Engine.Scheme.Skyline = st.SchemeSkyline
@@ -1285,6 +1289,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_engine_verified_total Maximum-matching verifications run by the engine.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_verified_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_verified_total %d\n", st.Verified)
+		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_evals_total Element-similarity kernel calls made by the check and nearest-neighbor filters.\n")
+		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_evals_total counter\n")
+		fmt.Fprintf(out, "silkmothd_engine_sim_evals_total %d\n", st.SimEvals)
+		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_memo_hits_total Filter similarity requests answered by the per-pass memo without a kernel call.\n")
+		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_memo_hits_total counter\n")
+		fmt.Fprintf(out, "silkmothd_engine_sim_memo_hits_total %d\n", st.SimMemoHits)
 		fmt.Fprintf(out, "# HELP silkmothd_engine_scheme_selected_total Signatured passes by concrete signature scheme.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_scheme_selected_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"weighted\"} %d\n", st.SchemeWeighted)

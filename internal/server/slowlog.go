@@ -51,20 +51,22 @@ func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, ex
 		return
 	}
 	fields := map[string]any{
-		"request_id":   requestID(r),
-		"route":        route,
-		"reason":       reason,
-		"elapsed_us":   ex.Elapsed.Microseconds(),
-		"scheme":       ex.Scheme,
-		"passes":       ex.Passes,
-		"full_scans":   ex.FullScans,
-		"sig_tokens":   ex.SigTokens,
-		"candidates":   ex.Candidates,
-		"after_check":  ex.AfterCheck,
-		"check_pruned": ex.CheckPruned,
-		"after_nn":     ex.AfterNN,
-		"nn_pruned":    ex.NNPruned,
-		"verified":     ex.Verified,
+		"request_id":    requestID(r),
+		"route":         route,
+		"reason":        reason,
+		"elapsed_us":    ex.Elapsed.Microseconds(),
+		"scheme":        ex.Scheme,
+		"passes":        ex.Passes,
+		"full_scans":    ex.FullScans,
+		"sig_tokens":    ex.SigTokens,
+		"candidates":    ex.Candidates,
+		"after_check":   ex.AfterCheck,
+		"check_pruned":  ex.CheckPruned,
+		"after_nn":      ex.AfterNN,
+		"nn_pruned":     ex.NNPruned,
+		"verified":      ex.Verified,
+		"sim_evals":     ex.SimEvals,
+		"sim_memo_hits": ex.SimMemoHits,
 		"stage_ns": map[string]int64{
 			"signature": ex.Stages.Signature.Nanoseconds(),
 			"collect":   ex.Stages.Collect.Nanoseconds(),

@@ -425,6 +425,8 @@ func (e *Engine) Stats() core.StatsSnapshot {
 		sum.AfterNN += st.AfterNN
 		sum.NNPruned += st.NNPruned
 		sum.Verified += st.Verified
+		sum.SimEvals += st.SimEvals
+		sum.SimMemoHits += st.SimMemoHits
 		sum.SchemeWeighted += st.SchemeWeighted
 		sum.SchemeCombUnweighted += st.SchemeCombUnweighted
 		sum.SchemeSkyline += st.SchemeSkyline

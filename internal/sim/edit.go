@@ -42,15 +42,24 @@ func NEds(x, y string) float64 {
 // computation that abandons early once the distance bound implied by alpha
 // is exceeded: Eds(x,y) ≥ α ⟺ LD(x,y) ≤ (1-α)(|x|+|y|)/(1+α).
 func EdsAlpha(x, y string, alpha float64) float64 {
+	return EdsAlphaLen(x, y, utf8.RuneCountInString(x), utf8.RuneCountInString(y), alpha)
+}
+
+// EdsAlphaLen is EdsAlpha for a caller that already holds the rune lengths
+// lx = |x| and ly = |y| (dataset.Element.Length under ModeQGram): nothing is
+// counted twice, and a pair whose lengths alone put it past the distance
+// bound is rejected before a rune of either string is decoded.
+//
+//silkmoth:hotpath
+func EdsAlphaLen(x, y string, lx, ly int, alpha float64) float64 {
 	if alpha <= 0 {
 		return Eds(x, y)
 	}
-	lx, ly := utf8.RuneCountInString(x), utf8.RuneCountInString(y)
 	if lx == 0 && ly == 0 {
 		return 0
 	}
 	maxDist := int((1-alpha)*float64(lx+ly)/(1+alpha)) + 1
-	ld := LevenshteinBounded(x, y, maxDist)
+	ld := levenshteinBoundedLen(x, y, lx, ly, maxDist)
 	if ld > maxDist {
 		return 0
 	}
@@ -61,10 +70,17 @@ func EdsAlpha(x, y string, alpha float64) float64 {
 // NEdsAlpha returns φ_α(x, y) under NEds, using a banded edit distance
 // computation for alpha > 0: NEds(x,y) ≥ α ⟺ LD(x,y) ≤ (1-α)·max(|x|,|y|).
 func NEdsAlpha(x, y string, alpha float64) float64 {
+	return NEdsAlphaLen(x, y, utf8.RuneCountInString(x), utf8.RuneCountInString(y), alpha)
+}
+
+// NEdsAlphaLen is NEdsAlpha given the rune lengths, as EdsAlphaLen is
+// EdsAlpha.
+//
+//silkmoth:hotpath
+func NEdsAlphaLen(x, y string, lx, ly int, alpha float64) float64 {
 	if alpha <= 0 {
 		return NEds(x, y)
 	}
-	lx, ly := utf8.RuneCountInString(x), utf8.RuneCountInString(y)
 	m := lx
 	if ly > m {
 		m = ly
@@ -73,7 +89,7 @@ func NEdsAlpha(x, y string, alpha float64) float64 {
 		return 0
 	}
 	maxDist := int((1-alpha)*float64(m)) + 1
-	ld := LevenshteinBounded(x, y, maxDist)
+	ld := levenshteinBoundedLen(x, y, lx, ly, maxDist)
 	if ld > maxDist {
 		return 0
 	}

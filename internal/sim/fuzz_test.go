@@ -26,6 +26,14 @@ func FuzzLevenshteinBoundedMatchesUnbounded(f *testing.F) {
 	f.Add("日本語データベース", "日本語テープ", 2)
 	f.Add("\x00\x1f", "\x1f\x00", 2)
 	f.Add("abcabc", "abcabc", -1)
+	// Multi-byte runes: byte length and rune length differ, so a length
+	// pre-test on the wrong one would reject (or keep) the wrong pairs.
+	f.Add("ääääää", "ä", 4)
+	f.Add("ä", "ääääää", 5)
+	f.Add("日本語データベース", "データ", 5)
+	// maxDist ≥ the longer rune length: the bound never binds.
+	f.Add("日本語", "本語データ", 5)
+	f.Add("naïve", "", 5)
 	f.Fuzz(func(t *testing.T, a, b string, d int) {
 		if len(a) > 96 {
 			a = a[:96]
@@ -42,8 +50,9 @@ func FuzzLevenshteinBoundedMatchesUnbounded(f *testing.F) {
 		if d > limit || d < -2 {
 			d = ((d%limit)+limit)%limit - 2
 		}
+		la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
 		if d < 0 {
-			for _, got := range []int{LevenshteinBounded(a, b, d), LevenshteinBoundedRef(a, b, d)} {
+			for _, got := range []int{LevenshteinBounded(a, b, d), levenshteinBoundedLen(a, b, la, lb, d), LevenshteinBoundedRef(a, b, d)} {
 				if got != d+1 {
 					t.Fatalf("LevenshteinBounded(%q,%q,%d) = %d, want always-exceeded %d", a, b, d, got, d+1)
 				}
@@ -61,7 +70,51 @@ func FuzzLevenshteinBoundedMatchesUnbounded(f *testing.F) {
 		if got := LevenshteinBoundedRef(a, b, d); got != want {
 			t.Fatalf("LevenshteinBoundedRef(%q,%q,%d) = %d, want min(exact=%d, d+1)=%d", a, b, d, got, exact, want)
 		}
+		// The length-taking entry point decides on the lengths before it
+		// decodes; both argument orders take the swap and the no-swap side.
+		if got := levenshteinBoundedLen(a, b, la, lb, d); got != want {
+			t.Fatalf("levenshteinBoundedLen(%q,%q,%d,%d,%d) = %d, want %d", a, b, la, lb, d, got, want)
+		}
+		if got := levenshteinBoundedLen(b, a, lb, la, d); got != want {
+			t.Fatalf("levenshteinBoundedLen(%q,%q,%d,%d,%d) = %d, want %d", b, a, lb, la, d, got, want)
+		}
 	})
+}
+
+// edsAlphaRef and nedsAlphaRef are EdsAlpha and NEdsAlpha as they stood
+// before the length-taking entry points: both rune counts taken here, the
+// distance from the scalar bounded reference. The differential below pins
+// the new functions to them bit for bit.
+func edsAlphaRef(x, y string, alpha float64) float64 {
+	if alpha <= 0 {
+		return Eds(x, y)
+	}
+	lx, ly := utf8.RuneCountInString(x), utf8.RuneCountInString(y)
+	if lx == 0 && ly == 0 {
+		return 0
+	}
+	maxDist := int((1-alpha)*float64(lx+ly)/(1+alpha)) + 1
+	ld := LevenshteinBoundedRef(x, y, maxDist)
+	if ld > maxDist {
+		return 0
+	}
+	return Alpha(1-2*float64(ld)/float64(lx+ly+ld), alpha)
+}
+
+func nedsAlphaRef(x, y string, alpha float64) float64 {
+	if alpha <= 0 {
+		return NEds(x, y)
+	}
+	m := max(utf8.RuneCountInString(x), utf8.RuneCountInString(y))
+	if m == 0 {
+		return 0
+	}
+	maxDist := int((1-alpha)*float64(m)) + 1
+	ld := LevenshteinBoundedRef(x, y, maxDist)
+	if ld > maxDist {
+		return 0
+	}
+	return Alpha(1-float64(ld)/float64(m), alpha)
 }
 
 // FuzzLevenshteinMatchesRef pins the bit-parallel unbounded kernel (both
@@ -152,6 +205,10 @@ func FuzzEditSimilarities(f *testing.F) {
 	f.Add("abc", "abd", 0.5)
 	f.Add("", "", 0.7)
 	f.Add("日本語", "日本", 0.8)
+	f.Add("ääääääää", "ä", 0.8)  // rejected on rune lengths alone
+	f.Add("ääää", "äää", 0.05)   // maxDist ≥ the longer length
+	f.Add("naïve café", "", 0.5) // one side empty
+	f.Add("abc", "abd", 0.0)     // α = 0: the unthresholded path
 	f.Fuzz(func(t *testing.T, a, b string, alpha float64) {
 		if len(a) > 48 {
 			a = a[:48]
@@ -176,8 +233,25 @@ func FuzzEditSimilarities(f *testing.F) {
 		if math.Abs(NEdsAlpha(a, b, alpha)-Alpha(n, alpha)) > 1e-12 {
 			t.Fatalf("NEdsAlpha mismatch for %q,%q α=%v", a, b, alpha)
 		}
-		// Rune-level: the distance never exceeds the longer rune count.
+		// Differential: the length-taking entry points, in both argument
+		// orders, against the functions they replaced.
 		la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"EdsAlpha", EdsAlpha(a, b, alpha), edsAlphaRef(a, b, alpha)},
+			{"EdsAlphaLen", EdsAlphaLen(a, b, la, lb, alpha), edsAlphaRef(a, b, alpha)},
+			{"EdsAlphaLen swapped", EdsAlphaLen(b, a, lb, la, alpha), edsAlphaRef(a, b, alpha)},
+			{"NEdsAlpha", NEdsAlpha(a, b, alpha), nedsAlphaRef(a, b, alpha)},
+			{"NEdsAlphaLen", NEdsAlphaLen(a, b, la, lb, alpha), nedsAlphaRef(a, b, alpha)},
+			{"NEdsAlphaLen swapped", NEdsAlphaLen(b, a, lb, la, alpha), nedsAlphaRef(a, b, alpha)},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s(%q,%q,α=%v) = %v, the function it replaced gives %v", c.name, a, b, alpha, c.got, c.want)
+			}
+		}
+		// Rune-level: the distance never exceeds the longer rune count.
 		m := la
 		if lb > m {
 			m = lb

@@ -1,5 +1,7 @@
 package sim
 
+import "unicode/utf8"
+
 // Levenshtein returns the edit distance between a and b: the minimum number
 // of single-rune insertions, deletions, and substitutions transforming one
 // into the other. It dispatches to Myers' bit-parallel kernel (myers.go):
@@ -43,18 +45,28 @@ func levenshteinRunes(ra, rb []rune) int {
 //
 //silkmoth:hotpath
 func LevenshteinBounded(a, b string, maxDist int) int {
+	return levenshteinBoundedLen(a, b, utf8.RuneCountInString(a), utf8.RuneCountInString(b), maxDist)
+}
+
+// levenshteinBoundedLen is LevenshteinBounded given la and lb, the rune
+// lengths of a and b. The lengths decide the two cheap outcomes — a negative
+// bound, and a length difference that already exceeds it — before the rune
+// buffers are touched; they must be exact.
+//
+//silkmoth:hotpath
+func levenshteinBoundedLen(a, b string, la, lb, maxDist int) int {
 	if maxDist < 0 {
+		return maxDist + 1
+	}
+	if la < lb {
+		a, b, la, lb = b, a, lb, la
+	}
+	if la-lb > maxDist {
 		return maxDist + 1
 	}
 	var ab, bb [64]rune
 	ra := appendRunes(ab[:0], a)
 	rb := appendRunes(bb[:0], b)
-	if len(ra) < len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(ra)-len(rb) > maxDist {
-		return maxDist + 1
-	}
 	if maxDist >= len(ra) {
 		// The bound can never bind (distance ≤ longer length), and
 		// maxDist+1 could overflow for huge bounds — answer exactly.

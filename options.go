@@ -226,6 +226,12 @@ type Explain struct {
 	AfterNN     int64
 	NNPruned    int64
 	Verified    int64
+	// SimEvals counts the φ_α kernel calls the two filters made for this
+	// query and SimMemoHits the requests their per-pass memo answered
+	// instead; for a fixed engine state both repeat exactly, so they say
+	// how much element repetition the query met.
+	SimEvals    int64
+	SimMemoHits int64
 	// Elapsed is the query's wall time (for a batch item, that item's own
 	// pass time).
 	Elapsed time.Duration
@@ -248,6 +254,8 @@ func explainFromPass(ps *core.PassStats, elapsed time.Duration) Explain {
 		AfterNN:     ps.AfterNN,
 		NNPruned:    ps.NNPruned,
 		Verified:    ps.Verified,
+		SimEvals:    ps.SimEvals,
+		SimMemoHits: ps.SimMemoHits,
 		Elapsed:     elapsed,
 		Stages: StageTimes{
 			Signature: time.Duration(ps.SigNanos),

@@ -433,6 +433,12 @@ type Stats struct {
 	NNPruned int64
 	// Verified counts maximum-matching computations performed.
 	Verified int64
+	// SimEvals counts φ_α kernel calls made by the check and nearest-
+	// neighbor filters; SimMemoHits counts the filter requests answered
+	// by the per-pass similarity memo instead (see README "Query
+	// pipeline"). Verification's kernel calls are in neither.
+	SimEvals    int64
+	SimMemoHits int64
 	// SchemeWeighted, SchemeSkyline, SchemeDichotomy, and
 	// SchemeCombUnweighted count passes by the concrete signature scheme
 	// that probed the index. Under Config.Scheme = SchemeAuto they expose
