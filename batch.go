@@ -31,7 +31,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []Set, opts ...Que
 	if err != nil {
 		return nil, err
 	}
-	q, ps := qo.coreQuery()
+	q := qo.coreQuery()
 	var qs []*core.Query
 	if q != nil {
 		// One shared query (and stats capture) for the whole batch: the
@@ -61,7 +61,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []Set, opts ...Que
 		}
 		out[i] = m
 	}
-	qo.finishExplain(ps, time.Since(start))
+	qo.finishExplain(q, time.Since(start))
 	return out, nil
 }
 
@@ -91,7 +91,7 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 			return nil, fmt.Errorf("silkmoth: batch item %d: %w", i, err)
 		}
 		qos[i] = qo
-		if q, _ := qos[i].coreQuery(); q != nil {
+		if q := qos[i].coreQuery(); q != nil {
 			if qs == nil {
 				qs = make([]*core.Query, len(queries))
 			}
@@ -117,7 +117,7 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 			// Batch items time themselves (the fan-out workers measure
 			// around each item's passes), so the capture's own elapsed
 			// stands in for the single-query wall clock.
-			qos[i].finishExplain(qs[i].Stats, -1)
+			qos[i].finishExplain(qs[i], -1)
 			out[i].Explain = qos[i].explain
 		}
 	}

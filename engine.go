@@ -174,7 +174,7 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 	if forceExplain && qo.explain == nil {
 		qo.explain = &Explain{}
 	}
-	q, ps := qo.coreQuery()
+	q := qo.coreQuery()
 	var start time.Time
 	if qo.explain != nil {
 		start = time.Now()
@@ -198,7 +198,7 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 	}
 	res := Result{Matches: e.toMatches(ms)}
 	if qo.explain != nil {
-		qo.finishExplain(ps, time.Since(start))
+		qo.finishExplain(q, time.Since(start))
 		res.Explain = qo.explain
 	}
 	return res, nil
@@ -255,7 +255,7 @@ func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, o
 	if err != nil {
 		return nil, err
 	}
-	q, psc := qo.coreQuery()
+	q := qo.coreQuery()
 	var start time.Time
 	if qo.explain != nil {
 		start = time.Now()
@@ -266,7 +266,7 @@ func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, o
 		return nil, err
 	}
 	out := e.toPairs(ps, refs)
-	qo.finishExplain(psc, time.Since(start))
+	qo.finishExplain(q, time.Since(start))
 	return out, nil
 }
 
@@ -345,12 +345,7 @@ func (e *Engine) Stats() Stats {
 	out.SchemeDichotomy = st.SchemeDichotomy
 	out.SchemeCombUnweighted = st.SchemeCombUnweighted
 	out.TimedPasses = st.TimedPasses
-	out.Stages = StageTimes{
-		Signature: time.Duration(st.SigNanos),
-		Collect:   time.Duration(st.CollectNanos),
-		Refine:    time.Duration(st.RefineNanos),
-		Verify:    time.Duration(st.VerifyNanos),
-	}
+	out.Stages = stageTimes(st)
 	ps := e.sh.Storage()
 	out.CompressedPostings = ps.Compressed
 	out.Postings = ps.Postings

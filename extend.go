@@ -139,6 +139,11 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 		cfg.Delta = 1 // Delta is irrelevant here but must validate
 	}
 	cfg.Shards = 0 // one pairwise matching has nothing to shard
+	// A caller's engine Config may name its data directory (a durable
+	// server passes its own): the throwaway one-set engine must neither
+	// recover that collection in place of s nor write there, and being
+	// heap-only it holds nothing to close.
+	cfg.DataDir = ""
 	eng, err := NewEngine([]Set{s}, cfg)
 	if err != nil {
 		return 0, err

@@ -112,10 +112,6 @@ func TestStatsCounting(t *testing.T) {
 	if st.AfterNN > st.AfterCheck || st.AfterCheck > st.Candidates {
 		t.Errorf("funnel not monotone: %+v", st)
 	}
-	eng.ResetStats()
-	if eng.Stats().SearchPasses != 0 {
-		t.Error("ResetStats failed")
-	}
 }
 
 func TestOptionValidation(t *testing.T) {
@@ -343,30 +339,6 @@ func TestDiscoverDeterministic(t *testing.T) {
 				t.Fatalf("run %d pair %d differs", i, j)
 			}
 		}
-	}
-}
-
-func TestSearchTopKCore(t *testing.T) {
-	eng, r := paperEngine(t, DefaultOptions(SetContainment, Jaccard, 0.3, 0))
-	all := search(eng, r)
-	top1 := searchTopK(eng, r, 1)
-	if len(top1) != 1 {
-		t.Fatalf("top1 = %+v", top1)
-	}
-	best := all[0]
-	for _, m := range all {
-		if m.Relatedness > best.Relatedness {
-			best = m
-		}
-	}
-	if top1[0].Set != best.Set {
-		t.Errorf("top1 = %+v, want best %+v", top1[0], best)
-	}
-	if got := searchTopK(eng, r, 0); got != nil {
-		t.Error("k=0 should return nil")
-	}
-	if got := searchTopK(eng, r, 99); len(got) != len(all) {
-		t.Errorf("large k should return all %d, got %d", len(all), len(got))
 	}
 }
 

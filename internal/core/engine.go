@@ -66,7 +66,9 @@ type Engine struct {
 	coll *dataset.Collection
 	ix   *index.Inverted
 	phi  filter.SimFunc
-	st   Stats
+	// st is the cumulative Funnel: every retiring Searcher folds its
+	// worker's running total in (Close), Stats reads it.
+	st Capture
 	// stage holds the per-stage latency histograms fed by timed passes
 	// (Options.StageSample); snapshot via StageLatencies.
 	stage [NumStages]obs.Histogram
@@ -174,7 +176,7 @@ func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]Match, er
 
 // Searcher runs repeated search passes against one engine, reusing the
 // per-pass scratch (candidate collector, nearest-neighbor searcher,
-// signature selector, verification scratch, stats shard) across calls. It
+// signature selector, verification scratch, funnel record) across calls. It
 // is the building block for callers that drive many passes themselves —
 // Discover's workers, the sharded scatter-gather engine, and the public
 // batch API. A Searcher is not safe for concurrent use; create one per
@@ -202,12 +204,13 @@ func (s *Searcher) Search(ctx context.Context, r *dataset.Set, skip int) ([]Matc
 	return s.e.searchPass(ctx, r, skip, s.w, false, nil)
 }
 
-// Close folds the searcher's private stats shard into the engine's
-// counters and returns the searcher to the engine's pool. The caller must
-// not use the Searcher afterwards.
+// Close folds the worker's running total into the engine's counters,
+// zeroes it so the pooled worker is not counted twice, and returns the
+// searcher to the engine's pool. The caller must not use the Searcher
+// afterwards.
 func (s *Searcher) Close() {
-	s.e.st.merge(&s.w.st)
-	s.w.st.reset()
+	s.e.st.fold(&s.w.total)
+	s.w.total = Funnel{}
 	s.e.srPool.Put(s)
 }
 
@@ -239,9 +242,9 @@ func (e *Engine) sizeAcceptDelta(nR, nS int, delta float64) bool {
 //
 // Reference passes are
 // sharded across the engine's Concurrency workers, each with its own
-// scratch and stats shard (merged on retirement), and the whole discovery
-// aborts with ctx.Err() when ctx is done. Pair order varies with worker
-// interleaving; the pair set does not.
+// scratch and funnel record (folded in on retirement), and the whole
+// discovery aborts with ctx.Err() when ctx is done. Pair order varies with
+// worker interleaving; the pair set does not.
 func (e *Engine) DiscoverContext(ctx context.Context, refs *dataset.Collection) ([]Pair, error) {
 	return e.DiscoverQueryContext(ctx, refs, nil)
 }

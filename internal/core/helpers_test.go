@@ -25,11 +25,3 @@ func discover(e *Engine, refs *dataset.Collection) []Pair {
 	}
 	return ps
 }
-
-func searchTopK(e *Engine, r *dataset.Set, k int) []Match {
-	ms, err := e.SearchTopKContext(context.Background(), r, k)
-	if err != nil {
-		panic(err)
-	}
-	return ms
-}

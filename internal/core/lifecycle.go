@@ -41,6 +41,18 @@ func (e *Engine) Tombstones() int { return e.tombstoned }
 // Compactions returns the number of compaction passes the engine has run.
 func (e *Engine) Compactions() int64 { return e.compactions }
 
+// AppendSets extends the engine's inverted index over sets appended to its
+// collection since index build (dataset.Append), retaining their dictionary
+// tokens and growing the tombstone bitmap. Not safe concurrently with
+// queries: callers must serialize appends against searches.
+func (e *Engine) AppendSets(from int) {
+	e.ix.AppendSets(from)
+	retainSets(e.coll, from)
+	if e.dead != nil { // stays nil (all-alive fast path) until first Delete
+		e.growDead()
+	}
+}
+
 // Delete tombstones collection set i: the slot keeps its index (stable
 // ids), but the set disappears from every query — candidate generation,
 // the full-scan fallback, and self-join discovery all skip it — and its

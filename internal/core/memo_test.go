@@ -201,8 +201,8 @@ func TestMemoKeyRecycledBetweenSearches(t *testing.T) {
 			if _, err := sr.Search(ctx, query(coll), -1); err != nil {
 				t.Fatal(err)
 			}
-			if sr.w.st.candidates != sc.candidates {
-				t.Fatalf("the first search had %d candidates, want %d: it must meet the set about to be deleted", sr.w.st.candidates, sc.candidates)
+			if sr.w.total.Candidates != sc.candidates {
+				t.Fatalf("the first search had %d candidates, want %d: it must meet the set about to be deleted", sr.w.total.Candidates, sc.candidates)
 			}
 			freed := map[tokens.ID]bool{}
 			for _, e := range coll.Sets[2].Elements {

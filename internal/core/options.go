@@ -18,6 +18,25 @@
 // gates in alloc_test.go. Deliberately allocating paths (fullScan,
 // verifyAll, verifyParallel) are left unannotated; keep the marker off any
 // function that is supposed to allocate.
+//
+// # Counters
+//
+// There is one record of the pruning funnel, Funnel (stats.go). A search
+// pass charges its worker's private copy (worker.pass) with plain adds,
+// once per stage; a parallel verification's borrowed workers charge their
+// own and are added to the pass's record once their goroutines are joined.
+// When the pass ends — on every return path, cancellation included —
+// endPass folds that record into the worker's running total and, if the
+// query carries a Capture (Query.Stats), into the capture under its lock.
+// Searcher.Close folds the running total into the engine's cumulative
+// Capture, which Engine.Stats reads. So shared memory is touched once per
+// pass and once per retiring worker, never per stage or candidate.
+//
+// To add a counter: declare the field in Funnel, add its line to
+// Funnel.Add, and charge it where the work happens (w.pass.X += n). The
+// shard sum, Stats and every capture pick it up through Add; the public
+// silkmoth.Stats/Explain lowering in the root package decides whether to
+// surface it.
 package core
 
 import (

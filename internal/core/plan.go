@@ -4,176 +4,11 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/filter"
 	"silkmoth/internal/signature"
 )
-
-// PassStats captures the per-stage funnel of a single logical query — one
-// search pass, or the sum of the passes one query fans out into (every
-// shard of a scatter-gather, every reference of a discovery). It is the
-// per-query counterpart of the engine's cumulative Stats: a query that
-// wants its own funnel hangs a PassStats off its Query and reads it back
-// after the call returns.
-//
-// All adds are atomic, so one PassStats may be shared by the concurrent
-// passes of one query (shard fan-out, parallel verification); the fields
-// must only be read once the query has returned.
-type PassStats struct {
-	// Passes counts the search passes that charged this capture (shards ×
-	// references).
-	Passes int64
-	// FullScans counts passes with no valid signature that fell back to
-	// comparing every set.
-	FullScans int64
-	// SigTokens is the number of signature tokens generated — the index
-	// probe volume.
-	SigTokens int64
-	// Candidates counts sets matched by signature tokens before any
-	// refinement; AfterCheck/CheckPruned split them by the check filter
-	// (Candidates = AfterCheck + CheckPruned), and AfterNN/NNPruned split
-	// the survivors by the nearest-neighbor filter.
-	Candidates  int64
-	AfterCheck  int64
-	CheckPruned int64
-	AfterNN     int64
-	NNPruned    int64
-	// Verified counts maximum-matching computations.
-	Verified int64
-	// SimEvals/SimMemoHits split the filters' φ_α requests into kernel
-	// calls and per-pass memo hits (see StatsSnapshot).
-	SimEvals    int64
-	SimMemoHits int64
-	// Scheme* count signatured passes by the concrete scheme that probed
-	// the index (per-shard choices may differ under Auto).
-	SchemeWeighted       int64
-	SchemeSkyline        int64
-	SchemeDichotomy      int64
-	SchemeCombUnweighted int64
-	// ElapsedNanos accumulates wall time at whatever granularity the
-	// caller measures (whole query, or per batch item).
-	ElapsedNanos int64
-	// Per-stage wall time summed over the capture's timed passes. A query
-	// with a capture is always timed, so these are populated whenever the
-	// funnel is; TimedPasses counts the passes measured (equal to Passes
-	// for explained queries).
-	TimedPasses  int64
-	SigNanos     int64
-	CollectNanos int64
-	RefineNanos  int64
-	VerifyNanos  int64
-}
-
-// The add methods are nil-safe so the plan's stages charge them
-// unconditionally; a query without capture pays one predicted branch.
-
-func (ps *PassStats) addPasses(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.Passes, n)
-	}
-}
-
-func (ps *PassStats) addFullScans(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.FullScans, n)
-	}
-}
-
-func (ps *PassStats) addSigTokens(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.SigTokens, n)
-	}
-}
-
-func (ps *PassStats) addCandidates(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.Candidates, n)
-	}
-}
-
-func (ps *PassStats) addAfterCheck(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.AfterCheck, n)
-	}
-}
-
-func (ps *PassStats) addCheckPruned(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.CheckPruned, n)
-	}
-}
-
-func (ps *PassStats) addAfterNN(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.AfterNN, n)
-	}
-}
-
-func (ps *PassStats) addNNPruned(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.NNPruned, n)
-	}
-}
-
-func (ps *PassStats) addVerified(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.Verified, n)
-	}
-}
-
-func (ps *PassStats) addSim(n filter.SimCounts) {
-	if ps != nil {
-		atomic.AddInt64(&ps.SimEvals, n.Evals)
-		atomic.AddInt64(&ps.SimMemoHits, n.MemoHits)
-	}
-}
-
-func (ps *PassStats) addScheme(k signature.Kind) {
-	if ps == nil {
-		return
-	}
-	switch k {
-	case signature.Weighted:
-		atomic.AddInt64(&ps.SchemeWeighted, 1)
-	case signature.CombUnweighted:
-		atomic.AddInt64(&ps.SchemeCombUnweighted, 1)
-	case signature.Skyline:
-		atomic.AddInt64(&ps.SchemeSkyline, 1)
-	case signature.Dichotomy:
-		atomic.AddInt64(&ps.SchemeDichotomy, 1)
-	}
-}
-
-// addStageNanos records one timed pass's per-stage wall time.
-func (ps *PassStats) addStageNanos(sig, collect, refine, verify int64) {
-	if ps == nil {
-		return
-	}
-	atomic.AddInt64(&ps.TimedPasses, 1)
-	atomic.AddInt64(&ps.SigNanos, sig)
-	atomic.AddInt64(&ps.CollectNanos, collect)
-	atomic.AddInt64(&ps.RefineNanos, refine)
-	atomic.AddInt64(&ps.VerifyNanos, verify)
-}
-
-// AddElapsed folds wall time into the capture (atomically, like every other
-// field). Batch paths call it per item; single-query callers usually
-// measure around the whole call instead.
-func (ps *PassStats) AddElapsed(d time.Duration) {
-	if ps != nil {
-		atomic.AddInt64(&ps.ElapsedNanos, int64(d))
-	}
-}
-
-// Elapsed returns the accumulated wall time.
-func (ps *PassStats) Elapsed() time.Duration {
-	if ps == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&ps.ElapsedNanos))
-}
 
 // worker bundles the per-goroutine scratch of search passes — everything a
 // pass reuses across queries so the steady-state hot path performs no
@@ -187,8 +22,10 @@ func (ps *PassStats) Elapsed() time.Duration {
 //     slices),
 //   - the no-share floor buffer and the parallel-verification result
 //     buffers,
-//   - a private stats shard merged into the engine's counters when the
-//     worker retires (hot loops never contend on shared atomics).
+//   - the Funnel of the pass in flight, which the stages charge with plain
+//     adds, and the running total it is folded into when the pass ends;
+//     the total reaches the engine's counters when the worker retires (hot
+//     loops never touch shared memory).
 //
 // Workers are pooled by the engine (NewSearcher/Close), so a steady stream
 // of queries recycles a bounded set of them.
@@ -207,7 +44,8 @@ type worker struct {
 	// closure is created once per worker so passes never allocate it.
 	acc      acceptState
 	acceptFn func(set int32) bool
-	st       Stats
+	pass     Funnel
+	total    Funnel
 	// passSeq drives stage-timing sampling (see sampleTick); single-
 	// goroutine like the rest of the worker.
 	passSeq int64
@@ -252,10 +90,10 @@ func (e *Engine) newWorker() *worker {
 //	refine      nearest-neighbor filter (Algorithm 2)
 //	verify      exact maximum-matching verification
 //
-// Every stage charges the worker's stats shard, so the funnel — signature
+// Every stage charges its worker's pass record, so the funnel — signature
 // size, candidates, check/NN prunes, verifications — is observable per
-// engine. The plan itself lives on the stack; all reusable state belongs to
-// the worker.
+// engine and per query once the pass ends (endPass). All reusable state
+// belongs to the worker.
 type plan struct {
 	e          *Engine
 	w          *worker
@@ -266,21 +104,12 @@ type plan struct {
 	// with the query's overrides applied (queryOptions). Every stage reads
 	// it, never e.opts, so per-query overrides reach the whole pipeline.
 	opts Options
-	// ps is the query's own stats capture, nil unless requested. It is
-	// charged in lockstep with the worker's cumulative shard.
-	ps *PassStats
 	// timed marks a pass whose stages are wall-timed: sampled per
-	// Options.StageSample, or unconditionally when ps != nil. sigNanos and
-	// collectNanos are written serially; refineNanos/verifyNanos accumulate
-	// under atomics because parallel verification shares the plan.
-	timed        bool
-	sigNanos     int64
-	collectNanos int64
-	refineNanos  int64
-	verifyNanos  int64
+	// Options.StageSample, or unconditionally when the query carries a
+	// capture.
+	timed bool
 
 	pruneThreshold float64
-	scheme         signature.Kind
 	sig            *signature.Signature
 	cands          []*filter.Candidate
 	floors         []float64
@@ -289,7 +118,7 @@ type plan struct {
 // searchPass generates r's signature, collects and refines candidates, and
 // verifies survivors. Candidate sets with index ≤ selfSkip are excluded
 // (selfSkip = the reference's own index during self-join discovery under
-// SET-SIMILARITY; -1 otherwise). Pass a reusable worker; its stats shard
+// SET-SIMILARITY; -1 otherwise). Pass a reusable worker; its running total
 // absorbs the pass's counters. parallelOK permits sharding the verification
 // loop across goroutines (true for top-level searches, false inside
 // Discover's workers, which are already parallel). q, when non-nil,
@@ -297,14 +126,15 @@ type plan struct {
 //
 //silkmoth:hotpath
 func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, parallelOK bool, q *Query) ([]Match, error) {
-	w.st.addSearchPasses(1)
-	var ps *PassStats
+	var capture *Capture
 	if q != nil {
-		ps = q.Stats
+		capture = q.Stats
 	}
-	ps.addPasses(1)
+	f := &w.pass
+	f.SearchPasses++
 	nR := len(r.Elements)
 	if nR == 0 {
+		w.endPass(capture)
 		return nil, nil
 	}
 	p := plan{
@@ -314,47 +144,51 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 		selfSkip:   selfSkip,
 		parallelOK: parallelOK,
 		opts:       e.queryOptions(q),
-		ps:         ps,
 	}
 	p.pruneThreshold = p.opts.Delta*float64(nR) - pruneSlack
 	w.acc.selfSkip = selfSkip
 	w.acc.nR = nR
 	w.acc.delta = p.opts.Delta
 	// Explained queries are always stage-timed; otherwise sampling decides.
-	p.timed = ps != nil || w.sampleTick(p.opts.StageSample)
-
-	if !p.timed {
-		if !p.buildSignature() {
-			return p.fullScan(ctx)
-		}
-		p.collect()
-		p.prepareRefine()
-		return p.verifyAll(ctx)
-	}
+	p.timed = capture != nil || w.sampleTick(p.opts.StageSample)
 
 	var ms []Match
 	var err error
-	t0 := time.Now()
-	if !p.buildSignature() {
-		t1 := time.Now()
-		p.sigNanos = t1.Sub(t0).Nanoseconds()
-		ms, err = p.fullScan(ctx)
-		// The signatureless fallback is all verification.
-		p.verifyNanos = time.Since(t1).Nanoseconds()
-	} else {
-		t1 := time.Now()
-		p.sigNanos = t1.Sub(t0).Nanoseconds()
+	lt := startLaps(p.timed)
+	signatured := p.buildSignature()
+	f.SigNanos += lt.lap()
+	if signatured {
 		p.collect()
-		t2 := time.Now()
-		p.collectNanos = t2.Sub(t1).Nanoseconds()
+		f.CollectNanos += lt.lap()
 		p.prepareRefine()
 		// Floor precomputation belongs to refinement; the per-candidate
 		// NN-filter/verify split is timed inside refineAndVerify.
-		p.refineNanos = time.Since(t2).Nanoseconds()
+		f.RefineNanos += lt.lap()
 		ms, err = p.verifyAll(ctx)
+	} else {
+		ms, err = p.fullScan(ctx)
+		// The signatureless fallback is all verification.
+		f.VerifyNanos += lt.lap()
 	}
-	p.finishTiming()
+	if p.timed {
+		e.observeStages(f)
+	}
+	w.endPass(capture)
 	return ms, err
+}
+
+// endPass folds the worker's record of the pass that just ended — on any
+// return path, cancellation included — into its running total and, when the
+// query carries one, into the query's capture, and clears it for the next
+// pass.
+//
+//silkmoth:hotpath
+func (w *worker) endPass(capture *Capture) {
+	w.total.Add(&w.pass)
+	if capture != nil {
+		capture.fold(&w.pass)
+	}
+	w.pass = Funnel{}
 }
 
 // buildSignature runs the signature stage: the worker's selector resolves
@@ -370,20 +204,25 @@ func (p *plan) buildSignature() bool {
 		Alpha:  p.opts.Alpha,
 		Family: p.opts.Sim.family(),
 	}, e.ix)
-	p.sig, p.scheme = sig, kind
+	p.sig = sig
+	f := &w.pass
 	if !sig.Valid {
-		w.st.addFullScans(1)
-		p.ps.addFullScans(1)
+		f.FullScans++
 		return false
 	}
-	w.st.addScheme(kind)
-	p.ps.addScheme(kind)
-	n := 0
-	for i := range sig.Elements {
-		n += len(sig.Elements[i].Tokens)
+	switch kind {
+	case signature.Weighted:
+		f.SchemeWeighted++
+	case signature.CombUnweighted:
+		f.SchemeCombUnweighted++
+	case signature.Skyline:
+		f.SchemeSkyline++
+	case signature.Dichotomy:
+		f.SchemeDichotomy++
 	}
-	w.st.addSigTokens(int64(n))
-	p.ps.addSigTokens(int64(n))
+	for i := range sig.Elements {
+		f.SigTokens += int64(len(sig.Elements[i].Tokens))
+	}
 	return true
 }
 
@@ -401,8 +240,7 @@ func (p *plan) fullScan(ctx context.Context) ([]Match, error) {
 		if !w.acceptFn(int32(s)) {
 			continue
 		}
-		w.st.addVerified(1)
-		p.ps.addVerified(1)
+		w.pass.Verified++
 		if m, ok := e.verifyWith(p.r, s, &w.vs, &p.opts); ok {
 			out = append(out, m)
 		}
@@ -423,24 +261,22 @@ func (p *plan) collect() {
 		PruneThreshold: p.pruneThreshold,
 	})
 	p.cands = cands
-	p.chargeSim(w, w.cl.TakeSimCounts())
-	w.st.addCandidates(int64(raw))
-	p.ps.addCandidates(int64(raw))
-	w.st.addAfterCheck(int64(len(cands)))
-	p.ps.addAfterCheck(int64(len(cands)))
+	w.chargeSim(w.cl.TakeSimCounts())
+	f := &w.pass
+	f.Candidates += int64(raw)
+	f.AfterCheck += int64(len(cands))
 	if p.opts.CheckFilter {
-		w.st.addCheckPruned(int64(raw - len(cands)))
-		p.ps.addCheckPruned(int64(raw - len(cands)))
+		f.CheckPruned += int64(raw - len(cands))
 	}
 }
 
-// chargeSim books the φ_α counts one of the pass's filters kept in plain
-// integers on worker w: once per stage and worker, never per posting.
+// chargeSim books the φ_α counts one of the worker's filters kept in plain
+// integers over a stage: once per stage and worker, never per posting.
 //
 //silkmoth:hotpath
-func (p *plan) chargeSim(w *worker, n filter.SimCounts) {
-	w.st.addSim(n)
-	p.ps.addSim(n)
+func (w *worker) chargeSim(n filter.SimCounts) {
+	w.pass.SimEvals += n.Evals
+	w.pass.SimMemoHits += n.MemoHits
 }
 
 // prepareRefine precomputes the nearest-neighbor filter's no-share floors
@@ -477,52 +313,35 @@ func (p *plan) verifyAll(ctx context.Context) ([]Match, error) {
 			out = append(out, m)
 		}
 	}
-	p.chargeSim(p.w, p.w.ns.TakeSimCounts())
+	p.w.chargeSim(p.w.ns.TakeSimCounts())
 	return out, err
 }
 
 // refineAndVerify runs one candidate through the nearest-neighbor filter and
-// exact verification, charging the given worker's stats shard (the parallel
-// stage hands each goroutine its own worker).
+// exact verification, charging the given worker's pass record (the parallel
+// stage hands each goroutine its own worker). On a timed pass the
+// candidate's cost is split between the refine and verify stages.
 //
 //silkmoth:hotpath
 func (p *plan) refineAndVerify(c *filter.Candidate, w *worker) (Match, bool) {
-	e := p.e
-	if !p.timed {
-		if p.opts.NNFilter && !filter.NNFilter(p.r, p.sig, c, w.ns, p.floors, p.pruneThreshold) {
-			w.st.addNNPruned(1)
-			p.ps.addNNPruned(1)
-			return Match{}, false
-		}
-		w.st.addAfterNN(1)
-		p.ps.addAfterNN(1)
-		w.st.addVerified(1)
-		p.ps.addVerified(1)
-		return e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
-	}
-	// Timed pass: split this candidate's cost between the refine and
-	// verify stages. Atomic adds — parallel verification shares the plan.
-	t0 := time.Now()
-	if p.opts.NNFilter && !filter.NNFilter(p.r, p.sig, c, w.ns, p.floors, p.pruneThreshold) {
-		w.st.addNNPruned(1)
-		p.ps.addNNPruned(1)
-		atomic.AddInt64(&p.refineNanos, time.Since(t0).Nanoseconds())
+	f := &w.pass
+	lt := startLaps(p.timed)
+	pruned := p.opts.NNFilter && !filter.NNFilter(p.r, p.sig, c, w.ns, p.floors, p.pruneThreshold)
+	f.RefineNanos += lt.lap()
+	if pruned {
+		f.NNPruned++
 		return Match{}, false
 	}
-	t1 := time.Now()
-	atomic.AddInt64(&p.refineNanos, t1.Sub(t0).Nanoseconds())
-	w.st.addAfterNN(1)
-	p.ps.addAfterNN(1)
-	w.st.addVerified(1)
-	p.ps.addVerified(1)
-	m, ok := e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
-	atomic.AddInt64(&p.verifyNanos, time.Since(t1).Nanoseconds())
+	f.AfterNN++
+	f.Verified++
+	m, ok := p.e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
+	f.VerifyNanos += lt.lap()
 	return m, ok
 }
 
 // verifyParallel shards the pass's surviving candidates across Concurrency
 // goroutines. Each extra shard borrows a pooled searcher (its own
-// nearest-neighbor scratch, verification scratch, and stats shard); results
+// nearest-neighbor scratch, verification scratch, and pass record); results
 // land in per-candidate slots, so the assembled output is byte-identical to
 // the serial loop's order.
 func (p *plan) verifyParallel(ctx context.Context) ([]Match, error) {
@@ -540,25 +359,20 @@ func (p *plan) verifyParallel(ctx context.Context) ([]Match, error) {
 	for i := range hits {
 		hits[i] = false
 	}
+	// The caller's worker serves shard 0; extra shards borrow pooled
+	// searchers.
+	borrowed := make([]*Searcher, nw-1)
 	var next int64
 	var wg sync.WaitGroup
 	for wi := 0; wi < nw; wi++ {
-		// The caller's worker serves shard 0; extra shards borrow pooled
-		// searchers, whose Close returns both the scratch and the stats.
 		sw := w
-		var sr *Searcher
 		if wi > 0 {
-			sr = e.NewSearcher()
-			sw = sr.w
+			borrowed[wi-1] = e.NewSearcher()
+			sw = borrowed[wi-1].w
 		}
 		wg.Add(1)
-		go func(sw *worker, sr *Searcher) {
+		go func(sw *worker) {
 			defer wg.Done()
-			if sr != nil {
-				defer sr.Close()
-			}
-			// Runs before Close folds the borrowed worker's shard away.
-			defer func() { p.chargeSim(sw, sw.ns.TakeSimCounts()) }()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(cands) {
@@ -572,9 +386,20 @@ func (p *plan) verifyParallel(ctx context.Context) ([]Match, error) {
 					hits[i] = true
 				}
 			}
-		}(sw, sr)
+		}(sw)
 	}
 	wg.Wait()
+	// The goroutines are joined, so the borrowed workers' records are
+	// plain memory again: they become part of this pass's one record
+	// (counted whether or not the pass was cancelled) before the searchers
+	// go back to the pool.
+	w.chargeSim(w.ns.TakeSimCounts())
+	for _, sr := range borrowed {
+		sr.w.chargeSim(sr.w.ns.TakeSimCounts())
+		w.pass.Add(&sr.w.pass)
+		sr.w.pass = Funnel{}
+		sr.Close()
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

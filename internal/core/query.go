@@ -60,10 +60,10 @@ type Query struct {
 	NNFilter    Toggle
 	Reduction   Toggle
 	// Stats, when non-nil, captures this query's own per-stage funnel in
-	// addition to the engine's cumulative counters. Adds are atomic, so
-	// one PassStats may absorb a whole scatter-gather or batch item; read
-	// it only after the query returns.
-	Stats *PassStats
+	// addition to the engine's cumulative counters: every pass the query
+	// fans out into folds its record in as it ends, so one Capture may
+	// absorb a whole scatter-gather, discovery or batch.
+	Stats *Capture
 }
 
 // Validate checks the override values against the engine-independent

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"silkmoth/internal/obs"
@@ -60,21 +59,53 @@ func (w *worker) sampleTick(every int) bool {
 	return w.passSeq%int64(every) == 0
 }
 
-// finishTiming folds a timed pass's per-stage wall time into the worker's
-// stats shard, the query's capture, and the engine's stage histograms.
-// refine/verify accumulated under atomics (parallel verification shares
-// the plan across goroutines); by the time this runs those goroutines have
-// been joined.
-func (p *plan) finishTiming() {
-	refine := atomic.LoadInt64(&p.refineNanos)
-	verify := atomic.LoadInt64(&p.verifyNanos)
-	p.w.st.addStageNanos(p.sigNanos, p.collectNanos, refine, verify)
-	p.ps.addStageNanos(p.sigNanos, p.collectNanos, refine, verify)
-	e := p.e
-	e.stage[StageSignature].Observe(time.Duration(p.sigNanos))
-	e.stage[StageCollect].Observe(time.Duration(p.collectNanos))
-	e.stage[StageRefine].Observe(time.Duration(refine))
-	e.stage[StageVerify].Observe(time.Duration(verify))
+// lapTimer splits a pass's wall time between its stages. The zero value
+// is off — lap reads no clock and returns 0 — so timed and unsampled
+// passes run the same stage sequence.
+type lapTimer struct {
+	on   bool
+	last time.Time
+}
+
+//silkmoth:hotpath
+func startLaps(on bool) lapTimer {
+	if !on {
+		return lapTimer{}
+	}
+	return lapTimer{on: true, last: time.Now()}
+}
+
+// lap returns the nanoseconds since the previous lap (or the start) and
+// begins the next one. The clock read is a function of its own so that the
+// off check inlines into the stages.
+//
+//silkmoth:hotpath
+func (t *lapTimer) lap() int64 {
+	if !t.on {
+		return 0
+	}
+	return t.read()
+}
+
+//silkmoth:hotpath
+func (t *lapTimer) read() int64 {
+	now := time.Now()
+	d := now.Sub(t.last)
+	t.last = now
+	return int64(d)
+}
+
+// observeStages marks a finished pass's record as timed and feeds its
+// per-stage wall time to the engine's stage histograms. The record already
+// includes the share of every goroutine of a parallel verification.
+//
+//silkmoth:hotpath
+func (e *Engine) observeStages(f *Funnel) {
+	f.TimedPasses++
+	e.stage[StageSignature].Observe(time.Duration(f.SigNanos))
+	e.stage[StageCollect].Observe(time.Duration(f.CollectNanos))
+	e.stage[StageRefine].Observe(time.Duration(f.RefineNanos))
+	e.stage[StageVerify].Observe(time.Duration(f.VerifyNanos))
 }
 
 // StageLatencies returns snapshots of the engine's per-stage latency

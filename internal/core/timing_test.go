@@ -60,16 +60,16 @@ func TestStageTimingDisabled(t *testing.T) {
 func TestExplainAlwaysTimed(t *testing.T) {
 	e, ref := allocFixture(t, signature.Dichotomy)
 	e.opts.StageSample = -1 // even with sampling off
-	var ps PassStats
-	q := &Query{Stats: &ps}
+	q := &Query{Stats: &Capture{}}
 	sr := e.NewSearcher()
 	defer sr.Close()
 	if _, err := sr.SearchQuery(context.Background(), ref, -1, q); err != nil {
 		t.Fatal(err)
 	}
-	if ps.TimedPasses != ps.Passes || ps.TimedPasses == 0 {
-		t.Fatalf("TimedPasses = %d, Passes = %d; explained queries must time every pass",
-			ps.TimedPasses, ps.Passes)
+	ps := q.Stats.Funnel()
+	if ps.TimedPasses != ps.SearchPasses || ps.TimedPasses == 0 {
+		t.Fatalf("TimedPasses = %d, SearchPasses = %d; explained queries must time every pass",
+			ps.TimedPasses, ps.SearchPasses)
 	}
 	if ps.SigNanos <= 0 || ps.CollectNanos <= 0 || ps.VerifyNanos <= 0 {
 		t.Errorf("capture missing stage nanos: sig=%d collect=%d refine=%d verify=%d",

@@ -2,6 +2,8 @@ package server
 
 import (
 	"net/http"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,5 +89,54 @@ func TestSnapshotEndpointDurable(t *testing.T) {
 	health := decode[healthResponse](t, get(t, s2, "/healthz"))
 	if health.Sets != 4 {
 		t.Fatalf("recovered server serves %d sets, want 4", health.Sets)
+	}
+}
+
+// dirSizes lists a data directory as file name → size.
+func dirSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(ents))
+	for _, ent := range ents {
+		info, err := ent.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = info.Size()
+	}
+	return out
+}
+
+// /v1/compare on a durable server hands silkmoth.Compare the server's own
+// Config, data directory included. The answer must be about the two posted
+// sets — not about whatever the directory holds — and the request must
+// leave the directory as it found it.
+func TestCompareDurable(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	eng, err := silkmoth.NewEngine(testSets(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	s := New(eng, cfg, Options{})
+	w := postJSON(t, s, "/v1/sets", `{"sets":[{"name":"pois","elements":["Pike Pl Seattle WA"]}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("add: code = %d: %s", w.Code, w.Body.String())
+	}
+	before := dirSizes(t, cfg.DataDir)
+
+	w = postJSON(t, s, "/v1/compare", `{"r": {"elements": ["Elm St Austin TX", "Oak St Denver CO"]}, "s": {"elements": ["Elm St Austin TX", "Oak St Denver CO"]}}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("compare: code = %d: %s", w.Code, w.Body.String())
+	}
+	if rel := decode[compareResponse](t, w).Relatedness; rel != 1 {
+		t.Fatalf("identical sets relatedness = %g on a durable server, want 1", rel)
+	}
+	if after := dirSizes(t, cfg.DataDir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("compare changed the data directory: %v, was %v", after, before)
 	}
 }

@@ -1,0 +1,218 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"silkmoth/internal/core"
+	"silkmoth/internal/datagen"
+	"silkmoth/internal/dataset"
+	"silkmoth/internal/signature"
+	"silkmoth/internal/tokens"
+)
+
+// countdownCtx reports cancellation from its n-th Err call on: a pass
+// polls Err between verification steps, so small n values cancel it at
+// chosen points without a clock. (Done is Background's nil channel; the
+// single-shard search path only polls.)
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// requireConserved checks that a query's capture is exactly what the
+// query added to the engine's cumulative counters, field by field over
+// whatever fields core.Funnel has, and the funnel's stage identities.
+func requireConserved(t *testing.T, got, before, after core.Funnel, refined bool) {
+	t.Helper()
+	g, b, a := reflect.ValueOf(got), reflect.ValueOf(before), reflect.ValueOf(after)
+	for i := 0; i < g.NumField(); i++ {
+		if diff := a.Field(i).Int() - b.Field(i).Int(); g.Field(i).Int() != diff {
+			t.Errorf("%s: the capture has %d, the engine's counters grew by %d",
+				g.Type().Field(i).Name, g.Field(i).Int(), diff)
+		}
+	}
+	if got.SearchPasses == 0 || got.TimedPasses != got.SearchPasses {
+		t.Errorf("capture counts %d passes, %d of them timed; want every pass of a captured query timed", got.SearchPasses, got.TimedPasses)
+	}
+	if got.Candidates != got.AfterCheck+got.CheckPruned {
+		t.Errorf("Candidates %d != AfterCheck %d + CheckPruned %d", got.Candidates, got.AfterCheck, got.CheckPruned)
+	}
+	if refined && got.AfterCheck != got.AfterNN+got.NNPruned {
+		t.Errorf("AfterCheck %d != AfterNN %d + NNPruned %d", got.AfterCheck, got.AfterNN, got.NNPruned)
+	}
+}
+
+// TestFunnelConservation: every pass charges one private record that is
+// folded both into the engine's cumulative counters and into the query's
+// capture, so for a query running alone the two must agree exactly — on
+// every query shape, including the ones where several goroutines share the
+// capture (scatter, batch, discovery, parallel verification) and the ones
+// that leave the pipeline early (full scan, cancellation). Run under -race
+// it also checks that sharing.
+func TestFunnelConservation(t *testing.T) {
+	ctx := context.Background()
+	raws := datagen.RepeatedElements(9100, 160, 12)
+	jaccard := core.DefaultOptions(core.SetSimilarity, core.Jaccard, 0.5, 0.5)
+	jaccard.Concurrency = 3
+	verifyPar := jaccard
+	verifyPar.Concurrency = 4
+	serial := jaccard
+	serial.Concurrency = 1
+	// Edit similarity with one q-chunk per element has no valid signature
+	// (§7.3): every pass is a full scan.
+	noSig := core.Options{
+		Metric: core.SetSimilarity, Sim: core.Eds, Delta: 0.75, Q: 8,
+		Scheme: signature.Dichotomy, CheckFilter: true, NNFilter: true,
+	}
+	noSigRaws := []dataset.RawSet{
+		{Name: "A", Elements: []string{"abcdefgh"}},
+		{Name: "B", Elements: []string{"abcdefgx"}},
+		{Name: "C", Elements: []string{"zzzzzzzz"}},
+	}
+	// parallelCandMin in internal/core: survivors before a pass verifies
+	// on several goroutines.
+	const parallelCandMin = 16
+
+	searchAll := func(e *Engine, q *core.Query) error {
+		for ri := range e.Collection().Sets {
+			if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], q); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		opts   core.Options
+		coll   *dataset.Collection
+		run    func(e *Engine, q *core.Query) error
+		check  func(t *testing.T, f core.Funnel)
+	}{
+		{name: "search/N=1", shards: 1, opts: jaccard, run: searchAll},
+		{name: "search/N=2", shards: 2, opts: jaccard, run: searchAll},
+		{name: "search/N=7", shards: 7, opts: jaccard, run: searchAll},
+		{name: "batch", shards: 2, opts: jaccard, run: func(e *Engine, q *core.Query) error {
+			refs := make([]*dataset.Set, len(e.Collection().Sets))
+			qs := make([]*core.Query, len(refs))
+			for i := range refs {
+				refs[i], qs[i] = &e.Collection().Sets[i], q
+			}
+			_, err := e.SearchBatchQueries(ctx, refs, qs)
+			return err
+		}},
+		{name: "discover", shards: 2, opts: jaccard, run: func(e *Engine, q *core.Query) error {
+			_, err := e.DiscoverQueryContext(ctx, e.Collection(), q)
+			return err
+		}},
+		{name: "parallel verification", shards: 1, opts: verifyPar, run: func(e *Engine, q *core.Query) error {
+			parallel := 0
+			for ri := range e.Collection().Sets {
+				before := q.Stats.Funnel().AfterCheck
+				if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], q); err != nil {
+					return err
+				}
+				if q.Stats.Funnel().AfterCheck-before >= parallelCandMin {
+					parallel++
+				}
+			}
+			if parallel == 0 {
+				return errors.New("no pass had enough survivors to verify in parallel")
+			}
+			return nil
+		}},
+		{name: "full scan", shards: 1, opts: noSig, coll: dataset.BuildQGram(tokens.NewDictionary(), noSigRaws, 8),
+			run: searchAll,
+			check: func(t *testing.T, f core.Funnel) {
+				if f.FullScans != f.SearchPasses || f.Verified == 0 || f.Candidates != 0 {
+					t.Errorf("want every pass a verifying full scan, got %+v", f)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coll := tc.coll
+			if coll == nil {
+				coll = buildColl(raws, tc.opts.Sim, tc.opts.Delta, tc.opts.Alpha)
+			}
+			e, err := New(coll, tc.shards, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := &core.Query{Stats: &core.Capture{}}
+			before := e.Stats()
+			if err := tc.run(e, q); err != nil {
+				t.Fatal(err)
+			}
+			got := q.Stats.Funnel()
+			requireConserved(t, got, before, e.Stats(), true)
+			if tc.check != nil {
+				tc.check(t, got)
+			} else if got.Candidates == 0 || got.Verified == 0 {
+				t.Errorf("the workload exercised no funnel: %+v", got)
+			}
+		})
+	}
+
+	// A pass cancelled between two verifications, serial and spread over
+	// goroutines: what it counted up to there is in both records, and the
+	// pass reports the cancellation.
+	for _, opts := range []core.Options{serial, verifyPar} {
+		t.Run(fmt.Sprintf("cancelled mid-verification/concurrency=%d", opts.Concurrency), func(t *testing.T) {
+			e, err := New(buildColl(raws, opts.Sim, opts.Delta, opts.Alpha), 1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &core.Query{Stats: &core.Capture{}}
+			ref := -1
+			for ri := range e.Collection().Sets {
+				before := probe.Stats.Funnel().AfterCheck
+				if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], probe); err != nil {
+					t.Fatal(err)
+				}
+				if probe.Stats.Funnel().AfterCheck-before >= parallelCandMin {
+					ref = ri
+					break
+				}
+			}
+			if ref < 0 {
+				t.Fatal("no reference with enough survivors to cancel between them")
+			}
+			for polls := int64(1); ; polls++ {
+				cctx := &countdownCtx{Context: ctx}
+				cctx.left.Store(polls)
+				q := &core.Query{Stats: &core.Capture{}}
+				before := e.Stats()
+				_, err := e.SearchQueryContext(cctx, &e.Collection().Sets[ref], q)
+				if err == nil {
+					t.Fatalf("the pass completed after %d context polls without ever being cancelled mid-verification", polls)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
+				}
+				got := q.Stats.Funnel()
+				if got.SearchPasses == 0 {
+					continue // cancelled before the pass began
+				}
+				requireConserved(t, got, before, e.Stats(), false)
+				if refined := got.AfterNN + got.NNPruned; refined > 0 {
+					if refined >= got.AfterCheck {
+						t.Fatalf("cancelled after all %d survivors were refined: not mid-verification", got.AfterCheck)
+					}
+					return
+				}
+			}
+		})
+	}
+}

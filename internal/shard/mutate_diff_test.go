@@ -129,7 +129,12 @@ func buildMutatedSerial(t *testing.T, raws []dataset.RawSet, p mutationPlan, sim
 			return ms, err
 		},
 		topk: func(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
-			return eng.SearchTopKContext(ctx, r, k)
+			ms, err := eng.SearchContext(ctx, r)
+			sortMatches(ms)
+			if len(ms) > k {
+				ms = ms[:k]
+			}
+			return ms, err
 		},
 		discover: func(ctx context.Context) ([]core.Pair, error) {
 			ps, err := eng.DiscoverContext(ctx, coll)

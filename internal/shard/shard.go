@@ -412,30 +412,11 @@ func (e *Engine) Storage() index.StorageStats {
 }
 
 // Stats returns the pruning funnel summed across all shard engines.
-func (e *Engine) Stats() core.StatsSnapshot {
-	var sum core.StatsSnapshot
+func (e *Engine) Stats() core.Funnel {
+	var sum core.Funnel
 	for _, eng := range e.engines {
 		st := eng.Stats()
-		sum.SearchPasses += st.SearchPasses
-		sum.FullScans += st.FullScans
-		sum.SigTokens += st.SigTokens
-		sum.Candidates += st.Candidates
-		sum.AfterCheck += st.AfterCheck
-		sum.CheckPruned += st.CheckPruned
-		sum.AfterNN += st.AfterNN
-		sum.NNPruned += st.NNPruned
-		sum.Verified += st.Verified
-		sum.SimEvals += st.SimEvals
-		sum.SimMemoHits += st.SimMemoHits
-		sum.SchemeWeighted += st.SchemeWeighted
-		sum.SchemeCombUnweighted += st.SchemeCombUnweighted
-		sum.SchemeSkyline += st.SchemeSkyline
-		sum.SchemeDichotomy += st.SchemeDichotomy
-		sum.TimedPasses += st.TimedPasses
-		sum.SigNanos += st.SigNanos
-		sum.CollectNanos += st.CollectNanos
-		sum.RefineNanos += st.RefineNanos
-		sum.VerifyNanos += st.VerifyNanos
+		sum.Add(&st)
 	}
 	return sum
 }

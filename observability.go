@@ -47,6 +47,16 @@ type StageTimes struct {
 	Verify    time.Duration
 }
 
+// stageTimes lowers a funnel's per-stage nanoseconds to the public shape.
+func stageTimes(f core.Funnel) StageTimes {
+	return StageTimes{
+		Signature: time.Duration(f.SigNanos),
+		Collect:   time.Duration(f.CollectNanos),
+		Refine:    time.Duration(f.RefineNanos),
+		Verify:    time.Duration(f.VerifyNanos),
+	}
+}
+
 // StageLatencies bundles the four pipeline stages' latency distributions.
 // Each observation is one timed search pass's wall time in that stage (see
 // Config.StageSample; explained queries are always timed).

@@ -148,11 +148,11 @@ func compileOptions(opts []QueryOption) (queryOptions, error) {
 // override form, allocating the stats capture when explain was requested.
 // It returns nil when nothing was overridden or captured, which keeps
 // option-less queries on the exact pre-options code path.
-func (qo *queryOptions) coreQuery() (*core.Query, *core.PassStats) {
+func (qo *queryOptions) coreQuery() *core.Query {
 	if !qo.hasScheme && !qo.hasDelta && qo.check == core.ToggleInherit &&
 		qo.nn == core.ToggleInherit && qo.reduction == core.ToggleInherit &&
 		qo.explain == nil {
-		return nil, nil
+		return nil
 	}
 	q := &core.Query{
 		Delta:       qo.delta,
@@ -168,25 +168,23 @@ func (qo *queryOptions) coreQuery() (*core.Query, *core.PassStats) {
 		}
 		q.Scheme, q.SchemeSet = kind, true
 	}
-	var ps *core.PassStats
 	if qo.explain != nil {
-		ps = &core.PassStats{}
-		q.Stats = ps
+		q.Stats = &core.Capture{}
 	}
-	return q, ps
+	return q
 }
 
-// finishExplain writes the capture into the caller's Explain destination.
+// finishExplain writes q's capture into the caller's Explain destination.
 // elapsed < 0 means "use the capture's own accumulated wall time" (batch
 // items time themselves; single queries are timed around the whole call).
-func (qo *queryOptions) finishExplain(ps *core.PassStats, elapsed time.Duration) {
-	if qo.explain == nil || ps == nil {
+func (qo *queryOptions) finishExplain(q *core.Query, elapsed time.Duration) {
+	if qo.explain == nil {
 		return
 	}
 	if elapsed < 0 {
-		elapsed = ps.Elapsed()
+		elapsed = q.Stats.Elapsed()
 	}
-	*qo.explain = explainFromPass(ps, elapsed)
+	*qo.explain = explainFromPass(q.Stats.Funnel(), elapsed)
 }
 
 // Explain describes how one query executed: which concrete signature
@@ -242,10 +240,10 @@ type Explain struct {
 	Stages StageTimes
 }
 
-// explainFromPass converts a core stats capture into the public shape.
-func explainFromPass(ps *core.PassStats, elapsed time.Duration) Explain {
+// explainFromPass converts a query's captured funnel into the public shape.
+func explainFromPass(ps core.Funnel, elapsed time.Duration) Explain {
 	ex := Explain{
-		Passes:      ps.Passes,
+		Passes:      ps.SearchPasses,
 		FullScans:   ps.FullScans,
 		SigTokens:   ps.SigTokens,
 		Candidates:  ps.Candidates,
@@ -257,12 +255,7 @@ func explainFromPass(ps *core.PassStats, elapsed time.Duration) Explain {
 		SimEvals:    ps.SimEvals,
 		SimMemoHits: ps.SimMemoHits,
 		Elapsed:     elapsed,
-		Stages: StageTimes{
-			Signature: time.Duration(ps.SigNanos),
-			Collect:   time.Duration(ps.CollectNanos),
-			Refine:    time.Duration(ps.RefineNanos),
-			Verify:    time.Duration(ps.VerifyNanos),
-		},
+		Stages:      stageTimes(ps),
 	}
 	type schemeCount struct {
 		name  string

@@ -3,6 +3,7 @@ package silkmoth
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -304,6 +305,80 @@ func TestExplainFunnelConsistency(t *testing.T) {
 			if want := int64(len(sets) * eng.Shards()); dex.Passes != want {
 				t.Fatalf("shards=%d scheme=%v discover: %d passes, want refs×shards (%d)",
 					shards, scheme, dex.Passes, want)
+			}
+		}
+	}
+}
+
+// TestFunnelConservationPublic: the root package lowers the engine's one
+// funnel record to two public shapes — Stats (cumulative) and Explain (one
+// query's capture). For a query running alone they must tell the same
+// story: every counter Explain reports is what Stats grew by, on one shard
+// and on several, for a search, a batch and a discovery.
+func TestFunnelConservationPublic(t *testing.T) {
+	sets := autoGridCorpus(121, 24)
+	for _, shards := range []int{1, 2} {
+		eng, err := NewEngine(sets, Config{Similarity: Jaccard, Delta: 0.6, Alpha: 0.5, Shards: shards, Concurrency: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			run  func(ex *Explain) error
+		}{
+			{"search", func(ex *Explain) error { _, err := eng.Search(sets[0], WithExplain(ex)); return err }},
+			{"batch", func(ex *Explain) error { _, err := eng.SearchBatch(sets[:4], WithExplain(ex)); return err }},
+			{"discover", func(ex *Explain) error {
+				_, err := eng.DiscoverContext(context.Background(), WithExplain(ex))
+				return err
+			}},
+		} {
+			label := fmt.Sprintf("shards=%d %s", shards, tc.name)
+			var ex Explain
+			before := eng.Stats()
+			if err := tc.run(&ex); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			after := eng.Stats()
+			if ex.Candidates == 0 || ex.Verified == 0 {
+				t.Fatalf("%s: the query exercised no funnel: %+v", label, ex)
+			}
+			exv, bv, av := reflect.ValueOf(ex), reflect.ValueOf(before), reflect.ValueOf(after)
+			for i := 0; i < exv.NumField(); i++ {
+				f := exv.Type().Field(i)
+				if f.Type != reflect.TypeOf(int64(0)) {
+					continue
+				}
+				name := f.Name
+				if name == "Passes" {
+					name = "SearchPasses"
+				}
+				if !av.FieldByName(name).IsValid() {
+					t.Fatalf("Explain.%s has no counterpart in Stats", f.Name)
+				}
+				if diff := av.FieldByName(name).Int() - bv.FieldByName(name).Int(); exv.Field(i).Int() != diff {
+					t.Errorf("%s: Explain.%s = %d, Stats.%s grew by %d", label, f.Name, exv.Field(i).Int(), name, diff)
+				}
+			}
+			if diff := after.TimedPasses - before.TimedPasses; diff != ex.Passes {
+				t.Errorf("%s: %d passes explained, %d timed", label, ex.Passes, diff)
+			}
+			wantStages := StageTimes{
+				Signature: after.Stages.Signature - before.Stages.Signature,
+				Collect:   after.Stages.Collect - before.Stages.Collect,
+				Refine:    after.Stages.Refine - before.Stages.Refine,
+				Verify:    after.Stages.Verify - before.Stages.Verify,
+			}
+			if ex.Stages != wantStages {
+				t.Errorf("%s: Explain.Stages = %+v, Stats.Stages grew by %+v", label, ex.Stages, wantStages)
+			}
+			var bySchemes int64
+			for _, n := range ex.Schemes {
+				bySchemes += n
+			}
+			if diff := (after.SchemeWeighted + after.SchemeSkyline + after.SchemeDichotomy + after.SchemeCombUnweighted) -
+				(before.SchemeWeighted + before.SchemeSkyline + before.SchemeDichotomy + before.SchemeCombUnweighted); bySchemes != diff {
+				t.Errorf("%s: Explain.Schemes counts %d signatured passes, Stats %d", label, bySchemes, diff)
 			}
 		}
 	}

@@ -317,3 +317,53 @@ func TestUnreadableWALFailsRecovery(t *testing.T) {
 		t.Fatalf("second open replayed %d records, want 1", st.WALReplayed)
 	}
 }
+
+// dirBytes reads a data directory as file name → contents.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = data
+	}
+	return out
+}
+
+// TestCompareIgnoresDataDir: Compare takes an engine Config for its
+// similarity settings only. Handed one that names a live data directory (a
+// durable server passes its own), it must still score r against s — not
+// against the collection recovered from the directory — and must leave the
+// directory, WAL bytes included, exactly as it was; handed an empty
+// directory, it must not bootstrap a snapshot of s there.
+func TestCompareIgnoresDataDir(t *testing.T) {
+	r := Set{Name: "r", Elements: []string{"elm st austin tx", "oak st denver co"}}
+	for _, tc := range []struct {
+		name string
+		dir  string
+	}{
+		{"served directory", copyGolden(t, "snap-00000002.snap", "wal-00000002.log")},
+		{"empty directory", t.TempDir()},
+	} {
+		cfg := goldenCfg
+		want, err := Compare(r, r, cfg)
+		if err != nil || want != 1 {
+			t.Fatalf("%s: without DataDir Compare = %v, %v; want 1", tc.name, want, err)
+		}
+		before := dirBytes(t, tc.dir)
+		cfg.DataDir = tc.dir
+		got, err := Compare(r, r, cfg)
+		if err != nil || got != want {
+			t.Errorf("%s: with DataDir Compare = %v, %v; want %v", tc.name, got, err, want)
+		}
+		if after := dirBytes(t, tc.dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: Compare changed the data directory: %d files, was %d", tc.name, len(after), len(before))
+		}
+	}
+}
