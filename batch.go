@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -49,7 +50,10 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []Set, opts ...Que
 	// e.coll, which a concurrent Add/Delete/Compact mutates.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	per, err := e.searchBatchCore(ctx, refs, qs)
+	per, itemErrs, err := e.searchBatchCore(ctx, refs, qs)
+	if err == nil {
+		err = errors.Join(itemErrs...)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +106,7 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 	// e.coll, which a concurrent Add/Delete/Compact mutates.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	per, err := e.searchBatchCore(ctx, refs, qs)
+	per, itemErrs, err := e.searchBatchCore(ctx, refs, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +117,9 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 			m = m[:qos[i].k]
 		}
 		out[i] = Result{Matches: m}
+		if itemErrs != nil {
+			out[i].Err = itemErrs[i]
+		}
 		if qos[i].explain != nil {
 			// Batch items time themselves (the fan-out workers measure
 			// around each item's passes), so the capture's own elapsed
@@ -130,8 +137,9 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 // per-item queries with refs. Callers must hold at least the read lock —
 // and keep holding it while converting the returned core matches, whose
 // indices are only meaningful against the collection they were computed
-// on.
-func (e *Engine) searchBatchCore(ctx context.Context, refs []Set, qs []*core.Query) ([][]core.Match, error) {
+// on. The second result is shard.SearchBatchQueries': per-item errors, nil
+// when no item failed.
+func (e *Engine) searchBatchCore(ctx context.Context, refs []Set, qs []*core.Query) ([][]core.Match, []error, error) {
 	qc, release := e.tokenizeQuery(refs)
 	defer release()
 	rs := make([]*dataset.Set, len(qc.Sets))

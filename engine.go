@@ -130,6 +130,15 @@ func (e *Engine) tokenizeQuery(sets []Set) (qc *dataset.Collection, release func
 	return qc, func() { queryScratchPool.Put(qs) }
 }
 
+// ErrPostingDecode is returned by a query during which a compressed
+// posting container failed to decode (Stats.PostingDecodeErrors moved).
+// The query worked from an incomplete posting list, so candidates may be
+// missing and scores too low; it returns this error instead of matches. In
+// a batch only the items that met the failure carry it (Result.Err). Only a
+// corrupted index can cause it — containers built in memory are canonical
+// and persisted ones are CRC-checked on load — so it is not retryable.
+var ErrPostingDecode = core.ErrPostingDecode
+
 // Search returns every set in the engine's collection related to ref,
 // sorted by descending relatedness (ties by index). This is the paper's
 // RELATED SET SEARCH (Problem 2). Options customize the single query:
@@ -340,6 +349,7 @@ func (e *Engine) Stats() Stats {
 	out.Verified = st.Verified
 	out.SimEvals = st.SimEvals
 	out.SimMemoHits = st.SimMemoHits
+	out.SimCounted = st.SimCounted
 	out.SchemeWeighted = st.SchemeWeighted
 	out.SchemeSkyline = st.SchemeSkyline
 	out.SchemeDichotomy = st.SchemeDichotomy

@@ -1,0 +1,30 @@
+package silkmoth
+
+import (
+	"fmt"
+
+	"silkmoth/internal/index"
+)
+
+// CorruptContainerForTest overwrites the kind byte of the compressed
+// posting container of the given word, in a one-shard compressed engine, so
+// that every later decode of that list fails. It exists for the external
+// tests (package silkmoth_test), which cannot reach the index otherwise.
+func CorruptContainerForTest(e *Engine, word string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, ok := e.sh.Collection().Dict.Lookup(word)
+	if !ok {
+		return fmt.Errorf("word %q is not in the dictionary", word)
+	}
+	ix, ok := e.sh.SnapshotData().Source.(*index.Inverted)
+	if !ok {
+		return fmt.Errorf("the engine exposes no index (more than one shard?)")
+	}
+	blob, ok := ix.EncodedContainer(int(id))
+	if !ok || len(blob) == 0 {
+		return fmt.Errorf("word %q has no encoded container", word)
+	}
+	blob[0] = 0x7f // no such container kind
+	return nil
+}

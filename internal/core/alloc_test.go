@@ -116,16 +116,27 @@ func TestSearchContextAllocs(t *testing.T) {
 }
 
 // TestVerifyAllocs pins exact verification alone: with a reused scratch,
-// computing |R ∩̃ S| (reduction on) must not allocate at all.
+// computing |R ∩̃ S| must not allocate at all — with the dense kernel fill
+// (the oracle's and MatchScore's) and with the pipeline's fill from index
+// overlap counts, reduction on and off.
 func TestVerifyAllocs(t *testing.T) {
 	skipUnderRace(t)
 	e, ref := allocFixture(t, signature.Dichotomy)
-	var vs verifyScratch
-	s := &e.coll.Sets[11]
-	got := testing.AllocsPerRun(500, func() {
-		e.matchScore(ref, s, &vs)
-	})
-	if got > 0 {
-		t.Fatalf("steady-state matchScore allocates %.1f objects/pair, want 0", got)
+	w := e.newWorker()
+	if w.vs.os.fromOverlap == nil {
+		t.Fatal("a Jaccard engine's worker does not verify from overlap counts")
+	}
+	for _, reduction := range []bool{false, true} {
+		o := e.opts
+		o.Reduction = reduction
+		var dense verifyScratch // as the brute-force oracle's
+		for _, vs := range []*verifyScratch{&dense, &w.vs} {
+			pair := func() { e.verifyWith(ref, 11, vs, &o) }
+			pair() // warm the scratch
+			if got := testing.AllocsPerRun(500, pair); got > 0 {
+				t.Errorf("steady-state verification (reduction=%v, from overlap counts=%v) allocates %.1f objects/pair, want 0",
+					reduction, vs == &w.vs, got)
+			}
+		}
 	}
 }

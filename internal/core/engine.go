@@ -39,6 +39,15 @@ const cancelCheckStride = 8
 // goroutine overhead outweighs the matching work.
 const parallelCandMin = 16
 
+// ErrPostingDecode is returned by a search pass during which a posting
+// container failed to decode. The pass has then worked from an incomplete
+// posting list — candidates may be missing and, since the nearest-neighbor
+// filter and verification read similarities off the postings, scores may
+// be too low — so it returns no matches rather than wrong ones. Only a
+// corrupted compressed index can cause it: containers built in memory are
+// canonical, and persisted ones are CRC-checked on load.
+var ErrPostingDecode = errors.New("silkmoth: a posting container failed to decode (corrupt index)")
+
 // Match is one search result: a related set and its relatedness value.
 type Match struct {
 	// Set indexes the related set in the engine's collection.
@@ -66,6 +75,13 @@ type Engine struct {
 	coll *dataset.Collection
 	ix   *index.Inverted
 	phi  filter.SimFunc
+	// fromOverlap is φ as a function of ⟨|r∩s|, |r|, |s|⟩ when Options.Sim
+	// is token-based, nil under the edit similarities. When set, the search
+	// pipeline's nearest-neighbor filter and verification score element
+	// pairs from the index walk's shared-token counts instead of calling
+	// phi (filter.Overlap); candidate collection, un-indexed sets and the
+	// brute-force oracle always call phi.
+	fromOverlap sim.OverlapFunc
 	// st is the cumulative Funnel: every retiring Searcher folds its
 	// worker's running total in (Close), Stats reads it.
 	st Capture
@@ -119,6 +135,7 @@ func newEngine(coll *dataset.Collection, ix *index.Inverted, opts Options) (*Eng
 	}
 	e := &Engine{opts: o, coll: coll, ix: ix}
 	e.phi = phiFunc(o)
+	e.fromOverlap = overlapFunc(o.Sim)
 	retainSets(coll, 0)
 	return e, nil
 }
@@ -149,6 +166,23 @@ func phiFunc(o Options) filter.SimFunc {
 		}
 	default:
 		panic("core: unknown similarity kind")
+	}
+}
+
+// overlapFunc returns the formula behind phiFunc's kernel for the
+// token-based similarities — JaccardSorted is JaccardFromOverlap of the
+// intersection size, and so on — and nil for the edit similarities, which
+// are not functions of a token count.
+func overlapFunc(k SimKind) sim.OverlapFunc {
+	switch k {
+	case Jaccard:
+		return sim.JaccardFromOverlap
+	case Dice:
+		return sim.DiceFromOverlap
+	case Cosine:
+		return sim.CosineFromOverlap
+	default:
+		return nil
 	}
 }
 

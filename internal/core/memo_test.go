@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -47,8 +48,17 @@ func sameMatches(t *testing.T, label string, got, want []Match) {
 // TestMemoEvictionGrid shrinks the filters' similarity memo to 2 slots, so
 // that nearly every store evicts, and requires Search and Discover to stay
 // exactly the brute-force answer on a corpus of heavily repeated elements,
-// across every similarity function, both metrics and three α. The table's
-// size may change how often the kernel runs, never a result.
+// across every similarity function, both metrics, three α, and with the
+// verification loop serial and spread over 4 goroutines. The table's size
+// may change how often the kernel runs, never a result.
+//
+// The same grid holds the overlap-count path to the oracle: under Jaccard,
+// Dice and Cosine the pipeline's nearest-neighbor filter and verification
+// read φ_α off index overlap counts (SimCounted says so) while
+// BruteForceSearch and BruteForceDiscover call the kernel on every cell.
+// A twin engine with the counting switched off must look at exactly as many
+// element pairs — SimEvals + SimMemoHits + SimCounted is the same — and
+// return the same matches bit for bit.
 func TestMemoEvictionGrid(t *testing.T) {
 	defer filter.SetMemoSlotsForTest(2)()
 	seed := 8100 + memoRun.Add(1)
@@ -56,19 +66,38 @@ func TestMemoEvictionGrid(t *testing.T) {
 	for _, simKind := range []SimKind{Jaccard, Dice, Cosine, Eds, NEds} {
 		for _, metric := range []Metric{SetSimilarity, SetContainment} {
 			for _, alpha := range []float64{0, 0.5, 0.8} {
-				coll, opts := buildFor(simKind, raws, 0.6, alpha)
-				opts.Metric = metric
-				eng, err := NewEngine(coll, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("seed=%d %v %v α=%v", seed, simKind, metric, alpha)
-				comparePairs(t, label, discover(eng, coll), eng.BruteForceDiscover(coll))
-				for ri := range coll.Sets {
-					sameMatches(t, fmt.Sprintf("%s ref=%d", label, ri), search(eng, &coll.Sets[ri]), eng.BruteForceSearch(&coll.Sets[ri]))
-				}
-				if st := eng.Stats(); st.FullScans < st.SearchPasses && st.SimEvals == 0 {
-					t.Errorf("%s: signatured passes ran without one filter similarity", label)
+				for _, concurrency := range []int{1, 4} {
+					coll, opts := buildFor(simKind, raws, 0.6, alpha)
+					opts.Metric = metric
+					opts.Concurrency = concurrency
+					eng, err := NewEngine(coll, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kernel, err := NewEngineFromIndex(eng.Index(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kernel.fromOverlap = nil // before its first worker exists
+					label := fmt.Sprintf("seed=%d %v %v α=%v concurrency=%d", seed, simKind, metric, alpha, concurrency)
+					comparePairs(t, label, discover(eng, coll), eng.BruteForceDiscover(coll))
+					discover(kernel, coll)
+					for ri := range coll.Sets {
+						got := search(eng, &coll.Sets[ri])
+						sameMatches(t, fmt.Sprintf("%s ref=%d", label, ri), got, eng.BruteForceSearch(&coll.Sets[ri]))
+						sameMatches(t, fmt.Sprintf("%s ref=%d, kernel twin", label, ri), got, search(kernel, &coll.Sets[ri]))
+					}
+					st, kst := eng.Stats(), kernel.Stats()
+					if st.FullScans < st.SearchPasses && st.SimEvals == 0 {
+						t.Errorf("%s: signatured passes ran without one filter similarity", label)
+					}
+					if counts := simKind.TokenMode() == dataset.ModeWord; counts != (st.SimCounted > 0) || kst.SimCounted != 0 {
+						t.Errorf("%s: SimCounted is %d (%d on the kernel twin); want > 0 exactly under token-based similarities", label, st.SimCounted, kst.SimCounted)
+					}
+					if pairs, kpairs := st.SimEvals+st.SimMemoHits+st.SimCounted, kst.SimEvals+kst.SimMemoHits; pairs != kpairs {
+						t.Errorf("%s: the filters looked at %d element pairs (%d evals + %d memo hits + %d counted), the kernel twin's at %d",
+							label, pairs, st.SimEvals, st.SimMemoHits, st.SimCounted, kpairs)
+					}
 				}
 			}
 		}
@@ -77,10 +106,12 @@ func TestMemoEvictionGrid(t *testing.T) {
 
 // TestMemoParallelVerifyByteIdentical: with Concurrency 4 a pass of 16 or
 // more survivors hands its candidates to searchers borrowed from the pool,
-// whose memo last served another reference. Their results must be the
-// serial engine's, bit for bit and in order, with the default table and
-// with a thrashing one. Run under -race this also shows the borrowed
-// searchers share no memo with the pass's own worker.
+// whose memo — under Jaccard, whose overlap scratch — last served another
+// reference and another set. Their results must be the serial engine's, bit
+// for bit and in order, with the default table and with a thrashing one,
+// and both must be the brute-force answer. Run under -race this also shows
+// the borrowed searchers share no memo or scratch with the pass's own
+// worker.
 func TestMemoParallelVerifyByteIdentical(t *testing.T) {
 	seed := 8200 + memoRun.Add(1)
 	raws := datagen.RepeatedElements(seed, 160, 12)
@@ -109,6 +140,7 @@ func TestMemoParallelVerifyByteIdentical(t *testing.T) {
 					sharded++
 				}
 				want := search(serial, &coll.Sets[ri])
+				sameMatches(t, fmt.Sprintf("seed=%d %v slots=%d ref=%d vs brute force", seed, simKind, slots, ri), got, serial.BruteForceSearch(&coll.Sets[ri]))
 				if len(got) != len(want) {
 					t.Fatalf("seed=%d %v slots=%d ref=%d: %d matches in parallel, %d serially", seed, simKind, slots, ri, len(got), len(want))
 				}
@@ -123,9 +155,12 @@ func TestMemoParallelVerifyByteIdentical(t *testing.T) {
 				t.Fatalf("seed=%d %v: no pass had %d survivors; parallel verification never ran", seed, simKind, parallelCandMin)
 			}
 			ps, ss := parallel.Stats(), serial.Stats()
-			if ps.SimEvals+ps.SimMemoHits != ss.SimEvals+ss.SimMemoHits {
-				t.Errorf("seed=%d %v slots=%d: filters asked for φ %d times in parallel, %d serially",
-					seed, simKind, slots, ps.SimEvals+ps.SimMemoHits, ss.SimEvals+ss.SimMemoHits)
+			if p, s := ps.SimEvals+ps.SimMemoHits+ps.SimCounted, ss.SimEvals+ss.SimMemoHits+ss.SimCounted; p != s || ps.SimCounted != ss.SimCounted {
+				t.Errorf("seed=%d %v slots=%d: filters asked for φ %d times in parallel (%d from counts), %d serially (%d from counts)",
+					seed, simKind, slots, p, ps.SimCounted, s, ss.SimCounted)
+			}
+			if (simKind == Jaccard) != (ps.SimCounted > 0) {
+				t.Errorf("seed=%d %v slots=%d: SimCounted = %d; want > 0 exactly under Jaccard", seed, simKind, slots, ps.SimCounted)
 			}
 		}
 	}
@@ -285,5 +320,131 @@ func TestMemoLazyAllocGate(t *testing.T) {
 	}
 	if a2-a1 < oneTable || a2-a1 > 512<<10 {
 		t.Errorf("the first pass allocated %d bytes; want the two memo tables and little else, within 512 KiB", a2-a1)
+	}
+}
+
+// TestOverlapFillEqualsDenseFill holds the two sources of verification's
+// weight matrix together. For token-based similarities the pipeline fills a
+// row from the overlap row of the reference element (overlapSim: zero the
+// row, write the cells the index walk names, each from its shared-token
+// count); the oracle paths call the φ_α kernel on every cell (pairSim).
+// Every row must be the same float64s, whole and through a reduction's
+// column remap, and Score and ScoreReduced must return the same bits from
+// either — over similarity × α × reduction × index form, on the engine as
+// built and after Add, Update (Delete + Add), Delete and Compact, for
+// indexed references and for a query holding words the index has never
+// seen and an element with no words at all.
+func TestOverlapFillEqualsDenseFill(t *testing.T) {
+	seed := 8400 + memoRun.Add(1)
+	raws := datagen.RepeatedElements(seed, 30, 12)
+	raws[4].Elements = append(raws[4].Elements, "") // an indexed empty element
+	more := datagen.RepeatedElements(seed+1000, 8, 12)
+	queryRaw := dataset.RawSet{Name: "query", Elements: []string{
+		raws[0].Elements[0], raws[1].Elements[0] + " neverindexed", "", "alsonew words", raws[2].Elements[1],
+	}}
+	for _, simKind := range []SimKind{Jaccard, Dice, Cosine} {
+		for _, alpha := range []float64{0, 0.5, 0.8} {
+			for _, compressed := range []bool{false, true} {
+				coll, opts := buildFor(simKind, raws, 0.6, alpha)
+				opts.CompressPostings = compressed
+				opts.PostingCacheBytes = 1 << 10 // tiny: ranges decode off containers
+				opts.CompactionThreshold = -1    // compaction only when the test says so
+				eng, err := NewEngine(coll, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := func(state string) {
+					label := fmt.Sprintf("seed=%d %v α=%v compressed=%v %s", seed, simKind, alpha, compressed, state)
+					w := eng.newWorker()
+					if w.vs.os.fromOverlap == nil {
+						t.Fatalf("%s: the worker's verification is not set up to count overlaps", label)
+					}
+					var oracle verifyScratch // as BruteForceSearch's: the dense kernel fill
+					query := &dataset.BuildQuery(coll.Dict, []dataset.RawSet{queryRaw}, coll.Mode, coll.Q).Sets[0]
+					refs := []*dataset.Set{query}
+					for si := range coll.Sets {
+						if eng.Alive(si) {
+							refs = append(refs, &coll.Sets[si])
+						}
+					}
+					nonZero := 0
+					for _, r := range refs {
+						for s := range coll.Sets {
+							if !eng.Alive(s) {
+								continue
+							}
+							sSet := &coll.Sets[s]
+							nS := len(sSet.Elements)
+							// A remap as the reduction builds one: every third
+							// column gone, the rest renumbered in order.
+							remap, kept := make([]int32, nS), 0
+							for j := range remap {
+								remap[j] = -1
+								if j%3 != 1 {
+									remap[j] = int32(kept)
+									kept++
+								}
+							}
+							dense := pairSim{phi: eng.phi, r: r, s: sSet}
+							w.vs.os.r, w.vs.os.set = r, int32(s)
+							for i := range r.Elements {
+								for _, m := range []struct {
+									remap []int32
+									n     int
+								}{{nil, nS}, {remap, kept}} {
+									want, got := make([]float64, m.n), make([]float64, m.n)
+									for k := range got {
+										got[k] = -1 // Row must write every cell
+									}
+									dense.Row(i, m.remap, want)
+									w.vs.os.Row(i, m.remap, got)
+									for k := range want {
+										if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+											t.Fatalf("%s: R=%q row %d × set %d (remapped=%v) cell %d: %v from the overlap count, %v from the kernel",
+												label, r.Name, i, s, m.remap != nil, k, got[k], want[k])
+										}
+										if want[k] > 0 {
+											nonZero++
+										}
+									}
+								}
+							}
+							for _, reduction := range []bool{false, true} {
+								o := opts
+								o.Reduction = reduction
+								o.Delta = 0.05 // nearly every pair is related, so Match carries the score
+								gm, gok := eng.verifyWith(r, s, &w.vs, &o)
+								wm, wok := eng.verifyWith(r, s, &oracle, &o)
+								if gok != wok || gm != wm {
+									t.Fatalf("%s: R=%q × set %d reduction=%v: (%+v,%v) from overlap counts, (%+v,%v) from the kernel",
+										label, r.Name, s, reduction, gm, gok, wm, wok)
+								}
+							}
+						}
+					}
+					if nonZero == 0 {
+						t.Fatalf("%s: no cell was above 0; the corpus exercises nothing", label)
+					}
+				}
+				check("fresh")
+				eng.AppendSets(dataset.Append(coll, more[:4]))
+				check("after Add")
+				if err := eng.Delete(3); err != nil { // Update: the old set goes, its replacement is appended
+					t.Fatal(err)
+				}
+				eng.AppendSets(dataset.Append(coll, more[4:6]))
+				check("after Update")
+				if err := eng.Delete(7); err != nil {
+					t.Fatal(err)
+				}
+				check("after Delete")
+				eng.Compact()
+				eng.AppendSets(dataset.Append(coll, more[6:]))
+				check("after Compact and Add")
+				if n := eng.Index().DecodeErrors(); n != 0 {
+					t.Fatalf("seed=%d %v α=%v compressed=%v: %d container decode errors", seed, simKind, alpha, compressed, n)
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,23 @@
 // similarities with an optional element threshold α, and the brute-force
 // and FastJoin-style baselines the paper evaluates against.
 //
+// # Where φ_α comes from
+//
+// The engine holds φ_α twice: phi, the kernel over two elements, and — for
+// Jaccard, Dice and Cosine — fromOverlap, the same similarity as a function
+// of the shared-token count and the two sizes (overlapFunc; nil under the
+// edit similarities). Which one a stage uses follows from Options.Sim alone;
+// there is no setting. Candidate collection always calls phi through the
+// collector's memo. When fromOverlap is set, the pipeline's nearest-neighbor
+// filter and verification never call phi: a worker's NNSearcher is switched
+// to CountOverlaps and its verifyScratch fills weight matrices through
+// overlapSim, both reading counts off filter.Overlap's walk of the index.
+// Under Eds and NEds they keep the kernel (and the searcher its memo):
+// elements sharing no q-gram can still score, so the index does not name the
+// cells. BruteForceSearch, BruteForceDiscover and MatchScore always fill
+// densely with phi — the first two because an oracle must not lean on the
+// index it checks, the last because its sets are not indexed.
+//
 // # Hot-path annotations
 //
 // The steady-state query pipeline — the per-pass stages in plan.go

@@ -76,15 +76,15 @@ func BenchmarkPipelineSearch(b *testing.B) {
 }
 
 // BenchmarkPipelineVerify isolates exact verification (reduction on): the
-// per-pair cost every candidate that survives refinement pays.
+// per-pair cost every candidate that survives refinement pays, on a
+// worker's scratch as the pipeline runs it.
 func BenchmarkPipelineVerify(b *testing.B) {
 	e, ref := benchFixture(b, signature.Dichotomy, 0)
-	var vs verifyScratch
-	s := &e.coll.Sets[11]
+	w := e.newWorker()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.matchScore(ref, s, &vs)
+		e.verifyWith(ref, 11, &w.vs, &e.opts)
 	}
 }
 

@@ -77,6 +77,10 @@ func (e *Engine) newWorker() *worker {
 		cl: filter.NewCollector(e.ix),
 		ns: filter.NewNNSearcher(e.ix, e.phi),
 	}
+	if e.fromOverlap != nil {
+		w.ns.CountOverlaps(e.fromOverlap, e.opts.Alpha)
+		w.vs.os = overlapSim{ix: e.ix, fromOverlap: e.fromOverlap, alpha: e.opts.Alpha}
+	}
 	w.acc.e = e
 	w.acceptFn = w.acc.accept
 	return w
@@ -122,7 +126,8 @@ type plan struct {
 // absorbs the pass's counters. parallelOK permits sharding the verification
 // loop across goroutines (true for top-level searches, false inside
 // Discover's workers, which are already parallel). q, when non-nil,
-// overrides scheme/δ/filters for this pass and captures its funnel.
+// overrides scheme/δ/filters for this pass and captures its funnel. A pass
+// that saw a posting container fail to decode returns ErrPostingDecode.
 //
 //silkmoth:hotpath
 func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, parallelOK bool, q *Query) ([]Match, error) {
@@ -132,6 +137,10 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 	}
 	f := &w.pass
 	f.SearchPasses++
+	// The index's decode-error counter is shared by every pass on the
+	// engine, so a failure is charged to all passes in flight: each of
+	// them refuses to answer rather than find out whose list it was.
+	decodeErrs := e.ix.DecodeErrors()
 	nR := len(r.Elements)
 	if nR == 0 {
 		w.endPass(capture)
@@ -174,6 +183,9 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 		e.observeStages(f)
 	}
 	w.endPass(capture)
+	if err == nil && e.ix.DecodeErrors() != decodeErrs {
+		return nil, ErrPostingDecode
+	}
 	return ms, err
 }
 
@@ -277,6 +289,7 @@ func (p *plan) collect() {
 func (w *worker) chargeSim(n filter.SimCounts) {
 	w.pass.SimEvals += n.Evals
 	w.pass.SimMemoHits += n.MemoHits
+	w.pass.SimCounted += n.Counted
 }
 
 // prepareRefine precomputes the nearest-neighbor filter's no-share floors

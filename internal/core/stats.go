@@ -39,11 +39,15 @@ type Funnel struct {
 	// Verified counts maximum-matching computations.
 	Verified int64
 	// SimEvals counts φ_α kernel calls made by the check and nearest-
-	// neighbor filters; SimMemoHits counts the requests their per-pass
-	// memo answered without one. Both repeat exactly for a given corpus
-	// and query mix (verification's kernel calls are not included).
+	// neighbor filters, SimMemoHits the requests their per-pass memo
+	// answered without one, and SimCounted the pairs the nearest-neighbor
+	// filter scored from an overlap count instead (token-based
+	// similarities). Their sum is the number of element pairs the filters
+	// looked at; all three repeat exactly for a given corpus and query mix
+	// (verification's cells are not included).
 	SimEvals    int64
 	SimMemoHits int64
+	SimCounted  int64
 	// Scheme* count signatured passes by the concrete scheme that
 	// generated the probe signature. Under Scheme Auto they expose the
 	// per-query cost-based selection (per-shard choices may differ); under
@@ -78,6 +82,7 @@ func (f *Funnel) Add(g *Funnel) {
 	f.Verified += g.Verified
 	f.SimEvals += g.SimEvals
 	f.SimMemoHits += g.SimMemoHits
+	f.SimCounted += g.SimCounted
 	f.SchemeWeighted += g.SchemeWeighted
 	f.SchemeCombUnweighted += g.SchemeCombUnweighted
 	f.SchemeSkyline += g.SchemeSkyline

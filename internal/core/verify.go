@@ -3,7 +3,9 @@ package core
 import (
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/filter"
+	"silkmoth/internal/index"
 	"silkmoth/internal/matching"
+	"silkmoth/internal/sim"
 )
 
 // scoreThreshold returns the minimum maximum-matching score for two sets of
@@ -28,7 +30,11 @@ func relatedness(metric Metric, score float64, nR, nS int) float64 {
 	return score / (float64(nR+nS) - score)
 }
 
-// pairSim adapts the engine's φ_α to matching.Weights for one ⟨R, S⟩ pair.
+// pairSim is the dense matching.Weights of one ⟨R, S⟩ pair: one φ_α kernel
+// call per cell. It is what verification uses whenever the cells that can
+// score are not known beforehand — the edit similarities (elements sharing
+// no q-gram can still score), sets that are not in the index (MatchScore)
+// and the brute-force oracle, which must not lean on the index it checks.
 // It lives inside verifyScratch so setting the pair is a field write, never
 // a closure allocation.
 type pairSim struct {
@@ -37,18 +43,63 @@ type pairSim struct {
 }
 
 //silkmoth:hotpath
-func (p *pairSim) At(i, j int) float64 {
-	return p.phi(&p.r.Elements[i], &p.s.Elements[j])
+func (p *pairSim) Row(i int, remap []int32, dst []float64) {
+	re, els := &p.r.Elements[i], p.s.Elements
+	if remap == nil {
+		for j := range dst {
+			dst[j] = p.phi(re, &els[j])
+		}
+		return
+	}
+	for j, k := range remap {
+		if k >= 0 {
+			dst[k] = p.phi(re, &els[j])
+		}
+	}
+}
+
+// overlapSim is the sparse matching.Weights of a reference R against
+// indexed set number set under a token-based similarity: a row is zeroed,
+// then the overlap row of r_i (filter.Overlap) names the elements of S that
+// share a token with it and how many, and only those cells are written,
+// each from its count. Every other cell of the dense fill is 0 as well —
+// no shared token, no similarity — so the matrix is the same, cell for
+// cell, and so is the score.
+type overlapSim struct {
+	ix          *index.Inverted
+	fromOverlap sim.OverlapFunc
+	alpha       float64
+	ov          filter.Overlap
+	r           *dataset.Set
+	set         int32
+}
+
+//silkmoth:hotpath
+func (p *overlapSim) Row(i int, remap []int32, dst []float64) {
+	clear(dst)
+	re, els := &p.r.Elements[i], p.ix.Collection().Sets[p.set].Elements
+	la := len(re.Tokens)
+	for _, e := range p.ov.Walk(p.ix, re.Tokens, p.set) {
+		k := e
+		if remap != nil {
+			if k = remap[e]; k < 0 {
+				continue
+			}
+		}
+		dst[k] = sim.Alpha(p.fromOverlap(p.ov.Count(e), la, len(els[e].Tokens)), p.alpha)
+	}
 }
 
 // verifyScratch bundles the reusable state of exact verification: the
-// matching scratch (flat Hungarian buffers, reduction tables) and the
-// interned element-key slices the §5.3 reduction compares. One lives in
-// every worker; verification performs no per-pair heap allocations.
+// matching scratch (flat Hungarian buffers, reduction tables), the
+// interned element-key slices the §5.3 reduction compares, and the two
+// weight sources. One lives in every worker; verification performs no
+// per-pair heap allocations.
 type verifyScratch struct {
 	mat        matching.Scratch
 	keyR, keyS []int32
 	ps         pairSim
+	os         overlapSim
 }
 
 // verify computes the exact maximum matching score between r and collection
@@ -61,12 +112,20 @@ func (e *Engine) verify(r *dataset.Set, s int, vs *verifyScratch) (Match, bool) 
 // verifyWith is verify under explicit effective options — the engine's
 // configuration with any per-query overrides (δ, reduction) applied. The
 // search pipeline always routes through it so query overrides reach exact
-// verification.
+// verification. A worker's scratch, set up by newWorker for a token-based
+// similarity, reads the weights off the inverted index (overlapSim); a zero
+// verifyScratch — the brute-force oracle's — calls the kernel on every cell.
 //
 //silkmoth:hotpath
 func (e *Engine) verifyWith(r *dataset.Set, s int, vs *verifyScratch, o *Options) (Match, bool) {
 	sSet := &e.coll.Sets[s]
-	score := e.matchScoreWith(r, sSet, vs, o.Reduction)
+	var score float64
+	if vs.os.fromOverlap != nil {
+		vs.os.r, vs.os.set = r, int32(s)
+		score = matchScore(r, sSet, vs, &vs.os, o.Reduction)
+	} else {
+		score = e.matchScoreDense(r, sSet, vs, o.Reduction)
+	}
 	nR, nS := len(r.Elements), len(sSet.Elements)
 	t := scoreThreshold(o.Metric, o.Delta, nR, nS)
 	if score < t-acceptEps {
@@ -79,26 +138,28 @@ func (e *Engine) verifyWith(r *dataset.Set, s int, vs *verifyScratch, o *Options
 	}, true
 }
 
-// matchScore computes |R ∩̃ S| between two tokenized sets under the
-// engine's reduction setting.
-func (e *Engine) matchScore(r, s *dataset.Set, vs *verifyScratch) float64 {
-	return e.matchScoreWith(r, s, vs, e.opts.Reduction)
+// matchScoreDense computes |R ∩̃ S| between two tokenized sets, neither of
+// which need be indexed, with one φ_α kernel call per cell.
+//
+//silkmoth:hotpath
+func (e *Engine) matchScoreDense(r, s *dataset.Set, vs *verifyScratch, reduction bool) float64 {
+	vs.ps.phi = e.phi
+	vs.ps.r, vs.ps.s = r, s
+	return matchScore(r, s, vs, &vs.ps, reduction)
 }
 
-// matchScoreWith computes |R ∩̃ S| between two tokenized sets. With the
+// matchScore computes |R ∩̃ S| over the weights wts supplies. With the
 // reduction enabled it compares the elements' build-time interned keys
 // (dataset.Element.Key) — integers, never materialized strings.
 //
 //silkmoth:hotpath
-func (e *Engine) matchScoreWith(r, s *dataset.Set, vs *verifyScratch, reduction bool) float64 {
-	vs.ps.phi = e.phi
-	vs.ps.r, vs.ps.s = r, s
+func matchScore(r, s *dataset.Set, vs *verifyScratch, wts matching.Weights, reduction bool) float64 {
 	if reduction {
 		vs.keyR = appendElementKeys(vs.keyR[:0], r.Elements)
 		vs.keyS = appendElementKeys(vs.keyS[:0], s.Elements)
-		return vs.mat.ScoreReduced(vs.keyR, vs.keyS, &vs.ps)
+		return vs.mat.ScoreReduced(vs.keyR, vs.keyS, wts)
 	}
-	return vs.mat.Score(len(r.Elements), len(s.Elements), &vs.ps)
+	return vs.mat.Score(len(r.Elements), len(s.Elements), wts)
 }
 
 // appendElementKeys copies the elements' interned content keys into dst
@@ -172,5 +233,5 @@ func (e *Engine) BruteForceDiscover(refs *dataset.Collection) []Pair {
 // dictionary), applying the engine's reduction setting.
 func (e *Engine) MatchScore(r, s *dataset.Set) float64 {
 	var vs verifyScratch
-	return e.matchScore(r, s, &vs)
+	return e.matchScoreDense(r, s, &vs, e.opts.Reduction)
 }

@@ -3,12 +3,28 @@
 // neighbor filter of Algorithm 2, including the efficient index-based
 // nearest-neighbor search, computation reuse, and early termination.
 //
-// Computation reuse is wider than §5.2's: besides the nearest-neighbor
+// Computation reuse is wider than §5.2's. Besides the nearest-neighbor
 // filter reusing the check filter's best similarities within one candidate
-// set, each stage remembers φ_α per ⟨reference element, candidate element
-// content⟩ for the length of a pass (simMemo), so an element that recurs
-// across postings and across candidate sets costs one kernel call per
-// stage, up to the evictions of a bounded table.
+// set, there are two ways a stage avoids the φ_α kernel:
+//
+//   - The memo (simMemo). A stage remembers φ_α per ⟨reference element,
+//     candidate element content⟩ for the length of a pass, so an element
+//     that recurs across postings and across candidate sets costs one kernel
+//     call per stage, up to the evictions of a bounded table. The check
+//     filter always works this way (a signature holds a subset of an
+//     element's tokens, so its posting counts are not overlaps), and so does
+//     the nearest-neighbor search under the edit similarities.
+//   - The overlap row (Overlap). The nearest-neighbor search walks every
+//     token of the reference element through one candidate set's postings,
+//     so the number of postings it meets per candidate element is the size
+//     of the two token sets' intersection, and Jaccard, Dice and Cosine are
+//     functions of that and the two sizes. A searcher set up with
+//     CountOverlaps computes φ_α from the count and never calls the kernel
+//     or keeps a memo; core's verification fills its weight matrix from the
+//     same rows. Both return the kernel's value bit for bit, because the
+//     kernel itself is sim.XFromOverlap of the intersection it computed.
+//
+// SimCounts says how many pairs each way answered.
 //
 // All pruning in this package is conservative: a candidate is dropped only
 // when a sound upper bound on its maximum matching score sits below the

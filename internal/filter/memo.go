@@ -10,11 +10,13 @@ import (
 
 // SimCounts is how often φ_α was asked for across the filter stages of one
 // or more passes: Evals ran the kernel, MemoHits were answered by the
-// per-pass memo instead. Evals + MemoHits is the number of ⟨reference
+// per-pass memo instead, Counted were computed from an overlap count
+// (NNSearcher.CountOverlaps). The three add up to the number of ⟨reference
 // element, candidate element⟩ pairs the filters looked at.
 type SimCounts struct {
 	Evals    int64
 	MemoHits int64
+	Counted  int64
 }
 
 // memoEntry is one slot of a simMemo: val is φ_α(r_ref, s) for any candidate

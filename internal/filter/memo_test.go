@@ -219,7 +219,10 @@ func TestMemoTable(t *testing.T) {
 // 2-slot memo (nearly every store evicts) and with the default table must
 // equal, bit for bit, the pass over the NoKey twin, where no request is
 // memoized at all — and the counts must add up: what the memo did not
-// answer, the kernel did.
+// answer, the kernel did. Under Jaccard a third execution, whose searcher
+// scores from overlap counts (CountOverlaps), is held to the same pass: its
+// nearest-neighbor values are the kernel's bit for bit, it calls the kernel
+// for none of them, and it looks at exactly as many element pairs.
 func TestMemoEvictionGridFilterStages(t *testing.T) {
 	seed := 7100 + memoRun.Add(1)
 	for _, qgram := range []bool{false, true} {
@@ -230,6 +233,10 @@ func TestMemoEvictionGridFilterStages(t *testing.T) {
 				restore := SetMemoSlotsForTest(slots)
 				cl, ns := NewCollector(f.ix), NewNNSearcher(f.ix, f.phi)
 				bareCl, bareNs := NewCollector(f.bareIx), NewNNSearcher(f.bareIx, f.phi)
+				cntCl, cntNs := NewCollector(f.ix), NewNNSearcher(f.ix, f.phi)
+				if !qgram {
+					cntNs.CountOverlaps(sim.JaccardFromOverlap, alpha)
+				}
 				var memo, bare SimCounts
 				for ri := range f.coll.Sets {
 					label := fmt.Sprintf("seed=%d qgram=%v α=%v slots=%d ref=%d", seed, qgram, alpha, slots, ri)
@@ -241,6 +248,15 @@ func TestMemoEvictionGridFilterStages(t *testing.T) {
 					if ok {
 						sameStagedPass(t, label, got, want)
 					}
+					if ok && !qgram {
+						counted, _ := runStaged(cntCl, cntNs, f.ix, f, &f.coll.Sets[ri], nil)
+						sameStagedPass(t, label+" from overlap counts", counted, want)
+					}
+				}
+				if n, kernel := cntNs.TakeSimCounts(), bareNs.memo.n; !qgram &&
+					(n.Evals != 0 || n.MemoHits != 0 || n.Counted != kernel.Evals || n.Counted == 0 || cntNs.memo.slots != nil) {
+					t.Errorf("seed=%d α=%v slots=%d: the counting searcher reports %+v (memo table allocated: %v), the kernel one %+v; want every pair counted, none evaluated, no table",
+						seed, alpha, slots, n, cntNs.memo.slots != nil, kernel)
 				}
 				for _, n := range []SimCounts{cl.TakeSimCounts(), ns.TakeSimCounts()} {
 					memo.Evals += n.Evals
@@ -344,7 +360,8 @@ func TestMemoPassIsolation(t *testing.T) {
 
 // TestMemoPassAllocGate pins the hot-path contract: once the tables exist, a
 // whole filter pass — Collect, floors, NNFilter over every survivor —
-// allocates nothing.
+// allocates nothing, whether the searcher asks the kernel through its memo
+// or scores from overlap counts.
 func TestMemoPassAllocGate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
@@ -357,27 +374,34 @@ func TestMemoPassAllocGate(t *testing.T) {
 		t.Fatal("no valid signature")
 	}
 	prune := f.params.Delta*float64(len(r.Elements)) - pruneSlack
-	cl, ns := NewCollector(f.ix), NewNNSearcher(f.ix, f.phi)
-	var floors []float64
-	refined := 0
-	pass := func() {
-		cands, _ := cl.Collect(r, sig, f.phi, Options{CheckFilter: true, PruneThreshold: prune})
-		floors = AppendNoShareFloors(floors, r, sig, f.coll.Mode, f.params.Alpha)
-		for _, c := range cands {
-			NNFilter(r, sig, c, ns, floors, prune)
-			refined++
+	cl := NewCollector(f.ix)
+	counting := NewNNSearcher(f.ix, f.phi)
+	counting.CountOverlaps(sim.JaccardFromOverlap, f.params.Alpha)
+	for _, ns := range []*NNSearcher{NewNNSearcher(f.ix, f.phi), counting} {
+		var floors []float64
+		refined := 0
+		pass := func() {
+			cands, _ := cl.Collect(r, sig, f.phi, Options{CheckFilter: true, PruneThreshold: prune})
+			floors = AppendNoShareFloors(floors, r, sig, f.coll.Mode, f.params.Alpha)
+			for _, c := range cands {
+				NNFilter(r, sig, c, ns, floors, prune)
+				refined++
+			}
 		}
-	}
-	pass()
-	pass()
-	if refined == 0 {
-		t.Fatal("no candidate reached the nearest-neighbor filter")
-	}
-	if got := testing.AllocsPerRun(100, pass); got > 0 {
-		t.Errorf("a warmed Collect + NNFilter pass allocates %.1f objects, want 0", got)
-	}
-	if n := cl.TakeSimCounts(); n.MemoHits == 0 {
-		t.Errorf("collect counted %+v: the gate ran without a memo hit", n)
+		pass()
+		pass()
+		if refined == 0 {
+			t.Fatal("no candidate reached the nearest-neighbor filter")
+		}
+		if got := testing.AllocsPerRun(100, pass); got > 0 {
+			t.Errorf("a warmed Collect + NNFilter pass allocates %.1f objects (counting=%v), want 0", got, ns == counting)
+		}
+		if n := cl.TakeSimCounts(); n.MemoHits == 0 {
+			t.Errorf("collect counted %+v: the gate ran without a memo hit", n)
+		}
+		if n := ns.TakeSimCounts(); (ns == counting) != (n.Counted > 0) || (ns == counting) == (n.Evals+n.MemoHits > 0) {
+			t.Errorf("the searcher counted %+v (counting=%v): the gate did not run the path it names", n, ns == counting)
+		}
 	}
 }
 

@@ -4,30 +4,38 @@ import (
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/index"
 	"silkmoth/internal/signature"
+	"silkmoth/internal/sim"
 )
 
 // NNSearcher finds nearest neighbors of reference elements inside one
 // candidate set via the inverted index (§5.2, adapting the prefix-filter
-// technique of Xiao et al.): it walks the reference element's tokens,
-// locates the candidate set's postings by binary search, and needs φ_α
-// against each distinct candidate element found. Its per-pass memo answers
-// for every element whose content the pass has already met, in this
-// candidate set or an earlier one, so the kernel runs once per distinct
-// ⟨reference element, candidate element content⟩ pair, up to the evictions
-// of the fixed-size table. It is not safe for concurrent use; create one
-// per worker.
+// technique of Xiao et al.): its Overlap walks the reference element's
+// tokens, locates the candidate set's postings by binary search, and yields
+// each distinct candidate element found with the number of tokens it
+// shares. What φ_α costs from there depends on how the searcher was set up.
+//
+// After CountOverlaps — the engine's choice for Jaccard, Dice and Cosine —
+// φ_α is computed from the shared-token count and the two sizes: no token
+// slice is intersected and no memo is kept, because the count is the
+// intersection. Otherwise (the edit similarities, and any searcher built
+// from a bare SimFunc) the kernel is asked through the per-pass memo, which
+// answers for every element whose content the pass has already met, in
+// this candidate set or an earlier one, so the kernel runs once per
+// distinct ⟨reference element, candidate element content⟩ pair, up to the
+// evictions of the fixed-size table. The two ways return the same bits.
+//
+// It is not safe for concurrent use; create one per worker.
 type NNSearcher struct {
 	ix  *index.Inverted
 	phi SimFunc
-	// visited implements O(1) per-element dedup across calls: an element
-	// is visited when visited[elem] == epoch.
-	visited []uint32
-	epoch   uint32
-	// scratch is the reusable decode buffer SetRangeInto fills when the
-	// probed range must come off a compressed container, keeping per-probe
-	// work allocation-free in steady state.
-	scratch []index.Posting
-	// memo holds φ_α values of pass number pass (a Candidate's stamp).
+	ov  Overlap
+	// fromOverlap, when set, is φ as a function of ⟨|r∩s|, |r|, |s|⟩ and
+	// alpha its threshold: the searcher scores from counts and phi and
+	// memo go unused.
+	fromOverlap sim.OverlapFunc
+	alpha       float64
+	// memo holds φ_α values of pass number pass (a Candidate's stamp); n
+	// counts what the searches cost since the last TakeSimCounts.
 	memo simMemo
 	pass uint64
 }
@@ -35,6 +43,15 @@ type NNSearcher struct {
 // NewNNSearcher returns a searcher over the given index and similarity.
 func NewNNSearcher(ix *index.Inverted, phi SimFunc) *NNSearcher {
 	return &NNSearcher{ix: ix, phi: phi}
+}
+
+// CountOverlaps makes the searcher score from overlap counts. f must be
+// the token-based similarity behind the searcher's phi (so that
+// phi(r, s) = sim.Alpha(f(|r∩s|, |r|, |s|), alpha) for all elements) and
+// the index must hold every token of every element, which index.Build
+// guarantees.
+func (s *NNSearcher) CountOverlaps(f sim.OverlapFunc, alpha float64) {
+	s.fromOverlap, s.alpha = f, alpha
 }
 
 // Search returns the largest φ_α between r and any element of candidate set
@@ -46,46 +63,42 @@ func (s *NNSearcher) Search(r *dataset.Element, set int32) float64 {
 	return s.search(r, 0, set)
 }
 
-// beginPass empties the memo for the pass numbered pass.
+// beginPass starts the pass numbered pass with an empty memo. A counting
+// searcher keeps none, and so never allocates the table.
 //
 //silkmoth:hotpath
 func (s *NNSearcher) beginPass(pass uint64) {
 	s.pass = pass
-	s.memo.reset()
+	if s.fromOverlap == nil {
+		s.memo.reset()
+	}
 }
 
-// TakeSimCounts returns the kernel evaluations and memo hits of the
-// searches since the last take.
+// TakeSimCounts returns the kernel evaluations, memo hits and pairs scored
+// from counts of the searches since the last take.
 func (s *NNSearcher) TakeSimCounts() SimCounts { return s.memo.take() }
 
 // search is Search for the current pass's reference element number ref.
 //
 //silkmoth:hotpath
 func (s *NNSearcher) search(r *dataset.Element, ref int, set int32) float64 {
-	coll := s.ix.Collection()
-	elems := coll.Sets[set].Elements
-	if len(s.visited) < len(elems) {
-		s.visited = append(s.visited, make([]uint32, len(elems)-len(s.visited))...)
-	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale marks could collide, reset
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
-		s.epoch = 1
-	}
+	elems := s.ix.Collection().Sets[set].Elements
+	touched := s.ov.Walk(s.ix, r.Tokens, set)
 	best := 0.0
-	for _, t := range r.Tokens {
-		var rng []index.Posting
-		rng, s.scratch = s.ix.SetRangeInto(t, set, s.scratch)
-		for _, p := range rng {
-			if s.visited[p.Elem] == s.epoch {
-				continue
-			}
-			s.visited[p.Elem] = s.epoch
-			if score := s.memo.eval(s.phi, ref, r, &elems[p.Elem]); score > best {
+	if s.fromOverlap != nil {
+		la := len(r.Tokens)
+		for _, e := range touched {
+			score := sim.Alpha(s.fromOverlap(s.ov.Count(e), la, len(elems[e].Tokens)), s.alpha)
+			if score > best {
 				best = score
 			}
+		}
+		s.memo.n.Counted += int64(len(touched))
+		return best
+	}
+	for _, e := range touched {
+		if score := s.memo.eval(s.phi, ref, r, &elems[e]); score > best {
+			best = score
 		}
 	}
 	return best

@@ -106,6 +106,11 @@ func (ix *Inverted) materialize(t int) []Posting {
 	return out
 }
 
+// DecodeErrors returns how many container decodes have failed since the
+// index was built or loaded. It only ever grows; a search pass compares two
+// readings to learn whether anything it read may be incomplete.
+func (ix *Inverted) DecodeErrors() int64 { return ix.decodeErrs.Load() }
+
 // SetRangeInto returns the postings of token t in the given set, plus a
 // scratch buffer for the caller to pass back next call. The result aliases
 // index storage (heap list, cached decode, or extras) when possible —

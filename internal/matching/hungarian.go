@@ -3,6 +3,17 @@
 // plus the triangle-inequality reduction of §5.3 and an exhaustive oracle
 // used by tests. The solver itself lives in Scratch (scratch.go); the
 // functions here are the allocation-per-call convenience forms.
+//
+// A computation has two halves. Scratch.fill materializes the weight matrix
+// — the one place weights enter, a row at a time through Weights.Row, over
+// all right elements or over the ones the reduction left — and
+// Scratch.solve runs the Hungarian algorithm on the whole matrix. How a row
+// is produced is the caller's business: package core fills it with one
+// kernel call per cell for edit similarities, un-indexed sets and the
+// brute-force oracle, and from the inverted index's overlap counts,
+// touching only the cells that can be non-zero, for token-based
+// similarities. solve does not know the difference: the matrix is the same
+// cell for cell, so the score is the same bit for bit.
 package matching
 
 // MaxWeightScore returns the score of the maximum-weight bipartite matching
@@ -34,14 +45,7 @@ func Assign(w [][]float64) ([]int, float64) {
 	}
 
 	var sc Scratch
-	sc.w = growFloats(sc.w, n*m)
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			sc.w[idx] = w[i][j]
-			idx++
-		}
-	}
+	sc.fill(n, nil, m, nil, matrixRows(w))
 	score := sc.solve(n, m)
 
 	assign := make([]int, n)

@@ -3,19 +3,44 @@ package matching
 import "math"
 
 // Weights supplies the pairwise similarity matrix of a matching computation
-// without materializing it: At(i, j) is the weight of the edge between left
-// element i and right element j. Implementations backed by a struct pointer
-// let callers run verification with zero per-pair allocations (a func value
-// closing over the pair would allocate).
+// one row at a time: Row writes the weights of the edges between left
+// element i and the right elements into dst. A source that knows which
+// right elements can score at all — token-based similarities read that off
+// the inverted index — zeroes the row and writes only those cells; a source
+// that does not calls its kernel once per cell. Implementations backed by a
+// struct pointer let callers run verification with zero per-pair
+// allocations (a func value closing over the pair would allocate).
 type Weights interface {
-	At(i, j int) float64
+	// Row fills dst, which has one cell per right element in the matrix,
+	// and must write every cell. With a nil remap that is every right
+	// element, in order. Otherwise the §5.3 reduction has matched some
+	// away: remap has one entry per right element, remap[j] is j's cell in
+	// dst, and a negative entry means j is not in the matrix.
+	Row(i int, remap []int32, dst []float64)
 }
 
 // simFunc adapts a plain function to Weights for the package's convenience
-// entry points.
+// entry points: one call per cell.
 type simFunc func(i, j int) float64
 
-func (f simFunc) At(i, j int) float64 { return f(i, j) }
+func (f simFunc) Row(i int, remap []int32, dst []float64) {
+	if remap == nil {
+		for j := range dst {
+			dst[j] = f(i, j)
+		}
+		return
+	}
+	for j, k := range remap {
+		if k >= 0 {
+			dst[k] = f(i, j)
+		}
+	}
+}
+
+// matrixRows serves an already materialized matrix.
+type matrixRows [][]float64
+
+func (w matrixRows) Row(i int, _ []int32, dst []float64) { copy(dst, w[i]) }
 
 // Scratch owns every reusable buffer of matching computations: the flat
 // weight matrix, the Hungarian algorithm's potentials and augmenting-path
@@ -36,31 +61,40 @@ type Scratch struct {
 	rowTo []int32
 	// Reduction scratch: an open-addressing key→stack table over the
 	// right side plus the surviving index lists.
-	tblKey, tblHead     []int32
-	chain               []int32
-	usedS               []bool
-	leftRest, rightRest []int32
+	tblKey, tblHead []int32
+	chain           []int32
+	usedS           []bool
+	leftRest        []int32
+	// remap[j] is right element j's column in the reduced matrix, or -1.
+	remap []int32
 }
 
 // Score computes the maximum-weight bipartite matching score between nR and
-// nS elements, reusing the scratch's buffers.
+// nS elements, reusing the scratch's buffers. The matrix is filled a row at
+// a time by wts and then solved whole, so a source that writes only the
+// cells that can score produces the very matrix a cell-by-cell source does,
+// and the same score bit for bit.
 func (sc *Scratch) Score(nR, nS int, wts Weights) float64 {
 	if nR == 0 || nS == 0 {
 		return 0
 	}
-	sc.fill(nR, nS, wts)
+	sc.fill(nR, nil, nS, nil, wts)
 	return sc.solve(nR, nS)
 }
 
-// fill materializes the weight matrix into the scratch, row-major.
-func (sc *Scratch) fill(nR, nS int, wts Weights) {
-	sc.w = growFloats(sc.w, nR*nS)
-	idx := 0
-	for i := 0; i < nR; i++ {
-		for j := 0; j < nS; j++ {
-			sc.w[idx] = wts.At(i, j)
-			idx++
+// fill materializes the weight matrix into the scratch, row-major: row k is
+// wts' row rows[k] (row k when rows is nil) over the nC columns remap keeps
+// (see Weights.Row). It is the one way weights reach the solver.
+//
+//silkmoth:hotpath
+func (sc *Scratch) fill(nR int, rows []int32, nC int, remap []int32, wts Weights) {
+	sc.w = growFloats(sc.w, nR*nC)
+	for k := 0; k < nR; k++ {
+		i := k
+		if rows != nil {
+			i = int(rows[k])
 		}
+		wts.Row(i, remap, sc.w[k*nC:(k+1)*nC])
 	}
 }
 
@@ -70,7 +104,8 @@ func (sc *Scratch) fill(nR, nS int, wts Weights) {
 // two elements are identical iff their keys are equal and non-negative. A
 // negative key marks an element that can never be reduced. Identical pairs
 // are matched outright (score 1 each) and the O(n³) matching runs only on
-// the remainder. wts is only consulted for unreduced elements.
+// the remainder: wts fills the rows of the unreduced left elements over the
+// columns of the unreduced right ones (Weights.Row's remap).
 //
 // The caller remains responsible for only using this when 1-φ satisfies the
 // triangle inequality and α = 0 (paper §6.5).
@@ -125,26 +160,23 @@ func (sc *Scratch) ScoreReduced(keyR, keyS []int32, wts Weights) float64 {
 		}
 		sc.leftRest = append(sc.leftRest, int32(i))
 	}
-	sc.rightRest = sc.rightRest[:0]
+	sc.remap = growInt32(sc.remap, nS)
+	rr := 0
 	for j := 0; j < nS; j++ {
-		if !sc.usedS[j] {
-			sc.rightRest = append(sc.rightRest, int32(j))
+		if sc.usedS[j] {
+			sc.remap[j] = -1
+			continue
 		}
+		sc.remap[j] = int32(rr)
+		rr++
 	}
 
 	score := float64(identical)
-	lr, rr := len(sc.leftRest), len(sc.rightRest)
+	lr := len(sc.leftRest)
 	if lr == 0 || rr == 0 {
 		return score
 	}
-	sc.w = growFloats(sc.w, lr*rr)
-	idx := 0
-	for _, i := range sc.leftRest {
-		for _, j := range sc.rightRest {
-			sc.w[idx] = wts.At(int(i), int(j))
-			idx++
-		}
-	}
+	sc.fill(lr, sc.leftRest, rr, sc.remap, wts)
 	return score + sc.solve(lr, rr)
 }
 

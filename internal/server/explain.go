@@ -27,6 +27,7 @@ type ExplainJSON struct {
 	Verified    int64            `json:"verified"`
 	SimEvals    int64            `json:"sim_evals"`
 	SimMemoHits int64            `json:"sim_memo_hits"`
+	SimCounted  int64            `json:"sim_counted"`
 	ElapsedUS   int64            `json:"elapsed_us"`
 }
 
@@ -45,6 +46,7 @@ func explainJSON(ex *silkmoth.Explain) *ExplainJSON {
 		Verified:    ex.Verified,
 		SimEvals:    ex.SimEvals,
 		SimMemoHits: ex.SimMemoHits,
+		SimCounted:  ex.SimCounted,
 		ElapsedUS:   ex.Elapsed.Microseconds(),
 	}
 }
@@ -123,7 +125,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	ms, err := s.eng.SearchContext(ctx, req.Set.toSet(), opts...)
 	if err != nil {
-		s.writeCtxErr(w, err)
+		s.writeQueryErr(w, err)
 		return
 	}
 	s.logSlow(r, "/v1/explain", &ex, nil)

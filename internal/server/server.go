@@ -401,6 +401,18 @@ func (s *Server) release() {
 	<-s.sem
 }
 
+// writeQueryErr reports a query the engine did not answer. A posting
+// container that failed to decode is the server's fault — its index is
+// corrupt and the honest answer is none — so it is a 500; every other
+// error a query returns is its context's.
+func (s *Server) writeQueryErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, silkmoth.ErrPostingDecode) {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	s.writeCtxErr(w, err)
+}
+
 // writeCtxErr reports a query the engine abandoned mid-flight, splitting
 // the rejection counter by whether the deadline fired or the client hung
 // up.
@@ -583,7 +595,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, topk bool) 
 		ms, err = s.eng.SearchContext(ctx, req.Set.toSet(), opts...)
 	}
 	if err != nil {
-		s.writeCtxErr(w, err)
+		s.writeQueryErr(w, err)
 		return
 	}
 	if req.Explain || capture {
@@ -613,9 +625,10 @@ type batchSearchRequest struct {
 }
 
 // BatchItemJSON is one batch item's outcome on the wire: its matches, or a
-// per-item error (e.g. an empty set) that left the rest of the batch
-// unaffected. When the request pinned schemes or asked for explain, Scheme
-// carries the concrete signature scheme the item's passes probed with.
+// per-item error (an empty set, a corrupt posting container met while
+// answering it) that left the rest of the batch unaffected. When the request
+// pinned schemes or asked for explain, Scheme carries the concrete signature
+// scheme the item's passes probed with.
 type BatchItemJSON struct {
 	Matches []MatchJSON  `json:"matches"`
 	Scheme  string       `json:"scheme,omitempty"`
@@ -724,10 +737,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		explains = append(explains, ex)
 		validAt = append(validAt, i)
 	}
+	failed := false // an item hit a corrupt index: do not cache that
 	if len(queries) > 0 {
 		per, err := s.eng.SearchBatchQueriesContext(ctx, queries)
 		if err != nil {
-			s.writeCtxErr(w, err)
+			s.writeQueryErr(w, err)
 			return
 		}
 		for qi, res := range per {
@@ -737,6 +751,10 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			item := &results[validAt[qi]]
 			item.Matches = matchesJSON(ms)
+			if res.Err != nil {
+				item.Error = res.Err.Error()
+				failed = true
+			}
 			if ex := explains[qi]; ex != nil {
 				if perItem {
 					item.Scheme = ex.Scheme
@@ -753,7 +771,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := batchSearchResponse{Results: results}
-	if req.Explain {
+	if req.Explain || failed {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -803,7 +821,7 @@ func (s *Server) handleDiscoverAgainst(w http.ResponseWriter, r *http.Request) {
 	}
 	ps, err := s.eng.DiscoverAgainstContext(ctx, refs, opts...)
 	if err != nil {
-		s.writeCtxErr(w, err)
+		s.writeQueryErr(w, err)
 		return
 	}
 	if capture {
@@ -1117,6 +1135,7 @@ type statsResponse struct {
 		Verified     int64 `json:"verified"`
 		SimEvals     int64 `json:"sim_evals"`
 		SimMemoHits  int64 `json:"sim_memo_hits"`
+		SimCounted   int64 `json:"sim_counted"`
 		Compactions  int64 `json:"compactions"`
 		// Scheme counts signatured passes by the concrete signature
 		// scheme that probed the index; with -scheme auto it exposes
@@ -1197,6 +1216,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.Verified = st.Verified
 	resp.Engine.SimEvals = st.SimEvals
 	resp.Engine.SimMemoHits = st.SimMemoHits
+	resp.Engine.SimCounted = st.SimCounted
 	resp.Engine.Compactions = st.Compactions
 	resp.Engine.Scheme.Weighted = st.SchemeWeighted
 	resp.Engine.Scheme.Skyline = st.SchemeSkyline
@@ -1295,6 +1315,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_memo_hits_total Filter similarity requests answered by the per-pass memo without a kernel call.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_memo_hits_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_sim_memo_hits_total %d\n", st.SimMemoHits)
+		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_counted_total Element pairs the nearest-neighbor filter scored from index overlap counts without a kernel call.\n")
+		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_counted_total counter\n")
+		fmt.Fprintf(out, "silkmothd_engine_sim_counted_total %d\n", st.SimCounted)
 		fmt.Fprintf(out, "# HELP silkmothd_engine_scheme_selected_total Signatured passes by concrete signature scheme.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_scheme_selected_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"weighted\"} %d\n", st.SchemeWeighted)

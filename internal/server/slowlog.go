@@ -67,6 +67,7 @@ func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, ex
 		"verified":      ex.Verified,
 		"sim_evals":     ex.SimEvals,
 		"sim_memo_hits": ex.SimMemoHits,
+		"sim_counted":   ex.SimCounted,
 		"stage_ns": map[string]int64{
 			"signature": ex.Stages.Signature.Nanoseconds(),
 			"collect":   ex.Stages.Collect.Nanoseconds(),

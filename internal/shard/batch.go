@@ -17,9 +17,17 @@ import (
 // collector scratch amortizes across the whole batch. Results are
 // positionally aligned with refs, each sorted by descending relatedness
 // (ties by global index), identical to running SearchContext per ref. The
-// first error aborts the whole batch.
+// first error aborts the whole batch; an item's own failure (see
+// SearchBatchQueries) fails it too.
 func (e *Engine) SearchBatchContext(ctx context.Context, refs []*dataset.Set) ([][]core.Match, error) {
-	return e.SearchBatchQueries(ctx, refs, nil)
+	out, itemErrs, err := e.SearchBatchQueries(ctx, refs, nil)
+	if err == nil {
+		err = errors.Join(itemErrs...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SearchBatchQueries is SearchBatchContext with per-item overrides: qs,
@@ -28,22 +36,28 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []*dataset.Set) ([
 // An item whose query carries a Stats capture also gets its wall time
 // accumulated there (AddElapsed), measured around the item's full
 // cross-shard pass sequence.
-func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs []*core.Query) ([][]core.Match, error) {
+//
+// An item whose pass read a corrupt posting container
+// (core.ErrPostingDecode) fails alone: it has no matches, its error is in
+// the second result at its position, and the batch goes on. The second
+// result is nil when no item failed. Any other error — cancellation — aborts
+// the whole batch and is the third result.
+func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs []*core.Query) ([][]core.Match, []error, error) {
 	if len(refs) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if qs != nil && len(qs) != len(refs) {
-		return nil, errors.New("shard: per-item queries must align with refs")
+		return nil, nil, errors.New("shard: per-item queries must align with refs")
 	}
 	for _, q := range qs {
 		if err := q.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	workers := Workers(e.opts.Concurrency, len(refs))
@@ -63,6 +77,7 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 	}()
 
 	out := make([][]core.Match, len(refs))
+	itemErrs := make([]error, len(refs)) // each item writes its own slot
 	err := FanOut(ctx, len(refs), workers, func(ctx context.Context, w, qi int) error {
 		var q *core.Query
 		if qs != nil {
@@ -76,6 +91,10 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		var ms []core.Match
 		for s := 0; s < e.nshards; s++ {
 			sm, err := searchers[w][s].SearchQuery(ctx, refs[qi], -1, q)
+			if errors.Is(err, core.ErrPostingDecode) {
+				itemErrs[qi] = err
+				return nil
+			}
 			if err != nil {
 				return err
 			}
@@ -94,7 +113,10 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	if errors.Join(itemErrs...) == nil {
+		itemErrs = nil
+	}
+	return out, itemErrs, nil
 }

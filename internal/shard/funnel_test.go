@@ -110,7 +110,7 @@ func TestFunnelConservation(t *testing.T) {
 			for i := range refs {
 				refs[i], qs[i] = &e.Collection().Sets[i], q
 			}
-			_, err := e.SearchBatchQueries(ctx, refs, qs)
+			_, _, err := e.SearchBatchQueries(ctx, refs, qs)
 			return err
 		}},
 		{name: "discover", shards: 2, opts: jaccard, run: func(e *Engine, q *core.Query) error {
@@ -159,7 +159,9 @@ func TestFunnelConservation(t *testing.T) {
 			requireConserved(t, got, before, e.Stats(), true)
 			if tc.check != nil {
 				tc.check(t, got)
-			} else if got.Candidates == 0 || got.Verified == 0 {
+			} else if got.Candidates == 0 || got.Verified == 0 || got.SimEvals == 0 || got.SimCounted == 0 {
+				// Jaccard: the check filter calls the kernel, the
+				// nearest-neighbor filter scores from overlap counts.
 				t.Errorf("the workload exercised no funnel: %+v", got)
 			}
 		})

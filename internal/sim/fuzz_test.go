@@ -167,6 +167,56 @@ func FuzzIntersectSizeSorted(f *testing.F) {
 	})
 }
 
+// FuzzOverlapFormulas pins the three token-based similarities as functions
+// of sizes alone: XFromOverlap(|a∩b|, |a|, |b|), with the intersection taken
+// by the linear-merge reference, must be bit-equal to XSorted(a, b) — what
+// the engine's counting paths rely on when they read |a∩b| off the inverted
+// index — and to the formula written out here, including empty sides.
+func FuzzOverlapFormulas(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
+	f.Add([]byte{}, []byte{9})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{5, 6}, []byte{5, 6})
+	f.Add([]byte{7}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, ra, rb []byte) {
+		a := make([]tokens.ID, len(ra))
+		for i, v := range ra {
+			a[i] = tokens.ID(v)
+		}
+		b := make([]tokens.ID, len(rb))
+		for i, v := range rb {
+			b[i] = tokens.ID(v)
+		}
+		a, b = tokens.SortUnique(a), tokens.SortUnique(b)
+		inter, la, lb := IntersectSizeSortedRef(a, b), len(a), len(b)
+		written := [3]float64{} // an empty side scores 0 under all three
+		if la > 0 && lb > 0 {
+			written = [3]float64{
+				float64(inter) / float64(la+lb-inter),
+				2 * float64(inter) / float64(la+lb),
+				float64(inter) / math.Sqrt(float64(la)*float64(lb)),
+			}
+		}
+		for k, c := range []struct {
+			name        string
+			fromOverlap OverlapFunc
+			sorted      func(a, b []tokens.ID) float64
+		}{
+			{"Jaccard", JaccardFromOverlap, JaccardSorted},
+			{"Dice", DiceFromOverlap, DiceSorted},
+			{"Cosine", CosineFromOverlap, CosineSorted},
+		} {
+			got := c.fromOverlap(inter, la, lb)
+			for _, want := range []float64{c.sorted(a, b), c.sorted(b, a), c.fromOverlap(inter, lb, la), written[k]} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%sFromOverlap(%d,%d,%d) = %v, but %v from the kernel or the written formula (a=%v b=%v)",
+						c.name, inter, la, lb, got, want, a, b)
+				}
+			}
+		}
+	})
+}
+
 // FuzzLevenshteinBounded cross-checks the banded edit distance against the
 // plain dynamic program on arbitrary inputs, including invalid UTF-8 and
 // control characters.

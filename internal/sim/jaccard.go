@@ -35,12 +35,21 @@ import "silkmoth/internal/tokens"
 // id slices. An empty side — including both sides empty — has similarity 0
 // (the package-wide empty-input convention).
 func JaccardSorted(a, b []tokens.ID) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return JaccardFromOverlap(IntersectSizeSorted(a, b), len(a), len(b))
+}
+
+// JaccardFromOverlap is JaccardSorted of two duplicate-free token sets of
+// la and lb tokens that share inter of them. It is the one place the
+// formula is written: JaccardSorted intersects and calls it, and the paths
+// that count |a∩b| off the inverted index instead of intersecting (package
+// filter's Overlap) call it with the count, so the two agree bit for bit.
+//
+//silkmoth:hotpath
+func JaccardFromOverlap(inter, la, lb int) float64 {
+	if la == 0 || lb == 0 {
 		return 0
 	}
-	inter := IntersectSizeSorted(a, b)
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(la+lb-inter)
 }
 
 // Alpha applies the similarity threshold α to a raw similarity score,

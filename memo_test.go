@@ -16,9 +16,14 @@ var memoRun atomic.Int64
 // TestMemoEvictionGridPublic is the public-API twin of internal/core's
 // eviction grid: with the filters' similarity memo shrunk to 2 slots, on a
 // corpus whose elements come from a pool of 10 strings, Discover and Search
-// on one shard and on two must report exactly the pairs whose pairwise
-// Compare clears δ — for every similarity function, both metrics and three
-// α. Compare runs no filter, so it is the memo-free oracle.
+// on one shard and on two, with one worker and with four, must report
+// exactly the pairs whose pairwise Compare clears δ — for every similarity
+// function, both metrics and three α. Compare runs no filter and never
+// reads an index (it scores two un-indexed sets with the dense kernel fill),
+// so it is the oracle for the memo and for the overlap-count path alike:
+// under Jaccard, Dice and Cosine the engine's nearest-neighbor filter and
+// verification score from index overlap counts (Stats.SimCounted > 0), under
+// the edit similarities they must not.
 func TestMemoEvictionGridPublic(t *testing.T) {
 	defer filter.SetMemoSlotsForTest(2)()
 	seed := 9100 + memoRun.Add(1)
@@ -46,9 +51,9 @@ func TestMemoEvictionGridPublic(t *testing.T) {
 						related[r][s] = rel >= delta-1e-9
 					}
 				}
-				for _, shards := range []int{1, 2} {
-					cfg.Shards = shards
-					label := fmt.Sprintf("seed=%d %v %v α=%v shards=%d", seed, simFn, metric, alpha, shards)
+				for _, shape := range [][2]int{{1, 1}, {2, 1}, {1, 4}, {2, 4}} {
+					cfg.Shards, cfg.Concurrency = shape[0], shape[1]
+					label := fmt.Sprintf("seed=%d %v %v α=%v shards=%d concurrency=%d", seed, simFn, metric, alpha, cfg.Shards, cfg.Concurrency)
 					eng, err := NewEngine(sets, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -79,6 +84,10 @@ func TestMemoEvictionGridPublic(t *testing.T) {
 								t.Fatalf("%s: Search(%d) reports %d = %v, Compare says %v", label, r, s, found[s], related[r][s])
 							}
 						}
+					}
+					tokenBased := simFn == Jaccard || simFn == Dice || simFn == Cosine
+					if st := eng.Stats(); tokenBased != (st.SimCounted > 0) {
+						t.Errorf("%s: Stats.SimCounted = %d; want > 0 exactly under token-based similarities", label, st.SimCounted)
 					}
 				}
 			}

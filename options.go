@@ -225,11 +225,14 @@ type Explain struct {
 	NNPruned    int64
 	Verified    int64
 	// SimEvals counts the φ_α kernel calls the two filters made for this
-	// query and SimMemoHits the requests their per-pass memo answered
-	// instead; for a fixed engine state both repeat exactly, so they say
-	// how much element repetition the query met.
+	// query, SimMemoHits the requests their per-pass memo answered
+	// instead, and SimCounted the pairs the nearest-neighbor filter scored
+	// from shared-token counts (token-based similarities); for a fixed
+	// engine state all three repeat exactly, so they say how many element
+	// pairs the query's filters looked at and what each cost.
 	SimEvals    int64
 	SimMemoHits int64
+	SimCounted  int64
 	// Elapsed is the query's wall time (for a batch item, that item's own
 	// pass time).
 	Elapsed time.Duration
@@ -254,6 +257,7 @@ func explainFromPass(ps core.Funnel, elapsed time.Duration) Explain {
 		Verified:    ps.Verified,
 		SimEvals:    ps.SimEvals,
 		SimMemoHits: ps.SimMemoHits,
+		SimCounted:  ps.SimCounted,
 		Elapsed:     elapsed,
 		Stages:      stageTimes(ps),
 	}
@@ -302,6 +306,10 @@ type Result struct {
 	// Explain is non-nil when the query captured its execution (the
 	// Explain method, a WithExplain option, or a per-item batch capture).
 	Explain *Explain
+	// Err is set only on items of SearchBatchQueries: ErrPostingDecode for
+	// an item that read a corrupt posting container. Such an item has no
+	// matches; the rest of the batch is unaffected.
+	Err error
 }
 
 // BatchQuery is one item of a per-item batch: a reference set plus the

@@ -435,10 +435,14 @@ type Stats struct {
 	Verified int64
 	// SimEvals counts φ_α kernel calls made by the check and nearest-
 	// neighbor filters; SimMemoHits counts the filter requests answered
-	// by the per-pass similarity memo instead (see README "Query
-	// pipeline"). Verification's kernel calls are in neither.
+	// by the per-pass similarity memo instead; SimCounted counts the
+	// pairs the nearest-neighbor filter scored from the index walk's
+	// shared-token count, with no kernel call (Jaccard, Dice, Cosine; see
+	// README "Query pipeline"). The three add up to the element pairs the
+	// filters looked at. Verification's cells are in none of them.
 	SimEvals    int64
 	SimMemoHits int64
+	SimCounted  int64
 	// SchemeWeighted, SchemeSkyline, SchemeDichotomy, and
 	// SchemeCombUnweighted count passes by the concrete signature scheme
 	// that probed the index. Under Config.Scheme = SchemeAuto they expose
