@@ -269,6 +269,12 @@ func requireFreshBuildSurface(t *testing.T, label string, rec *Engine, got []Set
 	if rec.Len() != oracle.Len() {
 		t.Fatalf("%s: recovered Len = %d, oracle %d", label, rec.Len(), oracle.Len())
 	}
+	// The index's element directory is derived, never persisted: whatever
+	// image and log the engine came back from, it must describe the
+	// recovered collection.
+	if err := CheckDirectoriesForTest(rec); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 
 	wantPairs := oracle.Discover()
 	gotPairs := rec.Discover()

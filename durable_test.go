@@ -37,6 +37,11 @@ func compareEngineSurfaces(t *testing.T, stage string, want, got *Engine, checkF
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: Len = %d, want %d", stage, got.Len(), want.Len())
 	}
+	for _, e := range []*Engine{want, got} {
+		if err := CheckDirectoriesForTest(e); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
 	wantPairs := want.Discover()
 	gotPairs := got.Discover()
 	if len(gotPairs) != len(wantPairs) {

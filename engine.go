@@ -362,6 +362,7 @@ func (e *Engine) Stats() Stats {
 	out.PostingHeapBytes = ps.HeapBytes
 	out.PostingEncodedBytes = ps.EncodedBytes
 	out.PostingResidentBytes = ps.ResidentBytes
+	out.PostingDirectoryBytes = ps.DirectoryBytes
 	out.PostingCacheHits = ps.CacheHits
 	out.PostingCacheMisses = ps.CacheMisses
 	out.PostingDecodeErrors = ps.DecodeErrors

@@ -28,3 +28,13 @@ func CorruptContainerForTest(e *Engine, word string) error {
 	blob[0] = 0x7f // no such container kind
 	return nil
 }
+
+// CheckDirectoriesForTest runs the element-directory self-check of every
+// shard's index (index.Inverted.CheckDirectory): the directory is derived
+// state, and whatever built the engine — a heap or compressed build, a
+// recovered snapshot (mapped or not) plus a replayed log, any sequence of
+// Add, Update, Delete and Compact — must have left it agreeing with the
+// collection. It exists for the external tests, as above.
+func CheckDirectoriesForTest(e *Engine) error {
+	return e.sh.CheckDirectories()
+}

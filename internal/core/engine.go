@@ -150,11 +150,11 @@ func phiFunc(o Options) filter.SimFunc {
 		}
 	case Eds:
 		return func(r, s *dataset.Element) float64 {
-			return sim.EdsAlphaLen(r.Raw, s.Raw, r.Length, s.Length, alpha)
+			return sim.EdsAlphaLen(r.Raw, s.Raw, int(r.Length), int(s.Length), alpha)
 		}
 	case NEds:
 		return func(r, s *dataset.Element) float64 {
-			return sim.NEdsAlphaLen(r.Raw, s.Raw, r.Length, s.Length, alpha)
+			return sim.NEdsAlphaLen(r.Raw, s.Raw, int(r.Length), int(s.Length), alpha)
 		}
 	case Dice:
 		return func(r, s *dataset.Element) float64 {

@@ -14,9 +14,9 @@ import (
 // pass reuses across queries so the steady-state hot path performs no
 // per-query heap allocations:
 //
-//   - the candidate collector (pooled Candidate slots) and the nearest-
-//     neighbor searcher, each with its per-pass φ_α memo (allocated by the
-//     worker's first pass, not by newWorker),
+//   - the candidate collector (per-set state and the per-pass candidate
+//     arenas) and the nearest-neighbor searcher, each with its per-pass φ_α
+//     memo (allocated by the worker's first pass, not by newWorker),
 //   - the signature selector (two generator arenas, for Scheme Auto),
 //   - the verification scratch (flat Hungarian buffers, interned key
 //     slices),

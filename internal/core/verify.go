@@ -77,7 +77,7 @@ type overlapSim struct {
 //silkmoth:hotpath
 func (p *overlapSim) Row(i int, remap []int32, dst []float64) {
 	clear(dst)
-	re, els := &p.r.Elements[i], p.ix.Collection().Sets[p.set].Elements
+	re, dir := &p.r.Elements[i], p.ix.Directory().Set(p.set)
 	la := len(re.Tokens)
 	for _, e := range p.ov.Walk(p.ix, re.Tokens, p.set) {
 		k := e
@@ -86,7 +86,7 @@ func (p *overlapSim) Row(i int, remap []int32, dst []float64) {
 				continue
 			}
 		}
-		dst[k] = sim.Alpha(p.fromOverlap(p.ov.Count(e), la, len(els[e].Tokens)), p.alpha)
+		dst[k] = sim.Alpha(p.fromOverlap(p.ov.Count(e), la, int(dir[e].Size)), p.alpha)
 	}
 }
 

@@ -48,8 +48,11 @@ type Element struct {
 	Chunks []tokens.ID
 	// Length is the size the similarity bounds divide by: the number of
 	// distinct word tokens under ModeWord, the rune length of Raw under
-	// ModeQGram.
-	Length int
+	// ModeQGram. Like Key it is derived from the content, never taken from
+	// a file (elementLength). It is an int32 so that it shares a word with
+	// Key: the struct is 72 bytes, and TestLayoutGate holds it there — an
+	// indexed collection pays every byte of it once per element.
+	Length int32
 	// Key is the element's exact content key interned into the shared
 	// dictionary's key space (Dict.Keys()): two elements over the same
 	// dictionary are identical iff their Keys are equal and not NoKey.
@@ -161,7 +164,7 @@ func buildWord(dict *tokens.Dictionary, raws []RawSet, key keyFunc) *Collection 
 			elems[j] = Element{
 				Raw:    e,
 				Tokens: ids,
-				Length: len(ids),
+				Length: int32(len(ids)),
 			}
 			elems[j].Key = key(dict, &elems[j], ModeWord)
 		}
@@ -191,7 +194,7 @@ func buildQGram(dict *tokens.Dictionary, raws []RawSet, q int, key keyFunc) *Col
 				Raw:    e,
 				Tokens: grams,
 				Chunks: chunks,
-				Length: runeLen(e),
+				Length: int32(runeLen(e)),
 			}
 			elems[j].Key = key(dict, &elems[j], ModeQGram)
 		}
@@ -231,6 +234,14 @@ func Append(c *Collection, raws []RawSet) int {
 	add := Build(c.Dict, raws, c.Mode, c.Q)
 	c.Sets = append(c.Sets, add.Sets...)
 	return from
+}
+
+// elementLength derives Element.Length from the element's content.
+func elementLength(e *Element, mode TokenMode) int {
+	if mode == ModeQGram {
+		return runeLen(e.Raw)
+	}
+	return len(e.Tokens)
 }
 
 func runeLen(s string) int {

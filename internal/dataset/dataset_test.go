@@ -65,7 +65,7 @@ func TestBuildQGram(t *testing.T) {
 		t.Fatalf("mode/q = %v/%d", c.Mode, c.Q)
 	}
 	e := c.Sets[0].Elements[0]
-	if e.Length != len("Database") {
+	if int(e.Length) != len("Database") {
 		t.Errorf("Length = %d, want rune length %d", e.Length, len("Database"))
 	}
 	// 8 runes → 8 grams (some may collide after dedup) and ⌈8/3⌉ = 3 chunks.

@@ -92,7 +92,7 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 			*el = Element{
 				Raw:    sp.raw,
 				Tokens: qs.ids[sp.tokOff:sp.tokEnd:sp.tokEnd],
-				Length: sp.length,
+				Length: int32(sp.length),
 			}
 			if mode == ModeQGram {
 				el.Chunks = qs.ids[sp.chOff:sp.chEnd:sp.chEnd]

@@ -245,7 +245,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 			for _, id := range e.Chunks {
 				sets.Uint(int(remap[id]))
 			}
-			sets.Uint(e.Length)
+			sets.Uint(int(e.Length))
 		}
 	}
 	if err := writeSection(w, secSets, sets.Bytes()); err != nil {
@@ -525,12 +525,19 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 			if len(e.Chunks) == 0 {
 				e.Chunks = nil
 			}
-			e.Length = sr.Uint()
+			storedLen := sr.Uint()
 			if err := sr.Err(); err != nil {
 				return nil, corrupt("set %d element %d: %v", i, j, err)
 			}
-			// Keys are derived, never persisted: re-intern against the
-			// fresh dictionary (no tokenization happens here).
+			// Length and Key are derived from the content just read, never
+			// taken from the file (no tokenization happens here): every
+			// signature bound divides by Length, so a stored value that
+			// disagrees with the content is a corrupt image, not an input.
+			n := elementLength(e, mode)
+			if storedLen != n {
+				return nil, corrupt("set %d element %d length %d, content has %d", i, j, storedLen, n)
+			}
+			e.Length = int32(n)
 			e.Key, keyBuf = internKeyBuf(dict, e, mode, keyBuf)
 		}
 		c.Sets[i] = s

@@ -52,10 +52,15 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		for i := range c.Sets {
 			for j := range c.Sets[i].Elements {
-				for _, id := range c.Sets[i].Elements[j].Tokens {
+				e := &c.Sets[i].Elements[j]
+				for _, id := range e.Tokens {
 					if int(id) >= c.Dict.Size() {
 						t.Fatalf("set %d element %d token %d out of dictionary range", i, j, id)
 					}
+				}
+				// Derived, never trusted: the bounds divide by it.
+				if int(e.Length) != elementLength(e, c.Mode) {
+					t.Fatalf("set %d element %d loaded with Length %d, its content has %d", i, j, e.Length, elementLength(e, c.Mode))
 				}
 			}
 		}

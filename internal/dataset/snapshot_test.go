@@ -215,6 +215,37 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
+// Element.Length is derived from the content, like Key: an image whose
+// stored value disagrees with the content it sits beside is corrupt, however
+// valid its checksums — every signature bound divides by Length. Both modes:
+// the token count under ModeWord, the rune length of Raw under ModeQGram.
+func TestLoadSnapshotRejectsWrongLength(t *testing.T) {
+	for _, c := range []*Collection{
+		BuildWord(tokens.NewDictionary(), []RawSet{{Name: "w", Elements: []string{"a b c", "d e"}}}),
+		BuildQGram(tokens.NewDictionary(), []RawSet{{Name: "q", Elements: []string{"héllo wörld", "abc"}}}, 2),
+	} {
+		var buf bytes.Buffer
+		if err := SaveSnapshot(&buf, &SnapshotData{Coll: c}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := LoadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("%v: the image as built does not load: %v", c.Mode, err)
+		}
+		if got, want := snap.Coll.Sets[0].Elements[0].Length, c.Sets[0].Elements[0].Length; got != want {
+			t.Fatalf("%v: loaded Length %d, built %d", c.Mode, got, want)
+		}
+		c.Sets[0].Elements[1].Length++ // what a bug, or an editor, could have written
+		buf.Reset()
+		if err := SaveSnapshot(&buf, &SnapshotData{Coll: c}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(&buf); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%v: an image whose stored Length disagrees with its content: error %v, want ErrSnapshotCorrupt", c.Mode, err)
+		}
+	}
+}
+
 // saveLoad round-trips a bare collection through the snapshot image.
 func saveLoad(t *testing.T, c *Collection) *SnapshotData {
 	t.Helper()

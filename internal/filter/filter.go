@@ -26,6 +26,15 @@
 //
 // SimCounts says how many pairs each way answered.
 //
+// What both stages do per posting is kept to dense arrays. A posting names
+// an element; what the stages need of it — its memo key, its token count —
+// comes from the index's element directory (index.Directory), not from the
+// collection, and the element itself is loaded only when a kernel has to
+// run. The Collector's per-pass state is flat as well: an epoch-stamped
+// entry per set and arenas of one row per candidate. No object is kept per
+// set, so there is nothing to sweep: what a worker retains is bounded by
+// one rule on the arenas' capacity (see Collector).
+//
 // All pruning in this package is conservative: a candidate is dropped only
 // when a sound upper bound on its maximum matching score sits below the
 // pruning threshold supplied by the caller, so no truly related set is ever
@@ -45,7 +54,9 @@ type SimFunc func(r, s *dataset.Element) float64
 
 // Candidate carries one candidate set through the refinement stages along
 // with the check-filter state reused by the nearest-neighbor filter
-// (the "computation reuse" of §5.2).
+// (the "computation reuse" of §5.2). A Candidate that Collector.Collect
+// returned is a view: BestSim and Passed are rows of the collector's
+// arenas, valid until its next Collect.
 type Candidate struct {
 	// Set indexes the candidate in the indexed collection.
 	Set int32
@@ -80,58 +91,72 @@ type Options struct {
 	PruneThreshold float64
 }
 
-// Collector runs candidate selection over one inverted index, reusing its
-// per-set scratch across search passes (discovery runs one pass per
-// reference set, so per-pass map allocations would dominate). Candidate
-// values are pooled per set slot: a slot's Candidate (and its BestSim /
-// Passed backing) is allocated the first time the set is ever touched and
-// recycled on every later pass, so steady-state collection performs no
-// per-candidate heap allocations. The slice Collect returns is likewise
-// reused — its contents are valid only until the next Collect call. A
-// Collector is not safe for concurrent use; create one per worker.
+// Collector runs candidate selection over one inverted index, keeping all
+// of a pass's state in flat arrays it reuses from pass to pass (discovery
+// runs one pass per reference set, so per-pass allocation would dominate):
 //
-// Retention is capped: a slot whose set has not been touched for trimAge
-// passes has its pooled Candidate released at the next trim boundary
-// (every trimInterval passes), so a long-lived worker's arena tracks its
-// recent working set instead of every set the collection ever matched —
-// O(recently touched), not O(collection). Slots a steady workload touches
-// every pass are never trimmed, keeping the steady-state zero-allocation
-// budget intact.
+//   - state, one 8-byte entry per set of the collection, epoch-stamped so
+//     that starting a pass costs nothing per set: whether the pass has met
+//     the set, and either its arena row or Accept's rejection;
+//   - the arenas, one row per accepted set in first-touch order: the set
+//     id, how many reference elements have passed their bound, and the best
+//     similarity per reference element (row k of an n-element reference is
+//     best[k*n:(k+1)*n]).
+//
+// The posting loop works on those and on the index's element directory
+// only. Whether an element passed is a function of its best similarity
+// (best > 0 and best ≥ Bound_i), so no flag is kept per cell: Candidate
+// values are materialised after the loop, for the sets the check filter
+// kept, with BestSim a view of the set's arena row and Passed computed into
+// an arena of its own. Everything Collect returns — the slice, the
+// Candidates, their BestSim and Passed — is the collector's memory and
+// valid only until the next Collect call. A Collector is not safe for
+// concurrent use; create one per worker.
+//
+// Retention is one rule on capacity. The arenas keep what they grew to, so
+// a steady workload allocates nothing; every retainWindow passes the
+// collector compares that capacity with the largest pass of the window and
+// lets go of arenas more than retainSlack times larger, so a long-lived
+// worker holds O(what its recent passes needed) beside the per-set state,
+// not what its broadest pass ever touched.
 type Collector struct {
 	ix *index.Inverted
-	// Per-set scratch, epoch-stamped so clearing is O(1) per pass.
-	seen     []uint32 // last epoch the set was touched
-	rejected []bool   // valid when seen[set] == epoch
-	cand     []*Candidate
-	epoch    uint32
-	// order records touched set ids so output order is deterministic
-	// (first-touch order) and iteration avoids scanning all sets.
-	order []int32
-	// out is the reused survivor slice handed to the caller.
-	out []*Candidate
+	// state is indexed by set id; an entry belongs to the pass in flight
+	// when its epoch is the collector's.
+	state []setState
+	epoch uint32
+	// The arenas, indexed by row.
+	sets  []int32
+	npass []int32
+	best  []float64
+	// What Collect hands out: the survivors' Passed rows, their Candidate
+	// values, and the slice of pointers to those.
+	passed []bool
+	cands  []Candidate
+	out    []*Candidate
 	// memo holds the current pass's φ_α values; pass is that pass's number.
 	memo simMemo
 	pass uint64
+	// window counts the passes since the last retention check; peakRows
+	// and peakCells are the largest len(sets) and len(best) among them.
+	window, peakRows, peakCells int
 }
 
-// Trim policy: every trimInterval passes, pooled Candidates for slots
-// untouched in the last trimAge passes are released to the garbage
-// collector. The interval amortizes the O(collection) sweep to O(1) per
-// pass; the age keeps any slot in a worker's recent working set resident.
+// setState is what the collector knows about one set during a pass.
+type setState struct {
+	epoch uint32 // the pass that last met the set
+	idx   int32  // its arena row in that pass; negative: Accept rejected it
+}
+
+// Retention policy (Collector.retain).
 const (
-	trimInterval = 256
-	trimAge      = 256
+	retainWindow = 256
+	retainSlack  = 4
 )
 
 // NewCollector returns a collector over the given index.
 func NewCollector(ix *index.Inverted) *Collector {
-	n := len(ix.Collection().Sets)
-	return &Collector{
-		ix:       ix,
-		seen:     make([]uint32, n),
-		rejected: make([]bool, n),
-		cand:     make([]*Candidate, n),
-	}
+	return &Collector{ix: ix, state: make([]setState, len(ix.Collection().Sets))}
 }
 
 // Collect implements candidate selection plus the check filter
@@ -143,6 +168,9 @@ func NewCollector(ix *index.Inverted) *Collector {
 // kernel calls per pass are bounded by the distinct such pairs plus the
 // evictions of the fixed-size table (and by the posting count, which they
 // equal only when no content repeats). TakeSimCounts reports both numbers.
+// The memo is keyed by the candidate element's content key, which the
+// posting loop reads from the index's element directory: the element itself
+// is loaded only when the kernel has to run.
 //
 // A candidate is dropped only when no pair passed its element bound test
 // and the signature's SumBound proves every such set unrelated
@@ -156,26 +184,24 @@ func NewCollector(ix *index.Inverted) *Collector {
 //silkmoth:hotpath
 func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFunc, opts Options) ([]*Candidate, int) {
 	coll := cl.ix.Collection()
-	if n := len(coll.Sets); n > len(cl.seen) {
-		// The collection grew (incremental appends); grow the scratch.
-		cl.seen = append(cl.seen, make([]uint32, n-len(cl.seen))...)
-		cl.rejected = append(cl.rejected, make([]bool, n-len(cl.rejected))...)
-		cl.cand = append(cl.cand, make([]*Candidate, n-len(cl.cand))...)
+	if n := len(coll.Sets); n > len(cl.state) {
+		// The collection grew (incremental appends); grow the state.
+		cl.state = append(cl.state, make([]setState, n-len(cl.state))...)
 	}
-	cl.maybeTrim()
+	cl.retain()
 	cl.epoch++
-	if cl.epoch == 0 { // wrapped: reset stamps
-		for i := range cl.seen {
-			cl.seen[i] = 0
-		}
+	if cl.epoch == 0 { // wrapped: stale stamps could collide, reset
+		clear(cl.state)
 		cl.epoch = 1
 	}
-	cl.order = cl.order[:0]
 	cl.pass = passSeq.Add(1)
 	if opts.CheckFilter {
 		cl.memo.reset()
 	}
 	n := len(r.Elements)
+	dir := cl.ix.Directory()
+	state, epoch := cl.state, cl.epoch
+	sets, npass, best := cl.sets[:0], cl.npass[:0], cl.best[:0]
 
 	for i := range sig.Elements {
 		esig := &sig.Elements[i]
@@ -193,90 +219,121 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 				if !ok {
 					break
 				}
-				var c *Candidate
-				if cl.seen[p.Set] == cl.epoch {
-					if cl.rejected[p.Set] {
-						continue
-					}
-					c = cl.cand[p.Set]
-				} else {
-					cl.seen[p.Set] = cl.epoch
+				st := &state[p.Set]
+				if st.epoch != epoch {
+					st.epoch = epoch
 					if opts.Accept != nil && !opts.Accept(p.Set) {
-						cl.rejected[p.Set] = true
+						st.idx = -1
 						continue
 					}
-					cl.rejected[p.Set] = false
-					c = cl.candidateFor(p.Set, n)
-					cl.order = append(cl.order, p.Set)
+					st.idx = int32(len(sets))
+					sets = append(sets, p.Set)
+					npass = append(npass, 0)
+					best = appendRow(best, n)
+				} else if st.idx < 0 {
+					continue
 				}
 				if !opts.CheckFilter {
 					continue
 				}
-				sElem := &coll.Sets[p.Set].Elements[p.Elem]
-				score := cl.memo.eval(phi, i, rElem, sElem)
-				if score > c.BestSim[i] {
-					c.BestSim[i] = score
-					if !c.Passed[i] && score > 0 && score >= esig.Bound {
-						c.Passed[i] = true
-						c.NumPassed++
+				score := cl.memo.eval(phi, i, rElem, dir.At(p).Key, coll, p)
+				if b := &best[int(st.idx)*n+i]; score > *b {
+					if passes(score, esig.Bound) && !passes(*b, esig.Bound) {
+						npass[st.idx]++
 					}
+					*b = score
 				}
 			}
 		}
 	}
+	cl.sets, cl.npass, cl.best = sets, npass, best
 
-	cl.out = cl.out[:0]
-	for _, set := range cl.order {
-		c := cl.cand[set]
-		if opts.CheckFilter && c.NumPassed == 0 && sig.SumBound < opts.PruneThreshold {
-			continue // Algorithm 1's rejection: bounds prove it unrelated
+	// Algorithm 1's rejection: a set none of whose elements passed is
+	// dropped when the bounds prove it unrelated.
+	keepAll := !opts.CheckFilter || sig.SumBound >= opts.PruneThreshold
+	m := len(sets)
+	if !keepAll {
+		m = 0
+		for _, c := range npass {
+			if c > 0 {
+				m++
+			}
+		}
+	}
+	cl.cands, cl.passed, cl.out = sized(cl.cands, m), sized(cl.passed, m*n), sized(cl.out, m)[:0]
+	for k, set := range sets {
+		if !keepAll && npass[k] == 0 {
+			continue
+		}
+		q := len(cl.out)
+		c := &cl.cands[q]
+		*c = Candidate{
+			Set:       set,
+			BestSim:   best[k*n : (k+1)*n : (k+1)*n],
+			Passed:    cl.passed[q*n : (q+1)*n : (q+1)*n],
+			NumPassed: int(npass[k]),
+			pass:      cl.pass,
+		}
+		for i := range c.Passed {
+			// Without the check filter no similarity was computed.
+			c.Passed[i] = opts.CheckFilter && passes(c.BestSim[i], sig.Elements[i].Bound)
 		}
 		cl.out = append(cl.out, c)
 	}
-	return cl.out, len(cl.order)
+	return cl.out, len(sets)
 }
 
-// maybeTrim releases pooled Candidates for cold slots at trim boundaries.
-// It runs before the pass's epoch bump, so the previous pass's survivors —
-// which the caller consumed before starting this pass — are the youngest
-// slots and always survive. After an epoch wrap every stamp was reset to
-// 0, which makes all slots look cold at the next boundary; that one-time
-// full release is the cap working as intended.
+// passes is the check filter's element test (Algorithm 1 line 5): the best
+// similarity v found for a reference element reaches its signature bound.
 //
 //silkmoth:hotpath
-func (cl *Collector) maybeTrim() {
-	if cl.epoch == 0 || cl.epoch%trimInterval != 0 {
-		return
+func passes(v, bound float64) bool { return v > 0 && v >= bound }
+
+// appendRow extends the best-similarity arena by one row of n cells, all
+// -1: nothing probed yet.
+//
+//silkmoth:hotpath
+func appendRow(best []float64, n int) []float64 {
+	best = append(best, make([]float64, n)...) // extends in place; no temporary is allocated
+	row := best[len(best)-n:]
+	for j := range row {
+		row[j] = -1
 	}
-	for set, c := range cl.cand {
-		if c != nil && cl.epoch-cl.seen[set] > trimAge {
-			cl.cand[set] = nil
-		}
-	}
+	return best
 }
 
-// candidateFor returns the pooled Candidate for a set slot, allocating it
-// on the slot's first-ever touch and resetting its per-pass state (BestSim
-// to -1, Passed to false) sized to the reference's n elements.
-func (cl *Collector) candidateFor(set int32, n int) *Candidate {
-	c := cl.cand[set]
-	if c == nil {
-		c = &Candidate{Set: set}
-		cl.cand[set] = c
+// sized returns s with length n, reusing its capacity when that suffices;
+// the contents are unspecified.
+//
+//silkmoth:hotpath
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if cap(c.BestSim) < n {
-		c.BestSim = make([]float64, n)
-		c.Passed = make([]bool, n)
+	return s[:n]
+}
+
+// retain is the arenas' retention rule, run at the start of every pass (the
+// caller has consumed the previous pass's candidates by then): once per
+// retainWindow passes, arenas whose capacity exceeds retainSlack times what
+// the window's largest pass used are released, and the passes that follow
+// grow new ones to their own size. A workload that keeps needing what it
+// holds is never released, so its steady state stays allocation-free.
+//
+//silkmoth:hotpath
+func (cl *Collector) retain() {
+	cl.peakRows = max(cl.peakRows, len(cl.sets))
+	cl.peakCells = max(cl.peakCells, len(cl.best))
+	if cl.window++; cl.window < retainWindow {
+		return
 	}
-	c.BestSim = c.BestSim[:n]
-	c.Passed = c.Passed[:n]
-	for i := 0; i < n; i++ {
-		c.BestSim[i] = -1
-		c.Passed[i] = false
+	if cap(cl.sets) > retainSlack*cl.peakRows {
+		cl.sets, cl.npass, cl.cands, cl.out = nil, nil, nil, nil
 	}
-	c.NumPassed = 0
-	c.pass = cl.pass
-	return c
+	if cap(cl.best) > retainSlack*cl.peakCells {
+		cl.best, cl.passed = nil, nil
+	}
+	cl.window, cl.peakRows, cl.peakCells = 0, 0, 0
 }
 
 // TakeSimCounts returns the kernel evaluations and memo hits of the Collect

@@ -119,21 +119,24 @@ func (m *simMemo) store(e *memoEntry, tag uint64, v float64) {
 }
 
 // eval is the filters' one way to φ_α(r, s), r being the pass's reference
-// element number ref: the memoized value when the pass already computed it
-// for an element with s's content, the kernel (and a store) otherwise.
+// element number ref and s the element of coll that posting p names: the
+// memoized value when the pass already computed it for an element with s's
+// content, the kernel (and a store) otherwise. key is s's content key as
+// the index's element directory holds it; s itself is only loaded when the
+// kernel has to run.
 //
 //silkmoth:hotpath
-func (m *simMemo) eval(phi SimFunc, ref int, r, s *dataset.Element) float64 {
-	if s.Key == dataset.NoKey || ref >= memoMaxRef {
+func (m *simMemo) eval(phi SimFunc, ref int, r *dataset.Element, key tokens.ID, coll *dataset.Collection, p dataset.Posting) float64 {
+	if key == dataset.NoKey || ref >= memoMaxRef {
 		m.n.Evals++
-		return phi(r, s)
+		return phi(r, &coll.Sets[p.Set].Elements[p.Elem])
 	}
-	e, tag, ok := m.lookup(ref, s.Key)
+	e, tag, ok := m.lookup(ref, key)
 	if ok {
 		m.n.MemoHits++
 		return e.val
 	}
-	v := phi(r, s)
+	v := phi(r, &coll.Sets[p.Set].Elements[p.Elem])
 	m.n.Evals++
 	m.store(e, tag, v)
 	return v

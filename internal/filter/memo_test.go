@@ -57,7 +57,7 @@ func newMemoFixture(raws []dataset.RawSet, qgram bool, delta, alpha float64) *me
 	if qgram {
 		f.params.Family = signature.FamilyEdit
 		f.phi = func(r, s *dataset.Element) float64 {
-			return sim.EdsAlphaLen(r.Raw, s.Raw, r.Length, s.Length, alpha)
+			return sim.EdsAlphaLen(r.Raw, s.Raw, int(r.Length), int(s.Length), alpha)
 		}
 	}
 	return f
@@ -170,8 +170,9 @@ func TestMemoTable(t *testing.T) {
 	// with 3: it must reach the kernel, and leave nothing behind.
 	calls := 0
 	phi := func(r, s *dataset.Element) float64 { calls++; return 0.5 }
+	one := &dataset.Collection{Sets: []dataset.Set{{Elements: []dataset.Element{{Key: 7}}}}}
 	for range 2 {
-		if v := m.eval(phi, 3+memoMaxRef, nil, &dataset.Element{Key: 7}); v != 0.5 {
+		if v := m.eval(phi, 3+memoMaxRef, nil, 7, one, dataset.Posting{}); v != 0.5 {
 			t.Errorf("eval past memoMaxRef = %v, want the kernel's 0.5", v)
 		}
 	}

@@ -82,13 +82,15 @@ func (s *NNSearcher) TakeSimCounts() SimCounts { return s.memo.take() }
 //
 //silkmoth:hotpath
 func (s *NNSearcher) search(r *dataset.Element, ref int, set int32) float64 {
-	elems := s.ix.Collection().Sets[set].Elements
+	// What the walk's elements are asked for — a size when counting, a
+	// memo key otherwise — is in the set's slice of the element directory.
+	dir := s.ix.Directory().Set(set)
 	touched := s.ov.Walk(s.ix, r.Tokens, set)
 	best := 0.0
 	if s.fromOverlap != nil {
 		la := len(r.Tokens)
 		for _, e := range touched {
-			score := sim.Alpha(s.fromOverlap(s.ov.Count(e), la, len(elems[e].Tokens)), s.alpha)
+			score := sim.Alpha(s.fromOverlap(s.ov.Count(e), la, int(dir[e].Size)), s.alpha)
 			if score > best {
 				best = score
 			}
@@ -96,8 +98,9 @@ func (s *NNSearcher) search(r *dataset.Element, ref int, set int32) float64 {
 		s.memo.n.Counted += int64(len(touched))
 		return best
 	}
+	coll := s.ix.Collection()
 	for _, e := range touched {
-		if score := s.memo.eval(s.phi, ref, r, &elems[e]); score > best {
+		if score := s.memo.eval(s.phi, ref, r, dir[e].Key, coll, index.Posting{Set: set, Elem: e}); score > best {
 			best = score
 		}
 	}
@@ -184,7 +187,7 @@ func AppendNoShareFloors(dst []float64, r *dataset.Set, sig *signature.Signature
 		if el.Length == 0 || len(el.Chunks) == 0 {
 			continue
 		}
-		raw := float64(el.Length) / float64(el.Length+len(el.Chunks))
+		raw := float64(el.Length) / float64(int(el.Length)+len(el.Chunks))
 		if raw < alpha {
 			raw = 0
 		}

@@ -46,7 +46,7 @@ type overlapMark struct {
 //
 //silkmoth:hotpath
 func (o *Overlap) Walk(ix *index.Inverted, toks []tokens.ID, set int32) []int32 {
-	n := len(ix.Collection().Sets[set].Elements)
+	n := len(ix.Directory().Set(set))
 	if len(o.marks) < n {
 		o.marks = append(o.marks, make([]overlapMark, n-len(o.marks))...)
 	}

@@ -17,8 +17,8 @@ const DefaultPostingCacheBytes = 64 << 20
 // cacheBytes bounds the LRU of materialized hot lists; <= 0 selects
 // DefaultPostingCacheBytes.
 func BuildCompressed(c *dataset.Collection, cacheBytes int64) *Inverted {
-	ix := &Inverted{coll: c, compress: true, cache: newListCache(cacheBytes)}
-	ix.adoptCompressed(Build(c).lists)
+	ix := &Inverted{coll: c, dir: buildDirectory(c), compress: true, cache: newListCache(cacheBytes)}
+	ix.adoptCompressed(buildLists(c))
 	return ix
 }
 
@@ -28,16 +28,17 @@ func BuildCompressed(c *dataset.Collection, cacheBytes int64) *Inverted {
 // borrowed (a memory-mapped snapshot); UnshareContainers must be called
 // before the backing goes away. cacheBytes as in BuildCompressed.
 //
-// The element-base table is recomputed from c, which matches the table the
-// containers were encoded with: the snapshot writer encodes dead slots as
-// zero-element placeholders, exactly how they load back.
+// The element-base table is the directory's, derived from c, which matches
+// the table the containers were encoded with: the snapshot writer encodes
+// dead slots as zero-element placeholders, exactly how they load back.
 func FromContainers(c *dataset.Collection, cs *dataset.ContainerStore, shared bool, cacheBytes int64) *Inverted {
 	return &Inverted{
 		coll:     c,
+		dir:      buildDirectory(c),
 		cs:       cs,
 		csShared: shared,
 		compress: true,
-		eb:       dataset.ElemBase(c),
+		encSets:  len(c.Sets),
 		cache:    newListCache(cacheBytes),
 	}
 }
@@ -50,17 +51,23 @@ func (ix *Inverted) Compressed() bool { return ix.compress }
 // UnshareContainers before that backing is released.
 func (ix *Inverted) SharesContainers() bool { return ix.cs != nil && ix.csShared }
 
+// encBase is the element-base table the containers were encoded against:
+// the directory's base, cut to the sets that existed then, so a decoder's
+// set-range checks reject whatever the containers cannot hold.
+func (ix *Inverted) encBase() []int32 { return ix.dir.base[:ix.encSets+1] }
+
 // adoptCompressed replaces the index's storage with freshly encoded
-// containers for lists, dropping any extras overlay and cache.
+// containers for lists — computed, like the directory, from the
+// collection's current contents — dropping any extras overlay and cache.
 func (ix *Inverted) adoptCompressed(lists [][]Posting) {
-	eb := dataset.ElemBase(ix.coll)
+	ix.encSets = len(ix.coll.Sets)
+	eb := ix.encBase()
 	b := dataset.NewContainerStoreBuilder(len(lists))
 	for _, l := range lists {
 		b.Add(l, eb)
 	}
 	ix.cs = b.Finish()
 	ix.csShared = false
-	ix.eb = eb
 	ix.lists = nil
 	ix.extras = nil
 	ix.cache.reset()
@@ -96,7 +103,7 @@ func (ix *Inverted) materialize(t int) []Posting {
 	}
 	ix.cacheMisses.Add(1)
 	n, _ := dataset.ContainerLen(blob)
-	pl := dataset.NewPostingList(blob, ix.eb)
+	pl := dataset.NewPostingList(blob, ix.encBase())
 	out, err := pl.Materialize(make([]Posting, 0, n+len(ex)))
 	if err != nil {
 		ix.decodeErrs.Add(1)
@@ -140,7 +147,7 @@ func (ix *Inverted) SetRangeInto(t tokens.ID, set int32, scratch []Posting) (res
 		ix.cacheHits.Add(1)
 		return setRangeOf(l, set), scratch
 	}
-	pl := dataset.NewPostingList(blob, ix.eb)
+	pl := dataset.NewPostingList(blob, ix.encBase())
 	out, err := pl.SetRange(set, scratch[:0])
 	if err != nil {
 		ix.decodeErrs.Add(1)
@@ -199,7 +206,7 @@ func (ix *Inverted) Cursor(t tokens.ID) Cursor {
 	if int64(n)*postingBytes <= ix.cache.budget/4 {
 		return Cursor{slice: ix.materialize(int(t))}
 	}
-	pl := dataset.NewPostingList(blob, ix.eb)
+	pl := dataset.NewPostingList(blob, ix.encBase())
 	return Cursor{stream: true, it: pl.Iter(), extras: ex, ix: ix}
 }
 
@@ -269,6 +276,10 @@ type StorageStats struct {
 	EncodedBytes int64
 	// ResidentBytes is the LRU's current holding of decoded hot lists.
 	ResidentBytes int64
+	// DirectoryBytes is the element directory's heap footprint: 8 bytes an
+	// indexed element plus 4 a set, in either form. It is not part of
+	// HeapBytes, which counts postings only.
+	DirectoryBytes int64
 	// CacheHits / CacheMisses / DecodeErrors count cache probes of
 	// compressed lists and container decode failures since build/load.
 	CacheHits, CacheMisses, DecodeErrors int64
@@ -283,12 +294,13 @@ const postingBytes = 8
 // the posting count; intended for stats endpoints, not hot paths.
 func (ix *Inverted) Storage() StorageStats {
 	st := StorageStats{
-		Postings:     ix.TotalPostings(),
-		EncodedBytes: ix.cs.EncodedBytes(),
-		CacheHits:    ix.cacheHits.Load(),
-		CacheMisses:  ix.cacheMisses.Load(),
-		DecodeErrors: ix.decodeErrs.Load(),
-		Compressed:   ix.compress,
+		Postings:       ix.TotalPostings(),
+		EncodedBytes:   ix.cs.EncodedBytes(),
+		DirectoryBytes: ix.dir.bytes(),
+		CacheHits:      ix.cacheHits.Load(),
+		CacheMisses:    ix.cacheMisses.Load(),
+		DecodeErrors:   ix.decodeErrs.Load(),
+		Compressed:     ix.compress,
 	}
 	for _, l := range ix.lists {
 		st.HeapBytes += int64(cap(l)) * postingBytes

@@ -45,9 +45,20 @@ func synthCorpusVocab(nSets, rareVocab int, seed int64) (*dataset.Collection, *t
 }
 
 // requireSameIndex asserts got answers every read entry point — ListLen,
-// List, Cursor, SetRange, SetRangeInto, TotalPostings — identically to want.
+// List, Cursor, SetRange, SetRangeInto, TotalPostings — identically to want,
+// and that both indexes' element directories are what their collection says
+// (CheckDirectory), whatever sequence of Build, AppendSets and Rebuild made
+// them.
 func requireSameIndex(t *testing.T, stage string, want, got *Inverted) {
 	t.Helper()
+	for _, ix := range []*Inverted{want, got} {
+		if err := ix.CheckDirectory(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if st := ix.Storage(); st.DirectoryBytes < 8*int64(len(ix.dir.ents)) || len(ix.dir.ents) == 0 {
+			t.Fatalf("%s: Storage reports %d directory bytes for %d elements", stage, st.DirectoryBytes, len(ix.dir.ents))
+		}
+	}
 	nt := want.NumTokens()
 	if g := got.NumTokens(); g > nt {
 		nt = g

@@ -1,6 +1,20 @@
 // Package index implements SilkMoth's inverted index (paper §3): for each
 // token t, I[t] is the list of ⟨set, element⟩ pairs containing t, used for
 // candidate selection, the check filter, and nearest-neighbor search.
+//
+// Beside the posting lists every index keeps an element directory
+// (Directory): per indexed element its content key and token count, in one
+// flat table addressed by global element id, base[Set]+Elem. It is what the
+// filters read per posting instead of the element itself. The directory is
+// derived state and independent of the posting form: every constructor
+// (Build, BuildCompressed, FromLists, FromContainers) derives it from the
+// collection, AppendSets extends it, Rebuild recomputes it, and nothing
+// persists it — a snapshot holds elements and postings only. Its base table
+// is dataset.ElemBase of the indexed sets, the id space bitmap containers
+// are defined over, so the compressed form keeps no table of its own: its
+// decoders are handed the prefix of the directory's base that covers the
+// sets the containers were encoded with (CheckDirectory verifies all of
+// this against the collection).
 package index
 
 import (
@@ -32,11 +46,17 @@ type Inverted struct {
 	lists [][]Posting
 	coll  *dataset.Collection
 
+	// dir is the element directory: derived from coll, maintained by
+	// every constructor, AppendSets and Rebuild.
+	dir Directory
+
 	// Compressed-form state; cs == nil means pure heap form.
 	cs       *dataset.ContainerStore
-	csShared bool    // cs may alias borrowed (mmap) memory
-	compress bool    // Rebuild re-encodes instead of going to heap lists
-	eb       []int32 // element-base table the containers were encoded with
+	csShared bool // cs may alias borrowed (mmap) memory
+	compress bool // Rebuild re-encodes instead of going to heap lists
+	// encSets is how many sets the containers in cs were encoded with:
+	// their element-base table is the directory's, up to that set.
+	encSets int
 	// extras overlays postings of sets appended after cs was built,
 	// indexed by token id. Appended sets carry larger ids than anything
 	// in cs, so container postings followed by extras stay sorted.
@@ -51,6 +71,11 @@ type Inverted struct {
 // appears at most once per list, matching the paper's deduplicated index
 // (footnote 4).
 func Build(c *dataset.Collection) *Inverted {
+	return &Inverted{lists: buildLists(c), coll: c, dir: buildDirectory(c)}
+}
+
+// buildLists computes the heap posting lists of c.
+func buildLists(c *dataset.Collection) [][]Posting {
 	// First pass: list lengths, so each list is allocated exactly once.
 	counts := make([]int32, c.Dict.Size())
 	for i := range c.Sets {
@@ -73,7 +98,7 @@ func Build(c *dataset.Collection) *Inverted {
 			}
 		}
 	}
-	return &Inverted{lists: lists, coll: c}
+	return lists
 }
 
 // FromLists wraps imported posting lists (a loaded snapshot's) as an index
@@ -85,7 +110,7 @@ func FromLists(c *dataset.Collection, lists [][]Posting) *Inverted {
 	for len(lists) < c.Dict.Size() {
 		lists = append(lists, nil)
 	}
-	return &Inverted{lists: lists, coll: c}
+	return &Inverted{lists: lists, coll: c, dir: buildDirectory(c)}
 }
 
 // Collection returns the collection this index was built over.
@@ -148,12 +173,14 @@ func setRangeOf(l []Posting, set int32) []Posting {
 }
 
 // AppendSets indexes the collection's sets from index `from` onward,
-// extending the token dimension to the dictionary's current size. Because
-// new sets carry the largest ids, appending their postings preserves each
-// list's (Set, Elem) order, so lookups stay correct without re-sorting.
-// Not safe concurrently with readers.
+// extending the token dimension to the dictionary's current size and the
+// element directory to the new sets. Because new sets carry the largest
+// ids, appending their postings preserves each list's (Set, Elem) order, so
+// lookups stay correct without re-sorting. Not safe concurrently with
+// readers.
 func (ix *Inverted) AppendSets(from int) {
 	c := ix.coll
+	ix.dir.extend(c)
 	if ix.cs != nil {
 		for len(ix.extras) < c.Dict.Size() {
 			ix.extras = append(ix.extras, nil)
@@ -192,15 +219,16 @@ func (ix *Inverted) addCompressed(t tokens.ID, p Posting) {
 	ix.cache.remove(int(t))
 }
 
-// Rebuild recomputes every posting list from the collection's current
-// contents in place, keeping the Inverted pointer stable for engines that
+// Rebuild recomputes every posting list and the element directory from the
+// collection's current contents in place, keeping the Inverted pointer stable for engines that
 // hold it. Sets whose Elements were cleared (tombstoned and compacted)
 // contribute nothing, so their stale postings disappear and the memory is
 // reclaimed. A compressed index re-encodes fresh containers (absorbing the
 // extras overlay and detaching from any mapped snapshot); a heap index
 // rebuilds heap lists. Not safe concurrently with readers.
 func (ix *Inverted) Rebuild() {
-	lists := Build(ix.coll).lists
+	ix.dir = buildDirectory(ix.coll)
+	lists := buildLists(ix.coll)
 	if ix.compress {
 		ix.adoptCompressed(lists)
 		return

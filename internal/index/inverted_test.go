@@ -180,3 +180,45 @@ func TestAppendSets(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckDirectoryCatchesDrift is the self-check's own check: the
+// directory of a built index agrees with its collection, every way the two
+// can drift apart is reported, and the index's own maintenance (AppendSets,
+// Rebuild) is what brings them back together.
+func TestCheckDirectoryCatchesDrift(t *testing.T) {
+	ix, coll, _ := buildPaperIndex(t)
+	requireDrift := func(what string, drifted bool) {
+		t.Helper()
+		if err := ix.CheckDirectory(); (err != nil) != drifted {
+			t.Fatalf("%s: CheckDirectory = %v, want an error: %v", what, err, drifted)
+		}
+	}
+	requireDrift("as built", false)
+	el := &coll.Sets[1].Elements[0]
+	if got := ix.Directory().At(Posting{Set: 1, Elem: 0}); got.Key != el.Key || int(got.Size) != len(el.Tokens) {
+		t.Fatalf("entry of set 1 element 0 = %+v, element has key %d and %d tokens", got, el.Key, len(el.Tokens))
+	}
+	if got := len(ix.Directory().Set(2)); got != len(coll.Sets[2].Elements) {
+		t.Fatalf("directory lists %d elements for set 2, which has %d", got, len(coll.Sets[2].Elements))
+	}
+
+	key := el.Key
+	el.Key = dataset.NoKey
+	requireDrift("a key changed under the index", true)
+	el.Key = key
+	toks := el.Tokens
+	el.Tokens = toks[:len(toks)-1]
+	requireDrift("a token count changed under the index", true)
+	el.Tokens = toks
+	requireDrift("restored", false)
+
+	from := dataset.Append(coll, []dataset.RawSet{{Name: "new", Elements: []string{"77 Mass Ave", "Boston"}}})
+	requireDrift("sets appended to the collection only", true)
+	ix.AppendSets(from)
+	requireDrift("after AppendSets", false)
+
+	coll.Sets[0].Elements = nil // what compaction does to a dead set
+	requireDrift("a set's elements dropped under the index", true)
+	ix.Rebuild()
+	requireDrift("after Rebuild", false)
+}

@@ -1160,14 +1160,17 @@ type statsResponse struct {
 		// Postings is the logical posting count; HeapBytes / EncodedBytes /
 		// ResidentBytes are materialized, compressed-container, and
 		// decode-cache storage respectively. Postings*8/EncodedBytes is the
-		// compression ratio when compressed.
-		Postings      int   `json:"postings"`
-		HeapBytes     int64 `json:"heap_bytes"`
-		EncodedBytes  int64 `json:"encoded_bytes"`
-		ResidentBytes int64 `json:"resident_bytes"`
-		CacheHits     int64 `json:"cache_hits"`
-		CacheMisses   int64 `json:"cache_misses"`
-		DecodeErrors  int64 `json:"decode_errors"`
+		// compression ratio when compressed. DirectoryBytes is the element
+		// directory beside the postings (key and token count per element),
+		// held in either form.
+		Postings       int   `json:"postings"`
+		HeapBytes      int64 `json:"heap_bytes"`
+		EncodedBytes   int64 `json:"encoded_bytes"`
+		ResidentBytes  int64 `json:"resident_bytes"`
+		DirectoryBytes int64 `json:"directory_bytes"`
+		CacheHits      int64 `json:"cache_hits"`
+		CacheMisses    int64 `json:"cache_misses"`
+		DecodeErrors   int64 `json:"decode_errors"`
 		// SnapshotMapped reports a zero-copy load: container bytes alias
 		// the memory-mapped snapshot and page in from disk on demand.
 		SnapshotMapped bool `json:"snapshot_mapped"`
@@ -1230,6 +1233,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Storage.HeapBytes = st.PostingHeapBytes
 	resp.Storage.EncodedBytes = st.PostingEncodedBytes
 	resp.Storage.ResidentBytes = st.PostingResidentBytes
+	resp.Storage.DirectoryBytes = st.PostingDirectoryBytes
 	resp.Storage.CacheHits = st.PostingCacheHits
 	resp.Storage.CacheMisses = st.PostingCacheMisses
 	resp.Storage.DecodeErrors = st.PostingDecodeErrors
@@ -1358,11 +1362,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_posting_storage_compressed Whether the inverted index stores posting lists as compressed containers.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_posting_storage_compressed gauge\n")
 		fmt.Fprintf(out, "silkmothd_posting_storage_compressed %d\n", b2i(st.CompressedPostings))
-		fmt.Fprintf(out, "# HELP silkmothd_posting_storage_bytes Posting storage by form: heap-materialized lists, encoded container bytes, decode-cache resident bytes.\n")
+		fmt.Fprintf(out, "# HELP silkmothd_posting_storage_bytes Posting storage by form: heap-materialized lists, encoded container bytes, decode-cache resident bytes, the element directory.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_posting_storage_bytes gauge\n")
 		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"heap\"} %d\n", st.PostingHeapBytes)
 		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"encoded\"} %d\n", st.PostingEncodedBytes)
 		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"resident\"} %d\n", st.PostingResidentBytes)
+		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"directory\"} %d\n", st.PostingDirectoryBytes)
 		fmt.Fprintf(out, "# HELP silkmothd_posting_cache_probes_total Decode-cache probes of compressed posting lists by outcome.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_posting_cache_probes_total counter\n")
 		fmt.Fprintf(out, "silkmothd_posting_cache_probes_total{outcome=\"hit\"} %d\n", st.PostingCacheHits)

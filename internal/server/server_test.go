@@ -322,6 +322,11 @@ func TestStats(t *testing.T) {
 	if resp.Delta != 0.5 {
 		t.Fatalf("delta = %g, want 0.5", resp.Delta)
 	}
+	// One shard, built in one piece: 8 bytes for each of the 9 elements and
+	// 4 for each of the 3 sets and the table's end.
+	if resp.Storage.DirectoryBytes != 9*8+4*4 {
+		t.Fatalf("storage.directory_bytes = %d, want %d", resp.Storage.DirectoryBytes, 9*8+4*4)
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -336,6 +341,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"silkmothd_requests_total{path=\"/v1/search\",code=\"200\"} 1",
 		"silkmothd_cache_misses_total 1",
 		"silkmothd_collection_sets 3",
+		"silkmothd_posting_storage_bytes{form=\"directory\"} 88",
 		"silkmothd_engine_search_passes_total",
 		"silkmothd_uptime_seconds",
 	} {

@@ -96,6 +96,9 @@ type mutatedEngine struct {
 	topk     func(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error)
 	discover func(ctx context.Context) ([]core.Pair, error)
 	compact  func()
+	// checkIndex is the element-directory self-check of the engine's
+	// index, or of every shard's.
+	checkIndex func() error
 }
 
 // buildMutatedSerial applies the plan to a serial core engine over the
@@ -141,7 +144,8 @@ func buildMutatedSerial(t *testing.T, raws []dataset.RawSet, p mutationPlan, sim
 			sortPairs(ps)
 			return ps, err
 		},
-		compact: eng.Compact,
+		compact:    eng.Compact,
+		checkIndex: eng.Index().CheckDirectory,
 	}
 }
 
@@ -164,13 +168,14 @@ func buildMutatedSharded(t *testing.T, raws []dataset.RawSet, p mutationPlan, n 
 		}
 	}
 	return &mutatedEngine{
-		name:     fmt.Sprintf("N=%d", n),
-		coll:     coll,
-		alive:    e.Alive,
-		search:   e.SearchContext,
-		topk:     e.SearchTopKContext,
-		discover: func(ctx context.Context) ([]core.Pair, error) { return e.DiscoverContext(ctx, e.Collection()) },
-		compact:  e.Compact,
+		name:       fmt.Sprintf("N=%d", n),
+		coll:       coll,
+		alive:      e.Alive,
+		search:     e.SearchContext,
+		topk:       e.SearchTopKContext,
+		discover:   func(ctx context.Context) ([]core.Pair, error) { return e.DiscoverContext(ctx, e.Collection()) },
+		compact:    e.Compact,
+		checkIndex: e.CheckDirectories,
 	}
 }
 
@@ -179,6 +184,12 @@ func buildMutatedSharded(t *testing.T, raws []dataset.RawSet, p mutationPlan, n 
 func checkMutatedAgainstFresh(t *testing.T, stage string, m *mutatedEngine, fresh *dataset.Collection, wantMatches [][]core.Match, wantPairs []core.Pair) {
 	t.Helper()
 	ctx := context.Background()
+	// Derived index state first: a directory that drifted from the
+	// collection under Add/Update/Delete/Compact is named here, not as a
+	// wrong score further down.
+	if err := m.checkIndex(); err != nil {
+		t.Fatalf("%s/%s: %v", m.name, stage, err)
+	}
 	liveIDs, toFresh := liveIDMap(len(m.coll.Sets), m.alive)
 	if len(liveIDs) != len(fresh.Sets) {
 		t.Fatalf("%s/%s: %d live sets, fresh has %d", m.name, stage, len(liveIDs), len(fresh.Sets))

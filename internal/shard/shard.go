@@ -403,12 +403,29 @@ func (e *Engine) Storage() index.StorageStats {
 		sum.HeapBytes += st.HeapBytes
 		sum.EncodedBytes += st.EncodedBytes
 		sum.ResidentBytes += st.ResidentBytes
+		sum.DirectoryBytes += st.DirectoryBytes
 		sum.CacheHits += st.CacheHits
 		sum.CacheMisses += st.CacheMisses
 		sum.DecodeErrors += st.DecodeErrors
 		sum.Compressed = sum.Compressed && st.Compressed
 	}
 	return sum
+}
+
+// CheckDirectories runs the element-directory self-check of every shard's
+// index (index.Inverted.CheckDirectory): state derived from the shard's
+// collection, which Add, Update, Delete, Compact and recovery must each
+// leave agreeing with it. The mutation and recovery harnesses call it; nil
+// means consistent.
+func (e *Engine) CheckDirectories() error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for s, eng := range e.engines {
+		if err := eng.Index().CheckDirectory(); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
+		}
+	}
+	return nil
 }
 
 // Stats returns the pruning funnel summed across all shard engines.

@@ -102,15 +102,15 @@ func generateCombUnweighted(r *dataset.Set, p Params, ix *index.Inverted, q int)
 		// occurrences under edit mode.
 		var bound float64
 		if !p.Family.usesChunks() {
-			bound = contribAfter(p.Family, el.Length, len(keep))
+			bound = contribAfter(p.Family, int(el.Length), len(keep))
 		} else {
-			bound = contribAfter(p.Family, el.Length, occs)
+			bound = contribAfter(p.Family, int(el.Length), occs)
 		}
 		available := len(el.Tokens)
 		if p.Family.usesChunks() {
 			available = len(el.Chunks)
 		}
-		if satSize, ok := simThreshSize(p.Family, p.Alpha, el.Length, available); ok {
+		if satSize, ok := simThreshSize(p.Family, p.Alpha, int(el.Length), available); ok {
 			if cut, covered := cheapestCoveringAlloc(keep, el, p.Family, satSize, ix); covered {
 				keep = cut
 				bound = 0

@@ -270,7 +270,7 @@ func (g *Generator) buildStates(r *dataset.Set, p Params, ix *index.Inverted) fl
 	for i := range r.Elements {
 		el := &r.Elements[i]
 		s := &g.es[i]
-		s.length = el.Length
+		s.length = int(el.Length)
 		s.picked = 0
 		s.saturated = false
 		s.pickedTokens = s.pickedTokens[:0]
@@ -391,7 +391,7 @@ func (g *Generator) applySkylineCut(r *dataset.Set, p Params, ix *index.Inverted
 		if p.Family.usesChunks() {
 			available = len(el.Chunks)
 		}
-		satSize, ok := simThreshSize(p.Family, p.Alpha, el.Length, available)
+		satSize, ok := simThreshSize(p.Family, p.Alpha, int(el.Length), available)
 		if ok {
 			if cut, covered := g.cheapestCovering(esig.Tokens, el, p.Family, satSize, ix, &g.es[i]); covered {
 				esig.Tokens = cut

@@ -178,6 +178,9 @@ func TestMutatedEngineMatchesFreshRebuild(t *testing.T) {
 
 				check := func(stage string, got *Engine) {
 					t.Helper()
+					if err := CheckDirectoriesForTest(got); err != nil {
+						t.Fatalf("%s/%s: %v", label, stage, err)
+					}
 					wantPairs := fresh.Discover()
 					gotPairs := got.Discover()
 					if len(gotPairs) != len(wantPairs) {

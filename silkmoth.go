@@ -503,6 +503,12 @@ type Stats struct {
 	// PostingResidentBytes is the decode cache's current holding of hot
 	// materialized lists.
 	PostingResidentBytes int64
+	// PostingDirectoryBytes is the index's element directory: per indexed
+	// element the content key and token count the filters read per
+	// posting (8 bytes an element plus 4 a set, summed across shards). It
+	// is derived state, present on compressed and uncompressed engines
+	// alike, and not part of PostingHeapBytes.
+	PostingDirectoryBytes int64
 	// PostingCacheHits / PostingCacheMisses count decode-cache probes of
 	// compressed lists; PostingDecodeErrors counts container decode
 	// failures (non-zero only with a corrupted snapshot).
