@@ -94,7 +94,7 @@ func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Delta <= 0 || opts.Delta > 1 {
+	if !(opts.Delta > 0 && opts.Delta <= 1) { // NaN fails too
 		return nil, errors.New("silkmoth: Config.Delta must be in (0, 1]")
 	}
 	if opts.Q == 0 {

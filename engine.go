@@ -75,7 +75,7 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Delta <= 0 || opts.Delta > 1 {
+	if !(opts.Delta > 0 && opts.Delta <= 1) { // NaN fails too
 		return nil, errors.New("silkmoth: Config.Delta must be in (0, 1]")
 	}
 	raws := toRaw(sets)
@@ -350,6 +350,7 @@ func (e *Engine) Stats() Stats {
 	out.SimEvals = st.SimEvals
 	out.SimMemoHits = st.SimMemoHits
 	out.SimCounted = st.SimCounted
+	out.SimBounded = st.SimBounded
 	out.SchemeWeighted = st.SchemeWeighted
 	out.SchemeSkyline = st.SchemeSkyline
 	out.SchemeDichotomy = st.SchemeDichotomy

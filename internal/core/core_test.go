@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -142,6 +143,32 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if eng.Options().Q != 3 {
 		t.Error("q not preserved")
+	}
+}
+
+// TestNonFiniteThresholdsRejected: NaN compares false with everything, so
+// the range tests must be written as the range. An engine built with δ =
+// NaN used to construct and then find nothing.
+func TestNonFiniteThresholdsRejected(t *testing.T) {
+	coll := dataset.BuildWord(tokens.NewDictionary(), paperdata.CollectionS())
+	eng, err := NewEngine(coll, Options{Delta: 0.7, Sim: Jaccard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewEngine(coll, Options{Delta: v, Sim: Jaccard}); err == nil {
+			t.Errorf("NewEngine accepted delta %v", v)
+		}
+		if _, err := NewEngine(coll, Options{Delta: 0.7, Alpha: v, Sim: Jaccard}); err == nil {
+			t.Errorf("NewEngine accepted alpha %v", v)
+		}
+		q := &Query{Delta: v}
+		if err := q.Validate(); err == nil {
+			t.Errorf("Query.Validate accepted delta %v", v)
+		}
+		if _, err := eng.SearchQueryContext(context.Background(), &coll.Sets[0], q); err == nil {
+			t.Errorf("SearchQueryContext ran with query delta %v", v)
+		}
 	}
 }
 

@@ -79,8 +79,9 @@ type Engine struct {
 	// is token-based, nil under the edit similarities. When set, the search
 	// pipeline's nearest-neighbor filter and verification score element
 	// pairs from the index walk's shared-token counts instead of calling
-	// phi (filter.Overlap); candidate collection, un-indexed sets and the
-	// brute-force oracle always call phi.
+	// phi (filter.Overlap), and candidate collection calls phi only for the
+	// pairs the count of shared signature tokens cannot decide; un-indexed
+	// sets and the brute-force oracle always call phi.
 	fromOverlap sim.OverlapFunc
 	// st is the cumulative Funnel: every retiring Searcher folds its
 	// worker's running total in (Close), Stats reads it.
@@ -181,6 +182,20 @@ func overlapFunc(k SimKind) sim.OverlapFunc {
 		return sim.DiceFromOverlap
 	case Cosine:
 		return sim.CosineFromOverlap
+	default:
+		return nil
+	}
+}
+
+// lenBoundFunc returns, for the edit similarities, what phiFunc's kernel can
+// reach given the two rune lengths alone, and nil for the token-based ones.
+func lenBoundFunc(o Options) sim.LenBoundFunc {
+	alpha := o.Alpha
+	switch o.Sim {
+	case Eds:
+		return func(lx, ly int) float64 { return sim.EdsLenBound(lx, ly, alpha) }
+	case NEds:
+		return func(lx, ly int) float64 { return sim.NEdsLenBound(lx, ly, alpha) }
 	default:
 		return nil
 	}

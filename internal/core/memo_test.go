@@ -52,18 +52,27 @@ func sameMatches(t *testing.T, label string, got, want []Match) {
 // verification loop serial and spread over 4 goroutines. The table's size
 // may change how often the kernel runs, never a result.
 //
-// The same grid holds the overlap-count path to the oracle: under Jaccard,
-// Dice and Cosine the pipeline's nearest-neighbor filter and verification
-// read φ_α off index overlap counts (SimCounted says so) while
-// BruteForceSearch and BruteForceDiscover call the kernel on every cell.
-// A twin engine with the counting switched off must look at exactly as many
-// element pairs — SimEvals + SimMemoHits + SimCounted is the same — and
-// return the same matches bit for bit.
+// The same grid holds the count paths to the oracle: under Jaccard, Dice and
+// Cosine the check filter decides most pairs from the signature tokens they
+// share (SimBounded, SimCounted), and the nearest-neighbor filter and
+// verification read φ_α off index overlap counts (SimCounted), while
+// BruteForceSearch and BruteForceDiscover call the kernel on every cell. A
+// twin engine with all counting switched off must return the same matches
+// bit for bit. What the two looked at obeys the sum rule: SimEvals +
+// SimMemoHits + SimCounted + SimBounded is the number of distinct ⟨reference
+// element, candidate element⟩ pairs for the counting engine, whose check
+// filter meets each pair once, and one per posting in the twin's check
+// filter, which meets a pair once per signature token the two share — so
+// the engine's sum never exceeds the twin's, and the twin, like any engine
+// under the edit similarities, counts nothing and bounds nothing from
+// overlaps. Under Eds and NEds the two engines are the same engine, and the
+// sums — length-bounded postings included — are equal.
 func TestMemoEvictionGrid(t *testing.T) {
 	defer filter.SetMemoSlotsForTest(2)()
 	seed := 8100 + memoRun.Add(1)
 	raws := datagen.RepeatedElements(seed, 40, 12)
 	for _, simKind := range []SimKind{Jaccard, Dice, Cosine, Eds, NEds} {
+		bounded := int64(0) // at α = 0 a cell of the grid may bound nothing
 		for _, metric := range []Metric{SetSimilarity, SetContainment} {
 			for _, alpha := range []float64{0, 0.5, 0.8} {
 				for _, concurrency := range []int{1, 4} {
@@ -91,15 +100,24 @@ func TestMemoEvictionGrid(t *testing.T) {
 					if st.FullScans < st.SearchPasses && st.SimEvals == 0 {
 						t.Errorf("%s: signatured passes ran without one filter similarity", label)
 					}
-					if counts := simKind.TokenMode() == dataset.ModeWord; counts != (st.SimCounted > 0) || kst.SimCounted != 0 {
+					counts := simKind.TokenMode() == dataset.ModeWord
+					if counts != (st.SimCounted > 0) || kst.SimCounted != 0 {
 						t.Errorf("%s: SimCounted is %d (%d on the kernel twin); want > 0 exactly under token-based similarities", label, st.SimCounted, kst.SimCounted)
 					}
-					if pairs, kpairs := st.SimEvals+st.SimMemoHits+st.SimCounted, kst.SimEvals+kst.SimMemoHits; pairs != kpairs {
-						t.Errorf("%s: the filters looked at %d element pairs (%d evals + %d memo hits + %d counted), the kernel twin's at %d",
-							label, pairs, st.SimEvals, st.SimMemoHits, st.SimCounted, kpairs)
+					if counts && kst.SimBounded != 0 {
+						t.Errorf("%s: SimBounded is %d on the kernel twin, which counts no overlaps", label, kst.SimBounded)
+					}
+					bounded += st.SimBounded
+					pairs, kpairs := st.SimEvals+st.SimMemoHits+st.SimCounted+st.SimBounded, kst.SimEvals+kst.SimMemoHits+kst.SimBounded
+					if pairs > kpairs || (!counts && pairs != kpairs) || (counts && st.SimEvals+st.SimMemoHits >= kst.SimEvals+kst.SimMemoHits) {
+						t.Errorf("%s: the filters looked at %d distinct element pairs (%d evals + %d memo hits + %d counted + %d bounded), the kernel twin's at %d postings and pairs (%d + %d + %d bounded)",
+							label, pairs, st.SimEvals, st.SimMemoHits, st.SimCounted, st.SimBounded, kpairs, kst.SimEvals, kst.SimMemoHits, kst.SimBounded)
 					}
 				}
 			}
+		}
+		if bounded == 0 {
+			t.Errorf("seed=%d %v: the check filter bounded no pair anywhere on the grid", seed, simKind)
 		}
 	}
 }
@@ -155,9 +173,9 @@ func TestMemoParallelVerifyByteIdentical(t *testing.T) {
 				t.Fatalf("seed=%d %v: no pass had %d survivors; parallel verification never ran", seed, simKind, parallelCandMin)
 			}
 			ps, ss := parallel.Stats(), serial.Stats()
-			if p, s := ps.SimEvals+ps.SimMemoHits+ps.SimCounted, ss.SimEvals+ss.SimMemoHits+ss.SimCounted; p != s || ps.SimCounted != ss.SimCounted {
-				t.Errorf("seed=%d %v slots=%d: filters asked for φ %d times in parallel (%d from counts), %d serially (%d from counts)",
-					seed, simKind, slots, p, ps.SimCounted, s, ss.SimCounted)
+			if p, s := ps.SimEvals+ps.SimMemoHits+ps.SimCounted+ps.SimBounded, ss.SimEvals+ss.SimMemoHits+ss.SimCounted+ss.SimBounded; p != s || ps.SimCounted != ss.SimCounted || ps.SimBounded != ss.SimBounded {
+				t.Errorf("seed=%d %v slots=%d: filters looked at %d pairs in parallel (%d from counts, %d bounded), %d serially (%d from counts, %d bounded)",
+					seed, simKind, slots, p, ps.SimCounted, ps.SimBounded, s, ss.SimCounted, ss.SimBounded)
 			}
 			if (simKind == Jaccard) != (ps.SimCounted > 0) {
 				t.Errorf("seed=%d %v slots=%d: SimCounted = %d; want > 0 exactly under Jaccard", seed, simKind, slots, ps.SimCounted)

@@ -13,14 +13,20 @@
 // Jaccard, Dice and Cosine — fromOverlap, the same similarity as a function
 // of the shared-token count and the two sizes (overlapFunc; nil under the
 // edit similarities). Which one a stage uses follows from Options.Sim alone;
-// there is no setting. Candidate collection always calls phi through the
-// collector's memo. When fromOverlap is set, the pipeline's nearest-neighbor
-// filter and verification never call phi: a worker's NNSearcher is switched
-// to CountOverlaps and its verifyScratch fills weight matrices through
-// overlapSim, both reading counts off filter.Overlap's walk of the index.
-// Under Eds and NEds they keep the kernel (and the searcher its memo):
-// elements sharing no q-gram can still score, so the index does not name the
-// cells. BruteForceSearch, BruteForceDiscover and MatchScore always fill
+// there is no setting: newWorker sets up the worker's filters from it. When
+// fromOverlap is set, the pipeline's nearest-neighbor filter and verification
+// never call phi: a worker's NNSearcher is switched to CountOverlaps and its
+// verifyScratch fills weight matrices through overlapSim, both reading
+// counts off filter.Overlap's walk of the index. The worker's Collector is
+// switched to CountOverlaps too: a signature is only part of an element, so
+// its posting counts bound φ_α instead of giving it, and the check filter
+// calls phi, through the collector's memo, for the pairs the bound cannot
+// decide (and for none where the signature is the whole element). Under Eds
+// and NEds the filters keep the kernel (and the searcher its memo): elements
+// sharing no q-gram can still score, so the index does not name the cells.
+// There the collector is given lenBoundFunc — what the kernel can reach on
+// the two lengths alone — and drops the postings it rules out before the
+// memo. BruteForceSearch, BruteForceDiscover and MatchScore always fill
 // densely with phi — the first two because an oracle must not lean on the
 // index it checks, the last because its sets are not indexed.
 //
@@ -240,10 +246,12 @@ func FastJoinOptions(metric Metric, simKind SimKind, delta, alpha float64) Optio
 
 // normalize validates o and fills defaults, returning the effective options.
 func (o Options) normalize() (Options, error) {
-	if o.Delta <= 0 || o.Delta > 1 {
+	// Written as the ranges they mean: every comparison with NaN is false,
+	// so the complement form would let a NaN threshold through.
+	if !(o.Delta > 0 && o.Delta <= 1) {
 		return o, fmt.Errorf("core: delta must be in (0, 1], got %v", o.Delta)
 	}
-	if o.Alpha < 0 || o.Alpha >= 1 {
+	if !(o.Alpha >= 0 && o.Alpha < 1) {
 		return o, fmt.Errorf("core: alpha must be in [0, 1), got %v", o.Alpha)
 	}
 	if o.Sim.TokenMode() == dataset.ModeQGram {

@@ -78,8 +78,11 @@ func (e *Engine) newWorker() *worker {
 		ns: filter.NewNNSearcher(e.ix, e.phi),
 	}
 	if e.fromOverlap != nil {
+		w.cl.CountOverlaps(e.fromOverlap, e.opts.Alpha)
 		w.ns.CountOverlaps(e.fromOverlap, e.opts.Alpha)
 		w.vs.os = overlapSim{ix: e.ix, fromOverlap: e.fromOverlap, alpha: e.opts.Alpha}
+	} else {
+		w.cl.BoundByLength(lenBoundFunc(e.opts))
 	}
 	w.acc.e = e
 	w.acceptFn = w.acc.accept
@@ -290,6 +293,7 @@ func (w *worker) chargeSim(n filter.SimCounts) {
 	w.pass.SimEvals += n.Evals
 	w.pass.SimMemoHits += n.MemoHits
 	w.pass.SimCounted += n.Counted
+	w.pass.SimBounded += n.Bounded
 }
 
 // prepareRefine precomputes the nearest-neighbor filter's no-share floors

@@ -72,7 +72,7 @@ func (q *Query) Validate() error {
 	if q == nil {
 		return nil
 	}
-	if q.Delta != 0 && (q.Delta <= 0 || q.Delta > 1) {
+	if q.Delta != 0 && !(q.Delta > 0 && q.Delta <= 1) { // NaN fails, as in Options.normalize
 		return fmt.Errorf("core: query delta must be in (0, 1], got %v", q.Delta)
 	}
 	if q.SchemeSet {

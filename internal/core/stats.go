@@ -40,14 +40,21 @@ type Funnel struct {
 	Verified int64
 	// SimEvals counts φ_α kernel calls made by the check and nearest-
 	// neighbor filters, SimMemoHits the requests their per-pass memo
-	// answered without one, and SimCounted the pairs the nearest-neighbor
-	// filter scored from an overlap count instead (token-based
-	// similarities). Their sum is the number of element pairs the filters
-	// looked at; all three repeat exactly for a given corpus and query mix
-	// (verification's cells are not included).
+	// answered without one, SimCounted the pairs either filter scored
+	// exactly from an overlap count instead (token-based similarities), and
+	// SimBounded the pairs the check filter dropped because a bound read
+	// off the index — the signature tokens shared and the two sizes, or the
+	// two lengths under the edit similarities — kept them below the
+	// element's bound: no memo probe, no kernel call, no element load.
+	// Their sum is the number of ⟨reference element, candidate element⟩
+	// pairs the filters looked at — distinct pairs under the token-based
+	// similarities, one per posting in the check filter under the edit
+	// similarities (filter.SimCounts). All four repeat exactly for a given
+	// corpus and query mix (verification's cells are not included).
 	SimEvals    int64
 	SimMemoHits int64
 	SimCounted  int64
+	SimBounded  int64
 	// Scheme* count signatured passes by the concrete scheme that
 	// generated the probe signature. Under Scheme Auto they expose the
 	// per-query cost-based selection (per-shard choices may differ); under
@@ -83,6 +90,7 @@ func (f *Funnel) Add(g *Funnel) {
 	f.SimEvals += g.SimEvals
 	f.SimMemoHits += g.SimMemoHits
 	f.SimCounted += g.SimCounted
+	f.SimBounded += g.SimBounded
 	f.SchemeWeighted += g.SchemeWeighted
 	f.SchemeCombUnweighted += g.SchemeCombUnweighted
 	f.SchemeSkyline += g.SchemeSkyline

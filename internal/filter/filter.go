@@ -5,15 +5,14 @@
 //
 // Computation reuse is wider than §5.2's. Besides the nearest-neighbor
 // filter reusing the check filter's best similarities within one candidate
-// set, there are two ways a stage avoids the φ_α kernel:
+// set, there are three ways a stage avoids the φ_α kernel:
 //
 //   - The memo (simMemo). A stage remembers φ_α per ⟨reference element,
 //     candidate element content⟩ for the length of a pass, so an element
 //     that recurs across postings and across candidate sets costs one kernel
-//     call per stage, up to the evictions of a bounded table. The check
-//     filter always works this way (a signature holds a subset of an
-//     element's tokens, so its posting counts are not overlaps), and so does
-//     the nearest-neighbor search under the edit similarities.
+//     call per stage, up to the evictions of a bounded table. It is what the
+//     check filter asks for every pair the third way leaves over, and the
+//     nearest-neighbor search under the edit similarities.
 //   - The overlap row (Overlap). The nearest-neighbor search walks every
 //     token of the reference element through one candidate set's postings,
 //     so the number of postings it meets per candidate element is the size
@@ -23,12 +22,24 @@
 //     or keeps a memo; core's verification fills its weight matrix from the
 //     same rows. Both return the kernel's value bit for bit, because the
 //     kernel itself is sim.XFromOverlap of the intersection it computed.
+//   - The bound. A signature holds a subset of an element's tokens, so the
+//     check filter's posting counts are not overlaps — but they bound them.
+//     A collector set up with CountOverlaps merges the posting lists of one
+//     reference element's signature tokens, learns per candidate element
+//     how many of those tokens it holds, and with the two sizes bounds φ_α
+//     from above (the count filter of the prefix-filter literature, Li et
+//     al.'s ScanCount, applied inside the check filter). A pair whose bound
+//     fails the element test is decided without memo, kernel or element
+//     load; where the signature is the whole element the bound is the
+//     value. Under the edit similarities a collector set up with
+//     BoundByLength does the same with the two lengths alone. See
+//     collectCounted and lenWindow.
 //
 // SimCounts says how many pairs each way answered.
 //
 // What both stages do per posting is kept to dense arrays. A posting names
-// an element; what the stages need of it — its memo key, its token count —
-// comes from the index's element directory (index.Directory), not from the
+// an element; what the stages need of it — its memo key, its size — comes
+// from the index's element directory (index.Directory), not from the
 // collection, and the element itself is loaded only when a kernel has to
 // run. The Collector's per-pass state is flat as well: an epoch-stamped
 // entry per set and arenas of one row per candidate. No object is kept per
@@ -42,11 +53,14 @@
 package filter
 
 import (
+	"math"
 	"sync"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/index"
 	"silkmoth/internal/signature"
+	"silkmoth/internal/sim"
+	"silkmoth/internal/tokens"
 )
 
 // SimFunc computes φ_α between a reference element and a candidate element.
@@ -60,13 +74,17 @@ type SimFunc func(r, s *dataset.Element) float64
 type Candidate struct {
 	// Set indexes the candidate in the indexed collection.
 	Set int32
-	// BestSim[i] is the highest φ_α seen between reference element i and
-	// any candidate element sharing one of i's signature tokens, or -1
-	// when no such element was probed.
+	// BestSim[i], where Passed[i], is the highest φ_α between reference
+	// element i and any candidate element sharing one of i's signature
+	// tokens. Where element i did not pass it is only a lower bound on
+	// that — -1 when nothing was scored — because a collector that bounds
+	// (CountOverlaps, BoundByLength) scores no pair that cannot pass;
+	// nothing reads it there.
 	BestSim []float64
-	// Passed[i] reports whether element i passed the check filter:
-	// BestSim[i] ≥ Bound_i and BestSim[i] > 0. For passed elements
-	// BestSim[i] is exactly the nearest-neighbor similarity (§5.2).
+	// Passed[i] reports whether element i passed the check filter: its
+	// best similarity is positive and at least Bound_i. For passed
+	// elements BestSim[i] is exactly the nearest-neighbor similarity
+	// (§5.2).
 	Passed []bool
 	// NumPassed counts true entries of Passed.
 	NumPassed int
@@ -104,7 +122,12 @@ type Options struct {
 //     best[k*n:(k+1)*n]).
 //
 // The posting loop works on those and on the index's element directory
-// only. Whether an element passed is a function of its best similarity
+// only. There are two of it: Collect's own, one posting at a time in
+// signature-token order, and collectCounted, which a collector set up with
+// CountOverlaps runs when the check filter is on and which meets each
+// ⟨reference element, candidate element⟩ pair once with a count. Both fill
+// the same arenas, so everything after the loop is shared. Whether an
+// element passed is a function of its best similarity
 // (best > 0 and best ≥ Bound_i), so no flag is kept per cell: Candidate
 // values are materialised after the loop, for the sets the check filter
 // kept, with BestSim a view of the set's arena row and Passed computed into
@@ -137,6 +160,17 @@ type Collector struct {
 	// memo holds the current pass's φ_α values; pass is that pass's number.
 	memo simMemo
 	pass uint64
+	// fromOverlap, when set (CountOverlaps), is φ as a function of
+	// ⟨|r∩s|, |r|, |s|⟩ and alpha its threshold: the check filter then runs
+	// collectCounted, whose cursor heads are headAt and headCur.
+	fromOverlap sim.OverlapFunc
+	alpha       float64
+	headAt      []uint64
+	headCur     []index.Cursor
+	// lenBound, when set (BoundByLength), bounds φ_α by the two elements'
+	// lengths: Collect's own loop tests a posting's length against the
+	// window it opens (lenWindow) before the memo.
+	lenBound sim.LenBoundFunc
 	// window counts the passes since the last retention check; peakRows
 	// and peakCells are the largest len(sets) and len(best) among them.
 	window, peakRows, peakCells int
@@ -170,7 +204,10 @@ func NewCollector(ix *index.Inverted) *Collector {
 // equal only when no content repeats). TakeSimCounts reports both numbers.
 // The memo is keyed by the candidate element's content key, which the
 // posting loop reads from the index's element directory: the element itself
-// is loaded only when the kernel has to run.
+// is loaded only when the kernel has to run. After BoundByLength a posting
+// whose length cannot pass is dropped before the memo; after CountOverlaps,
+// with the check filter on, the postings go through collectCounted instead
+// of the loop below.
 //
 // A candidate is dropped only when no pair passed its element bound test
 // and the signature's SumBound proves every such set unrelated
@@ -199,6 +236,10 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 		cl.memo.reset()
 	}
 	n := len(r.Elements)
+	if cl.fromOverlap != nil && opts.CheckFilter {
+		cl.collectCounted(r, sig, phi, opts.Accept)
+		return cl.finish(n, sig, opts)
+	}
 	dir := cl.ix.Directory()
 	state, epoch := cl.state, cl.epoch
 	sets, npass, best := cl.sets[:0], cl.npass[:0], cl.best[:0]
@@ -209,6 +250,10 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 			continue
 		}
 		rElem := &r.Elements[i]
+		lo, hi := int32(0), int32(math.MaxInt32)
+		if cl.lenBound != nil && opts.CheckFilter {
+			lo, hi = lenWindow(cl.lenBound, rElem.Length, esig.Bound)
+		}
 		for _, t := range esig.Tokens {
 			// Cursor instead of List: a compressed index streams huge cold
 			// lists straight off the container bytes instead of
@@ -236,7 +281,12 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 				if !opts.CheckFilter {
 					continue
 				}
-				score := cl.memo.eval(phi, i, rElem, dir.At(p).Key, coll, p)
+				ent := dir.At(p)
+				if ent.Size < lo || ent.Size > hi {
+					cl.memo.n.Bounded++
+					continue
+				}
+				score := cl.memo.eval(phi, i, rElem, ent.Key, coll, p)
 				if b := &best[int(st.idx)*n+i]; score > *b {
 					if passes(score, esig.Bound) && !passes(*b, esig.Bound) {
 						npass[st.idx]++
@@ -247,6 +297,15 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 		}
 	}
 	cl.sets, cl.npass, cl.best = sets, npass, best
+	return cl.finish(n, sig, opts)
+}
+
+// finish turns the arenas a posting loop filled for a reference of n
+// elements into what Collect returns.
+//
+//silkmoth:hotpath
+func (cl *Collector) finish(n int, sig *signature.Signature, opts Options) ([]*Candidate, int) {
+	sets, npass, best := cl.sets, cl.npass, cl.best
 
 	// Algorithm 1's rejection: a set none of whose elements passed is
 	// dropped when the bounds prove it unrelated.
@@ -281,6 +340,205 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 		cl.out = append(cl.out, c)
 	}
 	return cl.out, len(sets)
+}
+
+// CountOverlaps makes the check filter decide pairs from counts where it
+// can. f must be the token-based similarity behind the phi Collect is given
+// (so that phi(r, s) = sim.Alpha(f(|r∩s|, |r|, |s|), alpha) for all
+// elements), non-decreasing in the overlap, and the index's directory must
+// hold every element's token count, which it does under ModeWord. Collect
+// then returns the same candidates with the same Passed, NumPassed and —
+// on passed cells — BestSim as without, in a different order (see
+// collectCounted), and runs the kernel for far fewer pairs.
+func (cl *Collector) CountOverlaps(f sim.OverlapFunc, alpha float64) {
+	cl.fromOverlap, cl.alpha = f, alpha
+}
+
+// BoundByLength makes the check filter drop a posting whose two elements'
+// lengths alone keep φ_α below the reference element's bound, before the
+// memo is probed and without loading the element (SimCounts.Bounded). ub
+// must bound the phi Collect is given — phi(r, s) ≤ ub(r.Length, s.Length)
+// for all elements — and must not rise as its second argument moves away
+// from its first; the index's directory holds every element's Length. What
+// Collect returns changes as under CountOverlaps, except that the order
+// stays: the loop is the same.
+func (cl *Collector) BoundByLength(ub sim.LenBoundFunc) { cl.lenBound = ub }
+
+// lenWindowSteps is how far from the reference element's length lenWindow
+// looks for the end of the window on either side before it calls that side
+// open: the price of a window is at most twice that many calls of the
+// bound per reference element, whatever the thresholds.
+const lenWindowSteps = 64
+
+// lenWindow returns the candidate lengths lo..hi outside of which
+// ub(lr, ·) fails the element test against bound. ub falls as the lengths
+// move apart, so the lengths that pass are an interval around lr; it is
+// found by asking ub itself, one length at a time, so no rounding can put a
+// length on the wrong side. An empty window is lo > hi.
+//
+//silkmoth:hotpath
+func lenWindow(ub sim.LenBoundFunc, lr int32, bound float64) (lo, hi int32) {
+	if !passes(ub(int(lr), int(lr)), bound) {
+		return 1, 0
+	}
+	lo, hi = lr, lr
+	for lo > 0 && passes(ub(int(lr), int(lo-1)), bound) {
+		if lo--; lr-lo == lenWindowSteps {
+			lo = 0
+		}
+	}
+	for passes(ub(int(lr), int(hi+1)), bound) {
+		if hi++; hi-lr == lenWindowSteps {
+			return lo, math.MaxInt32
+		}
+	}
+	return lo, hi
+}
+
+// collectCounted is Collect's posting loop for a collector set up with
+// CountOverlaps, the check filter on. It fills the arenas as Collect's own
+// loop does, but meets every ⟨reference element, candidate element⟩ pair
+// once, with a count: the posting lists of reference element i's signature
+// tokens L_i are each sorted by ⟨set, element⟩, so scanning their cursors'
+// heads for the smallest pair and advancing every cursor that stands on it
+// yields the distinct pairs in order, each with the number c of L_i's
+// tokens the candidate element s holds (the count filter of the
+// prefix-filter line of work, inside one reference element). L_i ⊆ r_i, so
+// |r_i ∩ s| ≤ min(c + |r_i| − |L_i|, |s|), and φ_α at that overlap — f is
+// monotone, |s| comes from the directory — bounds φ_α(r_i, s) from above:
+//
+//   - a pair whose bound fails the element test cannot pass, and cannot
+//     raise the best similarity of an element that passed: it is dropped
+//     with no memo probe and no element load (SimCounts.Bounded);
+//   - when L_i is all of r_i, c is the overlap and the pair's φ_α is the
+//     bound, the kernel's value bit for bit (SimCounts.Counted);
+//   - every other pair goes through the memo as in Collect's loop.
+//
+// Dropping a pair leaves its cell of the best-similarity arena alone, so
+// on a cell that did not pass, BestSim is a lower bound on the best
+// similarity met. Within one reference element the sets are met in set
+// order where Collect's loop meets them token by token, so the arena rows,
+// and the candidates Collect returns, come in a different order; which
+// sets, and what is in a row, does not depend on it.
+//
+// L_i ⊆ r_i and duplicate-free is true of every signature scheme under
+// ModeWord; sortedSubset checks it, and an element that fails it is given
+// the bound of an empty L_i, which any signature supports.
+//
+//silkmoth:hotpath
+func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, phi SimFunc, accept func(set int32) bool) {
+	coll := cl.ix.Collection()
+	n := len(r.Elements)
+	dir := cl.ix.Directory()
+	state, epoch := cl.state, cl.epoch
+	sets, npass, best := cl.sets[:0], cl.npass[:0], cl.best[:0]
+	f, alpha := cl.fromOverlap, cl.alpha
+	var counted, bounded int64
+
+	for i := range sig.Elements {
+		esig := &sig.Elements[i]
+		if len(esig.Tokens) == 0 {
+			continue
+		}
+		rElem := &r.Elements[i]
+		la := len(rElem.Tokens)
+		rest := la - len(esig.Tokens) // the tokens of r_i the count says nothing about
+		if !sortedSubset(esig.Tokens, rElem.Tokens) {
+			rest = la
+		}
+		at, cur := cl.headAt[:0], cl.headCur[:0]
+		for _, t := range esig.Tokens {
+			c := cl.ix.Cursor(t)
+			if p, ok := c.Next(); ok {
+				at, cur = append(at, pairOf(p)), append(cur, c)
+			}
+		}
+		cl.headAt, cl.headCur = at, cur // keep what the appends grew
+		for len(at) > 0 {
+			pair := at[0]
+			for _, a := range at[1:] {
+				pair = min(pair, a)
+			}
+			c := 0
+			for j := 0; j < len(at); {
+				if at[j] != pair {
+					j++
+					continue
+				}
+				c++
+				if p, ok := cur[j].Next(); ok {
+					at[j] = pairOf(p)
+					j++
+				} else { // exhausted: the last head takes its place
+					last := len(at) - 1
+					at[j], cur[j] = at[last], cur[last]
+					at, cur = at[:last], cur[:last]
+				}
+			}
+			p := index.Posting{Set: int32(pair >> 32), Elem: int32(uint32(pair))}
+			st := &state[p.Set]
+			if st.epoch != epoch {
+				st.epoch = epoch
+				if accept != nil && !accept(p.Set) {
+					st.idx = -1
+					continue
+				}
+				st.idx = int32(len(sets))
+				sets = append(sets, p.Set)
+				npass = append(npass, 0)
+				best = appendRow(best, n)
+			} else if st.idx < 0 {
+				continue
+			}
+			ent := dir.At(p)
+			size := int(ent.Size)
+			score := sim.Alpha(f(min(c+rest, size), la, size), alpha) // the bound
+			switch {
+			case rest == 0: // and the value
+				counted++
+			case !passes(score, esig.Bound):
+				bounded++
+				continue
+			default:
+				score = cl.memo.eval(phi, i, rElem, ent.Key, coll, p)
+			}
+			if b := &best[int(st.idx)*n+i]; score > *b {
+				if passes(score, esig.Bound) && !passes(*b, esig.Bound) {
+					npass[st.idx]++
+				}
+				*b = score
+			}
+		}
+	}
+	cl.sets, cl.npass, cl.best = sets, npass, best
+	cl.memo.n.Counted += counted
+	cl.memo.n.Bounded += bounded
+	// Heads that ran dry still alias the lists they walked; a pooled worker
+	// must not keep those alive until its next pass (Rebuild replaces them).
+	clear(cl.headCur[:cap(cl.headCur)])
+}
+
+// pairOf packs a posting so that integer order is ⟨set, element⟩ order.
+//
+//silkmoth:hotpath
+func pairOf(p index.Posting) uint64 { return uint64(uint32(p.Set))<<32 | uint64(uint32(p.Elem)) }
+
+// sortedSubset reports whether sub is a subsequence of the sorted,
+// duplicate-free super: a duplicate-free subset of it, in the same order.
+//
+//silkmoth:hotpath
+func sortedSubset(sub, super []tokens.ID) bool {
+	j := 0
+	for _, t := range sub {
+		for j < len(super) && super[j] < t {
+			j++
+		}
+		if j == len(super) || super[j] != t {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // passes is the check filter's element test (Algorithm 1 line 5): the best
@@ -336,8 +594,8 @@ func (cl *Collector) retain() {
 	cl.window, cl.peakRows, cl.peakCells = 0, 0, 0
 }
 
-// TakeSimCounts returns the kernel evaluations and memo hits of the Collect
-// calls since the last take.
+// TakeSimCounts returns how the Collect calls since the last take came by
+// their similarities.
 func (cl *Collector) TakeSimCounts() SimCounts { return cl.memo.take() }
 
 // collectorPool recycles whole Collectors for the single-shot Collect form.

@@ -8,15 +8,22 @@ import (
 	"silkmoth/internal/tokens"
 )
 
-// SimCounts is how often φ_α was asked for across the filter stages of one
-// or more passes: Evals ran the kernel, MemoHits were answered by the
-// per-pass memo instead, Counted were computed from an overlap count
-// (NNSearcher.CountOverlaps). The three add up to the number of ⟨reference
-// element, candidate element⟩ pairs the filters looked at.
+// SimCounts is how the filter stages of one or more passes came by φ_α:
+// Evals ran the kernel, MemoHits were answered by the per-pass memo
+// instead, Counted were computed exactly from an overlap count (a searcher
+// or collector after CountOverlaps), Bounded were dropped by the check
+// filter because a bound from index counts and sizes (CountOverlaps) or
+// from the two lengths (BoundByLength) kept them below the element's bound,
+// with no memo probe and no element load. The four add up to what the
+// filters looked at. The unit depends on the collector: after CountOverlaps
+// it meets every ⟨reference element, candidate element⟩ pair once, so the
+// sum counts distinct pairs; otherwise it counts per posting — a pair
+// sharing k signature tokens k times. The searcher always counts pairs.
 type SimCounts struct {
 	Evals    int64
 	MemoHits int64
 	Counted  int64
+	Bounded  int64
 }
 
 // memoEntry is one slot of a simMemo: val is φ_α(r_ref, s) for any candidate

@@ -361,8 +361,9 @@ func TestMemoPassIsolation(t *testing.T) {
 
 // TestMemoPassAllocGate pins the hot-path contract: once the tables exist, a
 // whole filter pass — Collect, floors, NNFilter over every survivor —
-// allocates nothing, whether the searcher asks the kernel through its memo
-// or scores from overlap counts.
+// allocates nothing, whether collector and searcher ask the kernel through
+// their memos or count overlaps (the counting collector's cursor heads are
+// its own scratch, grown by the first pass).
 func TestMemoPassAllocGate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
@@ -375,10 +376,13 @@ func TestMemoPassAllocGate(t *testing.T) {
 		t.Fatal("no valid signature")
 	}
 	prune := f.params.Delta*float64(len(r.Elements)) - pruneSlack
-	cl := NewCollector(f.ix)
 	counting := NewNNSearcher(f.ix, f.phi)
 	counting.CountOverlaps(sim.JaccardFromOverlap, f.params.Alpha)
 	for _, ns := range []*NNSearcher{NewNNSearcher(f.ix, f.phi), counting} {
+		cl := NewCollector(f.ix)
+		if ns == counting {
+			cl.CountOverlaps(sim.JaccardFromOverlap, f.params.Alpha)
+		}
 		var floors []float64
 		refined := 0
 		pass := func() {
@@ -397,8 +401,9 @@ func TestMemoPassAllocGate(t *testing.T) {
 		if got := testing.AllocsPerRun(100, pass); got > 0 {
 			t.Errorf("a warmed Collect + NNFilter pass allocates %.1f objects (counting=%v), want 0", got, ns == counting)
 		}
-		if n := cl.TakeSimCounts(); n.MemoHits == 0 {
-			t.Errorf("collect counted %+v: the gate ran without a memo hit", n)
+		if n := cl.TakeSimCounts(); n.MemoHits == 0 || (ns == counting) != (cap(cl.headCur) > 0) {
+			t.Errorf("collect counted %+v with room for %d cursor heads (counting=%v): the gate ran without a memo hit, or not on the loop it names",
+				n, cap(cl.headCur), ns == counting)
 		}
 		if n := ns.TakeSimCounts(); (ns == counting) != (n.Counted > 0) || (ns == counting) == (n.Evals+n.MemoHits > 0) {
 			t.Errorf("the searcher counted %+v (counting=%v): the gate did not run the path it names", n, ns == counting)

@@ -14,8 +14,11 @@ type DirEntry struct {
 	// Key is the element's dataset.Element.Key: what the filters memoize
 	// φ_α under.
 	Key tokens.ID
-	// Size is len(Element.Tokens): the size the token-based similarities
-	// are functions of, next to the overlap count.
+	// Size is the element's dataset.Element.Length, the size its
+	// similarities are bounded by: the number of tokens under ModeWord —
+	// what the token-based similarities are functions of, next to an
+	// overlap count — and the rune length under ModeQGram, which decides
+	// what an edit similarity can reach before the strings are read.
 	Size int32
 }
 
@@ -63,7 +66,7 @@ func (d *Directory) extend(c *dataset.Collection) {
 	for i := len(d.base) - 1; i < len(c.Sets); i++ {
 		for j := range c.Sets[i].Elements {
 			e := &c.Sets[i].Elements[j]
-			d.ents = append(d.ents, DirEntry{Key: e.Key, Size: int32(len(e.Tokens))})
+			d.ents = append(d.ents, DirEntry{Key: e.Key, Size: e.Length})
 		}
 		d.base = append(d.base, int32(len(d.ents)))
 	}
@@ -81,7 +84,7 @@ func (ix *Inverted) Directory() *Directory { return &ix.dir }
 
 // CheckDirectory verifies the derived state against the collection it was
 // derived from: the base table is dataset.ElemBase of the collection and
-// every entry is ⟨Key, len(Tokens)⟩ of the element it stands for. The
+// every entry is ⟨Key, Length⟩ of the element it stands for. The
 // mutation and recovery harnesses call it after every kind of index
 // maintenance; nil means consistent.
 func (ix *Inverted) CheckDirectory() error {
@@ -104,7 +107,7 @@ func (ix *Inverted) CheckDirectory() error {
 	for i := range c.Sets {
 		for j := range c.Sets[i].Elements {
 			e := &c.Sets[i].Elements[j]
-			got, want := d.At(Posting{Set: int32(i), Elem: int32(j)}), DirEntry{Key: e.Key, Size: int32(len(e.Tokens))}
+			got, want := d.At(Posting{Set: int32(i), Elem: int32(j)}), DirEntry{Key: e.Key, Size: e.Length}
 			if got != want {
 				return fmt.Errorf("index: directory entry of set %d element %d = %+v, element has %+v", i, j, got, want)
 			}

@@ -3,7 +3,7 @@
 // candidate selection, the check filter, and nearest-neighbor search.
 //
 // Beside the posting lists every index keeps an element directory
-// (Directory): per indexed element its content key and token count, in one
+// (Directory): per indexed element its content key and its size, in one
 // flat table addressed by global element id, base[Set]+Elem. It is what the
 // filters read per posting instead of the element itself. The directory is
 // derived state and independent of the posting form: every constructor

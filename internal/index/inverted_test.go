@@ -198,6 +198,15 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	if got := ix.Directory().At(Posting{Set: 1, Elem: 0}); got.Key != el.Key || int(got.Size) != len(el.Tokens) {
 		t.Fatalf("entry of set 1 element 0 = %+v, element has key %d and %d tokens", got, el.Key, len(el.Tokens))
 	}
+	// Under ModeQGram the size is the rune length, not the q-gram count.
+	grams := dataset.BuildQGram(tokens.NewDictionary(), []dataset.RawSet{{Name: "g", Elements: []string{"héllo héllo"}}}, 3)
+	gix := Build(grams)
+	if got := gix.Directory().At(Posting{}); got.Size != 11 || int(got.Size) == len(grams.Sets[0].Elements[0].Tokens) {
+		t.Fatalf("q-gram entry = %+v for an 11-rune element of %d q-grams", got, len(grams.Sets[0].Elements[0].Tokens))
+	}
+	if err := gix.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 	if got := len(ix.Directory().Set(2)); got != len(coll.Sets[2].Elements) {
 		t.Fatalf("directory lists %d elements for set 2, which has %d", got, len(coll.Sets[2].Elements))
 	}
@@ -206,10 +215,9 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	el.Key = dataset.NoKey
 	requireDrift("a key changed under the index", true)
 	el.Key = key
-	toks := el.Tokens
-	el.Tokens = toks[:len(toks)-1]
-	requireDrift("a token count changed under the index", true)
-	el.Tokens = toks
+	el.Length--
+	requireDrift("a length changed under the index", true)
+	el.Length++
 	requireDrift("restored", false)
 
 	from := dataset.Append(coll, []dataset.RawSet{{Name: "new", Elements: []string{"77 Mass Ave", "Boston"}}})

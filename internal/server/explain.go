@@ -28,6 +28,7 @@ type ExplainJSON struct {
 	SimEvals    int64            `json:"sim_evals"`
 	SimMemoHits int64            `json:"sim_memo_hits"`
 	SimCounted  int64            `json:"sim_counted"`
+	SimBounded  int64            `json:"sim_bounded"`
 	ElapsedUS   int64            `json:"elapsed_us"`
 }
 
@@ -47,6 +48,7 @@ func explainJSON(ex *silkmoth.Explain) *ExplainJSON {
 		SimEvals:    ex.SimEvals,
 		SimMemoHits: ex.SimMemoHits,
 		SimCounted:  ex.SimCounted,
+		SimBounded:  ex.SimBounded,
 		ElapsedUS:   ex.Elapsed.Microseconds(),
 	}
 }

@@ -81,11 +81,14 @@ func TestExplainEndpoint(t *testing.T) {
 			// against the same engine repeats them exactly, and a candidate
 			// is reached through at least one compared element pair.
 			px, gx := resp.Explain, gresp.Explain
-			if px.SimEvals == 0 || px.SimEvals+px.SimMemoHits < px.Candidates {
-				t.Fatalf("sim_evals %d + sim_memo_hits %d for %d candidates", px.SimEvals, px.SimMemoHits, px.Candidates)
+			sims := func(x ExplainJSON) [4]int64 {
+				return [4]int64{x.SimEvals, x.SimMemoHits, x.SimCounted, x.SimBounded}
 			}
-			if gx.SimEvals != px.SimEvals || gx.SimMemoHits != px.SimMemoHits {
-				t.Fatalf("sim counts do not repeat: POST %d/%d, GET %d/%d", px.SimEvals, px.SimMemoHits, gx.SimEvals, gx.SimMemoHits)
+			if p := sims(px); p[0] == 0 || p[0]+p[1]+p[2]+p[3] < px.Candidates {
+				t.Fatalf("sim_evals, sim_memo_hits, sim_counted, sim_bounded = %v for %d candidates", p, px.Candidates)
+			}
+			if sims(gx) != sims(px) {
+				t.Fatalf("sim counts do not repeat: POST %v, GET %v", sims(px), sims(gx))
 			}
 			if len(gresp.Matches) != len(resp.Matches) {
 				t.Fatalf("GET explain %d matches, POST %d", len(gresp.Matches), len(resp.Matches))
@@ -198,6 +201,13 @@ func TestSearchSchemeAndDeltaOverrides(t *testing.T) {
 	}
 	if w := postJSON(t, s, "/v1/search", `{"set":{"elements":["x"]},"delta":1.5}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("delta 1.5: got %d, want 400", w.Code)
+	}
+	// JSON cannot carry NaN, a query string can: it parses as a float and
+	// compares false with both ends of the range.
+	for _, d := range []string{"NaN", "Inf", "-Inf", "-0.5"} {
+		if w := get(t, s, "/v1/explain?e=x&delta="+d); w.Code != http.StatusBadRequest {
+			t.Fatalf("GET explain delta=%s: got %d, want 400", d, w.Code)
+		}
 	}
 }
 

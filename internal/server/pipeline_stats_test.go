@@ -49,8 +49,9 @@ func TestPipelineFunnelStats(t *testing.T) {
 		t.Fatalf("funnel mismatch: after_check %d != after_nn %d + nn_pruned %d",
 			e.AfterCheck, e.AfterNN, e.NNPruned)
 	}
-	if e.SimEvals == 0 || e.SimEvals+e.SimMemoHits < e.Candidates {
-		t.Fatalf("sim_evals %d + sim_memo_hits %d for %d candidates", e.SimEvals, e.SimMemoHits, e.Candidates)
+	if pairs := e.SimEvals + e.SimMemoHits + e.SimCounted + e.SimBounded; e.SimEvals == 0 || pairs < e.Candidates {
+		t.Fatalf("sim_evals %d + sim_memo_hits %d + sim_counted %d + sim_bounded %d for %d candidates",
+			e.SimEvals, e.SimMemoHits, e.SimCounted, e.SimBounded, e.Candidates)
 	}
 	selections := e.Scheme.Weighted + e.Scheme.Skyline + e.Scheme.Dichotomy + e.Scheme.CombUnweighted
 	if selections != e.SearchPasses-e.FullScans {
@@ -75,6 +76,8 @@ func TestPipelineFunnelMetrics(t *testing.T) {
 		"silkmothd_engine_nn_pruned_total",
 		"silkmothd_engine_sim_evals_total",
 		"silkmothd_engine_sim_memo_hits_total",
+		"silkmothd_engine_sim_counted_total",
+		"silkmothd_engine_sim_bounded_total",
 		"silkmothd_engine_full_scans_total",
 		`silkmothd_engine_scheme_selected_total{scheme="dichotomy"} 1`,
 	} {

@@ -513,7 +513,7 @@ func (s *Server) overrides(w http.ResponseWriter, scheme string, delta float64, 
 		opts = append(opts, silkmoth.WithScheme(sc))
 	}
 	if delta != 0 {
-		if delta < 0 || delta > 1 {
+		if !(delta > 0 && delta <= 1) { // NaN fails too (?delta=NaN parses)
 			writeError(w, http.StatusBadRequest, "delta must be in (0, 1], got %g", delta)
 			return nil, "", false
 		}
@@ -1136,6 +1136,7 @@ type statsResponse struct {
 		SimEvals     int64 `json:"sim_evals"`
 		SimMemoHits  int64 `json:"sim_memo_hits"`
 		SimCounted   int64 `json:"sim_counted"`
+		SimBounded   int64 `json:"sim_bounded"`
 		Compactions  int64 `json:"compactions"`
 		// Scheme counts signatured passes by the concrete signature
 		// scheme that probed the index; with -scheme auto it exposes
@@ -1220,6 +1221,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.SimEvals = st.SimEvals
 	resp.Engine.SimMemoHits = st.SimMemoHits
 	resp.Engine.SimCounted = st.SimCounted
+	resp.Engine.SimBounded = st.SimBounded
 	resp.Engine.Compactions = st.Compactions
 	resp.Engine.Scheme.Weighted = st.SchemeWeighted
 	resp.Engine.Scheme.Skyline = st.SchemeSkyline
@@ -1319,9 +1321,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_memo_hits_total Filter similarity requests answered by the per-pass memo without a kernel call.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_memo_hits_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_sim_memo_hits_total %d\n", st.SimMemoHits)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_counted_total Element pairs the nearest-neighbor filter scored from index overlap counts without a kernel call.\n")
+		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_counted_total Element pairs the check and nearest-neighbor filters scored from index overlap counts without a kernel call.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_counted_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_sim_counted_total %d\n", st.SimCounted)
+		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_bounded_total Element pairs the check filter dropped on a bound from index counts and sizes, without memo probe or kernel call.\n")
+		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_bounded_total counter\n")
+		fmt.Fprintf(out, "silkmothd_engine_sim_bounded_total %d\n", st.SimBounded)
 		fmt.Fprintf(out, "# HELP silkmothd_engine_scheme_selected_total Signatured passes by concrete signature scheme.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_scheme_selected_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"weighted\"} %d\n", st.SchemeWeighted)

@@ -68,6 +68,7 @@ func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, ex
 		"sim_evals":     ex.SimEvals,
 		"sim_memo_hits": ex.SimMemoHits,
 		"sim_counted":   ex.SimCounted,
+		"sim_bounded":   ex.SimBounded,
 		"stage_ns": map[string]int64{
 			"signature": ex.Stages.Signature.Nanoseconds(),
 			"collect":   ex.Stages.Collect.Nanoseconds(),

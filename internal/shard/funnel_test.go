@@ -159,9 +159,10 @@ func TestFunnelConservation(t *testing.T) {
 			requireConserved(t, got, before, e.Stats(), true)
 			if tc.check != nil {
 				tc.check(t, got)
-			} else if got.Candidates == 0 || got.Verified == 0 || got.SimEvals == 0 || got.SimCounted == 0 {
-				// Jaccard: the check filter calls the kernel, the
-				// nearest-neighbor filter scores from overlap counts.
+			} else if got.Candidates == 0 || got.Verified == 0 || got.SimEvals == 0 || got.SimCounted == 0 || got.SimBounded == 0 {
+				// Jaccard: the check filter drops pairs on their count bound
+				// and calls the kernel for the rest, the nearest-neighbor
+				// filter scores from overlap counts.
 				t.Errorf("the workload exercised no funnel: %+v", got)
 			}
 		})

@@ -96,3 +96,40 @@ func NEdsAlphaLen(x, y string, lx, ly int, alpha float64) float64 {
 	s := 1 - float64(ld)/float64(m)
 	return Alpha(s, alpha)
 }
+
+// LenBoundFunc is the shape of EdsLenBound and NEdsLenBound with α fixed: an
+// upper bound on φ_α(x, y) from the two rune lengths alone.
+type LenBoundFunc func(lx, ly int) float64
+
+// EdsLenBound returns the largest value EdsAlphaLen(x, y, lx, ly, alpha) can
+// take over all strings of rune lengths lx and ly. LD(x, y) ≥ ||x| − |y||
+// and Eds falls as the distance grows — in floating point too: the exact
+// ratio 2·LD/(|x|+|y|+LD) grows with LD, and division, subtraction and the
+// α cut are monotone under rounding — so it is EdsAlphaLen's formula at that
+// distance.
+//
+//silkmoth:hotpath
+func EdsLenBound(lx, ly int, alpha float64) float64 {
+	if lx+ly == 0 {
+		return 0
+	}
+	d := lx - ly
+	if d < 0 {
+		d = -d
+	}
+	return Alpha(1-2*float64(d)/float64(lx+ly+d), alpha)
+}
+
+// NEdsLenBound is EdsLenBound for NEdsAlphaLen.
+//
+//silkmoth:hotpath
+func NEdsLenBound(lx, ly int, alpha float64) float64 {
+	m, d := lx, lx-ly
+	if d < 0 {
+		m, d = ly, -d
+	}
+	if m == 0 {
+		return 0
+	}
+	return Alpha(1-float64(d)/float64(m), alpha)
+}

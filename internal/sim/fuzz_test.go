@@ -217,6 +217,113 @@ func FuzzOverlapFormulas(f *testing.F) {
 	})
 }
 
+// FuzzOverlapBound pins what the check filter's count bound rests on
+// (filter.Collector.CountOverlaps). For duplicate-free sorted a and b and
+// any L ⊆ a, an element b holds c = |L∩b| of L's tokens, so |a∩b| is at
+// most min(c + |a| − |L|, |b|), and each formula at that overlap — and
+// after the α cut — is at least the kernel's value; with L = a it is the
+// kernel's value bit for bit. The bound is only sound because the formulas
+// never fall as the overlap grows, in floating point: that is checked over
+// every overlap up to |b|, which is as far as the collector's guard for a
+// signature outside its element can push it.
+func FuzzOverlapBound(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, []byte{0b101}, byte(128))
+	f.Add([]byte{1, 2, 3}, []byte{1, 2, 3}, []byte{0xff}, byte(0))
+	f.Add([]byte{}, []byte{9}, []byte{}, byte(200))
+	f.Add([]byte{7}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, []byte{1}, byte(77))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{3}, []byte{0, 0}, byte(255))
+	f.Fuzz(func(t *testing.T, ra, rb, mask []byte, alphaByte byte) {
+		a := make([]tokens.ID, len(ra))
+		for i, v := range ra {
+			a[i] = tokens.ID(v)
+		}
+		b := make([]tokens.ID, len(rb))
+		for i, v := range rb {
+			b[i] = tokens.ID(v)
+		}
+		a, b = tokens.SortUnique(a), tokens.SortUnique(b)
+		var l []tokens.ID // the tokens of a the mask selects
+		for i, tok := range a {
+			if i/8 < len(mask) && mask[i/8]&(1<<(i%8)) != 0 {
+				l = append(l, tok)
+			}
+		}
+		alpha := float64(alphaByte) / 256
+		la, lb := len(a), len(b)
+		for _, c := range []struct {
+			name        string
+			fromOverlap OverlapFunc
+			sorted      func(a, b []tokens.ID) float64
+		}{
+			{"Jaccard", JaccardFromOverlap, JaccardSorted},
+			{"Dice", DiceFromOverlap, DiceSorted},
+			{"Cosine", CosineFromOverlap, CosineSorted},
+		} {
+			for ov := 0; ov < lb; ov++ {
+				if lo, hi := c.fromOverlap(ov, la, lb), c.fromOverlap(ov+1, la, lb); lo > hi {
+					t.Fatalf("%sFromOverlap(·,%d,%d) falls from %v at %d to %v at %d", c.name, la, lb, lo, ov, hi, ov+1)
+				}
+			}
+			kernel := c.sorted(a, b)
+			for _, sub := range [][]tokens.ID{l, a, nil} {
+				ub := c.fromOverlap(min(IntersectSizeSortedRef(sub, b)+la-len(sub), lb), la, lb)
+				if ub < kernel || Alpha(ub, alpha) < Alpha(kernel, alpha) {
+					t.Fatalf("%s: bound %v from L=%v is below the kernel's %v (a=%v b=%v α=%v)", c.name, ub, sub, kernel, a, b, alpha)
+				}
+				if len(sub) == la && math.Float64bits(ub) != math.Float64bits(kernel) {
+					t.Fatalf("%s: with L = a the bound is %v, the kernel's value %v (a=%v b=%v)", c.name, ub, kernel, a, b)
+				}
+			}
+		}
+	})
+}
+
+// FuzzEditLenBound pins what the check filter's length test rests on
+// (filter.Collector.BoundByLength): XLenBound of two rune lengths is at
+// least XAlphaLen of any two strings of those lengths, and it never rises
+// as the second length moves away from the first, so the lengths that can
+// still pass a bound form one window around the reference's.
+func FuzzEditLenBound(f *testing.F) {
+	f.Add("kitten", "sitting", byte(0))
+	f.Add("", "", byte(128))
+	f.Add("", "abc", byte(10))
+	f.Add("héllo", "hello", byte(200))
+	f.Add("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "a", byte(205))
+	f.Fuzz(func(t *testing.T, x, y string, alphaByte byte) {
+		if len(x) > 96 {
+			x = x[:96]
+		}
+		if len(y) > 96 {
+			y = y[:96]
+		}
+		alpha := float64(alphaByte) / 256
+		lx, ly := utf8.RuneCountInString(x), utf8.RuneCountInString(y)
+		for _, c := range []struct {
+			name   string
+			bound  func(lx, ly int, alpha float64) float64
+			kernel func(x, y string, lx, ly int, alpha float64) float64
+		}{
+			{"Eds", EdsLenBound, EdsAlphaLen},
+			{"NEds", NEdsLenBound, NEdsAlphaLen},
+		} {
+			ub := c.bound(lx, ly, alpha)
+			if got := c.kernel(x, y, lx, ly, alpha); !(got <= ub) {
+				t.Fatalf("%sAlphaLen(%q,%q,α=%v) = %v, above %sLenBound(%d,%d) = %v", c.name, x, y, alpha, got, c.name, lx, ly, ub)
+			}
+			if sym := c.bound(ly, lx, alpha); math.Float64bits(sym) != math.Float64bits(ub) {
+				t.Fatalf("%sLenBound(%d,%d) = %v but %v with the lengths swapped", c.name, lx, ly, ub, sym)
+			}
+			away := ly + 1
+			if ly < lx {
+				away = ly - 1
+			}
+			if further := c.bound(lx, away, alpha); further > ub {
+				t.Fatalf("%sLenBound(%d,·,α=%v) rises from %v at %d to %v at %d", c.name, lx, alpha, ub, ly, further, away)
+			}
+		}
+	})
+}
+
 // FuzzLevenshteinBounded cross-checks the banded edit distance against the
 // plain dynamic program on arbitrary inputs, including invalid UTF-8 and
 // control characters.

@@ -67,7 +67,7 @@ func WithScheme(s Scheme) QueryOption {
 // Matches are exactly those of an engine built with Config.Delta = d.
 func WithDelta(d float64) QueryOption {
 	return func(qo *queryOptions) error {
-		if d <= 0 || d > 1 {
+		if !(d > 0 && d <= 1) { // NaN fails too
 			return fmt.Errorf("silkmoth: WithDelta requires δ in (0, 1], got %v", d)
 		}
 		qo.delta, qo.hasDelta = d, true
@@ -226,13 +226,16 @@ type Explain struct {
 	Verified    int64
 	// SimEvals counts the φ_α kernel calls the two filters made for this
 	// query, SimMemoHits the requests their per-pass memo answered
-	// instead, and SimCounted the pairs the nearest-neighbor filter scored
-	// from shared-token counts (token-based similarities); for a fixed
-	// engine state all three repeat exactly, so they say how many element
-	// pairs the query's filters looked at and what each cost.
+	// instead, SimCounted the pairs a filter scored exactly from
+	// shared-token counts (token-based similarities), and SimBounded the
+	// pairs the check filter dropped on a bound read off the index with no
+	// memo probe or kernel call; for a fixed engine state all four repeat
+	// exactly, so they say how many element pairs the query's filters
+	// looked at and what each cost.
 	SimEvals    int64
 	SimMemoHits int64
 	SimCounted  int64
+	SimBounded  int64
 	// Elapsed is the query's wall time (for a batch item, that item's own
 	// pass time).
 	Elapsed time.Duration
@@ -258,6 +261,7 @@ func explainFromPass(ps core.Funnel, elapsed time.Duration) Explain {
 		SimEvals:    ps.SimEvals,
 		SimMemoHits: ps.SimMemoHits,
 		SimCounted:  ps.SimCounted,
+		SimBounded:  ps.SimBounded,
 		Elapsed:     elapsed,
 		Stages:      stageTimes(ps),
 	}

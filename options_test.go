@@ -3,6 +3,7 @@ package silkmoth
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -395,12 +396,33 @@ func TestQueryOptionValidation(t *testing.T) {
 		"k=0":          WithK(0),
 		"delta=0":      WithDelta(0),
 		"delta=1.5":    WithDelta(1.5),
+		"delta=NaN":    WithDelta(math.NaN()),
+		"delta=+Inf":   WithDelta(math.Inf(1)),
+		"delta=-Inf":   WithDelta(math.Inf(-1)),
 		"scheme=99":    WithScheme(Scheme(99)),
 		"explain(nil)": WithExplain(nil),
 	}
 	for name, opt := range cases {
 		if _, err := eng.Search(q, opt); err == nil {
 			t.Errorf("%s: expected an error", name)
+		}
+	}
+	// A threshold that is not a number is not a threshold: every comparison
+	// with NaN is false, so a range test written as its complement let it
+	// through, and the engine it built answered nothing.
+	for name, cfg := range map[string]Config{
+		"Delta=NaN":  {Delta: math.NaN()},
+		"Delta=+Inf": {Delta: math.Inf(1)},
+		"Delta=-Inf": {Delta: math.Inf(-1)},
+		"Alpha=NaN":  {Delta: 0.5, Alpha: math.NaN()},
+		"Alpha=+Inf": {Delta: 0.5, Alpha: math.Inf(1)},
+		"Alpha=-Inf": {Delta: 0.5, Alpha: math.Inf(-1)},
+	} {
+		for _, simFn := range []Similarity{Jaccard, Eds} {
+			cfg.Similarity = simFn
+			if _, err := NewEngine(autoGridCorpus(113, 8), cfg); err == nil {
+				t.Errorf("NewEngine with Config.%s under %v: expected an error", name, simFn)
+			}
 		}
 	}
 	// Later options win: WithDelta(0.9) after WithDelta(0.2) behaves as 0.9.

@@ -436,13 +436,17 @@ type Stats struct {
 	// SimEvals counts φ_α kernel calls made by the check and nearest-
 	// neighbor filters; SimMemoHits counts the filter requests answered
 	// by the per-pass similarity memo instead; SimCounted counts the
-	// pairs the nearest-neighbor filter scored from the index walk's
-	// shared-token count, with no kernel call (Jaccard, Dice, Cosine; see
-	// README "Query pipeline"). The three add up to the element pairs the
-	// filters looked at. Verification's cells are in none of them.
+	// pairs a filter scored exactly from the number of tokens the index
+	// showed the two elements to share, with no kernel call (Jaccard,
+	// Dice, Cosine); SimBounded counts the pairs the check filter dropped
+	// because that number and the two sizes — under Eds and NEds, the two
+	// lengths — already kept them below the element's bound (see README
+	// "Query pipeline"). The four add up to the element pairs the filters
+	// looked at. Verification's cells are in none of them.
 	SimEvals    int64
 	SimMemoHits int64
 	SimCounted  int64
+	SimBounded  int64
 	// SchemeWeighted, SchemeSkyline, SchemeDichotomy, and
 	// SchemeCombUnweighted count passes by the concrete signature scheme
 	// that probed the index. Under Config.Scheme = SchemeAuto they expose
