@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -36,6 +37,36 @@ func TestSearchTopK(t *testing.T) {
 	none, _ := eng.SearchTopK(ref, 0)
 	if len(none) != 0 {
 		t.Error("k=0 should return nothing")
+	}
+}
+
+// TestSearchTopKMaxInt pins that the caller's k never sizes an allocation:
+// on a sharded engine the merge once made a k-capacity slice, so k =
+// math.MaxInt panicked with "makeslice: cap out of range".
+func TestSearchTopKMaxInt(t *testing.T) {
+	sets := []Set{
+		{Name: "exact", Elements: []string{"a b c", "d e f"}},
+		{Name: "close", Elements: []string{"a b c", "d e g"}},
+		{Name: "closer", Elements: []string{"a b c", "d e f g"}},
+		{Name: "far", Elements: []string{"x", "y"}},
+	}
+	ref := Set{Elements: []string{"a b c", "d e f"}}
+	for _, shards := range []int{2, 7} {
+		eng, err := NewEngine(sets, Config{Delta: 0.5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := eng.Search(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := eng.SearchTopK(ref, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(top, all) {
+			t.Fatalf("shards %d: SearchTopK(MaxInt) = %+v, Search = %+v", shards, top, all)
+		}
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// resultCache is a mutex-protected LRU over marshaled response bodies.
-// Keys encode the query's full identity — endpoint kind, metric, δ, α, and
-// the query sets' raw elements — so one cache safely serves every endpoint.
-// Add invalidates the whole cache: any grown collection can change any
-// result.
+// resultCache is a mutex-protected LRU over encoded answers, one entry per
+// query: a /v1/search body and a plain batch item share one. Keys encode
+// the query's full identity (Server.appendKey), so one cache safely serves
+// every endpoint. Every mutation invalidates the whole cache: any changed
+// collection can change any result.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int
@@ -36,14 +36,16 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// get returns the cached body for key and whether it was present.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// get returns the cached body for key and whether it was present. The
+// lookup converts key in the map index expression, which does not
+// allocate: a hit costs no garbage.
+func (c *resultCache) get(key []byte) ([]byte, bool) {
 	if c.max < 1 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	el, ok := c.byKey[string(key)]
 	if !ok {
 		return nil, false
 	}
@@ -52,19 +54,20 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 // put stores body under key, evicting the least-recently-used entry when
-// full. The caller must not mutate body afterwards.
-func (c *resultCache) put(key string, body []byte) {
+// full. The key is copied; the caller must not mutate body afterwards.
+func (c *resultCache) put(key []byte, body []byte) {
 	if c.max < 1 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	if el, ok := c.byKey[string(key)]; ok {
 		el.Value.(*cacheEntry).body = body
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
+	k := string(key)
+	c.byKey[k] = c.order.PushFront(&cacheEntry{key: k, body: body})
 	for c.order.Len() > c.max {
 		back := c.order.Back()
 		c.order.Remove(back)

@@ -104,7 +104,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ex silkmoth.Explain
-	opts, _, ok := s.overrides(w, req.Scheme, req.Delta, true, &ex)
+	opts, ok := s.overrides(w, req.Scheme, req.Delta, true, &ex)
 	if !ok {
 		return
 	}

@@ -168,10 +168,10 @@ func (m *metrics) write(w io.Writer, extra func(io.Writer)) {
 	fmt.Fprintf(w, "silkmothd_rejections_total{cause=%q} %d\n", causeTimeout, atomic.LoadInt64(&m.rejectTimeout))
 	fmt.Fprintf(w, "silkmothd_rejections_total{cause=%q} %d\n", causeCancelled, atomic.LoadInt64(&m.rejectCancelled))
 
-	fmt.Fprintf(w, "# HELP silkmothd_cache_hits_total Result-cache hits.\n")
+	fmt.Fprintf(w, "# HELP silkmothd_cache_hits_total Result-cache hits, one per query (each batch item counts).\n")
 	fmt.Fprintf(w, "# TYPE silkmothd_cache_hits_total counter\n")
 	fmt.Fprintf(w, "silkmothd_cache_hits_total %d\n", m.hits())
-	fmt.Fprintf(w, "# HELP silkmothd_cache_misses_total Result-cache misses.\n")
+	fmt.Fprintf(w, "# HELP silkmothd_cache_misses_total Result-cache misses, one per query (each batch item counts).\n")
 	fmt.Fprintf(w, "# TYPE silkmothd_cache_misses_total counter\n")
 	fmt.Fprintf(w, "silkmothd_cache_misses_total %d\n", m.misses())
 

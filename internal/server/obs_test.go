@@ -317,6 +317,39 @@ func TestSlowQuerySampleBatch(t *testing.T) {
 	}
 }
 
+// TestSlowQueryBatchFirstOccurrence checks the funnel lines of a batch whose
+// items repeat or hit the cache: one line per engine query, indexed by the
+// request position of its first item, and none for an item the cache
+// answered.
+func TestSlowQueryBatchFirstOccurrence(t *testing.T) {
+	var buf bytes.Buffer
+	s, _ := newTestServer(t, Options{SlowQuerySample: 1, LogWriter: &buf})
+	a := `{"elements": ["77 Mass Ave Boston MA"]}`
+	b := `{"elements": ["red bicycle"]}`
+	c := `{"elements": ["5th St Seattle WA"]}`
+	indexes := func(body string) []int {
+		t.Helper()
+		buf.Reset()
+		if w := postJSON(t, s, "/v1/search/batch", body); w.Code != http.StatusOK {
+			t.Fatalf("batch code = %d: %s", w.Code, w.Body.String())
+		}
+		var out []int
+		for _, ln := range decodeSlowLines(t, &buf) {
+			if ln.BatchIndex == nil {
+				t.Fatalf("batch item line missing batch_index:\n%s", buf.String())
+			}
+			out = append(out, *ln.BatchIndex)
+		}
+		return out
+	}
+	if got := indexes(`{"sets": [` + b + `,` + a + `,` + b + `]}`); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("[b, a, b] logged batch indexes %v, want [0 1]", got)
+	}
+	if got := indexes(`{"sets": [` + a + `,` + c + `,` + b + `,` + c + `]}`); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("[a, c, b, c] with a and b cached logged batch indexes %v, want [1]", got)
+	}
+}
+
 // TestAccessLog checks the per-request access line schema.
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer

@@ -6,8 +6,10 @@
 // behind cmd/silkmothd.
 //
 // Query endpoints share one bounded worker pool (a semaphore over the
-// engine) and an LRU result cache keyed on the query's full identity —
-// endpoint, metric, δ, α, and the query sets' raw elements. Every request
+// engine) and an LRU result cache holding one entry per query — a batch
+// item is a query, and shares its entry with the same /v1/search — keyed on
+// the query's full identity: endpoint, metric, δ, α, the options that shape
+// the answer, and the query sets' raw elements. Every request
 // carries a context with the configured timeout; cancellation propagates
 // into the engine's search and discovery loops, so an abandoned request
 // stops burning matching computations.
@@ -435,33 +437,70 @@ func (s *Server) writeHTTPCtxErr(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, "request cancelled")
 }
 
-// cacheKey builds the result cache key for one query: endpoint kind, the
-// engine's metric/δ/α identity, any endpoint scalar (like k), any
-// per-query override spec (scheme/δ overrides change the response body,
-// so they must key separately), then every query set's elements, all
-// length-prefixed so distinct queries can never collide.
-func (s *Server) cacheKey(kind string, scalar int, overrides string, sets ...SetJSON) string {
-	var b strings.Builder
-	b.WriteString(kind)
-	b.WriteByte(0)
-	fmt.Fprintf(&b, "%d|%d|%d|%g|%g|%d|%s", atomic.LoadInt64(&s.gen),
-		int(s.cfg.Metric), int(s.cfg.Similarity), s.cfg.Delta, s.cfg.Alpha, scalar, overrides)
+// bufPool recycles the per-request buffers cache keys and batch response
+// bodies are built in.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getBuf returns an empty pooled buffer; hand it back with putBuf once
+// nothing refers to its bytes.
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+// putBuf returns b to the pool, except a buffer some huge request grew,
+// which would otherwise stay pinned.
+func putBuf(b *[]byte) {
+	if cap(*b) > 1<<20 {
+		return
+	}
+	*b = (*b)[:0]
+	bufPool.Put(b)
+}
+
+// appendKey appends the result-cache key of one query to b: the endpoint
+// kind, the server generation, the engine's identity (metric, similarity,
+// δ, α), everything else that changes the encoded answer — k (a top-k or
+// truncation bound, -1 for none), the pinned scheme, whether the answer
+// reports the scheme it probed with, a δ override (0 for none) — and then
+// every query set's elements, all length-prefixed so distinct queries can
+// never collide. Set names are left out: no answer depends on them.
+//
+//silkmoth:hotpath
+func (s *Server) appendKey(b []byte, kind string, k int, scheme string, reportsScheme bool, delta float64, sets ...SetJSON) []byte {
+	b = append(b, kind...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, atomic.LoadInt64(&s.gen), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(s.cfg.Metric), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(s.cfg.Similarity), 10)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, s.cfg.Delta, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, s.cfg.Alpha, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(scheme)), 10)
+	b = append(b, ':')
+	b = append(b, scheme...)
+	b = strconv.AppendBool(b, reportsScheme)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, delta, 'g', -1, 64)
 	for _, set := range sets {
-		b.WriteByte(0)
-		b.WriteString(strconv.Itoa(len(set.Elements)))
+		b = append(b, 0)
+		b = strconv.AppendInt(b, int64(len(set.Elements)), 10)
 		for _, el := range set.Elements {
-			b.WriteByte(0)
-			b.WriteString(strconv.Itoa(len(el)))
-			b.WriteByte(':')
-			b.WriteString(el)
+			b = append(b, 0)
+			b = strconv.AppendInt(b, int64(len(el)), 10)
+			b = append(b, ':')
+			b = append(b, el...)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // serveCached writes the cached body for key if present, marking the cache
 // header, and reports whether it did.
-func (s *Server) serveCached(w http.ResponseWriter, key string) bool {
+func (s *Server) serveCached(w http.ResponseWriter, key []byte) bool {
 	if body, ok := s.cache.get(key); ok {
 		s.met.cacheHit()
 		w.Header().Set("X-Silkmoth-Cache", "hit")
@@ -473,7 +512,7 @@ func (s *Server) serveCached(w http.ResponseWriter, key string) bool {
 }
 
 // finish marshals v, stores it under key, and writes it.
-func (s *Server) finish(w http.ResponseWriter, key string, v any) {
+func (s *Server) finish(w http.ResponseWriter, key []byte, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal: encoding response")
@@ -501,32 +540,32 @@ type searchRequest struct {
 }
 
 // overrides validates the request's per-query fields and compiles them to
-// engine options plus the cache-key override spec. ex, when non-nil, is
-// the explain destination wired through WithExplain.
-func (s *Server) overrides(w http.ResponseWriter, scheme string, delta float64, explain bool, ex *silkmoth.Explain) (opts []silkmoth.QueryOption, keySpec string, ok bool) {
+// engine options. ex, when non-nil, is the explain destination wired
+// through WithExplain.
+func (s *Server) overrides(w http.ResponseWriter, scheme string, delta float64, explain bool, ex *silkmoth.Explain) (opts []silkmoth.QueryOption, ok bool) {
 	if scheme != "" {
 		sc, err := silkmoth.ParseScheme(scheme)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return nil, "", false
+			return nil, false
 		}
 		opts = append(opts, silkmoth.WithScheme(sc))
 	}
 	if delta != 0 {
 		if !(delta > 0 && delta <= 1) { // NaN fails too (?delta=NaN parses)
 			writeError(w, http.StatusBadRequest, "delta must be in (0, 1], got %g", delta)
-			return nil, "", false
+			return nil, false
 		}
 		opts = append(opts, silkmoth.WithDelta(delta))
 	}
 	if explain {
 		if s.opts.DisableExplain {
 			writeError(w, http.StatusBadRequest, "explain is disabled on this server")
-			return nil, "", false
+			return nil, false
 		}
 		opts = append(opts, silkmoth.WithExplain(ex))
 	}
-	return opts, fmt.Sprintf("%s|%g", scheme, delta), true
+	return opts, true
 }
 
 type searchResponse struct {
@@ -561,7 +600,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, topk bool) 
 		kind, k = "topk", req.K
 	}
 	var ex silkmoth.Explain
-	opts, keySpec, ok := s.overrides(w, req.Scheme, req.Delta, req.Explain, &ex)
+	opts, ok := s.overrides(w, req.Scheme, req.Delta, req.Explain, &ex)
 	if !ok {
 		return
 	}
@@ -574,8 +613,12 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, topk bool) 
 	}
 
 	// Explained responses carry wall time, which a cache would freeze;
-	// they skip both lookup and store.
-	key := s.cacheKey(kind, k, keySpec, req.Set)
+	// they skip both lookup and store. A plain search's key is a plain
+	// batch item's (handleSearchBatch), so the two share entries.
+	kb := getBuf()
+	defer putBuf(kb)
+	*kb = s.appendKey(*kb, kind, k, req.Scheme, false, req.Delta, req.Set)
+	key := *kb
 	if !req.Explain && s.serveCached(w, key) {
 		return
 	}
@@ -640,10 +683,31 @@ type batchSearchResponse struct {
 	Results []BatchItemJSON `json:"results"`
 }
 
-// handleSearchBatch answers many searches in one request. Invalid items
-// are reported in place — the response carries one result per request set,
-// positionally aligned — while the valid remainder runs as a single
-// engine batch, amortizing tokenization and fanning across shards.
+// emptyItem is the encoded answer to a batch item with no elements: an
+// error in place, with empty (not null) matches so the wire shape is uniform
+// across rejected and matchless items. (Marshal cannot fail on it: no
+// floats, no maps.)
+var emptyItem, _ = json.Marshal(BatchItemJSON{Matches: []MatchJSON{}, Error: "elements must be non-empty"})
+
+// appendBatchBody appends {"results":[…]} assembled from encoded items to b:
+// byte for byte json.Marshal(batchSearchResponse{…}) of the decoded items.
+func appendBatchBody(b []byte, items [][]byte) []byte {
+	b = append(b, `{"results":[`...)
+	for i, it := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, it...)
+	}
+	return append(b, "]}"...)
+}
+
+// handleSearchBatch answers many searches in one request, one result per
+// request set, positionally aligned. Each item is a query of its own to the
+// result cache: a plain item shares its entry with /v1/search. The engine
+// runs once, as a single batch, over the distinct items that missed — empty
+// items are rejected in place and never reach it — and only then does the
+// request take a worker slot. Explained batches bypass the cache.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchSearchRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
@@ -690,38 +754,67 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The key must separate a nil schemes array from one of empty strings:
-	// their results match, but only the latter reports per-item chosen
-	// schemes, so the response bodies differ.
-	keySpec := ""
-	if req.Schemes != nil {
-		keySpec = "schemes:" + strings.Join(req.Schemes, ",")
+	// Every item's key, back to back in one buffer: item i's is
+	// (*kb)[ends[i]:ends[i+1]]. k is the truncation bound (-1 for none,
+	// as for /v1/search), and an item reports its scheme exactly when the
+	// request sent schemes — so a nil array and one of empty strings key
+	// apart, their bodies differing by the reported scheme.
+	k := -1
+	if req.K >= 1 {
+		k = req.K
 	}
-	key := s.cacheKey("search-batch", req.K, keySpec, req.Sets...)
-	if !req.Explain && s.serveCached(w, key) {
-		return
-	}
-
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if !s.acquire(ctx, w) {
-		return
-	}
-	defer s.release()
-
-	// Split valid queries from per-item rejects; only the former reach
-	// the engine.
-	queries := make([]silkmoth.BatchQuery, 0, len(req.Sets))
-	explains := make([]*silkmoth.Explain, 0, len(req.Sets))
-	validAt := make([]int, 0, len(req.Sets))
-	results := make([]BatchItemJSON, len(req.Sets))
+	kb := getBuf()
+	defer putBuf(kb)
+	ends := make([]int, len(req.Sets)+1)
 	for i, set := range req.Sets {
+		if len(set.Elements) > 0 {
+			scheme := ""
+			if req.Schemes != nil {
+				scheme = req.Schemes[i]
+			}
+			*kb = s.appendKey(*kb, "search", k, scheme, req.Schemes != nil, 0, set)
+		}
+		ends[i+1] = len(*kb)
+	}
+	keyOf := func(i int) []byte { return (*kb)[ends[i]:ends[i+1]] }
+
+	// Answer what the cache holds; the misses, deduplicated by key, become
+	// the engine's queries. slot maps an item to the query answering it.
+	items := make([][]byte, len(req.Sets))
+	slot := make([]int, len(req.Sets))
+	var (
+		queries  []silkmoth.BatchQuery
+		explains []*silkmoth.Explain
+		firstAt  []int // request position of each query's first item
+		distinct map[string]int
+	)
+	hits, misses := 0, 0
+	for i, set := range req.Sets {
+		slot[i] = -1
 		if len(set.Elements) == 0 {
-			// Empty (not null) matches, so the wire shape is uniform
-			// across rejected and matchless items.
-			results[i] = BatchItemJSON{Matches: []MatchJSON{}, Error: "elements must be non-empty"}
+			items[i] = emptyItem
 			continue
 		}
+		key := keyOf(i)
+		if !req.Explain {
+			if body, ok := s.cache.get(key); ok {
+				s.met.cacheHit()
+				hits++
+				items[i] = body
+				continue
+			}
+			s.met.cacheMiss()
+			misses++
+		}
+		if qi, ok := distinct[string(key)]; ok {
+			slot[i] = qi
+			continue
+		}
+		if distinct == nil {
+			distinct = make(map[string]int)
+		}
+		distinct[string(key)] = len(queries)
+		slot[i] = len(queries)
 		bq := silkmoth.BatchQuery{Set: set.toSet()}
 		var ex *silkmoth.Explain
 		if perItem || capture {
@@ -735,25 +828,30 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		queries = append(queries, bq)
 		explains = append(explains, ex)
-		validAt = append(validAt, i)
+		firstAt = append(firstAt, i)
 	}
-	failed := false // an item hit a corrupt index: do not cache that
+
 	if len(queries) > 0 {
+		ctx, cancel := s.queryCtx(r)
+		defer cancel()
+		if !s.acquire(ctx, w) {
+			return
+		}
+		defer s.release()
 		per, err := s.eng.SearchBatchQueriesContext(ctx, queries)
 		if err != nil {
 			s.writeQueryErr(w, err)
 			return
 		}
+		answers := make([][]byte, len(per))
 		for qi, res := range per {
 			ms := res.Matches
-			if req.K >= 1 && len(ms) > req.K {
-				ms = ms[:req.K] // matches are sorted, so the prefix is the top k
+			if k >= 1 && len(ms) > k {
+				ms = ms[:k] // matches are sorted, so the prefix is the top k
 			}
-			item := &results[validAt[qi]]
-			item.Matches = matchesJSON(ms)
+			item := BatchItemJSON{Matches: matchesJSON(ms)}
 			if res.Err != nil {
 				item.Error = res.Err.Error()
-				failed = true
 			}
 			if ex := explains[qi]; ex != nil {
 				if perItem {
@@ -765,17 +863,37 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 				if capture {
 					// Fan-out keeps the batch request's id, so every
 					// item's funnel line correlates back to one request.
-					s.logSlow(r, "/v1/search/batch", ex, map[string]any{"batch_index": validAt[qi]})
+					s.logSlow(r, "/v1/search/batch", ex, map[string]any{"batch_index": firstAt[qi]})
 				}
+			}
+			body, err := json.Marshal(item)
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, "internal: encoding response")
+				return
+			}
+			answers[qi] = body
+			// An item that met a corrupt index is not an answer to keep.
+			if !req.Explain && res.Err == nil {
+				s.cache.put(keyOf(firstAt[qi]), body)
+			}
+		}
+		for i, qi := range slot {
+			if qi >= 0 {
+				items[i] = answers[qi]
 			}
 		}
 	}
-	resp := batchSearchResponse{Results: results}
-	if req.Explain || failed {
-		writeJSON(w, http.StatusOK, resp)
-		return
+
+	// The keys are spent: the same buffer assembles the body.
+	*kb = appendBatchBody((*kb)[:0], items)
+	if !req.Explain {
+		outcome := "miss"
+		if misses == 0 && hits > 0 {
+			outcome = "hit"
+		}
+		w.Header().Set("X-Silkmoth-Cache", outcome)
 	}
-	s.finish(w, key, resp)
+	writeJSONBytes(w, http.StatusOK, *kb)
 }
 
 type discoverRequest struct {
@@ -797,7 +915,10 @@ func (s *Server) handleDiscoverAgainst(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := s.cacheKey("discover-against", -1, "", req.Sets...)
+	kb := getBuf()
+	defer putBuf(kb)
+	*kb = s.appendKey(*kb, "discover-against", -1, "", false, 0, req.Sets...)
+	key := *kb
 	if s.serveCached(w, key) {
 		return
 	}
@@ -855,7 +976,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := s.cacheKey("compare", -1, "", req.R, req.S)
+	kb := getBuf()
+	defer putBuf(kb)
+	*kb = s.appendKey(*kb, "compare", -1, "", false, 0, req.R, req.S)
+	key := *kb
 	if s.serveCached(w, key) {
 		return
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"silkmoth/internal/core"
@@ -178,6 +179,42 @@ func TestMergeTopK(t *testing.T) {
 	}
 	if n := len(mergeTopK(nil, 3)); n != 0 {
 		t.Fatalf("no streams: %d items, want 0", n)
+	}
+	// k is the caller's: sizing the output by it alone panics (makeslice:
+	// cap out of range) or asks for k·24 bytes.
+	if got := mergeTopK(per, math.MaxInt); len(got) != 5 || cap(got) != 5 {
+		t.Fatalf("k = MaxInt: len %d cap %d, want 5 and 5", len(got), cap(got))
+	}
+}
+
+// TestSearchTopKHugeK pins that a caller's k never sizes an allocation: a
+// top-k with k = math.MaxInt is the full answer at every shard count.
+func TestSearchTopKHugeK(t *testing.T) {
+	ctx := context.Background()
+	coll := wordColl(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 40, Seed: 5}))
+	for _, n := range []int{1, 2, 7} {
+		e, err := New(coll, n, jaccardOpts(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 8; r++ {
+			want, err := e.SearchContext(ctx, &coll.Sets[r])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.SearchTopKContext(ctx, &coll.Sets[r], math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("shards %d ref %d: top-MaxInt has %d matches, search %d", n, r, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("shards %d ref %d match %d: %+v, want %+v", n, r, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -30,18 +30,22 @@ func (e *Engine) SearchTopKQueryContext(ctx context.Context, r *dataset.Set, k i
 
 // mergeTopK merges per-stream sorted match lists (descending relatedness,
 // ties by ascending set index) into the global top k, preserving that
-// order. It is exactly the k-prefix of the fully merged sort.
+// order. It is exactly the k-prefix of the fully merged sort. The output is
+// sized by what the streams hold, never by k alone: k is the caller's and
+// may be math.MaxInt.
 //
 //silkmoth:hotpath
 func mergeTopK(per [][]core.Match, k int) []core.Match {
 	h := make(streamHeap, 0, len(per))
+	n := 0
 	for _, ms := range per {
 		if len(ms) > 0 {
 			h = append(h, stream{ms: ms})
+			n += len(ms)
 		}
 	}
 	heap.Init(&h)
-	out := make([]core.Match, 0, k)
+	out := make([]core.Match, 0, min(k, n))
 	for len(out) < k && h.Len() > 0 {
 		s := &h[0]
 		out = append(out, s.ms[s.pos])
