@@ -13,8 +13,9 @@ import (
 // SearchBatch answers one related-set search per reference set in a
 // single call. The whole batch is tokenized in one pass — amortizing
 // dictionary interning across queries — and the searches run concurrently,
-// bounded by Config.Concurrency (each worker visits the shards in turn, so
-// batch parallelism never compounds with shard fan-out). Results are
+// bounded by Config.Concurrency (each worker runs one unsplit pass per
+// reference, so batch parallelism never compounds with a range split).
+// Results are
 // positionally aligned with refs, each sorted exactly as Search sorts.
 // Options apply to every item of the batch (a WithExplain capture sums the
 // items' funnels); for per-item options use SearchBatchQueries.
@@ -131,9 +132,9 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 	return out, nil
 }
 
-// searchBatchCore tokenizes the batch and fans it out across the shard
-// set: queries run concurrently on up to Config.Concurrency workers, each
-// item's passes serial within its worker. qs, when non-nil, aligns
+// searchBatchCore tokenizes the batch and fans it out: queries run
+// concurrently on up to Config.Concurrency workers, each item's pass serial
+// within its worker. qs, when non-nil, aligns
 // per-item queries with refs. Callers must hold at least the read lock —
 // and keep holding it while converting the returned core matches, whose
 // indices are only meaningful against the collection they were computed

@@ -62,7 +62,7 @@ func main() {
 		q         = flag.Int("q", 0, "gram length for edit similarities (0 = auto)")
 		scheme    = flag.String("scheme", "dichotomy", "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
 		workers   = flag.Int("workers", 0, "per-query verification parallelism (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 1, "hash-partition the collection into this many scatter-gather shards (<2 = one shard, no scatter)")
+		shards    = flag.Int("shards", 1, "split each search into this many concurrent set-id ranges of the one index (<2 = one range, no split)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (negative disables)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 2*GOMAXPROCS)")
 		cacheSize = flag.Int("cache-size", 1024, "result cache entries (negative disables)")

@@ -17,10 +17,10 @@ var ErrNoDataDir = errors.New("silkmoth: durability not enabled (Config.DataDir 
 
 // newDurableEngine opens (or initializes) the snapshot/WAL store on fsys
 // and returns a recovered or bootstrapped engine. When the store holds a
-// snapshot, the engine is reconstructed from it — no re-tokenization, and
-// for a single-shard engine no re-indexing either — and the paired log is
-// replayed over it; otherwise build supplies a fresh engine and the
-// initial snapshot is written before the first mutation can be logged.
+// snapshot, the engine is reconstructed from it — no re-tokenization and,
+// at any shard count, no re-indexing — and the paired log is replayed over
+// it; otherwise build supplies a fresh engine and the initial snapshot is
+// written before the first mutation can be logged.
 func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*Engine, error) {
 	st, err := wal.Open(fsys)
 	if err != nil {
@@ -87,8 +87,8 @@ func (e *Engine) finishRecovery(st *wal.Store) error {
 
 // engineFromSnapshot reconstructs an engine from a loaded snapshot image:
 // collection and dictionary as persisted (dead slots empty, ids intact for
-// WAL replay), tombstones restored, and the inverted index imported or
-// rebuilt as the shard set decides.
+// WAL replay), tombstones restored, and the inverted index imported (or
+// built, for an image that carries none).
 func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error) {
 	opts, err := cfg.coreOptions()
 	if err != nil {
@@ -176,9 +176,9 @@ func (e *Engine) Snapshot() error {
 	return e.writeSnapshotLocked()
 }
 
-// writeSnapshotLocked persists the shard set's durable image (which
-// decides what it carries: see shard.Engine.SnapshotData). Callers hold the
-// write lock, which keeps mutations out while the writer reads the index.
+// writeSnapshotLocked persists the engine's durable image
+// (shard.Engine.SnapshotData). Callers hold the write lock, which keeps
+// mutations out while the writer reads the index.
 func (e *Engine) writeSnapshotLocked() error {
 	return e.store.WriteSnapshot(func(w io.Writer) error {
 		return dataset.SaveSnapshot(w, e.sh.SnapshotData())

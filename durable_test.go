@@ -158,10 +158,12 @@ func TestSnapshotDifferentialGrid(t *testing.T) {
 }
 
 // TestReshardAcrossReopen changes Config.Shards between runs of one data
-// directory: written by one shard (postings persisted), reopened by three
-// (postings ignored, per-shard rebuild) and mutated, snapshotted there (no
-// postings), and reopened by one shard again (index rebuilt). At every step
-// the engine must answer like a fresh volatile build over the survivors.
+// directory: written by one shard, reopened by three and mutated,
+// snapshotted there, and reopened by one shard again. Every snapshot
+// persists the one index, which serves every shard count: a compressed
+// reopen maps it instead of rebuilding, at three shards as at one. At every
+// step the engine must answer like a fresh volatile build over the
+// survivors.
 func TestReshardAcrossReopen(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compressed=%v", compressed), func(t *testing.T) {
@@ -199,6 +201,9 @@ func TestReshardAcrossReopen(t *testing.T) {
 			if st := three.Stats(); !st.RecoveredSnapshot || st.WALReplayed != 1 {
 				t.Fatalf("reopen at 3: stats %+v, want the snapshot plus one replayed record", st)
 			}
+			if compressed && runtime.GOOS == "linux" && !three.Stats().SnapshotMapped {
+				t.Error("the compressed reopen at 3 did not map the persisted postings")
+			}
 			must(three.Add([]Set{{Name: "I", Elements: []string{"Mass Ave", "Lake St Boston"}}}))
 			_, err := three.Update(3, Set{Name: "D+v2", Elements: []string{"Lake Shore Dr Chicago", "5th Ave"}})
 			must(err)
@@ -214,8 +219,7 @@ func TestReshardAcrossReopen(t *testing.T) {
 			if got := liveRaws(back); !rawSetsEqual(got, want) {
 				t.Fatalf("reopened at 1 with %v, want %v", setNames(got), setNames(want))
 			}
-			// The next snapshot persists postings again: a second open at
-			// one shard imports them.
+			// A second open at one shard imports its own snapshot's postings.
 			must(back.Snapshot())
 			must(back.Close())
 			again := open("reopened at 1 from its own snapshot", 1, nil)

@@ -20,14 +20,14 @@ import (
 // block each other: the token dictionary is internally synchronized, so
 // parallel searches proceed without a shared engine lock.
 //
-// An Engine is a set of Config.Shards ≥ 1 independently indexed shards
-// over a hash-partitioned collection. With one shard (the default) a query
-// is a single pass on the caller's goroutine; with more, every query
-// scatter-gathers across them. The API and results are the same at every
-// shard count.
+// An Engine holds one inverted index over its collection. Config.Shards ≥ 1
+// is the number of set-id ranges a search's candidate work splits into:
+// with one (the default) a search is a single pass on the caller's
+// goroutine; with more, the ranges run concurrently after one shared
+// signature. The API and results are the same at every shard count.
 type Engine struct {
 	sh *shard.Engine
-	// coll is sh's global collection, under the ids the API speaks.
+	// coll is sh's collection, under the ids the API speaks.
 	coll *dataset.Collection
 	// mu serializes mutations (Add, Delete, Update, Compact) against
 	// queries: mutators take the write side, queries the read side —
@@ -49,7 +49,8 @@ type Engine struct {
 }
 
 // NewEngine tokenizes the collection according to cfg and builds the
-// per-shard inverted indexes over it, in parallel.
+// inverted index over it, its lists filled from Config.Shards set-id ranges
+// in parallel.
 //
 // With Config.DataDir set, NewEngine is also the recovery entry point: if
 // the directory holds durable state, that state wins — sets is ignored and
@@ -152,7 +153,7 @@ func (e *Engine) Search(ref Set, opts ...QueryOption) ([]Match, error) {
 // SearchContext is Search with cancellation: the pass aborts and returns
 // ctx.Err() when ctx is done. On a single-shard engine with
 // Config.Concurrency > 1 the pass's candidate verification is spread
-// across a worker pool; with more shards the scatter is the query's
+// across a worker pool; with more shards the set-id ranges are the query's
 // parallelism.
 func (e *Engine) SearchContext(ctx context.Context, ref Set, opts ...QueryOption) ([]Match, error) {
 	res, err := e.searchResult(ctx, ref, opts, false)
@@ -215,7 +216,7 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 
 // toMatches rewrites core matches into the public form, resolving names
 // from the engine's collection — the one post-processing step every search
-// path shares. The order is the shard set's: canonical (descending
+// path shares. The order is the shard engine's: canonical (descending
 // relatedness, ties by ascending index). Callers must hold at least the
 // read lock.
 func (e *Engine) toMatches(ms []core.Match) []Match {
@@ -295,7 +296,7 @@ func (e *Engine) DiscoverAgainstContext(ctx context.Context, refs []Set, opts ..
 }
 
 // toPairs rewrites core pairs into the public form, keeping the shard
-// set's (R, S) order.
+// engine's (R, S) order.
 func (e *Engine) toPairs(ps []core.Pair, refs *dataset.Collection) []Pair {
 	out := make([]Pair, len(ps))
 	for i, p := range ps {
@@ -326,8 +327,8 @@ func (e *Engine) SetName(i int) string {
 	return e.coll.Sets[i].Name
 }
 
-// Stats returns the engine's cumulative pruning funnel, summed across
-// shards, and collection lifecycle counters.
+// Stats returns the engine's cumulative pruning funnel and collection
+// lifecycle counters.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -19,9 +19,9 @@ func (e *Engine) SearchTopK(ref Set, k int, opts ...QueryOption) ([]Match, error
 	return e.SearchTopKContext(context.Background(), ref, k, opts...)
 }
 
-// SearchTopKContext is SearchTopK with cancellation. Each shard
-// contributes its local top k and a heap merge selects the global winners,
-// so the answer costs k·Shards merged candidates instead of a full sort.
+// SearchTopKContext is SearchTopK with cancellation. Each set-id range
+// contributes its local top k and a heap merge selects the winners, so the
+// answer costs k·Shards merged candidates instead of a full sort.
 func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...QueryOption) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -55,9 +55,9 @@ func (e *Engine) Add(sets []Set) error {
 
 // SaveCollection writes the engine's persisted image to w: byte for byte
 // the snapshot file Snapshot would write under Config.DataDir at the same
-// state — tokenized sets, tombstones, and (at one shard) the inverted
-// index. Reload it with NewEngineFromSaved to skip re-tokenizing, and at
-// one shard re-indexing, a large corpus.
+// state — tokenized sets, tombstones, and the inverted index. Reload it
+// with NewEngineFromSaved, at any shard count, to skip re-tokenizing and
+// re-indexing a large corpus.
 //
 // A mutated engine saves compacted — the token table is pruned to what
 // live sets use and deleted sets persist as empty placeholders — so set

@@ -68,7 +68,7 @@ type Pair struct {
 // Engine runs related-set search passes against one indexed collection.
 // It is safe for concurrent use once built. Mutations — AppendSets,
 // Delete, Compact — must be serialized against queries by the caller
-// (the public silkmoth.Engine and the sharded engine hold a write lock
+// (the public silkmoth.Engine and the shard engine hold a write lock
 // around them).
 type Engine struct {
 	opts Options
@@ -218,7 +218,7 @@ func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]Match, er
 		return nil, err
 	}
 	sr := e.NewSearcher()
-	ms, err := e.searchPass(ctx, r, -1, sr.w, true, nil)
+	ms, err := e.searchPass(ctx, r, -1, sr.w, true, nil, nil, nil)
 	sr.Close()
 	return ms, err
 }
@@ -227,10 +227,10 @@ func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]Match, er
 // per-pass scratch (candidate collector, nearest-neighbor searcher,
 // signature selector, verification scratch, funnel record) across calls. It
 // is the building block for callers that drive many passes themselves —
-// Discover's workers, the sharded scatter-gather engine, and the public
-// batch API. A Searcher is not safe for concurrent use; create one per
-// goroutine and Close it when done so its counters reach the engine and
-// its scratch returns to the engine's pool.
+// Discover's workers, a split pass's ranges, and the batch API. A Searcher
+// is not safe for concurrent use; create one per goroutine and Close it
+// when done so its counters reach the engine and its scratch returns to the
+// engine's pool.
 type Searcher struct {
 	e *Engine
 	w *worker
@@ -250,7 +250,7 @@ func (e *Engine) NewSearcher() *Searcher {
 // runs serially within the pass: callers parallelize across passes, not
 // within them.
 func (s *Searcher) Search(ctx context.Context, r *dataset.Set, skip int) ([]Match, error) {
-	return s.e.searchPass(ctx, r, skip, s.w, false, nil)
+	return s.e.searchPass(ctx, r, skip, s.w, false, nil, nil, nil)
 }
 
 // Close folds the worker's running total into the engine's counters,

@@ -329,7 +329,7 @@ func TestMemoLazyAllocGate(t *testing.T) {
 	a0 := totalAlloc()
 	w := eng.newWorker()
 	a1 := totalAlloc()
-	if _, err := eng.searchPass(context.Background(), &coll.Sets[0], -1, w, false, nil); err != nil {
+	if _, err := eng.searchPass(context.Background(), &coll.Sets[0], -1, w, false, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	a2 := totalAlloc()

@@ -56,10 +56,10 @@
 // pass and once per retiring worker, never per stage or candidate.
 //
 // To add a counter: declare the field in Funnel, add its line to
-// Funnel.Add, and charge it where the work happens (w.pass.X += n). The
-// shard sum, Stats and every capture pick it up through Add; the public
-// silkmoth.Stats/Explain lowering in the root package decides whether to
-// surface it.
+// Funnel.Add, and charge it where the work happens (w.pass.X += n). A
+// split pass's ranges, Stats and every capture pick it up through Add; the
+// public silkmoth.Stats/Explain lowering in the root package decides whether
+// to surface it.
 package core
 
 import (

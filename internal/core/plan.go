@@ -4,9 +4,11 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/filter"
+	"silkmoth/internal/index"
 	"silkmoth/internal/signature"
 )
 
@@ -115,6 +117,9 @@ type plan struct {
 	// Options.StageSample, or unconditionally when the query carries a
 	// capture.
 	timed bool
+	// lo and hi, when hi > 0, restrict candidates to the set ids [lo, hi):
+	// the slice of the collection one range of a split pass works on.
+	lo, hi int32
 
 	pruneThreshold float64
 	sig            *signature.Signature
@@ -132,8 +137,12 @@ type plan struct {
 // overrides scheme/δ/filters for this pass and captures its funnel. A pass
 // that saw a posting container fail to decode returns ErrPostingDecode.
 //
+// With a non-nil per the pass is split: after the one signature, its
+// candidate work runs once per set-id range (split), range k's matches land
+// in per[k] and its wall time in nanos[k], and the first result is nil.
+//
 //silkmoth:hotpath
-func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, parallelOK bool, q *Query) ([]Match, error) {
+func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, parallelOK bool, q *Query, per [][]Match, nanos []int64) ([]Match, error) {
 	var capture *Capture
 	if q != nil {
 		capture = q.Stats
@@ -169,18 +178,10 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 	lt := startLaps(p.timed)
 	signatured := p.buildSignature()
 	f.SigNanos += lt.lap()
-	if signatured {
-		p.collect()
-		f.CollectNanos += lt.lap()
-		p.prepareRefine()
-		// Floor precomputation belongs to refinement; the per-candidate
-		// NN-filter/verify split is timed inside refineAndVerify.
-		f.RefineNanos += lt.lap()
-		ms, err = p.verifyAll(ctx)
+	if per != nil {
+		err = p.split(ctx, signatured, per, nanos)
 	} else {
-		ms, err = p.fullScan(ctx)
-		// The signatureless fallback is all verification.
-		f.VerifyNanos += lt.lap()
+		ms, err = p.body(ctx, signatured, lt)
 	}
 	if p.timed {
 		e.observeStages(f)
@@ -190,6 +191,95 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 		return nil, ErrPostingDecode
 	}
 	return ms, err
+}
+
+// body runs the stages after the signature on the plan's worker, over its
+// set range: collect, refine and verify, or the full scan when there is no
+// signature. lt carries on timing from where the caller left it.
+//
+//silkmoth:hotpath
+func (p *plan) body(ctx context.Context, signatured bool, lt lapTimer) ([]Match, error) {
+	f := &p.w.pass
+	if !signatured {
+		ms, err := p.fullScan(ctx)
+		// The signatureless fallback is all verification.
+		f.VerifyNanos += lt.lap()
+		return ms, err
+	}
+	p.collect()
+	f.CollectNanos += lt.lap()
+	p.prepareRefine()
+	// Floor precomputation belongs to refinement; the per-candidate
+	// NN-filter/verify split is timed inside refineAndVerify.
+	f.RefineNanos += lt.lap()
+	return p.verifyAll(ctx)
+}
+
+// split runs the pass body once per set-id range, concurrently: range k is
+// index.Range(k, len(per), slots) of the collection's slots. Each non-empty
+// range runs on a goroutine of its own, range 0 with the pass's own worker
+// and every other with a pooled searcher's; each reads the one signature
+// and verifies serially, the split being the pass's parallelism.
+// Once the goroutines are joined the borrowed workers' records join the
+// pass's, as verifyParallel's do, so the query still counts one pass. A
+// range fails only when ctx is done, which every range polls itself.
+func (p *plan) split(ctx context.Context, signatured bool, per [][]Match, nanos []int64) error {
+	e, n := p.e, len(per)
+	slots := len(e.coll.Sets)
+	runs := make([]rangeRun, n)
+	run := func(k int) {
+		start := time.Now()
+		r := &runs[k]
+		per[k], r.err = r.p.body(ctx, signatured, startLaps(r.p.timed))
+		nanos[k] = int64(time.Since(start))
+	}
+	// Every range gets a goroutine and this one only waits. The runtime
+	// queues a new goroutine in its creator's run-next slot, which idle Ps
+	// steal from only after a delay, so a range run on this goroutine would
+	// hold up the range started last. Started last, range 0 takes that slot
+	// and runs as soon as this goroutine waits.
+	var wg sync.WaitGroup
+	for k := n - 1; k >= 0; k-- {
+		lo, hi := index.Range(k, n, slots)
+		if lo == hi {
+			continue
+		}
+		r := &runs[k]
+		r.p = *p
+		r.p.parallelOK, r.p.lo, r.p.hi = false, int32(lo), int32(hi)
+		if k > 0 {
+			r.sr = e.NewSearcher()
+			r.p.w = r.sr.w
+			r.p.w.acc = p.w.acc // the pass's acceptance test: selfSkip, |R|, δ
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(k)
+		}()
+	}
+	wg.Wait()
+	var err error
+	for i := range runs {
+		r := &runs[i]
+		if r.err != nil {
+			err = r.err
+		}
+		if r.sr != nil {
+			p.w.pass.Add(&r.sr.w.pass)
+			r.sr.w.pass = Funnel{}
+			r.sr.Close()
+		}
+	}
+	return err
+}
+
+// rangeRun is one range of a split pass: its plan, its error, and the
+// searcher it borrowed (nil for range 0, which uses the pass's worker).
+type rangeRun struct {
+	p   plan
+	err error
+	sr  *Searcher
 }
 
 // endPass folds the worker's record of the pass that just ended — on any
@@ -241,12 +331,16 @@ func (p *plan) buildSignature() bool {
 	return true
 }
 
-// fullScan compares r against every acceptable set — the signatureless
-// fallback.
+// fullScan compares r against every acceptable set of the plan's range —
+// the signatureless fallback.
 func (p *plan) fullScan(ctx context.Context) ([]Match, error) {
 	e, w := p.e, p.w
 	var out []Match
-	for s := range e.coll.Sets {
+	lo, hi := int(p.lo), len(e.coll.Sets)
+	if p.hi > 0 {
+		hi = int(p.hi)
+	}
+	for s := lo; s < hi; s++ {
 		if s%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -274,6 +368,8 @@ func (p *plan) collect() {
 		Accept:         w.acceptFn,
 		CheckFilter:    p.opts.CheckFilter,
 		PruneThreshold: p.pruneThreshold,
+		Lo:             p.lo,
+		Hi:             p.hi,
 	})
 	p.cands = cands
 	w.chargeSim(w.cl.TakeSimCounts())

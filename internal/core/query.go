@@ -36,11 +36,11 @@ func (t Toggle) apply(configured bool) bool {
 }
 
 // Query carries one query's overrides and observation hooks through every
-// engine path — serial passes, sharded scatter-gather, batch fan-out. A nil
+// engine path — serial passes, split passes, batch fan-out. A nil
 // *Query (or the zero value) reproduces the engine's configured behavior
 // exactly. Queries are read-only during execution and may be shared across
-// the concurrent passes of one logical query (each shard of a scatter, each
-// reference of a discovery); the Stats capture is internally synchronized.
+// the concurrent passes of one logical query (each reference of a
+// discovery); the Stats capture is internally synchronized.
 type Query struct {
 	// Scheme, when SchemeSet, overrides the engine's signature scheme for
 	// this query. Schemes only decide how the index is probed, so results
@@ -62,7 +62,7 @@ type Query struct {
 	// Stats, when non-nil, captures this query's own per-stage funnel in
 	// addition to the engine's cumulative counters: every pass the query
 	// fans out into folds its record in as it ends, so one Capture may
-	// absorb a whole scatter-gather, discovery or batch.
+	// absorb a whole discovery or batch.
 	Stats *Capture
 }
 
@@ -125,14 +125,36 @@ func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *Quer
 		return nil, err
 	}
 	sr := e.NewSearcher()
-	ms, err := e.searchPass(ctx, r, -1, sr.w, true, q)
+	ms, err := e.searchPass(ctx, r, -1, sr.w, true, q, nil, nil)
 	sr.Close()
 	return ms, err
+}
+
+// SearchRangesContext is SearchQueryContext with the pass's candidate work
+// split into len(per) contiguous set-id ranges: range k is
+// index.Range(k, len(per), slots) over the collection's slots, computed at
+// the call. The signature is generated once — under scheme Auto that is one
+// choice for the whole query — and each range collects, refines and verifies
+// its own candidates concurrently, through cursors cut to the range. Range
+// k's matches land in per[k], in the pass's native order, and its wall time
+// in nanos[k] (which must be as long as per); an empty range is skipped.
+// The query counts one pass, which all the ranges' work is charged to.
+func (e *Engine) SearchRangesContext(ctx context.Context, r *dataset.Set, q *Query, per [][]Match, nanos []int64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	sr := e.NewSearcher()
+	_, err := e.searchPass(ctx, r, -1, sr.w, false, q, per, nanos)
+	sr.Close()
+	return err
 }
 
 // SearchQuery runs one search pass for r under q's overrides, excluding
 // candidate sets with collection index ≤ skip. It is Searcher.Search with
 // per-query overrides; a nil q is exactly Search.
 func (s *Searcher) SearchQuery(ctx context.Context, r *dataset.Set, skip int, q *Query) ([]Match, error) {
-	return s.e.searchPass(ctx, r, skip, s.w, false, q)
+	return s.e.searchPass(ctx, r, skip, s.w, false, q, nil, nil)
 }

@@ -15,7 +15,7 @@ import (
 // package comment's "Counters" section for who charges and who folds it.
 type Funnel struct {
 	// SearchPasses is the number of search passes run (for a query's
-	// capture: shards × references).
+	// capture: one per reference; a split pass counts once).
 	SearchPasses int64
 	// FullScans counts passes that fell back to comparing every set
 	// because no valid signature existed (edit similarity, §7.3).
@@ -57,8 +57,8 @@ type Funnel struct {
 	SimBounded  int64
 	// Scheme* count signatured passes by the concrete scheme that
 	// generated the probe signature. Under Scheme Auto they expose the
-	// per-query cost-based selection (per-shard choices may differ); under
-	// a fixed scheme exactly one of them grows.
+	// per-query cost-based selection, one per pass however it splits;
+	// under a fixed scheme exactly one of them grows.
 	SchemeWeighted       int64
 	SchemeCombUnweighted int64
 	SchemeSkyline        int64
@@ -75,8 +75,8 @@ type Funnel struct {
 }
 
 // Add folds g into f. Besides the declaration it is the only list of the
-// fields in internal/core and internal/shard: a new counter is one field,
-// one line here, and the line that charges it.
+// fields in internal/core: a new counter is one field, one line here, and
+// the line that charges it.
 func (f *Funnel) Add(g *Funnel) {
 	f.SearchPasses += g.SearchPasses
 	f.FullScans += g.FullScans
@@ -111,8 +111,8 @@ func (f Funnel) String() string {
 // Capture is a Funnel that goroutines fold finished records into under
 // one lock: an engine's cumulative counters (every Searcher.Close), or
 // the funnel of one logical query hung off Query.Stats (every pass the
-// query fans out into — each shard of a scatter, each reference of a
-// discovery or batch). The zero value is ready to use.
+// query fans out into — each reference of a discovery or batch). The zero
+// value is ready to use.
 type Capture struct {
 	mu      sync.Mutex
 	funnel  Funnel

@@ -107,6 +107,20 @@ type Options struct {
 	// PruneThreshold is the score bound below which a candidate may be
 	// discarded (θ minus the engine's pruning slack).
 	PruneThreshold float64
+	// Lo and Hi, when Hi > 0, restrict the pass to the sets with ids in
+	// [Lo, Hi): every posting list is read through a cursor cut to that
+	// range (index.RangeCursor). Hi = 0 reads whole lists.
+	Lo, Hi int32
+}
+
+// cursor opens token t's posting list for a pass under opts.
+//
+//silkmoth:hotpath
+func (cl *Collector) cursor(t tokens.ID, opts *Options) index.Cursor {
+	if opts.Hi == 0 {
+		return cl.ix.Cursor(t)
+	}
+	return cl.ix.RangeCursor(t, opts.Lo, opts.Hi)
 }
 
 // Collector runs candidate selection over one inverted index, keeping all
@@ -237,7 +251,7 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 	}
 	n := len(r.Elements)
 	if cl.fromOverlap != nil && opts.CheckFilter {
-		cl.collectCounted(r, sig, phi, opts.Accept)
+		cl.collectCounted(r, sig, phi, &opts)
 		return cl.finish(n, sig, opts)
 	}
 	dir := cl.ix.Directory()
@@ -258,7 +272,7 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 			// Cursor instead of List: a compressed index streams huge cold
 			// lists straight off the container bytes instead of
 			// materializing them for one pass.
-			cur := cl.ix.Cursor(t)
+			cur := cl.cursor(t, &opts)
 			for {
 				p, ok := cur.Next()
 				if !ok {
@@ -426,8 +440,9 @@ func lenWindow(ub sim.LenBoundFunc, lr int32, bound float64) (lo, hi int32) {
 // the bound of an empty L_i, which any signature supports.
 //
 //silkmoth:hotpath
-func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, phi SimFunc, accept func(set int32) bool) {
+func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, phi SimFunc, opts *Options) {
 	coll := cl.ix.Collection()
+	accept := opts.Accept
 	n := len(r.Elements)
 	dir := cl.ix.Directory()
 	state, epoch := cl.state, cl.epoch
@@ -448,7 +463,7 @@ func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, ph
 		}
 		at, cur := cl.headAt[:0], cl.headCur[:0]
 		for _, t := range esig.Tokens {
-			c := cl.ix.Cursor(t)
+			c := cl.cursor(t, opts)
 			if p, ok := c.Next(); ok {
 				at, cur = append(at, pairOf(p)), append(cur, c)
 			}

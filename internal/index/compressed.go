@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math"
+	"sort"
 	"sync"
 
 	"silkmoth/internal/dataset"
@@ -17,9 +19,21 @@ const DefaultPostingCacheBytes = 64 << 20
 // cacheBytes bounds the LRU of materialized hot lists; <= 0 selects
 // DefaultPostingCacheBytes.
 func BuildCompressed(c *dataset.Collection, cacheBytes int64) *Inverted {
-	ix := &Inverted{coll: c, dir: buildDirectory(c), compress: true, cache: newListCache(cacheBytes)}
-	ix.adoptCompressed(buildLists(c))
+	ix := Build(c)
+	ix.Compress(cacheBytes)
 	return ix
+}
+
+// Compress turns a heap-form index into the compressed form BuildCompressed
+// builds, encoding its lists as containers and dropping them; cacheBytes as
+// in BuildCompressed. No-op on a compressed index. Not safe concurrently
+// with readers.
+func (ix *Inverted) Compress(cacheBytes int64) {
+	if ix.compress {
+		return
+	}
+	ix.compress, ix.cache = true, newListCache(cacheBytes)
+	ix.adoptCompressed(ix.lists)
 }
 
 // FromContainers wraps a loaded snapshot's container store as an index over
@@ -160,7 +174,7 @@ func (ix *Inverted) SetRangeInto(t tokens.ID, set int32, scratch []Posting) (res
 // it to be materialized: heap and cached lists are walked as slices, and
 // large cold containers are streamed directly off the compressed bytes.
 // The zero Cursor is an exhausted cursor. Not safe for concurrent use;
-// obtain with Inverted.Cursor.
+// obtain with Inverted.Cursor or Inverted.RangeCursor.
 type Cursor struct {
 	slice  []Posting
 	i      int
@@ -168,6 +182,8 @@ type Cursor struct {
 	it     dataset.PostingIter
 	extras []Posting // streamed after the container's postings
 	ix     *Inverted // decode-error accounting for the stream path
+	// lo and hi bound a stream to the sets [lo, hi); a slice is cut instead.
+	lo, hi int32
 }
 
 // Cursor returns a cursor over I[t]. Lists already materialized (heap form,
@@ -207,7 +223,34 @@ func (ix *Inverted) Cursor(t tokens.ID) Cursor {
 		return Cursor{slice: ix.materialize(int(t))}
 	}
 	pl := dataset.NewPostingList(blob, ix.encBase())
-	return Cursor{stream: true, it: pl.Iter(), extras: ex, ix: ix}
+	return Cursor{stream: true, it: pl.Iter(), extras: ex, ix: ix, hi: math.MaxInt32}
+}
+
+// RangeCursor is Cursor over the postings of I[t] whose set lies in
+// [lo, hi). A list the cursor walks as a slice is cut to the range by two
+// binary searches, so its postings carry no per-posting test; a streamed
+// container decodes its way to lo and stops at the first posting past hi.
+func (ix *Inverted) RangeCursor(t tokens.ID, lo, hi int32) Cursor {
+	c := ix.Cursor(t)
+	if c.stream {
+		c.lo, c.hi = lo, hi
+		c.extras = cutSets(c.extras, lo, hi)
+	} else {
+		c.slice = cutSets(c.slice, lo, hi)
+	}
+	return c
+}
+
+// cutSets returns the postings of a sorted list whose set lies in [lo, hi).
+// An end the list does not reach is not searched for.
+func cutSets(l []Posting, lo, hi int32) []Posting {
+	if len(l) > 0 && l[0].Set < lo {
+		l = l[sort.Search(len(l), func(i int) bool { return l[i].Set >= lo }):]
+	}
+	if len(l) > 0 && l[len(l)-1].Set >= hi {
+		l = l[:sort.Search(len(l), func(i int) bool { return l[i].Set >= hi })]
+	}
+	return l
 }
 
 // Next returns the next posting, or ok=false when the list is exhausted.
@@ -222,9 +265,14 @@ func (c *Cursor) Next() (Posting, bool) {
 		c.i++
 		return p, true
 	}
-	p, ok := c.it.Next()
-	if ok {
-		return p, true
+	for {
+		p, ok := c.it.Next()
+		if !ok || p.Set >= c.hi {
+			break
+		}
+		if p.Set >= c.lo {
+			return p, true
+		}
 	}
 	if c.it.Err() != nil {
 		c.ix.decodeErrs.Add(1)

@@ -45,7 +45,8 @@ func synthCorpusVocab(nSets, rareVocab int, seed int64) (*dataset.Collection, *t
 }
 
 // requireSameIndex asserts got answers every read entry point — ListLen,
-// List, Cursor, SetRange, SetRangeInto, TotalPostings — identically to want,
+// List, Cursor, RangeCursor, SetRange, SetRangeInto, TotalPostings —
+// identically to want,
 // and that both indexes' element directories are what their collection says
 // (CheckDirectory), whatever sequence of Build, AppendSets and Rebuild made
 // them.
@@ -91,6 +92,23 @@ func requireSameIndex(t *testing.T, stage string, want, got *Inverted) {
 			}
 			if i >= len(wl) || p != wl[i] {
 				t.Fatalf("%s: token %d: cursor posting %d = %+v", stage, tid, i, p)
+			}
+		}
+		for k := 0; k < 3; k++ {
+			lo, hi := Range(k, 3, int(numSets)+1)
+			cur := got.RangeCursor(id, int32(lo), int32(hi))
+			i := 0
+			for _, w := range wl {
+				if w.Set < int32(lo) || w.Set >= int32(hi) {
+					continue
+				}
+				if p, ok := cur.Next(); !ok || p != w {
+					t.Fatalf("%s: token %d: range [%d, %d) cursor posting %d = %+v, %v; want %+v", stage, tid, lo, hi, i, p, ok, w)
+				}
+				i++
+			}
+			if p, ok := cur.Next(); ok {
+				t.Fatalf("%s: token %d: range [%d, %d) cursor runs on to %+v", stage, tid, lo, hi, p)
 			}
 		}
 		for set := int32(0); set <= numSets; set++ {

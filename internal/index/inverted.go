@@ -19,6 +19,7 @@ package index
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"silkmoth/internal/dataset"
@@ -70,35 +71,83 @@ type Inverted struct {
 // are deduplicated (dataset builders guarantee this), so each ⟨set, elem⟩
 // appears at most once per list, matching the paper's deduplicated index
 // (footnote 4).
-func Build(c *dataset.Collection) *Inverted {
-	return &Inverted{lists: buildLists(c), coll: c, dir: buildDirectory(c)}
+func Build(c *dataset.Collection) *Inverted { return BuildParallel(c, 1) }
+
+// BuildParallel is Build with the posting lists filled by parts goroutines,
+// one per contiguous set-id range (Range); the lists are Build's, posting for
+// posting. parts < 2 is Build.
+func BuildParallel(c *dataset.Collection, parts int) *Inverted {
+	return &Inverted{lists: buildLists(c, parts), coll: c, dir: buildDirectory(c)}
 }
 
-// buildLists computes the heap posting lists of c.
-func buildLists(c *dataset.Collection) [][]Posting {
-	// First pass: list lengths, so each list is allocated exactly once.
-	counts := make([]int32, c.Dict.Size())
-	for i := range c.Sets {
-		for j := range c.Sets[i].Elements {
-			for _, t := range c.Sets[i].Elements[j].Tokens {
-				counts[t]++
+// Range returns the k-th of parts contiguous ranges that cut the set ids
+// [0, n): [k·n/parts, (k+1)·n/parts).
+func Range(k, parts, n int) (lo, hi int) { return k * n / parts, (k + 1) * n / parts }
+
+// buildLists computes the heap posting lists of c. Each of parts set-id
+// ranges first counts its postings per token; a prefix sum over the ranges
+// turns the counts into every range's offset in each list, so each list is
+// allocated once at its exact length and the ranges then fill their slices
+// of it concurrently. Ranges are contiguous in set id, so every list comes
+// out (Set, Elem)-sorted.
+func buildLists(c *dataset.Collection, parts int) [][]Posting {
+	nt, n := c.Dict.Size(), len(c.Sets)
+	parts = max(1, min(parts, n))
+	// at[k][t] is range k's posting count of token t, then its next write
+	// offset in lists[t].
+	at := make([][]int32, parts)
+	inRanges(n, parts, func(k, lo, hi int) {
+		counts := make([]int32, nt)
+		for i := lo; i < hi; i++ {
+			for j := range c.Sets[i].Elements {
+				for _, t := range c.Sets[i].Elements[j].Tokens {
+					counts[t]++
+				}
 			}
 		}
-	}
-	lists := make([][]Posting, c.Dict.Size())
-	for t, n := range counts {
-		if n > 0 {
-			lists[t] = make([]Posting, 0, n)
+		at[k] = counts
+	})
+	lists := make([][]Posting, nt)
+	for t := range lists {
+		var total int32
+		for _, counts := range at {
+			total, counts[t] = total+counts[t], total
+		}
+		if total > 0 {
+			lists[t] = make([]Posting, total)
 		}
 	}
-	for i := range c.Sets {
-		for j := range c.Sets[i].Elements {
-			for _, t := range c.Sets[i].Elements[j].Tokens {
-				lists[t] = append(lists[t], Posting{Set: int32(i), Elem: int32(j)})
+	inRanges(n, parts, func(k, lo, hi int) {
+		next := at[k]
+		for i := lo; i < hi; i++ {
+			for j := range c.Sets[i].Elements {
+				for _, t := range c.Sets[i].Elements[j].Tokens {
+					lists[t][next[t]] = Posting{Set: int32(i), Elem: int32(j)}
+					next[t]++
+				}
 			}
 		}
-	}
+	})
 	return lists
+}
+
+// inRanges runs fn(k, lo, hi) for each of the parts ranges Range cuts [0, n)
+// into, on one goroutine per range when there is more than one.
+func inRanges(n, parts int, fn func(k, lo, hi int)) {
+	if parts == 1 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < parts; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := Range(k, parts, n)
+			fn(k, lo, hi)
+		}()
+	}
+	wg.Wait()
 }
 
 // FromLists wraps imported posting lists (a loaded snapshot's) as an index
@@ -228,7 +277,7 @@ func (ix *Inverted) addCompressed(t tokens.ID, p Posting) {
 // rebuilds heap lists. Not safe concurrently with readers.
 func (ix *Inverted) Rebuild() {
 	ix.dir = buildDirectory(ix.coll)
-	lists := buildLists(ix.coll)
+	lists := buildLists(ix.coll, 1)
 	if ix.compress {
 		ix.adoptCompressed(lists)
 		return

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"silkmoth/internal/dataset"
@@ -229,4 +231,24 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	requireDrift("a set's elements dropped under the index", true)
 	ix.Rebuild()
 	requireDrift("after Rebuild", false)
+}
+
+// TestBuildParallelEqualsBuild: filling the lists from contiguous set-id
+// ranges concurrently gives Build's lists posting for posting, in either
+// form, whatever the range count — including more ranges than sets.
+func TestBuildParallelEqualsBuild(t *testing.T) {
+	coll, _ := synthCorpus(90, 7)
+	serial := Build(coll)
+	for _, parts := range []int{1, 2, 7, 200} {
+		px := BuildParallel(coll, parts)
+		stage := fmt.Sprintf("parts=%d", parts)
+		for tid, want := range serial.lists {
+			if got := px.lists[tid]; cap(got) != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("%s: token %d: list %v (cap %d), want %v", stage, tid, got, cap(got), want)
+			}
+		}
+		requireSameIndex(t, stage, serial, px)
+		px.Compress(0)
+		requireSameIndex(t, stage+" compressed", serial, px)
+	}
 }

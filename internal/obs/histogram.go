@@ -23,8 +23,8 @@ import (
 // one more.
 //
 // Bounds are log-spaced powers of two from 1µs to ~67s (1µs<<26): wide
-// enough to cover a sub-microsecond plan stage and a straggling
-// scatter-gather shard in the same shape, with constant-time bucketing
+// enough to cover a sub-microsecond plan stage and a straggling set-id
+// range of a split search in the same shape, with constant-time bucketing
 // (one bit-length instruction, no search).
 const (
 	NumBounds  = 27
@@ -97,8 +97,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a Histogram, mergeable
-// across shards.
+// HistogramSnapshot is a point-in-time copy of a Histogram, mergeable with
+// others of the same shape.
 type HistogramSnapshot struct {
 	// Counts holds per-bucket observation counts: Counts[i] for bound
 	// BucketBounds()[i], Counts[NumBounds] for +Inf.
@@ -109,8 +109,8 @@ type HistogramSnapshot struct {
 	SumNanos int64
 }
 
-// Add folds another snapshot into s (merging per-shard histograms into an
-// engine-wide one).
+// Add folds another snapshot into s, as if o's observations had been made
+// on s's histogram.
 func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
 	for i := range s.Counts {
 		s.Counts[i] += o.Counts[i]

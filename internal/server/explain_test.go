@@ -56,8 +56,8 @@ func TestExplainEndpoint(t *testing.T) {
 			}
 			resp := decode[explainResponse](t, w)
 			checkFunnel(t, "post", resp.Explain)
-			if resp.Explain.Passes != int64(eng.Shards()) {
-				t.Fatalf("explain passes %d, want one per shard (%d)", resp.Explain.Passes, eng.Shards())
+			if resp.Explain.Passes != 1 {
+				t.Fatalf("explain passes %d, want one per query at %d shards", resp.Explain.Passes, eng.Shards())
 			}
 
 			plain := postJSON(t, s, "/v1/search", body)

@@ -1415,7 +1415,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_mutation_generation Mutations applied to the collection since startup.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_mutation_generation counter\n")
 		fmt.Fprintf(out, "silkmothd_mutation_generation %d\n", atomic.LoadInt64(&s.gen))
-		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Shards the collection is partitioned into.\n")
+		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Set-id ranges a search splits into (1 = no split).\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_shards gauge\n")
 		fmt.Fprintf(out, "silkmothd_engine_shards %d\n", s.eng.Shards())
 		fmt.Fprintf(out, "# HELP silkmothd_engine_search_passes_total Search passes run by the engine.\n")
@@ -1479,12 +1479,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			obs.WriteHistogram(out, "silkmothd_stage_seconds", fmt.Sprintf("stage=%q", st.name), snapFromPublic(st.h))
 		}
 		if shl := s.eng.ShardLatencies(); shl != nil {
-			obs.WriteHistogramHeader(out, "silkmothd_shard_seconds", "Per-shard scatter pass latency.")
+			obs.WriteHistogramHeader(out, "silkmothd_shard_seconds", "Per-range latency of split searches, by set-id range.")
 			for i, h := range shl {
 				obs.WriteHistogram(out, "silkmothd_shard_seconds", fmt.Sprintf("shard=\"%d\"", i), snapFromPublic(h))
 			}
 		}
-		fmt.Fprintf(out, "# HELP silkmothd_shard_stragglers_total Scatters whose slowest shard exceeded twice the median shard time.\n")
+		fmt.Fprintf(out, "# HELP silkmothd_shard_stragglers_total Split searches whose slowest set-id range exceeded twice the median range time.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_shard_stragglers_total counter\n")
 		fmt.Fprintf(out, "silkmothd_shard_stragglers_total %d\n", st.Stragglers)
 

@@ -11,13 +11,13 @@ import (
 
 // SearchBatchContext answers one search per reference set. Queries fan
 // out across Concurrency workers; each worker owns one reusable
-// core.Searcher per shard (verification runs serially within a pass, as
-// in Discover), so batch parallelism stays bounded at Concurrency instead
-// of compounding with per-pass verification fan-out, and the per-shard
-// collector scratch amortizes across the whole batch. Results are
-// positionally aligned with refs, each sorted by descending relatedness
-// (ties by global index), identical to running SearchContext per ref. The
-// first error aborts the whole batch; an item's own failure (see
+// core.Searcher and runs one whole-collection pass per reference, verifying
+// serially (as in Discover), so batch parallelism stays bounded at
+// Concurrency instead of compounding with a split or a parallel
+// verification, and the collector scratch amortizes across the whole batch.
+// Results are positionally aligned with refs, each sorted by descending
+// relatedness (ties by index), identical to running SearchContext per ref.
+// The first error aborts the whole batch; an item's own failure (see
 // SearchBatchQueries) fails it too.
 func (e *Engine) SearchBatchContext(ctx context.Context, refs []*dataset.Set) ([][]core.Match, error) {
 	out, itemErrs, err := e.SearchBatchQueries(ctx, refs, nil)
@@ -34,8 +34,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []*dataset.Set) ([
 // when non-nil, must align positionally with refs, and each item's passes
 // run under its own query (nil items inherit the engine's configuration).
 // An item whose query carries a Stats capture also gets its wall time
-// accumulated there (AddElapsed), measured around the item's full
-// cross-shard pass sequence.
+// accumulated there (AddElapsed), measured around the item's pass.
 //
 // An item whose pass read a corrupt posting container
 // (core.ErrPostingDecode) fails alone: it has no matches, its error is in
@@ -60,19 +59,14 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		return nil, nil, err
 	}
 
-	workers := Workers(e.opts.Concurrency, len(refs))
-	searchers := make([][]*core.Searcher, workers)
+	workers := Workers(e.eng.Options().Concurrency, len(refs))
+	searchers := make([]*core.Searcher, workers)
 	for w := range searchers {
-		searchers[w] = make([]*core.Searcher, e.nshards)
-		for s := range searchers[w] {
-			searchers[w][s] = e.engines[s].NewSearcher()
-		}
+		searchers[w] = e.eng.NewSearcher()
 	}
 	defer func() {
-		for _, ss := range searchers {
-			for _, sr := range ss {
-				sr.Close()
-			}
+		for _, sr := range searchers {
+			sr.Close()
 		}
 	}()
 
@@ -88,22 +82,13 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		if timed {
 			start = time.Now()
 		}
-		var ms []core.Match
-		for s := 0; s < e.nshards; s++ {
-			sm, err := searchers[w][s].SearchQuery(ctx, refs[qi], -1, q)
-			if errors.Is(err, core.ErrPostingDecode) {
-				itemErrs[qi] = err
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			e.toGlobal(s, sm)
-			if ms == nil {
-				ms = sm // the pass's own slice: one shard copies nothing
-			} else {
-				ms = append(ms, sm...)
-			}
+		ms, err := searchers[w].SearchQuery(ctx, refs[qi], -1, q)
+		if errors.Is(err, core.ErrPostingDecode) {
+			itemErrs[qi] = err
+			return nil
+		}
+		if err != nil {
+			return err
 		}
 		sortMatches(ms)
 		out[qi] = ms

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -8,6 +9,8 @@ import (
 	"silkmoth/internal/core"
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
+	"silkmoth/internal/index"
+	"silkmoth/internal/signature"
 	"silkmoth/internal/tokens"
 )
 
@@ -208,6 +211,219 @@ func TestDifferentialBatchMatchesSearch(t *testing.T) {
 			for i := range want {
 				if got[ri][i] != want[i] {
 					t.Fatalf("N=%d ref %d match %d: batch %+v, search %+v", n, ri, i, got[ri][i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// requireSameMatches fails unless got equals want exactly: indices, scores
+// bit for bit, order.
+func requireSameMatches(t *testing.T, label string, got, want []core.Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: match %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// rangeOf returns the range of n that set g falls in over slots slots.
+func rangeOf(g, n, slots int) int {
+	for k := 0; k < n; k++ {
+		if _, hi := index.Range(k, n, slots); g < hi {
+			return k
+		}
+	}
+	return n
+}
+
+// TestDifferentialRangeBoundaries repeats a corpus after itself, so every
+// set's twin sits on the far side of the middle: across the boundary of two
+// ranges and, at seven, of several. Discovery (which does not split) and
+// every search (which does) must still equal the serial engine's at
+// N ∈ {1, 2, 7}.
+func TestDifferentialRangeBoundaries(t *testing.T) {
+	ctx := context.Background()
+	half := corpusRaws(core.Jaccard, 11)
+	raws := append(append([]dataset.RawSet{}, half...), half...)
+	opts := jaccardOpts(3)
+	coll := buildColl(raws, core.Jaccard, opts.Delta, opts.Alpha)
+	serial, err := core.NewEngine(coll, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPairs, err := serial.DiscoverContext(ctx, coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortPairs(wantPairs)
+	for _, n := range diffShardCounts {
+		e, err := New(coll, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPairs, err := e.DiscoverContext(ctx, e.Collection())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotPairs) != len(wantPairs) {
+			t.Fatalf("N=%d: %d pairs, serial found %d", n, len(gotPairs), len(wantPairs))
+		}
+		straddling := 0
+		for i, p := range gotPairs {
+			if p != wantPairs[i] {
+				t.Fatalf("N=%d: pair %d = %+v, serial %+v", n, i, p, wantPairs[i])
+			}
+			if rangeOf(p.R, n, len(coll.Sets)) != rangeOf(p.S, n, len(coll.Sets)) {
+				straddling++
+			}
+		}
+		if n > 1 && straddling < len(half) {
+			t.Fatalf("N=%d: only %d of %d pairs straddle a range boundary; the corpus does not test them", n, straddling, len(gotPairs))
+		}
+		for ri := range coll.Sets {
+			want, err := serial.SearchContext(ctx, &coll.Sets[ri])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortMatches(want)
+			got, err := e.SearchContext(ctx, &coll.Sets[ri])
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameMatches(t, fmt.Sprintf("N=%d ref %d", n, ri), got, want)
+		}
+	}
+}
+
+// TestDifferentialReopenAtOtherShardCount writes the durable image of a
+// mutated compressed engine at two shards and reopens it at two and at
+// seven. The image holds the one index, which serves every shard count: the
+// reopened engines wrap its containers in place (SharesContainers) instead
+// of rebuilding, and answer exactly as the engine that wrote it.
+func TestDifferentialReopenAtOtherShardCount(t *testing.T) {
+	ctx := context.Background()
+	raws := corpusRaws(core.Jaccard, 5)
+	opts := jaccardOpts(2)
+	opts.CompressPostings = true
+	w, err := New(buildColl(raws[:60], core.Jaccard, opts.Delta, opts.Alpha), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Add(raws[60:])
+	for _, g := range []int{3, 31, 64} {
+		if err := w.Delete(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Compact()
+	var img bytes.Buffer
+	if err := dataset.SaveSnapshot(&img, w.SnapshotData()); err != nil {
+		t.Fatal(err)
+	}
+	wantPairs, err := w.DiscoverContext(ctx, w.Collection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 7} {
+		snap, err := dataset.LoadSnapshotBytes(img.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewFromSnapshot(snap, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.SharesContainers() {
+			t.Fatalf("reopened at %d: the index was rebuilt, not imported from the image", n)
+		}
+		gotPairs, err := e.DiscoverContext(ctx, e.Collection())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotPairs) == 0 || len(gotPairs) != len(wantPairs) {
+			t.Fatalf("reopened at %d: %d pairs, the writer found %d", n, len(gotPairs), len(wantPairs))
+		}
+		for i := range wantPairs {
+			if gotPairs[i] != wantPairs[i] {
+				t.Fatalf("reopened at %d: pair %d = %+v, the writer's %+v", n, i, gotPairs[i], wantPairs[i])
+			}
+		}
+		for g := 0; g < e.NumSlots(); g++ {
+			if e.Alive(g) != w.Alive(g) {
+				t.Fatalf("reopened at %d: set %d alive %v, the writer's %v", n, g, e.Alive(g), w.Alive(g))
+			}
+			if !e.Alive(g) {
+				continue
+			}
+			want, err := w.SearchTopKContext(ctx, &w.Collection().Sets[g], 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.SearchTopKContext(ctx, &e.Collection().Sets[g], 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameMatches(t, fmt.Sprintf("reopened at %d ref %d top-3", n, g), got, want)
+		}
+	}
+}
+
+// TestDifferentialFunnelAtEveryShardCount: a split search generates one
+// signature — under Auto, one choice — and cuts the same candidate work
+// into ranges, so its funnel is the unsplit pass's: candidates, check and
+// NN survivors, verifications, and the element pairs the filters looked
+// at. Only how the per-range memos split SimEvals from SimMemoHits may
+// differ.
+func TestDifferentialFunnelAtEveryShardCount(t *testing.T) {
+	ctx := context.Background()
+	raws := corpusRaws(core.Jaccard, 42)
+	for _, scheme := range []signature.Kind{signature.Dichotomy, signature.Auto} {
+		opts := jaccardOpts(3)
+		opts.Scheme = scheme
+		coll := buildColl(raws, core.Jaccard, opts.Delta, opts.Alpha)
+		funnel := func(n int) core.Funnel {
+			e, err := New(coll, n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := &core.Query{Stats: &core.Capture{}}
+			for ri := range coll.Sets {
+				if _, err := e.SearchQueryContext(ctx, &coll.Sets[ri], q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return q.Stats.Funnel()
+		}
+		one := funnel(1)
+		if one.Candidates == 0 || one.Verified == 0 {
+			t.Fatalf("%v: the workload exercised no funnel: %+v", scheme, one)
+		}
+		for _, n := range diffShardCounts[1:] {
+			got := funnel(n)
+			for _, c := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"SearchPasses", got.SearchPasses, one.SearchPasses},
+				{"SigTokens", got.SigTokens, one.SigTokens},
+				{"Candidates", got.Candidates, one.Candidates},
+				{"AfterCheck", got.AfterCheck, one.AfterCheck},
+				{"AfterNN", got.AfterNN, one.AfterNN},
+				{"Verified", got.Verified, one.Verified},
+				{"SimEvals+SimMemoHits", got.SimEvals + got.SimMemoHits, one.SimEvals + one.SimMemoHits},
+				{"SimCounted", got.SimCounted, one.SimCounted},
+				{"SimBounded", got.SimBounded, one.SimBounded},
+				{"SchemeWeighted", got.SchemeWeighted, one.SchemeWeighted},
+				{"SchemeSkyline", got.SchemeSkyline, one.SchemeSkyline},
+				{"SchemeDichotomy", got.SchemeDichotomy, one.SchemeDichotomy},
+			} {
+				if c.got != c.want {
+					t.Errorf("%v N=%d: %s = %d, one range's %d", scheme, n, c.name, c.got, c.want)
 				}
 			}
 		}

@@ -26,8 +26,8 @@ func Workers(requested, n int) int {
 // returned — preferring a real failure over the context.Canceled noise
 // that cancellation propagation causes in sibling workers. A fan-out of
 // one worker has no siblings to cancel or wait for: it runs on the
-// caller's goroutine under the caller's context. It is the one bounded
-// scatter-gather loop behind the engine's query paths.
+// caller's goroutine under the caller's context. It is the bounded fan-out
+// loop behind the batch path.
 func FanOut(parent context.Context, n, workers int, fn func(ctx context.Context, w, i int) error) error {
 	if err := parent.Err(); err != nil {
 		return err

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -18,7 +17,7 @@ import (
 // countdownCtx reports cancellation from its n-th Err call on: a pass
 // polls Err between verification steps, so small n values cancel it at
 // chosen points without a clock. (Done is Background's nil channel; the
-// single-shard search path only polls.)
+// search paths only poll it.)
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -168,12 +167,21 @@ func TestFunnelConservation(t *testing.T) {
 		})
 	}
 
-	// A pass cancelled between two verifications, serial and spread over
-	// goroutines: what it counted up to there is in both records, and the
-	// pass reports the cancellation.
-	for _, opts := range []core.Options{serial, verifyPar} {
-		t.Run(fmt.Sprintf("cancelled mid-verification/concurrency=%d", opts.Concurrency), func(t *testing.T) {
-			e, err := New(buildColl(raws, opts.Sim, opts.Delta, opts.Alpha), 1, opts)
+	// A pass cancelled between two verifications, serial, spread over
+	// goroutines, and split into set-id ranges: what it counted up to there
+	// is in both records, and the pass reports the cancellation.
+	for _, tc := range []struct {
+		name   string
+		shards int
+		opts   core.Options
+	}{
+		{"concurrency=1", 1, serial},
+		{"concurrency=4", 1, verifyPar},
+		{"shards=2", 2, serial},
+	} {
+		opts := tc.opts
+		t.Run("cancelled mid-verification/"+tc.name, func(t *testing.T) {
+			e, err := New(buildColl(raws, opts.Sim, opts.Delta, opts.Alpha), tc.shards, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,7 +40,7 @@ func TestShardLatenciesObserved(t *testing.T) {
 }
 
 func TestNoteStraggler(t *testing.T) {
-	e := &Engine{nshards: 4}
+	e := &Engine{}
 	ms := int64(time.Millisecond)
 	cases := []struct {
 		name string

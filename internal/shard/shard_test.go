@@ -8,6 +8,7 @@ import (
 	"silkmoth/internal/core"
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
+	"silkmoth/internal/index"
 	"silkmoth/internal/tokens"
 )
 
@@ -21,78 +22,40 @@ func wordColl(raws []dataset.RawSet) *dataset.Collection {
 	return dataset.BuildWord(tokens.NewDictionary(), raws)
 }
 
-func TestShardOfDeterministicAndBalanced(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16} {
-		counts := make([]int, n)
-		for g := 0; g < 10000; g++ {
-			s := ShardOf(g, n)
-			if s < 0 || s >= n {
-				t.Fatalf("ShardOf(%d, %d) = %d out of range", g, n, s)
-			}
-			if s != ShardOf(g, n) {
-				t.Fatalf("ShardOf(%d, %d) not deterministic", g, n)
-			}
-			counts[s]++
-		}
-		mean := 10000 / n
-		for s, c := range counts {
-			if c < mean*7/10 || c > mean*13/10 {
-				t.Errorf("n=%d shard %d holds %d of 10000 sets (mean %d); hash is unbalanced", n, s, c, mean)
-			}
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	coll := wordColl(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 5, Seed: 1}))
 	if _, err := New(coll, 0, jaccardOpts(1)); err == nil {
 		t.Error("shard count 0 should fail")
 	}
 	bad := jaccardOpts(1)
-	bad.Delta = 2 // invalid, must surface from the parallel shard builds
+	bad.Delta = 2 // invalid, must surface from the engine build
 	if _, err := New(coll, 3, bad); err == nil {
 		t.Error("invalid options should fail")
 	}
 }
 
-// TestRoutingConsistency checks the routing invariants New and Add must
-// preserve: l2g is exactly the ShardOf assignment in increasing global
-// order (strictly ascending per shard — the self-join dedup depends on
-// that), and every global set sits in its shard's collection under the
-// local index l2g implies.
-func TestRoutingConsistency(t *testing.T) {
-	raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 60, Seed: 2})
-	coll := wordColl(raws)
-	e, err := New(coll, 7, jaccardOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Add(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 13, Seed: 3}))
-	nextLocal := make([]int, 7) // expected local index per shard, walking globals in order
-	for g := range e.global.Sets {
-		s := ShardOf(g, 7)
-		local := nextLocal[s]
-		nextLocal[s]++
-		if local >= len(e.l2g[s]) || e.l2g[s][local] != g {
-			t.Fatalf("l2g[%d][%d] should be %d, have %v", s, local, g, e.l2g[s])
+// TestRangesPartitionSlots checks the split every search computes: the N
+// ranges of a collection's slots are contiguous, cover every slot exactly
+// once in id order, and differ in size by at most one, also when there are
+// fewer slots than ranges.
+func TestRangesPartitionSlots(t *testing.T) {
+	for _, n := range []int{0, 3, 60, 73} {
+		for _, parts := range []int{1, 2, 7} {
+			next := 0
+			for k := 0; k < parts; k++ {
+				lo, hi := index.Range(k, parts, n)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d parts=%d: range %d is [%d, %d), want it to start at %d", n, parts, k, lo, hi, next)
+				}
+				if size := hi - lo; size < n/parts || size > n/parts+1 {
+					t.Fatalf("n=%d parts=%d: range %d holds %d slots", n, parts, k, size)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d parts=%d: ranges end at %d", n, parts, next)
+			}
 		}
-		if local > 0 && e.l2g[s][local-1] >= g {
-			t.Fatalf("shard %d l2g not strictly ascending at %d", s, local)
-		}
-		if e.colls[s].Sets[local].Name != e.global.Sets[g].Name {
-			t.Fatalf("shard %d local %d holds %q, global %d is %q",
-				s, local, e.colls[s].Sets[local].Name, g, e.global.Sets[g].Name)
-		}
-	}
-	total := 0
-	for s := range e.l2g {
-		if len(e.l2g[s]) != nextLocal[s] {
-			t.Fatalf("shard %d holds %d sets, expected %d", s, len(e.l2g[s]), nextLocal[s])
-		}
-		total += len(e.l2g[s])
-	}
-	if total != len(e.global.Sets) || total != e.Len() {
-		t.Fatalf("shards hold %d sets, global has %d", total, len(e.global.Sets))
 	}
 }
 

@@ -8,18 +8,17 @@ import (
 	"silkmoth/internal/dataset"
 )
 
-// SearchTopKContext returns the k most related sets to r across all
-// shards, ordered by descending relatedness (ties by global index). Each
-// shard contributes its local top k, and a k-way heap merge over the
-// per-shard sorted streams selects the global winners — so answering
-// costs k·N merged candidates, never a full concat-and-sort of every
-// shard's matches.
+// SearchTopKContext returns the k most related sets to r, ordered by
+// descending relatedness (ties by index). Each range contributes its local
+// top k, and a k-way heap merge over the per-range sorted streams selects
+// the winners — so answering costs k·N merged candidates, never a full
+// concat-and-sort of every range's matches.
 func (e *Engine) SearchTopKContext(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
 	return e.SearchTopKQueryContext(ctx, r, k, nil)
 }
 
 // SearchTopKQueryContext is SearchTopKContext with per-query overrides and
-// stats capture threaded into every shard's pass. A nil q is exactly
+// stats capture threaded into the query's pass. A nil q is exactly
 // SearchTopKContext.
 func (e *Engine) SearchTopKQueryContext(ctx context.Context, r *dataset.Set, k int, q *core.Query) ([]core.Match, error) {
 	if k <= 0 {
@@ -61,7 +60,7 @@ func mergeTopK(per [][]core.Match, k int) []core.Match {
 
 // localTopK reduces ms to its canonical-order top k in place-ish: a
 // bounded worst-at-root heap keeps the best k seen (O(m log k), never a
-// full sort of the shard's matches), then the k survivors are sorted.
+// full sort of the range's matches), then the k survivors are sorted.
 // Because the canonical order is total (set indices are unique), the
 // result is exactly sort-then-truncate's.
 //
@@ -103,7 +102,7 @@ func (h worstHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *worstHeap) Push(x any)        { *h = append(*h, x.(core.Match)) }
 func (h *worstHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// stream is one shard's sorted match list with a read cursor.
+// stream is one range's sorted match list with a read cursor.
 type stream struct {
 	ms  []core.Match
 	pos int

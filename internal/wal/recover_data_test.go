@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"runtime"
+	"syscall"
 	"testing"
 )
 
@@ -92,5 +94,56 @@ func TestStoreRecoverDataFallback(t *testing.T) {
 	st3 := openDir(t, dir)
 	if _, _, err := st3.RecoverData(func([]byte) error { return errors.New("nope") }); err == nil {
 		t.Fatal("RecoverData with no loadable snapshot should error")
+	}
+}
+
+// eioOpenFS fails every Open of one file with an I/O error; embedding the
+// interface hides dirFS.Map, so snapshots are opened, not mapped.
+type eioOpenFS struct {
+	FS
+	name string
+}
+
+func (f eioOpenFS) Open(name string) (io.ReadCloser, error) {
+	if name == f.name {
+		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.EIO}
+	}
+	return f.FS.Open(name)
+}
+
+// An I/O error opening the newest snapshot fails recovery. Falling back to
+// the older pair — which rotation removes only best-effort — would open the
+// engine on a stale image and drop every acknowledged record of the newer
+// log.
+func TestStoreRecoverDataOpenErrorFails(t *testing.T) {
+	dir := t.TempDir()
+	st := openDir(t, dir)
+	if err := st.WriteSnapshot(writeString("old")); err != nil {
+		t.Fatal(err)
+	}
+	fsys, _ := DirFS(dir)
+	newest := snapName(st.Seq() + 1)
+	f, err := fsys.Create(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(f, "new")
+	f.Sync()
+	f.Close()
+	fsys.SyncDir()
+
+	st2, err := Open(eioOpenFS{FS: fsys, name: newest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, m, err := st2.RecoverData(func(data []byte) error {
+		t.Errorf("recovery loaded %q past an unreadable newer snapshot", data)
+		return nil
+	})
+	if m != nil {
+		m.Close()
+	}
+	if loaded || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("RecoverData = (%v, %v), want the newest snapshot's EIO", loaded, err)
 	}
 }

@@ -98,6 +98,12 @@ func (s *Store) snapshotSeqs() ([]uint64, error) {
 // synced, so an unloadable one is real corruption (or a retired format),
 // not a crash artifact.
 //
+// Only two failures move on to an older snapshot: a file that no longer
+// exists, and content load rejects. Any other failure to open or read a
+// snapshot — EIO, EMFILE, EACCES — fails recovery: the older pair
+// WriteSnapshot retires only best-effort would open the engine on a stale
+// image and silently drop every record of the newer log.
+//
 // On success the returned Mapping backs the bytes that were handed to load;
 // the caller owns it and must keep it open for as long as any slice of the
 // image is referenced, then Close it. Mappings for candidates that failed
@@ -110,11 +116,14 @@ func (s *Store) RecoverData(load func(data []byte) error) (bool, *mmap.Mapping, 
 	var firstErr error
 	for _, seq := range seqs {
 		m, err := s.openSnapshotData(seq)
-		if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
+		}
+		if err != nil {
+			return false, nil, fmt.Errorf("wal: reading %s: %w", snapName(seq), err)
 		}
 		if err := load(m.Data()); err != nil {
 			if cerr := m.Close(); cerr != nil && firstErr == nil {

@@ -9,8 +9,8 @@ import (
 
 // LatencyHistogram is a point-in-time latency distribution with fixed
 // log-spaced buckets (powers of two from 1µs to ~67s). Engines maintain
-// one per pipeline stage and, when sharded, one per shard; serving layers
-// render them as Prometheus histograms.
+// one per pipeline stage and, when sharded, one per set-id range; serving
+// layers render them as Prometheus histograms.
 type LatencyHistogram struct {
 	// Bounds are the finite bucket upper bounds in seconds, ascending.
 	Bounds []float64
@@ -67,8 +67,7 @@ type StageLatencies struct {
 	Verify    LatencyHistogram
 }
 
-// StageLatencies returns the engine's per-stage latency histograms, merged
-// across shards.
+// StageLatencies returns the engine's per-stage latency histograms.
 func (e *Engine) StageLatencies() StageLatencies {
 	hs := e.sh.StageLatencies()
 	return StageLatencies{
@@ -79,10 +78,10 @@ func (e *Engine) StageLatencies() StageLatencies {
 	}
 }
 
-// ShardLatencies returns per-shard scatter-pass latency histograms,
-// indexed by shard: every scattered query observes each shard's pass wall
-// time, so a hot or slow shard shows as a diverging distribution. Nil on
-// a single-shard engine, whose queries never scatter.
+// ShardLatencies returns per-range latency histograms, indexed by set-id
+// range: every split search observes each range's wall time, so a range
+// that holds more of the work shows as a diverging distribution. Nil on a
+// single-shard engine, whose searches never split.
 func (e *Engine) ShardLatencies() []LatencyHistogram {
 	if e.sh.Shards() == 1 {
 		return nil

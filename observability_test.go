@@ -27,7 +27,7 @@ func TestStageLatenciesPublic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		wantPasses := int64(queries * shards)
+		wantPasses := int64(queries) // one pass a query, split or not
 		sl := eng.StageLatencies()
 		for _, h := range []LatencyHistogram{sl.Signature, sl.Collect, sl.Refine, sl.Verify} {
 			if h.Count != wantPasses {

@@ -200,15 +200,16 @@ func (qo *queryOptions) finishExplain(q *core.Query, elapsed time.Duration) {
 type Explain struct {
 	// Scheme is the concrete signature scheme that probed the index —
 	// the per-query resolution under SchemeAuto. When the query fanned
-	// out into passes that chose differently (shards, batch references)
-	// it is "mixed" and Schemes has the split; a query with no valid
-	// signature reports "full-scan".
+	// out into passes that chose differently (batch references,
+	// discovery's references) it is "mixed" and Schemes has the split; a
+	// query with no valid signature reports "full-scan".
 	Scheme string
 	// Schemes counts signatured passes by concrete scheme name. Nil when
 	// no pass generated a signature.
 	Schemes map[string]int64
-	// Passes counts the search passes the query fanned out into (shards ×
-	// references); FullScans counts those with no valid signature.
+	// Passes counts the search passes the query fanned out into (one per
+	// reference, at every shard count); FullScans counts those with no
+	// valid signature.
 	Passes    int64
 	FullScans int64
 	// SigTokens is the number of signature tokens generated — the index

@@ -63,8 +63,8 @@
 // Explain (or the Engine.Explain method, which returns a Result) reports
 // the executed plan: the concrete scheme that probed the index, the
 // per-stage pruning funnel — signature tokens, candidates, check-filter
-// and NN-filter survivors, verifications — and wall time. The capture
-// merges all shards (one pass each). SearchBatchQueries
+// and NN-filter survivors, verifications — and wall time. A search is one
+// pass at every shard count. SearchBatchQueries
 // is the per-item batch form: each BatchQuery carries its own options, so
 // a mixed workload can pin schemes and capture explains item by item.
 //
@@ -91,10 +91,12 @@
 // context-aware variants (SearchContext, SearchTopKContext,
 // DiscoverContext, DiscoverAgainstContext) abort cleanly on cancellation.
 //
-// An engine is always a set of Config.Shards ≥ 1 shards. More than one
-// hash-partitions the collection into independently indexed shards: index
-// builds parallelize across shards and every query fans out and merges by
-// scatter-gather, with results guaranteed identical at every shard count.
+// An engine holds one inverted index. Config.Shards ≥ 1 cuts the set ids
+// into that many contiguous ranges: the index build fills its lists from
+// the ranges in parallel, and every search generates one signature and then
+// collects, refines and verifies each range's candidates concurrently,
+// merging their answers, with results guaranteed identical at every shard
+// count.
 // SearchBatch answers many searches in one call, amortizing tokenization
 // and fanning the batch across workers.
 //
@@ -280,13 +282,15 @@ type Config struct {
 	// Concurrency bounds parallel search passes in Discover; values < 1
 	// mean single-threaded.
 	Concurrency int
-	// Shards hash-partitions the collection into this many independently
-	// indexed shards whose indexes build in parallel and whose queries run
-	// by scatter-gather, with results provably identical at every count
-	// (same matches, same scores, same order). Values < 2 mean one shard:
-	// the same engine with nothing to scatter — a query is one pass on the
-	// caller's goroutine, and a durable engine persists its postings so
-	// reopening skips the index build.
+	// Shards is the number of contiguous set-id ranges a search's
+	// candidate work splits into: after one signature, the ranges collect,
+	// refine and verify their candidates concurrently, through posting
+	// lists cut to the range, and the index build fills its lists from the
+	// same ranges in parallel. There is one index at every count, so a
+	// durable engine reopens without an index build whatever count wrote
+	// it, and results are provably identical at every count (same matches,
+	// same scores, same order). Values < 2 mean one range: a search is one
+	// pass on the caller's goroutine, which may verify in parallel.
 	Shards int
 	// StageSample controls per-stage wall timing of search passes: one in
 	// every StageSample passes records its signature/collect/refine/verify
@@ -462,16 +466,16 @@ type Stats struct {
 	// TimedPasses for a mean per-pass stage profile.
 	TimedPasses int64
 	Stages      StageTimes
-	// Stragglers counts scatters whose slowest shard took more than twice
-	// the median shard's time — the scatter-gather tail-latency signal.
-	// Always zero on a single-shard engine.
+	// Stragglers counts split searches whose slowest set-id range took
+	// more than twice the median range's time — the split's tail-latency
+	// signal. Always zero on a single-shard engine.
 	Stragglers int64
 	// Live is the number of live (non-deleted) sets.
 	Live int
 	// Tombstones is the number of deleted sets whose postings are still
 	// in the inverted index (zero right after a compaction).
 	Tombstones int
-	// Compactions counts compaction passes run, per shard.
+	// Compactions counts compaction passes run.
 	Compactions int64
 	// Snapshots counts durable snapshots written since the engine opened
 	// (including the bootstrap snapshot). Zero on a heap-only engine.
@@ -493,8 +497,7 @@ type Stats struct {
 	// compressed containers (Config.CompressedPostings, or a zero-copy
 	// snapshot load).
 	CompressedPostings bool
-	// Postings is the logical posting count across the index's lists
-	// (summed across shards).
+	// Postings is the logical posting count across the index's lists.
 	Postings int
 	// PostingHeapBytes approximates the materialized posting storage held
 	// outside the decode cache: all lists on an uncompressed engine, only
@@ -509,9 +512,9 @@ type Stats struct {
 	PostingResidentBytes int64
 	// PostingDirectoryBytes is the index's element directory: per indexed
 	// element the content key and token count the filters read per
-	// posting (8 bytes an element plus 4 a set, summed across shards). It
-	// is derived state, present on compressed and uncompressed engines
-	// alike, and not part of PostingHeapBytes.
+	// posting (8 bytes an element plus 4 a set). It is derived state,
+	// present on compressed and uncompressed engines alike, and not part
+	// of PostingHeapBytes.
 	PostingDirectoryBytes int64
 	// PostingCacheHits / PostingCacheMisses count decode-cache probes of
 	// compressed lists; PostingDecodeErrors counts container decode
