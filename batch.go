@@ -14,7 +14,7 @@ import (
 // single call. The whole batch is tokenized in one pass — amortizing
 // dictionary interning across queries — and the searches run concurrently,
 // bounded by Config.Concurrency (each worker runs one unsplit pass per
-// reference, so batch parallelism never compounds with a range split).
+// reference, so batch parallelism never compounds with a search's helpers).
 // Results are
 // positionally aligned with refs, each sorted exactly as Search sorts.
 // Options apply to every item of the batch (a WithExplain capture sums the

@@ -100,7 +100,7 @@ func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error)
 	if opts.Q == 0 {
 		opts.Q = snap.Coll.Q
 	}
-	sh, err := shard.NewFromSnapshot(snap, max(1, cfg.Shards), opts)
+	sh, err := shard.NewFromSnapshot(snap, cfg.width(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -20,11 +20,11 @@ import (
 // block each other: the token dictionary is internally synchronized, so
 // parallel searches proceed without a shared engine lock.
 //
-// An Engine holds one inverted index over its collection. Config.Shards ≥ 1
-// is the number of set-id ranges a search's candidate work splits into:
-// with one (the default) a search is a single pass on the caller's
-// goroutine; with more, the ranges run concurrently after one shared
-// signature. The API and results are the same at every shard count.
+// An Engine holds one inverted index over its collection. A search runs on
+// the caller's goroutine and, once it proves long, on up to Config.Shards
+// goroutines in all (GOMAXPROCS by default), which claim its set-id chunks
+// after one shared signature. The API and results are the same at every
+// width.
 type Engine struct {
 	sh *shard.Engine
 	// coll is sh's collection, under the ids the API speaks.
@@ -49,8 +49,8 @@ type Engine struct {
 }
 
 // NewEngine tokenizes the collection according to cfg and builds the
-// inverted index over it, its lists filled from Config.Shards set-id ranges
-// in parallel.
+// inverted index over it, its lists filled from as many set-id ranges in
+// parallel as a search's width (Config.Shards).
 //
 // With Config.DataDir set, NewEngine is also the recovery entry point: if
 // the directory holds durable state, that state wins — sets is ignored and
@@ -90,14 +90,15 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 		}
 		coll = dataset.BuildQGram(dict, raws, opts.Q)
 	}
-	sh, err := shard.New(coll, max(1, cfg.Shards), opts)
+	sh, err := shard.New(coll, cfg.width(), opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{sh: sh, coll: coll}, nil
 }
 
-// Shards returns the engine's shard count, at least 1.
+// Shards returns the engine's width: the most goroutines one search runs
+// on, Config.Shards resolved (GOMAXPROCS when it is 0).
 func (e *Engine) Shards() int { return e.sh.Shards() }
 
 func toRaw(sets []Set) []dataset.RawSet {
@@ -151,10 +152,8 @@ func (e *Engine) Search(ref Set, opts ...QueryOption) ([]Match, error) {
 }
 
 // SearchContext is Search with cancellation: the pass aborts and returns
-// ctx.Err() when ctx is done. On a single-shard engine with
-// Config.Concurrency > 1 the pass's candidate verification is spread
-// across a worker pool; with more shards the set-id ranges are the query's
-// parallelism.
+// ctx.Err() when ctx is done. A pass that proves long spreads its set-id
+// chunks over up to Engine.Shards goroutines.
 func (e *Engine) SearchContext(ctx context.Context, ref Set, opts ...QueryOption) ([]Match, error) {
 	res, err := e.searchResult(ctx, ref, opts, false)
 	return res.Matches, err
@@ -197,8 +196,8 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 	r := &qc.Sets[0]
 	var ms []core.Match
 	if qo.hasK {
-		// The top-k path answers with k·Shards heap-merged candidates
-		// instead of a full sort.
+		// The top-k path keeps the best k in a bounded heap instead of
+		// sorting every match.
 		ms, err = e.sh.SearchTopKQueryContext(ctx, r, qo.k, q)
 	} else {
 		ms, err = e.sh.SearchQueryContext(ctx, r, q)
@@ -337,7 +336,6 @@ func (e *Engine) Stats() Stats {
 		Live:        e.sh.Len(),
 		Tombstones:  e.sh.Tombstones(),
 		Compactions: e.sh.Compactions(),
-		Stragglers:  e.sh.Stragglers(),
 	}
 	out.SearchPasses = st.SearchPasses
 	out.FullScans = st.FullScans
@@ -358,6 +356,8 @@ func (e *Engine) Stats() Stats {
 	out.SchemeCombUnweighted = st.SchemeCombUnweighted
 	out.TimedPasses = st.TimedPasses
 	out.Stages = stageTimes(st)
+	out.SplitPasses = st.SplitPasses
+	out.HelperChunks = st.HelperChunks
 	ps := e.sh.Storage()
 	out.CompressedPostings = ps.Compressed
 	out.Postings = ps.Postings

@@ -138,7 +138,7 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 	if cfg.Delta == 0 {
 		cfg.Delta = 1 // Delta is irrelevant here but must validate
 	}
-	cfg.Shards = 0 // one pairwise matching has nothing to shard
+	cfg.Shards = 1 // one pairwise matching has nothing to split
 	// A caller's engine Config may name its data directory (a durable
 	// server passes its own): the throwaway one-set engine must neither
 	// recover that collection in place of s nor write there, and being

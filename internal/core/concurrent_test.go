@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"silkmoth/internal/datagen"
@@ -10,7 +12,7 @@ import (
 )
 
 // schemaCorpus builds a WebTable-like corpus big enough that search passes
-// carry many candidates (exercising the sharded verification loop).
+// carry many candidates.
 func schemaCorpus(t *testing.T, n int) *dataset.Collection {
 	t.Helper()
 	raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: n, Seed: 7})
@@ -55,45 +57,38 @@ func TestParallelDiscoverByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelSearchByteIdentical checks the sharded candidate-verification
-// loop inside one search pass: with Concurrency > 1 and many candidates,
-// SearchContext must return the serial loop's matches in the same order.
+// TestParallelSearchByteIdentical checks a search pass cut into set-id
+// chunks that helpers claim: forced to split, SearchSplitContext must return
+// the serial pass's matches, and every pass must have started its helpers.
 func TestParallelSearchByteIdentical(t *testing.T) {
+	defer ForceSplitForTest()()
 	coll := schemaCorpus(t, 400)
-	serial := DefaultOptions(SetSimilarity, Jaccard, 0.5, 0)
-	parallel := serial
-	parallel.Concurrency = 8
-
-	engS, err := NewEngine(coll, serial)
+	opts := DefaultOptions(SetSimilarity, Jaccard, 0.5, 0)
+	engS, err := NewEngine(coll, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engP, err := NewEngine(coll, parallel)
+	engP, err := NewEngineFromIndex(engS.Index(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawParallel := false
 	for ri := range coll.Sets {
 		r := &coll.Sets[ri]
-		ms := search(engS, r)
-		mp := search(engP, r)
-		if len(ms) != len(mp) {
-			t.Fatalf("ref %d: match counts differ: serial %d, parallel %d", ri, len(ms), len(mp))
+		mp, err := engP.SearchSplitContext(context.Background(), r, nil, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range ms {
-			if ms[i] != mp[i] {
-				t.Fatalf("ref %d match %d differs: serial %+v, parallel %+v", ri, i, ms[i], mp[i])
-			}
-		}
+		sameMatches(t, fmt.Sprintf("ref %d", ri), mp, search(engS, r))
 	}
-	// The corpus must actually have driven the sharded path at least once:
-	// passes with >= parallelCandMin surviving candidates.
-	st := engP.Stats()
-	if st.AfterCheck >= int64(parallelCandMin) {
-		sawParallel = true
+	st, ss := engP.Stats(), engS.Stats()
+	if st.SplitPasses != st.SearchPasses {
+		t.Errorf("%d of %d passes split", st.SplitPasses, st.SearchPasses)
 	}
-	if !sawParallel {
-		t.Skipf("corpus never produced %d+ candidates in a pass; parallel path unexercised", parallelCandMin)
+	if st.Candidates != ss.Candidates || st.AfterCheck != ss.AfterCheck || st.AfterNN != ss.AfterNN || st.Verified != ss.Verified {
+		t.Errorf("split funnel %v, serial %v", st, ss)
+	}
+	if runtime.GOMAXPROCS(0) > 1 && st.HelperChunks == 0 {
+		t.Error("no helper claimed a chunk")
 	}
 }
 

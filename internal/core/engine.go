@@ -34,11 +34,6 @@ const (
 // a small stride keeps cancellation latency near one matching computation.
 const cancelCheckStride = 8
 
-// parallelCandMin is the minimum surviving-candidate count before a single
-// search pass shards its verification loop across goroutines; below it the
-// goroutine overhead outweighs the matching work.
-const parallelCandMin = 16
-
 // ErrPostingDecode is returned by a search pass during which a posting
 // container failed to decode. The pass has then worked from an incomplete
 // posting list — candidates may be missing and, since the nearest-neighbor
@@ -210,24 +205,17 @@ func (e *Engine) Collection() *dataset.Collection { return e.coll }
 // SearchContext runs one related-set search pass (paper §3) for reference
 // set r, which must be tokenized against the engine collection's
 // dictionary. It aborts between verification
-// steps when ctx is done and returns ctx.Err(). When the engine's
-// Concurrency allows, the candidate-verification loop of the pass is
-// sharded across a worker pool; results are identical to the serial path.
+// steps when ctx is done and returns ctx.Err(). The pass runs on the
+// caller's goroutine; SearchSplitContext may spread it over more.
 func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sr := e.NewSearcher()
-	ms, err := e.searchPass(ctx, r, -1, sr.w, true, nil, nil, nil)
-	sr.Close()
-	return ms, err
+	return e.SearchQueryContext(ctx, r, nil)
 }
 
 // Searcher runs repeated search passes against one engine, reusing the
 // per-pass scratch (candidate collector, nearest-neighbor searcher,
 // signature selector, verification scratch, funnel record) across calls. It
 // is the building block for callers that drive many passes themselves —
-// Discover's workers, a split pass's ranges, and the batch API. A Searcher
+// Discover's workers, a split pass's helpers, and the batch API. A Searcher
 // is not safe for concurrent use; create one per goroutine and Close it
 // when done so its counters reach the engine and its scratch returns to the
 // engine's pool.
@@ -250,7 +238,7 @@ func (e *Engine) NewSearcher() *Searcher {
 // runs serially within the pass: callers parallelize across passes, not
 // within them.
 func (s *Searcher) Search(ctx context.Context, r *dataset.Set, skip int) ([]Match, error) {
-	return s.e.searchPass(ctx, r, skip, s.w, false, nil, nil, nil)
+	return s.e.searchPass(ctx, r, skip, s.w, 1, nil)
 }
 
 // Close folds the worker's running total into the engine's counters,

@@ -122,15 +122,15 @@ func TestMemoEvictionGrid(t *testing.T) {
 	}
 }
 
-// TestMemoParallelVerifyByteIdentical: with Concurrency 4 a pass of 16 or
-// more survivors hands its candidates to searchers borrowed from the pool,
-// whose memo — under Jaccard, whose overlap scratch — last served another
-// reference and another set. Their results must be the serial engine's, bit
-// for bit and in order, with the default table and with a thrashing one,
-// and both must be the brute-force answer. Run under -race this also shows
-// the borrowed searchers share no memo or scratch with the pass's own
-// worker.
+// TestMemoParallelVerifyByteIdentical: a pass of width 4, forced to split,
+// hands its chunks to searchers borrowed from the pool, whose memo — under
+// Jaccard, whose overlap scratch — last served another reference and another
+// set. Their results must be the serial engine's, bit for bit, with the
+// default table and with a thrashing one, and both must be the brute-force
+// answer. Run under -race this also shows the borrowed searchers share no
+// memo or scratch with the pass's own worker.
 func TestMemoParallelVerifyByteIdentical(t *testing.T) {
+	defer ForceSplitForTest()()
 	seed := 8200 + memoRun.Add(1)
 	raws := datagen.RepeatedElements(seed, 160, 12)
 	for _, slots := range []int{2, 1 << 13} {
@@ -145,32 +145,22 @@ func TestMemoParallelVerifyByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Concurrency = 4
 			parallel, err := NewEngineFromIndex(serial.Index(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded := 0
 			for ri := range coll.Sets {
-				before := parallel.Stats().AfterCheck
-				got := search(parallel, &coll.Sets[ri])
-				if parallel.Stats().AfterCheck-before >= parallelCandMin {
-					sharded++
+				got, err := parallel.SearchSplitContext(context.Background(), &coll.Sets[ri], nil, 4)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := search(serial, &coll.Sets[ri])
-				sameMatches(t, fmt.Sprintf("seed=%d %v slots=%d ref=%d vs brute force", seed, simKind, slots, ri), got, serial.BruteForceSearch(&coll.Sets[ri]))
-				if len(got) != len(want) {
-					t.Fatalf("seed=%d %v slots=%d ref=%d: %d matches in parallel, %d serially", seed, simKind, slots, ri, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("seed=%d %v slots=%d ref=%d: match %d is %+v in parallel, %+v serially", seed, simKind, slots, ri, i, got[i], want[i])
-					}
-				}
+				label := fmt.Sprintf("seed=%d %v slots=%d ref=%d", seed, simKind, slots, ri)
+				sameMatches(t, label+" vs brute force", got, serial.BruteForceSearch(&coll.Sets[ri]))
+				sameMatches(t, label+" vs serial", got, search(serial, &coll.Sets[ri]))
 			}
 			restore()
-			if sharded == 0 {
-				t.Fatalf("seed=%d %v: no pass had %d survivors; parallel verification never ran", seed, simKind, parallelCandMin)
+			if st := parallel.Stats(); st.SplitPasses != st.SearchPasses {
+				t.Fatalf("seed=%d %v: %d of %d passes split", seed, simKind, st.SplitPasses, st.SearchPasses)
 			}
 			ps, ss := parallel.Stats(), serial.Stats()
 			if p, s := ps.SimEvals+ps.SimMemoHits+ps.SimCounted+ps.SimBounded, ss.SimEvals+ss.SimMemoHits+ss.SimCounted+ss.SimBounded; p != s || ps.SimCounted != ss.SimCounted || ps.SimBounded != ss.SimBounded {
@@ -329,7 +319,7 @@ func TestMemoLazyAllocGate(t *testing.T) {
 	a0 := totalAlloc()
 	w := eng.newWorker()
 	a1 := totalAlloc()
-	if _, err := eng.searchPass(context.Background(), &coll.Sets[0], -1, w, false, nil, nil, nil); err != nil {
+	if _, err := eng.searchPass(context.Background(), &coll.Sets[0], -1, w, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	a2 := totalAlloc()

@@ -39,15 +39,15 @@
 // (internal/lint, run as `silkmothlint` in CI) rejects allocation-inducing
 // constructs inside annotated functions, complementing the AllocsPerRun
 // gates in alloc_test.go. Deliberately allocating paths (fullScan,
-// verifyAll, verifyParallel) are left unannotated; keep the marker off any
+// verifyAll, run and steal) are left unannotated; keep the marker off any
 // function that is supposed to allocate.
 //
 // # Counters
 //
 // There is one record of the pruning funnel, Funnel (stats.go). A search
 // pass charges its worker's private copy (worker.pass) with plain adds,
-// once per stage; a parallel verification's borrowed workers charge their
-// own and are added to the pass's record once their goroutines are joined.
+// once per stage; a helper of a pass run in chunks charges its own worker's
+// record per chunk, which the pass's record absorbs once the chunk is done.
 // When the pass ends — on every return path, cancellation included —
 // endPass folds that record into the worker's running total and, if the
 // query carries a Capture (Query.Stats), into the capture under its lock.
@@ -57,7 +57,7 @@
 //
 // To add a counter: declare the field in Funnel, add its line to
 // Funnel.Add, and charge it where the work happens (w.pass.X += n). A
-// split pass's ranges, Stats and every capture pick it up through Add; the
+// pass's helper chunks, Stats and every capture pick it up through Add; the
 // public silkmoth.Stats/Explain lowering in the root package decides whether
 // to surface it.
 package core
@@ -186,8 +186,9 @@ type Options struct {
 	// sound for α = 0 under Jaccard or Eds (whose dual distances are
 	// metrics) and is ignored otherwise.
 	Reduction bool
-	// Concurrency is the number of parallel search passes Discover may
-	// run; values < 1 mean one.
+	// Concurrency is the number of parallel search passes Discover and a
+	// batch may run; values < 1 mean one. One search's own width is the
+	// caller's (SearchSplitContext).
 	Concurrency int
 	// StageSample is the per-worker sampling interval for per-stage wall
 	// timing: one in every StageSample search passes records

@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/filter"
@@ -22,8 +19,8 @@ import (
 //   - the signature selector (two generator arenas, for Scheme Auto),
 //   - the verification scratch (flat Hungarian buffers, interned key
 //     slices),
-//   - the no-share floor buffer and the parallel-verification result
-//     buffers,
+//   - the no-share floor buffer and the opened posting lists of a pass that
+//     runs in chunks,
 //   - the Funnel of the pass in flight, which the stages charge with plain
 //     adds, and the running total it is folded into when the pass ends;
 //     the total reaches the engine's counters when the worker retires (hot
@@ -38,10 +35,10 @@ type worker struct {
 	vs  verifyScratch
 	// floors backs the pass's no-share floor slice.
 	floors []float64
-	// resBuf/hitBuf back the parallel verification stage's per-candidate
-	// result slots.
-	resBuf []Match
-	hitBuf []bool
+	// lists backs the pass's posting cursors (filter.OpenLists) when it
+	// runs in chunks; cleared when the pass ends, so a pooled worker pins
+	// no posting list.
+	lists []index.Cursor
 	// acc + acceptFn are the pass's candidate acceptance test; the
 	// closure is created once per worker so passes never allocate it.
 	acc      acceptState
@@ -104,11 +101,13 @@ func (e *Engine) newWorker() *worker {
 // engine and per query once the pass ends (endPass). All reusable state
 // belongs to the worker.
 type plan struct {
-	e          *Engine
-	w          *worker
-	r          *dataset.Set
-	selfSkip   int
-	parallelOK bool
+	e        *Engine
+	w        *worker
+	r        *dataset.Set
+	selfSkip int
+	// width is the most goroutines the pass may run on: 1 keeps it on the
+	// caller's (see run).
+	width int
 	// opts is the pass's effective configuration: the engine's options
 	// with the query's overrides applied (queryOptions). Every stage reads
 	// it, never e.opts, so per-query overrides reach the whole pipeline.
@@ -118,31 +117,31 @@ type plan struct {
 	// capture.
 	timed bool
 	// lo and hi, when hi > 0, restrict candidates to the set ids [lo, hi):
-	// the slice of the collection one range of a split pass works on.
-	lo, hi int32
+	// the chunk of the collection one body works on. resume marks a body
+	// after the first its worker runs for the pass (filter.Options.Resume),
+	// advance one that may move lists past hi (filter.Options.Advance).
+	lo, hi          int32
+	resume, advance bool
 
 	pruneThreshold float64
 	sig            *signature.Signature
-	cands          []*filter.Candidate
-	floors         []float64
+	// lists, when non-nil, are the signature's posting lists opened once
+	// for every chunk of the pass.
+	lists  []index.Cursor
+	cands  []*filter.Candidate
+	floors []float64
 }
 
 // searchPass generates r's signature, collects and refines candidates, and
-// verifies survivors. Candidate sets with index ≤ selfSkip are excluded
-// (selfSkip = the reference's own index during self-join discovery under
-// SET-SIMILARITY; -1 otherwise). Pass a reusable worker; its running total
-// absorbs the pass's counters. parallelOK permits sharding the verification
-// loop across goroutines (true for top-level searches, false inside
-// Discover's workers, which are already parallel). q, when non-nil,
+// verifies survivors, on at most width goroutines (run). Candidate sets with
+// index ≤ selfSkip are excluded (selfSkip = the reference's own index during
+// self-join discovery under SET-SIMILARITY; -1 otherwise). Pass a reusable
+// worker; its running total absorbs the pass's counters. q, when non-nil,
 // overrides scheme/δ/filters for this pass and captures its funnel. A pass
 // that saw a posting container fail to decode returns ErrPostingDecode.
 //
-// With a non-nil per the pass is split: after the one signature, its
-// candidate work runs once per set-id range (split), range k's matches land
-// in per[k] and its wall time in nanos[k], and the first result is nil.
-//
 //silkmoth:hotpath
-func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, parallelOK bool, q *Query, per [][]Match, nanos []int64) ([]Match, error) {
+func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, width int, q *Query) ([]Match, error) {
 	var capture *Capture
 	if q != nil {
 		capture = q.Stats
@@ -159,12 +158,12 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 		return nil, nil
 	}
 	p := plan{
-		e:          e,
-		w:          w,
-		r:          r,
-		selfSkip:   selfSkip,
-		parallelOK: parallelOK,
-		opts:       e.queryOptions(q),
+		e:        e,
+		w:        w,
+		r:        r,
+		selfSkip: selfSkip,
+		width:    width,
+		opts:     e.queryOptions(q),
 	}
 	p.pruneThreshold = p.opts.Delta*float64(nR) - pruneSlack
 	w.acc.selfSkip = selfSkip
@@ -173,16 +172,10 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 	// Explained queries are always stage-timed; otherwise sampling decides.
 	p.timed = capture != nil || w.sampleTick(p.opts.StageSample)
 
-	var ms []Match
-	var err error
 	lt := startLaps(p.timed)
 	signatured := p.buildSignature()
 	f.SigNanos += lt.lap()
-	if per != nil {
-		err = p.split(ctx, signatured, per, nanos)
-	} else {
-		ms, err = p.body(ctx, signatured, lt)
-	}
+	ms, err := p.run(ctx, signatured)
 	if p.timed {
 		e.observeStages(f)
 	}
@@ -195,11 +188,12 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 
 // body runs the stages after the signature on the plan's worker, over its
 // set range: collect, refine and verify, or the full scan when there is no
-// signature. lt carries on timing from where the caller left it.
+// signature.
 //
 //silkmoth:hotpath
-func (p *plan) body(ctx context.Context, signatured bool, lt lapTimer) ([]Match, error) {
+func (p *plan) body(ctx context.Context, signatured bool) ([]Match, error) {
 	f := &p.w.pass
+	lt := startLaps(p.timed)
 	if !signatured {
 		ms, err := p.fullScan(ctx)
 		// The signatureless fallback is all verification.
@@ -215,77 +209,10 @@ func (p *plan) body(ctx context.Context, signatured bool, lt lapTimer) ([]Match,
 	return p.verifyAll(ctx)
 }
 
-// split runs the pass body once per set-id range, concurrently: range k is
-// index.Range(k, len(per), slots) of the collection's slots. Each non-empty
-// range runs on a goroutine of its own, range 0 with the pass's own worker
-// and every other with a pooled searcher's; each reads the one signature
-// and verifies serially, the split being the pass's parallelism.
-// Once the goroutines are joined the borrowed workers' records join the
-// pass's, as verifyParallel's do, so the query still counts one pass. A
-// range fails only when ctx is done, which every range polls itself.
-func (p *plan) split(ctx context.Context, signatured bool, per [][]Match, nanos []int64) error {
-	e, n := p.e, len(per)
-	slots := len(e.coll.Sets)
-	runs := make([]rangeRun, n)
-	run := func(k int) {
-		start := time.Now()
-		r := &runs[k]
-		per[k], r.err = r.p.body(ctx, signatured, startLaps(r.p.timed))
-		nanos[k] = int64(time.Since(start))
-	}
-	// Every range gets a goroutine and this one only waits. The runtime
-	// queues a new goroutine in its creator's run-next slot, which idle Ps
-	// steal from only after a delay, so a range run on this goroutine would
-	// hold up the range started last. Started last, range 0 takes that slot
-	// and runs as soon as this goroutine waits.
-	var wg sync.WaitGroup
-	for k := n - 1; k >= 0; k-- {
-		lo, hi := index.Range(k, n, slots)
-		if lo == hi {
-			continue
-		}
-		r := &runs[k]
-		r.p = *p
-		r.p.parallelOK, r.p.lo, r.p.hi = false, int32(lo), int32(hi)
-		if k > 0 {
-			r.sr = e.NewSearcher()
-			r.p.w = r.sr.w
-			r.p.w.acc = p.w.acc // the pass's acceptance test: selfSkip, |R|, δ
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(k)
-		}()
-	}
-	wg.Wait()
-	var err error
-	for i := range runs {
-		r := &runs[i]
-		if r.err != nil {
-			err = r.err
-		}
-		if r.sr != nil {
-			p.w.pass.Add(&r.sr.w.pass)
-			r.sr.w.pass = Funnel{}
-			r.sr.Close()
-		}
-	}
-	return err
-}
-
-// rangeRun is one range of a split pass: its plan, its error, and the
-// searcher it borrowed (nil for range 0, which uses the pass's worker).
-type rangeRun struct {
-	p   plan
-	err error
-	sr  *Searcher
-}
-
 // endPass folds the worker's record of the pass that just ended — on any
 // return path, cancellation included — into its running total and, when the
-// query carries one, into the query's capture, and clears it for the next
-// pass.
+// query carries one, into the query's capture, and clears it and the
+// pass's opened lists for the next pass.
 //
 //silkmoth:hotpath
 func (w *worker) endPass(capture *Capture) {
@@ -294,6 +221,8 @@ func (w *worker) endPass(capture *Capture) {
 		capture.fold(&w.pass)
 	}
 	w.pass = Funnel{}
+	clear(w.lists)
+	w.lists = w.lists[:0]
 }
 
 // buildSignature runs the signature stage: the worker's selector resolves
@@ -370,6 +299,9 @@ func (p *plan) collect() {
 		PruneThreshold: p.pruneThreshold,
 		Lo:             p.lo,
 		Hi:             p.hi,
+		Lists:          p.lists,
+		Resume:         p.resume,
+		Advance:        p.advance,
 	})
 	p.cands = cands
 	w.chargeSim(w.cl.TakeSimCounts())
@@ -406,13 +338,8 @@ func (p *plan) prepareRefine() {
 	}
 }
 
-// verifyAll refines and verifies the surviving candidates, serially or —
-// when permitted and worthwhile — sharded across the engine's concurrency.
+// verifyAll refines and verifies the surviving candidates.
 func (p *plan) verifyAll(ctx context.Context) ([]Match, error) {
-	e := p.e
-	if p.parallelOK && e.opts.Concurrency > 1 && len(p.cands) >= parallelCandMin {
-		return p.verifyParallel(ctx)
-	}
 	var out []Match
 	var err error
 	for i, c := range p.cands {
@@ -422,7 +349,7 @@ func (p *plan) verifyAll(ctx context.Context) ([]Match, error) {
 				break
 			}
 		}
-		if m, ok := p.refineAndVerify(c, p.w); ok {
+		if m, ok := p.refineAndVerify(c); ok {
 			out = append(out, m)
 		}
 	}
@@ -431,12 +358,12 @@ func (p *plan) verifyAll(ctx context.Context) ([]Match, error) {
 }
 
 // refineAndVerify runs one candidate through the nearest-neighbor filter and
-// exact verification, charging the given worker's pass record (the parallel
-// stage hands each goroutine its own worker). On a timed pass the
-// candidate's cost is split between the refine and verify stages.
+// exact verification, charging the plan's worker's pass record. On a timed
+// pass the candidate's cost is split between the refine and verify stages.
 //
 //silkmoth:hotpath
-func (p *plan) refineAndVerify(c *filter.Candidate, w *worker) (Match, bool) {
+func (p *plan) refineAndVerify(c *filter.Candidate) (Match, bool) {
+	w := p.w
 	f := &w.pass
 	lt := startLaps(p.timed)
 	pruned := p.opts.NNFilter && !filter.NNFilter(p.r, p.sig, c, w.ns, p.floors, p.pruneThreshold)
@@ -450,77 +377,4 @@ func (p *plan) refineAndVerify(c *filter.Candidate, w *worker) (Match, bool) {
 	m, ok := p.e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
 	f.VerifyNanos += lt.lap()
 	return m, ok
-}
-
-// verifyParallel shards the pass's surviving candidates across Concurrency
-// goroutines. Each extra shard borrows a pooled searcher (its own
-// nearest-neighbor scratch, verification scratch, and pass record); results
-// land in per-candidate slots, so the assembled output is byte-identical to
-// the serial loop's order.
-func (p *plan) verifyParallel(ctx context.Context) ([]Match, error) {
-	e, w, cands := p.e, p.w, p.cands
-	nw := e.opts.Concurrency
-	if nw > len(cands) {
-		nw = len(cands)
-	}
-	if cap(w.resBuf) < len(cands) {
-		w.resBuf = make([]Match, len(cands))
-		w.hitBuf = make([]bool, len(cands))
-	}
-	results := w.resBuf[:len(cands)]
-	hits := w.hitBuf[:len(cands)]
-	for i := range hits {
-		hits[i] = false
-	}
-	// The caller's worker serves shard 0; extra shards borrow pooled
-	// searchers.
-	borrowed := make([]*Searcher, nw-1)
-	var next int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		sw := w
-		if wi > 0 {
-			borrowed[wi-1] = e.NewSearcher()
-			sw = borrowed[wi-1].w
-		}
-		wg.Add(1)
-		go func(sw *worker) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				if i%cancelCheckStride == 0 && ctx.Err() != nil {
-					return
-				}
-				if m, ok := p.refineAndVerify(cands[i], sw); ok {
-					results[i] = m
-					hits[i] = true
-				}
-			}
-		}(sw)
-	}
-	wg.Wait()
-	// The goroutines are joined, so the borrowed workers' records are
-	// plain memory again: they become part of this pass's one record
-	// (counted whether or not the pass was cancelled) before the searchers
-	// go back to the pool.
-	w.chargeSim(w.ns.TakeSimCounts())
-	for _, sr := range borrowed {
-		sr.w.chargeSim(sr.w.ns.TakeSimCounts())
-		w.pass.Add(&sr.w.pass)
-		sr.w.pass = Funnel{}
-		sr.Close()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]Match, 0, len(cands))
-	for i := range results {
-		if hits[i] {
-			out = append(out, results[i])
-		}
-	}
-	return out, nil
 }

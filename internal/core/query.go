@@ -36,7 +36,7 @@ func (t Toggle) apply(configured bool) bool {
 }
 
 // Query carries one query's overrides and observation hooks through every
-// engine path — serial passes, split passes, batch fan-out. A nil
+// engine path — serial passes, passes run in chunks, batch fan-out. A nil
 // *Query (or the zero value) reproduces the engine's configured behavior
 // exactly. Queries are read-only during execution and may be shared across
 // the concurrent passes of one logical query (each reference of a
@@ -118,43 +118,33 @@ func (e *Engine) queryOptions(q *Query) Options {
 // (when non-nil) receives the pass's funnel. A nil q is exactly
 // SearchContext.
 func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *Query) ([]Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	sr := e.NewSearcher()
-	ms, err := e.searchPass(ctx, r, -1, sr.w, true, q, nil, nil)
-	sr.Close()
-	return ms, err
+	return e.SearchSplitContext(ctx, r, q, 1)
 }
 
-// SearchRangesContext is SearchQueryContext with the pass's candidate work
-// split into len(per) contiguous set-id ranges: range k is
-// index.Range(k, len(per), slots) over the collection's slots, computed at
-// the call. The signature is generated once — under scheme Auto that is one
-// choice for the whole query — and each range collects, refines and verifies
-// its own candidates concurrently, through cursors cut to the range. Range
-// k's matches land in per[k], in the pass's native order, and its wall time
-// in nanos[k] (which must be as long as per); an empty range is skipped.
-// The query counts one pass, which all the ranges' work is charged to.
-func (e *Engine) SearchRangesContext(ctx context.Context, r *dataset.Set, q *Query, per [][]Match, nanos []int64) error {
+// SearchSplitContext is SearchQueryContext on at most width goroutines. The
+// signature is generated once — under scheme Auto that is one choice for
+// the whole query — and a pass that runs long cuts its candidate work into
+// set-id chunks that the caller and up to width−1 helpers claim, each
+// collecting, refining and verifying its own candidates through posting
+// lists cut to the chunk (see plan.run). The matches are the one-goroutine
+// pass's, in chunk order, and the query counts one pass, which all the
+// chunks' work is charged to.
+func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := q.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	sr := e.NewSearcher()
-	_, err := e.searchPass(ctx, r, -1, sr.w, false, q, per, nanos)
+	ms, err := e.searchPass(ctx, r, -1, sr.w, width, q)
 	sr.Close()
-	return err
+	return ms, err
 }
 
 // SearchQuery runs one search pass for r under q's overrides, excluding
 // candidate sets with collection index ≤ skip. It is Searcher.Search with
 // per-query overrides; a nil q is exactly Search.
 func (s *Searcher) SearchQuery(ctx context.Context, r *dataset.Set, skip int, q *Query) ([]Match, error) {
-	return s.e.searchPass(ctx, r, skip, s.w, false, q, nil, nil)
+	return s.e.searchPass(ctx, r, skip, s.w, 1, q)
 }

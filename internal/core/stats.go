@@ -15,7 +15,7 @@ import (
 // package comment's "Counters" section for who charges and who folds it.
 type Funnel struct {
 	// SearchPasses is the number of search passes run (for a query's
-	// capture: one per reference; a split pass counts once).
+	// capture: one per reference; a pass run in chunks counts once).
 	SearchPasses int64
 	// FullScans counts passes that fell back to comparing every set
 	// because no valid signature existed (edit similarity, §7.3).
@@ -72,6 +72,14 @@ type Funnel struct {
 	CollectNanos int64
 	RefineNanos  int64
 	VerifyNanos  int64
+	// SplitPasses counts the search passes whose first chunk ran long
+	// enough to start helpers, HelperChunks the set-id chunks helpers ran
+	// for them, and HelperNanos the helpers' busy time: the work a pass
+	// did off the caller's goroutine, which the stage times above (the
+	// caller's timeline) leave out.
+	SplitPasses  int64
+	HelperChunks int64
+	HelperNanos  int64
 }
 
 // Add folds g into f. Besides the declaration it is the only list of the
@@ -100,6 +108,9 @@ func (f *Funnel) Add(g *Funnel) {
 	f.CollectNanos += g.CollectNanos
 	f.RefineNanos += g.RefineNanos
 	f.VerifyNanos += g.VerifyNanos
+	f.SplitPasses += g.SplitPasses
+	f.HelperChunks += g.HelperChunks
+	f.HelperNanos += g.HelperNanos
 }
 
 // String renders the funnel as one report line.

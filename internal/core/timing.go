@@ -96,8 +96,8 @@ func (t *lapTimer) read() int64 {
 }
 
 // observeStages marks a finished pass's record as timed and feeds its
-// per-stage wall time to the engine's stage histograms. The record already
-// includes the share of every goroutine of a parallel verification.
+// per-stage wall time to the engine's stage histograms: the caller's
+// timeline, which a pass's helpers do not add to (Funnel.HelperNanos).
 //
 //silkmoth:hotpath
 func (e *Engine) observeStages(f *Funnel) {

@@ -109,18 +109,52 @@ type Options struct {
 	PruneThreshold float64
 	// Lo and Hi, when Hi > 0, restrict the pass to the sets with ids in
 	// [Lo, Hi): every posting list is read through a cursor cut to that
-	// range (index.RangeCursor). Hi = 0 reads whole lists.
+	// range (index.Cursor.Cut). Hi = 0 reads whole lists.
 	Lo, Hi int32
+	// Lists, when non-nil, holds the signature's posting lists opened once
+	// (OpenLists), which Collect cuts instead of opening its own: the set-id
+	// ranges of one pass then resolve each list once between them. With
+	// Advance, Collect also moves every list past Hi (index.Cursor.Take),
+	// so that a later range from Hi on cuts it without a search; only the
+	// goroutine that owns Lists may ask for that.
+	Lists   []index.Cursor
+	Advance bool
+	// Resume continues the collector's previous Collect — the same
+	// reference and signature over another set range — under the same pass
+	// number and memo, so that the φ_α values one range computed answer for
+	// the next, here and in the NNSearcher that refines both.
+	Resume bool
 }
 
-// cursor opens token t's posting list for a pass under opts.
+// OpenLists appends to dst a cursor over the posting list of every token of
+// sig, in signature order: what Options.Lists holds.
+func OpenLists(ix *index.Inverted, sig *signature.Signature, dst []index.Cursor) []index.Cursor {
+	for i := range sig.Elements {
+		for _, t := range sig.Elements[i].Tokens {
+			dst = append(dst, ix.Cursor(t))
+		}
+	}
+	return dst
+}
+
+// open sets dst to the posting list of token t, the j-th of the signature,
+// for a pass under opts. A cursor is a few hundred bytes, so it is written
+// in place rather than returned.
 //
 //silkmoth:hotpath
-func (cl *Collector) cursor(t tokens.ID, opts *Options) index.Cursor {
-	if opts.Hi == 0 {
-		return cl.ix.Cursor(t)
+func (cl *Collector) open(dst *index.Cursor, j int, t tokens.ID, opts *Options) {
+	switch {
+	case opts.Lists == nil:
+		*dst = cl.ix.Cursor(t)
+	case opts.Advance:
+		*dst = opts.Lists[j].Take(opts.Lo, opts.Hi)
+		return
+	default:
+		*dst = opts.Lists[j]
 	}
-	return cl.ix.RangeCursor(t, opts.Lo, opts.Hi)
+	if opts.Hi != 0 {
+		dst.Cut(opts.Lo, opts.Hi)
+	}
 }
 
 // Collector runs candidate selection over one inverted index, keeping all
@@ -245,9 +279,11 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 		clear(cl.state)
 		cl.epoch = 1
 	}
-	cl.pass = passSeq.Add(1)
-	if opts.CheckFilter {
-		cl.memo.reset()
+	if !opts.Resume {
+		cl.pass = passSeq.Add(1)
+		if opts.CheckFilter {
+			cl.memo.reset()
+		}
 	}
 	n := len(r.Elements)
 	if cl.fromOverlap != nil && opts.CheckFilter {
@@ -258,6 +294,7 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 	state, epoch := cl.state, cl.epoch
 	sets, npass, best := cl.sets[:0], cl.npass[:0], cl.best[:0]
 
+	j := 0 // the signature token's number
 	for i := range sig.Elements {
 		esig := &sig.Elements[i]
 		if len(esig.Tokens) == 0 {
@@ -272,7 +309,9 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 			// Cursor instead of List: a compressed index streams huge cold
 			// lists straight off the container bytes instead of
 			// materializing them for one pass.
-			cur := cl.cursor(t, &opts)
+			var cur index.Cursor
+			cl.open(&cur, j, t, &opts)
+			j++
 			for {
 				p, ok := cur.Next()
 				if !ok {
@@ -450,11 +489,14 @@ func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, ph
 	f, alpha := cl.fromOverlap, cl.alpha
 	var counted, bounded int64
 
+	j := 0       // the signature token's number
+	written := 0 // headCur slots this call opened a cursor in
 	for i := range sig.Elements {
 		esig := &sig.Elements[i]
 		if len(esig.Tokens) == 0 {
 			continue
 		}
+		written = max(written, len(esig.Tokens))
 		rElem := &r.Elements[i]
 		la := len(rElem.Tokens)
 		rest := la - len(esig.Tokens) // the tokens of r_i the count says nothing about
@@ -463,9 +505,14 @@ func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, ph
 		}
 		at, cur := cl.headAt[:0], cl.headCur[:0]
 		for _, t := range esig.Tokens {
-			c := cl.cursor(t, opts)
+			if len(cur) == cap(cur) {
+				cur = append(cur, index.Cursor{})[:len(cur)]
+			}
+			c := &cur[:len(cur)+1][len(cur)]
+			cl.open(c, j, t, opts)
+			j++
 			if p, ok := c.Next(); ok {
-				at, cur = append(at, pairOf(p)), append(cur, c)
+				at, cur = append(at, pairOf(p)), cur[:len(cur)+1]
 			}
 		}
 		cl.headAt, cl.headCur = at, cur // keep what the appends grew
@@ -530,7 +577,7 @@ func (cl *Collector) collectCounted(r *dataset.Set, sig *signature.Signature, ph
 	cl.memo.n.Bounded += bounded
 	// Heads that ran dry still alias the lists they walked; a pooled worker
 	// must not keep those alive until its next pass (Rebuild replaces them).
-	clear(cl.headCur[:cap(cl.headCur)])
+	clear(cl.headCur[:min(written, cap(cl.headCur))])
 }
 
 // pairOf packs a posting so that integer order is ⟨set, element⟩ order.

@@ -174,7 +174,7 @@ func (ix *Inverted) SetRangeInto(t tokens.ID, set int32, scratch []Posting) (res
 // it to be materialized: heap and cached lists are walked as slices, and
 // large cold containers are streamed directly off the compressed bytes.
 // The zero Cursor is an exhausted cursor. Not safe for concurrent use;
-// obtain with Inverted.Cursor or Inverted.RangeCursor.
+// obtain with Inverted.Cursor, and cut it to a set range with Cut.
 type Cursor struct {
 	slice  []Posting
 	i      int
@@ -226,31 +226,52 @@ func (ix *Inverted) Cursor(t tokens.ID) Cursor {
 	return Cursor{stream: true, it: pl.Iter(), extras: ex, ix: ix, hi: math.MaxInt32}
 }
 
-// RangeCursor is Cursor over the postings of I[t] whose set lies in
-// [lo, hi). A list the cursor walks as a slice is cut to the range by two
+// Cut restricts an unstarted cursor to the postings whose set lies in
+// [lo, hi). A list opened once serves every set-id range of a pass: each
+// range cuts a copy. A list walked as a slice is cut to the range by two
 // binary searches, so its postings carry no per-posting test; a streamed
 // container decodes its way to lo and stops at the first posting past hi.
-func (ix *Inverted) RangeCursor(t tokens.ID, lo, hi int32) Cursor {
-	c := ix.Cursor(t)
+//
+//silkmoth:hotpath
+func (c *Cursor) Cut(lo, hi int32) {
 	if c.stream {
 		c.lo, c.hi = lo, hi
-		c.extras = cutSets(c.extras, lo, hi)
+		i, j := span(c.extras, lo, hi)
+		c.extras = c.extras[i:j]
 	} else {
-		c.slice = cutSets(c.slice, lo, hi)
+		i, j := span(c.slice, lo, hi)
+		c.slice = c.slice[i:j]
 	}
-	return c
 }
 
-// cutSets returns the postings of a sorted list whose set lies in [lo, hi).
-// An end the list does not reach is not searched for.
-func cutSets(l []Posting, lo, hi int32) []Posting {
-	if len(l) > 0 && l[0].Set < lo {
-		l = l[sort.Search(len(l), func(i int) bool { return l[i].Set >= lo }):]
+// Take returns c cut to [lo, hi) and moves an unstarted c past hi: a pass
+// that runs its set-id ranges in order then finds each list already
+// starting at the next range, with nothing to search. A streamed container
+// is not moved; its cut decodes its way to lo.
+//
+//silkmoth:hotpath
+func (c *Cursor) Take(lo, hi int32) Cursor {
+	d := *c
+	if c.stream {
+		d.Cut(lo, hi)
+		return d
 	}
-	if len(l) > 0 && l[len(l)-1].Set >= hi {
-		l = l[:sort.Search(len(l), func(i int) bool { return l[i].Set >= hi })]
+	i, j := span(c.slice, lo, hi)
+	d.slice, c.slice = c.slice[i:j], c.slice[j:]
+	return d
+}
+
+// span returns the bounds [i, j) of the postings of a sorted list whose set
+// lies in [lo, hi). An end the list does not reach is not searched for.
+func span(l []Posting, lo, hi int32) (i, j int) {
+	i, j = 0, len(l)
+	if j > 0 && l[0].Set < lo {
+		i = sort.Search(j, func(k int) bool { return l[k].Set >= lo })
 	}
-	return l
+	if j > i && l[j-1].Set >= hi {
+		j = i + sort.Search(j-i, func(k int) bool { return l[i+k].Set >= hi })
+	}
+	return i, j
 }
 
 // Next returns the next posting, or ok=false when the list is exhausted.

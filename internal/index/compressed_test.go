@@ -45,7 +45,7 @@ func synthCorpusVocab(nSets, rareVocab int, seed int64) (*dataset.Collection, *t
 }
 
 // requireSameIndex asserts got answers every read entry point — ListLen,
-// List, Cursor, RangeCursor, SetRange, SetRangeInto, TotalPostings —
+// List, Cursor, Cursor.Cut, SetRange, SetRangeInto, TotalPostings —
 // identically to want,
 // and that both indexes' element directories are what their collection says
 // (CheckDirectory), whatever sequence of Build, AppendSets and Rebuild made
@@ -94,21 +94,28 @@ func requireSameIndex(t *testing.T, stage string, want, got *Inverted) {
 				t.Fatalf("%s: token %d: cursor posting %d = %+v", stage, tid, i, p)
 			}
 		}
-		for k := 0; k < 3; k++ {
-			lo, hi := Range(k, 3, int(numSets)+1)
-			cur := got.RangeCursor(id, int32(lo), int32(hi))
+		// Each range both cut from a fresh cursor and taken, in order, from
+		// one cursor that Take moves on.
+		taken := got.Cursor(id)
+		for k := 0; k < 6; k++ {
+			lo, hi := Range(k/2, 3, int(numSets)+1)
+			cur := got.Cursor(id)
+			cur.Cut(int32(lo), int32(hi))
+			if k%2 == 1 {
+				cur = taken.Take(int32(lo), int32(hi))
+			}
 			i := 0
 			for _, w := range wl {
 				if w.Set < int32(lo) || w.Set >= int32(hi) {
 					continue
 				}
 				if p, ok := cur.Next(); !ok || p != w {
-					t.Fatalf("%s: token %d: range [%d, %d) cursor posting %d = %+v, %v; want %+v", stage, tid, lo, hi, i, p, ok, w)
+					t.Fatalf("%s: token %d: range [%d, %d) cursor %d posting %d = %+v, %v; want %+v", stage, tid, lo, hi, k%2, i, p, ok, w)
 				}
 				i++
 			}
 			if p, ok := cur.Next(); ok {
-				t.Fatalf("%s: token %d: range [%d, %d) cursor runs on to %+v", stage, tid, lo, hi, p)
+				t.Fatalf("%s: token %d: range [%d, %d) cursor %d runs on to %+v", stage, tid, lo, hi, k%2, p)
 			}
 		}
 		for set := int32(0); set <= numSets; set++ {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"silkmoth"
+	"silkmoth/internal/core"
 	"silkmoth/internal/obs"
 )
 
@@ -69,7 +70,8 @@ func TestMetricsConformance(t *testing.T) {
 		"silkmothd_result_cache_entries",
 		"silkmothd_result_cache_evictions_total",
 		"silkmothd_stage_seconds",
-		"silkmothd_shard_stragglers_total",
+		"silkmothd_search_split_passes_total",
+		"silkmothd_search_helper_chunks_total",
 		"silkmothd_goroutines",
 		"silkmothd_heap_alloc_bytes",
 		"silkmothd_gc_pause_seconds_total",
@@ -116,9 +118,10 @@ func TestMetricsRouteHistograms(t *testing.T) {
 	}
 }
 
-// TestMetricsShardHistograms checks a sharded engine exposes per-shard
-// scatter latency series.
-func TestMetricsShardHistograms(t *testing.T) {
+// TestMetricsSplitCounters checks that a search whose pass split shows in
+// the split-pass counter, beside the count of chunks its helpers ran.
+func TestMetricsSplitCounters(t *testing.T) {
+	defer core.ForceSplitForTest()()
 	cfg := testConfig()
 	cfg.Shards = 2
 	eng, err := silkmoth.NewEngine(testSets(), cfg)
@@ -127,18 +130,17 @@ func TestMetricsShardHistograms(t *testing.T) {
 	}
 	s := New(eng, cfg, Options{})
 	postJSON(t, s, "/v1/search", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`)
-	fams := scrape(t, s)
-	shards := make(map[string]bool)
-	for _, f := range fams {
-		if f.Name != "silkmothd_shard_seconds" {
-			continue
-		}
+	values := make(map[string]float64)
+	for _, f := range scrape(t, s) {
 		for _, sm := range f.Samples {
-			shards[sm.Labels["shard"]] = true
+			values[sm.Name] = sm.Value
 		}
 	}
-	if !shards["0"] || !shards["1"] {
-		t.Fatalf("missing per-shard latency series, got shards %v", shards)
+	if got := values["silkmothd_search_split_passes_total"]; got != 1 {
+		t.Errorf("split passes = %g, want 1", got)
+	}
+	if got, ok := values["silkmothd_search_helper_chunks_total"]; !ok || got < 0 {
+		t.Errorf("helper chunks = %g, %v", got, ok)
 	}
 }
 

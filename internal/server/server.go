@@ -1261,6 +1261,8 @@ type statsResponse struct {
 		SimMemoHits  int64 `json:"sim_memo_hits"`
 		SimCounted   int64 `json:"sim_counted"`
 		SimBounded   int64 `json:"sim_bounded"`
+		SplitPasses  int64 `json:"split_passes"`
+		HelperChunks int64 `json:"helper_chunks"`
 		Compactions  int64 `json:"compactions"`
 		// Scheme counts signatured passes by the concrete signature
 		// scheme that probed the index; with -scheme auto it exposes
@@ -1346,6 +1348,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.SimMemoHits = st.SimMemoHits
 	resp.Engine.SimCounted = st.SimCounted
 	resp.Engine.SimBounded = st.SimBounded
+	resp.Engine.SplitPasses = st.SplitPasses
+	resp.Engine.HelperChunks = st.HelperChunks
 	resp.Engine.Compactions = st.Compactions
 	resp.Engine.Scheme.Weighted = st.SchemeWeighted
 	resp.Engine.Scheme.Skyline = st.SchemeSkyline
@@ -1415,7 +1419,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_mutation_generation Mutations applied to the collection since startup.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_mutation_generation counter\n")
 		fmt.Fprintf(out, "silkmothd_mutation_generation %d\n", atomic.LoadInt64(&s.gen))
-		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Set-id ranges a search splits into (1 = no split).\n")
+		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Most goroutines one search runs on (1 = the caller's only).\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_shards gauge\n")
 		fmt.Fprintf(out, "silkmothd_engine_shards %d\n", s.eng.Shards())
 		fmt.Fprintf(out, "# HELP silkmothd_engine_search_passes_total Search passes run by the engine.\n")
@@ -1478,15 +1482,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		} {
 			obs.WriteHistogram(out, "silkmothd_stage_seconds", fmt.Sprintf("stage=%q", st.name), snapFromPublic(st.h))
 		}
-		if shl := s.eng.ShardLatencies(); shl != nil {
-			obs.WriteHistogramHeader(out, "silkmothd_shard_seconds", "Per-range latency of split searches, by set-id range.")
-			for i, h := range shl {
-				obs.WriteHistogram(out, "silkmothd_shard_seconds", fmt.Sprintf("shard=\"%d\"", i), snapFromPublic(h))
-			}
-		}
-		fmt.Fprintf(out, "# HELP silkmothd_shard_stragglers_total Split searches whose slowest set-id range exceeded twice the median range time.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_shard_stragglers_total counter\n")
-		fmt.Fprintf(out, "silkmothd_shard_stragglers_total %d\n", st.Stragglers)
+		fmt.Fprintf(out, "# HELP silkmothd_search_split_passes_total Search passes whose first set-id chunk ran long enough to start helpers.\n")
+		fmt.Fprintf(out, "# TYPE silkmothd_search_split_passes_total counter\n")
+		fmt.Fprintf(out, "silkmothd_search_split_passes_total %d\n", st.SplitPasses)
+		fmt.Fprintf(out, "# HELP silkmothd_search_helper_chunks_total Set-id chunks of split search passes that helpers ran.\n")
+		fmt.Fprintf(out, "# TYPE silkmothd_search_helper_chunks_total counter\n")
+		fmt.Fprintf(out, "silkmothd_search_helper_chunks_total %d\n", st.HelperChunks)
 
 		fmt.Fprintf(out, "# HELP silkmothd_posting_storage_compressed Whether the inverted index stores posting lists as compressed containers.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_posting_storage_compressed gauge\n")

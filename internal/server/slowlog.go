@@ -75,7 +75,8 @@ func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, ex
 			"refine":    ex.Stages.Refine.Nanoseconds(),
 			"verify":    ex.Stages.Verify.Nanoseconds(),
 		},
-		"shards": s.eng.Shards(),
+		"helper_ns": ex.HelperTime.Nanoseconds(),
+		"shards":    s.eng.Shards(),
 	}
 	for k, v := range extra {
 		fields[k] = v

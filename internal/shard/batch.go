@@ -13,8 +13,8 @@ import (
 // out across Concurrency workers; each worker owns one reusable
 // core.Searcher and runs one whole-collection pass per reference, verifying
 // serially (as in Discover), so batch parallelism stays bounded at
-// Concurrency instead of compounding with a split or a parallel
-// verification, and the collector scratch amortizes across the whole batch.
+// Concurrency instead of compounding with a search's helpers, and the
+// collector scratch amortizes across the whole batch.
 // Results are positionally aligned with refs, each sorted by descending
 // relatedness (ties by index), identical to running SearchContext per ref.
 // The first error aborts the whole batch; an item's own failure (see

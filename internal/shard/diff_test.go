@@ -23,10 +23,23 @@ import (
 // net the motivation calls for: optimized similarity-search paths must
 // never silently diverge from the reference implementation.
 
-// diffShardCounts are the shard counts every differential case runs at:
-// the degenerate single shard, an even split, and a prime count that
-// leaves shards unevenly loaded.
+// diffShardCounts are the widths every differential case runs at: the
+// caller's goroutine alone, two, and a prime count that leaves goroutines
+// unevenly loaded. The grids force every wider pass to split into one chunk
+// per slot (core.ForceSplitForTest): self-timing would never split their
+// tiny corpora.
 var diffShardCounts = []int{1, 2, 7}
+
+// sameFunnel fails unless a query's funnel at some width is got and at
+// width 1 want, on the counts that do not depend on how the work was cut:
+// SimEvals does, since every chunk's worker has its own memo.
+func sameFunnel(t *testing.T, label string, got, want core.Funnel) {
+	t.Helper()
+	if got.Candidates != want.Candidates || got.AfterCheck != want.AfterCheck ||
+		got.AfterNN != want.AfterNN || got.Verified != want.Verified {
+		t.Fatalf("%s: funnel %v, width 1's %v", label, got, want)
+	}
+}
 
 // corpusRaws returns the seeded generator workload appropriate for the
 // similarity's token mode: WebTable-style schemas for the word
@@ -73,13 +86,16 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 		t.Fatal("workload produced no related pairs; tune the corpus or thresholds")
 	}
 	wantMatches := make([][]core.Match, len(coll.Sets))
+	wantFunnels := make([]core.Funnel, len(coll.Sets))
 	for ri := range coll.Sets {
-		ms, err := serial.SearchContext(context.Background(), &coll.Sets[ri])
+		q := &core.Query{Stats: &core.Capture{}}
+		ms, err := serial.SearchQueryContext(context.Background(), &coll.Sets[ri], q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sortMatches(ms)
 		wantMatches[ri] = ms
+		wantFunnels[ri] = q.Stats.Funnel()
 	}
 
 	cut := len(raws) * 2 / 3
@@ -120,9 +136,13 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 
 			refs := e.Collection()
 			for ri := range refs.Sets {
-				got, err := e.SearchContext(ctx, &refs.Sets[ri])
+				q := &core.Query{Stats: &core.Capture{}}
+				got, err := e.SearchQueryContext(ctx, &refs.Sets[ri], q)
 				if err != nil {
 					t.Fatalf("%s: search %d: %v", name, ri, err)
+				}
+				if mode == "fresh" { // post-add has its own dictionary, so other signatures
+					sameFunnel(t, fmt.Sprintf("%s: ref %d", name, ri), q.Stats.Funnel(), wantFunnels[ri])
 				}
 				want := wantMatches[ri]
 				if len(got) != len(want) {
@@ -159,6 +179,7 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 // TestDifferentialSerialVsSharded sweeps the full metric × similarity
 // grid through the harness.
 func TestDifferentialSerialVsSharded(t *testing.T) {
+	t.Cleanup(core.ForceSplitForTest()) // after the parallel subtests
 	for _, metric := range []core.Metric{core.SetSimilarity, core.SetContainment} {
 		for _, sim := range []core.SimKind{core.Jaccard, core.Eds, core.NEds, core.Dice, core.Cosine} {
 			metric, sim := metric, sim
@@ -243,10 +264,12 @@ func rangeOf(g, n, slots int) int {
 
 // TestDifferentialRangeBoundaries repeats a corpus after itself, so every
 // set's twin sits on the far side of the middle: across the boundary of two
-// ranges and, at seven, of several. Discovery (which does not split) and
-// every search (which does) must still equal the serial engine's at
-// N ∈ {1, 2, 7}.
+// of the index build's ranges and, at seven, of several, and in another
+// chunk of every split search. Discovery (which does not split) and every
+// search (which does) must still equal the serial engine's at
+// N ∈ {1, 2, 7}, with the same per-query funnel.
 func TestDifferentialRangeBoundaries(t *testing.T) {
+	defer core.ForceSplitForTest()()
 	ctx := context.Background()
 	half := corpusRaws(core.Jaccard, 11)
 	raws := append(append([]dataset.RawSet{}, half...), half...)
@@ -286,16 +309,19 @@ func TestDifferentialRangeBoundaries(t *testing.T) {
 			t.Fatalf("N=%d: only %d of %d pairs straddle a range boundary; the corpus does not test them", n, straddling, len(gotPairs))
 		}
 		for ri := range coll.Sets {
-			want, err := serial.SearchContext(ctx, &coll.Sets[ri])
+			wq, q := &core.Query{Stats: &core.Capture{}}, &core.Query{Stats: &core.Capture{}}
+			want, err := serial.SearchQueryContext(ctx, &coll.Sets[ri], wq)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sortMatches(want)
-			got, err := e.SearchContext(ctx, &coll.Sets[ri])
+			got, err := e.SearchQueryContext(ctx, &coll.Sets[ri], q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameMatches(t, fmt.Sprintf("N=%d ref %d", n, ri), got, want)
+			label := fmt.Sprintf("N=%d ref %d", n, ri)
+			requireSameMatches(t, label, got, want)
+			sameFunnel(t, label, q.Stats.Funnel(), wq.Stats.Funnel())
 		}
 	}
 }

@@ -57,10 +57,11 @@ func requireConserved(t *testing.T, got, before, after core.Funnel, refined bool
 // folded both into the engine's cumulative counters and into the query's
 // capture, so for a query running alone the two must agree exactly — on
 // every query shape, including the ones where several goroutines share the
-// capture (scatter, batch, discovery, parallel verification) and the ones
-// that leave the pipeline early (full scan, cancellation). Run under -race
-// it also checks that sharing.
+// capture (helper-run chunks, batch, discovery) and the ones that leave the
+// pipeline early (full scan, cancellation). Every search wider than one
+// goroutine is forced to split. Run under -race it also checks that sharing.
 func TestFunnelConservation(t *testing.T) {
+	defer core.ForceSplitForTest()()
 	ctx := context.Background()
 	raws := datagen.RepeatedElements(9100, 160, 12)
 	jaccard := core.DefaultOptions(core.SetSimilarity, core.Jaccard, 0.5, 0.5)
@@ -80,9 +81,9 @@ func TestFunnelConservation(t *testing.T) {
 		{Name: "B", Elements: []string{"abcdefgx"}},
 		{Name: "C", Elements: []string{"zzzzzzzz"}},
 	}
-	// parallelCandMin in internal/core: survivors before a pass verifies
-	// on several goroutines.
-	const parallelCandMin = 16
+	// manySurvivors is how many candidates a pass must verify for the
+	// cancellation cases to cut into its verifications.
+	const manySurvivors = 16
 
 	searchAll := func(e *Engine, q *core.Query) error {
 		for ri := range e.Collection().Sets {
@@ -116,22 +117,12 @@ func TestFunnelConservation(t *testing.T) {
 			_, err := e.DiscoverQueryContext(ctx, e.Collection(), q)
 			return err
 		}},
-		{name: "parallel verification", shards: 1, opts: verifyPar, run: func(e *Engine, q *core.Query) error {
-			parallel := 0
-			for ri := range e.Collection().Sets {
-				before := q.Stats.Funnel().AfterCheck
-				if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], q); err != nil {
-					return err
+		{name: "parallel verification", shards: 4, opts: verifyPar, run: searchAll,
+			check: func(t *testing.T, f core.Funnel) {
+				if f.SplitPasses != f.SearchPasses || f.Verified == 0 {
+					t.Errorf("want every pass split and verifying, got %+v", f)
 				}
-				if q.Stats.Funnel().AfterCheck-before >= parallelCandMin {
-					parallel++
-				}
-			}
-			if parallel == 0 {
-				return errors.New("no pass had enough survivors to verify in parallel")
-			}
-			return nil
-		}},
+			}},
 		{name: "full scan", shards: 1, opts: noSig, coll: dataset.BuildQGram(tokens.NewDictionary(), noSigRaws, 8),
 			run: searchAll,
 			check: func(t *testing.T, f core.Funnel) {
@@ -167,16 +158,16 @@ func TestFunnelConservation(t *testing.T) {
 		})
 	}
 
-	// A pass cancelled between two verifications, serial, spread over
-	// goroutines, and split into set-id ranges: what it counted up to there
-	// is in both records, and the pass reports the cancellation.
+	// A pass cancelled between two verifications, serial and split into
+	// set-id chunks at two widths: what it counted up to there is in both
+	// records, and the pass reports the cancellation.
 	for _, tc := range []struct {
 		name   string
 		shards int
 		opts   core.Options
 	}{
 		{"concurrency=1", 1, serial},
-		{"concurrency=4", 1, verifyPar},
+		{"concurrency=4", 4, verifyPar},
 		{"shards=2", 2, serial},
 	} {
 		opts := tc.opts
@@ -192,7 +183,7 @@ func TestFunnelConservation(t *testing.T) {
 				if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], probe); err != nil {
 					t.Fatal(err)
 				}
-				if probe.Stats.Funnel().AfterCheck-before >= parallelCandMin {
+				if probe.Stats.Funnel().AfterCheck-before >= manySurvivors {
 					ref = ri
 					break
 				}

@@ -298,8 +298,9 @@ func runMutationDifferential(t *testing.T, metric core.Metric, sim core.SimKind,
 }
 
 // TestMutationDifferential sweeps the full metric × similarity grid
-// through the delete-then-rebuild harness.
+// through the delete-then-rebuild harness, every wider search split.
 func TestMutationDifferential(t *testing.T) {
+	t.Cleanup(core.ForceSplitForTest()) // after the parallel subtests
 	for _, metric := range []core.Metric{core.SetSimilarity, core.SetContainment} {
 		for _, sim := range []core.SimKind{core.Jaccard, core.Eds, core.NEds, core.Dice, core.Cosine} {
 			metric, sim := metric, sim

@@ -318,3 +318,48 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 		}
 	}
 }
+
+// TestLateHelpersTouchNothing pins the rule that a helper claims a chunk
+// before it touches engine state. Every helper is held until the caller has
+// returned (core.HoldHelpersForTest), so the caller runs every chunk of its
+// split pass itself; the helpers are then let go while Add, Delete and
+// Compact rewrite the engine, and must claim nothing and — under -race —
+// read nothing of it.
+func TestLateHelpersTouchNothing(t *testing.T) {
+	defer core.ForceSplitForTest()()
+	ctx := context.Background()
+	raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 60, Seed: 3})
+	coll := wordColl(raws[:50])
+	serial, err := core.NewEngine(coll, jaccardOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serial.SearchContext(ctx, &coll.Sets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortMatches(want)
+	e, err := New(coll, 4, jaccardOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := core.HoldHelpersForTest()
+	got, err := e.SearchContext(ctx, &coll.Sets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	claimed := make(chan int64)
+	go func() { claimed <- release() }()
+	e.Add(raws[50:])
+	if err := e.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	e.Compact()
+	if n := <-claimed; n != 0 {
+		t.Fatalf("helpers woken after the caller returned claimed %d chunks", n)
+	}
+	requireSameMatches(t, "held helpers", got, want)
+	if st := e.Stats(); st.SplitPasses != 1 || st.HelperChunks != 0 {
+		t.Fatalf("want one split pass whose caller ran every chunk, got %+v", st)
+	}
+}

@@ -1,25 +1,25 @@
-// Package shard splits the work of one related-set engine across ranges of
-// set ids. An Engine wraps one core.Engine — one collection, dictionary,
-// inverted index and element directory — and a range count N. A search
-// generates its signature once and splits its candidate work into the N
-// contiguous set-id ranges [k·n/N, (k+1)·n/N) of the collection's n slots,
-// computed per query (index.Range): each range collects, refines and
-// verifies its own candidates concurrently, through posting cursors cut to
-// the range (core.Engine.SearchRangesContext), and the gather concatenates
-// the ranges' matches in range order before the one canonical sort or top-k
-// merge. Nothing is stored per range but a latency histogram.
+// Package shard runs one related-set engine's searches on more than one
+// goroutine. An Engine wraps one core.Engine — one collection, dictionary,
+// inverted index and element directory — and a width N. A search generates
+// its signature once, and a pass that proves long cuts its candidate work
+// into set-id chunks that the caller and up to N−1 helpers claim from one
+// counter: each chunk collects, refines and verifies its own candidates
+// through posting lists opened once and cut to the chunk
+// (core.Engine.SearchSplitContext). A short pass stays on the caller's
+// goroutine. The chunks' matches are concatenated before the one canonical
+// sort or top-k cut.
 //
-// The split is a schedule, never a semantics change: every range runs the
+// The split is a schedule, never a semantics change: every chunk runs the
 // same exact pipeline over a disjoint slice of the candidates, so the union
-// of the ranges' answers is the unsplit pass's answer and scores are
+// of the chunks' answers is the unsplit pass's answer and scores are
 // bit-identical. The package's differential tests pin this equivalence
-// against the serial engine for every metric and similarity function.
+// against the serial engine for every metric and similarity function, with
+// the split forced on.
 //
 // Discovery and batches do not split: they run one whole-collection pass
 // per reference on the engine's Concurrency workers. Mutations, compaction
 // and snapshots are the one engine's, so a snapshot's index image serves
-// every range count. With one range a search is the unsplit pass on the
-// caller's goroutine, which may verify in parallel.
+// every width.
 package shard
 
 import (
@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
@@ -37,41 +35,24 @@ import (
 	"silkmoth/internal/obs"
 )
 
-// Engine is a related-set engine whose searches split into set-id ranges.
-// It is safe for concurrent use, including mutations interleaved with
-// queries (mutations take the write side of an internal lock, queries the
-// read side).
+// Engine is a related-set engine whose searches may run on several
+// goroutines. It is safe for concurrent use, including mutations
+// interleaved with queries (mutations take the write side of an internal
+// lock, queries the read side).
 type Engine struct {
 	// mu serializes mutations against queries. Queries only ever take the
 	// read side, so they proceed in parallel.
 	mu  sync.RWMutex
 	eng *core.Engine
-	// ranges is the number of set-id ranges a search splits into.
-	ranges int
-	// rangeHist[k] is range k's latency histogram: every split search
-	// observes each range's wall time, so a skewed split shows up as a
-	// diverging per-range distribution.
-	rangeHist []obs.Histogram
-	// stragglers counts split searches whose slowest range exceeded
-	// stragglerFactor × the median range time (above stragglerFloor, with
-	// at least two ranges) — the tail-latency signal of a split.
-	stragglers int64
+	// width is the most goroutines one search runs on.
+	width int
 }
 
-// Straggler detection thresholds: a split search counts as straggled when
-// its slowest range takes more than stragglerFactor times the median
-// range's wall time, and the slowest range exceeded stragglerFloor
-// (sub-100µs splits are all noise).
-const (
-	stragglerFactor = 2
-	stragglerFloor  = int64(100 * time.Microsecond)
-)
-
-// New builds the engine over coll, its searches split into ranges set-id
-// ranges. The index build fills its posting lists from the same ranges
+// New builds the engine over coll, each search on at most width goroutines.
+// The index build fills its posting lists from width set-id ranges
 // concurrently (index.BuildParallel).
-func New(coll *dataset.Collection, ranges int, opts core.Options) (*Engine, error) {
-	return NewFromSnapshot(&dataset.SnapshotData{Coll: coll}, ranges, opts)
+func New(coll *dataset.Collection, width int, opts core.Options) (*Engine, error) {
+	return NewFromSnapshot(&dataset.SnapshotData{Coll: coll}, width, opts)
 }
 
 // NewFromSnapshot is New for a collection loaded from a snapshot, whose
@@ -79,12 +60,12 @@ func New(coll *dataset.Collection, ranges int, opts core.Options) (*Engine, erro
 // ids — which WAL records replayed on top of the snapshot reference — keep
 // their meaning. Empty dead slots contribute no postings and no refcounts,
 // so no release/compaction bookkeeping is owed for them. The index image a
-// snapshot carries is imported, not rebuilt, at every range count.
-func NewFromSnapshot(snap *dataset.SnapshotData, ranges int, opts core.Options) (*Engine, error) {
-	if ranges < 1 {
+// snapshot carries is imported, not rebuilt, at every width.
+func NewFromSnapshot(snap *dataset.SnapshotData, width int, opts core.Options) (*Engine, error) {
+	if width < 1 {
 		return nil, errors.New("shard: shard count must be >= 1")
 	}
-	ix, err := buildIndex(snap, ranges, opts)
+	ix, err := buildIndex(snap, width, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -93,12 +74,12 @@ func NewFromSnapshot(snap *dataset.SnapshotData, ranges int, opts core.Options) 
 		return nil, err
 	}
 	eng.MarkDeadSlots(snap.Dead)
-	return &Engine{eng: eng, ranges: ranges, rangeHist: make([]obs.Histogram, ranges)}, nil
+	return &Engine{eng: eng, width: width}, nil
 }
 
 // buildIndex imports the snapshot's index image, or builds the index with
-// its lists filled from ranges set-id ranges concurrently.
-func buildIndex(snap *dataset.SnapshotData, ranges int, opts core.Options) (*index.Inverted, error) {
+// its lists filled from width set-id ranges concurrently.
+func buildIndex(snap *dataset.SnapshotData, width int, opts core.Options) (*index.Inverted, error) {
 	switch {
 	case snap.Containers != nil && opts.CompressPostings:
 		// Zero-copy lazy load: wrap the snapshot's encoded containers —
@@ -112,15 +93,15 @@ func buildIndex(snap *dataset.SnapshotData, ranges int, opts core.Options) (*ind
 		}
 		return index.FromLists(snap.Coll, lists), nil
 	}
-	ix := index.BuildParallel(snap.Coll, ranges)
+	ix := index.BuildParallel(snap.Coll, width)
 	if opts.CompressPostings {
 		ix.Compress(opts.PostingCacheBytes)
 	}
 	return ix, nil
 }
 
-// Shards returns the number of set-id ranges a search splits into.
-func (e *Engine) Shards() int { return e.ranges }
+// Shards returns the engine's width: the most goroutines one search runs on.
+func (e *Engine) Shards() int { return e.width }
 
 // Options returns the effective (normalized) engine options.
 func (e *Engine) Options() core.Options { return e.eng.Options() }
@@ -285,8 +266,7 @@ func (e *Engine) Compact() {
 }
 
 // sortMatches orders matches canonically: descending relatedness, ties by
-// ascending set index. This is the order the public API promises and the
-// order per-range streams feed the top-k merge in.
+// ascending set index. This is the order the public API promises.
 //
 //silkmoth:hotpath
 func sortMatches(ms []core.Match) {
@@ -311,71 +291,16 @@ func sortPairs(ps []core.Pair) {
 	})
 }
 
-// noteStraggler bumps the straggler counter when a split search's slowest
-// range ran away from the median. The median is found by rank counting —
-// O(ranges²) but allocation-free, and range counts are small.
-//
-//silkmoth:hotpath
-func (e *Engine) noteStraggler(durs []int64) {
-	n := len(durs)
-	if n < 2 {
-		return
-	}
-	slowest := durs[0]
-	for _, d := range durs[1:] {
-		if d > slowest {
-			slowest = d
-		}
-	}
-	if slowest < stragglerFloor {
-		return
-	}
-	var median int64
-	for _, d := range durs {
-		less, equal := 0, 0
-		for _, o := range durs {
-			switch {
-			case o < d:
-				less++
-			case o == d:
-				equal++
-			}
-		}
-		// d is the (lower) median when rank n/2 falls inside its tie run.
-		if less <= n/2 && less+equal > n/2 {
-			median = d
-			break
-		}
-	}
-	if median > 0 && slowest > stragglerFactor*median {
-		atomic.AddInt64(&e.stragglers, 1)
-	}
-}
-
-// ShardLatencies returns per-range snapshots of split-search latency,
-// indexed by range.
-func (e *Engine) ShardLatencies() []obs.HistogramSnapshot {
-	out := make([]obs.HistogramSnapshot, len(e.rangeHist))
-	for k := range e.rangeHist {
-		out[k] = e.rangeHist[k].Snapshot()
-	}
-	return out
-}
-
-// Stragglers returns the number of split searches whose slowest range
-// exceeded stragglerFactor × the median range time.
-func (e *Engine) Stragglers() int64 { return atomic.LoadInt64(&e.stragglers) }
-
 // StageLatencies returns the engine's per-stage latency histograms, indexed
 // by core.Stage.
 func (e *Engine) StageLatencies() [core.NumStages]obs.HistogramSnapshot {
 	return e.eng.StageLatencies()
 }
 
-// SearchContext answers RELATED SET SEARCH for r: the ranges search
-// concurrently and their union — equal to the serial engine's answer — is
-// returned sorted by descending relatedness, ties by index. r must be
-// tokenized against the collection's dictionary.
+// SearchContext answers RELATED SET SEARCH for r on at most the engine's
+// width of goroutines, returned sorted by descending relatedness, ties by
+// index — equal to the serial engine's answer. r must be tokenized against
+// the collection's dictionary.
 func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]core.Match, error) {
 	return e.SearchQueryContext(ctx, r, nil)
 }
@@ -389,55 +314,17 @@ func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *core
 // search answers one reference in canonical order, truncated to the top k
 // when k ≥ 0.
 func (e *Engine) search(ctx context.Context, r *dataset.Set, k int, q *core.Query) ([]core.Match, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.ranges == 1 {
-		// One range is the whole pass: it runs on the caller's goroutine
-		// with nothing to gather and — having no split to be its
-		// parallelism — may verify in parallel.
-		ms, err := e.eng.SearchQueryContext(ctx, r, q)
-		if err != nil {
-			return nil, err
-		}
-		if k >= 0 {
-			return localTopK(ms, k), nil
-		}
-		sortMatches(ms)
-		return ms, nil
-	}
-	per := make([][]core.Match, e.ranges)
-	nanos := make([]int64, e.ranges)
-	err := e.eng.SearchRangesContext(ctx, r, q, per, nanos)
-	// Observe before the error check so cancelled ranges still count
-	// toward the latency distribution; a range that never ran has none.
-	for i, d := range nanos {
-		if d > 0 {
-			e.rangeHist[i].Observe(time.Duration(d))
-		}
-	}
+	ms, err := e.eng.SearchSplitContext(ctx, r, q, e.width)
 	if err != nil {
 		return nil, err
 	}
-	e.noteStraggler(nanos)
 	if k >= 0 {
-		for i, ms := range per {
-			per[i] = localTopK(ms, k)
-		}
-		return mergeTopK(per, k), nil
+		return localTopK(ms, k), nil
 	}
-	n := 0
-	for _, ms := range per {
-		n += len(ms)
-	}
-	out := make([]core.Match, 0, n)
-	for _, ms := range per {
-		out = append(out, ms...)
-	}
-	sortMatches(out)
-	return out, nil
+	sortMatches(ms)
+	return ms, nil
 }
 
 // DiscoverContext answers RELATED SET DISCOVERY for refs against the

@@ -118,41 +118,11 @@ func TestEmptyCollection(t *testing.T) {
 	}
 }
 
-func TestMergeTopK(t *testing.T) {
-	m := func(set int, rel float64) core.Match {
-		return core.Match{Set: set, Relatedness: rel, Score: rel}
-	}
-	per := [][]core.Match{
-		{m(4, 0.9), m(0, 0.7)},
-		{},
-		{m(2, 0.9), m(6, 0.8), m(9, 0.1)},
-	}
-	got := mergeTopK(per, 4)
-	want := []core.Match{m(2, 0.9), m(4, 0.9), m(6, 0.8), m(0, 0.7)} // tie at 0.9 breaks by index
-	if len(got) != len(want) {
-		t.Fatalf("got %d items, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("item %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if n := len(mergeTopK(per, 100)); n != 5 {
-		t.Fatalf("k beyond supply: %d items, want all 5", n)
-	}
-	if n := len(mergeTopK(nil, 3)); n != 0 {
-		t.Fatalf("no streams: %d items, want 0", n)
-	}
-	// k is the caller's: sizing the output by it alone panics (makeslice:
-	// cap out of range) or asks for k·24 bytes.
-	if got := mergeTopK(per, math.MaxInt); len(got) != 5 || cap(got) != 5 {
-		t.Fatalf("k = MaxInt: len %d cap %d, want 5 and 5", len(got), cap(got))
-	}
-}
-
 // TestSearchTopKHugeK pins that a caller's k never sizes an allocation: a
-// top-k with k = math.MaxInt is the full answer at every shard count.
+// top-k with k = math.MaxInt is the full answer at every width, with every
+// wider search split.
 func TestSearchTopKHugeK(t *testing.T) {
+	defer core.ForceSplitForTest()()
 	ctx := context.Background()
 	coll := wordColl(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 40, Seed: 5}))
 	for _, n := range []int{1, 2, 7} {

@@ -9,10 +9,8 @@ import (
 )
 
 // SearchTopKContext returns the k most related sets to r, ordered by
-// descending relatedness (ties by index). Each range contributes its local
-// top k, and a k-way heap merge over the per-range sorted streams selects
-// the winners — so answering costs k·N merged candidates, never a full
-// concat-and-sort of every range's matches.
+// descending relatedness (ties by index): a bounded heap keeps the best k of
+// the pass's matches, never a full sort of them (localTopK).
 func (e *Engine) SearchTopKContext(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
 	return e.SearchTopKQueryContext(ctx, r, k, nil)
 }
@@ -27,40 +25,9 @@ func (e *Engine) SearchTopKQueryContext(ctx context.Context, r *dataset.Set, k i
 	return e.search(ctx, r, k, q)
 }
 
-// mergeTopK merges per-stream sorted match lists (descending relatedness,
-// ties by ascending set index) into the global top k, preserving that
-// order. It is exactly the k-prefix of the fully merged sort. The output is
-// sized by what the streams hold, never by k alone: k is the caller's and
-// may be math.MaxInt.
-//
-//silkmoth:hotpath
-func mergeTopK(per [][]core.Match, k int) []core.Match {
-	h := make(streamHeap, 0, len(per))
-	n := 0
-	for _, ms := range per {
-		if len(ms) > 0 {
-			h = append(h, stream{ms: ms})
-			n += len(ms)
-		}
-	}
-	heap.Init(&h)
-	out := make([]core.Match, 0, min(k, n))
-	for len(out) < k && h.Len() > 0 {
-		s := &h[0]
-		out = append(out, s.ms[s.pos])
-		s.pos++
-		if s.pos == len(s.ms) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return out
-}
-
 // localTopK reduces ms to its canonical-order top k in place-ish: a
 // bounded worst-at-root heap keeps the best k seen (O(m log k), never a
-// full sort of the range's matches), then the k survivors are sorted.
+// full sort of the matches), then the k survivors are sorted.
 // Because the canonical order is total (set indices are unique), the
 // result is exactly sort-then-truncate's.
 //
@@ -101,33 +68,3 @@ func (h worstHeap) Less(i, j int) bool { return worse(h[i], h[j]) }
 func (h worstHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *worstHeap) Push(x any)        { *h = append(*h, x.(core.Match)) }
 func (h *worstHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// stream is one range's sorted match list with a read cursor.
-type stream struct {
-	ms  []core.Match
-	pos int
-}
-
-type streamHeap []stream
-
-func (h streamHeap) Len() int { return len(h) }
-
-func (h streamHeap) Less(i, j int) bool {
-	a, b := h[i].ms[h[i].pos], h[j].ms[h[j].pos]
-	if a.Relatedness != b.Relatedness {
-		return a.Relatedness > b.Relatedness
-	}
-	return a.Set < b.Set
-}
-
-func (h streamHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *streamHeap) Push(x any) { *h = append(*h, x.(stream)) }
-
-func (h *streamHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}

@@ -9,8 +9,8 @@ import (
 
 // LatencyHistogram is a point-in-time latency distribution with fixed
 // log-spaced buckets (powers of two from 1µs to ~67s). Engines maintain
-// one per pipeline stage and, when sharded, one per set-id range; serving
-// layers render them as Prometheus histograms.
+// one per pipeline stage; serving layers render them as Prometheus
+// histograms.
 type LatencyHistogram struct {
 	// Bounds are the finite bucket upper bounds in seconds, ascending.
 	Bounds []float64
@@ -76,20 +76,4 @@ func (e *Engine) StageLatencies() StageLatencies {
 		Refine:    fromSnapshot(hs[core.StageRefine]),
 		Verify:    fromSnapshot(hs[core.StageVerify]),
 	}
-}
-
-// ShardLatencies returns per-range latency histograms, indexed by set-id
-// range: every split search observes each range's wall time, so a range
-// that holds more of the work shows as a diverging distribution. Nil on a
-// single-shard engine, whose searches never split.
-func (e *Engine) ShardLatencies() []LatencyHistogram {
-	if e.sh.Shards() == 1 {
-		return nil
-	}
-	snaps := e.sh.ShardLatencies()
-	out := make([]LatencyHistogram, len(snaps))
-	for i, s := range snaps {
-		out[i] = fromSnapshot(s)
-	}
-	return out
 }

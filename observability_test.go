@@ -2,12 +2,13 @@ package silkmoth
 
 import (
 	"testing"
+
+	"silkmoth/internal/core"
 )
 
-// TestStageLatenciesPublic drives both engine shapes with every pass timed
-// and checks the public observability surface: stage histograms populated,
-// Stats carrying the stage time sums, per-shard latencies on the sharded
-// engine only.
+// TestStageLatenciesPublic drives two engine widths with every pass timed
+// and checks the public observability surface: stage histograms populated
+// and Stats carrying the stage time sums.
 func TestStageLatenciesPublic(t *testing.T) {
 	sets := allocCorpus(120)
 	for _, shards := range []int{1, 3} {
@@ -44,50 +45,53 @@ func TestStageLatenciesPublic(t *testing.T) {
 		if st.Stages.Signature <= 0 || st.Stages.Collect <= 0 || st.Stages.Verify <= 0 {
 			t.Errorf("shards=%d: stage times not accumulated: %+v", shards, st.Stages)
 		}
-		shl := eng.ShardLatencies()
-		if shards == 1 {
-			if shl != nil {
-				t.Errorf("unsharded engine reports shard latencies: %v", shl)
-			}
-			continue
-		}
-		if len(shl) != shards {
-			t.Fatalf("got %d shard latency histograms, want %d", len(shl), shards)
-		}
-		for s, h := range shl {
-			if h.Count != queries {
-				t.Errorf("shard %d scatter count = %d, want %d", s, h.Count, queries)
-			}
-		}
 	}
 }
 
 // TestExplainStages checks an explained query reports its per-stage wall
-// time split alongside the funnel.
+// time split alongside the funnel, and that the stages — the caller's
+// timeline — stay within the query's wall time when the pass runs in chunks
+// on helpers too, whose busy time is HelperTime.
 func TestExplainStages(t *testing.T) {
 	sets := allocCorpus(120)
-	eng, err := NewEngine(sets, Config{
-		Similarity:  Jaccard,
-		Delta:       0.5,
-		Alpha:       0.3,
-		StageSample: -1, // explain must time even with sampling disabled
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Explain(sets[7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := res.Explain
-	if ex == nil {
-		t.Fatal("no explain capture")
-	}
-	stagesSum := ex.Stages.Signature + ex.Stages.Collect + ex.Stages.Refine + ex.Stages.Verify
-	if stagesSum <= 0 {
-		t.Fatalf("explain stage times empty: %+v", ex.Stages)
-	}
-	if stagesSum > ex.Elapsed {
-		t.Errorf("stage times %v exceed total elapsed %v", stagesSum, ex.Elapsed)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		forced bool
+	}{{"width 1", 1, false}, {"default width", 0, false}, {"forced split", 4, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.forced {
+				defer core.ForceSplitForTest()()
+			}
+			eng, err := NewEngine(sets, Config{
+				Similarity:  Jaccard,
+				Delta:       0.5,
+				Alpha:       0.3,
+				Shards:      tc.shards,
+				StageSample: -1, // explain must time even with sampling disabled
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Explain(sets[7])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := res.Explain
+			if ex == nil {
+				t.Fatal("no explain capture")
+			}
+			stagesSum := ex.Stages.Signature + ex.Stages.Collect + ex.Stages.Refine + ex.Stages.Verify
+			if stagesSum <= 0 {
+				t.Fatalf("explain stage times empty: %+v", ex.Stages)
+			}
+			if stagesSum > ex.Elapsed {
+				t.Errorf("stage times %v exceed total elapsed %v", stagesSum, ex.Elapsed)
+			}
+			st := eng.Stats()
+			if (tc.forced && st.SplitPasses != 1) || (tc.shards == 1 && st.SplitPasses != 0) || (ex.HelperTime > 0) != (st.HelperChunks > 0) {
+				t.Errorf("split passes %d, helper chunks %d, helper time %v", st.SplitPasses, st.HelperChunks, ex.HelperTime)
+			}
+		})
 	}
 }

@@ -37,8 +37,8 @@ type queryOptions struct {
 }
 
 // WithK truncates the query's matches to the k most related (k ≥ 1), like
-// SearchTopK. The heap-merged top-k path answers it with k·Shards merged
-// candidates instead of a full sort.
+// SearchTopK. The top-k path keeps the best k in a bounded heap instead
+// of sorting every match.
 func WithK(k int) QueryOption {
 	return func(qo *queryOptions) error {
 		if k < 1 {
@@ -242,9 +242,14 @@ type Explain struct {
 	Elapsed time.Duration
 	// Stages splits the query's pass time by pipeline stage — where inside
 	// the funnel the wall time went. Explained queries time every pass, so
-	// the four durations sum over all of Passes (they total less than
-	// Elapsed, which also covers tokenization, fan-out, and merging).
+	// the four durations sum over all of Passes. They are the caller's
+	// timeline: they total less than Elapsed, which also covers
+	// tokenization, fan-out, merging and waiting for helpers.
 	Stages StageTimes
+	// HelperTime is the busy time of the helpers that ran set-id chunks of
+	// the query's passes on other goroutines (Config.Shards). Stages leaves
+	// it out; it overlaps Elapsed, since the caller waits for the helpers.
+	HelperTime time.Duration
 }
 
 // explainFromPass converts a query's captured funnel into the public shape.
@@ -265,6 +270,7 @@ func explainFromPass(ps core.Funnel, elapsed time.Duration) Explain {
 		SimBounded:  ps.SimBounded,
 		Elapsed:     elapsed,
 		Stages:      stageTimes(ps),
+		HelperTime:  time.Duration(ps.HelperNanos),
 	}
 	type schemeCount struct {
 		name  string

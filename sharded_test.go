@@ -3,7 +3,10 @@ package silkmoth
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+
+	"silkmoth/internal/core"
 )
 
 // shardedCorpus builds a small corpus with planted near-duplicates so
@@ -29,12 +32,22 @@ func shardedCorpus(n int) []Set {
 	return sets
 }
 
-// TestShardedPublicEquivalence pins the public wrapper's sharded path to
-// the unsharded one across every query mode, including after Add.
+// TestShardedPublicEquivalence pins the public wrapper's searches at width
+// 3, every one forced to split, to width 1's across every query mode,
+// including after Add. Shards() reports the width, GOMAXPROCS by default.
 func TestShardedPublicEquivalence(t *testing.T) {
+	defer core.ForceSplitForTest()()
 	sets := shardedCorpus(30) // 30 base + 10 planted dups = 40 sets
 	cut := 28
 	cfg := Config{Metric: SetSimilarity, Similarity: Jaccard, Delta: 0.5, Concurrency: 2}
+	byDefault, err := NewEngine(sets[:cut], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := byDefault.Shards(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default Shards() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+	cfg.Shards = 1
 	plain, err := NewEngine(sets[:cut], cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +137,7 @@ func TestShardedPublicEquivalence(t *testing.T) {
 		}
 	}
 
-	if st := sharded.Stats(); st.SearchPasses == 0 || st.Verified == 0 {
+	if st := sharded.Stats(); st.SearchPasses == 0 || st.Verified == 0 || st.SplitPasses == 0 {
 		t.Fatalf("sharded stats not aggregated: %+v", st)
 	}
 }

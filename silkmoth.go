@@ -85,20 +85,19 @@
 //
 // Engines are safe for concurrent use: parallel queries do not serialize
 // on a shared lock, mutations (Add, Delete, Update, Compact) are safely
-// interleaved with in-flight queries, and
-// Config.Concurrency parallelizes Discover's reference passes and, on a
-// single-shard engine, each query's candidate verification. The
-// context-aware variants (SearchContext, SearchTopKContext,
-// DiscoverContext, DiscoverAgainstContext) abort cleanly on cancellation.
+// interleaved with in-flight queries, and Config.Concurrency parallelizes
+// Discover's reference passes and a batch's searches. The context-aware
+// variants (SearchContext, SearchTopKContext, DiscoverContext,
+// DiscoverAgainstContext) abort cleanly on cancellation.
 //
-// An engine holds one inverted index. Config.Shards ≥ 1 cuts the set ids
-// into that many contiguous ranges: the index build fills its lists from
-// the ranges in parallel, and every search generates one signature and then
-// collects, refines and verifies each range's candidates concurrently,
-// merging their answers, with results guaranteed identical at every shard
-// count.
-// SearchBatch answers many searches in one call, amortizing tokenization
-// and fanning the batch across workers.
+// An engine holds one inverted index, and one search is one pass: one
+// signature, then candidate collection, refinement and verification. The
+// caller's goroutine runs the first set-id chunk of the pass and times it; a
+// short pass finishes there, and a long one starts helpers, up to
+// Config.Shards goroutines in all (GOMAXPROCS by default), that claim the
+// remaining chunks with it. Results are guaranteed identical at every
+// width. SearchBatch answers many searches in one call, amortizing
+// tokenization and fanning the batch across workers.
 //
 // To serve an engine over HTTP/JSON — search, top-k, discovery, compare,
 // explain, and incremental indexing behind a bounded worker pool with an
@@ -110,6 +109,7 @@ package silkmoth
 
 import (
 	"fmt"
+	"runtime"
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/signature"
@@ -279,18 +279,21 @@ type Config struct {
 	// DisableReduction turns off reduction-based verification (§5.3).
 	// The reduction only applies at Alpha = 0 under Jaccard or Eds.
 	DisableReduction bool
-	// Concurrency bounds parallel search passes in Discover; values < 1
-	// mean single-threaded.
+	// Concurrency bounds the parallel search passes of Discover,
+	// DiscoverAgainst and SearchBatch, each pass on one goroutine; values
+	// < 1 mean single-threaded. One search's own parallelism is Shards.
 	Concurrency int
-	// Shards is the number of contiguous set-id ranges a search's
-	// candidate work splits into: after one signature, the ranges collect,
-	// refine and verify their candidates concurrently, through posting
-	// lists cut to the range, and the index build fills its lists from the
-	// same ranges in parallel. There is one index at every count, so a
-	// durable engine reopens without an index build whatever count wrote
-	// it, and results are provably identical at every count (same matches,
-	// same scores, same order). Values < 2 mean one range: a search is one
-	// pass on the caller's goroutine, which may verify in parallel.
+	// Shards is a search's width: the most goroutines one search pass runs
+	// on. After its one signature, a pass runs its first set-id chunk on the
+	// caller's goroutine; once that proves it long, helpers start and claim
+	// the remaining chunks with the caller, each chunk collecting, refining
+	// and verifying its own candidates through posting lists cut to it. 0
+	// means runtime.GOMAXPROCS(0), 1 keeps every search on the caller's
+	// goroutine, and N caps it at N. The index build fills its lists from
+	// that many set-id ranges in parallel. There is one index at every
+	// width, so a durable engine reopens without an index build whatever
+	// width wrote it, and results are provably identical at every width
+	// (same matches, same scores, same order).
 	Shards int
 	// StageSample controls per-stage wall timing of search passes: one in
 	// every StageSample passes records its signature/collect/refine/verify
@@ -338,6 +341,15 @@ type Config struct {
 // DefaultCompactionThreshold is the tombstone ratio at which engines
 // compact automatically when Config.CompactionThreshold is zero.
 const DefaultCompactionThreshold = 0.25
+
+// width resolves Shards: 0 is runtime.GOMAXPROCS(0), and a negative value
+// keeps every search on the caller's goroutine, as 1 does.
+func (c Config) width() int {
+	if c.Shards == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(1, c.Shards)
+}
 
 func (c Config) coreOptions() (core.Options, error) {
 	var metric core.Metric
@@ -466,10 +478,12 @@ type Stats struct {
 	// TimedPasses for a mean per-pass stage profile.
 	TimedPasses int64
 	Stages      StageTimes
-	// Stragglers counts split searches whose slowest set-id range took
-	// more than twice the median range's time — the split's tail-latency
-	// signal. Always zero on a single-shard engine.
-	Stragglers int64
+	// SplitPasses counts the search passes whose first set-id chunk ran
+	// long enough to start helpers, and HelperChunks the chunks those
+	// helpers claimed: how often the width was used, and how much of the
+	// work left the caller's goroutine.
+	SplitPasses  int64
+	HelperChunks int64
 	// Live is the number of live (non-deleted) sets.
 	Live int
 	// Tombstones is the number of deleted sets whose postings are still
