@@ -60,11 +60,10 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []Set, opts ...Que
 	}
 	out := make([][]Match, len(per))
 	for i, ms := range per {
-		m := e.toMatches(ms)
-		if qo.hasK && len(m) > qo.k {
-			m = m[:qo.k]
+		if qo.hasK && len(ms) > qo.k {
+			ms = ms[:qo.k]
 		}
-		out[i] = m
+		out[i] = e.toMatches(ms)
 	}
 	qo.finishExplain(q, time.Since(start))
 	return out, nil
@@ -113,11 +112,10 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 	}
 	out := make([]Result, len(per))
 	for i, ms := range per {
-		m := e.toMatches(ms)
-		if qos[i].hasK && len(m) > qos[i].k {
-			m = m[:qos[i].k]
+		if qos[i].hasK && len(ms) > qos[i].k {
+			ms = ms[:qos[i].k]
 		}
-		out[i] = Result{Matches: m}
+		out[i] = Result{Matches: e.toMatches(ms)}
 		if itemErrs != nil {
 			out[i].Err = itemErrs[i]
 		}
@@ -138,8 +136,8 @@ func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQ
 // per-item queries with refs. Callers must hold at least the read lock —
 // and keep holding it while converting the returned core matches, whose
 // indices are only meaningful against the collection they were computed
-// on. The second result is shard.SearchBatchQueries': per-item errors, nil
-// when no item failed.
+// on. The second result is core.Engine.SearchBatchQueries': per-item errors,
+// nil when no item failed.
 func (e *Engine) searchBatchCore(ctx context.Context, refs []Set, qs []*core.Query) ([][]core.Match, []error, error) {
 	qc, release := e.tokenizeQuery(refs)
 	defer release()
@@ -147,5 +145,5 @@ func (e *Engine) searchBatchCore(ctx context.Context, refs []Set, qs []*core.Que
 	for i := range qc.Sets {
 		rs[i] = &qc.Sets[i]
 	}
-	return e.sh.SearchBatchQueries(ctx, rs, qs)
+	return e.eng.SearchBatchQueries(ctx, rs, qs)
 }

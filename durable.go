@@ -7,7 +7,6 @@ import (
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
-	"silkmoth/internal/shard"
 	"silkmoth/internal/wal"
 )
 
@@ -65,7 +64,7 @@ func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*
 // path but the compressed lazy one copied what it needed), the paired log
 // is replayed, and the log is opened for appending.
 func (e *Engine) finishRecovery(st *wal.Store) error {
-	if !e.sh.SharesContainers() {
+	if !e.eng.Index().SharesContainers() {
 		m := e.snapMap
 		e.snapMap = nil
 		if err := m.Close(); err != nil {
@@ -94,17 +93,10 @@ func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	if !(opts.Delta > 0 && opts.Delta <= 1) { // NaN fails too
-		return nil, errors.New("silkmoth: Config.Delta must be in (0, 1]")
-	}
 	if opts.Q == 0 {
 		opts.Q = snap.Coll.Q
 	}
-	sh, err := shard.NewFromSnapshot(snap, cfg.width(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{sh: sh, coll: snap.Coll}, nil
+	return newEngine(snap, cfg, opts)
 }
 
 // applyRecord replays one WAL record against the engine's in-memory state.
@@ -117,7 +109,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 	case wal.OpAdd:
 		// Add and Update append at len(coll.Sets) unconditionally, which
 		// is what makes replay reproduce the original id assignment.
-		e.sh.Add(rec.Sets)
+		e.applyAdd(rec.Sets)
 		return nil
 	case wal.OpDelete:
 		return e.applyDelete(rec.ID)
@@ -132,22 +124,35 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 	}
 }
 
+// applyAdd tokenizes raws with the collection's dictionary, appends them
+// under the next ids and extends the index over them.
+func (e *Engine) applyAdd(raws []dataset.RawSet) {
+	e.eng.AppendSets(dataset.Append(e.coll, raws))
+}
+
 // applyDelete tombstones id in memory.
 func (e *Engine) applyDelete(id int) error {
-	err := e.sh.Delete(id)
+	err := e.eng.Delete(id)
 	if errors.Is(err, core.ErrNotFound) {
 		return ErrNotFound
 	}
 	return err
 }
 
-// applyUpdate replaces id in memory, returning the replacement's new id.
+// applyUpdate replaces id in memory, returning the replacement's new id: the
+// new version is appended under the next id and the old slot tombstoned, in
+// the caller's one critical section, so no query ever observes both versions
+// or neither.
 func (e *Engine) applyUpdate(id int, raw dataset.RawSet) (int, error) {
-	newID, err := e.sh.Update(id, raw)
-	if errors.Is(err, core.ErrNotFound) {
+	if !e.eng.Alive(id) {
 		return 0, ErrNotFound
 	}
-	return newID, err
+	newID := len(e.coll.Sets)
+	e.applyAdd([]dataset.RawSet{raw})
+	if err := e.applyDelete(id); err != nil {
+		return 0, err
+	}
+	return newID, nil
 }
 
 // appendWAL logs one mutation record, fsync'd, before the mutation is
@@ -177,11 +182,11 @@ func (e *Engine) Snapshot() error {
 }
 
 // writeSnapshotLocked persists the engine's durable image
-// (shard.Engine.SnapshotData). Callers hold the write lock, which keeps
+// (core.Engine.SnapshotData). Callers hold the write lock, which keeps
 // mutations out while the writer reads the index.
 func (e *Engine) writeSnapshotLocked() error {
 	return e.store.WriteSnapshot(func(w io.Writer) error {
-		return dataset.SaveSnapshot(w, e.sh.SnapshotData())
+		return dataset.SaveSnapshot(w, e.eng.SnapshotData())
 	})
 }
 
@@ -198,7 +203,7 @@ func (e *Engine) Close() error {
 		// The index borrowed the mapped snapshot's container bytes; copy
 		// them onto the heap before the mapping goes away so reads after
 		// Close stay safe.
-		e.sh.UnshareContainers()
+		e.eng.Index().UnshareContainers()
 		err = e.snapMap.Close()
 		e.snapMap = nil
 	}

@@ -179,7 +179,7 @@ func liveRaws(e *Engine) []Set {
 	defer e.mu.RUnlock()
 	var out []Set
 	for i := range e.coll.Sets {
-		if !e.sh.Alive(i) {
+		if !e.eng.Alive(i) {
 			continue
 		}
 		s := &e.coll.Sets[i]

@@ -2,14 +2,12 @@ package silkmoth
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/mmap"
-	"silkmoth/internal/shard"
 	"silkmoth/internal/tokens"
 	"silkmoth/internal/wal"
 )
@@ -17,22 +15,25 @@ import (
 // Engine indexes a collection of sets and answers related-set searches and
 // discoveries over it. Build once, query many times; an Engine is safe for
 // concurrent use, including Add concurrent with queries. Queries never
-// block each other: the token dictionary is internally synchronized, so
-// parallel searches proceed without a shared engine lock.
+// block each other: they share the read side of the engine's one lock, and
+// the token dictionary synchronizes its own interning.
 //
-// An Engine holds one inverted index over its collection. A search runs on
-// the caller's goroutine and, once it proves long, on up to Config.Shards
-// goroutines in all (GOMAXPROCS by default), which claim its set-id chunks
-// after one shared signature. The API and results are the same at every
-// width.
+// An Engine holds one core engine, with one inverted index over its
+// collection, and a width. A search runs on the caller's goroutine and, once
+// it proves long, on up to Config.Shards goroutines in all (GOMAXPROCS by
+// default), which claim its set-id chunks after one shared signature. The
+// API and results are the same at every width.
 type Engine struct {
-	sh *shard.Engine
-	// coll is sh's collection, under the ids the API speaks.
+	eng *core.Engine
+	// coll is eng's collection, under the ids the API speaks.
 	coll *dataset.Collection
-	// mu serializes mutations (Add, Delete, Update, Compact) against
-	// queries: mutators take the write side, queries the read side —
-	// including query tokenization, which must not observe compaction's
-	// dictionary slot recycling mid-flight.
+	// width is the most goroutines one search runs on: Config.Shards
+	// resolved.
+	width int
+	// mu is the engine's one lock. It serializes mutations (Add, Delete,
+	// Update, Compact, Snapshot) against queries: mutators take the write
+	// side, queries the read side — including query tokenization, which must
+	// not observe compaction's dictionary slot recycling mid-flight.
 	mu sync.RWMutex
 
 	// Durability (nil/zero on a heap-only engine). store is the
@@ -76,9 +77,6 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !(opts.Delta > 0 && opts.Delta <= 1) { // NaN fails too
-		return nil, errors.New("silkmoth: Config.Delta must be in (0, 1]")
-	}
 	raws := toRaw(sets)
 	dict := tokens.NewDictionary()
 	var coll *dataset.Collection
@@ -90,16 +88,23 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 		}
 		coll = dataset.BuildQGram(dict, raws, opts.Q)
 	}
-	sh, err := shard.New(coll, cfg.width(), opts)
+	return newEngine(&dataset.SnapshotData{Coll: coll}, cfg, opts)
+}
+
+// newEngine builds the core engine over a snapshot's collection (a fresh
+// one's has no index image and no dead slots) at the width cfg resolves to.
+func newEngine(snap *dataset.SnapshotData, cfg Config, opts core.Options) (*Engine, error) {
+	width := cfg.width()
+	eng, err := core.NewEngineFromSnapshot(snap, width, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{sh: sh, coll: coll}, nil
+	return &Engine{eng: eng, coll: snap.Coll, width: width}, nil
 }
 
 // Shards returns the engine's width: the most goroutines one search runs
 // on, Config.Shards resolved (GOMAXPROCS when it is 0).
-func (e *Engine) Shards() int { return e.sh.Shards() }
+func (e *Engine) Shards() int { return e.width }
 
 func toRaw(sets []Set) []dataset.RawSet {
 	raws := make([]dataset.RawSet, len(sets))
@@ -193,15 +198,9 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 	defer e.mu.RUnlock()
 	qc, release := e.tokenizeQuery([]Set{ref})
 	defer release()
-	r := &qc.Sets[0]
-	var ms []core.Match
-	if qo.hasK {
-		// The top-k path keeps the best k in a bounded heap instead of
-		// sorting every match.
-		ms, err = e.sh.SearchTopKQueryContext(ctx, r, qo.k, q)
-	} else {
-		ms, err = e.sh.SearchQueryContext(ctx, r, q)
-	}
+	// The top-k path (k > 0) keeps the best k in a bounded heap instead of
+	// sorting every match.
+	ms, err := e.eng.SearchSplitContext(ctx, &qc.Sets[0], q, e.width, qo.k)
 	if err != nil {
 		return Result{}, err
 	}
@@ -215,9 +214,8 @@ func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, 
 
 // toMatches rewrites core matches into the public form, resolving names
 // from the engine's collection — the one post-processing step every search
-// path shares. The order is the shard engine's: canonical (descending
-// relatedness, ties by ascending index). Callers must hold at least the
-// read lock.
+// path shares. The order is core's: canonical (descending relatedness, ties
+// by ascending index). Callers must hold at least the read lock.
 func (e *Engine) toMatches(ms []core.Match) []Match {
 	out := make([]Match, len(ms))
 	for i, m := range ms {
@@ -270,7 +268,7 @@ func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, o
 		start = time.Now()
 	}
 	// Passing e.coll itself selects self-join semantics.
-	ps, err := e.sh.DiscoverQueryContext(ctx, refs, q)
+	ps, err := e.eng.DiscoverQueryContext(ctx, refs, q)
 	if err != nil {
 		return nil, err
 	}
@@ -294,8 +292,8 @@ func (e *Engine) DiscoverAgainstContext(ctx context.Context, refs []Set, opts ..
 	return e.discoverLocked(ctx, qc, opts)
 }
 
-// toPairs rewrites core pairs into the public form, keeping the shard
-// engine's (R, S) order.
+// toPairs rewrites core pairs into the public form, keeping core's (R, S)
+// order.
 func (e *Engine) toPairs(ps []core.Pair, refs *dataset.Collection) []Pair {
 	out := make([]Pair, len(ps))
 	for i, p := range ps {
@@ -316,13 +314,18 @@ func (e *Engine) toPairs(ps []core.Pair, refs *dataset.Collection) []Pair {
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.sh.Len()
+	return e.eng.LiveCount()
 }
 
-// SetName returns the name of collection set i.
+// SetName returns the name of the set with id i, and "" for an id the
+// engine never assigned: one below 0 or past the last id Add or Update
+// handed out. A deleted set's id stays assigned.
 func (e *Engine) SetName(i int) string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if i < 0 || i >= len(e.coll.Sets) {
+		return ""
+	}
 	return e.coll.Sets[i].Name
 }
 
@@ -331,11 +334,11 @@ func (e *Engine) SetName(i int) string {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := e.sh.Stats()
+	st := e.eng.Stats()
 	out := Stats{
-		Live:        e.sh.Len(),
-		Tombstones:  e.sh.Tombstones(),
-		Compactions: e.sh.Compactions(),
+		Live:        e.eng.LiveCount(),
+		Tombstones:  e.eng.Tombstones(),
+		Compactions: e.eng.Compactions(),
 	}
 	out.SearchPasses = st.SearchPasses
 	out.FullScans = st.FullScans
@@ -358,7 +361,7 @@ func (e *Engine) Stats() Stats {
 	out.Stages = stageTimes(st)
 	out.SplitPasses = st.SplitPasses
 	out.HelperChunks = st.HelperChunks
-	ps := e.sh.Storage()
+	ps := e.eng.Storage()
 	out.CompressedPostings = ps.Compressed
 	out.Postings = ps.Postings
 	out.PostingHeapBytes = ps.HeapBytes

@@ -19,9 +19,9 @@ func (e *Engine) SearchTopK(ref Set, k int, opts ...QueryOption) ([]Match, error
 	return e.SearchTopKContext(context.Background(), ref, k, opts...)
 }
 
-// SearchTopKContext is SearchTopK with cancellation. Each set-id range
-// contributes its local top k and a heap merge selects the winners, so the
-// answer costs k·Shards merged candidates instead of a full sort.
+// SearchTopKContext is SearchTopK with cancellation. The search's one pass
+// feeds its matches through one bounded heap that keeps the best k, so the
+// answer costs O(m log k) for m matches instead of a full sort.
 func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...QueryOption) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -49,7 +49,7 @@ func (e *Engine) Add(sets []Set) error {
 	if err := e.appendWAL(&wal.Record{Op: wal.OpAdd, Sets: raws}); err != nil {
 		return err
 	}
-	e.sh.Add(raws)
+	e.applyAdd(raws)
 	return nil
 }
 
@@ -66,7 +66,7 @@ func (e *Engine) Add(sets []Set) error {
 func (e *Engine) SaveCollection(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return dataset.SaveSnapshot(w, e.sh.SnapshotData())
+	return dataset.SaveSnapshot(w, e.eng.SnapshotData())
 }
 
 // NewEngineFromSaved builds an engine from an image written by
@@ -93,7 +93,7 @@ func NewEngineFromSaved(r io.Reader, cfg Config) (*Engine, error) {
 		// A compressed index views its containers inside the buffer
 		// LoadSnapshot read; copy them out so the engine does not pin the
 		// whole file image.
-		e.sh.UnshareContainers()
+		e.eng.Index().UnshareContainers()
 		return e, nil
 	}
 	if cfg.DataDir == "" {
@@ -174,5 +174,5 @@ func (e *Engine) matchScore(r Set) (score float64, nR, nS int) {
 	defer release()
 	rs := &qc.Sets[0]
 	ss := &e.coll.Sets[0]
-	return e.sh.MatchScore(rs, ss), len(rs.Elements), len(ss.Elements)
+	return e.eng.MatchScore(rs, ss), len(rs.Elements), len(ss.Elements)
 }

@@ -74,7 +74,7 @@ func TestParallelSearchByteIdentical(t *testing.T) {
 	}
 	for ri := range coll.Sets {
 		r := &coll.Sets[ri]
-		mp, err := engP.SearchSplitContext(context.Background(), r, nil, 8)
+		mp, err := engP.SearchSplitContext(context.Background(), r, nil, 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

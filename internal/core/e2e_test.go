@@ -78,15 +78,6 @@ func randStringCorpus(rng *rand.Rand, numSets int) []dataset.RawSet {
 	return raws
 }
 
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].R != ps[j].R {
-			return ps[i].R < ps[j].R
-		}
-		return ps[i].S < ps[j].S
-	})
-}
-
 func comparePairs(t *testing.T, label string, got, want []Pair) {
 	t.Helper()
 	sortPairs(got)

@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/filter"
@@ -62,9 +62,9 @@ type Pair struct {
 
 // Engine runs related-set search passes against one indexed collection.
 // It is safe for concurrent use once built. Mutations — AppendSets,
-// Delete, Compact — must be serialized against queries by the caller
-// (the public silkmoth.Engine and the shard engine hold a write lock
-// around them).
+// Delete, Compact — must be serialized against queries by the caller (the
+// public silkmoth.Engine holds its one lock's write side around them, its
+// queries the read side).
 type Engine struct {
 	opts Options
 	coll *dataset.Collection
@@ -101,17 +101,43 @@ type Engine struct {
 // NewEngine validates opts, checks that the collection's tokenization
 // matches the similarity function, and builds the inverted index.
 func NewEngine(coll *dataset.Collection, opts Options) (*Engine, error) {
-	return newEngine(coll, nil, opts)
+	return NewEngineFromSnapshot(&dataset.SnapshotData{Coll: coll}, 1, opts)
 }
 
 // NewEngineFromIndex builds an engine over a pre-built inverted index,
 // letting callers amortize one index across many engine configurations
 // (the experiment harness sweeps schemes and filters over one corpus).
 func NewEngineFromIndex(ix *index.Inverted, opts Options) (*Engine, error) {
-	return newEngine(ix.Collection(), ix, opts)
+	e, err := newEngine(ix.Collection(), opts)
+	if err != nil {
+		return nil, err
+	}
+	e.ix = ix
+	return e, nil
 }
 
-func newEngine(coll *dataset.Collection, ix *index.Inverted, opts Options) (*Engine, error) {
+// NewEngineFromSnapshot builds an engine over a snapshot's collection. The
+// index image a snapshot carries is imported, not rebuilt; without one the
+// index is built with its lists filled from width set-id ranges concurrently
+// (index.BuildParallel). The snapshot's dead slots persist as empty
+// placeholders: they are marked dead, so the ids that WAL records replayed on
+// top of the snapshot reference keep their meaning. A fresh collection is a
+// snapshot with neither.
+func NewEngineFromSnapshot(snap *dataset.SnapshotData, width int, opts Options) (*Engine, error) {
+	e, err := newEngine(snap.Coll, opts)
+	if err != nil {
+		return nil, err
+	}
+	if e.ix, err = snapshotIndex(snap, width, e.opts); err != nil {
+		return nil, err
+	}
+	e.markDeadSlots(snap.Dead)
+	return e, nil
+}
+
+// newEngine validates opts against coll and sets up everything but the
+// index.
+func newEngine(coll *dataset.Collection, opts Options) (*Engine, error) {
 	o, err := opts.normalize()
 	if err != nil {
 		return nil, err
@@ -122,14 +148,7 @@ func newEngine(coll *dataset.Collection, ix *index.Inverted, opts Options) (*Eng
 	if o.Sim.TokenMode() == dataset.ModeQGram && coll.Q != o.Q {
 		return nil, errors.New("core: collection q does not match options q")
 	}
-	if ix == nil {
-		if o.CompressPostings {
-			ix = index.BuildCompressed(coll, o.PostingCacheBytes)
-		} else {
-			ix = index.Build(coll)
-		}
-	}
-	e := &Engine{opts: o, coll: coll, ix: ix}
+	e := &Engine{opts: o, coll: coll}
 	e.phi = phiFunc(o)
 	e.fromOverlap = overlapFunc(o.Sim)
 	retainSets(coll, 0)
@@ -204,9 +223,9 @@ func (e *Engine) Collection() *dataset.Collection { return e.coll }
 
 // SearchContext runs one related-set search pass (paper §3) for reference
 // set r, which must be tokenized against the engine collection's
-// dictionary. It aborts between verification
-// steps when ctx is done and returns ctx.Err(). The pass runs on the
-// caller's goroutine; SearchSplitContext may spread it over more.
+// dictionary, and returns the matches in canonical order. It aborts between
+// verification steps when ctx is done and returns ctx.Err(). The pass runs on
+// the caller's goroutine; SearchSplitContext may spread it over more.
 func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]Match, error) {
 	return e.SearchQueryContext(ctx, r, nil)
 }
@@ -277,11 +296,10 @@ func (e *Engine) sizeAcceptDelta(nR, nS int, delta float64) bool {
 // unordered pair reported once, self-pairs skipped); under SET-CONTAINMENT
 // every ordered pair ⟨R, S⟩ with |R| ≤ |S|, R ≠ S is considered.
 //
-// Reference passes are
-// sharded across the engine's Concurrency workers, each with its own
-// scratch and funnel record (folded in on retirement), and the whole
-// discovery aborts with ctx.Err() when ctx is done. Pair order varies with
-// worker interleaving; the pair set does not.
+// Reference passes run on the engine's Concurrency workers (fanOut), each
+// with its own scratch and funnel record (folded in on retirement), and the
+// whole discovery aborts with ctx.Err() when ctx is done. Pairs are returned
+// sorted by (R, S).
 func (e *Engine) DiscoverContext(ctx context.Context, refs *dataset.Collection) ([]Pair, error) {
 	return e.DiscoverQueryContext(ctx, refs, nil)
 }
@@ -299,65 +317,34 @@ func (e *Engine) DiscoverQueryContext(ctx context.Context, refs *dataset.Collect
 	}
 	selfJoin := refs == e.coll
 	n := len(refs.Sets)
-	workers := e.opts.Concurrency
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var mu sync.Mutex
-	var pairs []Pair
-	var firstErr error
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sr := e.NewSearcher()
-			var local []Pair
-			var err error
-			for {
-				ri := int(atomic.AddInt64(&next, 1)) - 1
-				if ri >= n {
-					break
-				}
-				if err = ctx.Err(); err != nil {
-					break
-				}
-				if selfJoin && !e.alive(ri) {
-					continue // deleted sets are no longer references
-				}
-				selfSkip := -1
-				if selfJoin && e.opts.Metric == SetSimilarity {
-					selfSkip = ri
-				}
-				var ms []Match
-				ms, err = sr.SearchQuery(ctx, &refs.Sets[ri], selfSkip, q)
-				if err != nil {
-					break
-				}
-				for _, m := range ms {
-					if selfJoin && m.Set == ri {
-						continue // no self-pairs
-					}
-					local = append(local, Pair{R: ri, S: m.Set, Relatedness: m.Relatedness, Score: m.Score})
-				}
+	local := make([][]Pair, e.fanOutWorkers(n)) // each worker appends to its own
+	err := e.fanOut(ctx, n, func(ctx context.Context, sr *Searcher, w, ri int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if selfJoin && !e.alive(ri) {
+			return nil // deleted sets are no longer references
+		}
+		selfSkip := -1
+		if selfJoin && e.opts.Metric == SetSimilarity {
+			selfSkip = ri
+		}
+		ms, err := sr.SearchQuery(ctx, &refs.Sets[ri], selfSkip, q)
+		if err != nil {
+			return err
+		}
+		for _, m := range ms {
+			if selfJoin && m.Set == ri {
+				continue // no self-pairs
 			}
-			sr.Close()
-			mu.Lock()
-			pairs = append(pairs, local...)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}()
+			local[w] = append(local[w], Pair{R: ri, S: m.Set, Relatedness: m.Relatedness, Score: m.Score})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	pairs := slices.Concat(local...)
+	sortPairs(pairs)
 	return pairs, nil
 }

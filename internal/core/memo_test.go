@@ -150,7 +150,7 @@ func TestMemoParallelVerifyByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for ri := range coll.Sets {
-				got, err := parallel.SearchSplitContext(context.Background(), &coll.Sets[ri], nil, 4)
+				got, err := parallel.SearchSplitContext(context.Background(), &coll.Sets[ri], nil, 4, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

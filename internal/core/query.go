@@ -118,18 +118,20 @@ func (e *Engine) queryOptions(q *Query) Options {
 // (when non-nil) receives the pass's funnel. A nil q is exactly
 // SearchContext.
 func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *Query) ([]Match, error) {
-	return e.SearchSplitContext(ctx, r, q, 1)
+	return e.SearchSplitContext(ctx, r, q, 1, 0)
 }
 
-// SearchSplitContext is SearchQueryContext on at most width goroutines. The
-// signature is generated once — under scheme Auto that is one choice for
-// the whole query — and a pass that runs long cuts its candidate work into
-// set-id chunks that the caller and up to width−1 helpers claim, each
-// collecting, refining and verifying its own candidates through posting
-// lists cut to the chunk (see plan.run). The matches are the one-goroutine
-// pass's, in chunk order, and the query counts one pass, which all the
-// chunks' work is charged to.
-func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width int) ([]Match, error) {
+// SearchSplitContext is SearchQueryContext on at most width goroutines,
+// keeping the best k matches when k > 0 (a bounded heap, never a full sort
+// of them) and every match otherwise. The signature is generated once —
+// under scheme Auto that is one choice for the whole query — and a pass that
+// runs long cuts its candidate work into set-id chunks that the caller and
+// up to width−1 helpers claim, each collecting, refining and verifying its
+// own candidates through posting lists cut to the chunk (see plan.run). The
+// matches are the one-goroutine pass's, in canonical order (descending
+// relatedness, ties by ascending index), and the query counts one pass,
+// which all the chunks' work is charged to.
+func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width, k int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -139,7 +141,14 @@ func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Quer
 	sr := e.NewSearcher()
 	ms, err := e.searchPass(ctx, r, -1, sr.w, width, q)
 	sr.Close()
-	return ms, err
+	if err != nil {
+		return nil, err
+	}
+	if k > 0 {
+		return localTopK(ms, k), nil
+	}
+	sortMatches(ms)
+	return ms, nil
 }
 
 // SearchQuery runs one search pass for r under q's overrides, excluding

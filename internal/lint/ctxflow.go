@@ -7,18 +7,17 @@ import (
 )
 
 // CtxFlow enforces cancellation plumbing in the engine's long-running
-// layers: internal/core, internal/shard, and internal/server must never
-// mint their own root context with context.Background() or context.TODO()
-// (a query that synthesizes a root context is a query the server cannot
-// cancel or deadline), and every exported Search*/Discover* entrypoint in
-// those packages must accept a context.Context so callers have somewhere
-// to thread one.
+// layers: internal/core and internal/server must never mint their own root
+// context with context.Background() or context.TODO() (a query that
+// synthesizes a root context is a query the server cannot cancel or
+// deadline), and every exported Search*/Discover* entrypoint in those
+// packages must accept a context.Context so callers have somewhere to
+// thread one.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "internal/{core,shard,server} must thread contexts, never mint Background/TODO",
+	Doc:  "internal/{core,server} must thread contexts, never mint Background/TODO",
 	Applies: func(pkg *Package) bool {
 		return hasSuffixPath(pkg.Path, "internal/core") ||
-			hasSuffixPath(pkg.Path, "internal/shard") ||
 			hasSuffixPath(pkg.Path, "internal/server")
 	},
 	Run: runCtxFlow,

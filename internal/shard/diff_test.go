@@ -14,14 +14,15 @@ import (
 	"silkmoth/internal/tokens"
 )
 
-// The differential harness: one seeded workload pushed through the serial
-// core engine and the sharded engine at several shard counts, asserting
-// the outputs are identical — same match sets, same scores bit for bit,
-// same canonical order — for every metric × similarity combination, both
-// when the sharded engine is built fresh over the full collection and when
-// part of it arrives through Add after construction. This is the safety
-// net the motivation calls for: optimized similarity-search paths must
-// never silently diverge from the reference implementation.
+// The split-search differential harness: one seeded workload pushed through
+// the serial core engine and through the engine at several widths, asserting
+// the outputs are identical — same match sets, same scores bit for bit, same
+// canonical order — for every metric × similarity combination, both when the
+// engine is built fresh over the full collection (its index filled from as
+// many set-id ranges as its width) and when part of it arrives through
+// AppendSets after construction. This is the safety net the motivation calls
+// for: optimized similarity-search paths must never silently diverge from
+// the reference implementation.
 
 // diffShardCounts are the widths every differential case runs at: the
 // caller's goroutine alone, two, and a prime count that leaves goroutines
@@ -63,7 +64,7 @@ func buildColl(raws []dataset.RawSet, sim core.SimKind, delta, alpha float64) *d
 
 // runDifferential is the reusable harness body for one metric × similarity
 // case. The serial engine's discovery, per-reference search, and top-k
-// prefixes are the reference; every (shard count, build mode) variant must
+// prefixes are the reference; every (width, build mode) variant must
 // reproduce them exactly.
 func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, alpha float64) {
 	t.Helper()
@@ -81,7 +82,6 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortPairs(wantPairs)
 	if len(wantPairs) == 0 {
 		t.Fatal("workload produced no related pairs; tune the corpus or thresholds")
 	}
@@ -93,7 +93,6 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		sortMatches(ms)
 		wantMatches[ri] = ms
 		wantFunnels[ri] = q.Stats.Funnel()
 	}
@@ -102,26 +101,21 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 	for _, n := range diffShardCounts {
 		for _, mode := range []string{"fresh", "post-add"} {
 			name := fmt.Sprintf("N=%d/%s", n, mode)
-			var e *Engine
+			var e atWidth
 			if mode == "fresh" {
-				e, err = New(coll, n, opts)
+				e = newAt(t, coll, n, opts)
 			} else {
 				// Build over a prefix (its own dictionary, so token ids
 				// differ from the serial engine's — scores must not care),
-				// then grow to the full corpus through Add.
-				e, err = New(buildColl(raws[:cut], sim, delta, alpha), n, opts)
-				if err == nil {
-					e.Add(raws[cut:])
-				}
+				// then grow to the full corpus through AppendSets.
+				e = newAt(t, buildColl(raws[:cut], sim, delta, alpha), n, opts)
+				e.add(raws[cut:])
 			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if e.Len() != len(coll.Sets) {
-				t.Fatalf("%s: %d sets, want %d", name, e.Len(), len(coll.Sets))
+			if e.LiveCount() != len(coll.Sets) {
+				t.Fatalf("%s: %d sets, want %d", name, e.LiveCount(), len(coll.Sets))
 			}
 
-			gotPairs, err := e.DiscoverContext(ctx, e.Collection())
+			gotPairs, err := e.discover(ctx)
 			if err != nil {
 				t.Fatalf("%s: discover: %v", name, err)
 			}
@@ -137,7 +131,7 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 			refs := e.Collection()
 			for ri := range refs.Sets {
 				q := &core.Query{Stats: &core.Capture{}}
-				got, err := e.SearchQueryContext(ctx, &refs.Sets[ri], q)
+				got, err := e.searchQuery(ctx, &refs.Sets[ri], q)
 				if err != nil {
 					t.Fatalf("%s: search %d: %v", name, ri, err)
 				}
@@ -154,7 +148,7 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 					}
 				}
 				for _, k := range []int{1, 3} {
-					gotK, err := e.SearchTopKContext(ctx, &refs.Sets[ri], k)
+					gotK, err := e.topK(ctx, &refs.Sets[ri], k)
 					if err != nil {
 						t.Fatalf("%s: topk %d: %v", name, ri, err)
 					}
@@ -195,9 +189,9 @@ func TestDifferentialSerialVsSharded(t *testing.T) {
 	}
 }
 
-// TestDifferentialBatchMatchesSearch pins SearchBatch to per-query
-// SearchContext on both a serial-equivalent single shard and a multi-shard
-// engine: batching is a scheduling optimization, never a result change.
+// TestDifferentialBatchMatchesSearch pins SearchBatchQueries to one search
+// per reference at every width: batching is a scheduling optimization, never
+// a result change.
 func TestDifferentialBatchMatchesSearch(t *testing.T) {
 	ctx := context.Background()
 	raws := corpusRaws(core.Jaccard, 7)
@@ -206,15 +200,12 @@ func TestDifferentialBatchMatchesSearch(t *testing.T) {
 	coll := buildColl(raws, core.Jaccard, 0.6, 0)
 
 	for _, n := range diffShardCounts {
-		e, err := New(coll, n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newAt(t, coll, n, opts)
 		refs := make([]*dataset.Set, len(coll.Sets))
 		for i := range coll.Sets {
 			refs[i] = &coll.Sets[i]
 		}
-		got, err := e.SearchBatchContext(ctx, refs)
+		got, err := e.batch(ctx, refs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +213,7 @@ func TestDifferentialBatchMatchesSearch(t *testing.T) {
 			t.Fatalf("N=%d: %d results for %d refs", n, len(got), len(refs))
 		}
 		for ri, r := range refs {
-			want, err := e.SearchContext(ctx, r)
+			want, err := e.search(ctx, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,13 +274,9 @@ func TestDifferentialRangeBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortPairs(wantPairs)
 	for _, n := range diffShardCounts {
-		e, err := New(coll, n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPairs, err := e.DiscoverContext(ctx, e.Collection())
+		e := newAt(t, coll, n, opts)
+		gotPairs, err := e.discover(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,8 +301,7 @@ func TestDifferentialRangeBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sortMatches(want)
-			got, err := e.SearchQueryContext(ctx, &coll.Sets[ri], q)
+			got, err := e.searchQuery(ctx, &coll.Sets[ri], q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,20 +313,17 @@ func TestDifferentialRangeBoundaries(t *testing.T) {
 }
 
 // TestDifferentialReopenAtOtherShardCount writes the durable image of a
-// mutated compressed engine at two shards and reopens it at two and at
-// seven. The image holds the one index, which serves every shard count: the
-// reopened engines wrap its containers in place (SharesContainers) instead
-// of rebuilding, and answer exactly as the engine that wrote it.
+// mutated compressed engine at width two and reopens it at two and at seven.
+// The image holds the one index, which serves every width: the reopened
+// engines wrap its containers in place (SharesContainers) instead of
+// rebuilding, and answer exactly as the engine that wrote it.
 func TestDifferentialReopenAtOtherShardCount(t *testing.T) {
 	ctx := context.Background()
 	raws := corpusRaws(core.Jaccard, 5)
 	opts := jaccardOpts(2)
 	opts.CompressPostings = true
-	w, err := New(buildColl(raws[:60], core.Jaccard, opts.Delta, opts.Alpha), 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Add(raws[60:])
+	w := newAt(t, buildColl(raws[:60], core.Jaccard, opts.Delta, opts.Alpha), 2, opts)
+	w.add(raws[60:])
 	for _, g := range []int{3, 31, 64} {
 		if err := w.Delete(g); err != nil {
 			t.Fatal(err)
@@ -351,7 +334,7 @@ func TestDifferentialReopenAtOtherShardCount(t *testing.T) {
 	if err := dataset.SaveSnapshot(&img, w.SnapshotData()); err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, err := w.DiscoverContext(ctx, w.Collection())
+	wantPairs, err := w.discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,14 +343,15 @@ func TestDifferentialReopenAtOtherShardCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewFromSnapshot(snap, n, opts)
+		eng, err := core.NewEngineFromSnapshot(snap, n, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.SharesContainers() {
+		e := atWidth{eng, n}
+		if !e.Index().SharesContainers() {
 			t.Fatalf("reopened at %d: the index was rebuilt, not imported from the image", n)
 		}
-		gotPairs, err := e.DiscoverContext(ctx, e.Collection())
+		gotPairs, err := e.discover(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,18 +363,18 @@ func TestDifferentialReopenAtOtherShardCount(t *testing.T) {
 				t.Fatalf("reopened at %d: pair %d = %+v, the writer's %+v", n, i, gotPairs[i], wantPairs[i])
 			}
 		}
-		for g := 0; g < e.NumSlots(); g++ {
+		for g := range e.Collection().Sets {
 			if e.Alive(g) != w.Alive(g) {
 				t.Fatalf("reopened at %d: set %d alive %v, the writer's %v", n, g, e.Alive(g), w.Alive(g))
 			}
 			if !e.Alive(g) {
 				continue
 			}
-			want, err := w.SearchTopKContext(ctx, &w.Collection().Sets[g], 3)
+			want, err := w.topK(ctx, &w.Collection().Sets[g], 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.SearchTopKContext(ctx, &e.Collection().Sets[g], 3)
+			got, err := e.topK(ctx, &e.Collection().Sets[g], 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,9 +385,9 @@ func TestDifferentialReopenAtOtherShardCount(t *testing.T) {
 
 // TestDifferentialFunnelAtEveryShardCount: a split search generates one
 // signature — under Auto, one choice — and cuts the same candidate work
-// into ranges, so its funnel is the unsplit pass's: candidates, check and
+// into chunks, so its funnel is the unsplit pass's: candidates, check and
 // NN survivors, verifications, and the element pairs the filters looked
-// at. Only how the per-range memos split SimEvals from SimMemoHits may
+// at. Only how the per-chunk memos split SimEvals from SimMemoHits may
 // differ.
 func TestDifferentialFunnelAtEveryShardCount(t *testing.T) {
 	ctx := context.Background()
@@ -413,13 +397,10 @@ func TestDifferentialFunnelAtEveryShardCount(t *testing.T) {
 		opts.Scheme = scheme
 		coll := buildColl(raws, core.Jaccard, opts.Delta, opts.Alpha)
 		funnel := func(n int) core.Funnel {
-			e, err := New(coll, n, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newAt(t, coll, n, opts)
 			q := &core.Query{Stats: &core.Capture{}}
 			for ri := range coll.Sets {
-				if _, err := e.SearchQueryContext(ctx, &coll.Sets[ri], q); err != nil {
+				if _, err := e.searchQuery(ctx, &coll.Sets[ri], q); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -85,9 +85,9 @@ func TestFunnelConservation(t *testing.T) {
 	// cancellation cases to cut into its verifications.
 	const manySurvivors = 16
 
-	searchAll := func(e *Engine, q *core.Query) error {
+	searchAll := func(e atWidth, q *core.Query) error {
 		for ri := range e.Collection().Sets {
-			if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], q); err != nil {
+			if _, err := e.searchQuery(ctx, &e.Collection().Sets[ri], q); err != nil {
 				return err
 			}
 		}
@@ -98,13 +98,13 @@ func TestFunnelConservation(t *testing.T) {
 		shards int
 		opts   core.Options
 		coll   *dataset.Collection
-		run    func(e *Engine, q *core.Query) error
+		run    func(e atWidth, q *core.Query) error
 		check  func(t *testing.T, f core.Funnel)
 	}{
 		{name: "search/N=1", shards: 1, opts: jaccard, run: searchAll},
 		{name: "search/N=2", shards: 2, opts: jaccard, run: searchAll},
 		{name: "search/N=7", shards: 7, opts: jaccard, run: searchAll},
-		{name: "batch", shards: 2, opts: jaccard, run: func(e *Engine, q *core.Query) error {
+		{name: "batch", shards: 2, opts: jaccard, run: func(e atWidth, q *core.Query) error {
 			refs := make([]*dataset.Set, len(e.Collection().Sets))
 			qs := make([]*core.Query, len(refs))
 			for i := range refs {
@@ -113,7 +113,7 @@ func TestFunnelConservation(t *testing.T) {
 			_, _, err := e.SearchBatchQueries(ctx, refs, qs)
 			return err
 		}},
-		{name: "discover", shards: 2, opts: jaccard, run: func(e *Engine, q *core.Query) error {
+		{name: "discover", shards: 2, opts: jaccard, run: func(e atWidth, q *core.Query) error {
 			_, err := e.DiscoverQueryContext(ctx, e.Collection(), q)
 			return err
 		}},
@@ -136,10 +136,7 @@ func TestFunnelConservation(t *testing.T) {
 			if coll == nil {
 				coll = buildColl(raws, tc.opts.Sim, tc.opts.Delta, tc.opts.Alpha)
 			}
-			e, err := New(coll, tc.shards, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newAt(t, coll, tc.shards, tc.opts)
 			q := &core.Query{Stats: &core.Capture{}}
 			before := e.Stats()
 			if err := tc.run(e, q); err != nil {
@@ -172,15 +169,12 @@ func TestFunnelConservation(t *testing.T) {
 	} {
 		opts := tc.opts
 		t.Run("cancelled mid-verification/"+tc.name, func(t *testing.T) {
-			e, err := New(buildColl(raws, opts.Sim, opts.Delta, opts.Alpha), tc.shards, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newAt(t, buildColl(raws, opts.Sim, opts.Delta, opts.Alpha), tc.shards, opts)
 			probe := &core.Query{Stats: &core.Capture{}}
 			ref := -1
 			for ri := range e.Collection().Sets {
 				before := probe.Stats.Funnel().AfterCheck
-				if _, err := e.SearchQueryContext(ctx, &e.Collection().Sets[ri], probe); err != nil {
+				if _, err := e.searchQuery(ctx, &e.Collection().Sets[ri], probe); err != nil {
 					t.Fatal(err)
 				}
 				if probe.Stats.Funnel().AfterCheck-before >= manySurvivors {
@@ -196,7 +190,7 @@ func TestFunnelConservation(t *testing.T) {
 				cctx.left.Store(polls)
 				q := &core.Query{Stats: &core.Capture{}}
 				before := e.Stats()
-				_, err := e.SearchQueryContext(cctx, &e.Collection().Sets[ref], q)
+				_, err := e.searchQuery(cctx, &e.Collection().Sets[ref], q)
 				if err == nil {
 					t.Fatalf("the pass completed after %d context polls without ever being cancelled mid-verification", polls)
 				}

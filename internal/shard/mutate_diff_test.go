@@ -13,8 +13,8 @@ import (
 // Updates) must be indistinguishable from an engine built fresh over only
 // the surviving sets — same match sets, bit-identical scores, same
 // canonical order — for every metric × similarity combination, on the
-// serial core engine and on sharded engines at N ∈ {1, 2, 7}, both before
-// and after compaction. Set indices differ between the two engines (the
+// serial core engine and on engines searched at widths N ∈ {1, 2, 7}, both
+// before and after compaction. Set indices differ between the two engines (the
 // mutated one has tombstoned holes), but live ids keep their relative
 // order, so a monotone id map makes the comparison exact. This is the
 // delete-then-rebuild equivalence the VDBMS bug literature singles out:
@@ -86,7 +86,7 @@ func liveIDMap(numSlots int, alive func(int) bool) (liveIDs []int, toFresh map[i
 	return liveIDs, toFresh
 }
 
-// mutatedEngine abstracts the serial core engine and the sharded engine
+// mutatedEngine abstracts the serial core engine and the engine at a width
 // behind the operations the harness replays and checks.
 type mutatedEngine struct {
 	name     string
@@ -96,70 +96,20 @@ type mutatedEngine struct {
 	topk     func(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error)
 	discover func(ctx context.Context) ([]core.Pair, error)
 	compact  func()
-	// checkIndex is the element-directory self-check of the engine's
-	// index, or of every shard's.
+	// checkIndex is the element-directory self-check of the engine's index.
 	checkIndex func() error
 }
 
-// buildMutatedSerial applies the plan to a serial core engine over the
-// full corpus.
-func buildMutatedSerial(t *testing.T, raws []dataset.RawSet, p mutationPlan, sim core.SimKind, delta, alpha float64, opts core.Options) *mutatedEngine {
+// applyPlan builds an engine at width n over the full corpus and applies
+// the plan: an update appends the new version and tombstones the old one,
+// as the public engine's Update does.
+func applyPlan(t *testing.T, raws []dataset.RawSet, p mutationPlan, n int, sim core.SimKind, delta, alpha float64, opts core.Options) atWidth {
 	t.Helper()
-	coll := buildColl(raws, sim, delta, alpha)
-	eng, err := core.NewEngine(coll, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newAt(t, buildColl(raws, sim, delta, alpha), n, opts)
 	for _, i := range p.updates {
-		from := dataset.Append(coll, []dataset.RawSet{updatedVersion(raws, i)})
-		eng.AppendSets(from)
-		if err := eng.Delete(i); err != nil {
+		e.add([]dataset.RawSet{updatedVersion(raws, i)})
+		if err := e.Delete(i); err != nil {
 			t.Fatalf("update-delete %d: %v", i, err)
-		}
-	}
-	for _, i := range p.deletes {
-		if err := eng.Delete(i); err != nil {
-			t.Fatalf("delete %d: %v", i, err)
-		}
-	}
-	return &mutatedEngine{
-		name:  "serial",
-		coll:  coll,
-		alive: eng.Alive,
-		search: func(ctx context.Context, r *dataset.Set) ([]core.Match, error) {
-			ms, err := eng.SearchContext(ctx, r)
-			sortMatches(ms)
-			return ms, err
-		},
-		topk: func(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
-			ms, err := eng.SearchContext(ctx, r)
-			sortMatches(ms)
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms, err
-		},
-		discover: func(ctx context.Context) ([]core.Pair, error) {
-			ps, err := eng.DiscoverContext(ctx, coll)
-			sortPairs(ps)
-			return ps, err
-		},
-		compact:    eng.Compact,
-		checkIndex: eng.Index().CheckDirectory,
-	}
-}
-
-// buildMutatedSharded applies the plan to a sharded engine.
-func buildMutatedSharded(t *testing.T, raws []dataset.RawSet, p mutationPlan, n int, sim core.SimKind, delta, alpha float64, opts core.Options) *mutatedEngine {
-	t.Helper()
-	coll := buildColl(raws, sim, delta, alpha)
-	e, err := New(coll, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range p.updates {
-		if _, err := e.Update(i, updatedVersion(raws, i)); err != nil {
-			t.Fatalf("update %d: %v", i, err)
 		}
 	}
 	for _, i := range p.deletes {
@@ -167,15 +117,45 @@ func buildMutatedSharded(t *testing.T, raws []dataset.RawSet, p mutationPlan, n 
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
+	return e
+}
+
+// buildMutatedSerial applies the plan to a serial core engine, whose top k
+// is its full answer truncated.
+func buildMutatedSerial(t *testing.T, raws []dataset.RawSet, p mutationPlan, sim core.SimKind, delta, alpha float64, opts core.Options) *mutatedEngine {
+	t.Helper()
+	e := applyPlan(t, raws, p, 1, sim, delta, alpha, opts)
+	return &mutatedEngine{
+		name:   "serial",
+		coll:   e.Collection(),
+		alive:  e.Alive,
+		search: e.SearchContext,
+		topk: func(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
+			ms, err := e.SearchContext(ctx, r)
+			if len(ms) > k {
+				ms = ms[:k]
+			}
+			return ms, err
+		},
+		discover:   e.discover,
+		compact:    e.Compact,
+		checkIndex: e.Index().CheckDirectory,
+	}
+}
+
+// buildMutatedSharded applies the plan to an engine searched at width n.
+func buildMutatedSharded(t *testing.T, raws []dataset.RawSet, p mutationPlan, n int, sim core.SimKind, delta, alpha float64, opts core.Options) *mutatedEngine {
+	t.Helper()
+	e := applyPlan(t, raws, p, n, sim, delta, alpha, opts)
 	return &mutatedEngine{
 		name:       fmt.Sprintf("N=%d", n),
-		coll:       coll,
+		coll:       e.Collection(),
 		alive:      e.Alive,
-		search:     e.SearchContext,
-		topk:       e.SearchTopKContext,
-		discover:   func(ctx context.Context) ([]core.Pair, error) { return e.DiscoverContext(ctx, e.Collection()) },
+		search:     e.search,
+		topk:       e.topK,
+		discover:   e.discover,
 		compact:    e.Compact,
-		checkIndex: e.CheckDirectories,
+		checkIndex: e.Index().CheckDirectory,
 	}
 }
 
@@ -270,7 +250,6 @@ func runMutationDifferential(t *testing.T, metric core.Metric, sim core.SimKind,
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortPairs(wantPairs)
 	if len(wantPairs) == 0 {
 		t.Fatal("surviving workload produced no related pairs; tune the corpus or thresholds")
 	}
@@ -280,7 +259,6 @@ func runMutationDifferential(t *testing.T, metric core.Metric, sim core.SimKind,
 		if err != nil {
 			t.Fatal(err)
 		}
-		sortMatches(ms)
 		wantMatches[fi] = ms
 	}
 

@@ -5,30 +5,47 @@ import (
 	"sync"
 	"testing"
 
+	"silkmoth"
 	"silkmoth/internal/core"
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
 )
 
+// publicSets converts generated sets to the public engine's input.
+func publicSets(raws []dataset.RawSet) []silkmoth.Set {
+	out := make([]silkmoth.Set, len(raws))
+	for i, r := range raws {
+		out[i] = silkmoth.Set{Name: r.Name, Elements: r.Elements}
+	}
+	return out
+}
+
+// newPublic builds the public engine at width 4 with Jaccard at δ = 0.6 and
+// four workers, compaction at the given tombstone ratio.
+func newPublic(t *testing.T, sets []silkmoth.Set, compactAt float64) *silkmoth.Engine {
+	t.Helper()
+	e, err := silkmoth.NewEngine(sets, silkmoth.Config{
+		Similarity: silkmoth.Jaccard, Delta: 0.6, Concurrency: 4, Shards: 4,
+		CompactionThreshold: compactAt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestConcurrentAddSearchBatchDiscover is the -race stress test for the
-// sharded engine, mirroring the core package's concurrent coverage:
-// writers grow the collection through Add while readers run SearchBatch,
-// Discover, and top-k searches against it. Results are not asserted
-// against a fixed expectation — the collection is a moving target — but
-// every returned index must be in range and every call must complete
+// engine's one lock: writers grow the collection through Add while readers
+// run SearchBatch, Discover, and top-k searches against it. Results are not
+// asserted against a fixed expectation — the collection is a moving target —
+// but every returned index must be in range and every call must complete
 // without data races.
 func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 	ctx := context.Background()
 	raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 100, Seed: 3})
-	base, extra := raws[:60], raws[60:]
-	coll := wordColl(base)
-	e, err := New(coll, 4, jaccardOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dict := e.Collection().Dict
-
-	queries := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 8, Seed: 5})
+	base, extra := publicSets(raws[:60]), publicSets(raws[60:])
+	e := newPublic(t, base, -1)
+	queries := publicSets(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 8, Seed: 5}))
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -38,37 +55,31 @@ func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for len(extra) > 0 {
-			n := 11
-			if n > len(extra) {
-				n = len(extra)
+			n := min(11, len(extra))
+			if err := e.Add(extra[:n]); err != nil {
+				errc <- err
+				return
 			}
-			e.Add(extra[:n])
 			extra = extra[n:]
 		}
 	}()
 
-	// Batch searchers: tokenize against the shared dictionary (interning
-	// races with Add's interning by design) and fan batches out.
+	// Batch searchers: the engine tokenizes each batch against the shared
+	// dictionary under its read lock, while Add interns under the write lock.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
-				qc := dataset.BuildWord(dict, queries)
-				refs := make([]*dataset.Set, len(qc.Sets))
-				for i := range qc.Sets {
-					refs[i] = &qc.Sets[i]
-				}
-				res, err := e.SearchBatchContext(ctx, refs)
+				res, err := e.SearchBatchContext(ctx, queries)
 				if err != nil {
 					errc <- err
 					return
 				}
-				n := e.Len() // may have grown since the search; bound check only
 				for _, ms := range res {
 					for _, m := range ms {
-						if m.Set < 0 || m.Set >= n {
-							t.Errorf("batch match index %d out of range (%d sets)", m.Set, n)
+						if m.Index < 0 || m.Index >= len(raws) {
+							t.Errorf("batch match index %d out of range (%d sets)", m.Index, len(raws))
 							return
 						}
 					}
@@ -82,8 +93,7 @@ func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for iter := 0; iter < 6; iter++ {
-			qc := dataset.BuildWord(dict, queries[:2])
-			if _, err := e.SearchTopKContext(ctx, &qc.Sets[0], 3); err != nil {
+			if _, err := e.SearchTopKContext(ctx, queries[0], 3); err != nil {
 				errc <- err
 				return
 			}
@@ -95,7 +105,7 @@ func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for iter := 0; iter < 3; iter++ {
-			if _, err := e.DiscoverContext(ctx, e.Collection()); err != nil {
+			if _, err := e.DiscoverContext(ctx); err != nil {
 				errc <- err
 				return
 			}
@@ -113,16 +123,15 @@ func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 	if e.Len() != len(raws) {
 		t.Fatalf("Len = %d, want %d", e.Len(), len(raws))
 	}
-	if _, err := e.DiscoverContext(ctx, e.Collection()); err != nil {
+	if _, err := e.DiscoverContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// tombstoneLog records which global ids have been deleted, with the
-// mutation's completion ordered before the record. Readers snapshot it
-// before issuing a query: any id deleted before the snapshot must be
-// invisible to a query started after it, because mutations hold the
-// engine's write lock.
+// tombstoneLog records which ids have been deleted, with the mutation's
+// completion ordered before the record. Readers snapshot it before issuing a
+// query: any id deleted before the snapshot must be invisible to a query
+// started after it, because mutations hold the engine's write lock.
 type tombstoneLog struct {
 	mu   sync.Mutex
 	dead map[int]bool
@@ -154,27 +163,22 @@ func (l *tombstoneLog) snapshot() map[int]bool {
 func TestConcurrentMutateSearchDiscover(t *testing.T) {
 	ctx := context.Background()
 	raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 110, Seed: 9})
-	base, extra := raws[:80], raws[80:]
-	coll := wordColl(base)
-	opts := jaccardOpts(4)
-	opts.CompactionThreshold = 0.15 // fire several compactions mid-run
-	e, err := New(coll, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dict := e.Collection().Dict
+	base, extra := publicSets(raws[:80]), publicSets(raws[80:])
+	e := newPublic(t, base, 0.15) // fire several compactions mid-run
 	log := &tombstoneLog{dead: make(map[int]bool)}
 
 	// Queries reuse deleted sets' content, maximizing the chance a stale
 	// posting or cache would resurface a tombstoned id.
-	queries := append([]dataset.RawSet{}, base[:6]...)
-	queries = append(queries, datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 4, Seed: 11})...)
+	queries := append([]silkmoth.Set{}, base[:6]...)
+	queries = append(queries, publicSets(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 4, Seed: 11}))...)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
 
 	// Writer: delete every fourth base set, update every fourth (offset
-	// by two), and feed the held-out sets in between.
+	// by two), and feed the held-out sets in between. slots counts the ids
+	// handed out.
+	slots := len(base)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -187,55 +191,50 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 				}
 				log.record(i)
 			case 2:
-				if _, err := e.Update(i, dataset.RawSet{Name: base[i].Name + "+v2", Elements: base[(i+3)%len(base)].Elements}); err != nil {
+				if _, err := e.Update(i, silkmoth.Set{Name: base[i].Name + "+v2", Elements: base[(i+3)%len(base)].Elements}); err != nil {
 					errc <- err
 					return
 				}
+				slots++
 				log.record(i) // the old id is tombstoned by the update
 			}
 			if i%10 == 0 && len(extra) > 0 {
-				n := 3
-				if n > len(extra) {
-					n = len(extra)
+				n := min(3, len(extra))
+				if err := e.Add(extra[:n]); err != nil {
+					errc <- err
+					return
 				}
-				e.Add(extra[:n])
+				slots += n
 				extra = extra[n:]
 			}
 		}
 	}()
 
-	checkMatches := func(dead map[int]bool, ms []core.Match, surface string) bool {
-		slots := e.NumSlots() // may have grown since; bound check only
+	// maxSlots bounds every id the run can hand out.
+	maxSlots := len(raws) + len(base)
+	checkMatches := func(dead map[int]bool, ms []silkmoth.Match, surface string) bool {
 		for _, m := range ms {
-			if m.Set < 0 || m.Set >= slots {
-				t.Errorf("%s: match index %d out of range (%d slots)", surface, m.Set, slots)
+			if m.Index < 0 || m.Index >= maxSlots {
+				t.Errorf("%s: match index %d out of range (%d slots)", surface, m.Index, maxSlots)
 				return false
 			}
-			if dead[m.Set] {
-				t.Errorf("%s: returned set %d deleted before the query started", surface, m.Set)
+			if dead[m.Index] {
+				t.Errorf("%s: returned set %d deleted before the query started", surface, m.Index)
 				return false
 			}
 		}
 		return true
 	}
 
-	// Batch searchers. Queries tokenize outside the engine lock, racing
-	// with compaction's dictionary recycling by design, so only liveness
-	// and bounds are asserted — both hold regardless of what a recycled
-	// token id resolves to (dead sets are skipped by the bitmap, not by
-	// token identity).
+	// Batch searchers. Every query tokenizes under the engine's read lock,
+	// so compaction's dictionary recycling never lands inside one.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 6; iter++ {
 				dead := log.snapshot()
-				qc := dataset.BuildWord(dict, queries)
-				refs := make([]*dataset.Set, len(qc.Sets))
-				for i := range qc.Sets {
-					refs[i] = &qc.Sets[i]
-				}
-				res, err := e.SearchBatchContext(ctx, refs)
+				res, err := e.SearchBatchContext(ctx, queries)
 				if err != nil {
 					errc <- err
 					return
@@ -255,8 +254,7 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 		defer wg.Done()
 		for iter := 0; iter < 8; iter++ {
 			dead := log.snapshot()
-			qc := dataset.BuildWord(dict, queries[:3])
-			ms, err := e.SearchTopKContext(ctx, &qc.Sets[iter%3], 5)
+			ms, err := e.SearchTopKContext(ctx, queries[iter%3], 5)
 			if err != nil {
 				errc <- err
 				return
@@ -274,7 +272,7 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 		defer wg.Done()
 		for iter := 0; iter < 3; iter++ {
 			dead := log.snapshot()
-			ps, err := e.DiscoverContext(ctx, e.Collection())
+			ps, err := e.DiscoverContext(ctx)
 			if err != nil {
 				errc <- err
 				return
@@ -297,18 +295,18 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 	// Settled state: every delete and update is reflected, compaction ran,
 	// and a final discovery over the survivors answers cleanly.
 	dead := log.snapshot()
-	if got, want := e.Len(), e.NumSlots()-len(dead); got != want {
-		t.Fatalf("Len = %d, want %d (slots %d - %d dead)", got, want, e.NumSlots(), len(dead))
+	if got, want := e.Len(), slots-len(dead); got != want {
+		t.Fatalf("Len = %d, want %d (slots %d - %d dead)", got, want, slots, len(dead))
 	}
-	if e.Compactions() == 0 {
+	if e.Stats().Compactions == 0 {
 		t.Fatal("expected automatic compaction to fire during the run")
 	}
 	for id := range dead {
-		if e.Alive(id) {
+		if e.Live(id) {
 			t.Fatalf("set %d should be dead", id)
 		}
 	}
-	ps, err := e.DiscoverContext(ctx, e.Collection())
+	ps, err := e.DiscoverContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +320,8 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 // TestLateHelpersTouchNothing pins the rule that a helper claims a chunk
 // before it touches engine state. Every helper is held until the caller has
 // returned (core.HoldHelpersForTest), so the caller runs every chunk of its
-// split pass itself; the helpers are then let go while Add, Delete and
-// Compact rewrite the engine, and must claim nothing and — under -race —
+// split pass itself; the helpers are then let go while AppendSets, Delete
+// and Compact rewrite the engine, and must claim nothing and — under -race —
 // read nothing of it.
 func TestLateHelpersTouchNothing(t *testing.T) {
 	defer core.ForceSplitForTest()()
@@ -338,19 +336,15 @@ func TestLateHelpersTouchNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortMatches(want)
-	e, err := New(coll, 4, jaccardOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newAt(t, coll, 4, jaccardOpts(1))
 	release := core.HoldHelpersForTest()
-	got, err := e.SearchContext(ctx, &coll.Sets[0])
+	got, err := e.search(ctx, &coll.Sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	claimed := make(chan int64)
 	go func() { claimed <- release() }()
-	e.Add(raws[50:])
+	e.add(raws[50:])
 	if err := e.Delete(1); err != nil {
 		t.Fatal(err)
 	}

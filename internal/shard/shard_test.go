@@ -12,6 +12,10 @@ import (
 	"silkmoth/internal/tokens"
 )
 
+// Most tests in this directory drive core.Engine at a width — the engine and
+// the width the public silkmoth.Engine holds — and the race tests drive
+// silkmoth.Engine itself, whose lock serializes mutations against queries.
+
 func jaccardOpts(conc int) core.Options {
 	o := core.DefaultOptions(core.SetSimilarity, core.Jaccard, 0.6, 0)
 	o.Concurrency = conc
@@ -22,15 +26,69 @@ func wordColl(raws []dataset.RawSet) *dataset.Collection {
 	return dataset.BuildWord(tokens.NewDictionary(), raws)
 }
 
+// atWidth is a core engine whose searches run on at most width goroutines,
+// as the public engine's do. Tests mutate it from one goroutine only.
+type atWidth struct {
+	*core.Engine
+	width int
+}
+
+// newAt builds the engine over coll at width n, its index filled from n
+// set-id ranges.
+func newAt(t *testing.T, coll *dataset.Collection, n int, opts core.Options) atWidth {
+	t.Helper()
+	eng, err := core.NewEngineFromSnapshot(&dataset.SnapshotData{Coll: coll}, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return atWidth{eng, n}
+}
+
+func (e atWidth) search(ctx context.Context, r *dataset.Set) ([]core.Match, error) {
+	return e.SearchSplitContext(ctx, r, nil, e.width, 0)
+}
+
+func (e atWidth) searchQuery(ctx context.Context, r *dataset.Set, q *core.Query) ([]core.Match, error) {
+	return e.SearchSplitContext(ctx, r, q, e.width, 0)
+}
+
+func (e atWidth) topK(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
+	return e.SearchSplitContext(ctx, r, nil, e.width, k)
+}
+
+func (e atWidth) discover(ctx context.Context) ([]core.Pair, error) {
+	return e.DiscoverContext(ctx, e.Collection())
+}
+
+// add appends raws to the collection and extends the index over them.
+func (e atWidth) add(raws []dataset.RawSet) {
+	e.AppendSets(dataset.Append(e.Collection(), raws))
+}
+
+// batch searches every ref in one SearchBatchQueries call, failing on any
+// item's error.
+func (e atWidth) batch(ctx context.Context, refs []*dataset.Set) ([][]core.Match, error) {
+	out, itemErrs, err := e.SearchBatchQueries(ctx, refs, nil)
+	for _, ie := range itemErrs {
+		if err == nil {
+			err = ie
+		}
+	}
+	return out, err
+}
+
 func TestNewValidation(t *testing.T) {
 	coll := wordColl(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 5, Seed: 1}))
 	if _, err := New(coll, 0, jaccardOpts(1)); err == nil {
-		t.Error("shard count 0 should fail")
+		t.Error("width 0 should fail")
 	}
 	bad := jaccardOpts(1)
 	bad.Delta = 2 // invalid, must surface from the engine build
 	if _, err := New(coll, 3, bad); err == nil {
 		t.Error("invalid options should fail")
+	}
+	if _, err := core.NewEngineFromSnapshot(&dataset.SnapshotData{Coll: coll}, 3, bad); err == nil {
+		t.Error("invalid options should fail the core constructor")
 	}
 }
 
@@ -59,9 +117,11 @@ func TestRangesPartitionSlots(t *testing.T) {
 	}
 }
 
-// TestMoreShardsThanSets exercises empty shards: a 7-shard engine over 3
-// sets must still answer correctly.
+// TestMoreShardsThanSets exercises empty ranges: an engine of width 7 over 3
+// sets must still answer correctly, through the core engine and through the
+// benchmark's shard.Engine.
 func TestMoreShardsThanSets(t *testing.T) {
+	defer core.ForceSplitForTest()()
 	ctx := context.Background()
 	raws := []dataset.RawSet{
 		{Name: "a", Elements: []string{"77 Mass Ave Boston", "5th St Seattle"}},
@@ -69,13 +129,22 @@ func TestMoreShardsThanSets(t *testing.T) {
 		{Name: "c", Elements: []string{"red bicycle", "blue kettle"}},
 	}
 	coll := wordColl(raws)
-	e, err := New(coll, 7, jaccardOpts(2))
+	e := newAt(t, coll, 7, jaccardOpts(2))
+	sh, err := New(coll, 7, jaccardOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := e.SearchContext(ctx, &coll.Sets[0])
+	ms, err := e.search(ctx, &coll.Sets[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	viaShard, err := sh.SearchContext(ctx, &coll.Sets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatches(t, "shard.Engine", viaShard, ms)
+	if sh.Stats().SearchPasses != 1 {
+		t.Fatalf("shard.Engine counts %d passes for one search", sh.Stats().SearchPasses)
 	}
 	found := false
 	for _, m := range ms {
@@ -86,7 +155,7 @@ func TestMoreShardsThanSets(t *testing.T) {
 	if !found {
 		t.Fatalf("search from a should find b, got %+v", ms)
 	}
-	pairs, err := e.DiscoverContext(ctx, e.Collection())
+	pairs, err := e.discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +166,16 @@ func TestMoreShardsThanSets(t *testing.T) {
 
 func TestEmptyCollection(t *testing.T) {
 	ctx := context.Background()
-	e, err := New(wordColl(nil), 3, jaccardOpts(1))
-	if err != nil {
-		t.Fatal(err)
+	e := newAt(t, wordColl(nil), 3, jaccardOpts(1))
+	if e.LiveCount() != 0 {
+		t.Fatalf("LiveCount = %d", e.LiveCount())
 	}
-	if e.Len() != 0 {
-		t.Fatalf("Len = %d", e.Len())
-	}
-	// Grow from empty through Add and query.
-	e.Add([]dataset.RawSet{
+	// Grow from empty through AppendSets and query.
+	e.add([]dataset.RawSet{
 		{Name: "a", Elements: []string{"x y z", "p q"}},
 		{Name: "b", Elements: []string{"x y z", "p q r"}},
 	})
-	pairs, err := e.DiscoverContext(ctx, e.Collection())
+	pairs, err := e.discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,102 +192,67 @@ func TestSearchTopKHugeK(t *testing.T) {
 	ctx := context.Background()
 	coll := wordColl(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 40, Seed: 5}))
 	for _, n := range []int{1, 2, 7} {
-		e, err := New(coll, n, jaccardOpts(2))
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newAt(t, coll, n, jaccardOpts(2))
 		for r := 0; r < 8; r++ {
-			want, err := e.SearchContext(ctx, &coll.Sets[r])
+			want, err := e.search(ctx, &coll.Sets[r])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.SearchTopKContext(ctx, &coll.Sets[r], math.MaxInt)
+			got, err := e.topK(ctx, &coll.Sets[r], math.MaxInt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("shards %d ref %d: top-MaxInt has %d matches, search %d", n, r, len(got), len(want))
+				t.Fatalf("width %d ref %d: top-MaxInt has %d matches, search %d", n, r, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("shards %d ref %d match %d: %+v, want %+v", n, r, i, got[i], want[i])
+					t.Fatalf("width %d ref %d match %d: %+v, want %+v", n, r, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-func TestLocalTopK(t *testing.T) {
-	m := func(set int, rel float64) core.Match {
-		return core.Match{Set: set, Relatedness: rel, Score: rel}
-	}
-	ms := []core.Match{m(5, 0.3), m(1, 0.9), m(7, 0.9), m(2, 0.1), m(3, 0.9), m(0, 0.5)}
-	got := localTopK(append([]core.Match(nil), ms...), 3)
-	want := []core.Match{m(1, 0.9), m(3, 0.9), m(7, 0.9)} // 0.9 ties break by index
-	if len(got) != len(want) {
-		t.Fatalf("got %d items, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("item %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if n := len(localTopK(append([]core.Match(nil), ms...), 100)); n != len(ms) {
-		t.Fatalf("k beyond supply: %d items, want %d", n, len(ms))
-	}
-	if n := len(localTopK(nil, 3)); n != 0 {
-		t.Fatalf("empty input: %d items, want 0", n)
-	}
-}
-
 func TestSearchContextCancelled(t *testing.T) {
 	coll := wordColl(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 30, Seed: 4}))
-	e, err := New(coll, 3, jaccardOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newAt(t, coll, 3, jaccardOpts(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.SearchContext(ctx, &coll.Sets[0]); err != context.Canceled {
+	if _, err := e.search(ctx, &coll.Sets[0]); err != context.Canceled {
 		t.Fatalf("search err = %v, want context.Canceled", err)
 	}
-	if _, err := e.DiscoverContext(ctx, e.Collection()); err != context.Canceled {
+	if _, err := e.discover(ctx); err != context.Canceled {
 		t.Fatalf("discover err = %v, want context.Canceled", err)
 	}
-	if _, err := e.SearchBatchContext(ctx, []*dataset.Set{&coll.Sets[0]}); err != context.Canceled {
+	if _, err := e.batch(ctx, []*dataset.Set{&coll.Sets[0]}); err != context.Canceled {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}
 }
 
 // TestIncrementalEqualsBatch is the incremental == batch invariant run
-// deeper than the differential harness: several Add batches of uneven
+// deeper than the differential harness: several AppendSets batches of uneven
 // sizes (including a single-set batch) against a fresh full build, at a
-// prime shard count.
+// prime width.
 func TestIncrementalEqualsBatch(t *testing.T) {
 	ctx := context.Background()
 	raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 120, Seed: 9})
 	opts := jaccardOpts(4)
 
-	full, err := New(wordColl(raws), 7, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := New(wordColl(raws[:40]), 7, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := newAt(t, wordColl(raws), 7, opts)
+	inc := newAt(t, wordColl(raws[:40]), 7, opts)
 	for _, cut := range [][2]int{{40, 70}, {70, 71}, {71, len(raws)}} {
-		inc.Add(raws[cut[0]:cut[1]])
+		inc.add(raws[cut[0]:cut[1]])
 	}
-	if full.Len() != inc.Len() {
-		t.Fatalf("lengths differ: full %d, incremental %d", full.Len(), inc.Len())
+	if full.LiveCount() != inc.LiveCount() {
+		t.Fatalf("lengths differ: full %d, incremental %d", full.LiveCount(), inc.LiveCount())
 	}
 
-	wantPairs, err := full.DiscoverContext(ctx, full.Collection())
+	wantPairs, err := full.discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPairs, err := inc.DiscoverContext(ctx, inc.Collection())
+	gotPairs, err := inc.discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,21 +268,14 @@ func TestIncrementalEqualsBatch(t *testing.T) {
 		}
 	}
 	for ri := range raws {
-		want, err := full.SearchContext(ctx, &full.Collection().Sets[ri])
+		want, err := full.search(ctx, &full.Collection().Sets[ri])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := inc.SearchContext(ctx, &inc.Collection().Sets[ri])
+		got, err := inc.search(ctx, &inc.Collection().Sets[ri])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("ref %d: full %d matches, incremental %d", ri, len(want), len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ref %d match %d: full %+v, incremental %+v", ri, i, want[i], got[i])
-			}
-		}
+		requireSameMatches(t, "incremental", got, want)
 	}
 }

@@ -27,7 +27,7 @@ var ErrNotFound = errors.New("silkmoth: no such set")
 func (e *Engine) Delete(id int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.sh.Alive(id) {
+	if !e.eng.Alive(id) {
 		return ErrNotFound
 	}
 	if err := e.appendWAL(&wal.Record{Op: wal.OpDelete, ID: id}); err != nil {
@@ -48,7 +48,7 @@ func (e *Engine) Update(id int, set Set) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	raw := dataset.RawSet{Name: set.Name, Elements: set.Elements}
-	if !e.sh.Alive(id) {
+	if !e.eng.Alive(id) {
 		return 0, ErrNotFound
 	}
 	if err := e.appendWAL(&wal.Record{Op: wal.OpUpdate, ID: id, Sets: []dataset.RawSet{raw}}); err != nil {
@@ -66,7 +66,7 @@ func (e *Engine) Update(id int, set Set) (int, error) {
 func (e *Engine) Compact() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sh.Compact()
+	e.eng.Compact()
 }
 
 // Live reports whether the set with the given id exists and has not been
@@ -74,5 +74,5 @@ func (e *Engine) Compact() {
 func (e *Engine) Live(id int) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.sh.Alive(id)
+	return e.eng.Alive(id)
 }

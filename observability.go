@@ -69,7 +69,7 @@ type StageLatencies struct {
 
 // StageLatencies returns the engine's per-stage latency histograms.
 func (e *Engine) StageLatencies() StageLatencies {
-	hs := e.sh.StageLatencies()
+	hs := e.eng.StageLatencies()
 	return StageLatencies{
 		Signature: fromSnapshot(hs[core.StageSignature]),
 		Collect:   fromSnapshot(hs[core.StageCollect]),

@@ -64,9 +64,9 @@
 // the executed plan: the concrete scheme that probed the index, the
 // per-stage pruning funnel — signature tokens, candidates, check-filter
 // and NN-filter survivors, verifications — and wall time. A search is one
-// pass at every shard count. SearchBatchQueries
-// is the per-item batch form: each BatchQuery carries its own options, so
-// a mixed workload can pin schemes and capture explains item by item.
+// pass at every width. SearchBatchQueries is the per-item batch form: each
+// BatchQuery carries its own options, so a mixed workload can pin schemes
+// and capture explains item by item.
 //
 // # Mutation
 //
@@ -83,10 +83,12 @@
 //
 // # Concurrency and serving
 //
-// Engines are safe for concurrent use: parallel queries do not serialize
-// on a shared lock, mutations (Add, Delete, Update, Compact) are safely
-// interleaved with in-flight queries, and Config.Concurrency parallelizes
-// Discover's reference passes and a batch's searches. The context-aware
+// Engines are safe for concurrent use. An engine guards its state with one
+// read-write lock: queries share its read side and run in parallel, and
+// mutations (Add, Delete, Update, Compact, Snapshot) take its write side, so
+// in-flight queries finish first and later ones see the change.
+// Config.Concurrency parallelizes Discover's reference passes and a batch's
+// searches. The context-aware
 // variants (SearchContext, SearchTopKContext, DiscoverContext,
 // DiscoverAgainstContext) abort cleanly on cancellation.
 //
@@ -108,6 +110,7 @@
 package silkmoth
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -351,6 +354,8 @@ func (c Config) width() int {
 	return max(1, c.Shards)
 }
 
+// coreOptions validates c and lowers it to the core engine's options. Every
+// engine constructor calls it first.
 func (c Config) coreOptions() (core.Options, error) {
 	var metric core.Metric
 	switch c.Metric {
@@ -379,6 +384,9 @@ func (c Config) coreOptions() (core.Options, error) {
 	scheme, err := c.Scheme.kind()
 	if err != nil {
 		return core.Options{}, err
+	}
+	if !(c.Delta > 0 && c.Delta <= 1) { // NaN fails too
+		return core.Options{}, errors.New("silkmoth: Config.Delta must be in (0, 1]")
 	}
 	compact := c.CompactionThreshold
 	if compact == 0 {

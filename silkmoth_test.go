@@ -193,6 +193,29 @@ func TestLenAndSetName(t *testing.T) {
 	}
 }
 
+// TestSetNameOutOfRange: an id the engine never assigned names nothing, it
+// does not panic; a deleted set's id stays assigned and keeps its name.
+func TestSetNameOutOfRange(t *testing.T) {
+	eng, err := NewEngine([]Set{{Name: "a", Elements: []string{"x"}}, {Name: "b", Elements: []string{"y"}}}, Config{Delta: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 2, math.MaxInt, math.MinInt} {
+		if name := eng.SetName(id); name != "" {
+			t.Errorf("SetName(%d) = %q, want \"\"", id, name)
+		}
+	}
+	if err := eng.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Add([]Set{{Name: "c", Elements: []string{"z"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{eng.SetName(1), eng.SetName(2), eng.SetName(3)}; got[0] != "b" || got[1] != "c" || got[2] != "" {
+		t.Errorf("after Delete(1) and Add: SetName(1..3) = %q, want [b c \"\"]", got)
+	}
+}
+
 func TestAlphaThresholdChangesResults(t *testing.T) {
 	// Two sets whose elements overlap weakly: with α = 0 the weak edges
 	// accumulate past δ; with a high α they vanish.
