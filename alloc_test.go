@@ -71,19 +71,23 @@ func measureAllocs(t *testing.T, name string, budget float64, f func()) {
 }
 
 // TestQueryAllocationBudgets pins steady-state allocations of the public
-// Search, SearchTopK, Discover, SearchBatch, and DiscoverAgainst paths on
-// one shard and on several, so the pipeline's zero-allocation property
-// cannot silently regress — and, the shards=1 budgets carrying no fan-out
-// allowance, so one shard cannot start paying for a split. Discover,
-// SearchBatch and DiscoverAgainst do not split, so they carry none at any
-// shard count.
+// Search, SearchTopK, Discover, SearchBatchQueries, and DiscoverAgainst
+// paths on one shard and on several, so the pipeline's zero-allocation
+// property cannot silently regress — and, the shards=1 budgets carrying no
+// fan-out allowance, so one shard cannot start paying for a split. Discover,
+// a many-item SearchBatchQueries and DiscoverAgainst do not split, so they
+// carry none at any shard count.
 func TestQueryAllocationBudgets(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
 	}
 	sets := allocCorpus(300)
 	ref := sets[7]
-	batch, against := sets[20:36], sets[40:44]
+	batch := make([]BatchQuery, 16)
+	for i := range batch {
+		batch[i].Set = sets[20+i]
+	}
+	against := sets[40:44]
 	for _, shards := range []int{1, 3} {
 		eng, err := NewEngine(sets, Config{
 			Similarity:  Jaccard,
@@ -118,8 +122,8 @@ func TestQueryAllocationBudgets(t *testing.T) {
 			measureAllocs(t, "Discover", discoverAllocBudget, func() {
 				eng.Discover()
 			})
-			measureAllocs(t, "SearchBatch", batchAllocBudget, func() {
-				if _, err := eng.SearchBatch(batch); err != nil {
+			measureAllocs(t, "SearchBatchQueries", batchAllocBudget, func() {
+				if _, err := eng.SearchBatchQueries(batch); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -237,17 +237,17 @@ func TestCompressedLazyLoadAllocationBudget(t *testing.T) {
 	if st := loaded.Stats(); st.PostingCacheMisses != 0 || st.PostingResidentBytes != 0 {
 		t.Fatalf("open decoded lists before any query: %+v", st)
 	}
-	res, err := loaded.Explain(sets[7])
-	if err != nil {
+	var ex Explain
+	if _, err := loaded.Search(sets[7], WithExplain(&ex)); err != nil {
 		t.Fatal(err)
 	}
 	st := loaded.Stats()
 	if st.PostingCacheMisses == 0 {
 		t.Fatal("query decoded nothing — probes are not reaching the containers")
 	}
-	if st.PostingCacheMisses > int64(res.Explain.SigTokens) {
+	if st.PostingCacheMisses > int64(ex.SigTokens) {
 		t.Errorf("one query decoded %d lists but probed only %d signature tokens — decode is not demand-driven",
-			st.PostingCacheMisses, res.Explain.SigTokens)
+			st.PostingCacheMisses, ex.SigTokens)
 	}
 }
 

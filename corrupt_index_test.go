@@ -50,8 +50,8 @@ func TestCorruptContainerFailsQueries(t *testing.T) {
 	if ps, err := eng.DiscoverAgainst([]silkmoth.Set{clear, hit}); !errors.Is(err, silkmoth.ErrPostingDecode) || ps != nil {
 		t.Errorf("DiscoverAgainst over the corrupt list = (%v, %v), want no pairs and ErrPostingDecode", ps, err)
 	}
-	if _, err := eng.SearchBatch([]silkmoth.Set{clear, hit}); !errors.Is(err, silkmoth.ErrPostingDecode) {
-		t.Errorf("SearchBatch with one item over the corrupt list: error %v, want ErrPostingDecode", err)
+	if res, err := eng.SearchBatchQueries([]silkmoth.BatchQuery{{Set: hit}}); err != nil || !errors.Is(res[0].Err, silkmoth.ErrPostingDecode) {
+		t.Errorf("one-item batch over the corrupt list = (%v, %v), want its item's ErrPostingDecode", res, err)
 	}
 	if eng.Stats().PostingDecodeErrors == 0 {
 		t.Error("Stats.PostingDecodeErrors did not move")

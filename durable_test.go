@@ -53,27 +53,27 @@ func compareEngineSurfaces(t *testing.T, stage string, want, got *Engine, checkF
 		}
 	}
 	for _, q := range liveRaws(want) {
-		wantRes, err := want.Explain(q)
+		var w, g Explain
+		wantMs, err := want.Search(q, WithExplain(&w))
 		if err != nil {
 			t.Fatalf("%s: explain %q: %v", stage, q.Name, err)
 		}
-		gotRes, err := got.Explain(q)
+		gotMs, err := got.Search(q, WithExplain(&g))
 		if err != nil {
 			t.Fatalf("%s: loaded explain %q: %v", stage, q.Name, err)
 		}
-		if len(gotRes.Matches) != len(wantRes.Matches) {
-			t.Fatalf("%s: query %q: %d matches, want %d", stage, q.Name, len(gotRes.Matches), len(wantRes.Matches))
+		if len(gotMs) != len(wantMs) {
+			t.Fatalf("%s: query %q: %d matches, want %d", stage, q.Name, len(gotMs), len(wantMs))
 		}
-		for i := range wantRes.Matches {
-			if gotRes.Matches[i] != wantRes.Matches[i] {
+		for i := range wantMs {
+			if gotMs[i] != wantMs[i] {
 				t.Fatalf("%s: query %q match %d = %+v, want %+v",
-					stage, q.Name, i, gotRes.Matches[i], wantRes.Matches[i])
+					stage, q.Name, i, gotMs[i], wantMs[i])
 			}
 		}
 		if !checkFunnel {
 			continue
 		}
-		w, g := wantRes.Explain, gotRes.Explain
 		if g.Scheme != w.Scheme || g.Passes != w.Passes || g.FullScans != w.FullScans ||
 			g.SigTokens != w.SigTokens || g.Candidates != w.Candidates ||
 			g.AfterCheck != w.AfterCheck || g.CheckPruned != w.CheckPruned ||

@@ -127,14 +127,13 @@ var queryScratchPool = sync.Pool{New: func() any { return new(dataset.QueryScrat
 // Element keys are looked up, never interned (dataset.QueryScratch follows
 // BuildQuery's contract), so query traffic cannot grow the key table.
 //
-// The returned collection is built on pooled scratch buffers; the caller
-// must call release once nothing references it anymore — after the core
-// matches are converted to public results, which alias nothing of the
-// query.
-func (e *Engine) tokenizeQuery(sets []Set) (qc *dataset.Collection, release func()) {
+// The returned collection is built on the returned pooled scratch; the
+// caller must put the scratch back into queryScratchPool once nothing
+// references the collection anymore — after the core matches are converted
+// to public results, which alias nothing of the query.
+func (e *Engine) tokenizeQuery(raws []dataset.RawSet) (*dataset.QueryScratch, *dataset.Collection) {
 	qs := queryScratchPool.Get().(*dataset.QueryScratch)
-	qc = qs.Build(e.coll.Dict, toRaw(sets), e.coll.Mode, e.coll.Q)
-	return qc, func() { queryScratchPool.Put(qs) }
+	return qs, qs.Build(e.coll.Dict, raws, e.coll.Mode, e.coll.Q)
 }
 
 // ErrPostingDecode is returned by a query during which a compressed
@@ -145,89 +144,6 @@ func (e *Engine) tokenizeQuery(sets []Set) (qc *dataset.Collection, release func
 // corrupted index can cause it — containers built in memory are canonical
 // and persisted ones are CRC-checked on load — so it is not retryable.
 var ErrPostingDecode = core.ErrPostingDecode
-
-// Search returns every set in the engine's collection related to ref,
-// sorted by descending relatedness (ties by index). This is the paper's
-// RELATED SET SEARCH (Problem 2). Options customize the single query:
-// WithK truncates to the top k, WithScheme pins the signature scheme,
-// WithDelta overrides δ, WithExplain captures the query's pruning funnel,
-// and the filter toggles stress individual stages.
-func (e *Engine) Search(ref Set, opts ...QueryOption) ([]Match, error) {
-	return e.SearchContext(context.Background(), ref, opts...)
-}
-
-// SearchContext is Search with cancellation: the pass aborts and returns
-// ctx.Err() when ctx is done. A pass that proves long spreads its set-id
-// chunks over up to Engine.Shards goroutines.
-func (e *Engine) SearchContext(ctx context.Context, ref Set, opts ...QueryOption) ([]Match, error) {
-	res, err := e.searchResult(ctx, ref, opts, false)
-	return res.Matches, err
-}
-
-// Explain runs one search and returns its full Result: the matches plus
-// the Explain metadata describing how they were computed — chosen concrete
-// scheme, signature size, per-stage survivor counts, wall time. It is
-// Search with an implied WithExplain; explicit options compose as usual.
-func (e *Engine) Explain(ref Set, opts ...QueryOption) (Result, error) {
-	return e.ExplainContext(context.Background(), ref, opts...)
-}
-
-// ExplainContext is Explain with cancellation.
-func (e *Engine) ExplainContext(ctx context.Context, ref Set, opts ...QueryOption) (Result, error) {
-	return e.searchResult(ctx, ref, opts, true)
-}
-
-// searchResult runs one search under the compiled options — every public
-// single-query search path lands here. forceExplain attaches a capture
-// even when no WithExplain option did (the Explain entry points).
-func (e *Engine) searchResult(ctx context.Context, ref Set, opts []QueryOption, forceExplain bool) (Result, error) {
-	qo, err := compileOptions(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if forceExplain && qo.explain == nil {
-		qo.explain = &Explain{}
-	}
-	q := qo.coreQuery()
-	var start time.Time
-	if qo.explain != nil {
-		start = time.Now()
-	}
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	qc, release := e.tokenizeQuery([]Set{ref})
-	defer release()
-	// The top-k path (k > 0) keeps the best k in a bounded heap instead of
-	// sorting every match.
-	ms, err := e.eng.SearchSplitContext(ctx, &qc.Sets[0], q, e.width, qo.k)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Matches: e.toMatches(ms)}
-	if qo.explain != nil {
-		qo.finishExplain(q, time.Since(start))
-		res.Explain = qo.explain
-	}
-	return res, nil
-}
-
-// toMatches rewrites core matches into the public form, resolving names
-// from the engine's collection — the one post-processing step every search
-// path shares. The order is core's: canonical (descending relatedness, ties
-// by ascending index). Callers must hold at least the read lock.
-func (e *Engine) toMatches(ms []core.Match) []Match {
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{
-			Index:         m.Set,
-			Name:          e.coll.Sets[m.Set].Name,
-			Relatedness:   m.Relatedness,
-			MatchingScore: m.Score,
-		}
-	}
-	return out
-}
 
 // Discover returns all related pairs within the engine's collection — the
 // paper's RELATED SET DISCOVERY (Problem 1) with R = S. Under SetSimilarity
@@ -258,8 +174,8 @@ func (e *Engine) DiscoverContext(ctx context.Context, opts ...QueryOption) ([]Pa
 // with refs as the R side (the engine's own collection selects self-join
 // semantics). Callers hold the read lock.
 func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, opts []QueryOption) ([]Pair, error) {
-	qo, err := compileOptions(opts)
-	if err != nil {
+	var qo queryOptions
+	if err := qo.compile(opts); err != nil {
 		return nil, err
 	}
 	q := qo.coreQuery()
@@ -287,8 +203,8 @@ func (e *Engine) DiscoverAgainst(refs []Set, opts ...QueryOption) ([]Pair, error
 func (e *Engine) DiscoverAgainstContext(ctx context.Context, refs []Set, opts ...QueryOption) ([]Pair, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	qc, release := e.tokenizeQuery(refs)
-	defer release()
+	scratch, qc := e.tokenizeQuery(toRaw(refs))
+	defer queryScratchPool.Put(scratch)
 	return e.discoverLocked(ctx, qc, opts)
 }
 

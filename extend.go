@@ -1,7 +1,6 @@
 package silkmoth
 
 import (
-	"context"
 	"io"
 	"slices"
 	"time"
@@ -10,29 +9,6 @@ import (
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/wal"
 )
-
-// SearchTopK returns the k most related sets to ref among those whose
-// relatedness reaches Delta, ordered by descending relatedness. It is
-// exactly Search with a trailing WithK(k), so options compose the same
-// way (the k argument wins over any WithK in opts).
-func (e *Engine) SearchTopK(ref Set, k int, opts ...QueryOption) ([]Match, error) {
-	return e.SearchTopKContext(context.Background(), ref, k, opts...)
-}
-
-// SearchTopKContext is SearchTopK with cancellation. The search's one pass
-// feeds its matches through one bounded heap that keeps the best k, so the
-// answer costs O(m log k) for m matches instead of a full sort.
-func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...QueryOption) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	// Appending WithK last makes the method's k argument override any
-	// WithK in opts (later options win); the copy keeps the caller's
-	// backing array untouched.
-	withK := make([]QueryOption, 0, len(opts)+1)
-	withK = append(append(withK, opts...), WithK(k))
-	return e.SearchContext(ctx, ref, withK...)
-}
 
 // Add tokenizes and indexes additional sets, growing the engine's
 // collection in place. Add is safe to call concurrently with queries: it
@@ -124,8 +100,8 @@ func SortMatchesByIndex(ms []Match) {
 // verified pair, wall time) and WithReduction observably apply; scheme,
 // k, δ, and filter options are validated and otherwise inert.
 func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
-	qo, err := compileOptions(opts)
-	if err != nil {
+	var qo queryOptions
+	if err := qo.compile(opts); err != nil {
 		return 0, err
 	}
 	var start time.Time
@@ -170,8 +146,8 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 // matchScore computes |r ∩̃ S0| between a query set and the engine's only
 // collection set, returning the score and both sizes.
 func (e *Engine) matchScore(r Set) (score float64, nR, nS int) {
-	qc, release := e.tokenizeQuery([]Set{r})
-	defer release()
+	scratch, qc := e.tokenizeQuery(toRaw([]Set{r}))
+	defer queryScratchPool.Put(scratch)
 	rs := &qc.Sets[0]
 	ss := &e.coll.Sets[0]
 	return e.eng.MatchScore(rs, ss), len(rs.Elements), len(ss.Elements)

@@ -8,25 +8,26 @@ import (
 	"silkmoth/internal/dataset"
 )
 
-// SearchBatchQueries answers one search per reference set. Queries fan out
-// across Concurrency workers; each worker owns one reusable Searcher and runs
-// one whole-collection pass per reference, verifying serially (as in
-// Discover), so batch parallelism stays bounded at Concurrency instead of
-// compounding with a search's helpers, and the collector scratch amortizes
-// across the whole batch. Results are positionally aligned with refs, each
-// in canonical order, identical to searching each ref alone.
+// SearchBatchQueries answers one search per reference set, each under its own
+// query (qs, when non-nil, aligns with refs; a nil item inherits the engine's
+// configuration) and each in canonical order, cut to its query's best K.
 //
-// qs, when non-nil, must align positionally with refs, and each item's pass
-// runs under its own query (nil items inherit the engine's configuration).
-// An item whose query carries a Stats capture also gets its wall time
-// accumulated there (AddElapsed), measured around the item's pass.
+// How the items run follows from how many there are. A lone item runs its
+// pass at width (SearchSplitContext): a pass that proves long spreads over
+// helpers. More items fan out across Concurrency workers; each worker owns one
+// reusable Searcher and runs each of its items as one unsplit pass, as
+// Discover does, so batch parallelism stays bounded at Concurrency instead of
+// compounding with a search's helpers, and the collector scratch amortizes
+// across the batch. Either way each item's answer is the one searching it
+// alone returns, and an item whose query carries a Stats capture gets the
+// wall time measured around its pass (AddElapsed).
 //
 // An item whose pass read a corrupt posting container (ErrPostingDecode)
 // fails alone: it has no matches, its error is in the second result at its
 // position, and the batch goes on. The second result is nil when no item
-// failed. Any other error — cancellation — aborts the whole batch and is the
-// third result.
-func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs []*Query) ([][]Match, []error, error) {
+// failed. Any other error — an invalid query, cancellation — aborts the whole
+// batch and is the third result.
+func (e *Engine) SearchBatchQueries(ctx context.Context, refs []dataset.Set, qs []*Query, width int) ([][]Match, []error, error) {
 	if len(refs) == 0 {
 		return nil, nil, nil
 	}
@@ -39,18 +40,25 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		}
 	}
 	out := make([][]Match, len(refs))
+	if len(refs) == 1 {
+		q := itemQuery(qs, 0)
+		start := time.Now()
+		ms, err := e.SearchSplitContext(ctx, &refs[0], q, width)
+		if errors.Is(err, ErrPostingDecode) {
+			return out, []error{err}, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		out[0] = ms
+		timeItem(q, start)
+		return out, nil, nil
+	}
 	itemErrs := make([]error, len(refs)) // each item writes its own slot
 	err := e.fanOut(ctx, len(refs), func(ctx context.Context, sr *Searcher, _, qi int) error {
-		var q *Query
-		if qs != nil {
-			q = qs[qi]
-		}
-		var start time.Time
-		timed := q != nil && q.Stats != nil
-		if timed {
-			start = time.Now()
-		}
-		ms, err := sr.SearchQuery(ctx, refs[qi], -1, q)
+		q := itemQuery(qs, qi)
+		start := time.Now()
+		ms, err := sr.SearchQuery(ctx, &refs[qi], -1, q)
 		if errors.Is(err, ErrPostingDecode) {
 			itemErrs[qi] = err
 			return nil
@@ -58,11 +66,8 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		if err != nil {
 			return err
 		}
-		sortMatches(ms)
-		out[qi] = ms
-		if timed {
-			q.Stats.AddElapsed(time.Since(start))
-		}
+		out[qi] = rank(ms, q)
+		timeItem(q, start)
 		return nil
 	})
 	if err != nil {
@@ -72,4 +77,19 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		itemErrs = nil
 	}
 	return out, itemErrs, nil
+}
+
+// itemQuery returns item i's query, nil when the batch carries none.
+func itemQuery(qs []*Query, i int) *Query {
+	if qs == nil {
+		return nil
+	}
+	return qs[i]
+}
+
+// timeItem adds the wall time since start to a timed item's capture.
+func timeItem(q *Query, start time.Time) {
+	if q != nil && q.Stats != nil {
+		q.Stats.AddElapsed(time.Since(start))
+	}
 }

@@ -59,6 +59,9 @@ type Query struct {
 	CheckFilter Toggle
 	NNFilter    Toggle
 	Reduction   Toggle
+	// K, when > 0, keeps only the search's best K matches, picked by a
+	// bounded heap instead of a sort of every match. Discovery ignores it.
+	K int
 	// Stats, when non-nil, captures this query's own per-stage funnel in
 	// addition to the engine's cumulative counters: every pass the query
 	// fans out into folds its record in as it ends, so one Capture may
@@ -67,13 +70,16 @@ type Query struct {
 }
 
 // Validate checks the override values against the engine-independent
-// domains: δ ∈ (0, 1] when set, and a known signature scheme.
+// domains: δ ∈ (0, 1] when set, K ≥ 0, and a known signature scheme.
 func (q *Query) Validate() error {
 	if q == nil {
 		return nil
 	}
 	if q.Delta != 0 && !(q.Delta > 0 && q.Delta <= 1) { // NaN fails, as in Options.normalize
 		return fmt.Errorf("core: query delta must be in (0, 1], got %v", q.Delta)
+	}
+	if q.K < 0 {
+		return fmt.Errorf("core: query k must be >= 0, got %d", q.K)
 	}
 	if q.SchemeSet {
 		switch q.Scheme {
@@ -114,24 +120,22 @@ func (e *Engine) queryOptions(q *Query) Options {
 }
 
 // SearchQueryContext is SearchContext with per-query overrides and stats
-// capture: q's scheme/δ/filter overrides shape this pass only, and q.Stats
-// (when non-nil) receives the pass's funnel. A nil q is exactly
+// capture: q's scheme/δ/filter overrides and K shape this pass only, and
+// q.Stats (when non-nil) receives the pass's funnel. A nil q is exactly
 // SearchContext.
 func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *Query) ([]Match, error) {
-	return e.SearchSplitContext(ctx, r, q, 1, 0)
+	return e.SearchSplitContext(ctx, r, q, 1)
 }
 
-// SearchSplitContext is SearchQueryContext on at most width goroutines,
-// keeping the best k matches when k > 0 (a bounded heap, never a full sort
-// of them) and every match otherwise. The signature is generated once —
-// under scheme Auto that is one choice for the whole query — and a pass that
-// runs long cuts its candidate work into set-id chunks that the caller and
-// up to width−1 helpers claim, each collecting, refining and verifying its
-// own candidates through posting lists cut to the chunk (see plan.run). The
-// matches are the one-goroutine pass's, in canonical order (descending
-// relatedness, ties by ascending index), and the query counts one pass,
-// which all the chunks' work is charged to.
-func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width, k int) ([]Match, error) {
+// SearchSplitContext is SearchQueryContext on at most width goroutines. The
+// signature is generated once — under scheme Auto that is one choice for the
+// whole query — and a pass that runs long cuts its candidate work into set-id
+// chunks that the caller and up to width−1 helpers claim, each collecting,
+// refining and verifying its own candidates through posting lists cut to the
+// chunk (see plan.run). The matches are the one-goroutine pass's, in
+// canonical order (descending relatedness, ties by ascending index), and the
+// query counts one pass, which all the chunks' work is charged to.
+func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -144,11 +148,19 @@ func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Quer
 	if err != nil {
 		return nil, err
 	}
-	if k > 0 {
-		return localTopK(ms, k), nil
+	return rank(ms, q), nil
+}
+
+// rank puts a search's matches in canonical order, keeping q's best K when
+// it asks for fewer than all.
+//
+//silkmoth:hotpath
+func rank(ms []Match, q *Query) []Match {
+	if q != nil && q.K > 0 {
+		return localTopK(ms, q.K)
 	}
 	sortMatches(ms)
-	return ms, nil
+	return ms
 }
 
 // SearchQuery runs one search pass for r under q's overrides, excluding

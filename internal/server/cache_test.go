@@ -64,7 +64,7 @@ func TestBatchItemsShareCache(t *testing.T) {
 			if got := w.Header().Get("X-Silkmoth-Cache"); got != "hit" {
 				t.Fatalf("single after batch: cache %q, want hit", got)
 			}
-			want, _ := json.Marshal(searchResponse{Matches: resp.Results[0].Matches})
+			want, _ := json.Marshal(BatchItemJSON{Matches: resp.Results[0].Matches})
 			if got := bytes.TrimSuffix(w.Body.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
 				t.Fatalf("single served from a batch item:\n got %s\nwant %s", got, want)
 			}
@@ -325,7 +325,7 @@ func FuzzBatchBodyMatchesMarshal(f *testing.F) {
 				t.Fatal(err)
 			}
 			if item.Error == "" && item.Scheme == "" && item.Explain == nil {
-				single, err := json.Marshal(searchResponse{Matches: item.Matches})
+				single, err := json.Marshal(BatchItemJSON{Matches: item.Matches})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,93 +53,11 @@ func explainJSON(ex *silkmoth.Explain) *ExplainJSON {
 	}
 }
 
-// explainRequest is the POST /v1/explain body: a search request plus
-// filter toggles for interactive what-if tuning (how many more candidates
-// reach verification with a filter off?).
-type explainRequest struct {
-	Set    SetJSON `json:"set"`
-	K      int     `json:"k,omitempty"`
-	Scheme string  `json:"scheme,omitempty"`
-	Delta  float64 `json:"delta,omitempty"`
-	// DisableCheckFilter / DisableNNFilter turn pipeline stages off for
-	// this query only. Results never change — only the funnel does.
-	DisableCheckFilter bool `json:"disable_check_filter,omitempty"`
-	DisableNNFilter    bool `json:"disable_nn_filter,omitempty"`
-}
-
-type explainResponse struct {
-	Matches []MatchJSON `json:"matches"`
-	Explain ExplainJSON `json:"explain"`
-}
-
-// handleExplain serves GET/POST /v1/explain: it runs one search and
-// returns its matches together with the plan's execution metadata —
-// chosen concrete scheme, signature token count, per-stage survivor
-// counts, wall time — making filter and scheme tuning self-service.
-//
-// POST takes an explainRequest body. GET takes query parameters for
-// curl-friendly poking: repeated e=<element> for the reference set's
-// elements, plus optional k, scheme, delta. Explain responses are never
-// cached (wall time would go stale).
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if s.opts.DisableExplain {
-		writeError(w, http.StatusNotFound, "explain is disabled on this server")
-		return
-	}
-	var req explainRequest
-	if r.Method == http.MethodGet {
-		if !parseExplainQuery(w, r, &req) {
-			return
-		}
-	} else if err := s.decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, err)
-		return
-	}
-	if len(req.Set.Elements) == 0 {
-		writeError(w, http.StatusBadRequest, "set.elements must be non-empty (GET: repeated e= parameters)")
-		return
-	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "k must be >= 0")
-		return
-	}
-	var ex silkmoth.Explain
-	opts, ok := s.overrides(w, req.Scheme, req.Delta, true, &ex)
-	if !ok {
-		return
-	}
-	if req.K >= 1 {
-		opts = append(opts, silkmoth.WithK(req.K))
-	}
-	if req.DisableCheckFilter {
-		opts = append(opts, silkmoth.WithCheckFilter(false))
-	}
-	if req.DisableNNFilter {
-		opts = append(opts, silkmoth.WithNNFilter(false))
-	}
-
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if !s.acquire(ctx, w) {
-		return
-	}
-	defer s.release()
-
-	ms, err := s.eng.SearchContext(ctx, req.Set.toSet(), opts...)
-	if err != nil {
-		s.writeQueryErr(w, err)
-		return
-	}
-	s.logSlow(r, "/v1/explain", &ex, nil)
-	writeJSON(w, http.StatusOK, explainResponse{
-		Matches: matchesJSON(ms),
-		Explain: *explainJSON(&ex),
-	})
-}
-
-// parseExplainQuery fills req from GET query parameters, reporting false
+// parseExplainQuery fills req from GET /v1/explain's query parameters —
+// repeated e=<element> for the reference set's elements, plus optional name,
+// k, scheme, delta, no_check_filter and no_nn_filter — reporting false
 // (response written) on malformed values.
-func parseExplainQuery(w http.ResponseWriter, r *http.Request, req *explainRequest) bool {
+func parseExplainQuery(w http.ResponseWriter, r *http.Request, req *searchRequest) bool {
 	q := r.URL.Query()
 	req.Set = SetJSON{Name: q.Get("name"), Elements: q["e"]}
 	req.Scheme = q.Get("scheme")

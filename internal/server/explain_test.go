@@ -54,14 +54,14 @@ func TestExplainEndpoint(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("POST explain: %d: %s", w.Code, w.Body.String())
 			}
-			resp := decode[explainResponse](t, w)
-			checkFunnel(t, "post", resp.Explain)
+			resp := decode[BatchItemJSON](t, w)
+			checkFunnel(t, "post", *resp.Explain)
 			if resp.Explain.Passes != 1 {
 				t.Fatalf("explain passes %d, want one per query at %d shards", resp.Explain.Passes, eng.Shards())
 			}
 
 			plain := postJSON(t, s, "/v1/search", body)
-			plainResp := decode[searchResponse](t, plain)
+			plainResp := decode[BatchItemJSON](t, plain)
 			if len(plainResp.Matches) != len(resp.Matches) {
 				t.Fatalf("explain returned %d matches, search %d", len(resp.Matches), len(plainResp.Matches))
 			}
@@ -75,14 +75,14 @@ func TestExplainEndpoint(t *testing.T) {
 			if g.Code != http.StatusOK {
 				t.Fatalf("GET explain: %d: %s", g.Code, g.Body.String())
 			}
-			gresp := decode[explainResponse](t, g)
-			checkFunnel(t, "get", gresp.Explain)
+			gresp := decode[BatchItemJSON](t, g)
+			checkFunnel(t, "get", *gresp.Explain)
 			// The filters' similarity counts are work counts: the same query
 			// against the same engine repeats them exactly — all but the
 			// split of φ requests between kernel and memo, which depends on
 			// how a pass was cut into chunks — and a candidate is reached
 			// through at least one compared element pair.
-			px, gx := resp.Explain, gresp.Explain
+			px, gx := *resp.Explain, *gresp.Explain
 			sims := func(x ExplainJSON) [3]int64 {
 				return [3]int64{x.SimEvals + x.SimMemoHits, x.SimCounted, x.SimBounded}
 			}
@@ -104,12 +104,12 @@ func TestExplainEndpoint(t *testing.T) {
 // matches.
 func TestExplainFilterToggles(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	on := decode[explainResponse](t, postJSON(t, s, "/v1/explain",
+	on := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain",
 		`{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA"]}}`))
-	off := decode[explainResponse](t, postJSON(t, s, "/v1/explain",
+	off := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain",
 		`{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA"]},"disable_nn_filter":true,"disable_check_filter":true}`))
-	checkFunnel(t, "filters-on", on.Explain)
-	checkFunnel(t, "filters-off", off.Explain)
+	checkFunnel(t, "filters-on", *on.Explain)
+	checkFunnel(t, "filters-off", *off.Explain)
 	if off.Explain.NNPruned != 0 || off.Explain.CheckPruned != 0 {
 		t.Fatalf("disabled filters still pruned: %+v", off.Explain)
 	}
@@ -131,7 +131,7 @@ func TestSearchExplainField(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("search explain: %d: %s", w.Code, w.Body.String())
 	}
-	resp := decode[searchResponse](t, w)
+	resp := decode[BatchItemJSON](t, w)
 	if resp.Explain == nil {
 		t.Fatal("explain:true returned no explain block")
 	}
@@ -160,7 +160,7 @@ func TestExplainDisabled(t *testing.T) {
 // malformed values 400.
 func TestSearchSchemeAndDeltaOverrides(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	base := decode[searchResponse](t, postJSON(t, s, "/v1/search",
+	base := decode[BatchItemJSON](t, postJSON(t, s, "/v1/search",
 		`{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA"]}}`))
 	for _, scheme := range []string{"dichotomy", "skyline", "weighted", "combunweighted", "auto"} {
 		w := postJSON(t, s, "/v1/search",
@@ -168,7 +168,7 @@ func TestSearchSchemeAndDeltaOverrides(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("scheme %s: %d: %s", scheme, w.Code, w.Body.String())
 		}
-		resp := decode[searchResponse](t, w)
+		resp := decode[BatchItemJSON](t, w)
 		if len(resp.Matches) != len(base.Matches) {
 			t.Fatalf("scheme %s changed result count: %d vs %d", scheme, len(resp.Matches), len(base.Matches))
 		}
@@ -176,7 +176,7 @@ func TestSearchSchemeAndDeltaOverrides(t *testing.T) {
 
 	// δ = 0.9 keeps only near-identical sets; the looser base must have at
 	// least as many matches, and a fresh engine at 0.9 must agree exactly.
-	tight := decode[searchResponse](t, postJSON(t, s, "/v1/search",
+	tight := decode[BatchItemJSON](t, postJSON(t, s, "/v1/search",
 		`{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA","State St Chicago IL"]},"delta":0.9}`))
 	cfg9 := testConfig()
 	cfg9.Delta = 0.9

@@ -155,7 +155,7 @@ func TestDeleteInvalidatesCache(t *testing.T) {
 	if w.Code != http.StatusOK || w.Header().Get("X-Silkmoth-Cache") != "miss" {
 		t.Fatalf("first search: code %d cache %q", w.Code, w.Header().Get("X-Silkmoth-Cache"))
 	}
-	first := decode[searchResponse](t, w)
+	first := decode[BatchItemJSON](t, w)
 	found := false
 	for _, m := range first.Matches {
 		if m.Name == "locations" {
@@ -177,7 +177,7 @@ func TestDeleteInvalidatesCache(t *testing.T) {
 	if w.Header().Get("X-Silkmoth-Cache") != "miss" {
 		t.Fatal("search after delete must not be served from the stale cache")
 	}
-	after := decode[searchResponse](t, w)
+	after := decode[BatchItemJSON](t, w)
 	for _, m := range after.Matches {
 		if m.Name == "locations" || m.Index == 1 {
 			t.Fatalf("deleted set served after delete: %+v", after.Matches)

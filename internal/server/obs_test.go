@@ -229,7 +229,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("search code = %d: %s", w.Code, w.Body.String())
 	}
-	var resp searchResponse
+	var resp BatchItemJSON
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

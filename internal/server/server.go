@@ -6,10 +6,13 @@
 // behind cmd/silkmothd.
 //
 // Query endpoints share one bounded worker pool (a semaphore over the
-// engine) and an LRU result cache holding one entry per query — a batch
-// item is a query, and shares its entry with the same /v1/search — keyed on
-// the query's full identity: endpoint, metric, δ, α, the options that shape
-// the answer, and the query sets' raw elements. Every request
+// engine) and an LRU result cache holding one entry per query, keyed on the
+// query's full identity: its kind, metric, δ, α, the options that shape the
+// answer, and the query sets' raw elements. The four search routes —
+// /v1/search, /v1/topk, /v1/explain and /v1/search/batch — decode into
+// search items and share one path to the engine (serveSearch), so a batch
+// item is a query like any other and shares its entry with the same
+// /v1/search. Every request
 // carries a context with the configured timeout; cancellation propagates
 // into the engine's search and discovery loops, so an abandoned request
 // stops burning matching computations.
@@ -455,13 +458,14 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// appendKey appends the result-cache key of one query to b: the endpoint
-// kind, the server generation, the engine's identity (metric, similarity,
-// δ, α), everything else that changes the encoded answer — k (a top-k or
-// truncation bound, -1 for none), the pinned scheme, whether the answer
-// reports the scheme it probed with, a δ override (0 for none) — and then
-// every query set's elements, all length-prefixed so distinct queries can
-// never collide. Set names are left out: no answer depends on them.
+// appendKey appends the result-cache key of one query to b: its kind
+// ("search" on every search route), the server generation, the engine's
+// identity (metric, similarity, δ, α), everything else that changes the
+// encoded answer — k (the truncation bound, 0 for none), the pinned scheme,
+// whether the answer reports the scheme it probed with, a δ override (0 for
+// none) — and then every query set's elements, all length-prefixed so
+// distinct queries can never collide. Set names are left out: no answer
+// depends on them.
 //
 //silkmoth:hotpath
 func (s *Server) appendKey(b []byte, kind string, k int, scheme string, reportsScheme bool, delta float64, sets ...SetJSON) []byte {
@@ -525,377 +529,6 @@ func (s *Server) finish(w http.ResponseWriter, key []byte, v any) {
 
 // ---- handlers ----
 
-type searchRequest struct {
-	Set SetJSON `json:"set"`
-	K   int     `json:"k,omitempty"`
-	// Scheme pins this query's signature scheme ("dichotomy", "skyline",
-	// "weighted", "combunweighted", "auto"); empty inherits the engine's.
-	Scheme string `json:"scheme,omitempty"`
-	// Delta overrides the relatedness threshold δ ∈ (0, 1] for this query;
-	// 0 inherits the engine's.
-	Delta float64 `json:"delta,omitempty"`
-	// Explain attaches the query's execution metadata to the response.
-	// Explained responses bypass the result cache.
-	Explain bool `json:"explain,omitempty"`
-}
-
-// overrides validates the request's per-query fields and compiles them to
-// engine options. ex, when non-nil, is the explain destination wired
-// through WithExplain.
-func (s *Server) overrides(w http.ResponseWriter, scheme string, delta float64, explain bool, ex *silkmoth.Explain) (opts []silkmoth.QueryOption, ok bool) {
-	if scheme != "" {
-		sc, err := silkmoth.ParseScheme(scheme)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return nil, false
-		}
-		opts = append(opts, silkmoth.WithScheme(sc))
-	}
-	if delta != 0 {
-		if !(delta > 0 && delta <= 1) { // NaN fails too (?delta=NaN parses)
-			writeError(w, http.StatusBadRequest, "delta must be in (0, 1], got %g", delta)
-			return nil, false
-		}
-		opts = append(opts, silkmoth.WithDelta(delta))
-	}
-	if explain {
-		if s.opts.DisableExplain {
-			writeError(w, http.StatusBadRequest, "explain is disabled on this server")
-			return nil, false
-		}
-		opts = append(opts, silkmoth.WithExplain(ex))
-	}
-	return opts, true
-}
-
-type searchResponse struct {
-	Matches []MatchJSON  `json:"matches"`
-	Explain *ExplainJSON `json:"explain,omitempty"`
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.serveSearch(w, r, false)
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	s.serveSearch(w, r, true)
-}
-
-func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, topk bool) {
-	var req searchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, err)
-		return
-	}
-	if len(req.Set.Elements) == 0 {
-		writeError(w, http.StatusBadRequest, "set.elements must be non-empty")
-		return
-	}
-	kind, k := "search", -1
-	if topk {
-		if req.K < 1 {
-			writeError(w, http.StatusBadRequest, "k must be >= 1")
-			return
-		}
-		kind, k = "topk", req.K
-	}
-	var ex silkmoth.Explain
-	opts, ok := s.overrides(w, req.Scheme, req.Delta, req.Explain, &ex)
-	if !ok {
-		return
-	}
-	// Slow-query logging needs the funnel even when the client did not ask
-	// for it; the capture is server-side only, so the response body (and
-	// its cacheability) is unchanged.
-	capture := s.captureSlow()
-	if capture && !req.Explain {
-		opts = append(opts, silkmoth.WithExplain(&ex))
-	}
-
-	// Explained responses carry wall time, which a cache would freeze;
-	// they skip both lookup and store. A plain search's key is a plain
-	// batch item's (handleSearchBatch), so the two share entries.
-	kb := getBuf()
-	defer putBuf(kb)
-	*kb = s.appendKey(*kb, kind, k, req.Scheme, false, req.Delta, req.Set)
-	key := *kb
-	if !req.Explain && s.serveCached(w, key) {
-		return
-	}
-
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if !s.acquire(ctx, w) {
-		return
-	}
-	defer s.release()
-
-	var ms []silkmoth.Match
-	var err error
-	if topk {
-		ms, err = s.eng.SearchTopKContext(ctx, req.Set.toSet(), req.K, opts...)
-	} else {
-		ms, err = s.eng.SearchContext(ctx, req.Set.toSet(), opts...)
-	}
-	if err != nil {
-		s.writeQueryErr(w, err)
-		return
-	}
-	if req.Explain || capture {
-		s.logSlow(r, metricPath(r.URL.Path), &ex, nil)
-	}
-	resp := searchResponse{Matches: matchesJSON(ms)}
-	if req.Explain {
-		resp.Explain = explainJSON(&ex)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.finish(w, key, resp)
-}
-
-type batchSearchRequest struct {
-	Sets []SetJSON `json:"sets"`
-	// K, when ≥ 1, truncates each item's matches to its top k.
-	K int `json:"k,omitempty"`
-	// Schemes, when present, must align positionally with Sets: each
-	// non-empty entry pins that item's signature scheme (an empty string
-	// inherits the engine's, including Auto's per-query choice). The
-	// response reports the concrete scheme each item probed with.
-	Schemes []string `json:"schemes,omitempty"`
-	// Explain attaches per-item execution metadata to every result.
-	// Explained responses bypass the result cache.
-	Explain bool `json:"explain,omitempty"`
-}
-
-// BatchItemJSON is one batch item's outcome on the wire: its matches, or a
-// per-item error (an empty set, a corrupt posting container met while
-// answering it) that left the rest of the batch unaffected. When the request
-// pinned schemes or asked for explain, Scheme carries the concrete signature
-// scheme the item's passes probed with.
-type BatchItemJSON struct {
-	Matches []MatchJSON  `json:"matches"`
-	Scheme  string       `json:"scheme,omitempty"`
-	Explain *ExplainJSON `json:"explain,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
-type batchSearchResponse struct {
-	Results []BatchItemJSON `json:"results"`
-}
-
-// emptyItem is the encoded answer to a batch item with no elements: an
-// error in place, with empty (not null) matches so the wire shape is uniform
-// across rejected and matchless items. (Marshal cannot fail on it: no
-// floats, no maps.)
-var emptyItem, _ = json.Marshal(BatchItemJSON{Matches: []MatchJSON{}, Error: "elements must be non-empty"})
-
-// appendBatchBody appends {"results":[…]} assembled from encoded items to b:
-// byte for byte json.Marshal(batchSearchResponse{…}) of the decoded items.
-func appendBatchBody(b []byte, items [][]byte) []byte {
-	b = append(b, `{"results":[`...)
-	for i, it := range items {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, it...)
-	}
-	return append(b, "]}"...)
-}
-
-// handleSearchBatch answers many searches in one request, one result per
-// request set, positionally aligned. Each item is a query of its own to the
-// result cache: a plain item shares its entry with /v1/search. The engine
-// runs once, as a single batch, over the distinct items that missed — empty
-// items are rejected in place and never reach it — and only then does the
-// request take a worker slot. Explained batches bypass the cache.
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchSearchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, err)
-		return
-	}
-	if len(req.Sets) == 0 {
-		writeError(w, http.StatusBadRequest, "sets must be non-empty")
-		return
-	}
-	if max := s.opts.MaxBatchSize; max > 0 && len(req.Sets) > max {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch is limited to %d sets, got %d", max, len(req.Sets))
-		return
-	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "k must be >= 0")
-		return
-	}
-	if req.Schemes != nil && len(req.Schemes) != len(req.Sets) {
-		writeError(w, http.StatusBadRequest, "schemes must align with sets: %d schemes for %d sets",
-			len(req.Schemes), len(req.Sets))
-		return
-	}
-	perItem := req.Schemes != nil || req.Explain
-	// Slow-query capture rides the same per-item explain plumbing but is
-	// invisible on the wire: the response only reports schemes/explains
-	// when the request asked for them.
-	capture := s.captureSlow()
-	schemes := make([]silkmoth.Scheme, len(req.Sets))
-	pinned := make([]bool, len(req.Sets))
-	for i, name := range req.Schemes {
-		if name == "" {
-			continue
-		}
-		sc, err := silkmoth.ParseScheme(name)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "schemes[%d]: %v", i, err)
-			return
-		}
-		schemes[i], pinned[i] = sc, true
-	}
-	if req.Explain && s.opts.DisableExplain {
-		writeError(w, http.StatusBadRequest, "explain is disabled on this server")
-		return
-	}
-
-	// Every item's key, back to back in one buffer: item i's is
-	// (*kb)[ends[i]:ends[i+1]]. k is the truncation bound (-1 for none,
-	// as for /v1/search), and an item reports its scheme exactly when the
-	// request sent schemes — so a nil array and one of empty strings key
-	// apart, their bodies differing by the reported scheme.
-	k := -1
-	if req.K >= 1 {
-		k = req.K
-	}
-	kb := getBuf()
-	defer putBuf(kb)
-	ends := make([]int, len(req.Sets)+1)
-	for i, set := range req.Sets {
-		if len(set.Elements) > 0 {
-			scheme := ""
-			if req.Schemes != nil {
-				scheme = req.Schemes[i]
-			}
-			*kb = s.appendKey(*kb, "search", k, scheme, req.Schemes != nil, 0, set)
-		}
-		ends[i+1] = len(*kb)
-	}
-	keyOf := func(i int) []byte { return (*kb)[ends[i]:ends[i+1]] }
-
-	// Answer what the cache holds; the misses, deduplicated by key, become
-	// the engine's queries. slot maps an item to the query answering it.
-	items := make([][]byte, len(req.Sets))
-	slot := make([]int, len(req.Sets))
-	var (
-		queries  []silkmoth.BatchQuery
-		explains []*silkmoth.Explain
-		firstAt  []int // request position of each query's first item
-		distinct map[string]int
-	)
-	hits, misses := 0, 0
-	for i, set := range req.Sets {
-		slot[i] = -1
-		if len(set.Elements) == 0 {
-			items[i] = emptyItem
-			continue
-		}
-		key := keyOf(i)
-		if !req.Explain {
-			if body, ok := s.cache.get(key); ok {
-				s.met.cacheHit()
-				hits++
-				items[i] = body
-				continue
-			}
-			s.met.cacheMiss()
-			misses++
-		}
-		if qi, ok := distinct[string(key)]; ok {
-			slot[i] = qi
-			continue
-		}
-		if distinct == nil {
-			distinct = make(map[string]int)
-		}
-		distinct[string(key)] = len(queries)
-		slot[i] = len(queries)
-		bq := silkmoth.BatchQuery{Set: set.toSet()}
-		var ex *silkmoth.Explain
-		if perItem || capture {
-			// Per-item chosen schemes come from the same capture explain
-			// uses, so both features ride one option.
-			ex = &silkmoth.Explain{}
-			bq.Options = append(bq.Options, silkmoth.WithExplain(ex))
-		}
-		if pinned[i] {
-			bq.Options = append(bq.Options, silkmoth.WithScheme(schemes[i]))
-		}
-		queries = append(queries, bq)
-		explains = append(explains, ex)
-		firstAt = append(firstAt, i)
-	}
-
-	if len(queries) > 0 {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
-		if !s.acquire(ctx, w) {
-			return
-		}
-		defer s.release()
-		per, err := s.eng.SearchBatchQueriesContext(ctx, queries)
-		if err != nil {
-			s.writeQueryErr(w, err)
-			return
-		}
-		answers := make([][]byte, len(per))
-		for qi, res := range per {
-			ms := res.Matches
-			if k >= 1 && len(ms) > k {
-				ms = ms[:k] // matches are sorted, so the prefix is the top k
-			}
-			item := BatchItemJSON{Matches: matchesJSON(ms)}
-			if res.Err != nil {
-				item.Error = res.Err.Error()
-			}
-			if ex := explains[qi]; ex != nil {
-				if perItem {
-					item.Scheme = ex.Scheme
-					if req.Explain {
-						item.Explain = explainJSON(ex)
-					}
-				}
-				if capture {
-					// Fan-out keeps the batch request's id, so every
-					// item's funnel line correlates back to one request.
-					s.logSlow(r, "/v1/search/batch", ex, map[string]any{"batch_index": firstAt[qi]})
-				}
-			}
-			body, err := json.Marshal(item)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "internal: encoding response")
-				return
-			}
-			answers[qi] = body
-			// An item that met a corrupt index is not an answer to keep.
-			if !req.Explain && res.Err == nil {
-				s.cache.put(keyOf(firstAt[qi]), body)
-			}
-		}
-		for i, qi := range slot {
-			if qi >= 0 {
-				items[i] = answers[qi]
-			}
-		}
-	}
-
-	// The keys are spent: the same buffer assembles the body.
-	*kb = appendBatchBody((*kb)[:0], items)
-	if !req.Explain {
-		outcome := "miss"
-		if misses == 0 && hits > 0 {
-			outcome = "hit"
-		}
-		w.Header().Set("X-Silkmoth-Cache", outcome)
-	}
-	writeJSONBytes(w, http.StatusOK, *kb)
-}
-
 type discoverRequest struct {
 	Sets []SetJSON `json:"sets"`
 }
@@ -917,7 +550,7 @@ func (s *Server) handleDiscoverAgainst(w http.ResponseWriter, r *http.Request) {
 
 	kb := getBuf()
 	defer putBuf(kb)
-	*kb = s.appendKey(*kb, "discover-against", -1, "", false, 0, req.Sets...)
+	*kb = s.appendKey(*kb, "discover-against", 0, "", false, 0, req.Sets...)
 	key := *kb
 	if s.serveCached(w, key) {
 		return
@@ -978,7 +611,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 
 	kb := getBuf()
 	defer putBuf(kb)
-	*kb = s.appendKey(*kb, "compare", -1, "", false, 0, req.R, req.S)
+	*kb = s.appendKey(*kb, "compare", 0, "", false, 0, req.R, req.S)
 	key := *kb
 	if s.serveCached(w, key) {
 		return

@@ -94,7 +94,7 @@ func TestSearch(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("code = %d, body %s", w.Code, w.Body)
 	}
-	resp := decode[searchResponse](t, w)
+	resp := decode[BatchItemJSON](t, w)
 
 	want, err := eng.Search(silkmoth.Set{Elements: []string{
 		"77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL",
@@ -167,12 +167,54 @@ func TestTopK(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("code = %d, body %s", w.Code, w.Body)
 	}
-	resp := decode[searchResponse](t, w)
+	resp := decode[BatchItemJSON](t, w)
 	if len(resp.Matches) != 1 {
 		t.Fatalf("got %d matches, want 1", len(resp.Matches))
 	}
 	if resp.Matches[0].Name != "locations" {
 		t.Fatalf("top-1 = %q, want locations", resp.Matches[0].Name)
+	}
+}
+
+// TestKOnEverySearchRoute pins k on every search route: a k of 1 gets the
+// full answer's first match from /v1/search, /v1/topk, /v1/explain and a
+// batch item alike, the first two sharing one cache entry, and a negative k
+// is a 400 wherever k is optional.
+func TestKOnEverySearchRoute(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	set := `{"elements": ["77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL"]}`
+	full := decode[BatchItemJSON](t, postJSON(t, s, "/v1/search", `{"set": `+set+`}`))
+	if len(full.Matches) < 2 {
+		t.Fatalf("the fixture query matches %d sets, want at least 2", len(full.Matches))
+	}
+	top1 := full.Matches[:1]
+	same := func(route string, got []MatchJSON) {
+		t.Helper()
+		if len(got) != 1 || got[0] != top1[0] {
+			t.Fatalf("%s with k=1 answered %+v, want %+v", route, got, top1)
+		}
+	}
+	w := postJSON(t, s, "/v1/search", `{"set": `+set+`, "k": 1}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("/v1/search k=1: code %d: %s", w.Code, w.Body)
+	}
+	same("/v1/search", decode[BatchItemJSON](t, w).Matches)
+	topk := postJSON(t, s, "/v1/topk", `{"set": `+set+`, "k": 1}`)
+	if got := topk.Header().Get("X-Silkmoth-Cache"); got != "hit" || !bytes.Equal(topk.Body.Bytes(), w.Body.Bytes()) {
+		t.Fatalf("/v1/topk after /v1/search at k=1: cache %q, body %s, want a hit on %s", got, topk.Body, w.Body)
+	}
+	same("/v1/explain", decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain", `{"set": `+set+`, "k": 1}`)).Matches)
+	batch := decode[batchSearchResponse](t, postJSON(t, s, "/v1/search/batch", `{"sets": [`+set+`], "k": 1}`))
+	same("/v1/search/batch", batch.Results[0].Matches)
+
+	for path, body := range map[string]string{
+		"/v1/search":       `{"set": ` + set + `, "k": -1}`,
+		"/v1/explain":      `{"set": ` + set + `, "k": -1}`,
+		"/v1/search/batch": `{"sets": [` + set + `], "k": -1}`,
+	} {
+		if w := postJSON(t, s, path, body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s with k=-1: code %d, want 400", path, w.Code)
+		}
 	}
 }
 
@@ -246,7 +288,7 @@ func TestAddSetsAndCacheInvalidation(t *testing.T) {
 
 	// Initially nothing matches the query.
 	w := postJSON(t, s, "/v1/search", query)
-	if resp := decode[searchResponse](t, w); len(resp.Matches) != 0 {
+	if resp := decode[BatchItemJSON](t, w); len(resp.Matches) != 0 {
 		t.Fatalf("unexpected matches before add: %+v", resp.Matches)
 	}
 
@@ -266,7 +308,7 @@ func TestAddSetsAndCacheInvalidation(t *testing.T) {
 	}
 
 	w = postJSON(t, s, "/v1/search", query)
-	resp := decode[searchResponse](t, w)
+	resp := decode[BatchItemJSON](t, w)
 	if len(resp.Matches) != 1 || resp.Matches[0].Name != "streets" {
 		t.Fatalf("after add: matches = %+v, want [streets]", resp.Matches)
 	}
@@ -388,7 +430,7 @@ func TestConcurrentQueries(t *testing.T) {
 						errs <- fmt.Sprintf("search: code %d body %s", w.Code, w.Body)
 						return
 					}
-					var resp searchResponse
+					var resp BatchItemJSON
 					if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 						errs <- fmt.Sprintf("search: %v", err)
 						return

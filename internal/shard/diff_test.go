@@ -201,10 +201,7 @@ func TestDifferentialBatchMatchesSearch(t *testing.T) {
 
 	for _, n := range diffShardCounts {
 		e := newAt(t, coll, n, opts)
-		refs := make([]*dataset.Set, len(coll.Sets))
-		for i := range coll.Sets {
-			refs[i] = &coll.Sets[i]
-		}
+		refs := coll.Sets
 		got, err := e.batch(ctx, refs)
 		if err != nil {
 			t.Fatal(err)
@@ -212,8 +209,8 @@ func TestDifferentialBatchMatchesSearch(t *testing.T) {
 		if len(got) != len(refs) {
 			t.Fatalf("N=%d: %d results for %d refs", n, len(got), len(refs))
 		}
-		for ri, r := range refs {
-			want, err := e.search(ctx, r)
+		for ri := range refs {
+			want, err := e.search(ctx, &refs[ri])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,12 +105,12 @@ func TestFunnelConservation(t *testing.T) {
 		{name: "search/N=2", shards: 2, opts: jaccard, run: searchAll},
 		{name: "search/N=7", shards: 7, opts: jaccard, run: searchAll},
 		{name: "batch", shards: 2, opts: jaccard, run: func(e atWidth, q *core.Query) error {
-			refs := make([]*dataset.Set, len(e.Collection().Sets))
+			refs := e.Collection().Sets
 			qs := make([]*core.Query, len(refs))
-			for i := range refs {
-				refs[i], qs[i] = &e.Collection().Sets[i], q
+			for i := range qs {
+				qs[i] = q
 			}
-			_, _, err := e.SearchBatchQueries(ctx, refs, qs)
+			_, _, err := e.SearchBatchQueries(ctx, refs, qs, e.width)
 			return err
 		}},
 		{name: "discover", shards: 2, opts: jaccard, run: func(e atWidth, q *core.Query) error {

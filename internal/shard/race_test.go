@@ -20,6 +20,15 @@ func publicSets(raws []dataset.RawSet) []silkmoth.Set {
 	return out
 }
 
+// batchOf makes one plain batch item of each set.
+func batchOf(sets []silkmoth.Set) []silkmoth.BatchQuery {
+	out := make([]silkmoth.BatchQuery, len(sets))
+	for i, s := range sets {
+		out[i].Set = s
+	}
+	return out
+}
+
 // newPublic builds the public engine at width 4 with Jaccard at δ = 0.6 and
 // four workers, compaction at the given tombstone ratio.
 func newPublic(t *testing.T, sets []silkmoth.Set, compactAt float64) *silkmoth.Engine {
@@ -36,7 +45,7 @@ func newPublic(t *testing.T, sets []silkmoth.Set, compactAt float64) *silkmoth.E
 
 // TestConcurrentAddSearchBatchDiscover is the -race stress test for the
 // engine's one lock: writers grow the collection through Add while readers
-// run SearchBatch, Discover, and top-k searches against it. Results are not
+// run batches of searches, Discover, and top-k searches against it. Results are not
 // asserted against a fixed expectation — the collection is a moving target —
 // but every returned index must be in range and every call must complete
 // without data races.
@@ -46,6 +55,7 @@ func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 	base, extra := publicSets(raws[:60]), publicSets(raws[60:])
 	e := newPublic(t, base, -1)
 	queries := publicSets(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 8, Seed: 5}))
+	batch := batchOf(queries)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -71,13 +81,13 @@ func TestConcurrentAddSearchBatchDiscover(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
-				res, err := e.SearchBatchContext(ctx, queries)
+				res, err := e.SearchBatchQueriesContext(ctx, batch)
 				if err != nil {
 					errc <- err
 					return
 				}
-				for _, ms := range res {
-					for _, m := range ms {
+				for _, r := range res {
+					for _, m := range r.Matches {
 						if m.Index < 0 || m.Index >= len(raws) {
 							t.Errorf("batch match index %d out of range (%d sets)", m.Index, len(raws))
 							return
@@ -156,7 +166,7 @@ func (l *tombstoneLog) snapshot() map[int]bool {
 // TestConcurrentMutateSearchDiscover is the -race stress test for the
 // mutation lifecycle: one writer interleaves Delete, Update, and Add —
 // with automatic compaction enabled aggressively enough to fire mid-run —
-// while readers hammer SearchBatch, top-k, and full discovery. Beyond
+// while readers hammer batches of searches, top-k, and full discovery. Beyond
 // running clean under the race detector, the test asserts the lifecycle's
 // core visibility guarantee: a query started after a delete completes
 // never returns the deleted set, in any result surface.
@@ -171,6 +181,7 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 	// posting or cache would resurface a tombstoned id.
 	queries := append([]silkmoth.Set{}, base[:6]...)
 	queries = append(queries, publicSets(datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: 4, Seed: 11}))...)
+	batch := batchOf(queries)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -234,13 +245,13 @@ func TestConcurrentMutateSearchDiscover(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 6; iter++ {
 				dead := log.snapshot()
-				res, err := e.SearchBatchContext(ctx, queries)
+				res, err := e.SearchBatchQueriesContext(ctx, batch)
 				if err != nil {
 					errc <- err
 					return
 				}
-				for _, ms := range res {
-					if !checkMatches(dead, ms, "batch") {
+				for _, r := range res {
+					if !checkMatches(dead, r.Matches, "batch") {
 						return
 					}
 				}

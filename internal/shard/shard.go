@@ -37,7 +37,7 @@ func New(coll *dataset.Collection, width int, opts core.Options) (*Engine, error
 // (core.Engine.SearchSplitContext at the engine's width). r must be
 // tokenized against the collection's dictionary.
 func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]core.Match, error) {
-	return e.eng.SearchSplitContext(ctx, r, nil, e.width, 0)
+	return e.eng.SearchSplitContext(ctx, r, nil, e.width)
 }
 
 // Stats returns the engine's cumulative pruning funnel.

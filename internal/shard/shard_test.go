@@ -45,15 +45,15 @@ func newAt(t *testing.T, coll *dataset.Collection, n int, opts core.Options) atW
 }
 
 func (e atWidth) search(ctx context.Context, r *dataset.Set) ([]core.Match, error) {
-	return e.SearchSplitContext(ctx, r, nil, e.width, 0)
+	return e.SearchSplitContext(ctx, r, nil, e.width)
 }
 
 func (e atWidth) searchQuery(ctx context.Context, r *dataset.Set, q *core.Query) ([]core.Match, error) {
-	return e.SearchSplitContext(ctx, r, q, e.width, 0)
+	return e.SearchSplitContext(ctx, r, q, e.width)
 }
 
 func (e atWidth) topK(ctx context.Context, r *dataset.Set, k int) ([]core.Match, error) {
-	return e.SearchSplitContext(ctx, r, nil, e.width, k)
+	return e.SearchSplitContext(ctx, r, &core.Query{K: k}, e.width)
 }
 
 func (e atWidth) discover(ctx context.Context) ([]core.Pair, error) {
@@ -67,8 +67,8 @@ func (e atWidth) add(raws []dataset.RawSet) {
 
 // batch searches every ref in one SearchBatchQueries call, failing on any
 // item's error.
-func (e atWidth) batch(ctx context.Context, refs []*dataset.Set) ([][]core.Match, error) {
-	out, itemErrs, err := e.SearchBatchQueries(ctx, refs, nil)
+func (e atWidth) batch(ctx context.Context, refs []dataset.Set) ([][]core.Match, error) {
+	out, itemErrs, err := e.SearchBatchQueries(ctx, refs, nil, e.width)
 	for _, ie := range itemErrs {
 		if err == nil {
 			err = ie
@@ -225,7 +225,7 @@ func TestSearchContextCancelled(t *testing.T) {
 	if _, err := e.discover(ctx); err != context.Canceled {
 		t.Fatalf("discover err = %v, want context.Canceled", err)
 	}
-	if _, err := e.batch(ctx, []*dataset.Set{&coll.Sets[0]}); err != context.Canceled {
+	if _, err := e.batch(ctx, coll.Sets[:1]); err != context.Canceled {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}
 }

@@ -51,7 +51,8 @@ func TestStageLatenciesPublic(t *testing.T) {
 // TestExplainStages checks an explained query reports its per-stage wall
 // time split alongside the funnel, and that the stages — the caller's
 // timeline — stay within the query's wall time when the pass runs in chunks
-// on helpers too, whose busy time is HelperTime.
+// on helpers too, whose busy time is HelperTime. The query is a one-item
+// batch, which runs its pass at the engine's width: forced, it splits.
 func TestExplainStages(t *testing.T) {
 	sets := allocCorpus(120)
 	for _, tc := range []struct {
@@ -73,11 +74,11 @@ func TestExplainStages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Explain(sets[7])
+			res, err := eng.SearchBatchQueries([]BatchQuery{{Set: sets[7], Options: []QueryOption{WithExplain(new(Explain))}}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := res.Explain
+			ex := res[0].Explain
 			if ex == nil {
 				t.Fatal("no explain capture")
 			}

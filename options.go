@@ -8,11 +8,11 @@ import (
 )
 
 // QueryOption customizes a single query without touching the engine's
-// configuration. Every query method accepts a trailing list of options —
-// Search, SearchTopK, SearchBatch, Discover, DiscoverAgainst, Explain, and
-// the package-level Compare — and a call with no options behaves exactly
-// as the engine was configured. Options apply in order, so a later option
-// overrides an earlier one of the same kind.
+// configuration. Every query method accepts a list of options — a trailing
+// one on Search, SearchTopK, Discover, DiscoverAgainst and the package-level
+// Compare, one per item in a BatchQuery — and a call with no options behaves
+// exactly as the engine was configured. Options apply in order, so a later
+// option overrides an earlier one of the same kind.
 //
 // Overrides come in two flavors. WithScheme only changes how the inverted
 // index is probed — results are identical for every valid scheme, so
@@ -24,8 +24,7 @@ type QueryOption func(*queryOptions) error
 
 // queryOptions is the compiled form of a query's option list.
 type queryOptions struct {
-	k         int
-	hasK      bool
+	k         int // 0 keeps every match
 	scheme    Scheme
 	hasScheme bool
 	delta     float64
@@ -37,14 +36,15 @@ type queryOptions struct {
 }
 
 // WithK truncates the query's matches to the k most related (k ≥ 1), like
-// SearchTopK. The top-k path keeps the best k in a bounded heap instead
-// of sorting every match.
+// SearchTopK. On every search path — a lone search, split or not, and each
+// item of a batch — the best k are kept in a bounded heap instead of a sort
+// of every match. Discovery ignores it.
 func WithK(k int) QueryOption {
 	return func(qo *queryOptions) error {
 		if k < 1 {
 			return fmt.Errorf("silkmoth: WithK requires k >= 1, got %d", k)
 		}
-		qo.k, qo.hasK = k, true
+		qo.k = k
 		return nil
 	}
 }
@@ -129,19 +129,18 @@ func toggle(enabled bool) core.Toggle {
 	return core.ToggleOff
 }
 
-// compileOptions folds an option list into its compiled form, validating
-// each option's arguments.
-func compileOptions(opts []QueryOption) (queryOptions, error) {
-	var qo queryOptions
+// compile folds an option list into qo, which starts zero, validating each
+// option's arguments.
+func (qo *queryOptions) compile(opts []QueryOption) error {
 	for _, opt := range opts {
 		if opt == nil {
 			continue
 		}
-		if err := opt(&qo); err != nil {
-			return queryOptions{}, err
+		if err := opt(qo); err != nil {
+			return err
 		}
 	}
-	return qo, nil
+	return nil
 }
 
 // coreQuery lowers the compiled options into the core engine's per-query
@@ -149,7 +148,7 @@ func compileOptions(opts []QueryOption) (queryOptions, error) {
 // It returns nil when nothing was overridden or captured, which keeps
 // option-less queries on the exact pre-options code path.
 func (qo *queryOptions) coreQuery() *core.Query {
-	if !qo.hasScheme && !qo.hasDelta && qo.check == core.ToggleInherit &&
+	if qo.k == 0 && !qo.hasScheme && !qo.hasDelta && qo.check == core.ToggleInherit &&
 		qo.nn == core.ToggleInherit && qo.reduction == core.ToggleInherit &&
 		qo.explain == nil {
 		return nil
@@ -159,6 +158,7 @@ func (qo *queryOptions) coreQuery() *core.Query {
 		CheckFilter: qo.check,
 		NNFilter:    qo.nn,
 		Reduction:   qo.reduction,
+		K:           qo.k,
 	}
 	if qo.hasScheme {
 		kind, err := qo.scheme.kind()
@@ -174,24 +174,19 @@ func (qo *queryOptions) coreQuery() *core.Query {
 	return q
 }
 
-// finishExplain writes q's capture into the caller's Explain destination.
-// elapsed < 0 means "use the capture's own accumulated wall time" (batch
-// items time themselves; single queries are timed around the whole call).
+// finishExplain writes q's capture, with the query's wall time, into the
+// caller's Explain destination.
 func (qo *queryOptions) finishExplain(q *core.Query, elapsed time.Duration) {
 	if qo.explain == nil {
 		return
-	}
-	if elapsed < 0 {
-		elapsed = q.Stats.Elapsed()
 	}
 	*qo.explain = explainFromPass(q.Stats.Funnel(), elapsed)
 }
 
 // Explain describes how one query executed: which concrete signature
 // scheme probed the inverted index, how many sets each pipeline stage let
-// through, and how long the whole query took. Capture one with
-// WithExplain or the Engine.Explain method; serving layers expose the same
-// shape via /v1/explain.
+// through, and how long the query took. Capture one with WithExplain;
+// serving layers expose the same shape via /v1/explain.
 //
 // The funnel is internally consistent by construction:
 // Candidates = AfterCheck + CheckPruned, AfterCheck = AfterNN + NNPruned,
@@ -237,14 +232,17 @@ type Explain struct {
 	SimMemoHits int64
 	SimCounted  int64
 	SimBounded  int64
-	// Elapsed is the query's wall time (for a batch item, that item's own
-	// pass time).
+	// Elapsed is the query's wall time by one rule for every search, alone
+	// or in a batch: the time the engine measures around its pass, from the
+	// signature to its sorted matches, waiting for helpers included;
+	// tokenization and waiting for the lock are not. A discovery's is the
+	// whole call's.
 	Elapsed time.Duration
 	// Stages splits the query's pass time by pipeline stage — where inside
 	// the funnel the wall time went. Explained queries time every pass, so
 	// the four durations sum over all of Passes. They are the caller's
-	// timeline: they total less than Elapsed, which also covers
-	// tokenization, fan-out, merging and waiting for helpers.
+	// timeline: they total less than Elapsed, which also covers setting the
+	// pass up, merging, sorting and waiting for helpers.
 	Stages StageTimes
 	// HelperTime is the busy time of the helpers that ran set-id chunks of
 	// the query's passes on other goroutines (Config.Shards). Stages leaves
@@ -314,12 +312,13 @@ type Result struct {
 	// Matches is the query's answer, sorted by descending relatedness
 	// (ties by ascending collection index).
 	Matches []Match
-	// Explain is non-nil when the query captured its execution (the
-	// Explain method, a WithExplain option, or a per-item batch capture).
+	// Explain is non-nil when the query captured its execution (a
+	// WithExplain option).
 	Explain *Explain
-	// Err is set only on items of SearchBatchQueries: ErrPostingDecode for
-	// an item that read a corrupt posting container. Such an item has no
-	// matches; the rest of the batch is unaffected.
+	// Err is ErrPostingDecode for a query that read a corrupt posting
+	// container, and nil otherwise. Such a query has no matches; the rest of
+	// its batch is unaffected. Search, SearchTopK and their Context forms
+	// return it as their error.
 	Err error
 }
 

@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"silkmoth/internal/core"
 )
 
 // matchesEqual asserts two match lists are bit-identical.
@@ -171,42 +173,66 @@ func TestWithDeltaMatchesRebuiltEngine(t *testing.T) {
 	}
 }
 
-// TestWithKMatchesTopK pins the three top-k spellings against each other:
-// WithK, SearchTopK, and truncating a full Search must agree bit-for-bit,
-// serial and sharded (the sharded WithK path goes through the heap merge).
+// TestWithKMatchesTopK pins the top-k spellings against each other: WithK,
+// SearchTopK, WithK on the item of a one-item SearchBatchQueries and on each
+// item of a five-item one, and truncating a full Search must agree
+// bit-for-bit, serial and at width 3, with every pass wider than one
+// goroutine split or left to split itself. Every spelling keeps its best k in
+// one bounded heap: on the split schedule (a single search at width 3) and on
+// the fan-out one (the five-item batch).
 func TestWithKMatchesTopK(t *testing.T) {
 	sets := autoGridCorpus(107, 24)
 	queries := autoGridCorpus(108, 5)
-	for _, shards := range []int{1, 3} {
-		eng, err := NewEngine(sets, Config{Similarity: Jaccard, Delta: 0.5, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range queries {
-			full, err := eng.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{1, 2, len(full), len(full) + 3} {
-				if k < 1 {
-					continue
+	for _, forced := range []bool{false, true} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("forced=%v/shards=%d", forced, shards), func(t *testing.T) {
+				if forced {
+					defer core.ForceSplitForTest()()
 				}
-				want := full
-				if k < len(want) {
-					want = want[:k]
-				}
-				byOpt, err := eng.Search(q, WithK(k))
+				eng, err := NewEngine(sets, Config{Similarity: Jaccard, Delta: 0.5, Shards: shards, Concurrency: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				byTopK, err := eng.SearchTopK(q, k)
-				if err != nil {
-					t.Fatal(err)
+				fulls := make([][]Match, len(queries))
+				for qi, q := range queries {
+					if fulls[qi], err = eng.Search(q); err != nil {
+						t.Fatal(err)
+					}
 				}
-				label := fmt.Sprintf("shards=%d query=%d k=%d", shards, qi, k)
-				matchesEqual(t, label+" WithK", byOpt, want)
-				matchesEqual(t, label+" SearchTopK", byTopK, want)
-			}
+				for variant := range 4 {
+					batch := make([]BatchQuery, len(queries))
+					wants := make([][]Match, len(queries))
+					for qi, q := range queries {
+						full := fulls[qi]
+						k := max(1, []int{1, 2, len(full), len(full) + 3}[variant])
+						want := full[:min(k, len(full))]
+						batch[qi], wants[qi] = BatchQuery{Set: q, Options: []QueryOption{WithK(k)}}, want
+						byOpt, err := eng.Search(q, WithK(k))
+						if err != nil {
+							t.Fatal(err)
+						}
+						byTopK, err := eng.SearchTopK(q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						one, err := eng.SearchBatchQueries(batch[qi : qi+1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("query=%d k=%d", qi, k)
+						matchesEqual(t, label+" WithK", byOpt, want)
+						matchesEqual(t, label+" SearchTopK", byTopK, want)
+						matchesEqual(t, label+" one-item batch", one[0].Matches, want)
+					}
+					res, err := eng.SearchBatchQueries(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for qi := range res {
+						matchesEqual(t, fmt.Sprintf("variant=%d query=%d five-item batch", variant, qi), res[qi].Matches, wants[qi])
+					}
+				}
+			})
 		}
 	}
 }
@@ -279,23 +305,21 @@ func TestExplainFunnelConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			for qi, q := range queries {
-				res, err := eng.Explain(q)
+				var ex Explain
+				ms, err := eng.Search(q, WithExplain(&ex))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Explain == nil {
-					t.Fatal("Explain returned nil metadata")
-				}
 				label := fmt.Sprintf("shards=%d scheme=%v query=%d", shards, scheme, qi)
-				check(t, label, res.Explain)
-				if res.Explain.Passes != 1 {
-					t.Fatalf("%s: %d passes, want one per query", label, res.Explain.Passes)
+				check(t, label, &ex)
+				if ex.Passes != 1 {
+					t.Fatalf("%s: %d passes, want one per query", label, ex.Passes)
 				}
 				plain, err := eng.Search(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				matchesEqual(t, label, res.Matches, plain)
+				matchesEqual(t, label, ms, plain)
 			}
 
 			var dex Explain
@@ -328,7 +352,19 @@ func TestFunnelConservationPublic(t *testing.T) {
 			run  func(ex *Explain) error
 		}{
 			{"search", func(ex *Explain) error { _, err := eng.Search(sets[0], WithExplain(ex)); return err }},
-			{"batch", func(ex *Explain) error { _, err := eng.SearchBatch(sets[:4], WithExplain(ex)); return err }},
+			{"batch", func(ex *Explain) error {
+				// Four items, four captures: their sum is the batch's.
+				batch := make([]BatchQuery, 4)
+				items := make([]Explain, len(batch))
+				for i := range batch {
+					batch[i] = BatchQuery{Set: sets[i], Options: []QueryOption{WithExplain(&items[i])}}
+				}
+				_, err := eng.SearchBatchQueries(batch)
+				for _, it := range items {
+					addExplain(ex, it)
+				}
+				return err
+			}},
 			{"discover", func(ex *Explain) error {
 				_, err := eng.DiscoverContext(context.Background(), WithExplain(ex))
 				return err
@@ -382,6 +418,26 @@ func TestFunnelConservationPublic(t *testing.T) {
 				t.Errorf("%s: Explain.Schemes counts %d signatured passes, Stats %d", label, bySchemes, diff)
 			}
 		}
+	}
+}
+
+// addExplain adds b's counters, stage times and scheme counts into a.
+func addExplain(a *Explain, b Explain) {
+	av, bv := reflect.ValueOf(a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < av.NumField(); i++ {
+		if f := av.Field(i); f.Kind() == reflect.Int64 && f.Type() == reflect.TypeOf(int64(0)) {
+			f.SetInt(f.Int() + bv.Field(i).Int())
+		}
+	}
+	a.Stages.Signature += b.Stages.Signature
+	a.Stages.Collect += b.Stages.Collect
+	a.Stages.Refine += b.Stages.Refine
+	a.Stages.Verify += b.Stages.Verify
+	for name, n := range b.Schemes {
+		if a.Schemes == nil {
+			a.Schemes = make(map[string]int64)
+		}
+		a.Schemes[name] += n
 	}
 }
 

@@ -142,7 +142,7 @@ func TestShardedPublicEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchBatchPublic pins SearchBatch to per-query Search on both
+// TestSearchBatchPublic pins SearchBatchQueries to per-query Search on both
 // engine shapes.
 func TestSearchBatchPublic(t *testing.T) {
 	sets := shardedCorpus(20)
@@ -157,7 +157,11 @@ func TestSearchBatchPublic(t *testing.T) {
 			{Elements: sets[9].Elements},
 			{Elements: []string{"nothing like this corpus"}},
 		}
-		batch, err := eng.SearchBatch(refs)
+		queries := make([]BatchQuery, len(refs))
+		for i, ref := range refs {
+			queries[i].Set = ref
+		}
+		batch, err := eng.SearchBatchQueries(queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,12 +174,13 @@ func TestSearchBatchPublic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(batch[i]) != len(want) {
-				t.Fatalf("shards=%d ref %d: batch %d matches, search %d", shards, i, len(batch[i]), len(want))
+			got := batch[i].Matches
+			if len(got) != len(want) {
+				t.Fatalf("shards=%d ref %d: batch %d matches, search %d", shards, i, len(got), len(want))
 			}
 			for j := range want {
-				if batch[i][j] != want[j] {
-					t.Fatalf("shards=%d ref %d match %d: batch %+v, search %+v", shards, i, j, batch[i][j], want[j])
+				if got[j] != want[j] {
+					t.Fatalf("shards=%d ref %d match %d: batch %+v, search %+v", shards, i, j, got[j], want[j])
 				}
 			}
 			some = some || len(want) > 0
@@ -183,7 +188,7 @@ func TestSearchBatchPublic(t *testing.T) {
 		if !some {
 			t.Fatal("no batch query matched; corpus too sparse for the test")
 		}
-		if out, err := eng.SearchBatch(nil); err != nil || out != nil {
+		if out, err := eng.SearchBatchQueries(nil); err != nil || out != nil {
 			t.Fatalf("empty batch = %v, %v", out, err)
 		}
 	}

@@ -60,13 +60,16 @@
 // WithCheckFilter, WithNNFilter, and WithReduction stress individual
 // pipeline stages; disabling them never changes matches, only cost.
 //
-// Explain (or the Engine.Explain method, which returns a Result) reports
-// the executed plan: the concrete scheme that probed the index, the
-// per-stage pruning funnel — signature tokens, candidates, check-filter
-// and NN-filter survivors, verifications — and wall time. A search is one
-// pass at every width. SearchBatchQueries is the per-item batch form: each
-// BatchQuery carries its own options, so a mixed workload can pin schemes
-// and capture explains item by item.
+// An Explain captured with WithExplain reports the executed plan: the
+// concrete scheme that probed the index, the per-stage pruning funnel —
+// signature tokens, candidates, check-filter and NN-filter survivors,
+// verifications — and wall time. A search is one pass at every width.
+//
+// Every search takes one path, SearchBatchQueries: each BatchQuery carries
+// its own options, so a mixed workload can pin schemes, set k and δ, and
+// capture explains item by item, and each item's Result carries its matches,
+// its Explain and its own error. Search is a batch of one and SearchTopK a
+// Search with WithK.
 //
 // # Mutation
 //
@@ -98,8 +101,9 @@
 // short pass finishes there, and a long one starts helpers, up to
 // Config.Shards goroutines in all (GOMAXPROCS by default), that claim the
 // remaining chunks with it. Results are guaranteed identical at every
-// width. SearchBatch answers many searches in one call, amortizing
-// tokenization and fanning the batch across workers.
+// width. A batch of one runs its pass at that width too; a larger batch
+// answers its searches in one call, amortizing tokenization and fanning the
+// items across workers, each item's pass unsplit.
 //
 // To serve an engine over HTTP/JSON — search, top-k, discovery, compare,
 // explain, and incremental indexing behind a bounded worker pool with an
@@ -283,8 +287,9 @@ type Config struct {
 	// The reduction only applies at Alpha = 0 under Jaccard or Eds.
 	DisableReduction bool
 	// Concurrency bounds the parallel search passes of Discover,
-	// DiscoverAgainst and SearchBatch, each pass on one goroutine; values
-	// < 1 mean single-threaded. One search's own parallelism is Shards.
+	// DiscoverAgainst and a SearchBatchQueries of more than one item, each
+	// pass on one goroutine; values < 1 mean single-threaded. One search's
+	// own parallelism is Shards.
 	Concurrency int
 	// Shards is a search's width: the most goroutines one search pass runs
 	// on. After its one signature, a pass runs its first set-id chunk on the
