@@ -257,18 +257,7 @@ func (e *Engine) Stats() Stats {
 		Compactions: e.eng.Compactions(),
 	}
 	out.SearchPasses = st.SearchPasses
-	out.FullScans = st.FullScans
-	out.SigTokens = st.SigTokens
-	out.Candidates = st.Candidates
-	out.AfterCheck = st.AfterCheck
-	out.CheckPruned = st.CheckPruned
-	out.AfterNN = st.AfterNN
-	out.NNPruned = st.NNPruned
-	out.Verified = st.Verified
-	out.SimEvals = st.SimEvals
-	out.SimMemoHits = st.SimMemoHits
-	out.SimCounted = st.SimCounted
-	out.SimBounded = st.SimBounded
+	out.Funnel = funnelOf(st)
 	out.SchemeWeighted = st.SchemeWeighted
 	out.SchemeSkyline = st.SchemeSkyline
 	out.SchemeDichotomy = st.SchemeDichotomy

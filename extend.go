@@ -138,7 +138,7 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 		return score / (float64(nR+nS) - score)
 	}()
 	if qo.explain != nil {
-		*qo.explain = Explain{Passes: 1, Verified: 1, Elapsed: time.Since(start)}
+		*qo.explain = Explain{Passes: 1, Funnel: Funnel{Verified: 1}, Elapsed: time.Since(start)}
 	}
 	return rel, nil
 }

@@ -57,9 +57,11 @@
 //
 // To add a counter: declare the field in Funnel, add its line to
 // Funnel.Add, and charge it where the work happens (w.pass.X += n). A
-// pass's helper chunks, Stats and every capture pick it up through Add; the
-// public silkmoth.Stats/Explain lowering in the root package decides whether
-// to surface it.
+// pass's helper chunks, Stats and every capture pick it up through Add. To
+// surface it above the engine, give it a field in silkmoth.Funnel, a line
+// in that package's funnelOf, and a /metrics family in the server's
+// engineCounters: Explain, Stats and every silkmothd surface embed that one
+// record.
 package core
 
 import (

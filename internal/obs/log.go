@@ -39,10 +39,6 @@ func (l *Logger) Emit(event string, fields map[string]any) {
 	if !l.Enabled() {
 		return
 	}
-	now := time.Now
-	if l.now != nil {
-		now = l.now
-	}
 	line := make(map[string]any, len(fields)+2)
 	for k, v := range fields {
 		if k == "ts" || k == "event" {
@@ -50,7 +46,7 @@ func (l *Logger) Emit(event string, fields map[string]any) {
 		}
 		line[k] = v
 	}
-	line["ts"] = now().UTC().Format(time.RFC3339Nano)
+	line["ts"] = l.timestamp()
 	line["event"] = event
 	buf, err := json.Marshal(line)
 	if err != nil {
@@ -67,6 +63,42 @@ func (l *Logger) Emit(event string, fields map[string]any) {
 		}
 		buf, _ = json.Marshal(safe)
 	}
+	l.write(buf)
+}
+
+// EmitRecord writes one JSON line for event: ts and event, then rec's
+// fields in rec's order. rec is a struct that marshals without error and
+// has no "ts" or "event" key of its own.
+func (l *Logger) EmitRecord(event string, rec any) {
+	if !l.Enabled() {
+		return
+	}
+	body, err := json.Marshal(rec)
+	if err != nil {
+		l.Emit(event, map[string]any{"error": err.Error()})
+		return
+	}
+	buf, _ := json.Marshal(struct {
+		TS    string `json:"ts"`
+		Event string `json:"event"`
+	}{l.timestamp(), event})
+	if len(body) > 2 {
+		buf[len(buf)-1] = ','
+		buf = append(buf, body[1:]...)
+	}
+	l.write(buf)
+}
+
+func (l *Logger) timestamp() string {
+	now := time.Now
+	if l.now != nil {
+		now = l.now
+	}
+	return now().UTC().Format(time.RFC3339Nano)
+}
+
+// write appends the newline and writes one line whole.
+func (l *Logger) write(buf []byte) {
 	buf = append(buf, '\n')
 	l.mu.Lock()
 	l.w.Write(buf)

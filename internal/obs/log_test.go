@@ -34,9 +34,30 @@ func TestLoggerEmitJSONLine(t *testing.T) {
 	}
 }
 
+func TestLoggerEmitRecordKeepsFieldOrder(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewLogger(&buf)
+	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
+	type inner struct {
+		B int `json:"b"`
+	}
+	l.EmitRecord("slow_query", struct {
+		Z string `json:"z"`
+		inner
+		A []int `json:"a"`
+	}{"z", inner{2}, []int{1}})
+	l.EmitRecord("empty", struct{}{})
+	want := `{"ts":"2026-08-08T12:00:00Z","event":"slow_query","z":"z","b":2,"a":[1]}` + "\n" +
+		`{"ts":"2026-08-08T12:00:00Z","event":"empty"}` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
+	}
+}
+
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	l.Emit("x", nil) // must not panic
+	l.EmitRecord("x", struct{}{})
 	NewLogger(nil).Emit("x", map[string]any{"k": 1})
 }
 

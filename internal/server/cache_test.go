@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"silkmoth"
 )
 
 // TestCacheKeyHitAllocs pins that building a key into a reused buffer and
@@ -161,20 +163,20 @@ func TestTopKHugeKOverHTTP(t *testing.T) {
 	}
 }
 
-// elapsedRE matches the field of an explained response that differs
-// between two runs of the same query, and simRE the two whose split does
-// when a pass runs in chunks: each chunk's worker has its own memo, so
-// which requests it answered depends on how the pass was cut, their sum
-// does not.
+// wallRE matches the fields of an explained response that differ between
+// two runs of the same query — its wall times, elapsed_us and stage_ns's
+// and helper_ns's nanoseconds — and simRE the two whose split does when a
+// pass runs in chunks: each chunk's worker has its own memo, so which
+// requests it answered depends on how the pass was cut, their sum does not.
 var (
-	elapsedRE = regexp.MustCompile(`"elapsed_us":-?\d+`)
-	simRE     = regexp.MustCompile(`"sim_evals":(\d+),"sim_memo_hits":(\d+)`)
+	wallRE = regexp.MustCompile(`"(elapsed_us|signature|collect|refine|verify|helper_ns)":-?\d+`)
+	simRE  = regexp.MustCompile(`"sim_evals":(\d+),"sim_memo_hits":(\d+)`)
 )
 
 // sameRun rewrites an explained body so that two runs of one query compare
-// equal: wall time zeroed, kernel calls and memo hits summed.
+// equal: wall times zeroed, kernel calls and memo hits summed.
 func sameRun(body []byte) []byte {
-	body = elapsedRE.ReplaceAll(body, []byte(`"elapsed_us":0`))
+	body = wallRE.ReplaceAll(body, []byte(`"$1":0`))
 	return simRE.ReplaceAllFunc(body, func(m []byte) []byte {
 		g := simRE.FindSubmatch(m)
 		evals, _ := strconv.Atoi(string(g[1]))
@@ -317,7 +319,7 @@ func FuzzBatchBodyMatchesMarshal(f *testing.F) {
 			}
 			if bit(2) {
 				item.Explain = &ExplainJSON{Scheme: scheme, Schemes: map[string]int64{scheme: int64(i), name: 1},
-					Candidates: int64(index), ElapsedUS: int64(n)}
+					Funnel: silkmoth.Funnel{Candidates: int64(index)}, ElapsedUS: int64(n)}
 			}
 			items[i] = item
 			var err error

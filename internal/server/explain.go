@@ -8,48 +8,43 @@ import (
 )
 
 // ExplainJSON is a query's execution metadata on the wire: the concrete
-// signature scheme that probed the index, the per-stage pruning funnel
-// (candidates = after_check + check_pruned; after_check = after_nn +
-// nn_pruned; every after_nn survivor is verified), the filters' φ_α
-// requests split into kernel calls and per-pass memo hits, and wall time
-// in microseconds.
+// signature scheme that probed the index, the pruning funnel
+// (silkmoth.Funnel), wall time in microseconds, and where it went: the
+// caller's nanoseconds per pipeline stage and the helpers' busy time. It is
+// /v1/explain's and an explained batch item's "explain" object, and the
+// body of a slow-query log line.
 type ExplainJSON struct {
-	Scheme      string           `json:"scheme"`
-	Schemes     map[string]int64 `json:"schemes,omitempty"`
-	Passes      int64            `json:"passes"`
-	FullScans   int64            `json:"full_scans"`
-	SigTokens   int64            `json:"sig_tokens"`
-	Candidates  int64            `json:"candidates"`
-	AfterCheck  int64            `json:"after_check"`
-	CheckPruned int64            `json:"check_pruned"`
-	AfterNN     int64            `json:"after_nn"`
-	NNPruned    int64            `json:"nn_pruned"`
-	Verified    int64            `json:"verified"`
-	SimEvals    int64            `json:"sim_evals"`
-	SimMemoHits int64            `json:"sim_memo_hits"`
-	SimCounted  int64            `json:"sim_counted"`
-	SimBounded  int64            `json:"sim_bounded"`
-	ElapsedUS   int64            `json:"elapsed_us"`
+	Scheme  string           `json:"scheme"`
+	Schemes map[string]int64 `json:"schemes,omitempty"`
+	Passes  int64            `json:"passes"`
+	silkmoth.Funnel
+	ElapsedUS int64   `json:"elapsed_us"`
+	StageNS   stageNS `json:"stage_ns"`
+	HelperNS  int64   `json:"helper_ns"`
+}
+
+// stageNS is silkmoth.StageTimes in nanoseconds.
+type stageNS struct {
+	Signature int64 `json:"signature"`
+	Collect   int64 `json:"collect"`
+	Refine    int64 `json:"refine"`
+	Verify    int64 `json:"verify"`
 }
 
 func explainJSON(ex *silkmoth.Explain) *ExplainJSON {
 	return &ExplainJSON{
-		Scheme:      ex.Scheme,
-		Schemes:     ex.Schemes,
-		Passes:      ex.Passes,
-		FullScans:   ex.FullScans,
-		SigTokens:   ex.SigTokens,
-		Candidates:  ex.Candidates,
-		AfterCheck:  ex.AfterCheck,
-		CheckPruned: ex.CheckPruned,
-		AfterNN:     ex.AfterNN,
-		NNPruned:    ex.NNPruned,
-		Verified:    ex.Verified,
-		SimEvals:    ex.SimEvals,
-		SimMemoHits: ex.SimMemoHits,
-		SimCounted:  ex.SimCounted,
-		SimBounded:  ex.SimBounded,
-		ElapsedUS:   ex.Elapsed.Microseconds(),
+		Scheme:    ex.Scheme,
+		Schemes:   ex.Schemes,
+		Passes:    ex.Passes,
+		Funnel:    ex.Funnel,
+		ElapsedUS: ex.Elapsed.Microseconds(),
+		StageNS: stageNS{
+			Signature: ex.Stages.Signature.Nanoseconds(),
+			Collect:   ex.Stages.Collect.Nanoseconds(),
+			Refine:    ex.Stages.Refine.Nanoseconds(),
+			Verify:    ex.Stages.Verify.Nanoseconds(),
+		},
+		HelperNS: ex.HelperTime.Nanoseconds(),
 	}
 }
 

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"silkmoth"
+	"silkmoth/internal/obs"
 )
 
 // TestPipelineFunnelStats checks that the per-stage pipeline counters —
@@ -83,6 +87,67 @@ func TestPipelineFunnelMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestFunnelOnEverySurface walks silkmoth.Funnel's fields: each must be a
+// key of the explain object, of /v1/stats's engine block and of the
+// slow-query line, and the value of its own silkmothd_engine_*_total
+// counter family in /metrics. A counter added to the record and left off
+// one surface fails here.
+func TestFunnelOnEverySurface(t *testing.T) {
+	var logs bytes.Buffer
+	s, _ := newTestServer(t, Options{SlowQuerySample: 1, LogWriter: &logs})
+	w := postJSON(t, s, "/v1/explain", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("explain = %d (%s)", w.Code, w.Body)
+	}
+	explain := decode[struct {
+		Explain map[string]json.RawMessage `json:"explain"`
+	}](t, w).Explain
+	engine := decode[struct {
+		Engine map[string]json.RawMessage `json:"engine"`
+	}](t, get(t, s, "/v1/stats")).Engine
+	var slow map[string]json.RawMessage
+	if err := json.Unmarshal(logs.Bytes(), &slow); err != nil {
+		t.Fatalf("want one slow-query line: %v\n%s", err, logs.Bytes())
+	}
+	fams, err := obs.ParseText(get(t, s, "/metrics").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := make(map[string]bool)
+	for _, f := range fams {
+		counters[f.Name] = f.Type == "counter"
+	}
+
+	// Give every field a distinct value to tell which family carries it.
+	var st silkmoth.Stats
+	fv := reflect.ValueOf(&st.Funnel).Elem()
+	for i := range fv.NumField() {
+		fv.Field(i).SetInt(int64(1000 + i))
+	}
+	family := make(map[int64]string)
+	for _, c := range engineCounters(&st) {
+		family[c.value] = c.name
+	}
+	for i := range fv.NumField() {
+		field := fv.Type().Field(i)
+		key, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		for _, surface := range []struct {
+			name string
+			keys map[string]json.RawMessage
+		}{{"explain", explain}, {"/v1/stats engine", engine}, {"slow-query line", slow}} {
+			if _, ok := surface.keys[key]; !ok {
+				t.Errorf("Funnel.%s: no %q key in the %s", field.Name, key, surface.name)
+			}
+		}
+		name := family[int64(1000+i)]
+		if !strings.HasPrefix(name, "silkmothd_engine_") || !strings.HasSuffix(name, "_total") {
+			t.Errorf("Funnel.%s: no silkmothd_engine_*_total family in engineCounters (got %q)", field.Name, name)
+		} else if !counters[name] {
+			t.Errorf("Funnel.%s: /metrics has no counter family %s", field.Name, name)
 		}
 	}
 }

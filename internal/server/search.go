@@ -353,13 +353,11 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []sea
 				if it.explain {
 					item.Explain = explainJSON(ex)
 				}
-				var extra map[string]any
+				at := -1
 				if batch {
-					// A batch's items log under its request id, each with
-					// its position.
-					extra = map[string]any{"batch_index": i}
+					at = i
 				}
-				s.logSlow(r, route, ex, extra)
+				s.logSlow(r, route, ex, at)
 			}
 			if it.body, err = json.Marshal(item); err != nil {
 				writeError(w, http.StatusInternalServerError, "internal: encoding response")

@@ -464,8 +464,8 @@ func putBuf(b *[]byte) {
 // encoded answer — k (the truncation bound, 0 for none), the pinned scheme,
 // whether the answer reports the scheme it probed with, a δ override (0 for
 // none) — and then every query set's elements, all length-prefixed so
-// distinct queries can never collide. Set names are left out: no answer
-// depends on them.
+// distinct queries can never collide. Set names are left out: no search
+// answer depends on them (handleDiscoverAgainst appends its own).
 //
 //silkmoth:hotpath
 func (s *Server) appendKey(b []byte, kind string, k int, scheme string, reportsScheme bool, delta float64, sets ...SetJSON) []byte {
@@ -551,6 +551,14 @@ func (s *Server) handleDiscoverAgainst(w http.ResponseWriter, r *http.Request) {
 	kb := getBuf()
 	defer putBuf(kb)
 	*kb = s.appendKey(*kb, "discover-against", 0, "", false, 0, req.Sets...)
+	// Unlike a search's answer, a discovery's names each pair's reference
+	// (r_name), so its key carries the reference names too.
+	for _, set := range req.Sets {
+		*kb = append(*kb, 1)
+		*kb = strconv.AppendInt(*kb, int64(len(set.Name)), 10)
+		*kb = append(*kb, ':')
+		*kb = append(*kb, set.Name...)
+	}
 	key := *kb
 	if s.serveCached(w, key) {
 		return
@@ -579,7 +587,7 @@ func (s *Server) handleDiscoverAgainst(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if capture {
-		s.logSlow(r, "/v1/discover-against", &ex, nil)
+		s.logSlow(r, "/v1/discover-against", &ex, -1)
 	}
 	s.finish(w, key, discoverResponse{Pairs: pairsJSON(ps)})
 }
@@ -882,18 +890,7 @@ type statsResponse struct {
 	UptimeSeconds    float64 `json:"uptime_seconds"`
 	Engine           struct {
 		SearchPasses int64 `json:"search_passes"`
-		FullScans    int64 `json:"full_scans"`
-		SigTokens    int64 `json:"sig_tokens"`
-		Candidates   int64 `json:"candidates"`
-		AfterCheck   int64 `json:"after_check"`
-		CheckPruned  int64 `json:"check_pruned"`
-		AfterNN      int64 `json:"after_nn"`
-		NNPruned     int64 `json:"nn_pruned"`
-		Verified     int64 `json:"verified"`
-		SimEvals     int64 `json:"sim_evals"`
-		SimMemoHits  int64 `json:"sim_memo_hits"`
-		SimCounted   int64 `json:"sim_counted"`
-		SimBounded   int64 `json:"sim_bounded"`
+		silkmoth.Funnel
 		SplitPasses  int64 `json:"split_passes"`
 		HelperChunks int64 `json:"helper_chunks"`
 		Compactions  int64 `json:"compactions"`
@@ -969,18 +966,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Alpha = s.cfg.Alpha
 	resp.UptimeSeconds = s.met.uptime().Seconds()
 	resp.Engine.SearchPasses = st.SearchPasses
-	resp.Engine.FullScans = st.FullScans
-	resp.Engine.SigTokens = st.SigTokens
-	resp.Engine.Candidates = st.Candidates
-	resp.Engine.AfterCheck = st.AfterCheck
-	resp.Engine.CheckPruned = st.CheckPruned
-	resp.Engine.AfterNN = st.AfterNN
-	resp.Engine.NNPruned = st.NNPruned
-	resp.Engine.Verified = st.Verified
-	resp.Engine.SimEvals = st.SimEvals
-	resp.Engine.SimMemoHits = st.SimMemoHits
-	resp.Engine.SimCounted = st.SimCounted
-	resp.Engine.SimBounded = st.SimBounded
+	resp.Engine.Funnel = st.Funnel
 	resp.Engine.SplitPasses = st.SplitPasses
 	resp.Engine.HelperChunks = st.HelperChunks
 	resp.Engine.Compactions = st.Compactions
@@ -1036,6 +1022,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Sets: s.eng.Len()})
 }
 
+// engineCounter is one /metrics counter family of the engine's Stats.
+type engineCounter struct {
+	name, help string
+	value      int64
+}
+
+// engineCounters lists the search passes and one family per
+// silkmoth.Funnel field.
+func engineCounters(st *silkmoth.Stats) []engineCounter {
+	return []engineCounter{
+		{"silkmothd_engine_search_passes_total", "Search passes run by the engine.", st.SearchPasses},
+		{"silkmothd_engine_full_scans_total", "Signatureless full-scan passes run by the engine.", st.FullScans},
+		{"silkmothd_engine_signature_tokens_total", "Signature tokens generated across passes.", st.SigTokens},
+		{"silkmothd_engine_candidates_total", "Candidate sets matched by signature tokens before refinement.", st.Candidates},
+		{"silkmothd_engine_after_check_total", "Candidates that survived the check filter.", st.AfterCheck},
+		{"silkmothd_engine_check_pruned_total", "Candidates rejected by the check filter.", st.CheckPruned},
+		{"silkmothd_engine_after_nn_total", "Candidates that survived the nearest-neighbor filter.", st.AfterNN},
+		{"silkmothd_engine_nn_pruned_total", "Candidates rejected by the nearest-neighbor filter.", st.NNPruned},
+		{"silkmothd_engine_verified_total", "Maximum-matching verifications run by the engine.", st.Verified},
+		{"silkmothd_engine_sim_evals_total", "Element-similarity kernel calls made by the check and nearest-neighbor filters.", st.SimEvals},
+		{"silkmothd_engine_sim_memo_hits_total", "Filter similarity requests answered by the per-pass memo without a kernel call.", st.SimMemoHits},
+		{"silkmothd_engine_sim_counted_total", "Element pairs the check and nearest-neighbor filters scored from index overlap counts without a kernel call.", st.SimCounted},
+		{"silkmothd_engine_sim_bounded_total", "Element pairs the check filter dropped on a bound from index counts and sizes, without memo probe or kernel call.", st.SimBounded},
+	}
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.write(w, func(out io.Writer) {
@@ -1055,39 +1067,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Most goroutines one search runs on (1 = the caller's only).\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_shards gauge\n")
 		fmt.Fprintf(out, "silkmothd_engine_shards %d\n", s.eng.Shards())
-		fmt.Fprintf(out, "# HELP silkmothd_engine_search_passes_total Search passes run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_search_passes_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_search_passes_total %d\n", st.SearchPasses)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_full_scans_total Signatureless full-scan passes run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_full_scans_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_full_scans_total %d\n", st.FullScans)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_signature_tokens_total Signature tokens generated across passes.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_signature_tokens_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_signature_tokens_total %d\n", st.SigTokens)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_candidates_total Candidate sets matched by signature tokens before refinement.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_candidates_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_candidates_total %d\n", st.Candidates)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_check_pruned_total Candidates rejected by the check filter.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_check_pruned_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_check_pruned_total %d\n", st.CheckPruned)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_nn_pruned_total Candidates rejected by the nearest-neighbor filter.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_nn_pruned_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_nn_pruned_total %d\n", st.NNPruned)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_verified_total Maximum-matching verifications run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_verified_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_verified_total %d\n", st.Verified)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_evals_total Element-similarity kernel calls made by the check and nearest-neighbor filters.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_evals_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_sim_evals_total %d\n", st.SimEvals)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_memo_hits_total Filter similarity requests answered by the per-pass memo without a kernel call.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_memo_hits_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_sim_memo_hits_total %d\n", st.SimMemoHits)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_counted_total Element pairs the check and nearest-neighbor filters scored from index overlap counts without a kernel call.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_counted_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_sim_counted_total %d\n", st.SimCounted)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_sim_bounded_total Element pairs the check filter dropped on a bound from index counts and sizes, without memo probe or kernel call.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_sim_bounded_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_sim_bounded_total %d\n", st.SimBounded)
+		for _, c := range engineCounters(&st) {
+			fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
+		}
 		fmt.Fprintf(out, "# HELP silkmothd_engine_scheme_selected_total Signatured passes by concrete signature scheme.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_scheme_selected_total counter\n")
 		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"weighted\"} %d\n", st.SchemeWeighted)

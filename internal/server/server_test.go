@@ -242,6 +242,37 @@ func TestDiscoverAgainst(t *testing.T) {
 	}
 }
 
+// TestDiscoverAgainstCacheKeysNames: each pair names its reference
+// (r_name), so two requests with the same elements under different
+// reference names must not share a cache entry, while a repeat of either
+// still hits.
+func TestDiscoverAgainstCacheKeysNames(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	body := func(name string) string {
+		return `{"sets": [{"name": "` + name + `", "elements": ["77 Mass Ave Boston MA", "5th St Seattle WA"]}]}`
+	}
+	for _, step := range []struct{ name, cache string }{
+		{"alpha", "miss"}, {"beta", "miss"}, {"alpha", "hit"}, {"beta", "hit"},
+	} {
+		w := postJSON(t, s, "/v1/discover-against", body(step.name))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: code = %d, body %s", step.name, w.Code, w.Body)
+		}
+		if got := w.Header().Get("X-Silkmoth-Cache"); got != step.cache {
+			t.Errorf("%s: X-Silkmoth-Cache = %q, want %q", step.name, got, step.cache)
+		}
+		resp := decode[discoverResponse](t, w)
+		if len(resp.Pairs) == 0 {
+			t.Fatalf("%s: no pairs", step.name)
+		}
+		for _, p := range resp.Pairs {
+			if p.RName != step.name {
+				t.Errorf("%s (cache %s): pair %+v names reference %q", step.name, step.cache, p, p.RName)
+			}
+		}
+	}
+}
+
 func TestCompare(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	body := `{"r": {"elements": ["77 Mass Ave Boston MA"]}, "s": {"elements": ["77 Mass Ave Boston MA"]}}`

@@ -38,11 +38,23 @@ func (s *Server) slowReason(elapsed time.Duration) string {
 	return ""
 }
 
-// logSlow emits one query's funnel as a single JSON line on the server's
-// log writer, tagged with the request id so fan-out (batch items share
-// their request's id) stays correlated. extra merges endpoint-specific
-// fields (like a batch item's index) into the line.
-func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, extra map[string]any) {
+// slowQueryLine is one slow-query log line: the query's ExplainJSON,
+// tagged with the request id so fan-out (batch items share their request's
+// id) stays correlated, the route, why it was logged, the engine's width,
+// and a batch item's position.
+type slowQueryLine struct {
+	RequestID string `json:"request_id"`
+	Route     string `json:"route"`
+	Reason    string `json:"reason"`
+	*ExplainJSON
+	Shards     int  `json:"shards"`
+	BatchIndex *int `json:"batch_index,omitempty"`
+}
+
+// logSlow emits one query's explain as a slow-query line on the server's
+// log writer, if slowReason draws it. batchIndex is the query's position
+// in its batch, or -1 for a query that is not a batch item.
+func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, batchIndex int) {
 	if !s.log.Enabled() {
 		return
 	}
@@ -50,36 +62,15 @@ func (s *Server) logSlow(r *http.Request, route string, ex *silkmoth.Explain, ex
 	if reason == "" {
 		return
 	}
-	fields := map[string]any{
-		"request_id":    requestID(r),
-		"route":         route,
-		"reason":        reason,
-		"elapsed_us":    ex.Elapsed.Microseconds(),
-		"scheme":        ex.Scheme,
-		"passes":        ex.Passes,
-		"full_scans":    ex.FullScans,
-		"sig_tokens":    ex.SigTokens,
-		"candidates":    ex.Candidates,
-		"after_check":   ex.AfterCheck,
-		"check_pruned":  ex.CheckPruned,
-		"after_nn":      ex.AfterNN,
-		"nn_pruned":     ex.NNPruned,
-		"verified":      ex.Verified,
-		"sim_evals":     ex.SimEvals,
-		"sim_memo_hits": ex.SimMemoHits,
-		"sim_counted":   ex.SimCounted,
-		"sim_bounded":   ex.SimBounded,
-		"stage_ns": map[string]int64{
-			"signature": ex.Stages.Signature.Nanoseconds(),
-			"collect":   ex.Stages.Collect.Nanoseconds(),
-			"refine":    ex.Stages.Refine.Nanoseconds(),
-			"verify":    ex.Stages.Verify.Nanoseconds(),
-		},
-		"helper_ns": ex.HelperTime.Nanoseconds(),
-		"shards":    s.eng.Shards(),
+	line := slowQueryLine{
+		RequestID:   requestID(r),
+		Route:       route,
+		Reason:      reason,
+		ExplainJSON: explainJSON(ex),
+		Shards:      s.eng.Shards(),
 	}
-	for k, v := range extra {
-		fields[k] = v
+	if batchIndex >= 0 {
+		line.BatchIndex = &batchIndex
 	}
-	s.log.Emit("slow_query", fields)
+	s.log.EmitRecord("slow_query", line)
 }

@@ -37,6 +37,68 @@ func fromSnapshot(s obs.HistogramSnapshot) LatencyHistogram {
 	return h
 }
 
+// Funnel is the pruning funnel of some search passes — one query's (in
+// Explain) or all the engine's so far (in Stats): how many sets each stage
+// of the pipeline let through, from signature generation to exact
+// verification, and how many element pairs the filters looked at. Its JSON
+// keys are the ones silkmothd's /v1/explain, /v1/stats and slow-query log
+// report it under.
+//
+// It is consistent by construction: Candidates = AfterCheck + CheckPruned,
+// AfterCheck = AfterNN + NNPruned, and every AfterNN survivor is Verified
+// (full-scan passes verify without entering the funnel).
+type Funnel struct {
+	// FullScans counts passes that compared the reference against every
+	// set because no valid signature existed (edit similarity at low α).
+	FullScans int64 `json:"full_scans"`
+	// SigTokens is the number of signature tokens generated — the index
+	// probe volume the scheme selection minimizes.
+	SigTokens int64 `json:"sig_tokens"`
+	// Candidates counts sets matched by signature tokens before
+	// refinement; AfterCheck/CheckPruned split them by the check filter,
+	// AfterNN/NNPruned split the survivors by the nearest-neighbor
+	// filter, and Verified counts exact maximum-matching computations.
+	Candidates  int64 `json:"candidates"`
+	AfterCheck  int64 `json:"after_check"`
+	CheckPruned int64 `json:"check_pruned"`
+	AfterNN     int64 `json:"after_nn"`
+	NNPruned    int64 `json:"nn_pruned"`
+	Verified    int64 `json:"verified"`
+	// SimEvals counts φ_α kernel calls made by the check and nearest-
+	// neighbor filters; SimMemoHits counts the filter requests answered
+	// by the per-pass similarity memo instead; SimCounted counts the
+	// pairs a filter scored exactly from the number of tokens the index
+	// showed the two elements to share, with no kernel call (Jaccard,
+	// Dice, Cosine); SimBounded counts the pairs the check filter dropped
+	// because that number and the two sizes — under Eds and NEds, the two
+	// lengths — already kept them below the element's bound (see README
+	// "Query pipeline"). The four add up to the element pairs the filters
+	// looked at, and one query's four repeat exactly on a fixed engine
+	// state. Verification's cells are in none of them.
+	SimEvals    int64 `json:"sim_evals"`
+	SimMemoHits int64 `json:"sim_memo_hits"`
+	SimCounted  int64 `json:"sim_counted"`
+	SimBounded  int64 `json:"sim_bounded"`
+}
+
+// funnelOf lowers the engine's funnel record to the public one.
+func funnelOf(f core.Funnel) Funnel {
+	return Funnel{
+		FullScans:   f.FullScans,
+		SigTokens:   f.SigTokens,
+		Candidates:  f.Candidates,
+		AfterCheck:  f.AfterCheck,
+		CheckPruned: f.CheckPruned,
+		AfterNN:     f.AfterNN,
+		NNPruned:    f.NNPruned,
+		Verified:    f.Verified,
+		SimEvals:    f.SimEvals,
+		SimMemoHits: f.SimMemoHits,
+		SimCounted:  f.SimCounted,
+		SimBounded:  f.SimBounded,
+	}
+}
+
 // StageTimes is per-stage wall time through the search pipeline: signature
 // generation, candidate collection + check filter, nearest-neighbor
 // refinement, and exact verification.

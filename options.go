@@ -187,11 +187,6 @@ func (qo *queryOptions) finishExplain(q *core.Query, elapsed time.Duration) {
 // scheme probed the inverted index, how many sets each pipeline stage let
 // through, and how long the query took. Capture one with WithExplain;
 // serving layers expose the same shape via /v1/explain.
-//
-// The funnel is internally consistent by construction:
-// Candidates = AfterCheck + CheckPruned, AfterCheck = AfterNN + NNPruned,
-// and every AfterNN survivor is Verified (full-scan passes verify without
-// entering the funnel).
 type Explain struct {
 	// Scheme is the concrete signature scheme that probed the index —
 	// the per-query resolution under SchemeAuto. When the query fanned
@@ -203,35 +198,10 @@ type Explain struct {
 	// no pass generated a signature.
 	Schemes map[string]int64
 	// Passes counts the search passes the query fanned out into (one per
-	// reference, at every shard count); FullScans counts those with no
-	// valid signature.
-	Passes    int64
-	FullScans int64
-	// SigTokens is the number of signature tokens generated — the index
-	// probe volume the scheme selection minimizes.
-	SigTokens int64
-	// Candidates counts sets matched by signature tokens before
-	// refinement; AfterCheck/CheckPruned split them by the check filter,
-	// AfterNN/NNPruned split the survivors by the nearest-neighbor
-	// filter, and Verified counts exact maximum-matching computations.
-	Candidates  int64
-	AfterCheck  int64
-	CheckPruned int64
-	AfterNN     int64
-	NNPruned    int64
-	Verified    int64
-	// SimEvals counts the φ_α kernel calls the two filters made for this
-	// query, SimMemoHits the requests their per-pass memo answered
-	// instead, SimCounted the pairs a filter scored exactly from
-	// shared-token counts (token-based similarities), and SimBounded the
-	// pairs the check filter dropped on a bound read off the index with no
-	// memo probe or kernel call; for a fixed engine state all four repeat
-	// exactly, so they say how many element pairs the query's filters
-	// looked at and what each cost.
-	SimEvals    int64
-	SimMemoHits int64
-	SimCounted  int64
-	SimBounded  int64
+	// reference, at every shard count).
+	Passes int64
+	// Funnel is the query's pruning funnel over all of Passes.
+	Funnel
 	// Elapsed is the query's wall time by one rule for every search, alone
 	// or in a batch: the time the engine measures around its pass, from the
 	// signature to its sorted matches, waiting for helpers included;
@@ -253,22 +223,11 @@ type Explain struct {
 // explainFromPass converts a query's captured funnel into the public shape.
 func explainFromPass(ps core.Funnel, elapsed time.Duration) Explain {
 	ex := Explain{
-		Passes:      ps.SearchPasses,
-		FullScans:   ps.FullScans,
-		SigTokens:   ps.SigTokens,
-		Candidates:  ps.Candidates,
-		AfterCheck:  ps.AfterCheck,
-		CheckPruned: ps.CheckPruned,
-		AfterNN:     ps.AfterNN,
-		NNPruned:    ps.NNPruned,
-		Verified:    ps.Verified,
-		SimEvals:    ps.SimEvals,
-		SimMemoHits: ps.SimMemoHits,
-		SimCounted:  ps.SimCounted,
-		SimBounded:  ps.SimBounded,
-		Elapsed:     elapsed,
-		Stages:      stageTimes(ps),
-		HelperTime:  time.Duration(ps.HelperNanos),
+		Passes:     ps.SearchPasses,
+		Funnel:     funnelOf(ps),
+		Elapsed:    elapsed,
+		Stages:     stageTimes(ps),
+		HelperTime: time.Duration(ps.HelperNanos),
 	}
 	type schemeCount struct {
 		name  string

@@ -336,10 +336,10 @@ func TestExplainFunnelConsistency(t *testing.T) {
 }
 
 // TestFunnelConservationPublic: the root package lowers the engine's one
-// funnel record to two public shapes — Stats (cumulative) and Explain (one
-// query's capture). For a query running alone they must tell the same
-// story: every counter Explain reports is what Stats grew by, on one shard
-// and on several, for a search, a batch and a discovery.
+// funnel record to one public Funnel, which Stats (cumulative) and Explain
+// (one query's capture) embed. For a query running alone they must tell
+// the same story: every counter Explain reports is what Stats grew by, on
+// one shard and on several, for a search, a batch and a discovery.
 func TestFunnelConservationPublic(t *testing.T) {
 	sets := autoGridCorpus(121, 24)
 	for _, shards := range []int{1, 2} {
@@ -380,21 +380,14 @@ func TestFunnelConservationPublic(t *testing.T) {
 			if ex.Candidates == 0 || ex.Verified == 0 {
 				t.Fatalf("%s: the query exercised no funnel: %+v", label, ex)
 			}
-			exv, bv, av := reflect.ValueOf(ex), reflect.ValueOf(before), reflect.ValueOf(after)
+			if diff := after.SearchPasses - before.SearchPasses; ex.Passes != diff {
+				t.Errorf("%s: Explain.Passes = %d, Stats.SearchPasses grew by %d", label, ex.Passes, diff)
+			}
+			exv, bv, av := reflect.ValueOf(ex.Funnel), reflect.ValueOf(before.Funnel), reflect.ValueOf(after.Funnel)
 			for i := 0; i < exv.NumField(); i++ {
-				f := exv.Type().Field(i)
-				if f.Type != reflect.TypeOf(int64(0)) {
-					continue
-				}
-				name := f.Name
-				if name == "Passes" {
-					name = "SearchPasses"
-				}
-				if !av.FieldByName(name).IsValid() {
-					t.Fatalf("Explain.%s has no counterpart in Stats", f.Name)
-				}
-				if diff := av.FieldByName(name).Int() - bv.FieldByName(name).Int(); exv.Field(i).Int() != diff {
-					t.Errorf("%s: Explain.%s = %d, Stats.%s grew by %d", label, f.Name, exv.Field(i).Int(), name, diff)
+				name := exv.Type().Field(i).Name
+				if diff := av.Field(i).Int() - bv.Field(i).Int(); exv.Field(i).Int() != diff {
+					t.Errorf("%s: Explain.%s = %d, Stats.%s grew by %d", label, name, exv.Field(i).Int(), name, diff)
 				}
 			}
 			if diff := after.TimedPasses - before.TimedPasses; diff != ex.Passes {
@@ -423,11 +416,10 @@ func TestFunnelConservationPublic(t *testing.T) {
 
 // addExplain adds b's counters, stage times and scheme counts into a.
 func addExplain(a *Explain, b Explain) {
-	av, bv := reflect.ValueOf(a).Elem(), reflect.ValueOf(b)
+	a.Passes += b.Passes
+	av, bv := reflect.ValueOf(&a.Funnel).Elem(), reflect.ValueOf(b.Funnel)
 	for i := 0; i < av.NumField(); i++ {
-		if f := av.Field(i); f.Kind() == reflect.Int64 && f.Type() == reflect.TypeOf(int64(0)) {
-			f.SetInt(f.Int() + bv.Field(i).Int())
-		}
+		av.Field(i).SetInt(av.Field(i).Int() + bv.Field(i).Int())
 	}
 	a.Stages.Signature += b.Stages.Signature
 	a.Stages.Collect += b.Stages.Collect

@@ -444,38 +444,8 @@ type Pair struct {
 type Stats struct {
 	// SearchPasses is the number of reference sets processed.
 	SearchPasses int64
-	// FullScans counts passes that compared the reference against every
-	// set because no valid signature existed (edit similarity at low α).
-	FullScans int64
-	// SigTokens is the total number of signature tokens generated across
-	// passes — the index probe volume the scheme selection minimizes.
-	SigTokens int64
-	// Candidates counts sets matched by signatures before refinement.
-	Candidates int64
-	// AfterCheck counts candidates surviving the check filter;
-	// CheckPruned counts the ones it rejected.
-	AfterCheck  int64
-	CheckPruned int64
-	// AfterNN counts candidates surviving the nearest-neighbor filter;
-	// NNPruned counts the refinement's rejections.
-	AfterNN  int64
-	NNPruned int64
-	// Verified counts maximum-matching computations performed.
-	Verified int64
-	// SimEvals counts φ_α kernel calls made by the check and nearest-
-	// neighbor filters; SimMemoHits counts the filter requests answered
-	// by the per-pass similarity memo instead; SimCounted counts the
-	// pairs a filter scored exactly from the number of tokens the index
-	// showed the two elements to share, with no kernel call (Jaccard,
-	// Dice, Cosine); SimBounded counts the pairs the check filter dropped
-	// because that number and the two sizes — under Eds and NEds, the two
-	// lengths — already kept them below the element's bound (see README
-	// "Query pipeline"). The four add up to the element pairs the filters
-	// looked at. Verification's cells are in none of them.
-	SimEvals    int64
-	SimMemoHits int64
-	SimCounted  int64
-	SimBounded  int64
+	// Funnel is the pruning funnel summed over all of SearchPasses.
+	Funnel
 	// SchemeWeighted, SchemeSkyline, SchemeDichotomy, and
 	// SchemeCombUnweighted count passes by the concrete signature scheme
 	// that probed the index. Under Config.Scheme = SchemeAuto they expose
