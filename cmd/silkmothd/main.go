@@ -61,8 +61,8 @@ func main() {
 		alpha     = flag.Float64("alpha", 0, "element similarity threshold α in [0,1)")
 		q         = flag.Int("q", 0, "gram length for edit similarities (0 = auto)")
 		scheme    = flag.String("scheme", "dichotomy", "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
-		workers   = flag.Int("workers", 0, "parallel search passes of a discovery or batch (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "most goroutines one search runs on: a long pass splits into set-id chunks that helpers claim (0 = GOMAXPROCS, 1 = never split)")
+		workers   = flag.Int("workers", 0, "parallel search passes of a discovery or batch; each runs on -shards / workers goroutines, at least one (0 = GOMAXPROCS)")
+		shards    = flag.Int("shards", 0, "most goroutines one search pass runs on, shared among a discovery's or batch's parallel passes: a long pass splits into set-id chunks that helpers claim (0 = GOMAXPROCS, 1 = never split)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (negative disables)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 2*GOMAXPROCS)")
 		cacheSize = flag.Int("cache-size", 1024, "result cache entries (negative disables)")

@@ -162,8 +162,11 @@ func (e *Engine) Discover(opts ...QueryOption) []Pair {
 }
 
 // DiscoverContext is Discover with cancellation: it aborts and returns
-// ctx.Err() when ctx is done. Reference passes run on Config.Concurrency
-// workers; the sorted output is identical to the serial path's.
+// ctx.Err() when ctx is done. Reference passes run on up to
+// Config.Concurrency workers, each pass at the width those workers leave
+// idle (Config.Shards / workers goroutines, at least one), so a discovery on
+// one worker splits its long passes as a search does; the sorted output is
+// identical at every width and concurrency.
 func (e *Engine) DiscoverContext(ctx context.Context, opts ...QueryOption) ([]Pair, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -184,7 +187,7 @@ func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, o
 		start = time.Now()
 	}
 	// Passing e.coll itself selects self-join semantics.
-	ps, err := e.eng.DiscoverQueryContext(ctx, refs, q)
+	ps, err := e.eng.DiscoverQueryContext(ctx, refs, q, e.width)
 	if err != nil {
 		return nil, err
 	}

@@ -166,8 +166,8 @@ func TestNonFiniteThresholdsRejected(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Errorf("Query.Validate accepted delta %v", v)
 		}
-		if _, err := eng.SearchQueryContext(context.Background(), &coll.Sets[0], q); err == nil {
-			t.Errorf("SearchQueryContext ran with query delta %v", v)
+		if _, err := eng.SearchSplitContext(context.Background(), &coll.Sets[0], q, 1); err == nil {
+			t.Errorf("SearchSplitContext ran with query delta %v", v)
 		}
 	}
 }

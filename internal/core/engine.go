@@ -227,7 +227,7 @@ func (e *Engine) Collection() *dataset.Collection { return e.coll }
 // verification steps when ctx is done and returns ctx.Err(). The pass runs on
 // the caller's goroutine; SearchSplitContext may spread it over more.
 func (e *Engine) SearchContext(ctx context.Context, r *dataset.Set) ([]Match, error) {
-	return e.SearchQueryContext(ctx, r, nil)
+	return e.SearchSplitContext(ctx, r, nil, 1)
 }
 
 // Searcher runs repeated search passes against one engine, reusing the
@@ -290,61 +290,73 @@ func (e *Engine) sizeAcceptDelta(nR, nS int, delta float64) bool {
 }
 
 // DiscoverContext solves RELATED SET DISCOVERY (Problem 1) for the
+// reference collection refs against the engine's collection, each reference
+// pass on one goroutine: DiscoverQueryContext at width 1.
+func (e *Engine) DiscoverContext(ctx context.Context, refs *dataset.Collection) ([]Pair, error) {
+	return e.DiscoverQueryContext(ctx, refs, nil, 1)
+}
+
+// DiscoverQueryContext solves RELATED SET DISCOVERY (Problem 1) for the
 // reference collection refs against the engine's collection. refs must
 // share the engine collection's dictionary. When refs is the engine's own
 // collection, the self-join is deduplicated under SET-SIMILARITY (each
 // unordered pair reported once, self-pairs skipped); under SET-CONTAINMENT
 // every ordered pair ⟨R, S⟩ with |R| ≤ |S|, R ≠ S is considered.
 //
-// Reference passes run on the engine's Concurrency workers (fanOut), each
-// with its own scratch and funnel record (folded in on retirement), and the
-// whole discovery aborts with ctx.Err() when ctx is done. Pairs are returned
-// sorted by (R, S).
-func (e *Engine) DiscoverContext(ctx context.Context, refs *dataset.Collection) ([]Pair, error) {
-	return e.DiscoverQueryContext(ctx, refs, nil)
-}
-
-// DiscoverQueryContext is DiscoverContext with per-query overrides and
-// stats capture: q shapes every reference pass of the discovery, and
-// q.Stats (when non-nil) absorbs the passes' summed funnel. A nil q is
-// exactly DiscoverContext.
-func (e *Engine) DiscoverQueryContext(ctx context.Context, refs *dataset.Collection, q *Query) ([]Pair, error) {
+// The reference passes are one fan-out (fanOut): up to Concurrency workers,
+// each with its own scratch and funnel record (folded in on retirement), run
+// them at the width the fan-out leaves idle, so a discovery on fewer
+// workers than width spreads a long pass over helpers as a search does. q
+// shapes every pass, and q.Stats (when non-nil) absorbs their summed funnel.
+// The whole discovery aborts with ctx.Err() when ctx is done. Pairs are
+// returned sorted by (R, S).
+func (e *Engine) DiscoverQueryContext(ctx context.Context, refs *dataset.Collection, q *Query, width int) ([]Pair, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	selfJoin := refs == e.coll
 	n := len(refs.Sets)
-	local := make([][]Pair, e.fanOutWorkers(n)) // each worker appends to its own
-	err := e.fanOut(ctx, n, func(ctx context.Context, sr *Searcher, w, ri int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if selfJoin && !e.alive(ri) {
-			return nil // deleted sets are no longer references
-		}
-		selfSkip := -1
-		if selfJoin && e.opts.Metric == SetSimilarity {
-			selfSkip = ri
-		}
-		ms, err := sr.SearchQuery(ctx, &refs.Sets[ri], selfSkip, q)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			if selfJoin && m.Set == ri {
-				continue // no self-pairs
-			}
-			local[w] = append(local[w], Pair{R: ri, S: m.Set, Relatedness: m.Relatedness, Score: m.Score})
-		}
-		return nil
-	})
-	if err != nil {
+	job := discoverJob{e: e, refs: refs, q: q, selfJoin: refs == e.coll, local: make([][]Pair, e.fanOutWorkers(n))}
+	if err := fanOut(e, ctx, n, width, job); err != nil {
 		return nil, err
 	}
-	pairs := slices.Concat(local...)
+	pairs := slices.Concat(job.local...)
 	sortPairs(pairs)
 	return pairs, nil
+}
+
+// discoverJob is a discovery's fan-out: one pass per reference, each worker
+// appending its pairs to its own slot of local.
+type discoverJob struct {
+	e        *Engine
+	refs     *dataset.Collection
+	q        *Query
+	selfJoin bool
+	local    [][]Pair
+}
+
+func (j discoverJob) pass(ctx context.Context, sr *Searcher, w, ri, width int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if j.selfJoin && !j.e.alive(ri) {
+		return nil // deleted sets are no longer references
+	}
+	selfSkip := -1
+	if j.selfJoin && j.e.opts.Metric == SetSimilarity {
+		selfSkip = ri
+	}
+	ms, err := j.e.searchPass(ctx, &j.refs.Sets[ri], selfSkip, sr.w, width, j.q)
+	if err != nil {
+		return err
+	}
+	for _, m := range ms {
+		if j.selfJoin && m.Set == ri {
+			continue // no self-pairs
+		}
+		j.local[w] = append(j.local[w], Pair{R: ri, S: m.Set, Relatedness: m.Relatedness, Score: m.Score})
+	}
+	return nil
 }

@@ -14,36 +14,41 @@ func (e *Engine) fanOutWorkers(n int) int {
 	return max(1, min(e.opts.Concurrency, n))
 }
 
-// fanOut runs fn(ctx, sr, w, i) for every i in [0, n) on fanOutWorkers(n)
-// goroutines pulling from a shared counter. w identifies the calling worker,
-// so fn can keep per-worker state, and sr is that worker's Searcher, closed
-// when the fan-out returns. The first error cancels the context handed to the
-// remaining calls and is returned — preferring a real failure over the
+// fanJob is the work of one fan-out: pass runs item i as a search pass of at
+// most width goroutines on worker w's Searcher. It is a value, so a call of
+// one worker, which runs on the caller's goroutine, allocates nothing for
+// it; only a wider fan-out copies it to its goroutines.
+type fanJob interface {
+	pass(ctx context.Context, sr *Searcher, w, i, width int) error
+}
+
+// fanOut runs job.pass for every item i in [0, n) on fanOutWorkers(n)
+// goroutines pulling from a shared counter, each with a Searcher of its own,
+// closed when the fan-out returns. It is the one schedule of every call of
+// many passes — a batch, a discovery — and hands each pass the width its
+// fan-out leaves idle: width / workers goroutines, at least one. A pass runs
+// its first chunk on its worker and starts helpers only once it proves long
+// (plan.run), so the call runs on at most max(Concurrency, width)
+// goroutines. The first error cancels the context handed to the remaining
+// passes and is returned — preferring a real failure over the
 // context.Canceled noise that cancellation propagation causes in sibling
 // workers. A fan-out of one worker has no siblings to cancel or wait for: it
-// runs on the caller's goroutine under the caller's context. It is the one
-// loop behind discovery and the batch path; a split pass's chunks follow
-// their own schedule (split.go).
-func (e *Engine) fanOut(parent context.Context, n int, fn func(ctx context.Context, sr *Searcher, w, i int) error) error {
+// runs on the caller's goroutine under the caller's context, at the full
+// width.
+func fanOut[J fanJob](e *Engine, parent context.Context, n, width int, job J) error {
 	if err := parent.Err(); err != nil {
 		return err
 	}
 	if n == 0 {
 		return nil
 	}
-	searchers := make([]*Searcher, e.fanOutWorkers(n))
-	for w := range searchers {
-		searchers[w] = e.NewSearcher()
-	}
-	defer func() {
-		for _, sr := range searchers {
-			sr.Close()
-		}
-	}()
-	workers := len(searchers)
+	workers := e.fanOutWorkers(n)
+	passWidth := max(1, width/workers)
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(parent, searchers[0], 0, i); err != nil {
+		sr := e.NewSearcher()
+		defer sr.Close()
+		for i := range n {
+			if err := job.pass(parent, sr, 0, i, passWidth); err != nil {
 				return err
 			}
 		}
@@ -54,22 +59,24 @@ func (e *Engine) fanOut(parent context.Context, n int, fn func(ctx context.Conte
 	errs := make([]error, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
+			sr := e.NewSearcher()
+			defer sr.Close()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := fn(ctx, searchers[w], w, i); err != nil {
+				if err := job.pass(ctx, sr, w, i, passWidth); err != nil {
 					errs[w] = err
 					cancel() // abort the siblings
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return firstError(errs)

@@ -189,8 +189,9 @@ type Options struct {
 	// metrics) and is ignored otherwise.
 	Reduction bool
 	// Concurrency is the number of parallel search passes Discover and a
-	// batch may run; values < 1 mean one. One search's own width is the
-	// caller's (SearchSplitContext).
+	// batch may run; values < 1 mean one. Each pass runs at the width the
+	// call passes divided by its workers, at least one (fanOut); one
+	// search's width is the caller's (SearchSplitContext).
 	Concurrency int
 	// StageSample is the per-worker sampling interval for per-stage wall
 	// timing: one in every StageSample search passes records

@@ -119,22 +119,17 @@ func (e *Engine) queryOptions(q *Query) Options {
 	return o
 }
 
-// SearchQueryContext is SearchContext with per-query overrides and stats
-// capture: q's scheme/δ/filter overrides and K shape this pass only, and
-// q.Stats (when non-nil) receives the pass's funnel. A nil q is exactly
-// SearchContext.
-func (e *Engine) SearchQueryContext(ctx context.Context, r *dataset.Set, q *Query) ([]Match, error) {
-	return e.SearchSplitContext(ctx, r, q, 1)
-}
-
-// SearchSplitContext is SearchQueryContext on at most width goroutines. The
-// signature is generated once — under scheme Auto that is one choice for the
-// whole query — and a pass that runs long cuts its candidate work into set-id
-// chunks that the caller and up to width−1 helpers claim, each collecting,
-// refining and verifying its own candidates through posting lists cut to the
-// chunk (see plan.run). The matches are the one-goroutine pass's, in
-// canonical order (descending relatedness, ties by ascending index), and the
-// query counts one pass, which all the chunks' work is charged to.
+// SearchSplitContext runs one related-set search pass for r on at most width
+// goroutines: q's scheme/δ/filter overrides and K shape this pass only,
+// q.Stats (when non-nil) receives its funnel, and a nil q is the engine's
+// configuration. The signature is generated once — under scheme Auto that is
+// one choice for the whole query — and a pass that runs long cuts its
+// candidate work into set-id chunks that the caller and up to width−1
+// helpers claim, each collecting, refining and verifying its own candidates
+// through posting lists cut to the chunk (see plan.run). The matches are the
+// one-goroutine pass's, in canonical order (descending relatedness, ties by
+// ascending index), and the query counts one pass, which all the chunks'
+// work is charged to.
 func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -161,11 +156,4 @@ func rank(ms []Match, q *Query) []Match {
 	}
 	sortMatches(ms)
 	return ms
-}
-
-// SearchQuery runs one search pass for r under q's overrides, excluding
-// candidate sets with collection index ≤ skip. It is Searcher.Search with
-// per-query overrides; a nil q is exactly Search.
-func (s *Searcher) SearchQuery(ctx context.Context, r *dataset.Set, skip int, q *Query) ([]Match, error) {
-	return s.e.searchPass(ctx, r, skip, s.w, 1, q)
 }

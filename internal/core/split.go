@@ -68,21 +68,17 @@ func HoldHelpersForTest() (release func() int64) {
 }
 
 // run executes the stages after the signature. A pass of width 1 is one body
-// on the caller's goroutine. A wider one cuts the collection's slots into
-// chunksPerLane·width set-id chunks after opening the signature's posting
+// on the caller's goroutine. A wider one cuts the set ids it can match
+// (cut) into chunksPerLane·width chunks after opening the signature's posting
 // lists once, and the caller runs chunk 0 itself, timing it. When that took
 // less than splitAfter the pass is short: the caller runs the rest of the
 // slots as one more body. Otherwise it steals. The chunks are disjoint and
 // each runs the whole pipeline, so the concatenation of their matches is the
 // one-body answer.
 func (p *plan) run(ctx context.Context, signatured bool) ([]Match, error) {
-	slots := len(p.e.coll.Sets)
-	chunks := min(chunksPerLane*p.width, slots)
 	forced := splitForced.Load()
-	if forced {
-		chunks = slots
-	}
-	if p.width < 2 || chunks < 2 {
+	c := p.cut(forced)
+	if p.width < 2 || c.chunks < 2 {
 		return p.body(ctx, signatured)
 	}
 	if signatured {
@@ -92,15 +88,15 @@ func (p *plan) run(ctx context.Context, signatured bool) ([]Match, error) {
 	// No helper exists yet, so chunk 0 — and a short pass's rest — may move
 	// the lists on (filter.Options.Advance): every later chunk starts past it.
 	start := time.Now()
-	lo, hi := index.Range(0, chunks, slots)
-	p.lo, p.hi, p.advance = int32(lo), int32(hi), true
+	p.lo, p.hi = c.bounds(0)
+	p.advance = true
 	ms, err := p.body(ctx, signatured)
 	if err != nil {
 		return nil, err
 	}
 	p.resume = true
 	if !forced && time.Since(start) < splitAfter {
-		p.lo, p.hi = int32(hi), int32(slots)
+		p.lo, p.hi = p.hi, int32(c.slots)
 		rest, err := p.body(ctx, signatured)
 		if err != nil || len(ms) == 0 {
 			return rest, err
@@ -108,7 +104,31 @@ func (p *plan) run(ctx context.Context, signatured bool) ([]Match, error) {
 		return append(ms, rest...), nil
 	}
 	p.advance = false // helpers read the lists from here on
-	return p.steal(ctx, signatured, ms, chunks, slots)
+	return p.steal(ctx, signatured, ms, c)
+}
+
+// chunking is how a pass wider than one goroutine cuts the set ids
+// [base, slots): chunk k of chunks is base plus index.Range(k, chunks,
+// slots−base).
+type chunking struct{ base, chunks, slots int }
+
+// bounds returns chunk k's set ids [lo, hi).
+func (c chunking) bounds(k int) (lo, hi int32) {
+	l, h := index.Range(k, c.chunks, c.slots-c.base)
+	return int32(c.base + l), int32(c.base + h)
+}
+
+// cut returns the pass's chunking: chunksPerLane·width chunks, or one per
+// slot when forced. A self-join pass cuts only the sets after its reference.
+// The ones at or below selfSkip are never candidates, and a chunk 0 among
+// them would finish under splitAfter however long the pass.
+func (p *plan) cut(forced bool) chunking {
+	c := chunking{base: p.selfSkip + 1, slots: len(p.e.coll.Sets)}
+	c.chunks = min(chunksPerLane*p.width, c.slots-c.base)
+	if forced {
+		c.chunks = c.slots - c.base
+	}
+	return c
 }
 
 // split is what the caller of a stealing pass shares with its helpers. It is
@@ -124,12 +144,12 @@ type split struct {
 	// its acceptance test: each helper runs them on a worker of its own.
 	p   plan
 	acc acceptState
-	// next is the next chunk to claim; chunk k is index.Range(k, chunks,
-	// slots). pending counts the chunks after the first still unfinished.
-	next          atomic.Int64
-	chunks, slots int
-	pending       sync.WaitGroup
-	res           []chunkResult
+	chunking
+	// next is the next chunk to claim; pending counts the chunks after the
+	// first still unfinished.
+	next    atomic.Int64
+	pending sync.WaitGroup
+	res     []chunkResult
 }
 
 // chunkResult is what one chunk produced. f is a helper's record of it; the
@@ -149,8 +169,9 @@ type chunkResult struct {
 // stages are charged on the caller's timeline; a helper's chunks count its
 // busy time as HelperNanos instead, so a timed pass's stage times stay within
 // its wall time. Matches come back in chunk order.
-func (p *plan) steal(ctx context.Context, signatured bool, first []Match, chunks, slots int) ([]Match, error) {
-	s := &split{ctx: ctx, signatured: signatured, p: *p, acc: p.w.acc, chunks: chunks, slots: slots}
+func (p *plan) steal(ctx context.Context, signatured bool, first []Match, ch chunking) ([]Match, error) {
+	chunks := ch.chunks
+	s := &split{ctx: ctx, signatured: signatured, p: *p, acc: p.w.acc, chunking: ch}
 	s.p.w, s.p.timed, s.p.resume = nil, false, false
 	s.res = make([]chunkResult, chunks)
 	s.next.Store(1)
@@ -228,10 +249,4 @@ func (s *split) claim() int {
 		return k
 	}
 	return -1
-}
-
-// bounds returns chunk k's set ids [lo, hi).
-func (s *split) bounds(k int) (lo, hi int32) {
-	l, h := index.Range(k, s.chunks, s.slots)
-	return int32(l), int32(h)
 }

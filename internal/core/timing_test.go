@@ -61,9 +61,7 @@ func TestExplainAlwaysTimed(t *testing.T) {
 	e, ref := allocFixture(t, signature.Dichotomy)
 	e.opts.StageSample = -1 // even with sampling off
 	q := &Query{Stats: &Capture{}}
-	sr := e.NewSearcher()
-	defer sr.Close()
-	if _, err := sr.SearchQuery(context.Background(), ref, -1, q); err != nil {
+	if _, err := e.SearchSplitContext(context.Background(), ref, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	ps := q.Stats.Funnel()

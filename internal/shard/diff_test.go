@@ -89,7 +89,7 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 	wantFunnels := make([]core.Funnel, len(coll.Sets))
 	for ri := range coll.Sets {
 		q := &core.Query{Stats: &core.Capture{}}
-		ms, err := serial.SearchQueryContext(context.Background(), &coll.Sets[ri], q)
+		ms, err := serial.SearchSplitContext(context.Background(), &coll.Sets[ri], q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestDifferentialRangeBoundaries(t *testing.T) {
 		}
 		for ri := range coll.Sets {
 			wq, q := &core.Query{Stats: &core.Capture{}}, &core.Query{Stats: &core.Capture{}}
-			want, err := serial.SearchQueryContext(ctx, &coll.Sets[ri], wq)
+			want, err := serial.SearchSplitContext(ctx, &coll.Sets[ri], wq, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,11 +110,11 @@ func TestFunnelConservation(t *testing.T) {
 			for i := range qs {
 				qs[i] = q
 			}
-			_, _, err := e.SearchBatchQueries(ctx, refs, qs, e.width)
+			_, err := e.SearchBatchQueries(ctx, refs, qs, e.width)
 			return err
 		}},
 		{name: "discover", shards: 2, opts: jaccard, run: func(e atWidth, q *core.Query) error {
-			_, err := e.DiscoverQueryContext(ctx, e.Collection(), q)
+			_, err := e.DiscoverQueryContext(ctx, e.Collection(), q, e.width)
 			return err
 		}},
 		{name: "parallel verification", shards: 4, opts: verifyPar, run: searchAll,

@@ -57,7 +57,7 @@ func (e atWidth) topK(ctx context.Context, r *dataset.Set, k int) ([]core.Match,
 }
 
 func (e atWidth) discover(ctx context.Context) ([]core.Pair, error) {
-	return e.DiscoverContext(ctx, e.Collection())
+	return e.DiscoverQueryContext(ctx, e.Collection(), nil, e.width)
 }
 
 // add appends raws to the collection and extends the index over them.
@@ -68,10 +68,12 @@ func (e atWidth) add(raws []dataset.RawSet) {
 // batch searches every ref in one SearchBatchQueries call, failing on any
 // item's error.
 func (e atWidth) batch(ctx context.Context, refs []dataset.Set) ([][]core.Match, error) {
-	out, itemErrs, err := e.SearchBatchQueries(ctx, refs, nil, e.width)
-	for _, ie := range itemErrs {
+	res, err := e.SearchBatchQueries(ctx, refs, nil, e.width)
+	out := make([][]core.Match, len(res))
+	for i, r := range res {
+		out[i] = r.Matches
 		if err == nil {
-			err = ie
+			err = r.Err
 		}
 	}
 	return out, err

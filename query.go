@@ -63,8 +63,9 @@ func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...
 // schemes, per-item k and δ, and per-item explain captures. Results align
 // with queries, and each is exactly what Search with the same options
 // returns for its item. The batch is tokenized in one pass, and its items run
-// concurrently on up to Config.Concurrency workers, each item's pass unsplit
-// (a batch of one runs like Search, at the engine's width).
+// concurrently on up to Config.Concurrency workers, each item's pass at the
+// width those workers leave idle: Config.Shards / workers goroutines, at
+// least one (a batch of one runs like Search, at the engine's width).
 func (e *Engine) SearchBatchQueries(queries []BatchQuery) ([]Result, error) {
 	return e.SearchBatchQueriesContext(context.Background(), queries)
 }
@@ -108,16 +109,14 @@ func (e *Engine) search(ctx context.Context, queries []BatchQuery) ([]Result, er
 	defer e.mu.RUnlock()
 	scratch, qc := e.tokenizeQuery(raws)
 	defer queryScratchPool.Put(scratch)
-	per, itemErrs, err := e.eng.SearchBatchQueries(ctx, qc.Sets, qs, e.width)
+	per, err := e.eng.SearchBatchQueries(ctx, qc.Sets, qs, e.width)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Result, len(per))
-	for i, ms := range per {
-		out[i].Matches = e.toMatches(ms)
-		if itemErrs != nil {
-			out[i].Err = itemErrs[i]
-		}
+	for i, r := range per {
+		out[i].Matches = e.toMatches(r.Matches)
+		out[i].Err = r.Err
 		if qos[i].explain != nil {
 			qos[i].finishExplain(qs[i], qs[i].Stats.Elapsed())
 			out[i].Explain = qos[i].explain

@@ -90,10 +90,8 @@
 // read-write lock: queries share its read side and run in parallel, and
 // mutations (Add, Delete, Update, Compact, Snapshot) take its write side, so
 // in-flight queries finish first and later ones see the change.
-// Config.Concurrency parallelizes Discover's reference passes and a batch's
-// searches. The context-aware
-// variants (SearchContext, SearchTopKContext, DiscoverContext,
-// DiscoverAgainstContext) abort cleanly on cancellation.
+// The context-aware variants (SearchContext, SearchTopKContext,
+// DiscoverContext, DiscoverAgainstContext) abort cleanly on cancellation.
 //
 // An engine holds one inverted index, and one search is one pass: one
 // signature, then candidate collection, refinement and verification. The
@@ -101,9 +99,12 @@
 // short pass finishes there, and a long one starts helpers, up to
 // Config.Shards goroutines in all (GOMAXPROCS by default), that claim the
 // remaining chunks with it. Results are guaranteed identical at every
-// width. A batch of one runs its pass at that width too; a larger batch
-// answers its searches in one call, amortizing tokenization and fanning the
-// items across workers, each item's pass unsplit.
+// width. Every call runs its passes by one rule: a search, a batch, a
+// Discover or a DiscoverAgainst of n passes fans them out on
+// min(Config.Concurrency, n) workers, and each pass runs at the width those
+// workers leave idle, Config.Shards / workers goroutines (at least one). A
+// search, a batch of one and a discovery on one worker split like a search;
+// a batch answers its searches in one call, amortizing tokenization.
 //
 // To serve an engine over HTTP/JSON — search, top-k, discovery, compare,
 // explain, and incremental indexing behind a bounded worker pool with an
@@ -287,17 +288,20 @@ type Config struct {
 	// The reduction only applies at Alpha = 0 under Jaccard or Eds.
 	DisableReduction bool
 	// Concurrency bounds the parallel search passes of Discover,
-	// DiscoverAgainst and a SearchBatchQueries of more than one item, each
-	// pass on one goroutine; values < 1 mean single-threaded. One search's
-	// own parallelism is Shards.
+	// DiscoverAgainst and SearchBatchQueries: a call of n passes runs them
+	// on min(Concurrency, n) workers; values < 1 mean one. Each pass gets
+	// the width its workers leave idle, Shards / workers goroutines (at
+	// least one), so a call runs on at most max(Concurrency, Shards)
+	// goroutines.
 	Concurrency int
 	// Shards is a search's width: the most goroutines one search pass runs
-	// on. After its one signature, a pass runs its first set-id chunk on the
-	// caller's goroutine; once that proves it long, helpers start and claim
-	// the remaining chunks with the caller, each chunk collecting, refining
-	// and verifying its own candidates through posting lists cut to it. 0
-	// means runtime.GOMAXPROCS(0), 1 keeps every search on the caller's
-	// goroutine, and N caps it at N. The index build fills its lists from
+	// on, shared among the parallel passes of a discovery or batch (see
+	// Concurrency). After its one signature, a pass runs its first set-id
+	// chunk on the caller's goroutine; once that proves it long, helpers
+	// start and claim the remaining chunks with the caller, each chunk
+	// collecting, refining and verifying its own candidates through posting
+	// lists cut to it. 0 means runtime.GOMAXPROCS(0), 1 keeps every pass on
+	// its worker's goroutine, and N caps it at N. The index build fills its lists from
 	// that many set-id ranges in parallel. There is one index at every
 	// width, so a durable engine reopens without an index build whatever
 	// width wrote it, and results are provably identical at every width
