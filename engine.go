@@ -254,38 +254,44 @@ func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	st := e.eng.Stats()
-	out := Stats{
-		Live:        e.eng.LiveCount(),
-		Tombstones:  e.eng.Tombstones(),
-		Compactions: e.eng.Compactions(),
-	}
-	out.SearchPasses = st.SearchPasses
-	out.Funnel = funnelOf(st)
-	out.SchemeWeighted = st.SchemeWeighted
-	out.SchemeSkyline = st.SchemeSkyline
-	out.SchemeDichotomy = st.SchemeDichotomy
-	out.SchemeCombUnweighted = st.SchemeCombUnweighted
-	out.TimedPasses = st.TimedPasses
-	out.Stages = stageTimes(st)
-	out.SplitPasses = st.SplitPasses
-	out.HelperChunks = st.HelperChunks
 	ps := e.eng.Storage()
-	out.CompressedPostings = ps.Compressed
-	out.Postings = ps.Postings
-	out.PostingHeapBytes = ps.HeapBytes
-	out.PostingEncodedBytes = ps.EncodedBytes
-	out.PostingResidentBytes = ps.ResidentBytes
-	out.PostingDirectoryBytes = ps.DirectoryBytes
-	out.PostingCacheHits = ps.CacheHits
-	out.PostingCacheMisses = ps.CacheMisses
-	out.PostingDecodeErrors = ps.DecodeErrors
-	out.SnapshotMapped = e.snapMap != nil && e.snapMap.Mapped()
+	out := Stats{
+		SearchPasses: st.SearchPasses,
+		Funnel:       funnelOf(st),
+		SchemeCounts: SchemeCounts{
+			SchemeWeighted:       st.SchemeWeighted,
+			SchemeSkyline:        st.SchemeSkyline,
+			SchemeDichotomy:      st.SchemeDichotomy,
+			SchemeCombUnweighted: st.SchemeCombUnweighted,
+		},
+		TimedPasses:  st.TimedPasses,
+		Stages:       stageTimes(st),
+		SplitPasses:  st.SplitPasses,
+		HelperChunks: st.HelperChunks,
+		Live:         e.eng.LiveCount(),
+		Tombstones:   e.eng.Tombstones(),
+		Compactions:  e.eng.Compactions(),
+		PostingStorage: PostingStorage{
+			CompressedPostings:    ps.Compressed,
+			Postings:              ps.Postings,
+			PostingHeapBytes:      ps.HeapBytes,
+			PostingEncodedBytes:   ps.EncodedBytes,
+			PostingResidentBytes:  ps.ResidentBytes,
+			PostingDirectoryBytes: ps.DirectoryBytes,
+			PostingCacheHits:      ps.CacheHits,
+			PostingCacheMisses:    ps.CacheMisses,
+			PostingDecodeErrors:   ps.DecodeErrors,
+			SnapshotMapped:        e.snapMap != nil && e.snapMap.Mapped(),
+		},
+	}
 	if e.store != nil {
-		out.Snapshots = e.store.Snapshots()
-		out.WALRecords = e.store.Appended()
-		out.WALReplayed = e.replayed
-		out.RecoveredSnapshot = e.recovered
-		out.WALTornTail = e.torn
+		out.Durability = Durability{
+			Snapshots:         e.store.Snapshots(),
+			WALRecords:        e.store.Appended(),
+			RecoveredSnapshot: e.recovered,
+			WALReplayed:       e.replayed,
+			WALTornTail:       e.torn,
+		}
 	}
 	return out
 }

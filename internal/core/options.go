@@ -59,8 +59,8 @@
 // Funnel.Add, and charge it where the work happens (w.pass.X += n). A
 // pass's helper chunks, Stats and every capture pick it up through Add. To
 // surface it above the engine, give it a field in silkmoth.Funnel, a line
-// in that package's funnelOf, and a /metrics family in the server's
-// engineCounters: Explain, Stats and every silkmothd surface embed that one
+// in that package's funnelOf, and a row in the server's /metrics table
+// (families): Explain, Stats and every silkmothd surface embed that one
 // record.
 package core
 
@@ -268,14 +268,8 @@ func (o Options) normalize() (Options, error) {
 	} else {
 		o.Q = 0 // token-based similarities have no gram length
 	}
-	switch o.Scheme {
-	case signature.Weighted, signature.CombUnweighted, signature.Skyline,
-		signature.Dichotomy, signature.Auto:
-	default:
-		return o, fmt.Errorf("core: unknown signature scheme %v", o.Scheme)
-	}
-	if o.NNFilter {
-		o.CheckFilter = true // the NN filter consumes check-filter state
+	if err := checkScheme(o.Scheme); err != nil {
+		return o, err
 	}
 	if o.Concurrency < 1 {
 		o.Concurrency = 1
@@ -283,13 +277,34 @@ func (o Options) normalize() (Options, error) {
 	if o.StageSample == 0 {
 		o.StageSample = DefaultStageSample
 	}
+	o.sound()
+	return o, nil
+}
+
+// sound applies the two rules that keep a filter and verification setting
+// exact, at engine construction and under every query's overrides alike:
+// the NN filter consumes the check filter's state, so it implies the check
+// filter; and the §5.3 reduction needs 1-φ_α to be a metric, true only for
+// Jaccard and Eds at α = 0 (§6.5) — NEds, Dice, and Cosine duals violate
+// the triangle inequality — so it stays off everywhere else.
+func (o *Options) sound() {
+	if o.NNFilter {
+		o.CheckFilter = true
+	}
 	if o.Reduction && (o.Alpha != 0 || (o.Sim != Jaccard && o.Sim != Eds)) {
-		// The §5.3 reduction needs 1-φ_α to be a metric: true only for
-		// Jaccard and Eds at α = 0 (§6.5); NEds, Dice, and Cosine duals
-		// violate the triangle inequality.
 		o.Reduction = false
 	}
-	return o, nil
+}
+
+// checkScheme rejects a signature scheme the engine does not run, in the
+// engine's options and in a query's override alike.
+func checkScheme(k signature.Kind) error {
+	switch k {
+	case signature.Weighted, signature.CombUnweighted, signature.Skyline,
+		signature.Dichotomy, signature.Auto:
+		return nil
+	}
+	return fmt.Errorf("core: unknown signature scheme %v", k)
 }
 
 // DefaultQ returns the largest sound gram length for the given thresholds:

@@ -82,20 +82,14 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("core: query k must be >= 0, got %d", q.K)
 	}
 	if q.SchemeSet {
-		switch q.Scheme {
-		case signature.Weighted, signature.CombUnweighted, signature.Skyline,
-			signature.Dichotomy, signature.Auto:
-		default:
-			return fmt.Errorf("core: unknown query signature scheme %v", q.Scheme)
-		}
+		return checkScheme(q.Scheme)
 	}
 	return nil
 }
 
 // queryOptions resolves the engine's options under q's overrides into the
-// effective per-pass options, applying the same normalization engine
-// construction does: the NN filter implies the check filter, and the §5.3
-// reduction stays off wherever its metric requirements fail.
+// effective per-pass options, made sound by the same rules engine
+// construction applies (Options.sound).
 func (e *Engine) queryOptions(q *Query) Options {
 	o := e.opts
 	if q == nil {
@@ -110,12 +104,7 @@ func (e *Engine) queryOptions(q *Query) Options {
 	o.CheckFilter = q.CheckFilter.apply(o.CheckFilter)
 	o.NNFilter = q.NNFilter.apply(o.NNFilter)
 	o.Reduction = q.Reduction.apply(o.Reduction)
-	if o.NNFilter {
-		o.CheckFilter = true // the NN filter consumes check-filter state
-	}
-	if o.Reduction && (o.Alpha != 0 || (o.Sim != Jaccard && o.Sim != Eds)) {
-		o.Reduction = false // 1-φ_α must be a metric (§6.5)
-	}
+	o.sound()
 	return o
 }
 

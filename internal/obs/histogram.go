@@ -11,8 +11,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -117,42 +115,4 @@ func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
 	}
 	s.Count += o.Count
 	s.SumNanos += o.SumNanos
-}
-
-// WriteHistogram renders one labeled histogram series in the Prometheus
-// text exposition format: cumulative _bucket lines with a terminal +Inf,
-// then _sum (seconds) and _count. labels is either empty or a
-// pre-formatted label body like `path="/v1/search"`; the le label is
-// appended to it. Callers emit the family's # HELP/# TYPE header once via
-// WriteHistogramHeader before any series.
-func WriteHistogram(w io.Writer, name, labels string, s HistogramSnapshot) {
-	le := labels
-	if le != "" {
-		le += ","
-	}
-	cum := int64(0)
-	for i := 0; i < NumBounds; i++ {
-		cum += s.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, formatBound(i), cum)
-	}
-	cum += s.Counts[NumBounds]
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, cum)
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, float64(s.SumNanos)/1e9)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, s.Count)
-}
-
-// WriteHistogramHeader emits a histogram family's # HELP and # TYPE lines.
-func WriteHistogramHeader(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-}
-
-// formatBound renders bucket bound i in seconds the way Prometheus
-// clients conventionally do (shortest float form).
-func formatBound(i int) string {
-	return fmt.Sprintf("%g", float64(bound0<<i)/1e9)
 }

@@ -135,10 +135,8 @@ func TestWriteHistogramFormat(t *testing.T) {
 	h.Observe(2 * time.Minute)
 
 	var unlabeled, labeled bytes.Buffer
-	WriteHistogramHeader(&unlabeled, "x_seconds", "test histogram")
-	WriteHistogram(&unlabeled, "x_seconds", "", h.Snapshot())
-	WriteHistogramHeader(&labeled, "y_seconds", "labeled test histogram")
-	WriteHistogram(&labeled, "y_seconds", `path="/v1/search"`, h.Snapshot())
+	WriteFamilies(&unlabeled, Family{"x_seconds", "histogram", "test histogram", []Series{h.Snapshot().Series("")}})
+	WriteFamilies(&labeled, Family{"y_seconds", "histogram", "labeled test histogram", []Series{h.Snapshot().Series(`path="/v1/search"`)}})
 
 	out := unlabeled.String()
 	if strings.Contains(out, "{}") || strings.Contains(out, "{,") || strings.Contains(out, ",le=") {

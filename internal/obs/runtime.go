@@ -13,26 +13,13 @@ import (
 func WriteRuntimeMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-
-	fmt.Fprintf(w, "# HELP silkmothd_goroutines Number of live goroutines.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_goroutines gauge\n")
-	fmt.Fprintf(w, "silkmothd_goroutines %d\n", runtime.NumGoroutine())
-
-	fmt.Fprintf(w, "# HELP silkmothd_heap_alloc_bytes Bytes of allocated heap objects.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_heap_alloc_bytes gauge\n")
-	fmt.Fprintf(w, "silkmothd_heap_alloc_bytes %d\n", ms.HeapAlloc)
-
-	fmt.Fprintf(w, "# HELP silkmothd_heap_sys_bytes Bytes of heap obtained from the OS.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_heap_sys_bytes gauge\n")
-	fmt.Fprintf(w, "silkmothd_heap_sys_bytes %d\n", ms.HeapSys)
-
-	fmt.Fprintf(w, "# HELP silkmothd_gc_runs_total Completed GC cycles.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_gc_runs_total counter\n")
-	fmt.Fprintf(w, "silkmothd_gc_runs_total %d\n", ms.NumGC)
-
-	fmt.Fprintf(w, "# HELP silkmothd_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(w, "silkmothd_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
+	WriteFamilies(w,
+		Gauge("silkmothd_goroutines", "Number of live goroutines.", runtime.NumGoroutine()),
+		Gauge("silkmothd_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc),
+		Gauge("silkmothd_heap_sys_bytes", "Bytes of heap obtained from the OS.", ms.HeapSys),
+		Counter("silkmothd_gc_runs_total", "Completed GC cycles.", ms.NumGC),
+		Counter("silkmothd_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", float64(ms.PauseTotalNs)/1e9),
+	)
 }
 
 // WriteBuildInfoMetric renders the silkmothd_build_info gauge: constant 1
@@ -40,8 +27,8 @@ func WriteRuntimeMetrics(w io.Writer) {
 // joining version metadata onto other series.
 func WriteBuildInfoMetric(w io.Writer) {
 	bi := ReadBuildInfo()
-	fmt.Fprintf(w, "# HELP silkmothd_build_info Build metadata of the running binary; constant 1.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_build_info gauge\n")
-	fmt.Fprintf(w, "silkmothd_build_info{version=%q,go=%q,revision=%q} 1\n",
-		bi.Version, bi.GoVersion, bi.Revision)
+	WriteFamilies(w, Family{"silkmothd_build_info", "gauge", "Build metadata of the running binary; constant 1.", []Series{{
+		Labels: fmt.Sprintf("version=%q,go=%q,revision=%q", bi.Version, bi.GoVersion, bi.Revision),
+		Value:  1,
+	}}})
 }

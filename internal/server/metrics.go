@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,69 +143,48 @@ func (m *metrics) misses() int64         { return atomic.LoadInt64(&m.cacheMisse
 func (m *metrics) inflightNow() int64    { return atomic.LoadInt64(&m.inflight) }
 func (m *metrics) uptime() time.Duration { return time.Since(m.start) }
 
-// write renders all metrics. extra emits server-specific gauges (engine
-// funnel, collection size, stage histograms) supplied by the caller.
-func (m *metrics) write(w io.Writer, extra func(io.Writer)) {
-	fmt.Fprintf(w, "# HELP silkmothd_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "silkmothd_uptime_seconds %g\n", m.uptime().Seconds())
-
-	fmt.Fprintf(w, "# HELP silkmothd_inflight_requests Query requests currently executing.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_inflight_requests gauge\n")
-	fmt.Fprintf(w, "silkmothd_inflight_requests %d\n", m.inflightNow())
-
-	fmt.Fprintf(w, "# HELP silkmothd_queue_depth Requests waiting for a worker-pool slot.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_queue_depth gauge\n")
-	fmt.Fprintf(w, "silkmothd_queue_depth %d\n", atomic.LoadInt64(&m.queueDepth))
-	fmt.Fprintf(w, "# HELP silkmothd_queue_depth_high_water Deepest the worker-pool queue has been since startup.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_queue_depth_high_water gauge\n")
-	fmt.Fprintf(w, "silkmothd_queue_depth_high_water %d\n", atomic.LoadInt64(&m.queueHWM))
-
-	fmt.Fprintf(w, "# HELP silkmothd_rejections_total Query requests that failed without a full result, by cause.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_rejections_total counter\n")
-	fmt.Fprintf(w, "silkmothd_rejections_total{cause=%q} %d\n", causePoolFull, atomic.LoadInt64(&m.rejectPoolFull))
-	fmt.Fprintf(w, "silkmothd_rejections_total{cause=%q} %d\n", causeTimeout, atomic.LoadInt64(&m.rejectTimeout))
-	fmt.Fprintf(w, "silkmothd_rejections_total{cause=%q} %d\n", causeCancelled, atomic.LoadInt64(&m.rejectCancelled))
-
-	fmt.Fprintf(w, "# HELP silkmothd_cache_hits_total Result-cache hits, one per query (each batch item counts).\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "silkmothd_cache_hits_total %d\n", m.hits())
-	fmt.Fprintf(w, "# HELP silkmothd_cache_misses_total Result-cache misses, one per query (each batch item counts).\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "silkmothd_cache_misses_total %d\n", m.misses())
-
-	type row struct {
-		routeKey
-		count int64
-	}
+// families is the request-side part of the /metrics table: uptime, the
+// worker pool, rejections, result-cache outcomes, and per-route request
+// counts and latency.
+func (m *metrics) families() []obs.Family {
 	counts := m.counts.Load().(map[routeKey]*int64)
-	rows := make([]row, 0, len(counts))
-	for key, c := range counts {
-		rows = append(rows, row{routeKey: key, count: atomic.LoadInt64(c)})
+	keys := make([]routeKey, 0, len(counts))
+	for key := range counts {
+		keys = append(keys, key)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].path != rows[j].path {
-			return rows[i].path < rows[j].path
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].path != keys[j].path {
+			return keys[i].path < keys[j].path
 		}
-		return rows[i].code < rows[j].code
+		return keys[i].code < keys[j].code
 	})
-	fmt.Fprintf(w, "# HELP silkmothd_requests_total Requests served, by path and status code.\n")
-	fmt.Fprintf(w, "# TYPE silkmothd_requests_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "silkmothd_requests_total{path=%q,code=\"%d\"} %d\n", r.path, r.code, r.count)
+	requests := obs.Family{Name: "silkmothd_requests_total", Type: "counter", Help: "Requests served, by path and status code."}
+	for _, key := range keys {
+		requests.Series = append(requests.Series, obs.Series{
+			Labels: fmt.Sprintf("path=%q,code=\"%d\"", key.path, key.code),
+			Value:  float64(atomic.LoadInt64(counts[key])),
+		})
 	}
-
 	paths := make([]string, 0, len(m.routeHist))
 	for path := range m.routeHist {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
-	obs.WriteHistogramHeader(w, "silkmothd_request_seconds", "Request latency by route.")
+	latency := obs.Family{Name: "silkmothd_request_seconds", Type: "histogram", Help: "Request latency by route."}
 	for _, path := range paths {
-		obs.WriteHistogram(w, "silkmothd_request_seconds", fmt.Sprintf("path=%q", path), m.routeHist[path].Snapshot())
+		latency.Series = append(latency.Series, m.routeHist[path].Snapshot().Series(fmt.Sprintf("path=%q", path)))
 	}
-
-	if extra != nil {
-		extra(w)
+	return []obs.Family{
+		obs.Gauge("silkmothd_uptime_seconds", "Seconds since the server started.", m.uptime().Seconds()),
+		obs.Gauge("silkmothd_inflight_requests", "Query requests currently executing.", m.inflightNow()),
+		obs.Gauge("silkmothd_queue_depth", "Requests waiting for a worker-pool slot.", atomic.LoadInt64(&m.queueDepth)),
+		obs.Gauge("silkmothd_queue_depth_high_water", "Deepest the worker-pool queue has been since startup.", atomic.LoadInt64(&m.queueHWM)),
+		obs.Labelled("silkmothd_rejections_total", "counter", "Query requests that failed without a full result, by cause.",
+			"cause", []string{causePoolFull, causeTimeout, causeCancelled},
+			atomic.LoadInt64(&m.rejectPoolFull), atomic.LoadInt64(&m.rejectTimeout), atomic.LoadInt64(&m.rejectCancelled)),
+		obs.Counter("silkmothd_cache_hits_total", "Result-cache hits, one per query (each batch item counts).", m.hits()),
+		obs.Counter("silkmothd_cache_misses_total", "Result-cache misses, one per query (each batch item counts).", m.misses()),
+		requests,
+		latency,
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -57,7 +58,7 @@ func TestPipelineFunnelStats(t *testing.T) {
 		t.Fatalf("sim_evals %d + sim_memo_hits %d + sim_counted %d + sim_bounded %d for %d candidates",
 			e.SimEvals, e.SimMemoHits, e.SimCounted, e.SimBounded, e.Candidates)
 	}
-	selections := e.Scheme.Weighted + e.Scheme.Skyline + e.Scheme.Dichotomy + e.Scheme.CombUnweighted
+	selections := e.Scheme.SchemeWeighted + e.Scheme.SchemeSkyline + e.Scheme.SchemeDichotomy + e.Scheme.SchemeCombUnweighted
 	if selections != e.SearchPasses-e.FullScans {
 		t.Fatalf("scheme selections %d != signatured passes %d", selections, e.SearchPasses-e.FullScans)
 	}
@@ -91,63 +92,159 @@ func TestPipelineFunnelMetrics(t *testing.T) {
 	}
 }
 
-// TestFunnelOnEverySurface walks silkmoth.Funnel's fields: each must be a
-// key of the explain object, of /v1/stats's engine block and of the
-// slow-query line, and the value of its own silkmothd_engine_*_total
-// counter family in /metrics. A counter added to the record and left off
-// one surface fails here.
-func TestFunnelOnEverySurface(t *testing.T) {
+// TestStatsOnEverySurface walks every field of every block silkmoth.Stats
+// embeds. Each must be a key of its /v1/stats block, and that key's value
+// the value of the field's sample in /metrics, found by charging the field
+// alone and seeing which sample of the server's table moves. Funnel fields
+// must also be keys of the explain object and of the slow-query line. A
+// counter added to a block and left off a surface fails here.
+func TestStatsOnEverySurface(t *testing.T) {
+	// A recovered, compressed, mapped engine with a replayed log record, so
+	// that the durability and storage blocks carry non-zero values.
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	cfg.CompressedPostings = true
+	eng, err := silkmoth.NewEngine(testSets(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Add([]silkmoth.Set{{Name: "pois", Elements: []string{"77 Mass Ave Boston MA", "Pike Pl Seattle WA"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = silkmoth.NewEngine(nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	var logs bytes.Buffer
-	s, _ := newTestServer(t, Options{SlowQuerySample: 1, LogWriter: &logs})
+	s := New(eng, cfg, Options{SlowQuerySample: 1, LogWriter: &logs})
 	w := postJSON(t, s, "/v1/explain", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("explain = %d (%s)", w.Code, w.Body)
 	}
+	if w := postJSON(t, s, "/v1/sets", `{"sets": [{"elements": ["Elm St Austin TX"]}]}`); w.Code != http.StatusOK {
+		t.Fatalf("add = %d (%s)", w.Code, w.Body)
+	}
 	explain := decode[struct {
 		Explain map[string]json.RawMessage `json:"explain"`
 	}](t, w).Explain
-	engine := decode[struct {
-		Engine map[string]json.RawMessage `json:"engine"`
-	}](t, get(t, s, "/v1/stats")).Engine
 	var slow map[string]json.RawMessage
 	if err := json.Unmarshal(logs.Bytes(), &slow); err != nil {
 		t.Fatalf("want one slow-query line: %v\n%s", err, logs.Bytes())
 	}
+	stats := decode[map[string]any](t, get(t, s, "/v1/stats"))
 	fams, err := obs.ParseText(get(t, s, "/metrics").Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := make(map[string]bool)
+	scraped := make(map[string]float64)
 	for _, f := range fams {
-		counters[f.Name] = f.Type == "counter"
+		for _, smp := range f.Samples {
+			labels := ""
+			for k, v := range smp.Labels {
+				labels = fmt.Sprintf("%s=%q", k, v) // every table family has at most one label
+			}
+			scraped[f.Name+"{"+labels+"}"] = smp.Value
+		}
 	}
-
-	// Give every field a distinct value to tell which family carries it.
-	var st silkmoth.Stats
-	fv := reflect.ValueOf(&st.Funnel).Elem()
-	for i := range fv.NumField() {
-		fv.Field(i).SetInt(int64(1000 + i))
-	}
-	family := make(map[int64]string)
-	for _, c := range engineCounters(&st) {
-		family[c.value] = c.name
-	}
-	for i := range fv.NumField() {
-		field := fv.Type().Field(i)
-		key, _, _ := strings.Cut(field.Tag.Get("json"), ",")
-		for _, surface := range []struct {
-			name string
-			keys map[string]json.RawMessage
-		}{{"explain", explain}, {"/v1/stats engine", engine}, {"slow-query line", slow}} {
-			if _, ok := surface.keys[key]; !ok {
-				t.Errorf("Funnel.%s: no %q key in the %s", field.Name, key, surface.name)
+	// table renders the server's /metrics table for st as sample → value.
+	table := func(st *silkmoth.Stats) map[string]float64 {
+		out := make(map[string]float64)
+		for _, f := range s.families(st) {
+			for _, smp := range f.Series {
+				if f.Type != "histogram" {
+					out[f.Name+"{"+smp.Labels+"}"] = smp.Value
+				}
 			}
 		}
-		name := family[int64(1000+i)]
-		if !strings.HasPrefix(name, "silkmothd_engine_") || !strings.HasSuffix(name, "_total") {
-			t.Errorf("Funnel.%s: no silkmothd_engine_*_total family in engineCounters (got %q)", field.Name, name)
-		} else if !counters[name] {
-			t.Errorf("Funnel.%s: /metrics has no counter family %s", field.Name, name)
+		return out
+	}
+	base := table(&silkmoth.Stats{})
+
+	blocks := map[string]string{"Funnel": "engine", "SchemeCounts": "engine.scheme", "PostingStorage": "storage", "Durability": "durability"}
+	// The logical posting count is served in /v1/stats only; /metrics
+	// reports posting storage in bytes.
+	jsonOnly := map[string]bool{"Postings": true}
+	statsType := reflect.TypeOf(silkmoth.Stats{})
+	var nonZero int
+	for bi := range statsType.NumField() {
+		block := statsType.Field(bi)
+		if !block.Anonymous {
+			continue
 		}
+		path, ok := blocks[block.Name]
+		if !ok {
+			t.Errorf("Stats embeds %s, which has no /v1/stats block in this test", block.Name)
+			continue
+		}
+		obj := stats
+		for _, k := range strings.Split(path, ".") {
+			obj, _ = obj[k].(map[string]any)
+		}
+		for fi := range block.Type.NumField() {
+			field := block.Type.Field(fi)
+			name := block.Name + "." + field.Name
+			key, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+			raw, ok := obj[key]
+			if !ok {
+				t.Errorf("%s: no %q key in the /v1/stats %s block", name, key, path)
+				continue
+			}
+			if block.Name == "Funnel" {
+				for _, surface := range []struct {
+					name string
+					keys map[string]json.RawMessage
+				}{{"explain object", explain}, {"slow-query line", slow}} {
+					if _, ok := surface.keys[key]; !ok {
+						t.Errorf("%s: no %q key in the %s", name, key, surface.name)
+					}
+				}
+			}
+			if jsonOnly[field.Name] {
+				continue
+			}
+			var st silkmoth.Stats
+			fv := reflect.ValueOf(&st).Elem().Field(bi).Field(fi)
+			if fv.Kind() == reflect.Bool {
+				fv.SetBool(true)
+			} else {
+				fv.SetInt(7)
+			}
+			var moved []string
+			for sample, v := range table(&st) {
+				if v != base[sample] {
+					moved = append(moved, sample)
+				}
+			}
+			if len(moved) != 1 {
+				t.Errorf("%s: charging it moves %d /metrics samples %v, want 1", name, len(moved), moved)
+				continue
+			}
+			// A labelled sample's label value names its field's JSON key
+			// (heap_bytes is form="heap"), so two swapped series fail too.
+			if _, label, ok := strings.Cut(moved[0], `="`); ok && !strings.Contains(key, strings.TrimSuffix(label, `"}`)) {
+				t.Errorf("%s: charging it moves %s, labelled for another key than %q", name, moved[0], key)
+			}
+			var want float64
+			switch v := raw.(type) {
+			case float64:
+				want = v
+			case bool:
+				if v {
+					want = 1
+				}
+			}
+			if want != 0 {
+				nonZero++
+			}
+			if got, ok := scraped[moved[0]]; !ok || got != want {
+				t.Errorf("%s: /metrics %s = %v (present %v), /v1/stats %s.%s = %v", name, moved[0], got, ok, path, key, raw)
+			}
+		}
+	}
+	if nonZero < 10 {
+		t.Errorf("only %d Stats block fields were non-zero: the fixture checks too little", nonZero)
 	}
 }

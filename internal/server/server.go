@@ -871,131 +871,6 @@ func (s *Server) handleUpdateSet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type statsResponse struct {
-	// Sets is the live set count; Tombstones counts deleted sets whose
-	// postings await compaction. Generation is the mutation counter
-	// conditional mutations (if_generation) compare against.
-	Sets       int    `json:"sets"`
-	Tombstones int    `json:"tombstones"`
-	Generation int64  `json:"generation"`
-	Shards     int    `json:"shards"`
-	Metric     string `json:"metric"`
-	Similarity string `json:"similarity"`
-	// ConfiguredScheme is the engine's signature scheme by name ("auto"
-	// means per-query cost-based selection; individual queries may also
-	// pin a scheme per request).
-	ConfiguredScheme string  `json:"scheme"`
-	Delta            float64 `json:"delta"`
-	Alpha            float64 `json:"alpha"`
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	Engine           struct {
-		SearchPasses int64 `json:"search_passes"`
-		silkmoth.Funnel
-		SplitPasses  int64 `json:"split_passes"`
-		HelperChunks int64 `json:"helper_chunks"`
-		Compactions  int64 `json:"compactions"`
-		// Scheme counts signatured passes by the concrete signature
-		// scheme that probed the index; with -scheme auto it exposes
-		// the per-query cost-based selection.
-		Scheme struct {
-			Weighted       int64 `json:"weighted"`
-			Skyline        int64 `json:"skyline"`
-			Dichotomy      int64 `json:"dichotomy"`
-			CombUnweighted int64 `json:"combunweighted"`
-		} `json:"scheme"`
-	} `json:"engine"`
-	Cache struct {
-		Entries int   `json:"entries"`
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-	} `json:"cache"`
-	// Storage reports how the inverted index's posting lists are held:
-	// materialized on the heap (compressed false) or as adaptive compressed
-	// containers decoded lazily through a bounded cache (compressed true).
-	Storage struct {
-		Compressed bool `json:"compressed"`
-		// Postings is the logical posting count; HeapBytes / EncodedBytes /
-		// ResidentBytes are materialized, compressed-container, and
-		// decode-cache storage respectively. Postings*8/EncodedBytes is the
-		// compression ratio when compressed. DirectoryBytes is the element
-		// directory beside the postings (key and token count per element),
-		// held in either form.
-		Postings       int   `json:"postings"`
-		HeapBytes      int64 `json:"heap_bytes"`
-		EncodedBytes   int64 `json:"encoded_bytes"`
-		ResidentBytes  int64 `json:"resident_bytes"`
-		DirectoryBytes int64 `json:"directory_bytes"`
-		CacheHits      int64 `json:"cache_hits"`
-		CacheMisses    int64 `json:"cache_misses"`
-		DecodeErrors   int64 `json:"decode_errors"`
-		// SnapshotMapped reports a zero-copy load: container bytes alias
-		// the memory-mapped snapshot and page in from disk on demand.
-		SnapshotMapped bool `json:"snapshot_mapped"`
-	} `json:"storage"`
-	// Durability reports the snapshot/WAL layer; all-zero (and enabled
-	// false) on an engine without a data directory.
-	Durability struct {
-		Enabled bool `json:"enabled"`
-		// Snapshots counts durable snapshots written since startup;
-		// WALRecords counts fsync'd mutation records appended since
-		// startup (cumulative across snapshot rotations).
-		Snapshots  int64 `json:"snapshots"`
-		WALRecords int64 `json:"wal_records"`
-		// RecoveredSnapshot and WALReplayed describe what startup found:
-		// whether a snapshot was loaded, and how many logged mutations
-		// were replayed over it. WALTornTail reports a torn (partially
-		// written) final record discarded during replay — expected after
-		// a crash mid-append, alarming otherwise.
-		RecoveredSnapshot bool `json:"recovered_snapshot"`
-		WALReplayed       int  `json:"wal_replayed"`
-		WALTornTail       bool `json:"wal_torn_tail"`
-	} `json:"durability"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
-	var resp statsResponse
-	resp.Sets = st.Live
-	resp.Tombstones = st.Tombstones
-	resp.Generation = atomic.LoadInt64(&s.gen)
-	resp.Shards = s.eng.Shards()
-	resp.Metric = s.cfg.Metric.String()
-	resp.Similarity = s.cfg.Similarity.String()
-	resp.ConfiguredScheme = s.cfg.Scheme.String()
-	resp.Delta = s.cfg.Delta
-	resp.Alpha = s.cfg.Alpha
-	resp.UptimeSeconds = s.met.uptime().Seconds()
-	resp.Engine.SearchPasses = st.SearchPasses
-	resp.Engine.Funnel = st.Funnel
-	resp.Engine.SplitPasses = st.SplitPasses
-	resp.Engine.HelperChunks = st.HelperChunks
-	resp.Engine.Compactions = st.Compactions
-	resp.Engine.Scheme.Weighted = st.SchemeWeighted
-	resp.Engine.Scheme.Skyline = st.SchemeSkyline
-	resp.Engine.Scheme.Dichotomy = st.SchemeDichotomy
-	resp.Engine.Scheme.CombUnweighted = st.SchemeCombUnweighted
-	resp.Cache.Entries = s.cache.len()
-	resp.Cache.Hits = s.met.hits()
-	resp.Cache.Misses = s.met.misses()
-	resp.Storage.Compressed = st.CompressedPostings
-	resp.Storage.Postings = st.Postings
-	resp.Storage.HeapBytes = st.PostingHeapBytes
-	resp.Storage.EncodedBytes = st.PostingEncodedBytes
-	resp.Storage.ResidentBytes = st.PostingResidentBytes
-	resp.Storage.DirectoryBytes = st.PostingDirectoryBytes
-	resp.Storage.CacheHits = st.PostingCacheHits
-	resp.Storage.CacheMisses = st.PostingCacheMisses
-	resp.Storage.DecodeErrors = st.PostingDecodeErrors
-	resp.Storage.SnapshotMapped = st.SnapshotMapped
-	resp.Durability.Enabled = s.cfg.DataDir != ""
-	resp.Durability.Snapshots = st.Snapshots
-	resp.Durability.WALRecords = st.WALRecords
-	resp.Durability.RecoveredSnapshot = st.RecoveredSnapshot
-	resp.Durability.WALReplayed = st.WALReplayed
-	resp.Durability.WALTornTail = st.WALTornTail
-	writeJSON(w, http.StatusOK, resp)
-}
-
 type versionResponse struct {
 	Version   string `json:"version"`
 	GoVersion string `json:"go"`
@@ -1020,148 +895,4 @@ type healthResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Sets: s.eng.Len()})
-}
-
-// engineCounter is one /metrics counter family of the engine's Stats.
-type engineCounter struct {
-	name, help string
-	value      int64
-}
-
-// engineCounters lists the search passes and one family per
-// silkmoth.Funnel field.
-func engineCounters(st *silkmoth.Stats) []engineCounter {
-	return []engineCounter{
-		{"silkmothd_engine_search_passes_total", "Search passes run by the engine.", st.SearchPasses},
-		{"silkmothd_engine_full_scans_total", "Signatureless full-scan passes run by the engine.", st.FullScans},
-		{"silkmothd_engine_signature_tokens_total", "Signature tokens generated across passes.", st.SigTokens},
-		{"silkmothd_engine_candidates_total", "Candidate sets matched by signature tokens before refinement.", st.Candidates},
-		{"silkmothd_engine_after_check_total", "Candidates that survived the check filter.", st.AfterCheck},
-		{"silkmothd_engine_check_pruned_total", "Candidates rejected by the check filter.", st.CheckPruned},
-		{"silkmothd_engine_after_nn_total", "Candidates that survived the nearest-neighbor filter.", st.AfterNN},
-		{"silkmothd_engine_nn_pruned_total", "Candidates rejected by the nearest-neighbor filter.", st.NNPruned},
-		{"silkmothd_engine_verified_total", "Maximum-matching verifications run by the engine.", st.Verified},
-		{"silkmothd_engine_sim_evals_total", "Element-similarity kernel calls made by the check and nearest-neighbor filters.", st.SimEvals},
-		{"silkmothd_engine_sim_memo_hits_total", "Filter similarity requests answered by the per-pass memo without a kernel call.", st.SimMemoHits},
-		{"silkmothd_engine_sim_counted_total", "Element pairs the check and nearest-neighbor filters scored from index overlap counts without a kernel call.", st.SimCounted},
-		{"silkmothd_engine_sim_bounded_total", "Element pairs the check filter dropped on a bound from index counts and sizes, without memo probe or kernel call.", st.SimBounded},
-	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, func(out io.Writer) {
-		st := s.eng.Stats()
-		fmt.Fprintf(out, "# HELP silkmothd_collection_sets Live sets currently indexed.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_collection_sets gauge\n")
-		fmt.Fprintf(out, "silkmothd_collection_sets %d\n", st.Live)
-		fmt.Fprintf(out, "# HELP silkmothd_collection_tombstones Deleted sets whose postings await compaction.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_collection_tombstones gauge\n")
-		fmt.Fprintf(out, "silkmothd_collection_tombstones %d\n", st.Tombstones)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_compactions_total Compaction passes run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_compactions_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_compactions_total %d\n", st.Compactions)
-		fmt.Fprintf(out, "# HELP silkmothd_mutation_generation Mutations applied to the collection since startup.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_mutation_generation counter\n")
-		fmt.Fprintf(out, "silkmothd_mutation_generation %d\n", atomic.LoadInt64(&s.gen))
-		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Most goroutines one search runs on (1 = the caller's only).\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_shards gauge\n")
-		fmt.Fprintf(out, "silkmothd_engine_shards %d\n", s.eng.Shards())
-		for _, c := range engineCounters(&st) {
-			fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-		}
-		fmt.Fprintf(out, "# HELP silkmothd_engine_scheme_selected_total Signatured passes by concrete signature scheme.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_scheme_selected_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"weighted\"} %d\n", st.SchemeWeighted)
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"skyline\"} %d\n", st.SchemeSkyline)
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"dichotomy\"} %d\n", st.SchemeDichotomy)
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"combunweighted\"} %d\n", st.SchemeCombUnweighted)
-		fmt.Fprintf(out, "# HELP silkmothd_result_cache_entries Entries in the result cache.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_result_cache_entries gauge\n")
-		fmt.Fprintf(out, "silkmothd_result_cache_entries %d\n", s.cache.len())
-		fmt.Fprintf(out, "# HELP silkmothd_result_cache_evictions_total Cache entries evicted by capacity pressure (purges excluded).\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_result_cache_evictions_total counter\n")
-		fmt.Fprintf(out, "silkmothd_result_cache_evictions_total %d\n", s.cache.evictions())
-
-		sl := s.eng.StageLatencies()
-		obs.WriteHistogramHeader(out, "silkmothd_stage_seconds",
-			"Per-pass pipeline stage latency: signature generation, candidate collect/check, NN-refine, exact verification (sampled; see StageSample).")
-		for _, st := range []struct {
-			name string
-			h    silkmoth.LatencyHistogram
-		}{
-			{"signature", sl.Signature},
-			{"collect", sl.Collect},
-			{"refine", sl.Refine},
-			{"verify", sl.Verify},
-		} {
-			obs.WriteHistogram(out, "silkmothd_stage_seconds", fmt.Sprintf("stage=%q", st.name), snapFromPublic(st.h))
-		}
-		fmt.Fprintf(out, "# HELP silkmothd_search_split_passes_total Search passes whose first set-id chunk ran long enough to start helpers.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_search_split_passes_total counter\n")
-		fmt.Fprintf(out, "silkmothd_search_split_passes_total %d\n", st.SplitPasses)
-		fmt.Fprintf(out, "# HELP silkmothd_search_helper_chunks_total Set-id chunks of split search passes that helpers ran.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_search_helper_chunks_total counter\n")
-		fmt.Fprintf(out, "silkmothd_search_helper_chunks_total %d\n", st.HelperChunks)
-
-		fmt.Fprintf(out, "# HELP silkmothd_posting_storage_compressed Whether the inverted index stores posting lists as compressed containers.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_posting_storage_compressed gauge\n")
-		fmt.Fprintf(out, "silkmothd_posting_storage_compressed %d\n", b2i(st.CompressedPostings))
-		fmt.Fprintf(out, "# HELP silkmothd_posting_storage_bytes Posting storage by form: heap-materialized lists, encoded container bytes, decode-cache resident bytes, the element directory.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_posting_storage_bytes gauge\n")
-		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"heap\"} %d\n", st.PostingHeapBytes)
-		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"encoded\"} %d\n", st.PostingEncodedBytes)
-		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"resident\"} %d\n", st.PostingResidentBytes)
-		fmt.Fprintf(out, "silkmothd_posting_storage_bytes{form=\"directory\"} %d\n", st.PostingDirectoryBytes)
-		fmt.Fprintf(out, "# HELP silkmothd_posting_cache_probes_total Decode-cache probes of compressed posting lists by outcome.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_posting_cache_probes_total counter\n")
-		fmt.Fprintf(out, "silkmothd_posting_cache_probes_total{outcome=\"hit\"} %d\n", st.PostingCacheHits)
-		fmt.Fprintf(out, "silkmothd_posting_cache_probes_total{outcome=\"miss\"} %d\n", st.PostingCacheMisses)
-		fmt.Fprintf(out, "# HELP silkmothd_posting_decode_errors_total Container decode failures (non-zero only with a corrupted snapshot).\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_posting_decode_errors_total counter\n")
-		fmt.Fprintf(out, "silkmothd_posting_decode_errors_total %d\n", st.PostingDecodeErrors)
-		fmt.Fprintf(out, "# HELP silkmothd_snapshot_mapped Whether the index's containers alias a memory-mapped snapshot (zero-copy load).\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_snapshot_mapped gauge\n")
-		fmt.Fprintf(out, "silkmothd_snapshot_mapped %d\n", b2i(st.SnapshotMapped))
-
-		fmt.Fprintf(out, "# HELP silkmothd_snapshots_total Durable snapshots written since startup.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_snapshots_total counter\n")
-		fmt.Fprintf(out, "silkmothd_snapshots_total %d\n", st.Snapshots)
-		fmt.Fprintf(out, "# HELP silkmothd_wal_appends_total Mutation records appended (fsync'd) to the write-ahead log since startup.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_wal_appends_total counter\n")
-		fmt.Fprintf(out, "silkmothd_wal_appends_total %d\n", st.WALRecords)
-		fmt.Fprintf(out, "# HELP silkmothd_wal_replayed_records WAL records replayed over the recovered snapshot at startup.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_wal_replayed_records gauge\n")
-		fmt.Fprintf(out, "silkmothd_wal_replayed_records %d\n", st.WALReplayed)
-		fmt.Fprintf(out, "# HELP silkmothd_recovered_snapshot Whether startup recovered a durable snapshot (1) or bootstrapped fresh (0).\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_recovered_snapshot gauge\n")
-		fmt.Fprintf(out, "silkmothd_recovered_snapshot %d\n", b2i(st.RecoveredSnapshot))
-		fmt.Fprintf(out, "# HELP silkmothd_wal_torn_tail Whether startup discarded a torn final WAL record (expected after a crash mid-append).\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_wal_torn_tail gauge\n")
-		fmt.Fprintf(out, "silkmothd_wal_torn_tail %d\n", b2i(st.WALTornTail))
-
-		obs.WriteRuntimeMetrics(out)
-		obs.WriteBuildInfoMetric(out)
-	})
-}
-
-// b2i renders a boolean as a 0/1 Prometheus gauge value.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// snapFromPublic rebuilds an obs snapshot from the engine's public
-// histogram shape so the shared text renderer can emit it. The public
-// bounds are the obs bounds, so the copy is index-aligned by construction.
-func snapFromPublic(h silkmoth.LatencyHistogram) obs.HistogramSnapshot {
-	var s obs.HistogramSnapshot
-	for i := 0; i < len(h.Counts) && i < len(s.Counts); i++ {
-		s.Counts[i] = h.Counts[i]
-	}
-	s.Count = h.Count
-	s.SumNanos = h.Sum.Nanoseconds()
-	return s
 }

@@ -397,8 +397,8 @@ func TestStats(t *testing.T) {
 	}
 	// One shard, built in one piece: 8 bytes for each of the 9 elements and
 	// 4 for each of the 3 sets and the table's end.
-	if resp.Storage.DirectoryBytes != 9*8+4*4 {
-		t.Fatalf("storage.directory_bytes = %d, want %d", resp.Storage.DirectoryBytes, 9*8+4*4)
+	if resp.Storage.PostingDirectoryBytes != 9*8+4*4 {
+		t.Fatalf("storage.directory_bytes = %d, want %d", resp.Storage.PostingDirectoryBytes, 9*8+4*4)
 	}
 }
 

@@ -102,3 +102,81 @@ func lineDiff(want, got string) string {
 	}
 	return b.String()
 }
+
+// TestMetricCatalogMatchesScrape holds the README's metric catalog to a live
+// scrape: every family the table names is served with the kind and label
+// names its row gives, and every served family has a row. A row names one
+// family or several joined by " / ", with one kind for all or one each
+// ("gauge/counter").
+func TestMetricCatalogMatchesScrape(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct{ kind, labels string }
+	catalog := make(map[string]entry)
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "| `silkmothd_") {
+			continue
+		}
+		cells := strings.Split(line, " | ")
+		names := strings.Split(strings.Trim(cells[0], "| "), " / ")
+		kinds := strings.Split(cells[1], "/")
+		for i, name := range names {
+			kind := kinds[0]
+			if len(kinds) == len(names) {
+				kind = kinds[i]
+			} else if len(kinds) != 1 {
+				t.Errorf("catalog row %q: %d kinds for %d families", line, len(kinds), len(names))
+			}
+			name, labels, _ := strings.Cut(strings.Trim(name, "`"), "{")
+			catalog[name] = entry{kind, strings.TrimSuffix(labels, "}")}
+		}
+	}
+
+	s, _ := newTestServer(t, Options{})
+	postJSON(t, s, "/v1/search", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`)
+	fams, err := obs.ParseText(get(t, s, "/metrics").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(map[string]bool)
+	for _, f := range fams {
+		served[f.Name] = true
+		labels := make(map[string]bool)
+		for _, smp := range f.Samples {
+			for l := range smp.Labels {
+				labels[l] = l != "le"
+			}
+		}
+		c, ok := catalog[f.Name]
+		if !ok {
+			t.Errorf("/metrics serves %s, which the README catalog has no row for", f.Name)
+			continue
+		}
+		if c.kind != f.Type {
+			t.Errorf("%s: the catalog says %s, /metrics says %s", f.Name, c.kind, f.Type)
+		}
+		want := make(map[string]bool)
+		for _, l := range strings.Split(c.labels, ",") {
+			if l != "" {
+				want[l] = true
+			}
+		}
+		for l, real := range labels {
+			if real && !want[l] {
+				t.Errorf("%s: /metrics has label %q, the catalog lists {%s}", f.Name, l, c.labels)
+			}
+		}
+		for l := range want {
+			if !labels[l] {
+				t.Errorf("%s: the catalog lists label %q, /metrics has none", f.Name, l)
+			}
+		}
+	}
+	for name := range catalog {
+		if !served[name] {
+			t.Errorf("the README catalog lists %s, which /metrics does not serve", name)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"silkmoth/internal/core"
@@ -266,6 +267,90 @@ func TestFilterTogglesNeverChangeResults(t *testing.T) {
 				}
 				matchesEqual(t, fmt.Sprintf("shards=%d query=%d toggles=%d", shards, qi, ti), got, want)
 			}
+		}
+	}
+}
+
+// TestFilterTogglesOn turns the NN filter on per query over an engine built
+// with both filters off. The NN filter implies the check filter, so the
+// answers and the explained funnel must be those of an engine built with
+// both filters on.
+func TestFilterTogglesOn(t *testing.T) {
+	sets := autoGridCorpus(109, 24)
+	queries := autoGridCorpus(110, 5)
+	cfg := Config{Similarity: Jaccard, Delta: 0.3, Alpha: 0.3, Shards: 1}
+	on, err := NewEngine(sets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DisableCheckFilter, cfg.DisableNNFilter = true, true
+	off, err := NewEngine(sets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkPruned, verified int64
+	for qi, q := range queries {
+		var want, got Explain
+		wantMs, err := on.Search(q, WithExplain(&want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMs, err := off.Search(q, WithNNFilter(true), WithExplain(&got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("query=%d", qi)
+		matchesEqual(t, label, gotMs, wantMs)
+		if got.Funnel != want.Funnel || got.Passes != want.Passes {
+			t.Errorf("%s: WithNNFilter(true) over filters off explains %+v, filters on %+v", label, got.Funnel, want.Funnel)
+		}
+		checkPruned += want.CheckPruned
+		verified += want.Verified
+	}
+	if checkPruned == 0 || verified == 0 {
+		t.Fatalf("check filter pruned %d, %d verified: the corpus cannot tell whether the filters ran", checkPruned, verified)
+	}
+}
+
+// TestReductionToggleOnStaysSound turns the §5.3 reduction on per query
+// where its metric requirement fails — NEds, and Jaccard and Eds at α > 0 —
+// over an engine built without it. The toggle must leave it off there, so
+// the answers are the brute-force oracle's.
+func TestReductionToggleOnStaysSound(t *testing.T) {
+	sets := autoGridCorpus(109, 24)
+	queries := autoGridCorpus(110, 5)
+	for _, cfg := range []Config{
+		{Similarity: NEds, Delta: 0.5},
+		{Similarity: Jaccard, Delta: 0.3, Alpha: 0.3},
+		{Similarity: Eds, Delta: 0.5, Alpha: 0.6},
+	} {
+		cfg.DisableReduction, cfg.Shards = true, 1
+		eng, err := NewEngine(sets, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for qi, q := range queries {
+			got, err := eng.Search(q, WithReduction(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.mu.RLock()
+			scratch, qc := eng.tokenizeQuery(toRaw([]Set{q}))
+			want := eng.toMatches(eng.eng.BruteForceSearch(&qc.Sets[0]))
+			queryScratchPool.Put(scratch)
+			eng.mu.RUnlock()
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Relatedness != want[j].Relatedness {
+					return want[i].Relatedness > want[j].Relatedness
+				}
+				return want[i].Index < want[j].Index
+			})
+			matchesEqual(t, fmt.Sprintf("%v α=%g query=%d", cfg.Similarity, cfg.Alpha, qi), got, want)
+			found += len(want)
+		}
+		if found == 0 {
+			t.Errorf("%v α=%g: no query matched anything", cfg.Similarity, cfg.Alpha)
 		}
 	}
 }

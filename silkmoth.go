@@ -444,21 +444,18 @@ type Pair struct {
 
 // Stats reports the per-stage pruning funnel of an engine's work so far —
 // signature generation through exact verification — plus the collection's
-// mutation lifecycle counters.
+// mutation lifecycle counters. Its blocks (Funnel, SchemeCounts,
+// PostingStorage, Durability) carry the JSON keys silkmothd's /v1/stats
+// serves them under, and their fields are promoted: st.WALRecords is
+// st.Durability.WALRecords.
 type Stats struct {
 	// SearchPasses is the number of reference sets processed.
 	SearchPasses int64
 	// Funnel is the pruning funnel summed over all of SearchPasses.
 	Funnel
-	// SchemeWeighted, SchemeSkyline, SchemeDichotomy, and
-	// SchemeCombUnweighted count passes by the concrete signature scheme
-	// that probed the index. Under Config.Scheme = SchemeAuto they expose
-	// the per-query cost-based selection; under a fixed scheme exactly
-	// one of them grows.
-	SchemeWeighted       int64
-	SchemeSkyline        int64
-	SchemeDichotomy      int64
-	SchemeCombUnweighted int64
+	// SchemeCounts splits the signatured passes by the scheme that probed
+	// the index.
+	SchemeCounts
 	// TimedPasses counts the search passes whose stages were wall-timed
 	// (sampled per Config.StageSample, plus every explained query); Stages
 	// holds those passes' summed per-stage durations. Divide by
@@ -478,52 +475,79 @@ type Stats struct {
 	Tombstones int
 	// Compactions counts compaction passes run.
 	Compactions int64
-	// Snapshots counts durable snapshots written since the engine opened
-	// (including the bootstrap snapshot). Zero on a heap-only engine.
-	Snapshots int64
-	// WALRecords counts mutation records this engine appended (and
-	// fsync'd) to its write-ahead log. Zero on a heap-only engine.
-	WALRecords int64
-	// WALReplayed is the number of log records replayed during startup
-	// recovery.
-	WALReplayed int
-	// RecoveredSnapshot reports that the engine's state was loaded from a
-	// durable snapshot at startup rather than built from scratch.
-	RecoveredSnapshot bool
-	// WALTornTail reports that startup replay stopped at an incomplete or
-	// checksum-failing final record — the expected shape after a crash
-	// mid-append; the torn tail was truncated away.
-	WALTornTail bool
+	// Durability reports the snapshot/WAL layer: all zero on a heap-only
+	// engine.
+	Durability
+	// PostingStorage reports how the index holds its posting lists.
+	PostingStorage
+}
+
+// SchemeCounts counts signatured search passes by the concrete signature
+// scheme that probed the index. Under Config.Scheme = SchemeAuto they expose
+// the per-query cost-based selection; under a fixed scheme exactly one of
+// them grows.
+type SchemeCounts struct {
+	SchemeWeighted       int64 `json:"weighted"`
+	SchemeSkyline        int64 `json:"skyline"`
+	SchemeDichotomy      int64 `json:"dichotomy"`
+	SchemeCombUnweighted int64 `json:"combunweighted"`
+}
+
+// PostingStorage reports how the inverted index holds its posting lists:
+// materialized on the heap, or as adaptive compressed containers decoded
+// lazily through a bounded cache.
+type PostingStorage struct {
 	// CompressedPostings reports whether the index stores posting lists as
 	// compressed containers (Config.CompressedPostings, or a zero-copy
 	// snapshot load).
-	CompressedPostings bool
+	CompressedPostings bool `json:"compressed"`
 	// Postings is the logical posting count across the index's lists.
-	Postings int
+	Postings int `json:"postings"`
 	// PostingHeapBytes approximates the materialized posting storage held
 	// outside the decode cache: all lists on an uncompressed engine, only
 	// post-load appends on a compressed one.
-	PostingHeapBytes int64
+	PostingHeapBytes int64 `json:"heap_bytes"`
 	// PostingEncodedBytes is the compressed container storage backing the
 	// index (zero on an uncompressed engine). The compression ratio is
 	// Postings*8 / PostingEncodedBytes.
-	PostingEncodedBytes int64
+	PostingEncodedBytes int64 `json:"encoded_bytes"`
 	// PostingResidentBytes is the decode cache's current holding of hot
 	// materialized lists.
-	PostingResidentBytes int64
+	PostingResidentBytes int64 `json:"resident_bytes"`
 	// PostingDirectoryBytes is the index's element directory: per indexed
 	// element the content key and token count the filters read per
 	// posting (8 bytes an element plus 4 a set). It is derived state,
 	// present on compressed and uncompressed engines alike, and not part
 	// of PostingHeapBytes.
-	PostingDirectoryBytes int64
+	PostingDirectoryBytes int64 `json:"directory_bytes"`
 	// PostingCacheHits / PostingCacheMisses count decode-cache probes of
 	// compressed lists; PostingDecodeErrors counts container decode
 	// failures (non-zero only with a corrupted snapshot).
-	PostingCacheHits    int64
-	PostingCacheMisses  int64
-	PostingDecodeErrors int64
+	PostingCacheHits    int64 `json:"cache_hits"`
+	PostingCacheMisses  int64 `json:"cache_misses"`
+	PostingDecodeErrors int64 `json:"decode_errors"`
 	// SnapshotMapped reports that the engine's containers alias a
 	// memory-mapped snapshot (zero-copy load, postings paged from disk).
-	SnapshotMapped bool
+	SnapshotMapped bool `json:"snapshot_mapped"`
+}
+
+// Durability reports an engine's snapshot/WAL layer (Config.DataDir): what
+// it has written since it opened, and what startup recovery found.
+type Durability struct {
+	// Snapshots counts durable snapshots written since the engine opened
+	// (including the bootstrap snapshot).
+	Snapshots int64 `json:"snapshots"`
+	// WALRecords counts mutation records this engine appended (and
+	// fsync'd) to its write-ahead log.
+	WALRecords int64 `json:"wal_records"`
+	// RecoveredSnapshot reports that the engine's state was loaded from a
+	// durable snapshot at startup rather than built from scratch.
+	RecoveredSnapshot bool `json:"recovered_snapshot"`
+	// WALReplayed is the number of log records replayed during startup
+	// recovery.
+	WALReplayed int `json:"wal_replayed"`
+	// WALTornTail reports that startup replay stopped at an incomplete or
+	// checksum-failing final record — the expected shape after a crash
+	// mid-append; the torn tail was truncated away.
+	WALTornTail bool `json:"wal_torn_tail"`
 }
