@@ -1,9 +1,9 @@
 // Package obs is silkmoth's dependency-free observability substrate:
-// atomic fixed-bucket latency histograms with Prometheus text rendering, a
-// structured JSON line logger with request ids, build/runtime introspection
-// gauges, and a minimal parser for the Prometheus text exposition format
-// (used by the conformance tests and the promcheck CLI so /metrics can
-// never silently drift out of scrape-ability).
+// atomic fixed-bucket latency histograms, one writer for the Prometheus text
+// exposition format (WriteFamilies), a structured JSON line logger with
+// request ids, build/runtime introspection gauges, and a minimal parser for
+// the same format (used by the conformance tests and the promcheck CLI so
+// /metrics can never silently drift out of scrape-ability).
 //
 // Everything here is safe for concurrent use and allocation-free on the
 // hot path (Histogram.Observe), so instrumentation can ride

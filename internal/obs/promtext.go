@@ -15,8 +15,9 @@ import (
 // a /metrics page is scrape-able: legal metric and label names, HELP/TYPE
 // present for every family, histogram buckets cumulative with a terminal
 // +Inf, and _sum/_count consistent. The server's conformance test and the
-// promcheck CLI both run every emitted family through it, so the handcrafted
-// rendering can never silently drift into something Prometheus would drop.
+// promcheck CLI both run every emitted family through it, so the rendering
+// (WriteFamilies) can never silently drift into something Prometheus would
+// drop.
 
 // MetricFamily is one family of samples sharing a base name.
 type MetricFamily struct {

@@ -10,13 +10,13 @@ import (
 	"silkmoth/internal/obs"
 )
 
-// metrics collects the server's counters and renders them in the Prometheus
-// text exposition format (version 0.0.4). It deliberately avoids external
-// dependencies, and its hot path — observe, called once per request — takes
-// no lock: per-route latency histograms are pre-registered in a read-only
-// map at construction (the route label space is bounded by knownPaths), and
-// the {path, code} request counters live in a copy-on-write map where only
-// the first observation of a new pair pays a mutex.
+// metrics collects the server's request-side counters, which families
+// lists as rows of the /metrics table. Its hot path — observe, called once
+// per request — takes no lock: per-route latency histograms are
+// pre-registered in a read-only map at construction (the route label space
+// is bounded by knownPaths), and the {path, code} request counters live in
+// a copy-on-write map where only the first observation of a new pair pays
+// a mutex.
 type metrics struct {
 	start time.Time
 
@@ -140,7 +140,6 @@ func (m *metrics) cacheHit()             { atomic.AddInt64(&m.cacheHits, 1) }
 func (m *metrics) cacheMiss()            { atomic.AddInt64(&m.cacheMisses, 1) }
 func (m *metrics) hits() int64           { return atomic.LoadInt64(&m.cacheHits) }
 func (m *metrics) misses() int64         { return atomic.LoadInt64(&m.cacheMisses) }
-func (m *metrics) inflightNow() int64    { return atomic.LoadInt64(&m.inflight) }
 func (m *metrics) uptime() time.Duration { return time.Since(m.start) }
 
 // families is the request-side part of the /metrics table: uptime, the
@@ -176,7 +175,7 @@ func (m *metrics) families() []obs.Family {
 	}
 	return []obs.Family{
 		obs.Gauge("silkmothd_uptime_seconds", "Seconds since the server started.", m.uptime().Seconds()),
-		obs.Gauge("silkmothd_inflight_requests", "Query requests currently executing.", m.inflightNow()),
+		obs.Gauge("silkmothd_inflight_requests", "Query requests currently executing.", atomic.LoadInt64(&m.inflight)),
 		obs.Gauge("silkmothd_queue_depth", "Requests waiting for a worker-pool slot.", atomic.LoadInt64(&m.queueDepth)),
 		obs.Gauge("silkmothd_queue_depth_high_water", "Deepest the worker-pool queue has been since startup.", atomic.LoadInt64(&m.queueHWM)),
 		obs.Labelled("silkmothd_rejections_total", "counter", "Query requests that failed without a full result, by cause.",
