@@ -144,7 +144,7 @@ func TestStatsOnEverySurface(t *testing.T) {
 		for _, smp := range f.Samples {
 			labels := ""
 			for k, v := range smp.Labels {
-				labels = fmt.Sprintf("%s=%q", k, v) // every table family has at most one label
+				labels = fmt.Sprintf("%s=%q", k, v) // a Stats field's family has at most one label
 			}
 			scraped[f.Name+"{"+labels+"}"] = smp.Value
 		}
