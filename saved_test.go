@@ -36,13 +36,13 @@ var (
 	}
 )
 
-// copyGolden copies the named golden files into a fresh directory, so the
-// checked-in bytes are never opened for writing.
-func copyGolden(t *testing.T, names ...string) string {
+// copyGolden copies the named golden files of src into a fresh directory,
+// so the checked-in bytes are never opened for writing.
+func copyGolden(t *testing.T, src string, names ...string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(goldenDir, name))
+		data, err := os.ReadFile(filepath.Join(src, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func newestSnapshot(t *testing.T, dir string) []byte {
 // re-snapshots byte for byte.
 func TestGoldenDataDir(t *testing.T) {
 	cfg := goldenCfg
-	cfg.DataDir = copyGolden(t, "snap-00000002.snap", "wal-00000002.log")
+	cfg.DataDir = copyGolden(t, goldenDir, "snap-00000002.snap", "wal-00000002.log")
 	eng, err := NewEngine(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestGoldenDataDir(t *testing.T) {
 
 	// The snapshot alone (its log missing is the rename-to-create crash
 	// window), re-snapshotted and re-saved unmutated.
-	cfg.DataDir = copyGolden(t, "snap-00000002.snap")
+	cfg.DataDir = copyGolden(t, goldenDir, "snap-00000002.snap")
 	bare, err := NewEngine(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +115,109 @@ func TestGoldenDataDir(t *testing.T) {
 
 	// A snapshot file is also what NewEngineFromSaved reads.
 	saved, err := NewEngineFromSaved(bytes.NewReader(golden), goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := saved.SaveCollection(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatal("SaveCollection of the loaded golden image differs from it")
+	}
+}
+
+// goldenQGramDir is an edit-similarity data dir: q-grams and q-chunks,
+// which the Jaccard golden dir never exercises. The build before q-chunks
+// moved from each element into a per-set run wrote it: a heap-postings Eds
+// engine (δ 0.8, so q = 3) over six sets, set 2 deleted, Snapshot — so
+// snap-00000002.snap carries a tombstone and the index — then
+// Add("branches") and Delete(3) logged to wal-00000002.log.
+// goldenQGramReplayed is the snapshot that build wrote after reopening
+// the dir and replaying the log. The answers are what that build gave
+// just before Close.
+const (
+	goldenQGramDir      = "testdata/golden-qgram-datadir"
+	goldenQGramReplayed = "testdata/golden-qgram-replayed.snap"
+)
+
+var (
+	goldenQGramCfg     = Config{Similarity: Eds, Delta: 0.8}
+	goldenQGramQueries = []Set{
+		{Name: "q1", Elements: []string{"Boston", "Zürich", "San Francisco", "Chicag"}},
+		{Name: "q2", Elements: []string{"Hamburg", "Chicagoo", "Zürich", "Bostn"}},
+	}
+	goldenQGramMatches = [][]Match{
+		{{Index: 0, Name: "cities", Relatedness: 0.9310344827586208, MatchingScore: 3.857142857142857}},
+		{{Index: 5, Name: "hubs", Relatedness: 0.8640776699029128, MatchingScore: 3.7083333333333335}},
+	}
+	goldenQGramPairs = []Pair{
+		{R: 0, S: 1, RName: "cities", SName: "towns", Relatedness: 0.8204213938411669, MatchingScore: 3.6054131054131053},
+		{R: 5, S: 6, RName: "hubs", SName: "branches", Relatedness: 0.8563535911602211, MatchingScore: 3.6904761904761907},
+	}
+)
+
+// TestGoldenQGramDataDir is TestGoldenDataDir under Eds: the older build's
+// q-gram data dir replays to the same answers, and both its own image and
+// the image of the replayed engine re-snapshot byte for byte.
+func TestGoldenQGramDataDir(t *testing.T) {
+	cfg := goldenQGramCfg
+	cfg.DataDir = copyGolden(t, goldenQGramDir, "snap-00000002.snap", "wal-00000002.log")
+	eng, err := NewEngine(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if st := eng.Stats(); !st.RecoveredSnapshot || st.WALReplayed != 2 || st.WALTornTail {
+		t.Fatalf("stats %+v, want the snapshot plus two replayed records", st)
+	}
+	if eng.Live(2) || eng.Live(3) || eng.Len() != 5 {
+		t.Fatalf("live sets: 2 %v, 3 %v, Len %d; want both deleted and 5 left", eng.Live(2), eng.Live(3), eng.Len())
+	}
+	for i, q := range goldenQGramQueries {
+		got, err := eng.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, goldenQGramMatches[i]) {
+			t.Fatalf("search %s = %+v, the writing build answered %+v", q.Name, got, goldenQGramMatches[i])
+		}
+	}
+	if got := eng.Discover(); !reflect.DeepEqual(got, goldenQGramPairs) {
+		t.Fatalf("discover = %+v, the writing build answered %+v", got, goldenQGramPairs)
+	}
+	requireFreshBuildSurface(t, "golden qgram", eng, liveRaws(eng), cfg)
+
+	// The replayed engine's snapshot is the one the writing build took.
+	if err := eng.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := os.ReadFile(goldenQGramReplayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := newestSnapshot(t, cfg.DataDir); !bytes.Equal(again, replayed) {
+		t.Fatalf("snapshot of the replayed golden dir differs: %d bytes vs %d", len(again), len(replayed))
+	}
+
+	// The snapshot alone re-snapshots, and re-saves, unchanged.
+	cfg.DataDir = copyGolden(t, goldenQGramDir, "snap-00000002.snap")
+	bare, err := NewEngine(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if err := bare.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join(goldenQGramDir, "snap-00000002.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := newestSnapshot(t, cfg.DataDir); !bytes.Equal(again, golden) {
+		t.Fatalf("re-snapshot of the unmutated golden image differs: %d bytes vs %d", len(again), len(golden))
+	}
+	saved, err := NewEngineFromSaved(bytes.NewReader(golden), goldenQGramCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +451,7 @@ func TestCompareIgnoresDataDir(t *testing.T) {
 		name string
 		dir  string
 	}{
-		{"served directory", copyGolden(t, "snap-00000002.snap", "wal-00000002.log")},
+		{"served directory", copyGolden(t, goldenDir, "snap-00000002.snap", "wal-00000002.log")},
 		{"empty directory", t.TempDir()},
 	} {
 		cfg := goldenCfg
