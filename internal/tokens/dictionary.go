@@ -4,18 +4,14 @@
 // edit similarity (paper §3 and §7).
 package tokens
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // ID is a dense integer identifier for an interned token string.
 // Dense ids let the inverted index be a plain slice instead of a map.
 type ID int32
 
 // Dictionary interns token strings and assigns each distinct string a dense
-// ID starting from zero. It also tracks how many times each token was
-// interned, which approximates collection frequency.
+// ID starting from zero.
 //
 // A Dictionary is safe for concurrent use. Interning an already-known token
 // — the overwhelmingly common case at query time — takes only the read side
@@ -31,10 +27,9 @@ type ID int32
 // new tokens, so the vocabulary shrinks with the data instead of growing
 // forever on a long-lived mutable engine.
 type Dictionary struct {
-	mu    sync.RWMutex
-	ids   map[string]ID
-	strs  []string
-	count []int64
+	mu   sync.RWMutex
+	ids  map[string]ID
+	strs []string
 	// refs counts live collection references per id (Retain/Release).
 	// Query-time interning does not retain, so purely-query tokens sit at
 	// zero but are never pending and thus never reclaimed.
@@ -70,25 +65,16 @@ func NewDictionary() *Dictionary {
 // their key ids are equal — the integer form of the §5.3 reduction test.
 func (d *Dictionary) Keys() *Dictionary { return d.keys }
 
-// Intern returns the ID for s, assigning a fresh one if s is new, and bumps
-// its frequency counter. New tokens reuse reclaimed slots before growing
-// the id space.
+// Intern returns the ID for s, assigning a fresh one if s is new. New
+// tokens reuse reclaimed slots before growing the id space.
 func (d *Dictionary) Intern(s string) ID {
-	// Fast path: known token, shared lock only. The count bump is atomic
-	// because other readers may be bumping the same slot; the slice itself
-	// cannot be reallocated while any read lock is held.
-	d.mu.RLock()
-	if id, ok := d.ids[s]; ok {
-		atomic.AddInt64(&d.count[id], 1)
-		d.mu.RUnlock()
+	if id, ok := d.Lookup(s); ok { // fast path: shared lock only
 		return id
 	}
-	d.mu.RUnlock()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[s]; ok { // raced with another writer
-		d.count[id]++
 		return id
 	}
 	if n := len(d.free); n > 0 {
@@ -97,13 +83,11 @@ func (d *Dictionary) Intern(s string) ID {
 		d.freed[id] = false
 		d.ids[s] = id
 		d.strs[id] = s
-		d.count[id] = 1
 		return id
 	}
 	id := ID(len(d.strs))
 	d.ids[s] = id
 	d.strs = append(d.strs, s)
-	d.count = append(d.count, 1)
 	d.refs = append(d.refs, 0)
 	d.freed = append(d.freed, false)
 	return id
@@ -115,13 +99,9 @@ func (d *Dictionary) Intern(s string) ID {
 // and nothing allocates; only a first-time token materializes a string (it
 // must outlive b, which callers reuse as scratch).
 func (d *Dictionary) InternBytes(b []byte) ID {
-	d.mu.RLock()
-	if id, ok := d.ids[string(b)]; ok {
-		atomic.AddInt64(&d.count[id], 1)
-		d.mu.RUnlock()
+	if id, ok := d.LookupBytes(b); ok {
 		return id
 	}
-	d.mu.RUnlock()
 	return d.Intern(string(b))
 }
 
@@ -197,7 +177,6 @@ func (d *Dictionary) Reclaim() int {
 		}
 		delete(d.ids, d.strs[id])
 		d.strs[id] = ""
-		d.count[id] = 0
 		d.freed[id] = true
 		d.free = append(d.free, id)
 		n++
@@ -237,14 +216,6 @@ func (d *Dictionary) String(id ID) string {
 	s := d.strs[id]
 	d.mu.RUnlock()
 	return s
-}
-
-// Count returns how many times the token with this id has been interned.
-func (d *Dictionary) Count(id ID) int64 {
-	d.mu.RLock()
-	n := atomic.LoadInt64(&d.count[id])
-	d.mu.RUnlock()
-	return n
 }
 
 // Size returns the number of distinct tokens interned so far.

@@ -55,8 +55,9 @@ func TestRetainReleaseReclaim(t *testing.T) {
 	if d.FreeSlots() != 0 {
 		t.Fatal("recycling should consume the free slot")
 	}
-	if d.Count(reused) != 1 {
-		t.Fatalf("recycled count = %d, want 1", d.Count(reused))
+	if id, ok := d.Lookup("delta"); !ok || id != reused || d.String(reused) != "delta" || d.Refs(reused) != 0 {
+		t.Fatalf("recycled slot: Lookup = %d,%v String = %q Refs = %d; want %d, delta, 0 refs",
+			id, ok, d.String(reused), d.Refs(reused), reused)
 	}
 
 	// Double-release is clamped, and a double-pending id is freed once.

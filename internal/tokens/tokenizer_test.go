@@ -171,8 +171,8 @@ func TestDictionaryIntern(t *testing.T) {
 	if d.String(a) != "alpha" || d.String(b) != "beta" {
 		t.Error("String roundtrip failed")
 	}
-	if d.Count(a) != 2 || d.Count(b) != 1 {
-		t.Errorf("Count = %d, %d; want 2, 1", d.Count(a), d.Count(b))
+	if a != 0 || b != 1 || d.Intern("beta") != b || d.Size() != 2 {
+		t.Errorf("ids %d, %d and Size %d after re-interning; want 0, 1 and 2", a, b, d.Size())
 	}
 	if _, ok := d.Lookup("gamma"); ok {
 		t.Error("Lookup of unknown string reported ok")
