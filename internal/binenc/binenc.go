@@ -112,18 +112,22 @@ func (r *Reader) Count(minBytes int) int {
 }
 
 // String decodes a uvarint-length-prefixed string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.StringBytes()) }
+
+// StringBytes decodes a uvarint-length-prefixed string without copying it:
+// the result aliases the reader's buffer.
+func (r *Reader) StringBytes() []byte {
 	n := r.Uint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > r.Remaining() {
 		r.fail("string length %d exceeds remaining %d bytes", n, r.Remaining())
-		return ""
+		return nil
 	}
-	s := string(r.buf[r.off : r.off+n])
+	b := r.buf[r.off : r.off+n]
 	r.off += n
-	return s
+	return b
 }
 
 // Byte decodes one raw byte.

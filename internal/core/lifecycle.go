@@ -99,8 +99,8 @@ func (e *Engine) Compact() {
 		return
 	}
 	for i := range e.dead {
-		if e.dead[i] && e.coll.Sets[i].Elements != nil {
-			e.coll.Sets[i].Elements = nil
+		if e.dead[i] {
+			e.coll.Sets[i].Drop()
 		}
 	}
 	e.ix.Rebuild()
@@ -110,20 +110,20 @@ func (e *Engine) Compact() {
 	e.compactions++
 }
 
-// retainSets bumps dictionary refcounts for every token occurrence of
-// c.Sets[from:], the exact references releaseSet drops on delete.
+// retainSets bumps dictionary refcounts for every token and chunk
+// occurrence of c.Sets[from:], the exact references releaseSet drops on
+// delete.
 func retainSets(c *dataset.Collection, from int) {
 	for i := from; i < len(c.Sets); i++ {
-		for j := range c.Sets[i].Elements {
-			el := &c.Sets[i].Elements[j]
+		s := &c.Sets[i]
+		for j := range s.Elements {
+			el := &s.Elements[j]
 			c.Dict.Retain(el.Tokens)
-			if len(el.Chunks) > 0 {
-				c.Dict.Retain(el.Chunks)
-			}
 			if el.Key != dataset.NoKey {
 				c.Dict.Keys().RetainID(el.Key)
 			}
 		}
+		c.Dict.Retain(s.ChunkIDs())
 	}
 }
 
@@ -132,11 +132,9 @@ func releaseSet(d *tokens.Dictionary, s *dataset.Set) {
 	for j := range s.Elements {
 		el := &s.Elements[j]
 		d.Release(el.Tokens)
-		if len(el.Chunks) > 0 {
-			d.Release(el.Chunks)
-		}
 		if el.Key != dataset.NoKey {
 			d.Keys().ReleaseID(el.Key)
 		}
 	}
+	d.Release(s.ChunkIDs())
 }

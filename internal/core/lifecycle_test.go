@@ -195,3 +195,111 @@ func TestAddAfterCompactReusesDictionarySlots(t *testing.T) {
 		t.Fatal("search should find the newly added set")
 	}
 }
+
+// TestCompactDropsDeadChunkRun is compaction under Eds, where every set also
+// holds a q-chunk run: Delete releases the run's refcounts, Compact drops
+// it with the elements, and adding the same text again answers like a
+// fresh build.
+func TestCompactDropsDeadChunkRun(t *testing.T) {
+	raws := []dataset.RawSet{
+		{Name: "a", Elements: []string{"Boston", "Chicago", "Seattle"}},
+		{Name: "b", Elements: []string{"Bostn", "Chicago", "Seatle"}},
+		{Name: "c", Elements: []string{"Chicago", "Boston", "Denver"}},
+		{Name: "unique", Elements: []string{"xylophone", "quartzite", "Boston"}},
+	}
+	const dead = 3
+	coll, opts := buildFor(Eds, raws, 0.8, 0)
+	e, err := NewEngine(coll, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := coll.Dict
+	s := &coll.Sets[dead]
+	if len(s.ChunkIDs()) == 0 {
+		t.Fatal("fixture: the set to delete has no chunk run")
+	}
+	// What the dead set holds of each of its chunk ids (as a q-gram of an
+	// element or as a chunk), and what the whole collection does.
+	held := map[tokens.ID]int{}
+	for j := range s.Elements {
+		for _, id := range s.Elements[j].Tokens {
+			held[id]++
+		}
+	}
+	for _, id := range s.ChunkIDs() {
+		held[id]++
+	}
+	refs := map[tokens.ID]int{}
+	for id := range held {
+		refs[id] = d.Refs(id)
+	}
+	unique := 0
+	for _, id := range s.ChunkIDs() {
+		if refs[id] == held[id] {
+			unique++
+		}
+	}
+	if unique == 0 {
+		t.Fatal("fixture: no chunk id is held by the dead set alone")
+	}
+
+	if err := e.Delete(dead); err != nil {
+		t.Fatal(err)
+	}
+	e.Compact()
+	if s.Size() != 0 || s.ChunkIDs() != nil || s.Chunks(0) != nil {
+		t.Fatalf("dead slot after compaction: %d elements, chunk run %v", s.Size(), s.ChunkIDs())
+	}
+	for id, n := range held {
+		if got := d.Refs(id); got != refs[id]-n {
+			t.Errorf("token %d: refs %d after compaction, want %d - %d", id, got, refs[id], n)
+		}
+	}
+
+	from := dataset.Append(coll, raws[dead:dead+1])
+	e.AppendSets(from)
+	fcoll, fopts := buildFor(Eds, raws, 0.8, 0)
+	fresh, err := NewEngine(fcoll, fopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot i of the fresh build is slot i of the engine, but for the
+	// re-added set, which the engine holds at from.
+	slot := func(i int) int {
+		if i == dead {
+			return from
+		}
+		return i
+	}
+	for i := range fcoll.Sets {
+		fs, es := &fcoll.Sets[i], &coll.Sets[slot(i)]
+		for j := range fs.Elements {
+			if !sameChunkStrings(d, es.Chunks(j), fcoll.Dict, fs.Chunks(j)) {
+				t.Fatalf("set %d element %d: chunks differ from a fresh build", i, j)
+			}
+		}
+		got, want := search(e, es), search(fresh, fs)
+		if len(got) != len(want) {
+			t.Fatalf("search %q: %v, fresh build %v", fs.Name, got, want)
+		}
+		for k := range want {
+			if got[k].Set != slot(want[k].Set) || got[k].Relatedness != want[k].Relatedness || got[k].Score != want[k].Score {
+				t.Fatalf("search %q: %v, fresh build %v", fs.Name, got, want)
+			}
+		}
+	}
+}
+
+// sameChunkStrings reports whether two chunk lists, each over its own
+// dictionary, spell the same q-chunks in the same order.
+func sameChunkStrings(da *tokens.Dictionary, a []tokens.ID, db *tokens.Dictionary, b []tokens.ID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if da.String(a[k]) != db.String(b[k]) {
+			return false
+		}
+	}
+	return true
+}

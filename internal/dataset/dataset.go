@@ -34,7 +34,8 @@ func (m TokenMode) String() string {
 }
 
 // Element is one tokenized element of a set: a row value, an attribute, or a
-// word, depending on the application.
+// word, depending on the application. Its q-chunks live in the set's chunk
+// run (Set.Chunks), not here.
 type Element struct {
 	// Raw is the original element text, used by edit similarity and for
 	// reporting.
@@ -42,15 +43,11 @@ type Element struct {
 	// Tokens are the sorted, deduplicated ids of the element's index
 	// tokens: words under ModeWord, q-grams under ModeQGram.
 	Tokens []tokens.ID
-	// Chunks are the ids of the element's q-chunks, set only under
-	// ModeQGram; signatures for edit similarity are chosen from chunks
-	// (paper §7.1). Chunks may repeat and are not sorted.
-	Chunks []tokens.ID
 	// Length is the size the similarity bounds divide by: the number of
 	// distinct word tokens under ModeWord, the rune length of Raw under
 	// ModeQGram. Like Key it is derived from the content, never taken from
 	// a file (elementLength). It is an int32 so that it shares a word with
-	// Key: the struct is 72 bytes, and TestLayoutGate holds it there — an
+	// Key: the struct is 48 bytes, and TestLayoutGate holds it there — an
 	// indexed collection pays every byte of it once per element.
 	Length int32
 	// Key is the element's exact content key interned into the shared
@@ -66,65 +63,97 @@ type Element struct {
 // NoKey is the Element.Key of a non-reducible element.
 const NoKey = tokens.ID(-1)
 
-// internKey computes and interns e's exact content key, returning NoKey for
-// non-reducible (empty) elements. Indexed collections intern (their keys
-// are retained/released through the engine lifecycle); query collections
-// must use lookupKey instead.
-func internKey(dict *tokens.Dictionary, e *Element, mode TokenMode) tokens.ID {
-	k := ElementKey(e, mode)
-	if k == "" {
-		return NoKey
+// appendWordKey appends the word-mode content key of an element with the
+// given tokens: their ids, four little-endian bytes each.
+func appendWordKey(b []byte, ids []tokens.ID) []byte {
+	for _, id := range ids {
+		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
-	return dict.Keys().Intern(k)
+	return b
 }
 
-// internKeyBuf is internKey staged through a caller-owned scratch buffer:
-// the word-mode key bytes are built in buf (returned for reuse) and
-// interned via InternBytes, so a loader re-deriving keys for a whole
-// collection pays one string materialization per element instead of a
-// buffer plus a string.
-func internKeyBuf(dict *tokens.Dictionary, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {
+// resolveKey resolves e's content key, staging word-mode key bytes in buf
+// (returned for reuse) so that only a key new to the dictionary
+// materializes a string. Indexed collections intern (the engine retains
+// and releases their keys). Query collections only look up: a query key
+// absent from the dictionary proves the element identical to nothing
+// indexed, which is exactly what NoKey means to the reduction, and
+// interning it would grow the key table by one entry per distinct query
+// element for the life of the process. Empty elements get NoKey.
+//
+//silkmoth:hotpath
+func resolveKey(dict *tokens.Dictionary, e *Element, mode TokenMode, buf []byte, intern bool) (tokens.ID, []byte) {
+	keys := dict.Keys()
+	var id tokens.ID
+	var ok bool
 	if mode == ModeQGram {
 		if e.Raw == "" {
 			return NoKey, buf
 		}
-		return dict.Keys().Intern(e.Raw), buf
+		if intern {
+			return keys.Intern(e.Raw), buf
+		}
+		id, ok = keys.Lookup(e.Raw)
+	} else {
+		if len(e.Tokens) == 0 {
+			return NoKey, buf
+		}
+		buf = appendWordKey(buf[:0], e.Tokens)
+		if intern {
+			return keys.InternBytes(buf), buf
+		}
+		id, ok = keys.LookupBytes(buf)
 	}
-	if len(e.Tokens) == 0 {
+	if !ok {
 		return NoKey, buf
 	}
-	buf = buf[:0]
-	for _, id := range e.Tokens {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return dict.Keys().InternBytes(buf), buf
-}
-
-// lookupKey resolves e's content key without interning: a query element
-// whose key is not already in the dictionary cannot be identical to any
-// indexed element, so NoKey (never reduced, similarity computed exactly) is
-// the correct — and leak-free — answer. Interning here instead would grow
-// the key table by one entry per distinct query element for the life of the
-// process.
-func lookupKey(dict *tokens.Dictionary, e *Element, mode TokenMode) tokens.ID {
-	k := ElementKey(e, mode)
-	if k == "" {
-		return NoKey
-	}
-	if id, ok := dict.Keys().Lookup(k); ok {
-		return id
-	}
-	return NoKey
+	return id, buf
 }
 
 // Set is an ordered list of elements with an external name.
 type Set struct {
 	Name     string
 	Elements []Element
+	// chunks is the set's q-chunk run, nil under ModeWord: one end offset
+	// per element, then every element's chunk ids back to back. Element
+	// i's chunks are chunks[chunks[i-1]:chunks[i]], the first starting
+	// at len(Elements). One run per set instead of a slice per element
+	// keeps Element at 48 bytes under both modes.
+	chunks []tokens.ID
 }
 
 // Size returns the number of elements in the set.
 func (s *Set) Size() int { return len(s.Elements) }
+
+// Chunks returns the ids of element i's q-chunks: nil under ModeWord,
+// where signatures are chosen from Tokens instead. Under ModeQGram
+// signatures for edit similarity are chosen from chunks (paper §7.1);
+// they may repeat and are not sorted. The slice aliases the set's run and
+// must not be modified.
+func (s *Set) Chunks(i int) []tokens.ID {
+	if len(s.chunks) == 0 {
+		return nil
+	}
+	lo := tokens.ID(len(s.Elements))
+	if i > 0 {
+		lo = s.chunks[i-1]
+	}
+	hi := s.chunks[i]
+	return s.chunks[lo:hi:hi]
+}
+
+// ChunkIDs returns every chunk id of the set, element after element: the
+// run Chunks slices, nil under ModeWord.
+func (s *Set) ChunkIDs() []tokens.ID {
+	if len(s.chunks) == 0 {
+		return nil
+	}
+	return s.chunks[len(s.Elements):]
+}
+
+// Drop releases the set's elements and its chunk run, keeping its name:
+// what compaction leaves of a dead slot.
+func (s *Set) Drop() { s.Elements, s.chunks = nil, nil }
 
 // Collection is a tokenized list of sets sharing one dictionary.
 type Collection struct {
@@ -141,32 +170,30 @@ type RawSet struct {
 	Elements []string
 }
 
-// keyFunc resolves an element's content key: internKey for indexed
-// collections, lookupKey for query collections.
-type keyFunc func(*tokens.Dictionary, *Element, TokenMode) tokens.ID
-
 // BuildWord tokenizes raw sets by whitespace words for Jaccard similarity.
 // All sets share the dictionary dict; pass a fresh dictionary for a new
 // corpus, or the dictionary of an existing collection to tokenize query sets
 // against it (prefer BuildQuery for query sets — it keeps the key table
 // from growing).
 func BuildWord(dict *tokens.Dictionary, raws []RawSet) *Collection {
-	return buildWord(dict, raws, internKey)
+	return buildWord(dict, raws, true)
 }
 
-func buildWord(dict *tokens.Dictionary, raws []RawSet, key keyFunc) *Collection {
+// buildWord stages each element's tokens and key in reused buffers, so a
+// warm dictionary costs one allocation per element: its Tokens.
+func buildWord(dict *tokens.Dictionary, raws []RawSet, intern bool) *Collection {
 	c := &Collection{Dict: dict, Mode: ModeWord}
 	c.Sets = make([]Set, len(raws))
+	var sc tokens.Scratch
+	var ids []tokens.ID
+	var key []byte
 	for i, rs := range raws {
 		elems := make([]Element, len(rs.Elements))
 		for j, e := range rs.Elements {
-			ids := tokens.SortUnique(tokens.InternAll(dict, tokens.Words(e)))
-			elems[j] = Element{
-				Raw:    e,
-				Tokens: ids,
-				Length: int32(len(ids)),
-			}
-			elems[j].Key = key(dict, &elems[j], ModeWord)
+			ids = tokens.SortUnique(sc.AppendWordIDs(ids[:0], dict, e))
+			el := &elems[j]
+			*el = Element{Raw: e, Tokens: cloneIDs(ids), Length: int32(len(ids))}
+			el.Key, key = resolveKey(dict, el, ModeWord, key, intern)
 		}
 		c.Sets[i] = Set{Name: rs.Name, Elements: elems}
 	}
@@ -176,31 +203,52 @@ func buildWord(dict *tokens.Dictionary, raws []RawSet, key keyFunc) *Collection 
 // BuildQGram tokenizes raw sets into q-grams (index tokens) and q-chunks
 // (signature tokens) for edit similarity. q must be positive.
 func BuildQGram(dict *tokens.Dictionary, raws []RawSet, q int) *Collection {
-	return buildQGram(dict, raws, q, internKey)
+	return buildQGram(dict, raws, q, true)
 }
 
-func buildQGram(dict *tokens.Dictionary, raws []RawSet, q int, key keyFunc) *Collection {
+// buildQGram is buildWord under ModeQGram. Each set's chunk run is sized
+// up front from its elements' rune lengths, ⌈runes/q⌉ chunks each.
+func buildQGram(dict *tokens.Dictionary, raws []RawSet, q int, intern bool) *Collection {
 	if q <= 0 {
 		panic("dataset: BuildQGram requires q > 0")
 	}
 	c := &Collection{Dict: dict, Mode: ModeQGram, Q: q}
 	c.Sets = make([]Set, len(raws))
+	var sc tokens.Scratch
+	var ids []tokens.ID
+	var key []byte
 	for i, rs := range raws {
-		elems := make([]Element, len(rs.Elements))
-		for j, e := range rs.Elements {
-			grams := tokens.SortUnique(tokens.InternAll(dict, tokens.QGrams(e, q)))
-			chunks := tokens.InternAll(dict, tokens.QChunks(e, q))
-			elems[j] = Element{
-				Raw:    e,
-				Tokens: grams,
-				Chunks: chunks,
-				Length: int32(runeLen(e)),
-			}
-			elems[j].Key = key(dict, &elems[j], ModeQGram)
+		n := len(rs.Elements)
+		size := n
+		for _, e := range rs.Elements {
+			size += tokens.NumQChunks(runeLen(e), q)
 		}
-		c.Sets[i] = Set{Name: rs.Name, Elements: elems}
+		var run []tokens.ID
+		if size > n {
+			run = make([]tokens.ID, n, size)
+		}
+		elems := make([]Element, n)
+		for j, e := range rs.Elements {
+			ids = tokens.SortUnique(sc.AppendQGramIDs(ids[:0], dict, e, q))
+			if run != nil {
+				run = sc.AppendQChunkIDs(run, dict, e, q)
+				run[j] = tokens.ID(len(run))
+			}
+			el := &elems[j]
+			*el = Element{Raw: e, Tokens: cloneIDs(ids), Length: int32(runeLen(e))}
+			el.Key, key = resolveKey(dict, el, ModeQGram, key, intern)
+		}
+		c.Sets[i] = Set{Name: rs.Name, Elements: elems, chunks: run}
 	}
 	return c
+}
+
+// cloneIDs copies ids into an exactly sized slice (nil when empty).
+func cloneIDs(ids []tokens.ID) []tokens.ID {
+	if len(ids) == 0 {
+		return nil
+	}
+	return append(make([]tokens.ID, 0, len(ids)), ids...)
 }
 
 // Build tokenizes raw sets according to mode: BuildWord for ModeWord,
@@ -220,9 +268,9 @@ func Build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Colle
 // NoKey means to the reduction).
 func BuildQuery(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Collection {
 	if mode == ModeWord {
-		return buildWord(dict, raws, lookupKey)
+		return buildWord(dict, raws, false)
 	}
-	return buildQGram(dict, raws, q, lookupKey)
+	return buildQGram(dict, raws, q, false)
 }
 
 // Append tokenizes raws with c's dictionary and mode and appends the
@@ -262,12 +310,5 @@ func ElementKey(e *Element, mode TokenMode) string {
 	if mode == ModeQGram {
 		return e.Raw
 	}
-	if len(e.Tokens) == 0 {
-		return ""
-	}
-	b := make([]byte, 0, len(e.Tokens)*4)
-	for _, id := range e.Tokens {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
+	return string(appendWordKey(nil, e.Tokens))
 }

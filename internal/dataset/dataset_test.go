@@ -69,14 +69,15 @@ func TestBuildQGram(t *testing.T) {
 		t.Errorf("Length = %d, want rune length %d", e.Length, len("Database"))
 	}
 	// 8 runes → 8 grams (some may collide after dedup) and ⌈8/3⌉ = 3 chunks.
-	if len(e.Chunks) != 3 {
-		t.Errorf("chunks = %d, want 3", len(e.Chunks))
+	chunks := c.Sets[0].Chunks(0)
+	if len(chunks) != 3 {
+		t.Errorf("chunks = %d, want 3", len(chunks))
 	}
 	if len(e.Tokens) == 0 || len(e.Tokens) > 8 {
 		t.Errorf("token count = %d", len(e.Tokens))
 	}
 	// Every chunk id must also be interned (chunks are q-length strings too).
-	for _, ch := range e.Chunks {
+	for _, ch := range chunks {
 		if int(ch) >= d.Size() {
 			t.Error("chunk id out of dictionary range")
 		}
@@ -87,7 +88,7 @@ func TestBuildQGramEmptyElement(t *testing.T) {
 	d := tokens.NewDictionary()
 	c := BuildQGram(d, []RawSet{{Name: "A", Elements: []string{""}}}, 3)
 	e := c.Sets[0].Elements[0]
-	if len(e.Tokens) != 0 || len(e.Chunks) != 0 || e.Length != 0 {
+	if len(e.Tokens) != 0 || len(c.Sets[0].Chunks(0)) != 0 || e.Length != 0 {
 		t.Errorf("empty element should have no tokens: %+v", e)
 	}
 }

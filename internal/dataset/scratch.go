@@ -18,7 +18,8 @@ import (
 // in-flight query is safe). A QueryScratch is not safe for concurrent use.
 type QueryScratch struct {
 	tok   tokens.Scratch
-	ids   []tokens.ID // arena: all elements' Tokens then Chunks, span-indexed
+	ids   []tokens.ID // arena: all elements' Tokens, span-indexed
+	runs  []tokens.ID // arena: every set's chunk run (ModeQGram), back to back
 	key   []byte      // staging for word-mode element keys
 	spans []elemSpan
 	elems []Element
@@ -26,13 +27,12 @@ type QueryScratch struct {
 	coll  Collection
 }
 
-// elemSpan records one element's slices as arena offsets. Offsets stay
-// valid across arena reallocation, so elements materialize only after all
-// appends are done.
+// elemSpan records one element's token slice as arena offsets. Offsets
+// stay valid across arena reallocation, so elements materialize only
+// after all appends are done.
 type elemSpan struct {
 	raw            string
 	tokOff, tokEnd int
-	chOff, chEnd   int
 	length         int
 }
 
@@ -43,28 +43,34 @@ type elemSpan struct {
 //silkmoth:hotpath
 func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Collection {
 	qs.ids = qs.ids[:0]
+	qs.runs = qs.runs[:0]
 	qs.spans = qs.spans[:0]
 	total := 0
 	for _, rs := range raws {
 		total += len(rs.Elements)
 	}
 	for _, rs := range raws {
-		for _, raw := range rs.Elements {
+		// A set's chunk run: its end offsets (relative to the run, as
+		// Set.chunks stores them), then its chunk ids.
+		run := len(qs.runs)
+		if mode == ModeQGram {
+			for range rs.Elements {
+				qs.runs = append(qs.runs, 0)
+			}
+		}
+		for j, raw := range rs.Elements {
 			sp := elemSpan{raw: raw, tokOff: len(qs.ids)}
 			if mode == ModeWord {
 				qs.ids = qs.tok.AppendWordIDs(qs.ids, dict, raw)
-				sub := tokens.SortUnique(qs.ids[sp.tokOff:])
-				qs.ids = qs.ids[:sp.tokOff+len(sub)]
-				sp.tokEnd = len(qs.ids)
-				sp.length = len(sub)
 			} else {
 				qs.ids = qs.tok.AppendQGramIDs(qs.ids, dict, raw, q)
-				sub := tokens.SortUnique(qs.ids[sp.tokOff:])
-				qs.ids = qs.ids[:sp.tokOff+len(sub)]
-				sp.tokEnd = len(qs.ids)
-				sp.chOff = len(qs.ids)
-				qs.ids = qs.tok.AppendQChunkIDs(qs.ids, dict, raw, q)
-				sp.chEnd = len(qs.ids)
+				qs.runs = qs.tok.AppendQChunkIDs(qs.runs, dict, raw, q)
+				qs.runs[run+j] = tokens.ID(len(qs.runs) - run)
+			}
+			sp.tokEnd = sp.tokOff + len(tokens.SortUnique(qs.ids[sp.tokOff:]))
+			qs.ids = qs.ids[:sp.tokEnd]
+			sp.length = sp.tokEnd - sp.tokOff
+			if mode == ModeQGram {
 				sp.length = runeLen(raw)
 			}
 			qs.spans = append(qs.spans, sp)
@@ -83,7 +89,7 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 	} else {
 		qs.sets = qs.sets[:len(raws)]
 	}
-	ei := 0
+	ei, run := 0, 0
 	for si, rs := range raws {
 		first := ei
 		for range rs.Elements {
@@ -94,13 +100,18 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 				Tokens: qs.ids[sp.tokOff:sp.tokEnd:sp.tokEnd],
 				Length: int32(sp.length),
 			}
-			if mode == ModeQGram {
-				el.Chunks = qs.ids[sp.chOff:sp.chEnd:sp.chEnd]
-			}
-			el.Key = qs.lookupKey(dict, el, mode)
+			el.Key, qs.key = resolveKey(dict, el, mode, qs.key, false)
 			ei++
 		}
-		qs.sets[si] = Set{Name: rs.Name, Elements: qs.elems[first:ei:ei]}
+		set := Set{Name: rs.Name, Elements: qs.elems[first:ei:ei]}
+		if n := len(rs.Elements); mode == ModeQGram && n > 0 {
+			end := run + int(qs.runs[run+n-1])
+			if end > run+n { // a set whose elements are all empty has no chunks
+				set.chunks = qs.runs[run:end:end]
+			}
+			run = end
+		}
+		qs.sets[si] = set
 	}
 	cq := q
 	if mode == ModeWord {
@@ -108,33 +119,4 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 	}
 	qs.coll = Collection{Sets: qs.sets, Dict: dict, Mode: mode, Q: cq}
 	return &qs.coll
-}
-
-// lookupKey is dataset.lookupKey staged through the scratch key buffer:
-// same NoKey semantics, but the word-mode key bytes never materialize a
-// string (Dictionary.LookupBytes).
-//
-//silkmoth:hotpath
-func (qs *QueryScratch) lookupKey(dict *tokens.Dictionary, e *Element, mode TokenMode) tokens.ID {
-	if mode == ModeQGram {
-		if e.Raw == "" {
-			return NoKey
-		}
-		if id, ok := dict.Keys().Lookup(e.Raw); ok {
-			return id
-		}
-		return NoKey
-	}
-	if len(e.Tokens) == 0 {
-		return NoKey
-	}
-	b := qs.key[:0]
-	for _, id := range e.Tokens {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	qs.key = b
-	if id, ok := dict.Keys().LookupBytes(b); ok {
-		return id
-	}
-	return NoKey
 }

@@ -32,7 +32,9 @@ func queryScratchFixture(mode TokenMode, q int) (*tokens.Dictionary, []RawSet) {
 // keys, in both token modes — including key lookups resolving for indexed
 // content and NoKey for novel content — and across scratch reuse, where a
 // second Build on the same scratch must not corrupt what the equivalence
-// checks see during the build that produced them.
+// checks see during the build that produced them. Each element's chunks
+// are also checked against QChunks itself, and word-mode sets must carry
+// no chunk run at all.
 func TestQueryScratchMatchesBuildQuery(t *testing.T) {
 	for _, tc := range []struct {
 		mode TokenMode
@@ -62,9 +64,18 @@ func TestQueryScratchMatchesBuildQuery(t *testing.T) {
 						if !equalIDs(ge.Tokens, we.Tokens) {
 							t.Errorf("round %d set %d elem %d: tokens %v, want %v", round, i, j, ge.Tokens, we.Tokens)
 						}
-						if !equalIDs(ge.Chunks, we.Chunks) {
-							t.Errorf("round %d set %d elem %d: chunks %v, want %v", round, i, j, ge.Chunks, we.Chunks)
+						if gc, wc := gs.Chunks(j), ws.Chunks(j); !equalIDs(gc, wc) {
+							t.Errorf("round %d set %d elem %d: chunks %v, want %v", round, i, j, gc, wc)
 						}
+						if tc.mode == ModeQGram {
+							spec := tokens.InternAll(dict, tokens.QChunks(we.Raw, tc.q))
+							if wc := ws.Chunks(j); !equalIDs(wc, spec) {
+								t.Errorf("set %d elem %d: chunks %v, QChunks gives %v", i, j, wc, spec)
+							}
+						}
+					}
+					if tc.mode == ModeWord && (gs.ChunkIDs() != nil || ws.ChunkIDs() != nil || gs.Chunks(0) != nil) {
+						t.Errorf("round %d set %d: word-mode set carries a chunk run", round, i)
 					}
 				}
 			}

@@ -172,14 +172,14 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 		if !alive(i) {
 			continue
 		}
-		for j := range c.Sets[i].Elements {
-			e := &c.Sets[i].Elements[j]
-			for _, id := range e.Tokens {
+		s := &c.Sets[i]
+		for j := range s.Elements {
+			for _, id := range s.Elements[j].Tokens {
 				used[id] = true
 			}
-			for _, id := range e.Chunks {
-				used[id] = true
-			}
+		}
+		for _, id := range s.ChunkIDs() {
+			used[id] = true
 		}
 	}
 	remap := make([]int32, len(used))
@@ -241,8 +241,9 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 				sets.Uint(int(nid - prev)) // sorted strictly ascending
 				prev = nid
 			}
-			sets.Uint(len(e.Chunks))
-			for _, id := range e.Chunks {
+			chunks := s.Chunks(j)
+			sets.Uint(len(chunks))
+			for _, id := range chunks {
 				sets.Uint(int(remap[id]))
 			}
 			sets.Uint(int(e.Length))
@@ -472,7 +473,7 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	}
 	c := &Collection{Dict: dict, Mode: mode, Q: q, Sets: make([]Set, numSets)}
 	var dead []bool
-	var keyBuf []byte
+	var st setStage
 	for i := 0; i < numSets; i++ {
 		switch sr.Byte() {
 		case 0:
@@ -488,59 +489,9 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 			}
 			return nil, corrupt("bad liveness flag for set %d", i)
 		}
-		s := Set{Name: sr.String()}
-		ne := sr.Count(2) // each element costs ≥ 2 bytes (raw len + token count)
-		if err := sr.Err(); err != nil {
-			return nil, corrupt("set %d: %v", i, err)
+		if err := st.read(sr, &c.Sets[i], i, numWords, dict, mode); err != nil {
+			return nil, err
 		}
-		s.Elements = make([]Element, ne)
-		for j := 0; j < ne; j++ {
-			e := &s.Elements[j]
-			e.Raw = sr.String()
-			nt := sr.Count(1)
-			if err := sr.Err(); err != nil {
-				return nil, corrupt("set %d element %d: %v", i, j, err)
-			}
-			e.Tokens = make([]tokens.ID, nt)
-			id := int32(0)
-			for k := 0; k < nt; k++ {
-				id += int32(sr.Uint())
-				if sr.Err() == nil && (int(id) >= numWords || id < 0) {
-					return nil, corrupt("set %d element %d token id %d out of range", i, j, id)
-				}
-				e.Tokens[k] = tokens.ID(id)
-			}
-			nc := sr.Count(1)
-			if err := sr.Err(); err != nil {
-				return nil, corrupt("set %d element %d: %v", i, j, err)
-			}
-			e.Chunks = make([]tokens.ID, 0, nc)
-			for k := 0; k < nc; k++ {
-				cid := sr.Uint()
-				if sr.Err() == nil && cid >= numWords {
-					return nil, corrupt("set %d element %d chunk id %d out of range", i, j, cid)
-				}
-				e.Chunks = append(e.Chunks, tokens.ID(cid))
-			}
-			if len(e.Chunks) == 0 {
-				e.Chunks = nil
-			}
-			storedLen := sr.Uint()
-			if err := sr.Err(); err != nil {
-				return nil, corrupt("set %d element %d: %v", i, j, err)
-			}
-			// Length and Key are derived from the content just read, never
-			// taken from the file (no tokenization happens here): every
-			// signature bound divides by Length, so a stored value that
-			// disagrees with the content is a corrupt image, not an input.
-			n := elementLength(e, mode)
-			if storedLen != n {
-				return nil, corrupt("set %d element %d length %d, content has %d", i, j, storedLen, n)
-			}
-			e.Length = int32(n)
-			e.Key, keyBuf = internKeyBuf(dict, e, mode, keyBuf)
-		}
-		c.Sets[i] = s
 	}
 	if sr.Remaining() != 0 {
 		return nil, corrupt("%d trailing set bytes", sr.Remaining())
@@ -565,6 +516,98 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 		return nil, corrupt("%d trailing snapshot bytes", len(r.rest))
 	}
 	return snap, nil
+}
+
+// setStage stages one set of a snapshot in buffers reused across sets, so
+// that a loaded set costs one allocation for its name and element strings
+// together, one for its token ids and one for its chunk run, instead of a
+// string and a token slice per element.
+type setStage struct {
+	text   []byte      // the set's name, then each element's raw, back to back
+	toks   []tokens.ID // every element's token ids, back to back
+	ends   []tokens.ID // the chunk run's end offsets
+	chunks []tokens.ID // the chunk run's ids
+	elems  []stagedElem
+	key    []byte // staging for word-mode element keys
+}
+
+// stagedElem is where one element ends in the stage's text and toks, and
+// the length the image stores for it.
+type stagedElem struct {
+	rawEnd, tokEnd, storedLen int
+}
+
+// read decodes set i's slot into s. Length and Key are derived from the
+// content just read, never taken from the file (no tokenization happens
+// here): every signature bound divides by Length, so a stored value that
+// disagrees with the content is a corrupt image, not an input.
+func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *tokens.Dictionary, mode TokenMode) error {
+	st.text = append(st.text[:0], sr.StringBytes()...)
+	nameEnd := len(st.text)
+	ne := sr.Count(2) // each element costs ≥ 2 bytes (raw len + token count)
+	if err := sr.Err(); err != nil {
+		return corrupt("set %d: %v", i, err)
+	}
+	st.toks, st.ends, st.chunks, st.elems = st.toks[:0], st.ends[:0], st.chunks[:0], st.elems[:0]
+	for j := 0; j < ne; j++ {
+		st.text = append(st.text, sr.StringBytes()...)
+		nt := sr.Count(1)
+		if err := sr.Err(); err != nil {
+			return corrupt("set %d element %d: %v", i, j, err)
+		}
+		id := int32(0)
+		for k := 0; k < nt; k++ {
+			id += int32(sr.Uint())
+			if sr.Err() == nil && (int(id) >= numWords || id < 0) {
+				return corrupt("set %d element %d token id %d out of range", i, j, id)
+			}
+			st.toks = append(st.toks, tokens.ID(id))
+		}
+		nc := sr.Count(1)
+		if err := sr.Err(); err != nil {
+			return corrupt("set %d element %d: %v", i, j, err)
+		}
+		if nc > 0 && mode == ModeWord {
+			// The writer never writes one: word mode has no chunks.
+			return corrupt("set %d element %d carries %d chunk ids under word mode", i, j, nc)
+		}
+		for k := 0; k < nc; k++ {
+			cid := sr.Uint()
+			if sr.Err() == nil && cid >= numWords {
+				return corrupt("set %d element %d chunk id %d out of range", i, j, cid)
+			}
+			st.chunks = append(st.chunks, tokens.ID(cid))
+		}
+		st.ends = append(st.ends, tokens.ID(ne+len(st.chunks)))
+		storedLen := sr.Uint()
+		if err := sr.Err(); err != nil {
+			return corrupt("set %d element %d: %v", i, j, err)
+		}
+		st.elems = append(st.elems, stagedElem{rawEnd: len(st.text), tokEnd: len(st.toks), storedLen: storedLen})
+	}
+
+	text := string(st.text)
+	toks := cloneIDs(st.toks)
+	*s = Set{Name: text[:nameEnd], Elements: make([]Element, ne)}
+	if len(st.chunks) > 0 {
+		s.chunks = append(append(make([]tokens.ID, 0, ne+len(st.chunks)), st.ends...), st.chunks...)
+	}
+	rawOff, tokOff := nameEnd, 0
+	for j, se := range st.elems {
+		e := &s.Elements[j]
+		e.Raw = text[rawOff:se.rawEnd]
+		if se.tokEnd > tokOff {
+			e.Tokens = toks[tokOff:se.tokEnd:se.tokEnd]
+		}
+		rawOff, tokOff = se.rawEnd, se.tokEnd
+		n := elementLength(e, mode)
+		if se.storedLen != n {
+			return corrupt("set %d element %d length %d, content has %d", i, j, se.storedLen, n)
+		}
+		e.Length = int32(n)
+		e.Key, st.key = resolveKey(dict, e, mode, st.key, true)
+	}
+	return nil
 }
 
 // decodePostings wraps the container postings payload in place: a

@@ -31,6 +31,17 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	buf.Reset()
+	// Several chunk runs, one of them empty, and a dead slot.
+	qc = BuildQGram(tokens.NewDictionary(), []RawSet{
+		{Name: "a", Elements: []string{"abcdef", "", "Zürich"}},
+		{Name: "b", Elements: []string{""}},
+		{Name: "c", Elements: []string{"abc", "abcdefg"}},
+	}, 2)
+	if err := SaveSnapshot(&buf, &SnapshotData{Coll: qc, Dead: []bool{false, false, true}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte(snapshotMagic + "\x01"))
 	// A header declaring a huge meta section.
@@ -51,8 +62,21 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatalf("dead bitmap length %d over %d sets", len(got.Dead), len(c.Sets))
 		}
 		for i := range c.Sets {
-			for j := range c.Sets[i].Elements {
-				e := &c.Sets[i].Elements[j]
+			s := &c.Sets[i]
+			run := 0
+			for j := range s.Elements {
+				run += len(s.Chunks(j))
+			}
+			if run != len(s.ChunkIDs()) || (c.Mode == ModeWord && s.ChunkIDs() != nil) {
+				t.Fatalf("set %d: %d chunks over its elements, a run of %d under %v", i, run, len(s.ChunkIDs()), c.Mode)
+			}
+			for _, id := range s.ChunkIDs() {
+				if int(id) >= c.Dict.Size() {
+					t.Fatalf("set %d chunk %d out of dictionary range", i, id)
+				}
+			}
+			for j := range s.Elements {
+				e := &s.Elements[j]
 				for _, id := range e.Tokens {
 					if int(id) >= c.Dict.Size() {
 						t.Fatalf("set %d element %d token %d out of dictionary range", i, j, id)
@@ -92,5 +116,35 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err := SaveSnapshot(&out, got); err != nil {
 			t.Fatalf("re-saving a loaded snapshot: %v", err)
 		}
+		// And load again with the same chunks, token ids renumbered or not.
+		again, err := LoadSnapshot(&out)
+		if err != nil {
+			t.Fatalf("reloading a re-saved snapshot: %v", err)
+		}
+		for i := range c.Sets {
+			if got.Dead != nil && got.Dead[i] {
+				continue
+			}
+			s, as := &c.Sets[i], &again.Coll.Sets[i]
+			for j := range s.Elements {
+				if !sameChunkStrings(c.Dict, s.Chunks(j), again.Coll.Dict, as.Chunks(j)) {
+					t.Fatalf("set %d element %d: chunks changed across a re-save", i, j)
+				}
+			}
+		}
 	})
+}
+
+// sameChunkStrings reports whether two chunk lists, each over its own
+// dictionary, spell the same q-chunks in the same order.
+func sameChunkStrings(da *tokens.Dictionary, a []tokens.ID, db *tokens.Dictionary, b []tokens.ID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if da.String(a[k]) != db.String(b[k]) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,17 +156,22 @@ func TestSnapshotRoundTripQGramNoPostings(t *testing.T) {
 	if gc.Mode != ModeQGram || gc.Q != 3 {
 		t.Fatalf("mode/q = %v/%d", gc.Mode, gc.Q)
 	}
-	for j := range c.Sets[0].Elements {
-		e, ge := &c.Sets[0].Elements[j], &gc.Sets[0].Elements[j]
+	s, gs := &c.Sets[0], &gc.Sets[0]
+	for j := range s.Elements {
+		e, ge := &s.Elements[j], &gs.Elements[j]
+		chunks, gchunks := s.Chunks(j), gs.Chunks(j)
 		if ge.Raw != e.Raw || ge.Length != e.Length ||
-			len(ge.Tokens) != len(e.Tokens) || len(ge.Chunks) != len(e.Chunks) {
+			len(ge.Tokens) != len(e.Tokens) || len(gchunks) != len(chunks) {
 			t.Fatalf("element %d shape differs", j)
 		}
-		for k := range e.Chunks {
-			if gc.Dict.String(ge.Chunks[k]) != c.Dict.String(e.Chunks[k]) {
+		for k := range chunks {
+			if gc.Dict.String(gchunks[k]) != c.Dict.String(chunks[k]) {
 				t.Fatalf("element %d chunk %d renamed", j, k)
 			}
 		}
+	}
+	if len(gs.ChunkIDs()) != len(s.ChunkIDs()) {
+		t.Fatalf("chunk run of %d ids, saved %d", len(gs.ChunkIDs()), len(s.ChunkIDs()))
 	}
 }
 
@@ -315,10 +322,43 @@ func compareSets(t *testing.T, got, want []Set) {
 			ge, we := &g.Elements[j], &w.Elements[j]
 			if ge.Raw != we.Raw || ge.Length != we.Length ||
 				!reflect.DeepEqual(append([]tokens.ID{}, ge.Tokens...), append([]tokens.ID{}, we.Tokens...)) ||
-				!reflect.DeepEqual(append([]tokens.ID{}, ge.Chunks...), append([]tokens.ID{}, we.Chunks...)) {
-				t.Fatalf("set %d element %d differs: %+v vs %+v", i, j, ge, we)
+				!reflect.DeepEqual(append([]tokens.ID{}, g.Chunks(j)...), append([]tokens.ID{}, w.Chunks(j)...)) {
+				t.Fatalf("set %d element %d differs: %+v %v vs %+v %v", i, j, ge, g.Chunks(j), we, w.Chunks(j))
 			}
 		}
+		if !reflect.DeepEqual(append([]tokens.ID{}, g.ChunkIDs()...), append([]tokens.ID{}, w.ChunkIDs()...)) {
+			t.Fatalf("set %d chunk run %v vs %v", i, g.ChunkIDs(), w.ChunkIDs())
+		}
+	}
+}
+
+// A word-mode image whose element carries chunk ids is corrupt: the writer
+// never writes one, and word-mode sets have no chunk run to load them into.
+// The image here is a q-gram one with its meta section's mode rewritten to
+// word; "abcdef" has as many distinct 3-grams as runes, so the element
+// passes the length check and only its chunks give it away.
+func TestLoadSnapshotRejectsWordModeChunks(t *testing.T) {
+	qc := BuildQGram(tokens.NewDictionary(), []RawSet{{Name: "q", Elements: []string{"abcdef"}}}, 3)
+	if e := &qc.Sets[0].Elements[0]; len(e.Tokens) != int(e.Length) {
+		t.Fatalf("fixture: %d grams for %d runes", len(e.Tokens), e.Length)
+	}
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, &SnapshotData{Coll: qc}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The meta section follows the magic and the version byte: a tag, a
+	// uint32 length, the payload (whose first byte is the mode), a CRC.
+	hdr := len(snapshotMagic) + 1
+	if data[hdr] != secMeta || data[hdr+5] != byte(ModeQGram) {
+		t.Fatalf("unexpected meta section % x", data[hdr:hdr+6])
+	}
+	n := int(binary.LittleEndian.Uint32(data[hdr+1:]))
+	payload := data[hdr+5 : hdr+5+n]
+	payload[0] = byte(ModeWord)
+	binary.LittleEndian.PutUint32(data[hdr+5+n:], crc32.ChecksumIEEE(payload))
+	if _, err := LoadSnapshotBytes(data); !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "chunk") {
+		t.Fatalf("word-mode image with chunk ids: got %v, want ErrSnapshotCorrupt naming the chunks", err)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestNoShareFloorsQGram(t *testing.T) {
 	}, 2)
 	r := &refColl.Sets[0]
 	sig := &signature.Signature{
-		Elements: []signature.ElemSig{{Tokens: r.Elements[0].Chunks[:1], Bound: 6.0 / 7.0}},
+		Elements: []signature.ElemSig{{Tokens: r.Chunks(0)[:1], Bound: 6.0 / 7.0}},
 		SumBound: 6.0 / 7.0,
 		Valid:    true,
 	}

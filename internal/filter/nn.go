@@ -184,10 +184,11 @@ func AppendNoShareFloors(dst []float64, r *dataset.Set, sig *signature.Signature
 	}
 	for i := range r.Elements {
 		el := &r.Elements[i]
-		if el.Length == 0 || len(el.Chunks) == 0 {
+		chunks := len(r.Chunks(i))
+		if el.Length == 0 || chunks == 0 {
 			continue
 		}
-		raw := float64(el.Length) / float64(int(el.Length)+len(el.Chunks))
+		raw := float64(el.Length) / float64(int(el.Length)+chunks)
 		if raw < alpha {
 			raw = 0
 		}

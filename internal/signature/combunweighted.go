@@ -58,7 +58,7 @@ func generateCombUnweighted(r *dataset.Set, p Params, ix *index.Inverted, q int)
 				occ[t] = 1
 			}
 		} else {
-			for _, t := range el.Chunks {
+			for _, t := range r.Chunks(i) {
 				occ[t]++
 			}
 		}
@@ -106,12 +106,13 @@ func generateCombUnweighted(r *dataset.Set, p Params, ix *index.Inverted, q int)
 		} else {
 			bound = contribAfter(p.Family, int(el.Length), occs)
 		}
+		chunks := r.Chunks(i)
 		available := len(el.Tokens)
 		if p.Family.usesChunks() {
-			available = len(el.Chunks)
+			available = len(chunks)
 		}
 		if satSize, ok := simThreshSize(p.Family, p.Alpha, int(el.Length), available); ok {
-			if cut, covered := cheapestCoveringAlloc(keep, el, p.Family, satSize, ix); covered {
+			if cut, covered := cheapestCoveringAlloc(keep, chunks, p.Family, satSize, ix); covered {
 				keep = cut
 				bound = 0
 			}
@@ -128,10 +129,10 @@ func generateCombUnweighted(r *dataset.Set, p Params, ix *index.Inverted, q int)
 // result out of the generator's scratch. CombUnweighted exists as the
 // paper's comparison baseline, so it does not thread worker scratch
 // through.
-func cheapestCoveringAlloc(candidates []tokens.ID, el *dataset.Element, f Family, need int, ix *index.Inverted) ([]tokens.ID, bool) {
+func cheapestCoveringAlloc(candidates, chunks []tokens.ID, f Family, need int, ix *index.Inverted) ([]tokens.ID, bool) {
 	var g Generator
 	var s elemState
-	cut, ok := g.cheapestCovering(candidates, el, f, need, ix, &s)
+	cut, ok := g.cheapestCovering(candidates, chunks, f, need, ix, &s)
 	if !ok {
 		return nil, false
 	}

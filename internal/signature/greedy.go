@@ -281,10 +281,11 @@ func (g *Generator) buildStates(r *dataset.Set, p Params, ix *index.Inverted) fl
 				g.addOcc(i, t, 1, ix)
 			}
 		} else {
-			s.totalOcc = len(el.Chunks)
+			chunks := r.Chunks(i)
+			s.totalOcc = len(chunks)
 			g.bumpOccEpoch()
 			g.occOrder = g.occOrder[:0]
-			for _, t := range el.Chunks {
+			for _, t := range chunks {
 				g.ensureOcc(t)
 				if g.occStamp[t] != g.occEpoch {
 					g.occStamp[t] = g.occEpoch
@@ -387,13 +388,14 @@ func (g *Generator) applySkylineCut(r *dataset.Set, p Params, ix *index.Inverted
 	for i := range g.sig.Elements {
 		el := &r.Elements[i]
 		esig := &g.sig.Elements[i]
+		chunks := r.Chunks(i)
 		available := len(el.Tokens)
 		if p.Family.usesChunks() {
-			available = len(el.Chunks)
+			available = len(chunks)
 		}
 		satSize, ok := simThreshSize(p.Family, p.Alpha, int(el.Length), available)
 		if ok {
-			if cut, covered := g.cheapestCovering(esig.Tokens, el, p.Family, satSize, ix, &g.es[i]); covered {
+			if cut, covered := g.cheapestCovering(esig.Tokens, chunks, p.Family, satSize, ix, &g.es[i]); covered {
 				esig.Tokens = cut
 				esig.Bound = 0
 			}
@@ -404,15 +406,15 @@ func (g *Generator) applySkylineCut(r *dataset.Set, p Params, ix *index.Inverted
 }
 
 // cheapestCovering returns the cheapest subset of candidate tokens whose
-// occurrence count within el reaches need, and whether that is possible.
-// Under word mode every token counts one occurrence; under edit mode a chunk
-// token counts its multiplicity in el. The result is written into the
-// element's cutTokens scratch.
-func (g *Generator) cheapestCovering(candidates []tokens.ID, el *dataset.Element, f Family, need int, ix *index.Inverted, s *elemState) ([]tokens.ID, bool) {
+// occurrence count within an element reaches need, and whether that is
+// possible. Under word mode every token counts one occurrence; under edit
+// mode a chunk token counts its multiplicity in the element's chunks. The
+// result is written into the element's cutTokens scratch.
+func (g *Generator) cheapestCovering(candidates, chunks []tokens.ID, f Family, need int, ix *index.Inverted, s *elemState) ([]tokens.ID, bool) {
 	hasOcc := f.usesChunks()
 	if hasOcc {
 		g.bumpOccEpoch()
-		for _, c := range el.Chunks {
+		for _, c := range chunks {
 			g.ensureOcc(c)
 			if g.occStamp[c] != g.occEpoch {
 				g.occStamp[c] = g.occEpoch
@@ -429,7 +431,7 @@ func (g *Generator) cheapestCovering(candidates []tokens.ID, el *dataset.Element
 			g.ensureOcc(t)
 			if g.occStamp[t] == g.occEpoch && g.occCnt[t] > 0 {
 				occ = int(g.occCnt[t])
-			} // else defensive: token not a chunk of el, counts one
+			} // else defensive: token not a chunk of the element, counts one
 		}
 		g.tcs = append(g.tcs, tokCost{id: t, cost: ix.ListLen(t), occ: occ})
 		total += occ

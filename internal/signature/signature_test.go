@@ -234,7 +234,7 @@ func TestEditWeightedScheme(t *testing.T) {
 		if es.Bound >= 1 || es.Bound <= 0 {
 			t.Errorf("element %d bound %v out of (0,1)", i, es.Bound)
 		}
-		if es.Bound < float64(el.Length)/float64(int(el.Length)+len(el.Chunks)) {
+		if es.Bound < float64(el.Length)/float64(int(el.Length)+len(r.Chunks(i))) {
 			t.Errorf("element %d bound below the all-chunks floor", i)
 		}
 	}

@@ -5,10 +5,10 @@ import (
 	"unicode/utf8"
 )
 
-// Scratch holds reusable tokenization buffers for the query path. The
-// slice-returning tokenizers (Words, QGrams, QChunks) allocate a string per
-// token plus the token slice itself — fine for indexing, where the strings
-// live on in the dictionary, but pure overhead per query. The Append*IDs
+// Scratch holds reusable tokenization buffers for the collection builders
+// and the query path. The slice-returning tokenizers (Words, QGrams,
+// QChunks) allocate a string per token plus the token slice itself; they
+// remain the plain statement of what a token stream is. The Append*IDs
 // methods produce the same token streams as InternAll(dict, Words/QGrams/
 // QChunks(...)) while staging every token in the scratch's buffers, so a
 // warmed-up scratch tokenizes with zero allocations as long as every token
