@@ -28,7 +28,7 @@ type DirEntry struct {
 // dataset.ElemBase. The filters see one posting after another from sets all
 // over the collection; the directory answers them from one dense table
 // where coll.Sets[Set].Elements[Elem] is three dependent loads ending in a
-// 72-byte struct.
+// 48-byte struct.
 //
 // Readers hold the index's own Directory (Inverted.Directory), which
 // AppendSets and Rebuild change under the engine's exclusive lock, as they
