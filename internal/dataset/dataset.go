@@ -303,9 +303,9 @@ func runeLen(s string) int {
 // ElementKey returns the exact content key string for an element under the
 // given mode, for the identical-element reduction of paper §5.3. Identical
 // elements get equal keys; the empty key marks non-reducible (empty)
-// elements. The hot path never calls this per pair: builders intern the
-// string once at build time into Element.Key, and verification compares
-// those dense ids instead.
+// elements. Nothing on a build or query path calls it: builders stage the
+// same bytes in a reused buffer (resolveKey) and intern them once into
+// Element.Key, and verification compares those dense ids instead.
 func ElementKey(e *Element, mode TokenMode) string {
 	if mode == ModeQGram {
 		return e.Raw

@@ -122,6 +122,15 @@ func TestElementKeyWordMode(t *testing.T) {
 	if k3 != "" {
 		t.Error("empty element must have the empty key")
 	}
+	// The builder interns exactly these keys, staged in its own buffer.
+	for i, k := range []string{k0, k1, k2} {
+		if got := d.Keys().String(es[i].Key); got != k {
+			t.Errorf("element %d: interned key %q, ElementKey %q", i, got, k)
+		}
+	}
+	if es[3].Key != NoKey {
+		t.Errorf("empty element key %d, want NoKey", es[3].Key)
+	}
 }
 
 func TestElementKeyQGramMode(t *testing.T) {

@@ -523,12 +523,11 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 // together, one for its token ids and one for its chunk run, instead of a
 // string and a token slice per element.
 type setStage struct {
-	text   []byte      // the set's name, then each element's raw, back to back
-	toks   []tokens.ID // every element's token ids, back to back
-	ends   []tokens.ID // the chunk run's end offsets
-	chunks []tokens.ID // the chunk run's ids
-	elems  []stagedElem
-	key    []byte // staging for word-mode element keys
+	text  []byte      // the set's name, then each element's raw, back to back
+	toks  []tokens.ID // every element's token ids, back to back
+	run   []tokens.ID // the set's chunk run, laid out as Set.chunks
+	elems []stagedElem
+	key   []byte // staging for word-mode element keys
 }
 
 // stagedElem is where one element ends in the stage's text and toks, and
@@ -548,7 +547,10 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 	if err := sr.Err(); err != nil {
 		return corrupt("set %d: %v", i, err)
 	}
-	st.toks, st.ends, st.chunks, st.elems = st.toks[:0], st.ends[:0], st.chunks[:0], st.elems[:0]
+	st.toks, st.run, st.elems = st.toks[:0], st.run[:0], st.elems[:0]
+	for range ne {
+		st.run = append(st.run, 0) // the end offsets, filled below
+	}
 	for j := 0; j < ne; j++ {
 		st.text = append(st.text, sr.StringBytes()...)
 		nt := sr.Count(1)
@@ -576,9 +578,9 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 			if sr.Err() == nil && cid >= numWords {
 				return corrupt("set %d element %d chunk id %d out of range", i, j, cid)
 			}
-			st.chunks = append(st.chunks, tokens.ID(cid))
+			st.run = append(st.run, tokens.ID(cid))
 		}
-		st.ends = append(st.ends, tokens.ID(ne+len(st.chunks)))
+		st.run[j] = tokens.ID(len(st.run))
 		storedLen := sr.Uint()
 		if err := sr.Err(); err != nil {
 			return corrupt("set %d element %d: %v", i, j, err)
@@ -589,8 +591,8 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 	text := string(st.text)
 	toks := cloneIDs(st.toks)
 	*s = Set{Name: text[:nameEnd], Elements: make([]Element, ne)}
-	if len(st.chunks) > 0 {
-		s.chunks = append(append(make([]tokens.ID, 0, ne+len(st.chunks)), st.ends...), st.chunks...)
+	if len(st.run) > ne {
+		s.chunks = cloneIDs(st.run)
 	}
 	rawOff, tokOff := nameEnd, 0
 	for j, se := range st.elems {
