@@ -521,7 +521,9 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 // setStage stages one set of a snapshot in buffers reused across sets, so
 // that a loaded set costs one allocation for its name and element strings
 // together, one for its token ids and one for its chunk run, instead of a
-// string and a token slice per element.
+// string and a token slice per element. A q-gram key is its raw string, so
+// a key the dictionary interned from a loaded set keeps that set's text
+// alive for as long as any set still holds the key.
 type setStage struct {
 	text  []byte      // the set's name, then each element's raw, back to back
 	toks  []tokens.ID // every element's token ids, back to back
