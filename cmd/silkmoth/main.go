@@ -34,7 +34,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0, "element similarity threshold α in [0,1)")
 		q         = flag.Int("q", 0, "gram length for edit similarities (0 = auto)")
 		scheme    = flag.String("scheme", "dichotomy", "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
-		noCheck   = flag.Bool("no-check", false, "disable the check filter")
+		noCheck   = flag.Bool("no-check", false, "disable the check filter; the nearest-neighbor filter implies it, so this acts only with -no-nn")
 		noNN      = flag.Bool("no-nn", false, "disable the nearest-neighbor filter")
 		noRed     = flag.Bool("no-reduction", false, "disable reduction-based verification")
 		workers   = flag.Int("workers", 0, "parallel search passes (0 = GOMAXPROCS)")
@@ -44,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := buildConfig(*metric, *simName, *scheme, *delta, *alpha, *q, *noCheck, *noNN, *noRed, *workers)
+	cfg, err := buildConfig(*metric, *simName, *scheme, *delta, *alpha, *q, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -58,13 +58,15 @@ func main() {
 		fatal(err)
 	}
 
+	// Every query of the run takes the same options; the explain capture is
+	// rewritten by each.
+	opts := filterOptions(*noCheck, *noNN, *noRed)
+	var ex silkmoth.Explain
+	if *explain {
+		opts = append(opts, silkmoth.WithExplain(&ex))
+	}
 	switch *mode {
 	case "discover":
-		var opts []silkmoth.QueryOption
-		var ex silkmoth.Explain
-		if *explain {
-			opts = append(opts, silkmoth.WithExplain(&ex))
-		}
 		for _, p := range eng.Discover(opts...) {
 			fmt.Printf("%s\t%s\t%.4f\t%.4f\n", p.RName, p.SName, p.Relatedness, p.MatchingScore)
 		}
@@ -79,15 +81,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if *topK > 0 {
+			opts = append(opts, silkmoth.WithK(*topK))
+		}
 		for _, r := range refs {
-			var opts []silkmoth.QueryOption
-			var ex silkmoth.Explain
-			if *topK > 0 {
-				opts = append(opts, silkmoth.WithK(*topK))
-			}
-			if *explain {
-				opts = append(opts, silkmoth.WithExplain(&ex))
-			}
 			ms, err := eng.Search(silkmoth.Set{Name: r.Name, Elements: r.Elements}, opts...)
 			if err != nil {
 				fatal(err)
@@ -110,17 +107,11 @@ func main() {
 	}
 }
 
-func buildConfig(metric, simName, scheme string, delta, alpha float64, q int, noCheck, noNN, noRed bool, workers int) (silkmoth.Config, error) {
+func buildConfig(metric, simName, scheme string, delta, alpha float64, q, workers int) (silkmoth.Config, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cfg := silkmoth.Config{
-		Delta: delta, Alpha: alpha, Q: q,
-		DisableCheckFilter: noCheck,
-		DisableNNFilter:    noNN,
-		DisableReduction:   noRed,
-		Concurrency:        workers,
-	}
+	cfg := silkmoth.Config{Delta: delta, Alpha: alpha, Q: q, Concurrency: workers}
 	switch metric {
 	case "similarity":
 		cfg.Metric = silkmoth.SetSimilarity
@@ -145,6 +136,15 @@ func buildConfig(metric, simName, scheme string, delta, alpha float64, q int, no
 	}
 	cfg.Scheme = sc
 	return cfg, nil
+}
+
+// filterOptions turns the -no-check, -no-nn and -no-reduction flags into
+// the query options that switch those pipeline stages off; with every flag
+// false they change nothing.
+func filterOptions(noCheck, noNN, noRed bool) []silkmoth.QueryOption {
+	return []silkmoth.QueryOption{
+		silkmoth.WithCheckFilter(!noCheck), silkmoth.WithNNFilter(!noNN), silkmoth.WithReduction(!noRed),
+	}
 }
 
 // printExplain renders one query's plan on stderr: the chosen concrete

@@ -77,6 +77,11 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return buildHeapEngine(sets, cfg, opts)
+}
+
+// buildHeapEngine is newHeapEngine over options already lowered from cfg.
+func buildHeapEngine(sets []Set, cfg Config, opts core.Options) (*Engine, error) {
 	raws := toRaw(sets)
 	dict := tokens.NewDictionary()
 	var coll *dataset.Collection

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/wal"
 )
@@ -108,19 +107,19 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 	if qo.explain != nil {
 		start = time.Now()
 	}
-	if qo.reduction == core.ToggleOff {
-		cfg.DisableReduction = true
-	}
 	if cfg.Delta == 0 {
 		cfg.Delta = 1 // Delta is irrelevant here but must validate
 	}
 	cfg.Shards = 1 // one pairwise matching has nothing to split
-	// A caller's engine Config may name its data directory (a durable
-	// server passes its own): the throwaway one-set engine must neither
-	// recover that collection in place of s nor write there, and being
-	// heap-only it holds nothing to close.
-	cfg.DataDir = ""
-	eng, err := NewEngine([]Set{s}, cfg)
+	co, err := cfg.coreOptions()
+	if err != nil {
+		return 0, err
+	}
+	co.Reduction = !qo.q.NoReduction
+	// A heap engine, whatever cfg.DataDir names (a durable server passes its
+	// own): the throwaway one-set engine neither recovers that collection in
+	// place of s nor writes there, and holds nothing to close.
+	eng, err := buildHeapEngine([]Set{s}, cfg, co)
 	if err != nil {
 		return 0, err
 	}

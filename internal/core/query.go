@@ -8,33 +8,6 @@ import (
 	"silkmoth/internal/signature"
 )
 
-// Toggle is a tri-state boolean for per-query feature overrides: the zero
-// value inherits the engine's configuration, ToggleOn forces the feature on
-// and ToggleOff forces it off (subject to the same soundness normalization
-// engine construction applies).
-type Toggle int8
-
-const (
-	// ToggleInherit keeps the engine's configured value.
-	ToggleInherit Toggle = 0
-	// ToggleOn forces the feature on for this query.
-	ToggleOn Toggle = 1
-	// ToggleOff forces the feature off for this query.
-	ToggleOff Toggle = -1
-)
-
-// apply resolves the toggle against the engine's configured value.
-func (t Toggle) apply(configured bool) bool {
-	switch t {
-	case ToggleOn:
-		return true
-	case ToggleOff:
-		return false
-	default:
-		return configured
-	}
-}
-
 // Query carries one query's overrides and observation hooks through every
 // engine path — serial passes, passes run in chunks, batch fan-out. A nil
 // *Query (or the zero value) reproduces the engine's configured behavior
@@ -52,13 +25,15 @@ type Query struct {
 	// query. Unlike Scheme it changes results: matches are exactly those
 	// of an engine built with the overridden δ.
 	Delta float64
-	// CheckFilter, NNFilter, and Reduction override the engine's filter
-	// and verification-reduction configuration. The engine's soundness
-	// normalization still applies: NNFilter implies CheckFilter, and the
-	// reduction only engages where its metric requirements hold.
-	CheckFilter Toggle
-	NNFilter    Toggle
-	Reduction   Toggle
+	// NoCheckFilter, NoNNFilter, and NoReduction turn the engine's filters
+	// and verification reduction off for this query; false keeps the
+	// engine's setting. The engine's soundness rules still apply: the NN
+	// filter implies the check filter, so NoCheckFilter changes nothing
+	// while the NN filter runs, and the reduction only engages where its
+	// metric requirements hold.
+	NoCheckFilter bool
+	NoNNFilter    bool
+	NoReduction   bool
 	// K, when > 0, keeps only the search's best K matches, picked by a
 	// bounded heap instead of a sort of every match. Discovery ignores it.
 	K int
@@ -101,9 +76,9 @@ func (e *Engine) queryOptions(q *Query) Options {
 	if q.Delta > 0 {
 		o.Delta = q.Delta
 	}
-	o.CheckFilter = q.CheckFilter.apply(o.CheckFilter)
-	o.NNFilter = q.NNFilter.apply(o.NNFilter)
-	o.Reduction = q.Reduction.apply(o.Reduction)
+	o.CheckFilter = o.CheckFilter && !q.NoCheckFilter
+	o.NNFilter = o.NNFilter && !q.NoNNFilter
+	o.Reduction = o.Reduction && !q.NoReduction
 	o.sound()
 	return o
 }

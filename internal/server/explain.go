@@ -50,8 +50,9 @@ func explainJSON(ex *silkmoth.Explain) *ExplainJSON {
 
 // parseExplainQuery fills req from GET /v1/explain's query parameters —
 // repeated e=<element> for the reference set's elements, plus optional name,
-// k, scheme, delta, no_check_filter and no_nn_filter — reporting false
-// (response written) on malformed values.
+// k, scheme, delta, no_check_filter and no_nn_filter (booleans as
+// strconv.ParseBool reads them) — reporting false (response written) on
+// malformed values.
 func parseExplainQuery(w http.ResponseWriter, r *http.Request, req *searchRequest) bool {
 	q := r.URL.Query()
 	req.Set = SetJSON{Name: q.Get("name"), Elements: q["e"]}
@@ -72,7 +73,18 @@ func parseExplainQuery(w http.ResponseWriter, r *http.Request, req *searchReques
 		}
 		req.Delta = d
 	}
-	req.DisableCheckFilter = q.Get("no_check_filter") == "1" || q.Get("no_check_filter") == "true"
-	req.DisableNNFilter = q.Get("no_nn_filter") == "1" || q.Get("no_nn_filter") == "true"
+	for _, f := range []struct {
+		name string
+		dst  *bool
+	}{{"no_check_filter", &req.DisableCheckFilter}, {"no_nn_filter", &req.DisableNNFilter}} {
+		if raw := q.Get(f.name); raw != "" {
+			b, err := strconv.ParseBool(raw)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "%s must be a boolean: %q", f.name, raw)
+				return false
+			}
+			*f.dst = b
+		}
+	}
 	return true
 }

@@ -101,23 +101,67 @@ func TestExplainEndpoint(t *testing.T) {
 
 // TestExplainFilterToggles checks the what-if knobs: disabling the NN
 // filter may only move candidates from nn_pruned to verified, never change
-// matches.
+// matches; disabling the check filter alone changes nothing, since the NN
+// filter implies it; and GET reads the switches as booleans, answering 400
+// to anything else.
 func TestExplainFilterToggles(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	on := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain",
-		`{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA"]}}`))
-	off := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain",
-		`{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA"]},"disable_nn_filter":true,"disable_check_filter":true}`))
+	// Sets that share single words with the query give the check filter
+	// something to prune.
+	if w := postJSON(t, s, "/v1/sets", `{"sets":[{"elements":["77","Mass"]},{"elements":["Ave","Boston"]},{"elements":["MA","Pine St"]}]}`); w.Code != http.StatusOK {
+		t.Fatalf("add: %d: %s", w.Code, w.Body.String())
+	}
+	const set = `{"set":{"elements":["77 Mass Ave Boston MA","5th St Seattle WA"]}`
+	on := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain", set+`}`))
+	off := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain", set+`,"disable_nn_filter":true,"disable_check_filter":true}`))
+	checkOnly := decode[BatchItemJSON](t, postJSON(t, s, "/v1/explain", set+`,"disable_check_filter":true}`))
 	checkFunnel(t, "filters-on", *on.Explain)
 	checkFunnel(t, "filters-off", *off.Explain)
+	if on.Explain.CheckPruned == 0 || len(on.Matches) == 0 {
+		t.Fatalf("the default prunes nothing or matches nothing: %+v", on.Explain.Funnel)
+	}
 	if off.Explain.NNPruned != 0 || off.Explain.CheckPruned != 0 {
 		t.Fatalf("disabled filters still pruned: %+v", off.Explain)
+	}
+	// A pass cut into chunks may split φ requests between kernel and memo
+	// differently; the rest of a funnel repeats exactly.
+	same := func(a, b silkmoth.Funnel) bool {
+		a.SimEvals, a.SimMemoHits = a.SimEvals+a.SimMemoHits, 0
+		b.SimEvals, b.SimMemoHits = b.SimEvals+b.SimMemoHits, 0
+		return a == b
+	}
+	if !same(checkOnly.Explain.Funnel, on.Explain.Funnel) {
+		t.Fatalf("disable_check_filter alone explains %+v, the default %+v", checkOnly.Explain.Funnel, on.Explain.Funnel)
 	}
 	if len(on.Matches) != len(off.Matches) {
 		t.Fatalf("filter toggles changed matches: %d vs %d", len(on.Matches), len(off.Matches))
 	}
 	if off.Explain.Verified < on.Explain.Verified {
 		t.Fatalf("filters off verified %d < filters on %d", off.Explain.Verified, on.Explain.Verified)
+	}
+
+	const path = "/v1/explain?e=77+Mass+Ave+Boston+MA&e=5th+St+Seattle+WA"
+	for _, tc := range []struct {
+		query string
+		want  silkmoth.Funnel
+	}{
+		{"&no_check_filter=TRUE&no_nn_filter=TRUE", off.Explain.Funnel},
+		{"&no_check_filter=1&no_nn_filter=t", off.Explain.Funnel},
+		{"&no_check_filter=true", on.Explain.Funnel},
+		{"&no_check_filter=false&no_nn_filter=0", on.Explain.Funnel},
+	} {
+		w := get(t, s, path+tc.query)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d: %s", tc.query, w.Code, w.Body.String())
+		}
+		if got := decode[BatchItemJSON](t, w).Explain.Funnel; !same(got, tc.want) {
+			t.Errorf("GET %s explains %+v, want %+v", tc.query, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"&no_nn_filter=yes", "&no_check_filter=on", "&no_nn_filter=2"} {
+		if w := get(t, s, path+bad); w.Code != http.StatusBadRequest {
+			t.Errorf("GET %s: %d, want 400: %s", bad, w.Code, w.Body.String())
+		}
 	}
 }
 

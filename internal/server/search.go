@@ -27,7 +27,9 @@ type searchRequest struct {
 	// DisableCheckFilter / DisableNNFilter turn pipeline stages off for
 	// this query only, for what-if tuning (how many more candidates reach
 	// verification with a filter off?). Matches never change — only the
-	// explained funnel does.
+	// explained funnel does. The NN filter implies the check filter, so
+	// DisableCheckFilter alone changes nothing: it takes DisableNNFilter
+	// too.
 	DisableCheckFilter bool `json:"disable_check_filter,omitempty"`
 	DisableNNFilter    bool `json:"disable_nn_filter,omitempty"`
 }

@@ -143,6 +143,7 @@ func (s *Server) families(st *silkmoth.Stats) []obs.Family {
 		obs.Counter("silkmothd_search_helper_chunks_total", "Set-id chunks of split search passes that helpers ran.", st.HelperChunks),
 
 		obs.Flag("silkmothd_posting_storage_compressed", "Whether the inverted index stores posting lists as compressed containers.", st.CompressedPostings),
+		obs.Gauge("silkmothd_posting_storage_postings", "Logical postings across the inverted index's lists.", st.Postings),
 		obs.Labelled("silkmothd_posting_storage_bytes", "gauge", "Posting storage by form: heap-materialized lists, encoded container bytes, decode-cache resident bytes, the element directory.",
 			"form", []string{"heap", "encoded", "resident", "directory"},
 			st.PostingHeapBytes, st.PostingEncodedBytes, st.PostingResidentBytes, st.PostingDirectoryBytes),

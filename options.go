@@ -22,17 +22,12 @@ import (
 // filters must never change results (the exactness guarantee), only cost.
 type QueryOption func(*queryOptions) error
 
-// queryOptions is the compiled form of a query's option list.
+// queryOptions is the compiled form of a query's option list: the core
+// engine's per-query form, which each option writes directly, and the
+// explain destination.
 type queryOptions struct {
-	k         int // 0 keeps every match
-	scheme    Scheme
-	hasScheme bool
-	delta     float64
-	hasDelta  bool
-	check     core.Toggle
-	nn        core.Toggle
-	reduction core.Toggle
-	explain   *Explain
+	q       core.Query
+	explain *Explain
 }
 
 // WithK truncates the query's matches to the k most related (k ≥ 1), like
@@ -44,7 +39,7 @@ func WithK(k int) QueryOption {
 		if k < 1 {
 			return fmt.Errorf("silkmoth: WithK requires k >= 1, got %d", k)
 		}
-		qo.k = k
+		qo.q.K = k
 		return nil
 	}
 }
@@ -55,10 +50,11 @@ func WithK(k int) QueryOption {
 // every scheme; pair it with WithExplain to audit the probe cost of each.
 func WithScheme(s Scheme) QueryOption {
 	return func(qo *queryOptions) error {
-		if _, err := s.kind(); err != nil {
+		kind, err := s.kind()
+		if err != nil {
 			return err
 		}
-		qo.scheme, qo.hasScheme = s, true
+		qo.q.Scheme, qo.q.SchemeSet = kind, true
 		return nil
 	}
 }
@@ -70,7 +66,7 @@ func WithDelta(d float64) QueryOption {
 		if !(d > 0 && d <= 1) { // NaN fails too
 			return fmt.Errorf("silkmoth: WithDelta requires δ in (0, 1], got %v", d)
 		}
-		qo.delta, qo.hasDelta = d, true
+		qo.q.Delta = d
 		return nil
 	}
 }
@@ -91,42 +87,38 @@ func WithExplain(dst *Explain) QueryOption {
 	}
 }
 
-// WithCheckFilter enables or disables the check filter (§5.1) for this
-// query. Disabling a filter never changes matches — only how many
-// candidates reach exact verification.
+// WithCheckFilter(false) turns the check filter (§5.1) off for this query;
+// true keeps it on, which every engine does by default. The NN filter
+// consumes the check filter's state and so implies it: WithCheckFilter(false)
+// alone changes nothing, and only together with WithNNFilter(false) does it
+// stop the check filter pruning. Disabling a filter never changes matches —
+// only how many candidates reach exact verification.
 func WithCheckFilter(enabled bool) QueryOption {
 	return func(qo *queryOptions) error {
-		qo.check = toggle(enabled)
+		qo.q.NoCheckFilter = !enabled
 		return nil
 	}
 }
 
-// WithNNFilter enables or disables the nearest-neighbor filter (§5.2) for
-// this query. Enabling it implies the check filter, whose state it
-// consumes.
+// WithNNFilter(false) turns the nearest-neighbor filter (§5.2) off for this
+// query; true keeps it on, which every engine does by default. Keeping it on
+// keeps the check filter on too, whose state it consumes.
 func WithNNFilter(enabled bool) QueryOption {
 	return func(qo *queryOptions) error {
-		qo.nn = toggle(enabled)
+		qo.q.NoNNFilter = !enabled
 		return nil
 	}
 }
 
-// WithReduction enables or disables reduction-based verification (§5.3)
-// for this query. The reduction stays off where its metric requirements
-// fail (α ≠ 0, or a similarity whose dual distance is not a metric),
-// regardless of the toggle.
+// WithReduction(false) turns reduction-based verification (§5.3) off for
+// this query; true keeps the engine's default. The reduction is off
+// regardless where its metric requirements fail (α ≠ 0, or a similarity
+// whose dual distance is not a metric).
 func WithReduction(enabled bool) QueryOption {
 	return func(qo *queryOptions) error {
-		qo.reduction = toggle(enabled)
+		qo.q.NoReduction = !enabled
 		return nil
 	}
-}
-
-func toggle(enabled bool) core.Toggle {
-	if enabled {
-		return core.ToggleOn
-	}
-	return core.ToggleOff
 }
 
 // compile folds an option list into qo, which starts zero, validating each
@@ -143,35 +135,17 @@ func (qo *queryOptions) compile(opts []QueryOption) error {
 	return nil
 }
 
-// coreQuery lowers the compiled options into the core engine's per-query
-// override form, allocating the stats capture when explain was requested.
-// It returns nil when nothing was overridden or captured, which keeps
-// option-less queries on the exact pre-options code path.
+// coreQuery returns the compiled query, with a stats capture when explain
+// was requested. It returns nil when nothing was overridden or captured,
+// which keeps option-less queries on the exact pre-options code path.
 func (qo *queryOptions) coreQuery() *core.Query {
-	if qo.k == 0 && !qo.hasScheme && !qo.hasDelta && qo.check == core.ToggleInherit &&
-		qo.nn == core.ToggleInherit && qo.reduction == core.ToggleInherit &&
-		qo.explain == nil {
+	if qo.q == (core.Query{}) && qo.explain == nil {
 		return nil
 	}
-	q := &core.Query{
-		Delta:       qo.delta,
-		CheckFilter: qo.check,
-		NNFilter:    qo.nn,
-		Reduction:   qo.reduction,
-		K:           qo.k,
-	}
-	if qo.hasScheme {
-		kind, err := qo.scheme.kind()
-		if err != nil {
-			// WithScheme validated already; this is unreachable.
-			panic(err)
-		}
-		q.Scheme, q.SchemeSet = kind, true
-	}
 	if qo.explain != nil {
-		q.Stats = &core.Capture{}
+		qo.q.Stats = &core.Capture{}
 	}
-	return q
+	return &qo.q
 }
 
 // finishExplain writes q's capture, with the query's wall time, into the

@@ -271,38 +271,62 @@ func TestFilterTogglesNeverChangeResults(t *testing.T) {
 	}
 }
 
-// TestFilterTogglesOn turns the NN filter on per query over an engine built
-// with both filters off. The NN filter implies the check filter, so the
-// answers and the explained funnel must be those of an engine built with
-// both filters on.
+// bruteForce answers q by scoring every set of eng's collection, sorted
+// like a search's matches.
+func bruteForce(eng *Engine, q Set) []Match {
+	eng.mu.RLock()
+	scratch, qc := eng.tokenizeQuery(toRaw([]Set{q}))
+	want := eng.toMatches(eng.eng.BruteForceSearch(&qc.Sets[0]))
+	queryScratchPool.Put(scratch)
+	eng.mu.RUnlock()
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Relatedness != want[j].Relatedness {
+			return want[i].Relatedness > want[j].Relatedness
+		}
+		return want[i].Index < want[j].Index
+	})
+	return want
+}
+
+// TestFilterTogglesOn pins what the filter options do given that the NN
+// filter implies the check filter: WithCheckFilter(false) alone changes
+// nothing, and neither does turning both filters off and then the NN filter
+// back on, so both answer with the brute-force oracle's matches and the
+// funnel of a query without options; only both filters off stops either
+// pruning.
 func TestFilterTogglesOn(t *testing.T) {
 	sets := autoGridCorpus(109, 24)
 	queries := autoGridCorpus(110, 5)
-	cfg := Config{Similarity: Jaccard, Delta: 0.3, Alpha: 0.3, Shards: 1}
-	on, err := NewEngine(sets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisableCheckFilter, cfg.DisableNNFilter = true, true
-	off, err := NewEngine(sets, cfg)
+	eng, err := NewEngine(sets, Config{Similarity: Jaccard, Delta: 0.3, Alpha: 0.3, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var checkPruned, verified int64
 	for qi, q := range queries {
-		var want, got Explain
-		wantMs, err := on.Search(q, WithExplain(&want))
-		if err != nil {
+		var want, off Explain
+		if _, err := eng.Search(q, WithExplain(&want)); err != nil {
 			t.Fatal(err)
 		}
-		gotMs, err := off.Search(q, WithNNFilter(true), WithExplain(&got))
-		if err != nil {
+		for oi, opts := range [][]QueryOption{
+			{WithCheckFilter(false)},
+			{WithCheckFilter(false), WithNNFilter(false), WithNNFilter(true)},
+		} {
+			var got Explain
+			gotMs, err := eng.Search(q, append(opts, WithExplain(&got))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("query=%d options=%d", qi, oi)
+			matchesEqual(t, label, gotMs, bruteForce(eng, q))
+			if got.Funnel != want.Funnel || got.Passes != want.Passes {
+				t.Errorf("%s: explains %+v, filters on %+v", label, got.Funnel, want.Funnel)
+			}
+		}
+		if _, err := eng.Search(q, WithCheckFilter(false), WithNNFilter(false), WithExplain(&off)); err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("query=%d", qi)
-		matchesEqual(t, label, gotMs, wantMs)
-		if got.Funnel != want.Funnel || got.Passes != want.Passes {
-			t.Errorf("%s: WithNNFilter(true) over filters off explains %+v, filters on %+v", label, got.Funnel, want.Funnel)
+		if off.CheckPruned != 0 || off.NNPruned != 0 {
+			t.Errorf("query=%d: both filters off still pruned: %+v", qi, off.Funnel)
 		}
 		checkPruned += want.CheckPruned
 		verified += want.Verified
@@ -312,41 +336,42 @@ func TestFilterTogglesOn(t *testing.T) {
 	}
 }
 
-// TestReductionToggleOnStaysSound turns the §5.3 reduction on per query
-// where its metric requirement fails — NEds, and Jaccard and Eds at α > 0 —
-// over an engine built without it. The toggle must leave it off there, so
-// the answers are the brute-force oracle's.
+// TestReductionToggleOnStaysSound turns the §5.3 reduction off and back on
+// per query where its metric requirement fails — NEds, and Jaccard and Eds
+// at α > 0. The engine keeps it off there whatever the options say, so the
+// answers are the brute-force oracle's.
 func TestReductionToggleOnStaysSound(t *testing.T) {
-	sets := autoGridCorpus(109, 24)
-	queries := autoGridCorpus(110, 5)
+	// At α = 0.5 the reduction would match the shared "p q r s" outright and
+	// score 1 + 0 (φ("p q r t", "q r s u") = 1/3 falls below α), where the
+	// crossed matching scores 0.6 + 0.6: relatedness 1/3 against 3/7, on
+	// either side of δ = 0.4.
+	sets := append(autoGridCorpus(109, 24), Set{Name: "crossed", Elements: []string{"p q r s", "q r s u"}})
+	queries := append(autoGridCorpus(110, 5), Set{Elements: []string{"p q r s", "p q r t"}})
 	for _, cfg := range []Config{
 		{Similarity: NEds, Delta: 0.5},
 		{Similarity: Jaccard, Delta: 0.3, Alpha: 0.3},
+		{Similarity: Jaccard, Delta: 0.4, Alpha: 0.5},
 		{Similarity: Eds, Delta: 0.5, Alpha: 0.6},
 	} {
-		cfg.DisableReduction, cfg.Shards = true, 1
+		cfg.Shards = 1
 		eng, err := NewEngine(sets, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		found := 0
 		for qi, q := range queries {
-			got, err := eng.Search(q, WithReduction(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.mu.RLock()
-			scratch, qc := eng.tokenizeQuery(toRaw([]Set{q}))
-			want := eng.toMatches(eng.eng.BruteForceSearch(&qc.Sets[0]))
-			queryScratchPool.Put(scratch)
-			eng.mu.RUnlock()
-			sort.Slice(want, func(i, j int) bool {
-				if want[i].Relatedness != want[j].Relatedness {
-					return want[i].Relatedness > want[j].Relatedness
+			want := bruteForce(eng, q)
+			// The explain capture makes the query resolve its own options.
+			for oi, opts := range [][]QueryOption{
+				{WithReduction(true)},
+				{WithReduction(false), WithReduction(true), WithExplain(new(Explain))},
+			} {
+				got, err := eng.Search(q, opts...)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return want[i].Index < want[j].Index
-			})
-			matchesEqual(t, fmt.Sprintf("%v α=%g query=%d", cfg.Similarity, cfg.Alpha, qi), got, want)
+				matchesEqual(t, fmt.Sprintf("%v α=%g query=%d options=%d", cfg.Similarity, cfg.Alpha, qi, oi), got, want)
+			}
 			found += len(want)
 		}
 		if found == 0 {

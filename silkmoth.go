@@ -57,8 +57,10 @@
 // WithScheme never changes results (schemes only decide how the index is
 // probed — pair it with WithExplain to audit SchemeAuto's choices), while
 // WithDelta returns exactly what an engine built with that δ would.
-// WithCheckFilter, WithNNFilter, and WithReduction stress individual
-// pipeline stages; disabling them never changes matches, only cost.
+// WithCheckFilter, WithNNFilter, and WithReduction switch individual
+// pipeline stages off, which only they can: disabling them never changes
+// matches, only cost. The NN filter implies the check filter, so
+// WithCheckFilter(false) takes effect only with WithNNFilter(false).
 //
 // An Explain captured with WithExplain reports the executed plan: the
 // concrete scheme that probed the index, the per-stage pruning funnel —
@@ -263,8 +265,10 @@ func (s Scheme) kind() (signature.Kind, error) {
 }
 
 // Config configures an Engine. The zero value is not valid: Delta must be
-// positive. Filters and the verification reduction are on by default and
-// can be disabled for experimentation.
+// positive. Every engine runs the paper's full pipeline — the check filter,
+// the NN filter and the verification reduction (the last only at Alpha = 0
+// under Jaccard or Eds); WithCheckFilter, WithNNFilter and WithReduction
+// switch them off one query at a time.
 type Config struct {
 	// Metric is the relatedness metric; default SetSimilarity.
 	Metric Metric
@@ -280,13 +284,6 @@ type Config struct {
 	Q int
 	// Scheme is the signature scheme; default SchemeDichotomy.
 	Scheme Scheme
-	// DisableCheckFilter turns off the check filter (§5.1).
-	DisableCheckFilter bool
-	// DisableNNFilter turns off the nearest-neighbor filter (§5.2).
-	DisableNNFilter bool
-	// DisableReduction turns off reduction-based verification (§5.3).
-	// The reduction only applies at Alpha = 0 under Jaccard or Eds.
-	DisableReduction bool
 	// Concurrency bounds the parallel search passes of Discover,
 	// DiscoverAgainst and SearchBatchQueries: a call of n passes runs them
 	// on min(Concurrency, n) workers; values < 1 mean one. Each pass gets
@@ -411,9 +408,9 @@ func (c Config) coreOptions() (core.Options, error) {
 		Alpha:               c.Alpha,
 		Q:                   c.Q,
 		Scheme:              scheme,
-		CheckFilter:         !c.DisableCheckFilter,
-		NNFilter:            !c.DisableNNFilter,
-		Reduction:           !c.DisableReduction,
+		CheckFilter:         true,
+		NNFilter:            true,
+		Reduction:           true,
 		Concurrency:         c.Concurrency,
 		StageSample:         c.StageSample,
 		CompactionThreshold: compact,
