@@ -22,67 +22,85 @@ import (
 	"silkmoth/internal/dataset"
 )
 
+// options are the command's flags: the engine's settings, bound straight
+// into a silkmoth.Config, and the run's own.
+type options struct {
+	cfg                           silkmoth.Config
+	mode, input, csvFile, refFile string
+	noCheck, noNN, noRed          bool
+	topK                          int
+	explain, stats                bool
+}
+
+// parseFlags registers the command's flags on fs and parses args into
+// options. -workers 0 becomes GOMAXPROCS.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.mode, "mode", "discover", "discover (all related pairs) or search (related to -ref)")
+	fs.StringVar(&o.input, "input", "", "set file to index (one set per line)")
+	fs.StringVar(&o.csvFile, "csv", "", "CSV file whose columns become sets (alternative to -input)")
+	fs.StringVar(&o.refFile, "ref", "", "set file with reference sets (search mode)")
+	fs.TextVar(&o.cfg.Metric, "metric", silkmoth.SetSimilarity, "similarity or containment (also set-similarity, set-containment)")
+	fs.TextVar(&o.cfg.Similarity, "sim", silkmoth.Jaccard, "element similarity: jaccard, eds, neds, dice, or cosine")
+	fs.Float64Var(&o.cfg.Delta, "delta", 0.7, "relatedness threshold δ in (0,1]")
+	fs.Float64Var(&o.cfg.Alpha, "alpha", 0, "element similarity threshold α in [0,1)")
+	fs.IntVar(&o.cfg.Q, "q", 0, "gram length for edit similarities (0 = auto)")
+	fs.TextVar(&o.cfg.Scheme, "scheme", silkmoth.SchemeDichotomy, "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
+	fs.BoolVar(&o.noCheck, "no-check", false, "disable the check filter; the nearest-neighbor filter implies it, so this acts only with -no-nn")
+	fs.BoolVar(&o.noNN, "no-nn", false, "disable the nearest-neighbor filter")
+	fs.BoolVar(&o.noRed, "no-reduction", false, "disable reduction-based verification")
+	fs.IntVar(&o.cfg.Concurrency, "workers", 0, "parallel search passes (0 = GOMAXPROCS)")
+	fs.IntVar(&o.topK, "k", 0, "search mode: keep only the k most related sets per reference (0 = all)")
+	fs.BoolVar(&o.explain, "explain", false, "print each query's plan (chosen scheme + pruning funnel + time) to stderr")
+	fs.BoolVar(&o.stats, "stats", false, "print the pruning funnel to stderr")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.cfg.Concurrency == 0 {
+		o.cfg.Concurrency = runtime.GOMAXPROCS(0)
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		mode      = flag.String("mode", "discover", "discover (all related pairs) or search (related to -ref)")
-		input     = flag.String("input", "", "set file to index (one set per line)")
-		csvFile   = flag.String("csv", "", "CSV file whose columns become sets (alternative to -input)")
-		refFile   = flag.String("ref", "", "set file with reference sets (search mode)")
-		metric    = flag.String("metric", "similarity", "similarity or containment")
-		simName   = flag.String("sim", "jaccard", "element similarity: jaccard, eds, or neds")
-		delta     = flag.Float64("delta", 0.7, "relatedness threshold δ in (0,1]")
-		alpha     = flag.Float64("alpha", 0, "element similarity threshold α in [0,1)")
-		q         = flag.Int("q", 0, "gram length for edit similarities (0 = auto)")
-		scheme    = flag.String("scheme", "dichotomy", "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
-		noCheck   = flag.Bool("no-check", false, "disable the check filter; the nearest-neighbor filter implies it, so this acts only with -no-nn")
-		noNN      = flag.Bool("no-nn", false, "disable the nearest-neighbor filter")
-		noRed     = flag.Bool("no-reduction", false, "disable reduction-based verification")
-		workers   = flag.Int("workers", 0, "parallel search passes (0 = GOMAXPROCS)")
-		topK      = flag.Int("k", 0, "search mode: keep only the k most related sets per reference (0 = all)")
-		explain   = flag.Bool("explain", false, "print each query's plan (chosen scheme + pruning funnel + time) to stderr")
-		showStats = flag.Bool("stats", false, "print the pruning funnel to stderr")
-	)
-	flag.Parse()
-
-	cfg, err := buildConfig(*metric, *simName, *scheme, *delta, *alpha, *q, *workers)
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-
-	sets, err := loadSets(*input, *csvFile)
+	sets, err := loadSets(o.input, o.csvFile)
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := silkmoth.NewEngine(sets, cfg)
+	eng, err := silkmoth.NewEngine(sets, o.cfg)
 	if err != nil {
 		fatal(err)
 	}
 
 	// Every query of the run takes the same options; the explain capture is
 	// rewritten by each.
-	opts := filterOptions(*noCheck, *noNN, *noRed)
+	opts := filterOptions(o.noCheck, o.noNN, o.noRed)
 	var ex silkmoth.Explain
-	if *explain {
+	if o.explain {
 		opts = append(opts, silkmoth.WithExplain(&ex))
 	}
-	switch *mode {
+	switch o.mode {
 	case "discover":
 		for _, p := range eng.Discover(opts...) {
 			fmt.Printf("%s\t%s\t%.4f\t%.4f\n", p.RName, p.SName, p.Relatedness, p.MatchingScore)
 		}
-		if *explain {
+		if o.explain {
 			printExplain("discover", &ex)
 		}
 	case "search":
-		if *refFile == "" {
+		if o.refFile == "" {
 			fatal(fmt.Errorf("search mode requires -ref"))
 		}
-		refs, err := dataset.ReadRawSetsFile(*refFile)
+		refs, err := dataset.ReadRawSetsFile(o.refFile)
 		if err != nil {
 			fatal(err)
 		}
-		if *topK > 0 {
-			opts = append(opts, silkmoth.WithK(*topK))
+		if o.topK > 0 {
+			opts = append(opts, silkmoth.WithK(o.topK))
 		}
 		for _, r := range refs {
 			ms, err := eng.Search(silkmoth.Set{Name: r.Name, Elements: r.Elements}, opts...)
@@ -92,50 +110,19 @@ func main() {
 			for _, m := range ms {
 				fmt.Printf("%s\t%s\t%.4f\t%.4f\n", r.Name, m.Name, m.Relatedness, m.MatchingScore)
 			}
-			if *explain {
+			if o.explain {
 				printExplain(r.Name, &ex)
 			}
 		}
 	default:
-		fatal(fmt.Errorf("unknown -mode %q", *mode))
+		fatal(fmt.Errorf("unknown -mode %q", o.mode))
 	}
 
-	if *showStats {
+	if o.stats {
 		st := eng.Stats()
 		fmt.Fprintf(os.Stderr, "passes=%d candidates=%d after-check=%d after-nn=%d verified=%d\n",
 			st.SearchPasses, st.Candidates, st.AfterCheck, st.AfterNN, st.Verified)
 	}
-}
-
-func buildConfig(metric, simName, scheme string, delta, alpha float64, q, workers int) (silkmoth.Config, error) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := silkmoth.Config{Delta: delta, Alpha: alpha, Q: q, Concurrency: workers}
-	switch metric {
-	case "similarity":
-		cfg.Metric = silkmoth.SetSimilarity
-	case "containment":
-		cfg.Metric = silkmoth.SetContainment
-	default:
-		return cfg, fmt.Errorf("unknown -metric %q", metric)
-	}
-	switch simName {
-	case "jaccard":
-		cfg.Similarity = silkmoth.Jaccard
-	case "eds":
-		cfg.Similarity = silkmoth.Eds
-	case "neds":
-		cfg.Similarity = silkmoth.NEds
-	default:
-		return cfg, fmt.Errorf("unknown -sim %q", simName)
-	}
-	sc, err := silkmoth.ParseScheme(scheme)
-	if err != nil {
-		return cfg, fmt.Errorf("unknown -scheme %q", scheme)
-	}
-	cfg.Scheme = sc
-	return cfg, nil
 }
 
 // filterOptions turns the -no-check, -no-nn and -no-reduction flags into

@@ -46,49 +46,73 @@ import (
 	"silkmoth/internal/server"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":7133", "listen address")
-		input    = flag.String("input", "", "set file to index (one set per line)")
-		csvFile  = flag.String("csv", "", "CSV file whose columns become sets")
-		jsonFile = flag.String("json", "", "JSON file with an array of {name, elements} sets")
-		saved    = flag.String("saved", "", "engine image previously written by the library's SaveCollection, or a snap-*.snap file copied out of a -data-dir")
-		dataDir  = flag.String("data-dir", "",
-			"durability directory: recover from its latest snapshot + WAL at startup (the input flags then only bootstrap an empty directory); POST /v1/snapshot rotates")
-		metric    = flag.String("metric", "similarity", "similarity or containment")
-		simName   = flag.String("sim", "jaccard", "element similarity: jaccard, eds, neds, dice, or cosine")
-		delta     = flag.Float64("delta", 0.7, "relatedness threshold δ in (0,1]")
-		alpha     = flag.Float64("alpha", 0, "element similarity threshold α in [0,1)")
-		q         = flag.Int("q", 0, "gram length for edit similarities (0 = auto)")
-		scheme    = flag.String("scheme", "dichotomy", "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
-		workers   = flag.Int("workers", 0, "parallel search passes of a discovery or batch; each runs on -shards / workers goroutines, at least one (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "most goroutines one search pass runs on, shared among a discovery's or batch's parallel passes: a long pass splits into set-id chunks that helpers claim (0 = GOMAXPROCS, 1 = never split)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (negative disables)")
-		inflight  = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 2*GOMAXPROCS)")
-		cacheSize = flag.Int("cache-size", 1024, "result cache entries (negative disables)")
-		compactAt = flag.Float64("compact-threshold", 0,
-			"tombstone ratio triggering automatic index compaction after deletes/updates (0 = engine default, negative disables)")
-		noExplain = flag.Bool("no-explain", false,
-			"disable /v1/explain and per-request explain fields (explained queries bypass the result cache)")
-		logFormat = flag.String("log-format", "text",
-			"text (human startup/shutdown messages only) or json (adds one structured access line per request to stderr)")
-		slowQuery = flag.Duration("slow-query", 0,
-			"log any query at or past this engine latency as a JSON funnel line on stderr (0 disables)")
-		slowSample = flag.Int("slow-query-sample", 0,
-			"additionally log 1 in N queries' funnels regardless of latency, as a baseline (0 disables)")
-		stageSample = flag.Int("stage-sample", 0,
-			"time pipeline stages on 1 in N search passes for the /metrics stage histograms (0 = engine default 16, 1 = every pass, negative disables)")
-		compress = flag.Bool("compressed-postings", false,
-			"store posting lists as adaptive compressed containers decoded lazily (identical results, fraction of the heap; snapshot recovery becomes zero-copy via mmap)")
-		postingCache = flag.Int64("posting-cache-bytes", 0,
-			"decode-cache budget for hot compressed posting lists in bytes (0 = 64 MiB default; needs -compressed-postings)")
-		pprofOn = flag.Bool("pprof", false,
-			"mount /debug/pprof/* (CPU/heap profiles, goroutine dumps); off by default")
-		version = flag.Bool("version", false, "print build metadata and exit")
-	)
-	flag.Parse()
+// options are the daemon's flags: the engine's settings, bound straight
+// into a silkmoth.Config, the server's into a server.Options, and the
+// process's own.
+type options struct {
+	cfg                                   silkmoth.Config
+	srv                                   server.Options
+	addr, input, csvFile, jsonFile, saved string
+	logFormat                             string
+	version                               bool
+}
 
-	if *version {
+// parseFlags registers the daemon's flags on fs and parses args into
+// options. -workers 0 becomes GOMAXPROCS.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.addr, "addr", ":7133", "listen address")
+	fs.StringVar(&o.input, "input", "", "set file to index (one set per line)")
+	fs.StringVar(&o.csvFile, "csv", "", "CSV file whose columns become sets")
+	fs.StringVar(&o.jsonFile, "json", "", "JSON file with an array of {name, elements} sets")
+	fs.StringVar(&o.saved, "saved", "", "engine image previously written by the library's SaveCollection, or a snap-*.snap file copied out of a -data-dir")
+	fs.StringVar(&o.cfg.DataDir, "data-dir", "",
+		"durability directory: recover from its latest snapshot + WAL at startup (the input flags then only bootstrap an empty directory); POST /v1/snapshot rotates")
+	fs.TextVar(&o.cfg.Metric, "metric", silkmoth.SetSimilarity, "similarity or containment (also set-similarity, set-containment)")
+	fs.TextVar(&o.cfg.Similarity, "sim", silkmoth.Jaccard, "element similarity: jaccard, eds, neds, dice, or cosine")
+	fs.Float64Var(&o.cfg.Delta, "delta", 0.7, "relatedness threshold δ in (0,1]")
+	fs.Float64Var(&o.cfg.Alpha, "alpha", 0, "element similarity threshold α in [0,1)")
+	fs.IntVar(&o.cfg.Q, "q", 0, "gram length for edit similarities (0 = auto)")
+	fs.TextVar(&o.cfg.Scheme, "scheme", silkmoth.SchemeDichotomy, "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
+	fs.IntVar(&o.cfg.Concurrency, "workers", 0, "parallel search passes of a discovery or batch; each runs on -shards / workers goroutines, at least one (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.Shards, "shards", 0, "most goroutines one search pass runs on, shared among a discovery's or batch's parallel passes: a long pass splits into set-id chunks that helpers claim (0 = GOMAXPROCS, 1 = never split)")
+	fs.DurationVar(&o.srv.RequestTimeout, "timeout", 30*time.Second, "per-request timeout (negative disables)")
+	fs.IntVar(&o.srv.MaxInFlight, "max-inflight", 0, "max concurrently executing queries (0 = 2*GOMAXPROCS)")
+	fs.IntVar(&o.srv.CacheSize, "cache-size", 1024, "result cache entries (negative disables)")
+	fs.Float64Var(&o.cfg.CompactionThreshold, "compact-threshold", 0,
+		"tombstone ratio triggering automatic index compaction after deletes/updates (0 = engine default, negative disables)")
+	fs.BoolVar(&o.srv.DisableExplain, "no-explain", false,
+		"disable /v1/explain and per-request explain fields (explained queries bypass the result cache)")
+	fs.StringVar(&o.logFormat, "log-format", "text",
+		"text (human startup/shutdown messages only) or json (adds one structured access line per request to stderr)")
+	fs.DurationVar(&o.srv.SlowQueryThreshold, "slow-query", 0,
+		"log any query at or past this engine latency as a JSON funnel line on stderr (0 disables)")
+	fs.IntVar(&o.srv.SlowQuerySample, "slow-query-sample", 0,
+		"additionally log 1 in N queries' funnels regardless of latency, as a baseline (0 disables)")
+	fs.IntVar(&o.cfg.StageSample, "stage-sample", 0,
+		"time pipeline stages on 1 in N search passes for the /metrics stage histograms (0 = engine default 16, 1 = every pass, negative disables)")
+	fs.BoolVar(&o.cfg.CompressedPostings, "compressed-postings", false,
+		"store posting lists as adaptive compressed containers decoded lazily (identical results, fraction of the heap; snapshot recovery becomes zero-copy via mmap)")
+	fs.Int64Var(&o.cfg.PostingCacheBytes, "posting-cache-bytes", 0,
+		"decode-cache budget for hot compressed posting lists in bytes (0 = 64 MiB default; needs -compressed-postings)")
+	fs.BoolVar(&o.srv.EnablePprof, "pprof", false,
+		"mount /debug/pprof/* (CPU/heap profiles, goroutine dumps); off by default")
+	fs.BoolVar(&o.version, "version", false, "print build metadata and exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.cfg.Concurrency == 0 {
+		o.cfg.Concurrency = runtime.GOMAXPROCS(0)
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if o.version {
 		bi := obs.ReadBuildInfo()
 		fmt.Printf("silkmothd %s (%s", bi.Version, bi.GoVersion)
 		if bi.Revision != "" {
@@ -97,58 +121,40 @@ func main() {
 		fmt.Println(")")
 		return
 	}
-	if *logFormat != "text" && *logFormat != "json" {
-		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat))
+	if o.logFormat != "text" && o.logFormat != "json" {
+		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", o.logFormat))
 	}
+	cfg := o.cfg
 
-	cfg, err := buildConfig(*metric, *simName, *scheme, *delta, *alpha, *q, *workers, *shards)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.CompactionThreshold = *compactAt
-	cfg.StageSample = *stageSample
-	cfg.DataDir = *dataDir
-	cfg.CompressedPostings = *compress
-	cfg.PostingCacheBytes = *postingCache
-
-	eng, n, err := buildEngine(cfg, *input, *csvFile, *jsonFile, *saved)
+	eng, n, err := buildEngine(cfg, o.input, o.csvFile, o.jsonFile, o.saved)
 	if err != nil {
 		fatal(err)
 	}
 	log.Printf("silkmothd: indexed %d sets (metric=%s sim=%s scheme=%s delta=%g alpha=%g shards=%d)",
 		n, cfg.Metric, cfg.Similarity, cfg.Scheme, cfg.Delta, cfg.Alpha, eng.Shards())
-	if *dataDir != "" {
+	if cfg.DataDir != "" {
 		st := eng.Stats()
 		if st.RecoveredSnapshot {
 			log.Printf("silkmothd: recovered from %s (replayed %d WAL records, torn tail: %v)",
-				*dataDir, st.WALReplayed, st.WALTornTail)
+				cfg.DataDir, st.WALReplayed, st.WALTornTail)
 		} else {
-			log.Printf("silkmothd: initialized %s with a fresh snapshot", *dataDir)
+			log.Printf("silkmothd: initialized %s with a fresh snapshot", cfg.DataDir)
 		}
 	}
 
-	srvOpts := server.Options{
-		RequestTimeout:     *timeout,
-		MaxInFlight:        *inflight,
-		CacheSize:          *cacheSize,
-		DisableExplain:     *noExplain,
-		SlowQueryThreshold: *slowQuery,
-		SlowQuerySample:    *slowSample,
-		AccessLog:          *logFormat == "json",
-		EnablePprof:        *pprofOn,
-	}
+	o.srv.AccessLog = o.logFormat == "json"
 	// Structured lines (access log, slow-query funnels) go to stderr
 	// whenever anything emits them; stdout stays clean for redirection.
-	if srvOpts.AccessLog || *slowQuery > 0 || *slowSample > 0 {
-		srvOpts.LogWriter = os.Stderr
+	if o.srv.AccessLog || o.srv.SlowQueryThreshold > 0 || o.srv.SlowQuerySample > 0 {
+		o.srv.LogWriter = os.Stderr
 	}
-	srv := server.New(eng, cfg, srvOpts)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	srv := server.New(eng, cfg, o.srv)
+	httpSrv := &http.Server{Addr: o.addr, Handler: srv}
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests.
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("silkmothd: listening on %s", *addr)
+		log.Printf("silkmothd: listening on %s", o.addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 	sigc := make(chan os.Signal, 1)
@@ -239,41 +245,6 @@ func buildEngine(cfg silkmoth.Config, input, csvFile, jsonFile, saved string) (*
 		return nil, 0, err
 	}
 	return eng, len(sets), nil
-}
-
-func buildConfig(metric, simName, scheme string, delta, alpha float64, q, workers, shards int) (silkmoth.Config, error) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := silkmoth.Config{Delta: delta, Alpha: alpha, Q: q, Concurrency: workers, Shards: shards}
-	switch metric {
-	case "similarity":
-		cfg.Metric = silkmoth.SetSimilarity
-	case "containment":
-		cfg.Metric = silkmoth.SetContainment
-	default:
-		return cfg, fmt.Errorf("unknown -metric %q", metric)
-	}
-	switch simName {
-	case "jaccard":
-		cfg.Similarity = silkmoth.Jaccard
-	case "eds":
-		cfg.Similarity = silkmoth.Eds
-	case "neds":
-		cfg.Similarity = silkmoth.NEds
-	case "dice":
-		cfg.Similarity = silkmoth.Dice
-	case "cosine":
-		cfg.Similarity = silkmoth.Cosine
-	default:
-		return cfg, fmt.Errorf("unknown -sim %q", simName)
-	}
-	sc, err := silkmoth.ParseScheme(scheme)
-	if err != nil {
-		return cfg, fmt.Errorf("unknown -scheme %q", scheme)
-	}
-	cfg.Scheme = sc
-	return cfg, nil
 }
 
 func fatal(err error) {

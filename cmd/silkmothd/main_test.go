@@ -1,37 +1,97 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"silkmoth"
 )
 
+// parse runs args through the daemon's flag set.
+func parse(args ...string) (options, error) {
+	fs := flag.NewFlagSet("silkmothd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseFlags(fs, args)
+}
+
+// TestBuildConfig checks that the engine's flags land in its Config.
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig("containment", "eds", "skyline", 0.8, 0.6, 3, 4, 2)
+	o, err := parse("-metric", "containment", "-sim", "eds", "-scheme", "skyline",
+		"-delta", "0.8", "-alpha", "0.6", "-q", "3", "-workers", "4", "-shards", "2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Metric != silkmoth.SetContainment || cfg.Similarity != silkmoth.Eds ||
+	if cfg := o.cfg; cfg.Metric != silkmoth.SetContainment || cfg.Similarity != silkmoth.Eds ||
 		cfg.Scheme != silkmoth.SchemeSkyline || cfg.Delta != 0.8 || cfg.Alpha != 0.6 ||
 		cfg.Q != 3 || cfg.Concurrency != 4 || cfg.Shards != 2 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 
-	if cfg, err := buildConfig("similarity", "jaccard", "dichotomy", 0.7, 0, 0, 0, 1); err != nil {
+	if o, err := parse("-shards", "1"); err != nil {
 		t.Fatal(err)
-	} else if cfg.Concurrency < 1 {
-		t.Fatalf("workers 0 should resolve to GOMAXPROCS, got %d", cfg.Concurrency)
+	} else if o.cfg.Concurrency != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers 0 should resolve to GOMAXPROCS, got %d", o.cfg.Concurrency)
 	}
 
-	for _, bad := range [][3]string{
-		{"nope", "jaccard", "dichotomy"},
-		{"similarity", "nope", "dichotomy"},
-		{"similarity", "jaccard", "nope"},
-	} {
-		if _, err := buildConfig(bad[0], bad[1], bad[2], 0.7, 0, 0, 1, 1); err == nil {
-			t.Errorf("buildConfig(%v) should fail", bad)
+	for _, bad := range [][]string{{"-metric", "nope"}, {"-sim", "nope"}, {"-scheme", "nope"}} {
+		if _, err := parse(bad...); err == nil {
+			t.Errorf("%v should fail", bad)
+		}
+	}
+}
+
+// every lists the values of one of the config types, from 0 up to the
+// first that has no text form.
+func every[T interface {
+	~int
+	fmt.Stringer
+	MarshalText() ([]byte, error)
+}]() []T {
+	var out []T
+	for v := T(0); ; v++ {
+		if _, err := v.MarshalText(); err != nil {
+			return out
+		}
+		out = append(out, v)
+	}
+}
+
+// TestFlagsTakeEveryValue runs every Similarity, every Scheme and both
+// spellings of each Metric through the daemon's flag set, and a bogus value
+// of each, which must fail naming its flag.
+func TestFlagsTakeEveryValue(t *testing.T) {
+	check := func(flag, text string, ok func(silkmoth.Config) bool) {
+		t.Helper()
+		if o, err := parse(flag, text); err != nil {
+			t.Errorf("%s %s: %v", flag, text, err)
+		} else if !ok(o.cfg) {
+			t.Errorf("%s %s: cfg = %+v", flag, text, o.cfg)
+		}
+	}
+	sims, schemes, metrics := every[silkmoth.Similarity](), every[silkmoth.Scheme](), every[silkmoth.Metric]()
+	if len(sims) < 5 || len(schemes) < 5 || len(metrics) < 2 {
+		t.Fatalf("the types list %v, %v, %v: fewer than their constants", sims, schemes, metrics)
+	}
+	for _, s := range sims {
+		check("-sim", s.String(), func(c silkmoth.Config) bool { return c.Similarity == s })
+	}
+	for _, s := range schemes {
+		check("-scheme", s.String(), func(c silkmoth.Config) bool { return c.Scheme == s })
+	}
+	for _, m := range metrics {
+		for _, text := range []string{m.String(), strings.TrimPrefix(m.String(), "set-")} {
+			check("-metric", text, func(c silkmoth.Config) bool { return c.Metric == m })
+		}
+	}
+	for _, flag := range []string{"-metric", "-sim", "-scheme"} {
+		if _, err := parse(flag, "bogus"); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s bogus: err = %v, want one naming the flag", flag, err)
 		}
 	}
 }
@@ -40,10 +100,11 @@ func TestBuildConfig(t *testing.T) {
 // sharded engine over every loadable source.
 func TestBuildEngineSharded(t *testing.T) {
 	dir := t.TempDir()
-	cfg, err := buildConfig("similarity", "jaccard", "dichotomy", 0.5, 0, 0, 2, 3)
+	o, err := parse("-delta", "0.5", "-workers", "2", "-shards", "3")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := o.cfg
 	setFile := filepath.Join(dir, "sets.txt")
 	os.WriteFile(setFile, []byte("a: 77 Mass Ave | 5th St\nb: 77 Mass Ave | Elm St\nc: Oak St | Pine St\n"), 0o644)
 	eng, n, err := buildEngine(cfg, setFile, "", "", "")
@@ -60,7 +121,8 @@ func TestBuildEngineSharded(t *testing.T) {
 
 func TestBuildEngineSources(t *testing.T) {
 	dir := t.TempDir()
-	cfg, _ := buildConfig("similarity", "jaccard", "dichotomy", 0.5, 0, 0, 1, 1)
+	o, _ := parse("-delta", "0.5", "-workers", "1", "-shards", "1")
+	cfg := o.cfg
 
 	// No source and two sources are both rejected.
 	if _, _, err := buildEngine(cfg, "", "", "", ""); err == nil {

@@ -225,10 +225,10 @@ func TestCacheDifferential(t *testing.T) {
 					req = sr
 				case p < 45:
 					path = "/v1/topk"
-					req = searchRequest{Set: set(), K: []int{1, 2, 3, 1 << 40}[rng.Intn(4)]}
+					req = searchRequest{Set: set(), queryParams: queryParams{K: []int{1, 2, 3, 1 << 40}[rng.Intn(4)]}}
 				case p < 90:
 					path = "/v1/search/batch"
-					br := batchSearchRequest{K: []int{0, 1, 3}[rng.Intn(3)], Explain: rng.Intn(8) == 0}
+					br := batchSearchRequest{queryParams: queryParams{K: []int{0, 1, 3}[rng.Intn(3)], Explain: rng.Intn(8) == 0}}
 					for n := 1 + rng.Intn(6); len(br.Sets) < n; {
 						if rng.Intn(10) == 0 {
 							br.Sets = append(br.Sets, SetJSON{Elements: []string{}})

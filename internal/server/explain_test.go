@@ -1,8 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strings"
 	"testing"
 
 	"silkmoth"
@@ -161,6 +166,108 @@ func TestExplainFilterToggles(t *testing.T) {
 	for _, bad := range []string{"&no_nn_filter=yes", "&no_check_filter=on", "&no_nn_filter=2"} {
 		if w := get(t, s, path+bad); w.Code != http.StatusBadRequest {
 			t.Errorf("GET %s: %d, want 400: %s", bad, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestQueryParamsOnEverySurface walks queryParams' fields: every search
+// route must read each one under its json or query tag and answer as the
+// library does with the field's query option, to the match and to the
+// explained funnel; and every route must refuse the field's malformed
+// value, which a route that skipped the field would not see.
+func TestQueryParamsOnEverySurface(t *testing.T) {
+	s, eng := newTestServer(t, Options{})
+	// Sets that share single words with the query give the check filter
+	// something to prune.
+	if w := postJSON(t, s, "/v1/sets", `{"sets":[{"elements":["77","Mass"]},{"elements":["Ave","Boston"]},{"elements":["MA","Pine St"]}]}`); w.Code != http.StatusOK {
+		t.Fatalf("add: %d: %s", w.Code, w.Body.String())
+	}
+	ref := []string{"77 Mass Ave Boston MA", "5th St Seattle WA"}
+	// option is the library's option for each field at the value its kind
+	// sends below.
+	option := map[string]silkmoth.QueryOption{
+		"K":                  silkmoth.WithK(1),
+		"Scheme":             silkmoth.WithScheme(silkmoth.SchemeSkyline),
+		"Delta":              silkmoth.WithDelta(0.3),
+		"Explain":            nil,
+		"DisableCheckFilter": silkmoth.WithCheckFilter(false),
+		"DisableNNFilter":    silkmoth.WithNNFilter(false),
+		"DisableReduction":   silkmoth.WithReduction(false),
+	}
+	value := map[reflect.Kind]any{reflect.Int: 1, reflect.String: "skyline", reflect.Float64: 0.3, reflect.Bool: true}
+	// A pass cut into chunks may split φ requests between kernel and memo
+	// differently; the rest of a funnel repeats exactly.
+	fold := func(f silkmoth.Funnel) silkmoth.Funnel {
+		f.SimEvals, f.SimMemoHits = f.SimEvals+f.SimMemoHits, 0
+		return f
+	}
+
+	typ := reflect.TypeOf(queryParams{})
+	for i := range typ.NumField() {
+		field := typ.Field(i)
+		opt, ok := option[field.Name]
+		if !ok {
+			t.Errorf("queryParams.%s has no library option in this test", field.Name)
+			continue
+		}
+		jsonKey, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		param := field.Tag.Get("query")
+		v := value[field.Type.Kind()]
+		var p queryParams
+		reflect.ValueOf(&p).Elem().Field(i).Set(reflect.ValueOf(v))
+		if opts, err := p.options(); err != nil || len(opts) != 1 {
+			t.Errorf("queryParams.%s lowers to %d options (%v), want its one", field.Name, len(opts), err)
+		}
+		var ex silkmoth.Explain
+		want, err := eng.Search(silkmoth.Set{Elements: ref}, opt, silkmoth.WithExplain(&ex))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		set, _ := json.Marshal(SetJSON{Elements: ref})
+		enc, _ := json.Marshal(v)
+		gets := fmt.Sprintf("/v1/explain?e=%s&e=%s&%s=%v", url.QueryEscape(ref[0]), url.QueryEscape(ref[1]), param, v)
+		routes := []struct {
+			name string
+			do   func(json.RawMessage, string) *httptest.ResponseRecorder
+		}{
+			{"POST /v1/search", func(raw json.RawMessage, _ string) *httptest.ResponseRecorder {
+				return postJSON(t, s, "/v1/search", fmt.Sprintf(`{"set":%s,"explain":true,%q:%s}`, set, jsonKey, raw))
+			}},
+			{"GET /v1/explain", func(_ json.RawMessage, q string) *httptest.ResponseRecorder {
+				return get(t, s, q)
+			}},
+			{"POST /v1/search/batch", func(raw json.RawMessage, _ string) *httptest.ResponseRecorder {
+				return postJSON(t, s, "/v1/search/batch", fmt.Sprintf(`{"sets":[%s],"explain":true,%q:%s}`, set, jsonKey, raw))
+			}},
+		}
+		for _, route := range routes {
+			label := fmt.Sprintf("%s %s", route.name, field.Name)
+			w := route.do(enc, gets)
+			if w.Code != http.StatusOK {
+				t.Errorf("%s: %d: %s", label, w.Code, w.Body.String())
+				continue
+			}
+			item := decode[BatchItemJSON](t, w)
+			if route.name == "POST /v1/search/batch" {
+				item = decode[batchSearchResponse](t, w).Results[0]
+			}
+			if !reflect.DeepEqual(item.Matches, matchesJSON(want)) {
+				t.Errorf("%s: matches %+v, the library %+v", label, item.Matches, want)
+			}
+			if item.Explain == nil || fold(item.Explain.Funnel) != fold(ex.Funnel) {
+				t.Errorf("%s: explains %+v, the library %+v", label, item.Explain, ex.Funnel)
+			}
+
+			// A malformed value: a JSON value of another type, a parameter
+			// that neither strconv nor the scheme table reads.
+			bad := json.RawMessage(`"x"`)
+			if field.Type.Kind() == reflect.String {
+				bad = json.RawMessage(`1`)
+			}
+			if w := route.do(bad, strings.Replace(gets, fmt.Sprintf("%s=%v", param, v), param+"=x", 1)); w.Code != http.StatusBadRequest {
+				t.Errorf("%s: a malformed value answers %d, want 400: %s", label, w.Code, w.Body.String())
+			}
 		}
 	}
 }

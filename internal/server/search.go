@@ -2,50 +2,128 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
+	"reflect"
+	"strconv"
 
 	"silkmoth"
 )
+
+// queryParams are a search's options as every search route spells them:
+// fields of a POST or batch body by their json tags, GET /v1/explain
+// parameters by their query tags (fromQuery). options validates them and
+// lowers them to the library's query options, one field to one option.
+type queryParams struct {
+	// K, when ≥ 1, truncates the answer to its best k matches; /v1/topk
+	// requires it.
+	K int `json:"k,omitempty" query:"k"`
+	// Scheme pins the signature scheme by its name ("dichotomy", "skyline",
+	// "weighted", "combunweighted", "auto"); empty inherits the engine's.
+	Scheme string `json:"scheme,omitempty" query:"scheme"`
+	// Delta overrides the relatedness threshold δ ∈ (0, 1]; 0 inherits the
+	// engine's.
+	Delta float64 `json:"delta,omitempty" query:"delta"`
+	// Explain attaches the query's execution metadata to its answer; it is
+	// always on at /v1/explain. Explained answers bypass the result cache.
+	Explain bool `json:"explain,omitempty" query:"explain"`
+	// The Disable switches turn a pipeline stage off for this query only,
+	// for what-if tuning (how many more candidates reach verification with
+	// a filter off?). Matches never change, only the explained funnel does.
+	// The NN filter implies the check filter, so DisableCheckFilter alone
+	// changes nothing: it takes DisableNNFilter too.
+	DisableCheckFilter bool `json:"disable_check_filter,omitempty" query:"no_check_filter"`
+	DisableNNFilter    bool `json:"disable_nn_filter,omitempty" query:"no_nn_filter"`
+	DisableReduction   bool `json:"disable_reduction,omitempty" query:"no_reduction"`
+}
+
+// options validates p and lowers it to the library's query options; nil
+// when p overrides nothing.
+func (p *queryParams) options() ([]silkmoth.QueryOption, error) {
+	var opts []silkmoth.QueryOption
+	if p.K < 0 {
+		return nil, errors.New("k must be >= 0")
+	}
+	if p.K > 0 {
+		opts = append(opts, silkmoth.WithK(p.K))
+	}
+	if p.Scheme != "" {
+		var sc silkmoth.Scheme
+		if err := sc.UnmarshalText([]byte(p.Scheme)); err != nil {
+			return nil, err
+		}
+		opts = append(opts, silkmoth.WithScheme(sc))
+	}
+	if p.Delta != 0 {
+		if !(p.Delta > 0 && p.Delta <= 1) { // NaN fails too (?delta=NaN parses)
+			return nil, fmt.Errorf("delta must be in (0, 1], got %g", p.Delta)
+		}
+		opts = append(opts, silkmoth.WithDelta(p.Delta))
+	}
+	if p.Explain {
+		opts = append(opts, silkmoth.WithExplain(new(silkmoth.Explain)))
+	}
+	if p.DisableCheckFilter {
+		opts = append(opts, silkmoth.WithCheckFilter(false))
+	}
+	if p.DisableNNFilter {
+		opts = append(opts, silkmoth.WithNNFilter(false))
+	}
+	if p.DisableReduction {
+		opts = append(opts, silkmoth.WithReduction(false))
+	}
+	return opts, nil
+}
+
+// fromQuery fills p from the URL parameters its query tags name, each read
+// by strconv (booleans as ParseBool reads them: 1, t, TRUE, 0, false …);
+// an absent or empty parameter leaves its field alone.
+func (p *queryParams) fromQuery(q url.Values) error {
+	v := reflect.ValueOf(p).Elem()
+	for i := range v.NumField() {
+		name := v.Type().Field(i).Tag.Get("query")
+		raw := q.Get(name)
+		if raw == "" {
+			continue
+		}
+		var err error
+		switch f := v.Field(i).Addr().Interface().(type) {
+		case *int:
+			*f, err = strconv.Atoi(raw)
+		case *float64:
+			*f, err = strconv.ParseFloat(raw, 64)
+		case *bool:
+			*f, err = strconv.ParseBool(raw)
+		case *string:
+			*f = raw
+		}
+		if err != nil {
+			return fmt.Errorf("%s=%q: %w", name, raw, err)
+		}
+	}
+	return nil
+}
 
 // searchRequest is the body of POST /v1/search, /v1/topk and /v1/explain:
 // one query.
 type searchRequest struct {
 	Set SetJSON `json:"set"`
-	// K, when ≥ 1, truncates the answer to its best k matches; /v1/topk
-	// requires it.
-	K int `json:"k,omitempty"`
-	// Scheme pins this query's signature scheme ("dichotomy", "skyline",
-	// "weighted", "combunweighted", "auto"); empty inherits the engine's.
-	Scheme string `json:"scheme,omitempty"`
-	// Delta overrides the relatedness threshold δ ∈ (0, 1] for this query;
-	// 0 inherits the engine's.
-	Delta float64 `json:"delta,omitempty"`
-	// Explain attaches the query's execution metadata to the response; it
-	// is always on at /v1/explain. Explained responses bypass the result
-	// cache.
-	Explain bool `json:"explain,omitempty"`
-	// DisableCheckFilter / DisableNNFilter turn pipeline stages off for
-	// this query only, for what-if tuning (how many more candidates reach
-	// verification with a filter off?). Matches never change — only the
-	// explained funnel does. The NN filter implies the check filter, so
-	// DisableCheckFilter alone changes nothing: it takes DisableNNFilter
-	// too.
-	DisableCheckFilter bool `json:"disable_check_filter,omitempty"`
-	DisableNNFilter    bool `json:"disable_nn_filter,omitempty"`
+	queryParams
 }
 
+// batchSearchRequest is the body of POST /v1/search/batch: its options
+// apply to every item.
 type batchSearchRequest struct {
 	Sets []SetJSON `json:"sets"`
-	// K, when ≥ 1, truncates each item's matches to its top k.
-	K int `json:"k,omitempty"`
 	// Schemes, when present, must align positionally with Sets: each
-	// non-empty entry pins that item's signature scheme (an empty string
-	// inherits the engine's, including Auto's per-query choice). The
-	// response reports the concrete scheme each item probed with.
+	// non-empty entry pins that item's signature scheme over Scheme (an
+	// empty string inherits Scheme, and so the engine's when that is empty,
+	// including Auto's per-query choice). The response reports the concrete
+	// scheme each item probed with.
 	Schemes []string `json:"schemes,omitempty"`
-	// Explain attaches per-item execution metadata to every result.
-	// Explained responses bypass the result cache.
-	Explain bool `json:"explain,omitempty"`
+	queryParams
 }
 
 // BatchItemJSON is one search's answer on the wire: its matches, or an error
@@ -89,19 +167,13 @@ func appendBatchBody(b []byte, items [][]byte) []byte {
 // serveSearch learns about it while answering.
 type searchItem struct {
 	set SetJSON
-	// k ≥ 1 keeps the best k matches; 0 keeps them all.
-	k int
-	// scheme is the pinned signature scheme as the request named it ("" for
-	// the engine's), pin its parsed form.
-	scheme string
-	pin    silkmoth.Scheme
-	// delta overrides δ; 0 inherits the engine's.
-	delta float64
-	// reportScheme puts the scheme the item probed with into its answer;
-	// explain puts its execution metadata there, which keeps the answer out
-	// of the cache.
-	reportScheme, explain bool
-	noCheck, noNN         bool
+	// queryParams are the item's options as its request spelled them: k,
+	// scheme and delta key its cache entry, and explain keeps its answer
+	// out of the cache. opts is their lowered form.
+	queryParams
+	opts []silkmoth.QueryOption
+	// reportScheme puts the scheme the item probed with into its answer.
+	reportScheme bool
 
 	// keyLo:keyHi is the item's cache key in the request's key buffer.
 	keyLo, keyHi int
@@ -112,28 +184,19 @@ type searchItem struct {
 	body []byte
 }
 
+// newItem validates p and makes set's search item under it.
+func newItem(set SetJSON, p queryParams) (searchItem, error) {
+	opts, err := p.options()
+	return searchItem{set: set, queryParams: p, opts: opts}, err
+}
+
 // query lowers the item to the engine's batch item. Explained items, items
 // that report their scheme, and every item while slow queries are captured
 // carry an explain capture, which the Result hands back.
 func (it *searchItem) query(capture bool) silkmoth.BatchQuery {
-	bq := silkmoth.BatchQuery{Set: it.set.toSet()}
-	if it.explain || it.reportScheme || capture {
+	bq := silkmoth.BatchQuery{Set: it.set.toSet(), Options: it.opts}
+	if !it.Explain && (it.reportScheme || capture) {
 		bq.Options = append(bq.Options, silkmoth.WithExplain(new(silkmoth.Explain)))
-	}
-	if it.scheme != "" {
-		bq.Options = append(bq.Options, silkmoth.WithScheme(it.pin))
-	}
-	if it.k > 0 {
-		bq.Options = append(bq.Options, silkmoth.WithK(it.k))
-	}
-	if it.delta != 0 {
-		bq.Options = append(bq.Options, silkmoth.WithDelta(it.delta))
-	}
-	if it.noCheck {
-		bq.Options = append(bq.Options, silkmoth.WithCheckFilter(false))
-	}
-	if it.noNN {
-		bq.Options = append(bq.Options, silkmoth.WithNNFilter(false))
 	}
 	return bq
 }
@@ -150,7 +213,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // carries the plan's execution metadata — chosen concrete scheme, signature
 // token count, per-stage survivor counts, wall time — making filter and
 // scheme tuning self-service. POST takes a searchRequest body; GET takes
-// query parameters for curl-friendly poking (parseExplainQuery).
+// the same options as query parameters for curl-friendly poking (handleOne).
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.opts.DisableExplain {
 		writeError(w, http.StatusNotFound, "explain is disabled on this server")
@@ -159,13 +222,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.handleOne(w, r, 0, true)
 }
 
-// handleOne decodes a one-query route's request into its one search item
-// and serves it: k below minK is a 400, and explain forces the execution
-// metadata on.
+// handleOne decodes a one-query route's request — a searchRequest body, or
+// on GET repeated e=<element> parameters, an optional name and the
+// queryParams — into its one search item and serves it: k below minK is a
+// 400, and explain forces the execution metadata on.
 func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, minK int, explain bool) {
 	var req searchRequest
 	if r.Method == http.MethodGet {
-		if !parseExplainQuery(w, r, &req) {
+		q := r.URL.Query()
+		req.Set = SetJSON{Name: q.Get("name"), Elements: q["e"]}
+		if err := req.fromQuery(q); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	} else if err := s.decodeBody(w, r, &req); err != nil {
@@ -184,24 +251,10 @@ func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, minK int, exp
 		writeError(w, http.StatusBadRequest, "k must be >= %d", minK)
 		return
 	}
-	it := searchItem{
-		set: req.Set, k: req.K, delta: req.Delta, explain: explain || req.Explain,
-		noCheck: req.DisableCheckFilter, noNN: req.DisableNNFilter,
-	}
-	if req.Scheme != "" {
-		sc, err := silkmoth.ParseScheme(req.Scheme)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		it.scheme, it.pin = req.Scheme, sc
-	}
-	if req.Delta != 0 && !(req.Delta > 0 && req.Delta <= 1) { // NaN fails too (?delta=NaN parses)
-		writeError(w, http.StatusBadRequest, "delta must be in (0, 1], got %g", req.Delta)
-		return
-	}
-	if it.explain && s.opts.DisableExplain {
-		writeError(w, http.StatusBadRequest, "explain is disabled on this server")
+	req.Explain = req.Explain || explain
+	it, err := newItem(req.Set, req.queryParams)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.serveSearch(w, r, []searchItem{it}, false)
@@ -223,34 +276,31 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch is limited to %d sets, got %d", max, len(req.Sets))
 		return
 	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "k must be >= 0")
-		return
-	}
 	if req.Schemes != nil && len(req.Schemes) != len(req.Sets) {
 		writeError(w, http.StatusBadRequest, "schemes must align with sets: %d schemes for %d sets",
 			len(req.Schemes), len(req.Sets))
 		return
 	}
+	if _, err := req.options(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	items := make([]searchItem, len(req.Sets))
 	for i, set := range req.Sets {
-		// An item reports its scheme exactly when the request sent schemes
-		// or explain — so a nil array and one of empty strings key apart,
-		// their bodies differing by the reported scheme.
-		items[i] = searchItem{set: set, k: req.K, reportScheme: req.Schemes != nil || req.Explain, explain: req.Explain}
-		if req.Schemes == nil || req.Schemes[i] == "" {
-			continue
+		p := req.queryParams
+		if req.Schemes != nil && req.Schemes[i] != "" {
+			p.Scheme = req.Schemes[i]
 		}
-		sc, err := silkmoth.ParseScheme(req.Schemes[i])
-		if err != nil {
+		var err error
+		if items[i], err = newItem(set, p); err != nil {
+			// The request's own options passed: the item's scheme failed.
 			writeError(w, http.StatusBadRequest, "schemes[%d]: %v", i, err)
 			return
 		}
-		items[i].scheme, items[i].pin = req.Schemes[i], sc
-	}
-	if req.Explain && s.opts.DisableExplain {
-		writeError(w, http.StatusBadRequest, "explain is disabled on this server")
-		return
+		// An item reports its scheme exactly when the request sent schemes
+		// or explain — so a nil array and one of empty strings key apart,
+		// their bodies differing by the reported scheme.
+		items[i].reportScheme = req.Schemes != nil || req.Explain
 	}
 	s.serveSearch(w, r, items, true)
 }
@@ -260,20 +310,25 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // route's only way to the engine. Each item is a query of its own to the
 // result cache, keyed ⟨set, k, reported scheme, δ⟩, so a plain batch item
 // and the same /v1/search share an entry; explained items skip the cache,
-// whose copy of their wall time would go stale. The engine runs once, as one
-// batch, over the distinct items that missed — empty batch items are
-// answered in place and never reach it — and only then does the request take
-// a worker slot. Every answer is encoded once, as a BatchItemJSON: a single
-// route's body is its item's, where an item's error is a 500 instead (only a
-// corrupt index causes one); a batch's joins its items'.
+// whose copy of their wall time would go stale, and are a 400 on a server
+// with explain disabled. The engine runs once, as one batch, over the
+// distinct items that missed — empty batch items are answered in place and
+// never reach it — and only then does the request take a worker slot. Every
+// answer is encoded once, as a BatchItemJSON: a single route's body is its
+// item's, where an item's error is a 500 instead (only a corrupt index
+// causes one); a batch's joins its items'.
 func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []searchItem, batch bool) {
 	kb := getBuf()
 	defer putBuf(kb)
 	for i := range items {
 		it := &items[i]
+		if it.Explain && s.opts.DisableExplain {
+			writeError(w, http.StatusBadRequest, "explain is disabled on this server")
+			return
+		}
 		it.keyLo = len(*kb)
 		if len(it.set.Elements) > 0 {
-			*kb = s.appendKey(*kb, "search", it.k, it.scheme, it.reportScheme, it.delta, it.set)
+			*kb = s.appendKey(*kb, "search", it.K, it.Scheme, it.reportScheme, it.Delta, it.set)
 		}
 		it.keyHi = len(*kb)
 	}
@@ -293,9 +348,9 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []sea
 			it.body = emptyItem
 			continue
 		}
-		explained = explained || it.explain
+		explained = explained || it.Explain
 		key := (*kb)[it.keyLo:it.keyHi]
-		if !it.explain {
+		if !it.Explain {
 			if body, ok := s.cache.get(key); ok {
 				s.met.cacheHit()
 				hits++
@@ -352,7 +407,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []sea
 				if it.reportScheme {
 					item.Scheme = ex.Scheme
 				}
-				if it.explain {
+				if it.Explain {
 					item.Explain = explainJSON(ex)
 				}
 				at := -1
@@ -366,7 +421,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []sea
 				return
 			}
 			// An item that met a corrupt index is not an answer to keep.
-			if !it.explain && res.Err == nil {
+			if !it.Explain && res.Err == nil {
 				s.cache.put((*kb)[it.keyLo:it.keyHi], it.body)
 			}
 		}

@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"reflect"
@@ -595,19 +596,63 @@ func TestQueryOptionValidation(t *testing.T) {
 	matchesEqual(t, "later option wins", strict, want)
 }
 
-// TestSchemeStringRoundTrip pins Scheme.String and ParseScheme as exact
-// inverses over every scheme.
+// TestSchemeStringRoundTrip pins MarshalText and UnmarshalText of Metric,
+// Similarity and Scheme as exact inverses over every constant, their text
+// being String's, and holds UnmarshalText to rejecting anything else: an
+// out-of-range value's formatting and the empty string.
 func TestSchemeStringRoundTrip(t *testing.T) {
-	for _, s := range []Scheme{SchemeDichotomy, SchemeSkyline, SchemeWeighted, SchemeCombUnweighted, SchemeAuto} {
-		got, err := ParseScheme(s.String())
+	type textual interface {
+		encoding.TextMarshaler
+		fmt.Stringer
+	}
+	roundTrip := func(v textual, dst encoding.TextUnmarshaler) {
+		t.Helper()
+		text, err := v.MarshalText()
 		if err != nil {
-			t.Fatalf("ParseScheme(%q): %v", s.String(), err)
+			t.Fatalf("%v.MarshalText: %v", v, err)
 		}
-		if got != s {
-			t.Fatalf("round trip %v -> %q -> %v", s, s.String(), got)
+		if string(text) != v.String() {
+			t.Fatalf("%v marshals to %q, not its String form", v, text)
+		}
+		if err := dst.UnmarshalText(text); err != nil {
+			t.Fatalf("UnmarshalText(%q): %v", text, err)
+		}
+		if got := reflect.ValueOf(dst).Elem().Interface(); got != v {
+			t.Fatalf("round trip %v -> %q -> %v", v, text, got)
 		}
 	}
-	if _, err := ParseScheme("Scheme(42)"); err == nil {
-		t.Fatal("ParseScheme accepted an out-of-range formatting")
+	for m := range numMetrics {
+		roundTrip(m, new(Metric))
+	}
+	for s := range numSimilarities {
+		roundTrip(s, new(Similarity))
+	}
+	for s := range numSchemes {
+		roundTrip(s, new(Scheme))
+	}
+	// Metric also reads the CLI's spellings.
+	for text, want := range map[string]Metric{"similarity": SetSimilarity, "containment": SetContainment} {
+		var m Metric
+		if err := m.UnmarshalText([]byte(text)); err != nil || m != want {
+			t.Fatalf("Metric.UnmarshalText(%q) = %v, %v; want %v", text, m, err, want)
+		}
+	}
+
+	for _, bad := range []struct {
+		v   textual
+		dst encoding.TextUnmarshaler
+	}{
+		{Scheme(42), new(Scheme)},
+		{Metric(2), new(Metric)},
+		{Similarity(-1), new(Similarity)},
+	} {
+		if text, err := bad.v.MarshalText(); err == nil {
+			t.Errorf("%v marshals to %q", bad.v, text)
+		}
+		for _, text := range []string{bad.v.String(), ""} {
+			if err := bad.dst.UnmarshalText([]byte(text)); err == nil {
+				t.Errorf("%T.UnmarshalText accepted %q", bad.dst, text)
+			}
+		}
 	}
 }

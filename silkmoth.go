@@ -119,7 +119,9 @@ package silkmoth
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 
 	"silkmoth/internal/core"
 	"silkmoth/internal/signature"
@@ -143,6 +145,7 @@ const (
 	// SetContainment relates R and S (|R| ≤ |S|) when
 	// |R ∩̃ S| / |R| ≥ Delta.
 	SetContainment
+	numMetrics
 )
 
 func (m Metric) String() string {
@@ -154,6 +157,18 @@ func (m Metric) String() string {
 	default:
 		return fmt.Sprintf("Metric(%d)", int(m))
 	}
+}
+
+// MarshalText returns m's String form.
+func (m Metric) MarshalText() ([]byte, error) { return enumText(m, numMetrics) }
+
+// UnmarshalText sets m from its String form or from the flag spellings
+// "similarity" and "containment", which drop String's "set-".
+func (m *Metric) UnmarshalText(text []byte) error {
+	if parseEnum(m, numMetrics, "set-"+string(text)) == nil {
+		return nil
+	}
+	return parseEnum(m, numMetrics, string(text))
 }
 
 // Similarity selects the element similarity function φ.
@@ -173,6 +188,7 @@ const (
 	// Cosine treats elements as sets of whitespace words compared with
 	// the set cosine similarity |∩|/√(|a||b|).
 	Cosine
+	numSimilarities
 )
 
 func (s Similarity) String() string {
@@ -190,6 +206,14 @@ func (s Similarity) String() string {
 	default:
 		return fmt.Sprintf("Similarity(%d)", int(s))
 	}
+}
+
+// MarshalText returns s's String form.
+func (s Similarity) MarshalText() ([]byte, error) { return enumText(s, numSimilarities) }
+
+// UnmarshalText sets s from its String form.
+func (s *Similarity) UnmarshalText(text []byte) error {
+	return parseEnum(s, numSimilarities, string(text))
 }
 
 // Scheme selects the signature scheme used to prune the search space.
@@ -215,6 +239,7 @@ const (
 	// Stats.SchemeWeighted/SchemeSkyline/SchemeDichotomy expose the
 	// per-query choices.
 	SchemeAuto
+	numSchemes
 )
 
 func (s Scheme) String() string {
@@ -234,34 +259,71 @@ func (s Scheme) String() string {
 	}
 }
 
-// ParseScheme maps a scheme's String form ("dichotomy", "skyline",
-// "weighted", "combunweighted", "auto") back to the constant — the inverse
-// serving layers and CLIs use for flag and request parsing.
-func ParseScheme(name string) (Scheme, error) {
-	for _, s := range []Scheme{SchemeDichotomy, SchemeSkyline, SchemeWeighted, SchemeCombUnweighted, SchemeAuto} {
-		if name == s.String() {
-			return s, nil
+// MarshalText returns s's String form.
+func (s Scheme) MarshalText() ([]byte, error) { return enumText(s, numSchemes) }
+
+// UnmarshalText sets s from its String form ("dichotomy", "skyline",
+// "weighted", "combunweighted", "auto").
+func (s *Scheme) UnmarshalText(text []byte) error {
+	return parseEnum(s, numSchemes, string(text))
+}
+
+// enum is one of Metric, Similarity and Scheme: constants 0 … n-1 whose
+// String forms are their text forms (MarshalText, UnmarshalText), which
+// flags and request bodies read.
+type enum interface {
+	~int
+	String() string
+}
+
+// enumText returns v's String form, or an error when v is none of the n
+// constants of its type.
+func enumText[T enum](v, n T) ([]byte, error) {
+	if v < 0 || v >= n {
+		return nil, fmt.Errorf("silkmoth: %v has no text form", v)
+	}
+	return []byte(v.String()), nil
+}
+
+// parseEnum sets *v to the constant among the n of its type whose String
+// form is text.
+func parseEnum[T enum](v *T, n T, text string) error {
+	for c := T(0); c < n; c++ {
+		if c.String() == text {
+			*v = c
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("silkmoth: unknown scheme %q", name)
+	names := make([]string, n)
+	for c := range names {
+		names[c] = T(c).String()
+	}
+	return fmt.Errorf("silkmoth: unknown %s %q (want %s)",
+		strings.ToLower(reflect.TypeFor[T]().Name()), text, strings.Join(names, ", "))
 }
 
 // kind lowers the public scheme to the signature package's kind.
-func (s Scheme) kind() (signature.Kind, error) {
-	switch s {
-	case SchemeDichotomy:
-		return signature.Dichotomy, nil
-	case SchemeSkyline:
-		return signature.Skyline, nil
-	case SchemeWeighted:
-		return signature.Weighted, nil
-	case SchemeCombUnweighted:
-		return signature.CombUnweighted, nil
-	case SchemeAuto:
-		return signature.Auto, nil
-	default:
-		return 0, fmt.Errorf("silkmoth: unknown scheme %d", int(s))
+func (s Scheme) kind() (signature.Kind, error) { return lower(schemeKinds[:], s) }
+
+// coreMetrics, coreSims and schemeKinds lower each constant of Metric,
+// Similarity and Scheme to the internal packages' form.
+var (
+	coreMetrics = [numMetrics]core.Metric{SetSimilarity: core.SetSimilarity, SetContainment: core.SetContainment}
+	coreSims    = [numSimilarities]core.SimKind{Jaccard: core.Jaccard, Eds: core.Eds, NEds: core.NEds, Dice: core.Dice, Cosine: core.Cosine}
+	schemeKinds = [numSchemes]signature.Kind{
+		SchemeDichotomy: signature.Dichotomy, SchemeSkyline: signature.Skyline, SchemeWeighted: signature.Weighted,
+		SchemeCombUnweighted: signature.CombUnweighted, SchemeAuto: signature.Auto,
 	}
+)
+
+// lower returns v's entry in table, or an error when v is none of its
+// type's constants.
+func lower[T enum, K any](table []K, v T) (K, error) {
+	if v < 0 || int(v) >= len(table) {
+		var zero K
+		return zero, fmt.Errorf("silkmoth: unknown %s", v)
+	}
+	return table[v], nil
 }
 
 // Config configures an Engine. The zero value is not valid: Delta must be
@@ -363,29 +425,13 @@ func (c Config) width() int {
 // coreOptions validates c and lowers it to the core engine's options. Every
 // engine constructor calls it first.
 func (c Config) coreOptions() (core.Options, error) {
-	var metric core.Metric
-	switch c.Metric {
-	case SetSimilarity:
-		metric = core.SetSimilarity
-	case SetContainment:
-		metric = core.SetContainment
-	default:
-		return core.Options{}, fmt.Errorf("silkmoth: unknown metric %d", int(c.Metric))
+	metric, err := lower(coreMetrics[:], c.Metric)
+	if err != nil {
+		return core.Options{}, err
 	}
-	var simKind core.SimKind
-	switch c.Similarity {
-	case Jaccard:
-		simKind = core.Jaccard
-	case Eds:
-		simKind = core.Eds
-	case NEds:
-		simKind = core.NEds
-	case Dice:
-		simKind = core.Dice
-	case Cosine:
-		simKind = core.Cosine
-	default:
-		return core.Options{}, fmt.Errorf("silkmoth: unknown similarity %d", int(c.Similarity))
+	simKind, err := lower(coreSims[:], c.Similarity)
+	if err != nil {
+		return core.Options{}, err
 	}
 	scheme, err := c.Scheme.kind()
 	if err != nil {
