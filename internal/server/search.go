@@ -14,7 +14,8 @@ import (
 
 // queryParams are a search's options as every search route spells them:
 // fields of a POST or batch body by their json tags, GET /v1/explain
-// parameters by their query tags (fromQuery). options validates them and
+// parameters by their query tags (fromQuery; explain has none, that route
+// always explaining). options validates them and
 // lowers them to the library's query options, one field to one option.
 type queryParams struct {
 	// K, when ≥ 1, truncates the answer to its best k matches; /v1/topk
@@ -28,7 +29,7 @@ type queryParams struct {
 	Delta float64 `json:"delta,omitempty" query:"delta"`
 	// Explain attaches the query's execution metadata to its answer; it is
 	// always on at /v1/explain. Explained answers bypass the result cache.
-	Explain bool `json:"explain,omitempty" query:"explain"`
+	Explain bool `json:"explain,omitempty"`
 	// The Disable switches turn a pipeline stage off for this query only,
 	// for what-if tuning (how many more candidates reach verification with
 	// a filter off?). Matches never change, only the explained funnel does.
@@ -36,7 +37,6 @@ type queryParams struct {
 	// changes nothing: it takes DisableNNFilter too.
 	DisableCheckFilter bool `json:"disable_check_filter,omitempty" query:"no_check_filter"`
 	DisableNNFilter    bool `json:"disable_nn_filter,omitempty" query:"no_nn_filter"`
-	DisableReduction   bool `json:"disable_reduction,omitempty" query:"no_reduction"`
 }
 
 // options validates p and lowers it to the library's query options; nil
@@ -71,21 +71,19 @@ func (p *queryParams) options() ([]silkmoth.QueryOption, error) {
 	if p.DisableNNFilter {
 		opts = append(opts, silkmoth.WithNNFilter(false))
 	}
-	if p.DisableReduction {
-		opts = append(opts, silkmoth.WithReduction(false))
-	}
 	return opts, nil
 }
 
 // fromQuery fills p from the URL parameters its query tags name, each read
 // by strconv (booleans as ParseBool reads them: 1, t, TRUE, 0, false …);
-// an absent or empty parameter leaves its field alone.
+// an absent or empty parameter, or a field without a query tag, leaves the
+// field alone.
 func (p *queryParams) fromQuery(q url.Values) error {
 	v := reflect.ValueOf(p).Elem()
 	for i := range v.NumField() {
 		name := v.Type().Field(i).Tag.Get("query")
 		raw := q.Get(name)
-		if raw == "" {
+		if name == "" || raw == "" {
 			continue
 		}
 		var err error
@@ -281,10 +279,6 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			len(req.Schemes), len(req.Sets))
 		return
 	}
-	if _, err := req.options(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	items := make([]searchItem, len(req.Sets))
 	for i, set := range req.Sets {
 		p := req.queryParams
@@ -293,8 +287,12 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		var err error
 		if items[i], err = newItem(set, p); err != nil {
-			// The request's own options passed: the item's scheme failed.
-			writeError(w, http.StatusBadRequest, "schemes[%d]: %v", i, err)
+			// The error is the item's own scheme's when the request's
+			// options pass without it.
+			if _, reqErr := req.options(); p.Scheme != req.Scheme && reqErr == nil {
+				err = fmt.Errorf("schemes[%d]: %w", i, err)
+			}
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// An item reports its scheme exactly when the request sent schemes

@@ -621,13 +621,13 @@ func TestSchemeStringRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %q -> %v", v, text, got)
 		}
 	}
-	for m := range numMetrics {
+	for m := range Metric(len(metricNames)) {
 		roundTrip(m, new(Metric))
 	}
-	for s := range numSimilarities {
+	for s := range Similarity(len(similarityNames)) {
 		roundTrip(s, new(Similarity))
 	}
-	for s := range numSchemes {
+	for s := range Scheme(len(schemeNames)) {
 		roundTrip(s, new(Scheme))
 	}
 	// Metric also reads the CLI's spellings.

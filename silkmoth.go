@@ -119,7 +119,6 @@ package silkmoth
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 
@@ -145,30 +144,22 @@ const (
 	// SetContainment relates R and S (|R| ≤ |S|) when
 	// |R ∩̃ S| / |R| ≥ Delta.
 	SetContainment
-	numMetrics
 )
 
-func (m Metric) String() string {
-	switch m {
-	case SetSimilarity:
-		return "set-similarity"
-	case SetContainment:
-		return "set-containment"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
+var metricNames = [...]string{SetSimilarity: "set-similarity", SetContainment: "set-containment"}
+
+func (m Metric) String() string { return enumString(metricNames[:], "Metric", m) }
 
 // MarshalText returns m's String form.
-func (m Metric) MarshalText() ([]byte, error) { return enumText(m, numMetrics) }
+func (m Metric) MarshalText() ([]byte, error) { return enumText(metricNames[:], "metric", m) }
 
 // UnmarshalText sets m from its String form or from the flag spellings
 // "similarity" and "containment", which drop String's "set-".
 func (m *Metric) UnmarshalText(text []byte) error {
-	if parseEnum(m, numMetrics, "set-"+string(text)) == nil {
+	if parseEnum(m, metricNames[:], "metric", "set-"+string(text)) == nil {
 		return nil
 	}
-	return parseEnum(m, numMetrics, string(text))
+	return parseEnum(m, metricNames[:], "metric", string(text))
 }
 
 // Similarity selects the element similarity function φ.
@@ -188,32 +179,20 @@ const (
 	// Cosine treats elements as sets of whitespace words compared with
 	// the set cosine similarity |∩|/√(|a||b|).
 	Cosine
-	numSimilarities
 )
 
-func (s Similarity) String() string {
-	switch s {
-	case Jaccard:
-		return "jaccard"
-	case Eds:
-		return "eds"
-	case NEds:
-		return "neds"
-	case Dice:
-		return "dice"
-	case Cosine:
-		return "cosine"
-	default:
-		return fmt.Sprintf("Similarity(%d)", int(s))
-	}
-}
+var similarityNames = [...]string{Jaccard: "jaccard", Eds: "eds", NEds: "neds", Dice: "dice", Cosine: "cosine"}
+
+func (s Similarity) String() string { return enumString(similarityNames[:], "Similarity", s) }
 
 // MarshalText returns s's String form.
-func (s Similarity) MarshalText() ([]byte, error) { return enumText(s, numSimilarities) }
+func (s Similarity) MarshalText() ([]byte, error) {
+	return enumText(similarityNames[:], "similarity", s)
+}
 
 // UnmarshalText sets s from its String form.
 func (s *Similarity) UnmarshalText(text []byte) error {
-	return parseEnum(s, numSimilarities, string(text))
+	return parseEnum(s, similarityNames[:], "similarity", string(text))
 }
 
 // Scheme selects the signature scheme used to prune the search space.
@@ -239,67 +218,51 @@ const (
 	// Stats.SchemeWeighted/SchemeSkyline/SchemeDichotomy expose the
 	// per-query choices.
 	SchemeAuto
-	numSchemes
 )
 
-func (s Scheme) String() string {
-	switch s {
-	case SchemeDichotomy:
-		return "dichotomy"
-	case SchemeSkyline:
-		return "skyline"
-	case SchemeWeighted:
-		return "weighted"
-	case SchemeCombUnweighted:
-		return "combunweighted"
-	case SchemeAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
+var schemeNames = [...]string{
+	SchemeDichotomy: "dichotomy", SchemeSkyline: "skyline", SchemeWeighted: "weighted",
+	SchemeCombUnweighted: "combunweighted", SchemeAuto: "auto",
 }
 
+func (s Scheme) String() string { return enumString(schemeNames[:], "Scheme", s) }
+
 // MarshalText returns s's String form.
-func (s Scheme) MarshalText() ([]byte, error) { return enumText(s, numSchemes) }
+func (s Scheme) MarshalText() ([]byte, error) { return enumText(schemeNames[:], "scheme", s) }
 
 // UnmarshalText sets s from its String form ("dichotomy", "skyline",
 // "weighted", "combunweighted", "auto").
 func (s *Scheme) UnmarshalText(text []byte) error {
-	return parseEnum(s, numSchemes, string(text))
+	return parseEnum(s, schemeNames[:], "scheme", string(text))
 }
 
-// enum is one of Metric, Similarity and Scheme: constants 0 … n-1 whose
-// String forms are their text forms (MarshalText, UnmarshalText), which
-// flags and request bodies read.
-type enum interface {
-	~int
-	String() string
-}
-
-// enumText returns v's String form, or an error when v is none of the n
-// constants of its type.
-func enumText[T enum](v, n T) ([]byte, error) {
-	if v < 0 || v >= n {
-		return nil, fmt.Errorf("silkmoth: %v has no text form", v)
+// enumString returns v's entry in names, its type's String forms, or
+// typ(v) when v is none of its type's constants.
+func enumString[T ~int](names []string, typ string, v T) string {
+	if v < 0 || int(v) >= len(names) {
+		return fmt.Sprintf("%s(%d)", typ, int(v))
 	}
-	return []byte(v.String()), nil
+	return names[v]
 }
 
-// parseEnum sets *v to the constant among the n of its type whose String
-// form is text.
-func parseEnum[T enum](v *T, n T, text string) error {
-	for c := T(0); c < n; c++ {
-		if c.String() == text {
-			*v = c
+// enumText returns v's entry in names as text, or an error naming its
+// type when v is none of the type's constants.
+func enumText[T ~int](names []string, typ string, v T) ([]byte, error) {
+	if v < 0 || int(v) >= len(names) {
+		return nil, fmt.Errorf("silkmoth: %s %d has no text form", typ, int(v))
+	}
+	return []byte(names[v]), nil
+}
+
+// parseEnum sets *v to the constant whose entry in names is text.
+func parseEnum[T ~int](v *T, names []string, typ, text string) error {
+	for c, name := range names {
+		if name == text {
+			*v = T(c)
 			return nil
 		}
 	}
-	names := make([]string, n)
-	for c := range names {
-		names[c] = T(c).String()
-	}
-	return fmt.Errorf("silkmoth: unknown %s %q (want %s)",
-		strings.ToLower(reflect.TypeFor[T]().Name()), text, strings.Join(names, ", "))
+	return fmt.Errorf("silkmoth: unknown %s %q (want %s)", typ, text, strings.Join(names, ", "))
 }
 
 // kind lowers the public scheme to the signature package's kind.
@@ -308,9 +271,9 @@ func (s Scheme) kind() (signature.Kind, error) { return lower(schemeKinds[:], s)
 // coreMetrics, coreSims and schemeKinds lower each constant of Metric,
 // Similarity and Scheme to the internal packages' form.
 var (
-	coreMetrics = [numMetrics]core.Metric{SetSimilarity: core.SetSimilarity, SetContainment: core.SetContainment}
-	coreSims    = [numSimilarities]core.SimKind{Jaccard: core.Jaccard, Eds: core.Eds, NEds: core.NEds, Dice: core.Dice, Cosine: core.Cosine}
-	schemeKinds = [numSchemes]signature.Kind{
+	coreMetrics = [len(metricNames)]core.Metric{SetSimilarity: core.SetSimilarity, SetContainment: core.SetContainment}
+	coreSims    = [len(similarityNames)]core.SimKind{Jaccard: core.Jaccard, Eds: core.Eds, NEds: core.NEds, Dice: core.Dice, Cosine: core.Cosine}
+	schemeKinds = [len(schemeNames)]signature.Kind{
 		SchemeDichotomy: signature.Dichotomy, SchemeSkyline: signature.Skyline, SchemeWeighted: signature.Weighted,
 		SchemeCombUnweighted: signature.CombUnweighted, SchemeAuto: signature.Auto,
 	}
@@ -318,10 +281,10 @@ var (
 
 // lower returns v's entry in table, or an error when v is none of its
 // type's constants.
-func lower[T enum, K any](table []K, v T) (K, error) {
+func lower[T ~int, K any](table []K, v T) (K, error) {
 	if v < 0 || int(v) >= len(table) {
 		var zero K
-		return zero, fmt.Errorf("silkmoth: unknown %s", v)
+		return zero, fmt.Errorf("silkmoth: unknown %v", v)
 	}
 	return table[v], nil
 }
