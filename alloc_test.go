@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -44,8 +45,8 @@ func allocCorpus(n int) []Set {
 // `go test -bench BenchmarkPipeline -benchmem ./internal/core`.
 // The single-query budgets dropped from 100/110 to low double digits when
 // query tokenization moved onto pooled scratch (dataset.QueryScratch): a
-// serial Search steady-states at 6 objects, so the budget is the measured
-// cost plus headroom for runtime noise, not a round hundred.
+// serial SearchContext steady-states at 6 objects, so the budget is the
+// measured cost plus headroom for runtime noise, not a round hundred.
 const (
 	searchAllocBudget   = 12
 	topKAllocBudget     = 16
@@ -71,12 +72,13 @@ func measureAllocs(t *testing.T, name string, budget float64, f func()) {
 }
 
 // TestQueryAllocationBudgets pins steady-state allocations of the public
-// Search, SearchTopK, Discover, SearchBatchQueries, and DiscoverAgainst
-// paths on one shard and on several, so the pipeline's zero-allocation
-// property cannot silently regress — and, the shards=1 budgets carrying no
-// fan-out allowance, so one shard cannot start paying for a split. Discover,
-// a many-item SearchBatchQueries and DiscoverAgainst do not split, so they
-// carry none at any shard count.
+// SearchContext, SearchTopKContext, DiscoverContext, SearchBatchQueriesContext,
+// and DiscoverAgainstContext paths on one shard and on several, so the
+// pipeline's zero-allocation property cannot silently regress — and, the
+// shards=1 budgets carrying no fan-out allowance, so one shard cannot start
+// paying for a split. DiscoverContext, a many-item SearchBatchQueriesContext
+// and DiscoverAgainstContext do not split, so they carry none at any shard
+// count.
 func TestQueryAllocationBudgets(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
@@ -101,34 +103,34 @@ func TestQueryAllocationBudgets(t *testing.T) {
 		}
 		// A split search pays a fixed per-query fan-out cost: a goroutine
 		// per range and a borrowed searcher per extra one, plus the
-		// per-range match lists and their merge (9 objects for Search, 12
-		// for SearchTopK, measured at three ranges; the allowance doubles
-		// the larger).
+		// per-range match lists and their merge (9 objects for SearchContext,
+		// 12 for SearchTopKContext, measured at three ranges; the allowance
+		// doubles the larger).
 		extra := 0.0
 		if shards > 1 {
 			extra = 24
 		}
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			measureAllocs(t, "Search", searchAllocBudget+extra, func() {
-				if _, err := eng.Search(ref); err != nil {
+				if _, err := eng.SearchContext(context.Background(), ref); err != nil {
 					t.Fatal(err)
 				}
 			})
 			measureAllocs(t, "SearchTopK", topKAllocBudget+extra, func() {
-				if _, err := eng.SearchTopK(ref, 5); err != nil {
+				if _, err := eng.SearchTopKContext(context.Background(), ref, 5); err != nil {
 					t.Fatal(err)
 				}
 			})
 			measureAllocs(t, "Discover", discoverAllocBudget, func() {
-				eng.Discover()
+				mustDiscover(t, eng)
 			})
 			measureAllocs(t, "SearchBatchQueries", batchAllocBudget, func() {
-				if _, err := eng.SearchBatchQueries(batch); err != nil {
+				if _, err := eng.SearchBatchQueriesContext(context.Background(), batch); err != nil {
 					t.Fatal(err)
 				}
 			})
 			measureAllocs(t, "DiscoverAgainst", discoverAgainstAllocBudget, func() {
-				if _, err := eng.DiscoverAgainst(against); err != nil {
+				if _, err := eng.DiscoverAgainstContext(context.Background(), against); err != nil {
 					t.Fatal(err)
 				}
 			})

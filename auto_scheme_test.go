@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,7 +58,7 @@ func TestSchemeAutoMatchesFixedSchemes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					autoPairs := autoEng.Discover()
+					autoPairs := mustDiscover(t, autoEng)
 
 					for _, fixed := range []Scheme{SchemeDichotomy, SchemeSkyline, SchemeWeighted, SchemeCombUnweighted} {
 						fixedCfg := base
@@ -67,7 +68,7 @@ func TestSchemeAutoMatchesFixedSchemes(t *testing.T) {
 							t.Fatal(err)
 						}
 
-						fixedPairs := fixedEng.Discover()
+						fixedPairs := mustDiscover(t, fixedEng)
 						if len(fixedPairs) != len(autoPairs) {
 							t.Fatalf("%v/%v α=%v shards=%d: auto found %d pairs, %v found %d",
 								metric, simFn, alpha, shards, len(autoPairs), fixed, len(fixedPairs))
@@ -81,11 +82,11 @@ func TestSchemeAutoMatchesFixedSchemes(t *testing.T) {
 						}
 
 						for qi, q := range queries {
-							am, err := autoEng.Search(q)
+							am, err := autoEng.SearchContext(context.Background(), q)
 							if err != nil {
 								t.Fatal(err)
 							}
-							fm, err := fixedEng.Search(q)
+							fm, err := fixedEng.SearchContext(context.Background(), q)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -116,7 +117,7 @@ func TestSchemeAutoRecordsSelections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Discover()
+	mustDiscover(t, eng)
 	st := eng.Stats()
 	chosen := st.SchemeWeighted + st.SchemeSkyline + st.SchemeDichotomy + st.SchemeCombUnweighted
 	if chosen != st.SearchPasses-st.FullScans {
@@ -131,7 +132,7 @@ func TestSchemeAutoRecordsSelections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2.Discover()
+	mustDiscover(t, eng2)
 	st2 := eng2.Stats()
 	if st2.SchemeWeighted != 0 {
 		t.Fatalf("α>0 Auto never picks pure Weighted, got %+v", st2)

@@ -8,6 +8,7 @@
 package silkmoth_test
 
 import (
+	"context"
 	"testing"
 
 	"silkmoth"
@@ -109,7 +110,7 @@ func benchSearchLoop(b *testing.B, eng *silkmoth.Engine, queries []silkmoth.Set)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Search(queries[i%len(queries)]); err != nil {
+		if _, err := eng.SearchContext(context.Background(), queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@
 package silkmoth_test
 
 import (
+	"context"
 	"testing"
 
 	"silkmoth"
@@ -41,14 +42,14 @@ func benchStorageSearch(b *testing.B, compressed bool) {
 	// Warm once so the compressed run measures steady state (cache-hit
 	// probes), not first-touch decodes.
 	for _, q := range queries {
-		if _, err := eng.Search(q); err != nil {
+		if _, err := eng.SearchContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Search(queries[i%len(queries)]); err != nil {
+		if _, err := eng.SearchContext(context.Background(), queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}

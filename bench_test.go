@@ -250,7 +250,7 @@ func BenchmarkDiscoverParallel(b *testing.B) {
 			b.ReportAllocs()
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				ps, derr := eng.DiscoverContext(context.Background(), w.Coll)
+				ps, derr := eng.DiscoverQueryContext(context.Background(), w.Coll, nil, 1)
 				if derr != nil {
 					b.Fatal(derr)
 				}

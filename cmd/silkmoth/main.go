@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,7 @@ import (
 type options struct {
 	cfg                           silkmoth.Config
 	mode, input, csvFile, refFile string
-	noCheck, noNN, noRed          bool
+	noCheck, noNN                 bool
 	topK                          int
 	explain, stats                bool
 }
@@ -48,7 +49,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.TextVar(&o.cfg.Scheme, "scheme", silkmoth.SchemeDichotomy, "signature scheme: dichotomy, skyline, weighted, combunweighted, auto (per-query cost-based)")
 	fs.BoolVar(&o.noCheck, "no-check", false, "disable the check filter; the nearest-neighbor filter implies it, so this acts only with -no-nn")
 	fs.BoolVar(&o.noNN, "no-nn", false, "disable the nearest-neighbor filter")
-	fs.BoolVar(&o.noRed, "no-reduction", false, "disable reduction-based verification")
 	fs.IntVar(&o.cfg.Concurrency, "workers", 0, "parallel search passes (0 = GOMAXPROCS)")
 	fs.IntVar(&o.topK, "k", 0, "search mode: keep only the k most related sets per reference (0 = all)")
 	fs.BoolVar(&o.explain, "explain", false, "print each query's plan (chosen scheme + pruning funnel + time) to stderr")
@@ -78,14 +78,19 @@ func main() {
 
 	// Every query of the run takes the same options; the explain capture is
 	// rewritten by each.
-	opts := filterOptions(o.noCheck, o.noNN, o.noRed)
+	opts := filterOptions(o.noCheck, o.noNN)
 	var ex silkmoth.Explain
 	if o.explain {
 		opts = append(opts, silkmoth.WithExplain(&ex))
 	}
+	ctx := context.Background()
 	switch o.mode {
 	case "discover":
-		for _, p := range eng.Discover(opts...) {
+		pairs, err := eng.DiscoverContext(ctx, opts...)
+		if err != nil {
+			fatal(err)
+		}
+		for _, p := range pairs {
 			fmt.Printf("%s\t%s\t%.4f\t%.4f\n", p.RName, p.SName, p.Relatedness, p.MatchingScore)
 		}
 		if o.explain {
@@ -103,7 +108,7 @@ func main() {
 			opts = append(opts, silkmoth.WithK(o.topK))
 		}
 		for _, r := range refs {
-			ms, err := eng.Search(silkmoth.Set{Name: r.Name, Elements: r.Elements}, opts...)
+			ms, err := eng.SearchContext(ctx, silkmoth.Set{Name: r.Name, Elements: r.Elements}, opts...)
 			if err != nil {
 				fatal(err)
 			}
@@ -125,13 +130,10 @@ func main() {
 	}
 }
 
-// filterOptions turns the -no-check, -no-nn and -no-reduction flags into
-// the query options that switch those pipeline stages off; with every flag
-// false they change nothing.
-func filterOptions(noCheck, noNN, noRed bool) []silkmoth.QueryOption {
-	return []silkmoth.QueryOption{
-		silkmoth.WithCheckFilter(!noCheck), silkmoth.WithNNFilter(!noNN), silkmoth.WithReduction(!noRed),
-	}
+// filterOptions turns the -no-check and -no-nn flags into the query options
+// that switch those filters off; with both flags false they change nothing.
+func filterOptions(noCheck, noNN bool) []silkmoth.QueryOption {
+	return []silkmoth.QueryOption{silkmoth.WithCheckFilter(!noCheck), silkmoth.WithNNFilter(!noNN)}
 }
 
 // printExplain renders one query's plan on stderr: the chosen concrete

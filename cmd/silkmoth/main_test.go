@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -124,7 +125,11 @@ func TestFilterFlags(t *testing.T) {
 	}
 	run := func(o options) ([]silkmoth.Pair, silkmoth.Explain) {
 		var ex silkmoth.Explain
-		return eng.Discover(append(filterOptions(o.noCheck, o.noNN, o.noRed), silkmoth.WithExplain(&ex))...), ex
+		ps, err := eng.DiscoverContext(context.Background(), append(filterOptions(o.noCheck, o.noNN), silkmoth.WithExplain(&ex))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps, ex
 	}
 	want, def := run(on)
 	got, unfiltered := run(off)

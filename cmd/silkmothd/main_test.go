@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -114,7 +115,7 @@ func TestBuildEngineSharded(t *testing.T) {
 	if n != 3 || eng.Shards() != 3 {
 		t.Fatalf("n=%d shards=%d, want 3 sets on 3 shards", n, eng.Shards())
 	}
-	if ms, err := eng.Search(silkmoth.Set{Elements: []string{"77 Mass Ave", "5th St"}}); err != nil || len(ms) == 0 {
+	if ms, err := eng.SearchContext(context.Background(), silkmoth.Set{Elements: []string{"77 Mass Ave", "5th St"}}); err != nil || len(ms) == 0 {
 		t.Fatalf("sharded search: ms=%v err=%v", ms, err)
 	}
 }

@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -238,7 +239,7 @@ func TestCompressedLazyLoadAllocationBudget(t *testing.T) {
 		t.Fatalf("open decoded lists before any query: %+v", st)
 	}
 	var ex Explain
-	if _, err := loaded.Search(sets[7], WithExplain(&ex)); err != nil {
+	if _, err := loaded.SearchContext(context.Background(), sets[7], WithExplain(&ex)); err != nil {
 		t.Fatal(err)
 	}
 	st := loaded.Stats()
@@ -270,7 +271,7 @@ func TestCompressedSteadyStateSearchAllocs(t *testing.T) {
 	}
 	ref := sets[7]
 	measureAllocs(t, "Search(compressed)", searchAllocBudget, func() {
-		if _, err := eng.Search(ref); err != nil {
+		if _, err := eng.SearchContext(context.Background(), ref); err != nil {
 			t.Fatal(err)
 		}
 	})

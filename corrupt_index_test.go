@@ -1,6 +1,7 @@
 package silkmoth_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -14,10 +15,10 @@ import (
 )
 
 // TestCorruptContainerFailsQueries: the nearest-neighbor filter and
-// verification read similarities off the postings, so a container that
-// fails to decode could lower a score, not just lose a candidate. A query
-// that met one must say so — ErrPostingDecode from Search, SearchTopK and
-// DiscoverAgainst, on the failing items only of a batch, a 500 from the
+// verification read similarities off the postings, so a container that fails to
+// decode could lower a score, not just lose a candidate. A query that met one
+// must say so — ErrPostingDecode from SearchContext, SearchTopKContext and
+// DiscoverAgainstContext, on the failing items only of a batch, a 500 from the
 // server — while queries that never touch the corrupt list keep answering
 // exactly as a healthy engine does.
 func TestCorruptContainerFailsQueries(t *testing.T) {
@@ -41,30 +42,30 @@ func TestCorruptContainerFailsQueries(t *testing.T) {
 	}
 	hit, clear := sets[0], sets[2] // "Boston" is in the first, not in the second
 
-	if ms, err := eng.Search(hit); !errors.Is(err, silkmoth.ErrPostingDecode) || ms != nil {
+	if ms, err := eng.SearchContext(context.Background(), hit); !errors.Is(err, silkmoth.ErrPostingDecode) || ms != nil {
 		t.Errorf("Search over the corrupt list = (%v, %v), want no matches and ErrPostingDecode", ms, err)
 	}
-	if ms, err := eng.SearchTopK(hit, 2); !errors.Is(err, silkmoth.ErrPostingDecode) || ms != nil {
+	if ms, err := eng.SearchTopKContext(context.Background(), hit, 2); !errors.Is(err, silkmoth.ErrPostingDecode) || ms != nil {
 		t.Errorf("SearchTopK over the corrupt list = (%v, %v), want no matches and ErrPostingDecode", ms, err)
 	}
-	if ps, err := eng.DiscoverAgainst([]silkmoth.Set{clear, hit}); !errors.Is(err, silkmoth.ErrPostingDecode) || ps != nil {
+	if ps, err := eng.DiscoverAgainstContext(context.Background(), []silkmoth.Set{clear, hit}); !errors.Is(err, silkmoth.ErrPostingDecode) || ps != nil {
 		t.Errorf("DiscoverAgainst over the corrupt list = (%v, %v), want no pairs and ErrPostingDecode", ps, err)
 	}
-	if res, err := eng.SearchBatchQueries([]silkmoth.BatchQuery{{Set: hit}}); err != nil || !errors.Is(res[0].Err, silkmoth.ErrPostingDecode) {
+	if res, err := eng.SearchBatchQueriesContext(context.Background(), []silkmoth.BatchQuery{{Set: hit}}); err != nil || !errors.Is(res[0].Err, silkmoth.ErrPostingDecode) {
 		t.Errorf("one-item batch over the corrupt list = (%v, %v), want its item's ErrPostingDecode", res, err)
 	}
 	if eng.Stats().PostingDecodeErrors == 0 {
 		t.Error("Stats.PostingDecodeErrors did not move")
 	}
 
-	want, err := healthy.Search(clear)
+	want, err := healthy.SearchContext(context.Background(), clear)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("healthy Search = (%v, %v), want matches", want, err)
 	}
-	if got, err := eng.Search(clear); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := eng.SearchContext(context.Background(), clear); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("Search that never reads the corrupt list = (%v, %v), want %v", got, err, want)
 	}
-	res, err := eng.SearchBatchQueries([]silkmoth.BatchQuery{{Set: clear}, {Set: hit}, {Set: clear}})
+	res, err := eng.SearchBatchQueriesContext(context.Background(), []silkmoth.BatchQuery{{Set: clear}, {Set: hit}, {Set: clear}})
 	if err != nil {
 		t.Fatalf("SearchBatchQueries: %v; a corrupt list fails its items, not the batch", err)
 	}

@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -220,8 +221,8 @@ func setNames(sets []Set) []string {
 // verifyRecovery mounts the post-crash disk, recovers, and checks the two
 // halves of the durability contract: the recovered logical state is
 // stateAfter(m) or stateAfter(m+1), and the recovered engine's full query
-// surface — Discover and a Search per surviving set — is bit-identical to
-// a fresh heap-built oracle over the recovered survivors.
+// surface — DiscoverContext and a SearchContext per surviving set — is
+// bit-identical to a fresh heap-built oracle over the recovered survivors.
 func verifyRecovery(t *testing.T, label string, disk *failfs.FS, boot []Set, cfg Config, model *crashModel, extra func(*crashModel)) {
 	t.Helper()
 	rec, err := newDurableEngine(func() (*Engine, error) { return newHeapEngine(boot, cfg) }, cfg, disk)
@@ -254,10 +255,10 @@ func verifyRecovery(t *testing.T, label string, disk *failfs.FS, boot []Set, cfg
 }
 
 // requireFreshBuildSurface is the oracle check: rec, whose live sets are
-// got, must answer Discover and a Search per live set exactly like a fresh
-// heap build of cfg over those sets. The engine's live ids ascend, and the
-// oracle assigns dense ids in the same order, so canonical orderings agree
-// pair for pair.
+// got, must answer DiscoverContext and a SearchContext per live set exactly
+// like a fresh heap build of cfg over those sets. The engine's live ids
+// ascend, and the oracle assigns dense ids in the same order, so canonical
+// orderings agree pair for pair.
 func requireFreshBuildSurface(t *testing.T, label string, rec *Engine, got []Set, cfg Config) {
 	t.Helper()
 	heapCfg := cfg
@@ -276,8 +277,8 @@ func requireFreshBuildSurface(t *testing.T, label string, rec *Engine, got []Set
 		t.Fatalf("%s: %v", label, err)
 	}
 
-	wantPairs := oracle.Discover()
-	gotPairs := rec.Discover()
+	wantPairs := mustDiscover(t, oracle)
+	gotPairs := mustDiscover(t, rec)
 	if len(gotPairs) != len(wantPairs) {
 		t.Fatalf("%s: %d discovered pairs, oracle found %d", label, len(gotPairs), len(wantPairs))
 	}
@@ -289,11 +290,11 @@ func requireFreshBuildSurface(t *testing.T, label string, rec *Engine, got []Set
 		}
 	}
 	for _, q := range got {
-		gotMs, err := rec.Search(q)
+		gotMs, err := rec.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: search %q: %v", label, q.Name, err)
 		}
-		wantMs, err := oracle.Search(q)
+		wantMs, err := oracle.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: oracle search %q: %v", label, q.Name, err)
 		}

@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -25,7 +26,7 @@ func durableCorpus() []Set {
 
 // compareEngineSurfaces requires got to answer every query bit-identically
 // to want: same discovery pairs (ids included — both engines share one id
-// space) and same matches with same scores for a Search per live set.
+// space) and same matches with same scores for a SearchContext per live set.
 // With checkFunnel it additionally requires identical per-query explain
 // funnels (candidate, filter, and verification counts) — a snapshot-loaded
 // engine must probe an identical index, not merely reach the same answers.
@@ -42,8 +43,8 @@ func compareEngineSurfaces(t *testing.T, stage string, want, got *Engine, checkF
 			t.Fatalf("%s: %v", stage, err)
 		}
 	}
-	wantPairs := want.Discover()
-	gotPairs := got.Discover()
+	wantPairs := mustDiscover(t, want)
+	gotPairs := mustDiscover(t, got)
 	if len(gotPairs) != len(wantPairs) {
 		t.Fatalf("%s: %d pairs, want %d", stage, len(gotPairs), len(wantPairs))
 	}
@@ -54,11 +55,11 @@ func compareEngineSurfaces(t *testing.T, stage string, want, got *Engine, checkF
 	}
 	for _, q := range liveRaws(want) {
 		var w, g Explain
-		wantMs, err := want.Search(q, WithExplain(&w))
+		wantMs, err := want.SearchContext(context.Background(), q, WithExplain(&w))
 		if err != nil {
 			t.Fatalf("%s: explain %q: %v", stage, q.Name, err)
 		}
-		gotMs, err := got.Search(q, WithExplain(&g))
+		gotMs, err := got.SearchContext(context.Background(), q, WithExplain(&g))
 		if err != nil {
 			t.Fatalf("%s: loaded explain %q: %v", stage, q.Name, err)
 		}
@@ -384,7 +385,7 @@ func TestSnapshotWhileMutatingRace(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := eng.Search(ref); err != nil {
+			if _, err := eng.SearchContext(context.Background(), ref); err != nil {
 				t.Errorf("search: %v", err)
 				return
 			}

@@ -150,28 +150,19 @@ func (e *Engine) tokenizeQuery(raws []dataset.RawSet) (*dataset.QueryScratch, *d
 // and persisted ones are CRC-checked on load — so it is not retryable.
 var ErrPostingDecode = core.ErrPostingDecode
 
-// Discover returns all related pairs within the engine's collection — the
-// paper's RELATED SET DISCOVERY (Problem 1) with R = S. Under SetSimilarity
-// each unordered pair is reported once (R < S); under SetContainment every
-// ordered pair ⟨R, S⟩ with |R| ≤ |S| is considered. Pairs are sorted by
-// (R, S).
-// Options apply to every reference pass of the discovery (WithK is a
-// search-shaped option and is ignored here); a WithExplain capture sums
-// the funnels of all passes. Discover's error-free signature swallows
-// failures — including option-validation errors like an out-of-range
-// WithDelta — as an empty result; callers passing options should prefer
-// DiscoverContext, which reports them.
-func (e *Engine) Discover(opts ...QueryOption) []Pair {
-	ps, _ := e.DiscoverContext(context.Background(), opts...)
-	return ps
-}
-
-// DiscoverContext is Discover with cancellation: it aborts and returns
-// ctx.Err() when ctx is done. Reference passes run on up to
-// Config.Concurrency workers, each pass at the width those workers leave
-// idle (Config.Shards / workers goroutines, at least one), so a discovery on
-// one worker splits its long passes as a search does; the sorted output is
-// identical at every width and concurrency.
+// DiscoverContext returns all related pairs within the engine's collection
+// — the paper's RELATED SET DISCOVERY (Problem 1) with R = S. Under
+// SetSimilarity each unordered pair is reported once (R < S); under
+// SetContainment every ordered pair ⟨R, S⟩ with |R| ≤ |S| is considered.
+// Pairs are sorted by (R, S). Options apply to every reference pass of the
+// discovery (WithK is a search-shaped option and is ignored here); a
+// WithExplain capture sums the funnels of all passes.
+//
+// The discovery aborts and returns ctx.Err() when ctx is done. Reference
+// passes run on up to Config.Concurrency workers, each pass at the width
+// those workers leave idle (Config.Shards / workers goroutines, at least
+// one), so a discovery on one worker splits its long passes as a search
+// does; the sorted output is identical at every width and concurrency.
 func (e *Engine) DiscoverContext(ctx context.Context, opts ...QueryOption) ([]Pair, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -201,13 +192,9 @@ func (e *Engine) discoverLocked(ctx context.Context, refs *dataset.Collection, o
 	return out, nil
 }
 
-// DiscoverAgainst finds all related pairs ⟨R, S⟩ with R from refs and S from
-// the engine's collection. Options apply to every reference pass.
-func (e *Engine) DiscoverAgainst(refs []Set, opts ...QueryOption) ([]Pair, error) {
-	return e.DiscoverAgainstContext(context.Background(), refs, opts...)
-}
-
-// DiscoverAgainstContext is DiscoverAgainst with cancellation.
+// DiscoverAgainstContext finds all related pairs ⟨R, S⟩ with R from refs
+// and S from the engine's collection, aborting with ctx.Err() when ctx is
+// done. Options apply to every reference pass.
 func (e *Engine) DiscoverAgainstContext(ctx context.Context, refs []Set, opts ...QueryOption) ([]Pair, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -1,6 +1,7 @@
 package silkmoth_test
 
 import (
+	"context"
 	"fmt"
 
 	"silkmoth"
@@ -8,7 +9,7 @@ import (
 
 // The paper's running example: searching the Location column of Table 1
 // against the collection S of Table 2 under SET-CONTAINMENT finds only S4.
-func ExampleEngine_Search() {
+func ExampleEngine_SearchContext() {
 	collection := []silkmoth.Set{
 		{Name: "S1", Elements: []string{
 			"Mass Ave St Boston 02115", "77 Mass 5th St Boston", "77 Mass Ave 5th 02115"}},
@@ -27,7 +28,7 @@ func ExampleEngine_Search() {
 	if err != nil {
 		panic(err)
 	}
-	matches, err := eng.Search(silkmoth.Set{Name: "Location", Elements: []string{
+	matches, err := eng.SearchContext(context.Background(), silkmoth.Set{Name: "Location", Elements: []string{
 		"77 Mass Ave Boston MA",
 		"5th St 02115 Seattle WA",
 		"77 5th St Chicago IL",
@@ -44,7 +45,7 @@ func ExampleEngine_Search() {
 
 // Discovery finds every related pair within one collection: here two
 // near-duplicate titles pair up under edit similarity despite typos.
-func ExampleEngine_Discover() {
+func ExampleEngine_DiscoverContext() {
 	titles := []silkmoth.Set{
 		{Name: "t1", Elements: []string{"Database", "Systems", "Concepts"}},
 		{Name: "t2", Elements: []string{"Databse", "Systems", "Concpts"}}, // typos
@@ -59,7 +60,11 @@ func ExampleEngine_Discover() {
 	if err != nil {
 		panic(err)
 	}
-	for _, p := range eng.Discover() {
+	pairs, err := eng.DiscoverContext(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range pairs {
 		fmt.Printf("%s ~ %s\n", p.RName, p.SName)
 	}
 	// Output:

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -39,11 +40,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	refRaws := datagen.PickReferences(raws, *numRefs, 4)
 	start := time.Now()
 	found := 0
 	for _, r := range refRaws {
-		ms, err := eng.Search(silkmoth.Set{Name: r.Name, Elements: r.Elements})
+		ms, err := eng.SearchContext(ctx, silkmoth.Set{Name: r.Name, Elements: r.Elements})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,8 +58,9 @@ func main() {
 	// and WithExplain captures this query's own plan — which concrete
 	// signature scheme probed the index and what each filter pruned —
 	// without touching the engine's cumulative Stats.
+	ctx := context.Background()
 	var ex silkmoth.Explain
-	matches, err := eng.Search(reference, silkmoth.WithK(2), silkmoth.WithExplain(&ex))
+	matches, err := eng.SearchContext(ctx, reference, silkmoth.WithK(2), silkmoth.WithExplain(&ex))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func main() {
 		float64(ex.Elapsed.Microseconds())/1000)
 
 	// A query can also pin the scheme or tighten δ without rebuilding:
-	strict, err := eng.Search(reference,
+	strict, err := eng.SearchContext(ctx, reference,
 		silkmoth.WithDelta(0.74), silkmoth.WithScheme(silkmoth.SchemeSkyline))
 	if err != nil {
 		log.Fatal(err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +37,10 @@ func main() {
 	}
 
 	start := time.Now()
-	pairs := eng.Discover()
+	pairs, err := eng.DiscoverContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("found %d matching schema pairs in %v\n",
 		len(pairs), time.Since(start).Round(time.Millisecond))
 

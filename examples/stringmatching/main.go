@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,7 +39,10 @@ func main() {
 	}
 
 	start := time.Now()
-	pairs := eng.Discover()
+	pairs, err := eng.DiscoverContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	elapsed := time.Since(start)
 
 	fmt.Printf("found %d related title pairs in %v\n", len(pairs), elapsed.Round(time.Millisecond))

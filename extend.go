@@ -2,8 +2,6 @@ package silkmoth
 
 import (
 	"io"
-	"slices"
-	"time"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/wal"
@@ -81,32 +79,12 @@ func NewEngineFromSaved(r io.Reader, cfg Config) (*Engine, error) {
 	return newDurableEngine(build, cfg, fsys)
 }
 
-// SortMatchesByIndex re-sorts a search result list by collection index,
-// for callers that want stable positional output instead of the default
-// relatedness ordering.
-func SortMatchesByIndex(ms []Match) {
-	slices.SortFunc(ms, func(a, b Match) int { return a.Index - b.Index })
-}
-
 // Compare computes the relatedness of two sets directly — the maximum
 // matching metric value (SET-SIMILARITY or SET-CONTAINMENT per cfg.Metric)
 // without any engine machinery. Delta is not consulted; callers get the raw
 // metric. For SetContainment, r is the contained side and |r| must not
 // exceed |s| (the metric is 0 otherwise, per Definition 2).
-//
-// Compare accepts the same options as the query methods for uniformity,
-// but a single pairwise matching probes no index: only WithExplain (one
-// verified pair, wall time) and WithReduction observably apply; scheme,
-// k, δ, and filter options are validated and otherwise inert.
-func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
-	var qo queryOptions
-	if err := qo.compile(opts); err != nil {
-		return 0, err
-	}
-	var start time.Time
-	if qo.explain != nil {
-		start = time.Now()
-	}
+func Compare(r, s Set, cfg Config) (float64, error) {
 	if cfg.Delta == 0 {
 		cfg.Delta = 1 // Delta is irrelevant here but must validate
 	}
@@ -115,7 +93,6 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	co.Reduction = !qo.q.NoReduction
 	// A heap engine, whatever cfg.DataDir names (a durable server passes its
 	// own): the throwaway one-set engine neither recovers that collection in
 	// place of s nor writes there, and holds nothing to close.
@@ -123,23 +100,17 @@ func Compare(r, s Set, cfg Config, opts ...QueryOption) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rel := func() float64 {
-		if len(r.Elements) > len(s.Elements) && cfg.Metric == SetContainment {
-			return 0
-		}
-		score, nR, nS := eng.matchScore(r)
-		if nR == 0 {
-			return 0
-		}
-		if cfg.Metric == SetContainment {
-			return score / float64(nR)
-		}
-		return score / (float64(nR+nS) - score)
-	}()
-	if qo.explain != nil {
-		*qo.explain = Explain{Passes: 1, Funnel: Funnel{Verified: 1}, Elapsed: time.Since(start)}
+	if len(r.Elements) > len(s.Elements) && cfg.Metric == SetContainment {
+		return 0, nil
 	}
-	return rel, nil
+	score, nR, nS := eng.matchScore(r)
+	if nR == 0 {
+		return 0, nil
+	}
+	if cfg.Metric == SetContainment {
+		return score / float64(nR), nil
+	}
+	return score / (float64(nR+nS) - score), nil
 }
 
 // matchScore computes |r ∩̃ S0| between a query set and the engine's only

@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func TestSearchTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := Set{Elements: []string{"a b c", "d e f"}}
-	top2, err := eng.SearchTopK(ref, 2)
+	top2, err := eng.SearchTopKContext(context.Background(), ref, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +30,12 @@ func TestSearchTopK(t *testing.T) {
 	if top2[1].Relatedness > top2[0].Relatedness {
 		t.Error("topK not sorted by relatedness")
 	}
-	all, _ := eng.Search(ref)
-	topAll, _ := eng.SearchTopK(ref, 100)
+	all, _ := eng.SearchContext(context.Background(), ref)
+	topAll, _ := eng.SearchTopKContext(context.Background(), ref, 100)
 	if len(topAll) != len(all) {
 		t.Errorf("k beyond result count should return everything: %d vs %d", len(topAll), len(all))
 	}
-	none, _ := eng.SearchTopK(ref, 0)
+	none, _ := eng.SearchTopKContext(context.Background(), ref, 0)
 	if len(none) != 0 {
 		t.Error("k=0 should return nothing")
 	}
@@ -56,11 +57,11 @@ func TestSearchTopKMaxInt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := eng.Search(ref)
+		all, err := eng.SearchContext(context.Background(), ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := eng.SearchTopK(ref, math.MaxInt)
+		top, err := eng.SearchTopKContext(context.Background(), ref, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestAddIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := Set{Elements: []string{"p q", "r s"}}
-	ms, _ := eng.Search(ref)
+	ms, _ := eng.SearchContext(context.Background(), ref)
 	if len(ms) != 1 {
 		t.Fatalf("pre-add matches = %+v", ms)
 	}
@@ -90,17 +91,17 @@ func TestAddIncremental(t *testing.T) {
 	if eng.Len() != 3 {
 		t.Fatalf("Len = %d after Add", eng.Len())
 	}
-	ms, _ = eng.Search(ref)
+	ms, _ = eng.SearchContext(context.Background(), ref)
 	if len(ms) != 2 {
 		t.Fatalf("post-add matches = %+v", ms)
 	}
 	// New tokens must also resolve: a query for the new set alone.
-	ms, _ = eng.Search(Set{Elements: []string{"brand new tokens"}})
+	ms, _ = eng.SearchContext(context.Background(), Set{Elements: []string{"brand new tokens"}})
 	if len(ms) != 1 || ms[0].Name != "other" {
 		t.Fatalf("new-token search = %+v", ms)
 	}
 	// Discovery over the grown collection matches a from-scratch engine.
-	grown := eng.Discover()
+	grown := mustDiscover(t, eng)
 	fresh, err := NewEngine([]Set{
 		{Name: "first", Elements: []string{"p q", "r s"}},
 		{Name: "twin", Elements: []string{"r s", "p q"}},
@@ -109,7 +110,7 @@ func TestAddIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Discover()
+	want := mustDiscover(t, fresh)
 	if len(grown) != len(want) {
 		t.Fatalf("incremental discovery diverges: %+v vs %+v", grown, want)
 	}
@@ -133,14 +134,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := eng.Discover()
-	p2 := eng2.Discover()
+	p1 := mustDiscover(t, eng)
+	p2 := mustDiscover(t, eng2)
 	if !reflect.DeepEqual(p1, p2) {
 		t.Errorf("reloaded engine diverges: %+v vs %+v", p2, p1)
 	}
 	// Queries against the reloaded engine still tokenize correctly.
-	m1, _ := eng.Search(sets[0])
-	m2, _ := eng2.Search(sets[0])
+	m1, _ := eng.SearchContext(context.Background(), sets[0])
+	m2, _ := eng2.SearchContext(context.Background(), sets[0])
 	if !reflect.DeepEqual(m1, m2) {
 		t.Errorf("reloaded search diverges: %+v vs %+v", m2, m1)
 	}
@@ -165,7 +166,7 @@ func TestSaveLoadEditSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(eng.Discover(), eng2.Discover()) {
+	if !reflect.DeepEqual(mustDiscover(t, eng), mustDiscover(t, eng2)) {
 		t.Error("edit-similarity reload diverges")
 	}
 }
@@ -188,14 +189,6 @@ func TestLoadWrongSimilarity(t *testing.T) {
 	// A word-tokenized collection cannot serve an edit-similarity engine.
 	if _, err := NewEngineFromSaved(&buf, Config{Delta: 0.5, Similarity: Eds}); err == nil {
 		t.Error("tokenization mismatch should fail")
-	}
-}
-
-func TestSortMatchesByIndex(t *testing.T) {
-	ms := []Match{{Index: 2}, {Index: 0}, {Index: 1}}
-	SortMatchesByIndex(ms)
-	if ms[0].Index != 0 || ms[1].Index != 1 || ms[2].Index != 2 {
-		t.Errorf("sorted = %+v", ms)
 	}
 }
 

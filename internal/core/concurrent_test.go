@@ -113,7 +113,7 @@ func TestDiscoverContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.DiscoverContext(ctx, coll); err != context.Canceled {
+	if _, err := eng.DiscoverQueryContext(ctx, coll, nil, 1); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

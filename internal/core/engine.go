@@ -289,13 +289,6 @@ func (e *Engine) sizeAcceptDelta(nR, nS int, delta float64) bool {
 	}
 }
 
-// DiscoverContext solves RELATED SET DISCOVERY (Problem 1) for the
-// reference collection refs against the engine's collection, each reference
-// pass on one goroutine: DiscoverQueryContext at width 1.
-func (e *Engine) DiscoverContext(ctx context.Context, refs *dataset.Collection) ([]Pair, error) {
-	return e.DiscoverQueryContext(ctx, refs, nil, 1)
-}
-
 // DiscoverQueryContext solves RELATED SET DISCOVERY (Problem 1) for the
 // reference collection refs against the engine's collection. refs must
 // share the engine collection's dictionary. When refs is the engine's own

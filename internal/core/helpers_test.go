@@ -19,7 +19,7 @@ func search(e *Engine, r *dataset.Set) []Match {
 }
 
 func discover(e *Engine, refs *dataset.Collection) []Pair {
-	ps, err := e.DiscoverContext(context.Background(), refs)
+	ps, err := e.DiscoverQueryContext(context.Background(), refs, nil, 1)
 	if err != nil {
 		panic(err)
 	}

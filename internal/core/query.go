@@ -25,15 +25,12 @@ type Query struct {
 	// query. Unlike Scheme it changes results: matches are exactly those
 	// of an engine built with the overridden δ.
 	Delta float64
-	// NoCheckFilter, NoNNFilter, and NoReduction turn the engine's filters
-	// and verification reduction off for this query; false keeps the
-	// engine's setting. The engine's soundness rules still apply: the NN
-	// filter implies the check filter, so NoCheckFilter changes nothing
-	// while the NN filter runs, and the reduction only engages where its
-	// metric requirements hold.
+	// NoCheckFilter and NoNNFilter turn the engine's filters off for this
+	// query; false keeps the engine's setting. The engine's soundness rules
+	// still apply: the NN filter implies the check filter, so NoCheckFilter
+	// changes nothing while the NN filter runs.
 	NoCheckFilter bool
 	NoNNFilter    bool
-	NoReduction   bool
 	// K, when > 0, keeps only the search's best K matches, picked by a
 	// bounded heap instead of a sort of every match. Discovery ignores it.
 	K int
@@ -78,7 +75,6 @@ func (e *Engine) queryOptions(q *Query) Options {
 	}
 	o.CheckFilter = o.CheckFilter && !q.NoCheckFilter
 	o.NNFilter = o.NNFilter && !q.NoNNFilter
-	o.Reduction = o.Reduction && !q.NoReduction
 	o.sound()
 	return o
 }

@@ -689,94 +689,6 @@ func (pl PostingList) decodeBlock(it *PostingIter, b int, scratch *[PackedBlockS
 	return out, nil
 }
 
-// IntersectInto appends the postings whose Set appears in sets (sorted
-// ascending, unique) to dst. Packed containers gallop: runs of blocks with
-// nothing wanted are jumped over via binary search on the skip table and
-// are never decoded.
-func (pl PostingList) IntersectInto(dst []Posting, sets []int32) ([]Posting, error) {
-	start := len(dst)
-	if len(pl.blob) == 0 || len(sets) == 0 {
-		return dst, nil
-	}
-	switch pl.blob[0] {
-	case ContainerArray:
-		it := pl.Iter()
-		si := 0
-		for {
-			p, ok := it.Next()
-			if !ok {
-				break
-			}
-			for si < len(sets) && sets[si] < p.Set {
-				si++
-			}
-			if si == len(sets) {
-				break
-			}
-			if sets[si] == p.Set {
-				dst = append(dst, p)
-			}
-		}
-		if err := it.Err(); err != nil {
-			return dst[:start], err
-		}
-		return dst, nil
-	case ContainerBitmap:
-		it := pl.Iter()
-		if it.err != nil {
-			return dst, it.err
-		}
-		for _, set := range sets {
-			if set < 0 || int(set)+1 >= len(pl.eb) {
-				continue
-			}
-			dst = appendBitmapRange(dst, it.words, it.firstBit, set,
-				int(pl.eb[set]), int(pl.eb[set+1]))
-		}
-		return dst, nil
-	case ContainerPacked:
-		it := pl.Iter()
-		if it.err != nil {
-			return dst, it.err
-		}
-		var scratch [PackedBlockSize]Posting
-		si := 0
-		for b := 0; b < it.nBlocks && si < len(sets); b++ {
-			lastSet := int32(binary.LittleEndian.Uint32(it.skip[b*skipEntrySize:]))
-			if sets[si] > lastSet {
-				// Gallop: jump to the first later block that can hold the
-				// next wanted set, without decoding the ones in between.
-				b += sort.Search(it.nBlocks-b-1, func(j int) bool {
-					return int32(binary.LittleEndian.Uint32(it.skip[(b+1+j)*skipEntrySize:])) >= sets[si]
-				})
-				if b+1 >= it.nBlocks {
-					break
-				}
-				continue
-			}
-			blk, err := pl.decodeBlock(&it, b, &scratch)
-			if err != nil {
-				return dst[:start], err
-			}
-			bi := 0
-			for bi < len(blk) && si < len(sets) {
-				switch {
-				case blk[bi].Set < sets[si]:
-					bi++
-				case blk[bi].Set > sets[si]:
-					si++
-				default:
-					dst = append(dst, blk[bi])
-					bi++
-				}
-			}
-		}
-		return dst, nil
-	default:
-		return dst, badContainer("unknown container kind 0x%02x", pl.blob[0])
-	}
-}
-
 // ContainerStore is an immutable token-id-indexed array of container
 // blobs: a uint32 LE offset table of numTokens+1 entries over one
 // concatenated blob area. It is the on-disk postings section of a v2

@@ -3,10 +3,8 @@ package dataset
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -145,46 +143,6 @@ func TestContainerSetRange(t *testing.T) {
 	}
 }
 
-func TestContainerIntersectInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	eb := synthElemBase(400, 5)
-	for _, density := range []float64{0.02, 0.2, 0.9} {
-		list := randPostings(rng, eb, density)
-		blob := encodeList(t, list, eb)
-		pl := NewPostingList(blob, eb)
-		for trial := 0; trial < 20; trial++ {
-			nSets := rng.Intn(30) + 1
-			seen := map[int32]bool{}
-			var sets []int32
-			for len(sets) < nSets {
-				s := int32(rng.Intn(410)) // some beyond range
-				if !seen[s] {
-					seen[s] = true
-					sets = append(sets, s)
-				}
-			}
-			sort.Slice(sets, func(i, j int) bool { return sets[i] < sets[j] })
-			var want []Posting
-			for _, p := range list {
-				if seen[p.Set] {
-					want = append(want, p)
-				}
-			}
-			got, err := pl.IntersectInto(nil, sets)
-			if err != nil {
-				t.Fatalf("IntersectInto: %v", err)
-			}
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("density %v kind 0x%02x IntersectInto(%v):\n got %v\nwant %v",
-					density, pl.Kind(), sets, got, want)
-			}
-		}
-	}
-}
-
 // TestContainerBlockBoundarySets pins the packed-container edge where one
 // set's postings span a block boundary.
 func TestContainerBlockBoundarySets(t *testing.T) {
@@ -210,13 +168,6 @@ func TestContainerBlockBoundarySets(t *testing.T) {
 		if len(got) != 100 {
 			t.Fatalf("SetRange(%d) returned %d postings, want 100", s, len(got))
 		}
-	}
-	got, err := pl.IntersectInto(nil, []int32{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("IntersectInto([0,2]) returned %d postings, want 200", len(got))
 	}
 }
 
@@ -356,60 +307,4 @@ func TestContainerAdaptiveChoiceIsSmallest(t *testing.T) {
 				density, len(adaptive), len(packed))
 		}
 	}
-}
-
-func BenchmarkContainerIntersectPacked(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	eb := synthElemBase(4096, 4)
-	list := randPostings(rng, eb, 0.25)
-	var enc ContainerEncoder
-	blob := enc.Append(nil, list, nil) // force packed
-	pl := NewPostingList(blob, eb)
-	sets := make([]int32, 0, 16)
-	for s := int32(0); s < 4096; s += 256 {
-		sets = append(sets, s)
-	}
-	dst := make([]Posting, 0, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, err = pl.IntersectInto(dst[:0], sets)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(dst) == 0 {
-		b.Fatal("no intersections")
-	}
-}
-
-func BenchmarkContainerIntersectMaterialized(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	eb := synthElemBase(4096, 4)
-	list := randPostings(rng, eb, 0.25)
-	sets := make([]int32, 0, 16)
-	for s := int32(0); s < 4096; s += 256 {
-		sets = append(sets, s)
-	}
-	dst := make([]Posting, 0, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = dst[:0]
-		si := 0
-		for _, p := range list {
-			for si < len(sets) && sets[si] < p.Set {
-				si++
-			}
-			if si == len(sets) {
-				break
-			}
-			if sets[si] == p.Set {
-				dst = append(dst, p)
-			}
-		}
-		si = 0
-	}
-	_ = fmt.Sprint(len(dst))
 }

@@ -71,7 +71,7 @@ func RunConfig(w Workload, opts core.Options, variant, figure string) Row {
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
-		ps, derr := eng.DiscoverContext(context.Background(), w.Refs)
+		ps, derr := eng.DiscoverQueryContext(context.Background(), w.Refs, nil, 1)
 		if derr != nil {
 			panic(fmt.Sprintf("harness: %v", derr))
 		}

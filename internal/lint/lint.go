@@ -15,9 +15,9 @@
 //	             boxing at call sites)
 //	fsyncerr     internal/wal durability calls (Write/Sync/Close/Rename/
 //	             Truncate/SyncDir) must not discard their errors
-//	ctxflow      no context.Background()/TODO() inside internal/core or
-//	             internal/server; exported query entrypoints must thread a
-//	             context.Context
+//	ctxflow      no context.Background()/TODO() inside the root silkmoth
+//	             package, internal/core or internal/server; their exported
+//	             Search*/Discover* entrypoints must take a context.Context
 //	metricnames  every silkmothd_* metric family named in internal/server /
 //	             internal/obs must pass the in-repo exposition parser's
 //	             name rules and appear in the README metric catalog

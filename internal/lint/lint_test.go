@@ -17,6 +17,7 @@ func TestFixturesGolden(t *testing.T) {
 		{"testdata/src/hotpathfix", "hotpath", "hotpathfix"},
 		{"testdata/src/internal/wal", "fsyncerr", "internal/wal"},
 		{"testdata/src/internal/core", "ctxflow", "internal/core"},
+		{"testdata/src/silkmoth", "ctxflow", "silkmoth"},
 		{"testdata/src/internal/server", "metricnames", "internal/server"},
 	}
 	for _, c := range cases {

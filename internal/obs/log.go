@@ -12,7 +12,7 @@ import (
 )
 
 // Logger writes structured one-line JSON events. Every line carries ts
-// (RFC3339Nano) and event; callers add arbitrary fields. A mutex
+// (RFC3339Nano) and event, then the fields of the caller's record. A mutex
 // serializes writes so concurrent requests never interleave bytes of a
 // line — the logger sits off the query hot path (access and slow-query
 // logging only), so the lock is not a throughput concern.
@@ -23,7 +23,7 @@ type Logger struct {
 }
 
 // NewLogger returns a Logger writing JSON lines to w. A nil w yields a
-// logger whose Emit is a no-op, so call sites need no nil checks.
+// logger whose EmitRecord is a no-op, so call sites need no nil checks.
 func NewLogger(w io.Writer) *Logger {
 	return &Logger{w: w}
 }
@@ -31,57 +31,25 @@ func NewLogger(w io.Writer) *Logger {
 // Enabled reports whether the logger has a destination.
 func (l *Logger) Enabled() bool { return l != nil && l.w != nil }
 
-// Emit writes one JSON line for event with the given fields. Fields named
-// "ts" or "event" are ignored in favor of the logger's own. Marshal
-// failures of individual values degrade to their fmt representation
-// rather than dropping the line.
-func (l *Logger) Emit(event string, fields map[string]any) {
-	if !l.Enabled() {
-		return
-	}
-	line := make(map[string]any, len(fields)+2)
-	for k, v := range fields {
-		if k == "ts" || k == "event" {
-			continue
-		}
-		line[k] = v
-	}
-	line["ts"] = l.timestamp()
-	line["event"] = event
-	buf, err := json.Marshal(line)
-	if err != nil {
-		// A value resisted marshaling (chan, func, NaN). Re-render every
-		// field through fmt so the event still lands.
-		safe := make(map[string]any, len(line))
-		for k, v := range line {
-			switch v.(type) {
-			case string, bool, int, int64, uint64, float64, json.Number, nil:
-				safe[k] = v
-			default:
-				safe[k] = fmt.Sprint(v)
-			}
-		}
-		buf, _ = json.Marshal(safe)
-	}
-	l.write(buf)
-}
-
 // EmitRecord writes one JSON line for event: ts and event, then rec's
-// fields in rec's order. rec is a struct that marshals without error and
-// has no "ts" or "event" key of its own.
+// fields in rec's order. rec is a struct with no "ts", "event" or "error"
+// key of its own; if it fails to marshal, the line carries an "error" field
+// in place of its fields.
 func (l *Logger) EmitRecord(event string, rec any) {
 	if !l.Enabled() {
 		return
 	}
-	body, err := json.Marshal(rec)
-	if err != nil {
-		l.Emit(event, map[string]any{"error": err.Error()})
-		return
-	}
-	buf, _ := json.Marshal(struct {
+	head := struct {
 		TS    string `json:"ts"`
 		Event string `json:"event"`
-	}{l.timestamp(), event})
+		Error string `json:"error,omitempty"`
+	}{TS: l.timestamp(), Event: event}
+	body, err := json.Marshal(rec)
+	if err != nil {
+		// The line still lands, carrying the marshal error instead of rec.
+		head.Error, body = err.Error(), nil
+	}
+	buf, _ := json.Marshal(head)
 	if len(body) > 2 {
 		buf[len(buf)-1] = ','
 		buf = append(buf, body[1:]...)

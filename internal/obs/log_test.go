@@ -13,11 +13,10 @@ func TestLoggerEmitJSONLine(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf)
 	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC) }
-	l.Emit("slow_query", map[string]any{
-		"request_id": "abc-000001",
-		"elapsed_ms": 12.5,
-		"ts":         "spoofed", // must be ignored in favor of the logger's own
-	})
+	l.EmitRecord("slow_query", struct {
+		RequestID string  `json:"request_id"`
+		ElapsedMS float64 `json:"elapsed_ms"`
+	}{"abc-000001", 12.5})
 	line := buf.String()
 	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
 		t.Fatalf("want exactly one newline-terminated line, got %q", line)
@@ -47,8 +46,10 @@ func TestLoggerEmitRecordKeepsFieldOrder(t *testing.T) {
 		A []int `json:"a"`
 	}{"z", inner{2}, []int{1}})
 	l.EmitRecord("empty", struct{}{})
+	l.EmitRecord("bad", struct{ F func() }{})
 	want := `{"ts":"2026-08-08T12:00:00Z","event":"slow_query","z":"z","b":2,"a":[1]}` + "\n" +
-		`{"ts":"2026-08-08T12:00:00Z","event":"empty"}` + "\n"
+		`{"ts":"2026-08-08T12:00:00Z","event":"empty"}` + "\n" +
+		`{"ts":"2026-08-08T12:00:00Z","event":"bad","error":"json: unsupported type: func()"}` + "\n"
 	if got := buf.String(); got != want {
 		t.Errorf("got  %s\nwant %s", got, want)
 	}
@@ -56,22 +57,8 @@ func TestLoggerEmitRecordKeepsFieldOrder(t *testing.T) {
 
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
-	l.Emit("x", nil) // must not panic
-	l.EmitRecord("x", struct{}{})
-	NewLogger(nil).Emit("x", map[string]any{"k": 1})
-}
-
-func TestLoggerUnmarshalableField(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf)
-	l.Emit("x", map[string]any{"bad": func() {}, "good": "v"})
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("degraded line is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if m["good"] != "v" {
-		t.Errorf("good field lost: %v", m)
-	}
+	l.EmitRecord("x", struct{}{}) // must not panic
+	NewLogger(nil).EmitRecord("x", struct{ K int }{1})
 }
 
 func TestLoggerConcurrentLines(t *testing.T) {
@@ -83,7 +70,7 @@ func TestLoggerConcurrentLines(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				l.Emit("e", map[string]any{"g": i, "j": j})
+				l.EmitRecord("e", struct{ G, J int }{i, j})
 			}
 		}(i)
 	}

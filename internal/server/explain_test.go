@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -218,7 +219,7 @@ func TestQueryParamsOnEverySurface(t *testing.T) {
 			t.Errorf("queryParams.%s lowers to %d options (%v), want its one", field.Name, len(opts), err)
 		}
 		var ex silkmoth.Explain
-		want, err := eng.Search(silkmoth.Set{Elements: ref}, opt, silkmoth.WithExplain(&ex))
+		want, err := eng.SearchContext(context.Background(), silkmoth.Set{Elements: ref}, opt, silkmoth.WithExplain(&ex))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +338,7 @@ func TestSearchSchemeAndDeltaOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng9.Search(silkmoth.Set{Elements: []string{"77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL"}})
+	want, err := eng9.SearchContext(context.Background(), silkmoth.Set{Elements: []string{"77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL"}})
 	if err != nil {
 		t.Fatal(err)
 	}

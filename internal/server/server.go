@@ -252,15 +252,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.met.observe(path, rec.code, elapsed)
 	if s.opts.AccessLog && s.log.Enabled() {
-		s.log.Emit("access", map[string]any{
-			"request_id": rid,
-			"method":     r.Method,
-			"path":       r.URL.Path,
-			"route":      path,
-			"code":       rec.code,
-			"elapsed_us": elapsed.Microseconds(),
+		s.log.EmitRecord("access", accessLine{
+			RequestID: rid,
+			Method:    r.Method,
+			Path:      r.URL.Path,
+			Route:     path,
+			Code:      rec.code,
+			ElapsedUS: elapsed.Microseconds(),
 		})
 	}
+}
+
+// accessLine is the access log's record of one request, after ts and event.
+type accessLine struct {
+	RequestID string `json:"request_id"`
+	Method    string `json:"method"`
+	Path      string `json:"path"`
+	Route     string `json:"route"`
+	Code      int    `json:"code"`
+	ElapsedUS int64  `json:"elapsed_us"`
 }
 
 // statusRecorder captures the response code for metrics.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -96,7 +97,7 @@ func TestSearch(t *testing.T) {
 	}
 	resp := decode[BatchItemJSON](t, w)
 
-	want, err := eng.Search(silkmoth.Set{Elements: []string{
+	want, err := eng.SearchContext(context.Background(), silkmoth.Set{Elements: []string{
 		"77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL",
 	}})
 	if err != nil {
@@ -538,7 +539,7 @@ func TestSearchBatch(t *testing.T) {
 				t.Fatalf("got %d results, want 2", len(resp.Results))
 			}
 			// Each item must equal the single-query endpoint's answer.
-			want1, err := eng.Search(silkmoth.Set{Elements: []string{
+			want1, err := eng.SearchContext(context.Background(), silkmoth.Set{Elements: []string{
 				"77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL",
 			}})
 			if err != nil {

@@ -78,7 +78,7 @@ func runDifferential(t *testing.T, metric core.Metric, sim core.SimKind, delta, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, err := serial.DiscoverContext(context.Background(), coll)
+	wantPairs, err := serial.DiscoverQueryContext(context.Background(), coll, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestDifferentialRangeBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, err := serial.DiscoverContext(ctx, coll)
+	wantPairs, err := serial.DiscoverQueryContext(ctx, coll, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,7 +246,7 @@ func runMutationDifferential(t *testing.T, metric core.Metric, sim core.SimKind,
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, err := ref.DiscoverContext(context.Background(), fresh)
+	wantPairs, err := ref.DiscoverQueryContext(context.Background(), fresh, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

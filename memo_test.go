@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -15,10 +16,10 @@ var memoRun atomic.Int64
 
 // TestMemoEvictionGridPublic is the public-API twin of internal/core's
 // eviction grid: with the filters' similarity memo shrunk to 2 slots, on a
-// corpus whose elements come from a pool of 10 strings, Discover and Search
-// on one shard and on two, with one worker and with four, must report
-// exactly the pairs whose pairwise Compare clears δ — for every similarity
-// function, both metrics and three α. Compare runs no filter and never
+// corpus whose elements come from a pool of 10 strings, DiscoverContext and
+// SearchContext on one shard and on two, with one worker and with four, must
+// report exactly the pairs whose pairwise Compare clears δ — for every
+// similarity function, both metrics and three α. Compare runs no filter and never
 // reads an index (it scores two un-indexed sets with the dense kernel fill),
 // so it is the oracle for the memo and for the overlap-count path alike:
 // under Jaccard, Dice and Cosine the engine's nearest-neighbor filter and
@@ -59,7 +60,7 @@ func TestMemoEvictionGridPublic(t *testing.T) {
 						t.Fatal(err)
 					}
 					got := make(map[[2]int]bool)
-					for _, p := range eng.Discover() {
+					for _, p := range mustDiscover(t, eng) {
 						got[[2]int{p.R, p.S}] = true
 					}
 					for r := range sets {
@@ -71,7 +72,7 @@ func TestMemoEvictionGridPublic(t *testing.T) {
 								t.Fatalf("%s: Discover reports (%d,%d) = %v, Compare says %v", label, r, s, got[[2]int{r, s}], related[r][s])
 							}
 						}
-						ms, err := eng.Search(sets[r])
+						ms, err := eng.SearchContext(context.Background(), sets[r])
 						if err != nil {
 							t.Fatal(err)
 						}

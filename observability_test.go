@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"testing"
 
 	"silkmoth/internal/core"
@@ -24,7 +25,7 @@ func TestStageLatenciesPublic(t *testing.T) {
 		}
 		const queries = 4
 		for i := 0; i < queries; i++ {
-			if _, err := eng.Search(sets[7]); err != nil {
+			if _, err := eng.SearchContext(context.Background(), sets[7]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -74,7 +75,7 @@ func TestExplainStages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.SearchBatchQueries([]BatchQuery{{Set: sets[7], Options: []QueryOption{WithExplain(new(Explain))}}})
+			res, err := eng.SearchBatchQueriesContext(context.Background(), []BatchQuery{{Set: sets[7], Options: []QueryOption{WithExplain(new(Explain))}}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,8 @@ import (
 
 // QueryOption customizes a single query without touching the engine's
 // configuration. Every query method accepts a list of options — a trailing
-// one on Search, SearchTopK, Discover, DiscoverAgainst and the package-level
-// Compare, one per item in a BatchQuery — and a call with no options behaves
+// one on SearchContext, SearchTopKContext, DiscoverContext and
+// DiscoverAgainstContext, one per item in a BatchQuery — and a call with no options behaves
 // exactly as the engine was configured. Options apply in order, so a later
 // option overrides an earlier one of the same kind.
 //
@@ -31,9 +31,9 @@ type queryOptions struct {
 }
 
 // WithK truncates the query's matches to the k most related (k ≥ 1), like
-// SearchTopK. On every search path — a lone search, split or not, and each
-// item of a batch — the best k are kept in a bounded heap instead of a sort
-// of every match. Discovery ignores it.
+// SearchTopKContext. On every search path — a lone search, split or not,
+// and each item of a batch — the best k are kept in a bounded heap instead
+// of a sort of every match. Discovery ignores it.
 func WithK(k int) QueryOption {
 	return func(qo *queryOptions) error {
 		if k < 1 {
@@ -106,17 +106,6 @@ func WithCheckFilter(enabled bool) QueryOption {
 func WithNNFilter(enabled bool) QueryOption {
 	return func(qo *queryOptions) error {
 		qo.q.NoNNFilter = !enabled
-		return nil
-	}
-}
-
-// WithReduction(false) turns reduction-based verification (§5.3) off for
-// this query; true keeps the engine's default. The reduction is off
-// regardless where its metric requirements fail (α ≠ 0, or a similarity
-// whose dual distance is not a metric).
-func WithReduction(enabled bool) QueryOption {
-	return func(qo *queryOptions) error {
-		qo.q.NoReduction = !enabled
 		return nil
 	}
 }
@@ -250,14 +239,14 @@ type Result struct {
 	Explain *Explain
 	// Err is ErrPostingDecode for a query that read a corrupt posting
 	// container, and nil otherwise. Such a query has no matches; the rest of
-	// its batch is unaffected. Search, SearchTopK and their Context forms
-	// return it as their error.
+	// its batch is unaffected. SearchContext and SearchTopKContext return it
+	// as their error.
 	Err error
 }
 
 // BatchQuery is one item of a per-item batch: a reference set plus the
-// options shaping its query. SearchBatchQueries runs many of them in one
-// engine pass, so mixed workloads can pin schemes, adjust k or δ, and
+// options shaping its query. SearchBatchQueriesContext runs many of them in
+// one engine pass, so mixed workloads can pin schemes, adjust k or δ, and
 // capture explains item by item.
 type BatchQuery struct {
 	Set Set

@@ -51,11 +51,11 @@ func TestWithSchemePinMatchesFixedEngine(t *testing.T) {
 			for qi, q := range queries {
 				label := fmt.Sprintf("shards=%d pin=%v query=%d", shards, pin, qi)
 				var ex Explain
-				pinned, err := autoEng.Search(q, WithScheme(pin), WithExplain(&ex))
+				pinned, err := autoEng.SearchContext(context.Background(), q, WithScheme(pin), WithExplain(&ex))
 				if err != nil {
 					t.Fatal(err)
 				}
-				fixed, err := fixedEng.Search(q)
+				fixed, err := fixedEng.SearchContext(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func TestBatchMixedSchemesMatchesFixedEngines(t *testing.T) {
 			itemPin[i] = pins[i%len(pins)]
 			batch[i].Options = append(batch[i].Options, WithScheme(itemPin[i]))
 		}
-		results, err := autoEng.SearchBatchQueries(batch)
+		results, err := autoEng.SearchBatchQueriesContext(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,9 +121,9 @@ func TestBatchMixedSchemesMatchesFixedEngines(t *testing.T) {
 			label := fmt.Sprintf("shards=%d item=%d", shards, i)
 			var want []Match
 			if itemAuto[i] {
-				want, err = autoEng.Search(queries[i])
+				want, err = autoEng.SearchContext(context.Background(), queries[i])
 			} else {
-				want, err = fixedEngs[itemPin[i]].Search(queries[i])
+				want, err = fixedEngs[itemPin[i]].SearchContext(context.Background(), queries[i])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -160,11 +160,11 @@ func TestWithDeltaMatchesRebuiltEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				for qi, q := range queries {
-					got, err := eng.Search(q, WithDelta(delta))
+					got, err := eng.SearchContext(context.Background(), q, WithDelta(delta))
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := wantEng.Search(q)
+					want, err := wantEng.SearchContext(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -176,9 +176,10 @@ func TestWithDeltaMatchesRebuiltEngine(t *testing.T) {
 }
 
 // TestWithKMatchesTopK pins the top-k spellings against each other: WithK,
-// SearchTopK, WithK on the item of a one-item SearchBatchQueries and on each
-// item of a five-item one, and truncating a full Search must agree
-// bit-for-bit, serial and at width 3, with every pass wider than one
+// SearchTopKContext, WithK on the item of a one-item
+// SearchBatchQueriesContext and on each item of a five-item one, and
+// truncating a full SearchContext must agree bit-for-bit, serial and at
+// width 3, with every pass wider than one
 // goroutine split or left to split itself. Every spelling keeps its best k in
 // one bounded heap: on the split schedule (a single search at width 3) and on
 // the fan-out one (the five-item batch).
@@ -197,7 +198,7 @@ func TestWithKMatchesTopK(t *testing.T) {
 				}
 				fulls := make([][]Match, len(queries))
 				for qi, q := range queries {
-					if fulls[qi], err = eng.Search(q); err != nil {
+					if fulls[qi], err = eng.SearchContext(context.Background(), q); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -209,15 +210,15 @@ func TestWithKMatchesTopK(t *testing.T) {
 						k := max(1, []int{1, 2, len(full), len(full) + 3}[variant])
 						want := full[:min(k, len(full))]
 						batch[qi], wants[qi] = BatchQuery{Set: q, Options: []QueryOption{WithK(k)}}, want
-						byOpt, err := eng.Search(q, WithK(k))
+						byOpt, err := eng.SearchContext(context.Background(), q, WithK(k))
 						if err != nil {
 							t.Fatal(err)
 						}
-						byTopK, err := eng.SearchTopK(q, k)
+						byTopK, err := eng.SearchTopKContext(context.Background(), q, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						one, err := eng.SearchBatchQueries(batch[qi : qi+1])
+						one, err := eng.SearchBatchQueriesContext(context.Background(), batch[qi:qi+1])
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -226,7 +227,7 @@ func TestWithKMatchesTopK(t *testing.T) {
 						matchesEqual(t, label+" SearchTopK", byTopK, want)
 						matchesEqual(t, label+" one-item batch", one[0].Matches, want)
 					}
-					res, err := eng.SearchBatchQueries(batch)
+					res, err := eng.SearchBatchQueriesContext(context.Background(), batch)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -240,8 +241,8 @@ func TestWithKMatchesTopK(t *testing.T) {
 }
 
 // TestFilterTogglesNeverChangeResults pins the exactness guarantee under
-// the per-query filter toggles: disabling any combination of filters (and
-// the reduction) must return identical matches.
+// the per-query filter toggles: disabling any combination of filters must
+// return identical matches.
 func TestFilterTogglesNeverChangeResults(t *testing.T) {
 	sets := autoGridCorpus(109, 24)
 	queries := autoGridCorpus(110, 5)
@@ -253,16 +254,14 @@ func TestFilterTogglesNeverChangeResults(t *testing.T) {
 		toggleSets := [][]QueryOption{
 			{WithNNFilter(false)},
 			{WithCheckFilter(false), WithNNFilter(false)},
-			{WithReduction(false)},
-			{WithCheckFilter(false), WithNNFilter(false), WithReduction(false)},
 		}
 		for qi, q := range queries {
-			want, err := eng.Search(q)
+			want, err := eng.SearchContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for ti, opts := range toggleSets {
-				got, err := eng.Search(q, opts...)
+				got, err := eng.SearchContext(context.Background(), q, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,7 +304,7 @@ func TestFilterTogglesOn(t *testing.T) {
 	var checkPruned, verified int64
 	for qi, q := range queries {
 		var want, off Explain
-		if _, err := eng.Search(q, WithExplain(&want)); err != nil {
+		if _, err := eng.SearchContext(context.Background(), q, WithExplain(&want)); err != nil {
 			t.Fatal(err)
 		}
 		for oi, opts := range [][]QueryOption{
@@ -313,7 +312,7 @@ func TestFilterTogglesOn(t *testing.T) {
 			{WithCheckFilter(false), WithNNFilter(false), WithNNFilter(true)},
 		} {
 			var got Explain
-			gotMs, err := eng.Search(q, append(opts, WithExplain(&got))...)
+			gotMs, err := eng.SearchContext(context.Background(), q, append(opts, WithExplain(&got))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,7 +322,7 @@ func TestFilterTogglesOn(t *testing.T) {
 				t.Errorf("%s: explains %+v, filters on %+v", label, got.Funnel, want.Funnel)
 			}
 		}
-		if _, err := eng.Search(q, WithCheckFilter(false), WithNNFilter(false), WithExplain(&off)); err != nil {
+		if _, err := eng.SearchContext(context.Background(), q, WithCheckFilter(false), WithNNFilter(false), WithExplain(&off)); err != nil {
 			t.Fatal(err)
 		}
 		if off.CheckPruned != 0 || off.NNPruned != 0 {
@@ -337,10 +336,11 @@ func TestFilterTogglesOn(t *testing.T) {
 	}
 }
 
-// TestReductionToggleOnStaysSound turns the §5.3 reduction off and back on
-// per query where its metric requirement fails — NEds, and Jaccard and Eds
-// at α > 0. The engine keeps it off there whatever the options say, so the
-// answers are the brute-force oracle's.
+// TestReductionToggleOnStaysSound queries engines where the §5.3
+// reduction's metric requirement fails — NEds, and Jaccard and Eds at α > 0.
+// The engine keeps the reduction off there, on the engine's own options and
+// on a query that resolves its own, so the answers are the brute-force
+// oracle's.
 func TestReductionToggleOnStaysSound(t *testing.T) {
 	// At α = 0.5 the reduction would match the shared "p q r s" outright and
 	// score 1 + 0 (φ("p q r t", "q r s u") = 1/3 falls below α), where the
@@ -363,11 +363,8 @@ func TestReductionToggleOnStaysSound(t *testing.T) {
 		for qi, q := range queries {
 			want := bruteForce(eng, q)
 			// The explain capture makes the query resolve its own options.
-			for oi, opts := range [][]QueryOption{
-				{WithReduction(true)},
-				{WithReduction(false), WithReduction(true), WithExplain(new(Explain))},
-			} {
-				got, err := eng.Search(q, opts...)
+			for oi, opts := range [][]QueryOption{nil, {WithExplain(new(Explain))}} {
+				got, err := eng.SearchContext(context.Background(), q, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -417,7 +414,7 @@ func TestExplainFunnelConsistency(t *testing.T) {
 			}
 			for qi, q := range queries {
 				var ex Explain
-				ms, err := eng.Search(q, WithExplain(&ex))
+				ms, err := eng.SearchContext(context.Background(), q, WithExplain(&ex))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -426,7 +423,7 @@ func TestExplainFunnelConsistency(t *testing.T) {
 				if ex.Passes != 1 {
 					t.Fatalf("%s: %d passes, want one per query", label, ex.Passes)
 				}
-				plain, err := eng.Search(q)
+				plain, err := eng.SearchContext(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -462,7 +459,10 @@ func TestFunnelConservationPublic(t *testing.T) {
 			name string
 			run  func(ex *Explain) error
 		}{
-			{"search", func(ex *Explain) error { _, err := eng.Search(sets[0], WithExplain(ex)); return err }},
+			{"search", func(ex *Explain) error {
+				_, err := eng.SearchContext(context.Background(), sets[0], WithExplain(ex))
+				return err
+			}},
 			{"batch", func(ex *Explain) error {
 				// Four items, four captures: their sum is the batch's.
 				batch := make([]BatchQuery, 4)
@@ -470,7 +470,7 @@ func TestFunnelConservationPublic(t *testing.T) {
 				for i := range batch {
 					batch[i] = BatchQuery{Set: sets[i], Options: []QueryOption{WithExplain(&items[i])}}
 				}
-				_, err := eng.SearchBatchQueries(batch)
+				_, err := eng.SearchBatchQueriesContext(context.Background(), batch)
 				for _, it := range items {
 					addExplain(ex, it)
 				}
@@ -562,7 +562,7 @@ func TestQueryOptionValidation(t *testing.T) {
 		"explain(nil)": WithExplain(nil),
 	}
 	for name, opt := range cases {
-		if _, err := eng.Search(q, opt); err == nil {
+		if _, err := eng.SearchContext(context.Background(), q, opt); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
@@ -585,11 +585,11 @@ func TestQueryOptionValidation(t *testing.T) {
 		}
 	}
 	// Later options win: WithDelta(0.9) after WithDelta(0.2) behaves as 0.9.
-	strict, err := eng.Search(q, WithDelta(0.2), WithDelta(0.9))
+	strict, err := eng.SearchContext(context.Background(), q, WithDelta(0.2), WithDelta(0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Search(q, WithDelta(0.9))
+	want, err := eng.SearchContext(context.Background(), q, WithDelta(0.9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,15 @@ package silkmoth
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// The public-API exactness property: Discover's pairs are exactly the pairs
-// whose pairwise Compare clears Delta — no more (soundness of verification)
-// and no fewer (no false negatives from signatures or filters).
+// The public-API exactness property: DiscoverContext's pairs are exactly the
+// pairs whose pairwise Compare clears Delta — no more (soundness of
+// verification) and no fewer (no false negatives from signatures or filters).
 func TestDiscoverAgreesWithPairwiseCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	mkSet := func(name string) Set {
@@ -43,7 +44,7 @@ func TestDiscoverAgreesWithPairwiseCompare(t *testing.T) {
 						t.Fatal(err)
 					}
 					got := make(map[[2]int]bool)
-					for _, p := range eng.Discover() {
+					for _, p := range mustDiscover(t, eng) {
 						got[[2]int{p.R, p.S}] = true
 					}
 					for r := 0; r < len(sets); r++ {
@@ -181,8 +182,8 @@ func TestMutatedEngineMatchesFreshRebuild(t *testing.T) {
 					if err := CheckDirectoriesForTest(got); err != nil {
 						t.Fatalf("%s/%s: %v", label, stage, err)
 					}
-					wantPairs := fresh.Discover()
-					gotPairs := got.Discover()
+					wantPairs := mustDiscover(t, fresh)
+					gotPairs := mustDiscover(t, got)
 					if len(gotPairs) != len(wantPairs) {
 						t.Fatalf("%s/%s: %d pairs, fresh found %d", label, stage, len(gotPairs), len(wantPairs))
 					}
@@ -194,11 +195,11 @@ func TestMutatedEngineMatchesFreshRebuild(t *testing.T) {
 						}
 					}
 					for _, q := range surviving {
-						wantMs, err := fresh.Search(q)
+						wantMs, err := fresh.SearchContext(context.Background(), q)
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotMs, err := got.Search(q)
+						gotMs, err := got.SearchContext(context.Background(), q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -211,7 +212,7 @@ func TestMutatedEngineMatchesFreshRebuild(t *testing.T) {
 								t.Fatalf("%s/%s: query %q match %d = %+v, fresh %+v", label, stage, q.Name, i, gk[i], wk[i])
 							}
 						}
-						gotK, err := got.SearchTopK(q, 2)
+						gotK, err := got.SearchTopKContext(context.Background(), q, 2)
 						if err != nil {
 							t.Fatal(err)
 						}

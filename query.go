@@ -12,19 +12,14 @@ import (
 // path: a search is a batch of one item, top-k is a search with WithK, and an
 // explained search is a search with WithExplain.
 
-// Search returns every set in the engine's collection related to ref,
+// SearchContext returns every set in the engine's collection related to ref,
 // sorted by descending relatedness (ties by index). This is the paper's
 // RELATED SET SEARCH (Problem 2). Options customize the single query:
 // WithK truncates to the top k, WithScheme pins the signature scheme,
 // WithDelta overrides δ, WithExplain captures the query's pruning funnel,
-// and the filter toggles stress individual stages.
-func (e *Engine) Search(ref Set, opts ...QueryOption) ([]Match, error) {
-	return e.SearchContext(context.Background(), ref, opts...)
-}
-
-// SearchContext is Search with cancellation: the pass aborts and returns
-// ctx.Err() when ctx is done. A pass that proves long spreads its set-id
-// chunks over up to Engine.Shards goroutines.
+// and the filter toggles stress individual stages. The pass aborts and
+// returns ctx.Err() when ctx is done; a pass that proves long spreads its
+// set-id chunks over up to Engine.Shards goroutines.
 func (e *Engine) SearchContext(ctx context.Context, ref Set, opts ...QueryOption) ([]Match, error) {
 	res, err := e.search(ctx, []BatchQuery{{Set: ref, Options: opts}})
 	if err == nil {
@@ -36,16 +31,11 @@ func (e *Engine) SearchContext(ctx context.Context, ref Set, opts ...QueryOption
 	return res[0].Matches, nil
 }
 
-// SearchTopK returns the k most related sets to ref among those whose
+// SearchTopKContext returns the k most related sets to ref among those whose
 // relatedness reaches Delta, ordered by descending relatedness. It is
-// exactly Search with a trailing WithK(k), so options compose the same
-// way (the k argument wins over any WithK in opts).
-func (e *Engine) SearchTopK(ref Set, k int, opts ...QueryOption) ([]Match, error) {
-	return e.SearchTopKContext(context.Background(), ref, k, opts...)
-}
-
-// SearchTopKContext is SearchTopK with cancellation. A k below 1 asks for
-// nothing and gets nothing.
+// exactly SearchContext with a trailing WithK(k), so options compose the
+// same way (the k argument wins over any WithK in opts). A k below 1 asks
+// for nothing and gets nothing.
 func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...QueryOption) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -58,20 +48,15 @@ func (e *Engine) SearchTopKContext(ctx context.Context, ref Set, k int, opts ...
 	return e.SearchContext(ctx, ref, withK...)
 }
 
-// SearchBatchQueries answers many searches in one call, each BatchQuery with
-// its own options, so one batch can mix pinned and automatic signature
-// schemes, per-item k and δ, and per-item explain captures. Results align
-// with queries, and each is exactly what Search with the same options
-// returns for its item. The batch is tokenized in one pass, and its items run
-// concurrently on up to Config.Concurrency workers, each item's pass at the
-// width those workers leave idle: Config.Shards / workers goroutines, at
-// least one (a batch of one runs like Search, at the engine's width).
-func (e *Engine) SearchBatchQueries(queries []BatchQuery) ([]Result, error) {
-	return e.SearchBatchQueriesContext(context.Background(), queries)
-}
-
-// SearchBatchQueriesContext is SearchBatchQueries with cancellation: the
-// first cancelled item aborts the remaining ones.
+// SearchBatchQueriesContext answers many searches in one call, each
+// BatchQuery with its own options, so one batch can mix pinned and automatic
+// signature schemes, per-item k and δ, and per-item explain captures.
+// Results align with queries, and each is exactly what SearchContext with
+// the same options returns for its item. The batch is tokenized in one pass,
+// and its items run concurrently on up to Config.Concurrency workers, each
+// item's pass at the width those workers leave idle: Config.Shards / workers
+// goroutines, at least one (a batch of one runs like SearchContext, at the
+// engine's width). The first cancelled item aborts the remaining ones.
 func (e *Engine) SearchBatchQueriesContext(ctx context.Context, queries []BatchQuery) ([]Result, error) {
 	return e.search(ctx, queries)
 }

@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -85,7 +86,7 @@ func TestGoldenDataDir(t *testing.T) {
 	if eng.Live(2) || eng.Live(3) || eng.Len() != 4 {
 		t.Fatalf("live sets: 2 %v, 3 %v, Len %d; want both deleted and 4 left", eng.Live(2), eng.Live(3), eng.Len())
 	}
-	got, err := eng.Search(goldenQuery)
+	got, err := eng.SearchContext(context.Background(), goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestGoldenQGramDataDir(t *testing.T) {
 		t.Fatalf("live sets: 2 %v, 3 %v, Len %d; want both deleted and 5 left", eng.Live(2), eng.Live(3), eng.Len())
 	}
 	for i, q := range goldenQGramQueries {
-		got, err := eng.Search(q)
+		got, err := eng.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestGoldenQGramDataDir(t *testing.T) {
 			t.Fatalf("search %s = %+v, the writing build answered %+v", q.Name, got, goldenQGramMatches[i])
 		}
 	}
-	if got := eng.Discover(); !reflect.DeepEqual(got, goldenQGramPairs) {
+	if got := mustDiscover(t, eng); !reflect.DeepEqual(got, goldenQGramPairs) {
 		t.Fatalf("discover = %+v, the writing build answered %+v", got, goldenQGramPairs)
 	}
 	requireFreshBuildSurface(t, "golden qgram", eng, liveRaws(eng), cfg)
@@ -302,8 +303,8 @@ func TestSaveLoadMutatedEngineKeepsIDs(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			requireFreshBuildSurface(t, label, loaded, liveRaws(eng), reload)
-			want, _ := eng.Search(durableCorpus()[1])
-			got, _ := loaded.Search(durableCorpus()[1])
+			want, _ := eng.SearchContext(context.Background(), durableCorpus()[1])
+			got, _ := loaded.SearchContext(context.Background(), durableCorpus()[1])
 			if len(want) == 0 || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: search = %+v, saving engine answered %+v (ids included)", label, got, want)
 			}

@@ -2,6 +2,7 @@ package silkmoth
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -82,11 +83,11 @@ func TestShardedPublicEquivalence(t *testing.T) {
 	}
 
 	query := Set{Elements: sets[3].Elements}
-	mp, err := plain.Search(query)
+	mp, err := plain.SearchContext(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msh, err := sharded.Search(query)
+	msh, err := sharded.SearchContext(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +96,18 @@ func TestShardedPublicEquivalence(t *testing.T) {
 	}
 	checkMatches("search", mp, msh)
 
-	kp, err := plain.SearchTopK(query, 3)
+	kp, err := plain.SearchTopKContext(context.Background(), query, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ksh, err := sharded.SearchTopK(query, 3)
+	ksh, err := sharded.SearchTopKContext(context.Background(), query, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMatches("topk", kp, ksh)
 
-	pp := plain.Discover()
-	psh := sharded.Discover()
+	pp := mustDiscover(t, plain)
+	psh := mustDiscover(t, sharded)
 	if len(pp) == 0 {
 		t.Fatal("discover found nothing; corpus too sparse for the test")
 	}
@@ -120,11 +121,11 @@ func TestShardedPublicEquivalence(t *testing.T) {
 	}
 
 	refs := []Set{query, {Elements: sets[7].Elements}}
-	dp, err := plain.DiscoverAgainst(refs)
+	dp, err := plain.DiscoverAgainstContext(context.Background(), refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsh, err := sharded.DiscoverAgainst(refs)
+	dsh, err := sharded.DiscoverAgainstContext(context.Background(), refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +143,8 @@ func TestShardedPublicEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchBatchPublic pins SearchBatchQueries to per-query Search on both
-// engine shapes.
+// TestSearchBatchPublic pins SearchBatchQueriesContext to per-query
+// SearchContext on both engine shapes.
 func TestSearchBatchPublic(t *testing.T) {
 	sets := shardedCorpus(20)
 	for _, shards := range []int{0, 3} {
@@ -161,7 +162,7 @@ func TestSearchBatchPublic(t *testing.T) {
 		for i, ref := range refs {
 			queries[i].Set = ref
 		}
-		batch, err := eng.SearchBatchQueries(queries)
+		batch, err := eng.SearchBatchQueriesContext(context.Background(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestSearchBatchPublic(t *testing.T) {
 		}
 		some := false
 		for i, ref := range refs {
-			want, err := eng.Search(ref)
+			want, err := eng.SearchContext(context.Background(), ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +189,7 @@ func TestSearchBatchPublic(t *testing.T) {
 		if !some {
 			t.Fatal("no batch query matched; corpus too sparse for the test")
 		}
-		if out, err := eng.SearchBatchQueries(nil); err != nil || out != nil {
+		if out, err := eng.SearchBatchQueriesContext(context.Background(), nil); err != nil || out != nil {
 			t.Fatalf("empty batch = %v, %v", out, err)
 		}
 	}
@@ -214,8 +215,8 @@ func TestShardedSaveLoad(t *testing.T) {
 	if loaded.Shards() != 2 || loaded.Len() != eng.Len() {
 		t.Fatalf("loaded: shards=%d len=%d, want 2, %d", loaded.Shards(), loaded.Len(), eng.Len())
 	}
-	want := eng.Discover()
-	got := loaded.Discover()
+	want := mustDiscover(t, eng)
+	got := mustDiscover(t, loaded)
 	if len(want) != len(got) {
 		t.Fatalf("discover: %d pairs before save, %d after", len(want), len(got))
 	}

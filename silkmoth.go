@@ -24,11 +24,14 @@
 //		Delta:      0.7,
 //	})
 //	if err != nil { ... }
-//	pairs := eng.Discover() // all related pairs within sets
+//	pairs, err := eng.DiscoverContext(ctx) // all related pairs within sets
 //
 // Search mode finds everything related to one reference set:
 //
-//	matches, err := eng.Search(silkmoth.Set{Elements: []string{...}})
+//	matches, err := eng.SearchContext(ctx, silkmoth.Set{Elements: []string{...}})
+//
+// Every query method takes a context first, and a query aborts with
+// ctx.Err() once ctx is done.
 //
 // # Metrics, similarities, thresholds
 //
@@ -46,7 +49,7 @@
 // query at a time. Every query method takes a trailing option list:
 //
 //	var ex silkmoth.Explain
-//	matches, err := eng.Search(ref,
+//	matches, err := eng.SearchContext(ctx, ref,
 //		silkmoth.WithK(10),                        // top-k truncation
 //		silkmoth.WithScheme(silkmoth.SchemeSkyline), // pin the signature scheme
 //		silkmoth.WithDelta(0.9),                   // per-query threshold
@@ -57,9 +60,8 @@
 // WithScheme never changes results (schemes only decide how the index is
 // probed — pair it with WithExplain to audit SchemeAuto's choices), while
 // WithDelta returns exactly what an engine built with that δ would.
-// WithCheckFilter, WithNNFilter, and WithReduction switch individual
-// pipeline stages off, which only they can: disabling them never changes
-// matches, only cost. The NN filter implies the check filter, so
+// WithCheckFilter and WithNNFilter switch individual filters off, which
+// only they can: disabling them never changes matches, only cost. The NN filter implies the check filter, so
 // WithCheckFilter(false) takes effect only with WithNNFilter(false).
 //
 // An Explain captured with WithExplain reports the executed plan: the
@@ -67,11 +69,11 @@
 // signature tokens, candidates, check-filter and NN-filter survivors,
 // verifications — and wall time. A search is one pass at every width.
 //
-// Every search takes one path, SearchBatchQueries: each BatchQuery carries
-// its own options, so a mixed workload can pin schemes, set k and δ, and
-// capture explains item by item, and each item's Result carries its matches,
-// its Explain and its own error. Search is a batch of one and SearchTopK a
-// Search with WithK.
+// Every search takes one path, SearchBatchQueriesContext: each BatchQuery
+// carries its own options, so a mixed workload can pin schemes, set k and
+// δ, and capture explains item by item, and each item's Result carries its
+// matches, its Explain and its own error. SearchContext is a batch of one
+// and SearchTopKContext a SearchContext with WithK.
 //
 // # Mutation
 //
@@ -92,8 +94,6 @@
 // read-write lock: queries share its read side and run in parallel, and
 // mutations (Add, Delete, Update, Compact, Snapshot) take its write side, so
 // in-flight queries finish first and later ones see the change.
-// The context-aware variants (SearchContext, SearchTopKContext,
-// DiscoverContext, DiscoverAgainstContext) abort cleanly on cancellation.
 //
 // An engine holds one inverted index, and one search is one pass: one
 // signature, then candidate collection, refinement and verification. The
@@ -101,10 +101,10 @@
 // short pass finishes there, and a long one starts helpers, up to
 // Config.Shards goroutines in all (GOMAXPROCS by default), that claim the
 // remaining chunks with it. Results are guaranteed identical at every
-// width. Every call runs its passes by one rule: a search, a batch, a
-// Discover or a DiscoverAgainst of n passes fans them out on
-// min(Config.Concurrency, n) workers, and each pass runs at the width those
-// workers leave idle, Config.Shards / workers goroutines (at least one). A
+// width. Every call runs its passes by one rule: a search, a batch or a
+// discovery of n passes fans them out on min(Config.Concurrency, n)
+// workers, and each pass runs at the width those workers leave idle,
+// Config.Shards / workers goroutines (at least one). A
 // search, a batch of one and a discovery on one worker split like a search;
 // a batch answers its searches in one call, amortizing tokenization.
 //
@@ -292,8 +292,8 @@ func lower[T ~int, K any](table []K, v T) (K, error) {
 // Config configures an Engine. The zero value is not valid: Delta must be
 // positive. Every engine runs the paper's full pipeline — the check filter,
 // the NN filter and the verification reduction (the last only at Alpha = 0
-// under Jaccard or Eds); WithCheckFilter, WithNNFilter and WithReduction
-// switch them off one query at a time.
+// under Jaccard or Eds); WithCheckFilter and WithNNFilter switch the
+// filters off one query at a time.
 type Config struct {
 	// Metric is the relatedness metric; default SetSimilarity.
 	Metric Metric
@@ -309,12 +309,12 @@ type Config struct {
 	Q int
 	// Scheme is the signature scheme; default SchemeDichotomy.
 	Scheme Scheme
-	// Concurrency bounds the parallel search passes of Discover,
-	// DiscoverAgainst and SearchBatchQueries: a call of n passes runs them
-	// on min(Concurrency, n) workers; values < 1 mean one. Each pass gets
-	// the width its workers leave idle, Shards / workers goroutines (at
-	// least one), so a call runs on at most max(Concurrency, Shards)
-	// goroutines.
+	// Concurrency bounds the parallel search passes of DiscoverContext,
+	// DiscoverAgainstContext and SearchBatchQueriesContext: a call of n
+	// passes runs them on min(Concurrency, n) workers; values < 1 mean one.
+	// Each pass gets the width its workers leave idle, Shards / workers
+	// goroutines (at least one), so a call runs on at most
+	// max(Concurrency, Shards) goroutines.
 	Concurrency int
 	// Shards is a search's width: the most goroutines one search pass runs
 	// on, shared among the parallel passes of a discovery or batch (see

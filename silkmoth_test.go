@@ -1,10 +1,22 @@
 package silkmoth
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
+
+// mustDiscover runs a self-join discovery on eng and fails the test on any
+// error, so that two discoveries that both failed can never agree.
+func mustDiscover(t testing.TB, eng *Engine, opts ...QueryOption) []Pair {
+	t.Helper()
+	ps, err := eng.DiscoverContext(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
 
 // table1Sets mirrors the paper's Table 1: two address columns that refer to
 // the same entities with dirty values.
@@ -33,7 +45,7 @@ func TestQuickstartDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := eng.Discover()
+	pairs := mustDiscover(t, eng)
 	// Location (3 elems) is approximately contained in Address (4 elems):
 	// matching 3/7 + 2/8 + 3/7 ≈ 1.107, containment ≈ 0.369 < 0.4 — so at
 	// 0.4 nothing matches; at 0.3 the pair appears. Verify both.
@@ -48,7 +60,7 @@ func TestQuickstartDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs = eng2.Discover()
+	pairs = mustDiscover(t, eng2)
 	if len(pairs) != 1 {
 		t.Fatalf("at δ=0.3 expected the Location⊑Address pair, got %+v", pairs)
 	}
@@ -71,7 +83,7 @@ func TestSearchReturnsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := eng.Search(Set{Elements: []string{"a b c", "d e f"}})
+	ms, err := eng.SearchContext(context.Background(), Set{Elements: []string{"a b c", "d e f"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +115,7 @@ func TestEditSimilarityEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := eng.Discover()
+	pairs := mustDiscover(t, eng)
 	if len(pairs) != 1 || pairs[0].RName != "t1" || pairs[0].SName != "t2" {
 		t.Errorf("edit pairs = %+v", pairs)
 	}
@@ -119,7 +131,7 @@ func TestDiscoverAgainst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := eng.DiscoverAgainst([]Set{location})
+	pairs, err := eng.DiscoverAgainstContext(context.Background(), []Set{location})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +171,7 @@ func TestAllSchemesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts = append(counts, len(eng.Discover()))
+		counts = append(counts, len(mustDiscover(t, eng)))
 	}
 	for _, c := range counts[1:] {
 		if c != counts[0] {
@@ -176,7 +188,7 @@ func TestStatsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Discover()
+	mustDiscover(t, eng)
 	st := eng.Stats()
 	if st.SearchPasses == 0 {
 		t.Errorf("stats = %+v", st)
@@ -229,10 +241,10 @@ func TestAlphaThresholdChangesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lowAlpha.Discover()) != 1 {
+	if len(mustDiscover(t, lowAlpha)) != 1 {
 		t.Error("α=0 should relate A and B (each element pair has Jaccard 1/3)")
 	}
-	if len(highAlpha.Discover()) != 0 {
+	if len(mustDiscover(t, highAlpha)) != 0 {
 		t.Error("α=0.9 should zero the weak similarities")
 	}
 }
@@ -245,7 +257,7 @@ func TestMatchRelatednessRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := eng.Search(location)
+	ms, err := eng.SearchContext(context.Background(), location)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +276,10 @@ func TestEmptyCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pairs := eng.Discover(); len(pairs) != 0 {
+	if pairs := mustDiscover(t, eng); len(pairs) != 0 {
 		t.Errorf("empty collection pairs = %+v", pairs)
 	}
-	ms, err := eng.Search(Set{Elements: []string{"anything"}})
+	ms, err := eng.SearchContext(context.Background(), Set{Elements: []string{"anything"}})
 	if err != nil || len(ms) != 0 {
 		t.Errorf("empty collection search = %v, %v", ms, err)
 	}
@@ -282,7 +294,7 @@ func TestNamesPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := eng.Discover()
+	pairs := mustDiscover(t, eng)
 	if len(pairs) != 1 || pairs[0].RName != sets[0].Name || pairs[0].SName != sets[1].Name {
 		t.Errorf("names mangled: %+v", pairs)
 	}
