@@ -50,8 +50,11 @@ type Engine struct {
 }
 
 // NewEngine tokenizes the collection according to cfg and builds the
-// inverted index over it, its lists filled from as many set-id ranges in
-// parallel as a search's width (Config.Shards).
+// inverted index over it. Both run from as many contiguous set-id ranges in
+// parallel as a search's width (Config.Shards): the first range interns
+// into the engine's dictionary and the others into their own tables,
+// merged in range order, so every token and element key gets the id a
+// serial build gives it; then the ranges fill the posting lists.
 //
 // With Config.DataDir set, NewEngine is also the recovery entry point: if
 // the directory holds durable state, that state wins — sets is ignored and
@@ -82,17 +85,11 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 
 // buildHeapEngine is newHeapEngine over options already lowered from cfg.
 func buildHeapEngine(sets []Set, cfg Config, opts core.Options) (*Engine, error) {
-	raws := toRaw(sets)
-	dict := tokens.NewDictionary()
-	var coll *dataset.Collection
-	if opts.Sim.TokenMode() == dataset.ModeWord {
-		coll = dataset.BuildWord(dict, raws)
-	} else {
-		if opts.Q == 0 {
-			opts.Q = core.DefaultQ(opts.Delta, opts.Alpha)
-		}
-		coll = dataset.BuildQGram(dict, raws, opts.Q)
+	mode := opts.Sim.TokenMode()
+	if mode == dataset.ModeQGram && opts.Q == 0 {
+		opts.Q = core.DefaultQ(opts.Delta, opts.Alpha)
 	}
+	coll := dataset.BuildRanges(tokens.NewDictionary(), toRaw(sets), mode, opts.Q, cfg.width())
 	return newEngine(&dataset.SnapshotData{Coll: coll}, cfg, opts)
 }
 

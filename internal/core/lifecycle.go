@@ -47,7 +47,7 @@ func (e *Engine) Compactions() int64 { return e.compactions }
 // queries: callers must serialize appends against searches.
 func (e *Engine) AppendSets(from int) {
 	e.ix.AppendSets(from)
-	retainSets(e.coll, from)
+	e.retainSets(from)
 	if e.dead != nil { // stays nil (all-alive fast path) until first Delete
 		e.growDead()
 	}
@@ -69,7 +69,7 @@ func (e *Engine) Delete(i int) error {
 	e.dead[i] = true
 	e.numDead++
 	e.tombstoned++
-	releaseSet(e.coll.Dict, &e.coll.Sets[i])
+	e.releaseSet(i)
 	e.maybeCompact()
 	return nil
 }
@@ -110,31 +110,40 @@ func (e *Engine) Compact() {
 	e.compactions++
 }
 
-// retainSets bumps dictionary refcounts for every token and chunk
-// occurrence of c.Sets[from:], the exact references releaseSet drops on
-// delete.
-func retainSets(c *dataset.Collection, from int) {
-	for i := from; i < len(c.Sets); i++ {
-		s := &c.Sets[i]
-		for j := range s.Elements {
-			el := &s.Elements[j]
-			c.Dict.Retain(el.Tokens)
-			if el.Key != dataset.NoKey {
-				c.Dict.Keys().RetainID(el.Key)
-			}
+// setRefs stages one set's dictionary references — every token and chunk
+// occurrence, every element key — in slices reused from set to set, so
+// that retaining or releasing a set takes the dictionary's lock twice
+// rather than twice per element.
+type setRefs struct{ toks, keys []tokens.ID }
+
+func (r *setRefs) stage(s *dataset.Set) {
+	r.toks, r.keys = r.toks[:0], r.keys[:0]
+	for j := range s.Elements {
+		el := &s.Elements[j]
+		r.toks = append(r.toks, el.Tokens...)
+		if el.Key != dataset.NoKey {
+			r.keys = append(r.keys, el.Key)
 		}
-		c.Dict.Retain(s.ChunkIDs())
+	}
+	r.toks = append(r.toks, s.ChunkIDs()...)
+}
+
+// retainSets bumps dictionary refcounts for every token and chunk
+// occurrence and every element key of e.coll.Sets[from:], the exact
+// references releaseSet drops on delete.
+func (e *Engine) retainSets(from int) {
+	d := e.coll.Dict
+	for i := from; i < len(e.coll.Sets); i++ {
+		e.refs.stage(&e.coll.Sets[i])
+		d.Retain(e.refs.toks)
+		d.Keys().Retain(e.refs.keys)
 	}
 }
 
-// releaseSet drops the dictionary references retainSets took for one set.
-func releaseSet(d *tokens.Dictionary, s *dataset.Set) {
-	for j := range s.Elements {
-		el := &s.Elements[j]
-		d.Release(el.Tokens)
-		if el.Key != dataset.NoKey {
-			d.Keys().ReleaseID(el.Key)
-		}
-	}
-	d.Release(s.ChunkIDs())
+// releaseSet drops the dictionary references retainSets took for set i.
+func (e *Engine) releaseSet(i int) {
+	d := e.coll.Dict
+	e.refs.stage(&e.coll.Sets[i])
+	d.Release(e.refs.toks)
+	d.Keys().Release(e.refs.keys)
 }

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"silkmoth/internal/dataset"
 	"silkmoth/internal/filter"
-	"silkmoth/internal/index"
 )
 
 // How a pass wider than one goroutine cuts its work (run). The two constants
@@ -108,13 +108,13 @@ func (p *plan) run(ctx context.Context, signatured bool) ([]Match, error) {
 }
 
 // chunking is how a pass wider than one goroutine cuts the set ids
-// [base, slots): chunk k of chunks is base plus index.Range(k, chunks,
+// [base, slots): chunk k of chunks is base plus dataset.Range(k, chunks,
 // slots−base).
 type chunking struct{ base, chunks, slots int }
 
 // bounds returns chunk k's set ids [lo, hi).
 func (c chunking) bounds(k int) (lo, hi int32) {
-	l, h := index.Range(k, c.chunks, c.slots-c.base)
+	l, h := dataset.Range(k, c.chunks, c.slots-c.base)
 	return int32(c.base + l), int32(c.base + h)
 }
 

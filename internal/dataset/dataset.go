@@ -72,8 +72,9 @@ func appendWordKey(b []byte, ids []tokens.ID) []byte {
 	return b
 }
 
-// resolveKey resolves e's content key, staging word-mode key bytes in buf
-// (returned for reuse) so that only a key new to the dictionary
+// resolveKey resolves e's content key in keys (a dictionary's key table,
+// or a range's own while a parallel build runs), staging word-mode key
+// bytes in buf (returned for reuse) so that only a key new to the table
 // materializes a string. Indexed collections intern (the engine retains
 // and releases their keys). Query collections only look up: a query key
 // absent from the dictionary proves the element identical to nothing
@@ -82,8 +83,7 @@ func appendWordKey(b []byte, ids []tokens.ID) []byte {
 // element for the life of the process. Empty elements get NoKey.
 //
 //silkmoth:hotpath
-func resolveKey(dict *tokens.Dictionary, e *Element, mode TokenMode, buf []byte, intern bool) (tokens.ID, []byte) {
-	keys := dict.Keys()
+func resolveKey(keys tokens.Interner, e *Element, mode TokenMode, buf []byte, intern bool) (tokens.ID, []byte) {
 	var id tokens.ID
 	var ok bool
 	if mode == ModeQGram {
@@ -174,81 +174,15 @@ type RawSet struct {
 // All sets share the dictionary dict; pass a fresh dictionary for a new
 // corpus, or the dictionary of an existing collection to tokenize query sets
 // against it (prefer BuildQuery for query sets — it keeps the key table
-// from growing).
+// from growing). It interns under dict's lock, so dict may be shared.
 func BuildWord(dict *tokens.Dictionary, raws []RawSet) *Collection {
-	return buildWord(dict, raws, true)
-}
-
-// buildWord stages each element's tokens and key in reused buffers, so a
-// warm dictionary costs one allocation per element: its Tokens.
-func buildWord(dict *tokens.Dictionary, raws []RawSet, intern bool) *Collection {
-	c := &Collection{Dict: dict, Mode: ModeWord}
-	c.Sets = make([]Set, len(raws))
-	var sc tokens.Scratch
-	var ids []tokens.ID
-	var key []byte
-	for i, rs := range raws {
-		elems := make([]Element, len(rs.Elements))
-		for j, e := range rs.Elements {
-			ids = tokens.SortUnique(sc.AppendWordIDs(ids[:0], dict, e))
-			el := &elems[j]
-			*el = Element{Raw: e, Tokens: cloneIDs(ids), Length: int32(len(ids))}
-			el.Key, key = resolveKey(dict, el, ModeWord, key, intern)
-		}
-		c.Sets[i] = Set{Name: rs.Name, Elements: elems}
-	}
-	return c
+	return build(dict, dict, dict.Keys(), raws, ModeWord, 0, 1, true)
 }
 
 // BuildQGram tokenizes raw sets into q-grams (index tokens) and q-chunks
 // (signature tokens) for edit similarity. q must be positive.
 func BuildQGram(dict *tokens.Dictionary, raws []RawSet, q int) *Collection {
-	return buildQGram(dict, raws, q, true)
-}
-
-// buildQGram is buildWord under ModeQGram. Each set's chunk run is sized
-// up front from its elements' rune lengths, ⌈runes/q⌉ chunks each.
-func buildQGram(dict *tokens.Dictionary, raws []RawSet, q int, intern bool) *Collection {
-	if q <= 0 {
-		panic("dataset: BuildQGram requires q > 0")
-	}
-	c := &Collection{Dict: dict, Mode: ModeQGram, Q: q}
-	c.Sets = make([]Set, len(raws))
-	var sc tokens.Scratch
-	var ids []tokens.ID
-	var key []byte
-	for i, rs := range raws {
-		n := len(rs.Elements)
-		size := n
-		for _, e := range rs.Elements {
-			size += tokens.NumQChunks(runeLen(e), q)
-		}
-		var run []tokens.ID
-		if size > n {
-			run = make([]tokens.ID, n, size)
-		}
-		elems := make([]Element, n)
-		for j, e := range rs.Elements {
-			ids = tokens.SortUnique(sc.AppendQGramIDs(ids[:0], dict, e, q))
-			if run != nil {
-				run = sc.AppendQChunkIDs(run, dict, e, q)
-				run[j] = tokens.ID(len(run))
-			}
-			el := &elems[j]
-			*el = Element{Raw: e, Tokens: cloneIDs(ids), Length: int32(runeLen(e))}
-			el.Key, key = resolveKey(dict, el, ModeQGram, key, intern)
-		}
-		c.Sets[i] = Set{Name: rs.Name, Elements: elems, chunks: run}
-	}
-	return c
-}
-
-// cloneIDs copies ids into an exactly sized slice (nil when empty).
-func cloneIDs(ids []tokens.ID) []tokens.ID {
-	if len(ids) == 0 {
-		return nil
-	}
-	return append(make([]tokens.ID, 0, len(ids)), ids...)
+	return build(dict, dict, dict.Keys(), raws, ModeQGram, q, 1, true)
 }
 
 // Build tokenizes raw sets according to mode: BuildWord for ModeWord,
@@ -260,6 +194,16 @@ func Build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Colle
 	return BuildQGram(dict, raws, q)
 }
 
+// BuildRanges is Build from parts contiguous set-id ranges (Range)
+// tokenized in parallel. The collection and the dictionary come out
+// exactly as Build leaves them, every token and key id the same. The
+// caller must own dict: no other goroutine may use it until BuildRanges
+// returns, because the first range interns into it without the lock.
+// parts < 2 is one range.
+func BuildRanges(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int) *Collection {
+	return build(dict, dict.Owned(), dict.Keys().Owned(), raws, mode, q, parts, true)
+}
+
 // BuildQuery tokenizes query sets against an existing collection's
 // dictionary. It differs from Build in one way: element keys are looked up,
 // never interned, so a steady stream of distinct queries cannot grow the
@@ -267,10 +211,7 @@ func Build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Colle
 // proves the element identical to nothing indexed, which is exactly what
 // NoKey means to the reduction).
 func BuildQuery(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Collection {
-	if mode == ModeWord {
-		return buildWord(dict, raws, false)
-	}
-	return buildQGram(dict, raws, q, false)
+	return build(dict, dict, dict.Keys(), raws, mode, q, 1, false)
 }
 
 // Append tokenizes raws with c's dictionary and mode and appends the

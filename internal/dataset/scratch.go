@@ -100,7 +100,7 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 				Tokens: qs.ids[sp.tokOff:sp.tokEnd:sp.tokEnd],
 				Length: int32(sp.length),
 			}
-			el.Key, qs.key = resolveKey(dict, el, mode, qs.key, false)
+			el.Key, qs.key = resolveKey(dict.Keys(), el, mode, qs.key, false)
 			ei++
 		}
 		set := Set{Name: rs.Name, Elements: qs.elems[first:ei:ei]}

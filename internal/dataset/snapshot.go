@@ -520,16 +520,18 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 
 // setStage stages one set of a snapshot in buffers reused across sets, so
 // that a loaded set costs one allocation for its name and element strings
-// together, one for its token ids and one for its chunk run, instead of a
-// string and a token slice per element. A q-gram key is its raw string, so
-// a key the dictionary interned from a loaded set keeps that set's text
-// alive for as long as any set still holds the key.
+// together, one for its token ids, one for its chunk run and, under
+// ModeWord, one for its element keys, instead of a string, a token slice
+// and a key per element. A key the dictionary interned from a loaded set
+// is a slice of that set's text (a q-gram key is its raw string) or of its
+// word keys, which it keeps alive for as long as any set still holds the
+// key.
 type setStage struct {
 	text  []byte      // the set's name, then each element's raw, back to back
 	toks  []tokens.ID // every element's token ids, back to back
 	run   []tokens.ID // the set's chunk run, laid out as Set.chunks
 	elems []stagedElem
-	key   []byte // staging for word-mode element keys
+	key   []byte // the set's word-mode element keys, back to back
 }
 
 // stagedElem is where one element ends in the stage's text and toks, and
@@ -549,7 +551,7 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 	if err := sr.Err(); err != nil {
 		return corrupt("set %d: %v", i, err)
 	}
-	st.toks, st.run, st.elems = st.toks[:0], st.run[:0], st.elems[:0]
+	st.toks, st.run, st.elems, st.key = st.toks[:0], st.run[:0], st.elems[:0], st.key[:0]
 	for range ne {
 		st.run = append(st.run, 0) // the end offsets, filled below
 	}
@@ -609,9 +611,31 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 			return corrupt("set %d element %d length %d, content has %d", i, j, se.storedLen, n)
 		}
 		e.Length = int32(n)
-		e.Key, st.key = resolveKey(dict, e, mode, st.key, true)
+		if mode == ModeQGram {
+			e.Key, _ = resolveKey(dict.Keys(), e, mode, nil, true)
+		} else {
+			st.key = appendWordKey(st.key, e.Tokens)
+		}
+	}
+	if mode == ModeWord {
+		st.internWordKeys(s, dict.Keys())
 	}
 	return nil
+}
+
+// internWordKeys interns the word-mode keys of s, staged back to back in
+// st.key, as slices of one string.
+func (st *setStage) internWordKeys(s *Set, keys *tokens.Dictionary) {
+	all, off := string(st.key), 0
+	for j := range s.Elements {
+		e := &s.Elements[j]
+		if len(e.Tokens) == 0 {
+			e.Key = NoKey
+			continue
+		}
+		end := off + 4*len(e.Tokens)
+		e.Key, off = keys.Intern(all[off:end]), end
+	}
 }
 
 // decodePostings wraps the container postings payload in place: a

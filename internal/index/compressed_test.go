@@ -98,7 +98,7 @@ func requireSameIndex(t *testing.T, stage string, want, got *Inverted) {
 		// one cursor that Take moves on.
 		taken := got.Cursor(id)
 		for k := 0; k < 6; k++ {
-			lo, hi := Range(k/2, 3, int(numSets)+1)
+			lo, hi := dataset.Range(k/2, 3, int(numSets)+1)
 			cur := got.Cursor(id)
 			cur.Cut(int32(lo), int32(hi))
 			if k%2 == 1 {

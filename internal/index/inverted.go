@@ -19,7 +19,6 @@ package index
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"silkmoth/internal/dataset"
@@ -74,15 +73,11 @@ type Inverted struct {
 func Build(c *dataset.Collection) *Inverted { return BuildParallel(c, 1) }
 
 // BuildParallel is Build with the posting lists filled by parts goroutines,
-// one per contiguous set-id range (Range); the lists are Build's, posting for
+// one per contiguous set-id range (dataset.Range); the lists are Build's, posting for
 // posting. parts < 2 is Build.
 func BuildParallel(c *dataset.Collection, parts int) *Inverted {
 	return &Inverted{lists: buildLists(c, parts), coll: c, dir: buildDirectory(c)}
 }
-
-// Range returns the k-th of parts contiguous ranges that cut the set ids
-// [0, n): [k·n/parts, (k+1)·n/parts).
-func Range(k, parts, n int) (lo, hi int) { return k * n / parts, (k + 1) * n / parts }
 
 // buildLists computes the heap posting lists of c. Each of parts set-id
 // ranges first counts its postings per token; a prefix sum over the ranges
@@ -96,7 +91,7 @@ func buildLists(c *dataset.Collection, parts int) [][]Posting {
 	// at[k][t] is range k's posting count of token t, then its next write
 	// offset in lists[t].
 	at := make([][]int32, parts)
-	inRanges(n, parts, func(k, lo, hi int) {
+	dataset.InRanges(n, parts, func(k, lo, hi int) {
 		counts := make([]int32, nt)
 		for i := lo; i < hi; i++ {
 			for j := range c.Sets[i].Elements {
@@ -117,7 +112,7 @@ func buildLists(c *dataset.Collection, parts int) [][]Posting {
 			lists[t] = make([]Posting, total)
 		}
 	}
-	inRanges(n, parts, func(k, lo, hi int) {
+	dataset.InRanges(n, parts, func(k, lo, hi int) {
 		next := at[k]
 		for i := lo; i < hi; i++ {
 			for j := range c.Sets[i].Elements {
@@ -129,25 +124,6 @@ func buildLists(c *dataset.Collection, parts int) [][]Posting {
 		}
 	})
 	return lists
-}
-
-// inRanges runs fn(k, lo, hi) for each of the parts ranges Range cuts [0, n)
-// into, on one goroutine per range when there is more than one.
-func inRanges(n, parts int, fn func(k, lo, hi int)) {
-	if parts == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < parts; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := Range(k, parts, n)
-			fn(k, lo, hi)
-		}()
-	}
-	wg.Wait()
 }
 
 // FromLists wraps imported posting lists (a loaded snapshot's) as an index

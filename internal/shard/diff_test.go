@@ -9,7 +9,6 @@ import (
 	"silkmoth/internal/core"
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
-	"silkmoth/internal/index"
 	"silkmoth/internal/signature"
 	"silkmoth/internal/tokens"
 )
@@ -243,7 +242,7 @@ func requireSameMatches(t *testing.T, label string, got, want []core.Match) {
 // rangeOf returns the range of n that set g falls in over slots slots.
 func rangeOf(g, n, slots int) int {
 	for k := 0; k < n; k++ {
-		if _, hi := index.Range(k, n, slots); g < hi {
+		if _, hi := dataset.Range(k, n, slots); g < hi {
 			return k
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"silkmoth/internal/core"
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
-	"silkmoth/internal/index"
 	"silkmoth/internal/tokens"
 )
 
@@ -103,7 +102,7 @@ func TestRangesPartitionSlots(t *testing.T) {
 		for _, parts := range []int{1, 2, 7} {
 			next := 0
 			for k := 0; k < parts; k++ {
-				lo, hi := index.Range(k, parts, n)
+				lo, hi := dataset.Range(k, parts, n)
 				if lo != next || hi < lo {
 					t.Fatalf("n=%d parts=%d: range %d is [%d, %d), want it to start at %d", n, parts, k, lo, hi, next)
 				}

@@ -16,7 +16,10 @@ type ID int32
 // A Dictionary is safe for concurrent use. Interning an already-known token
 // — the overwhelmingly common case at query time — takes only the read side
 // of the lock, so parallel queries do not serialize on each other; only
-// first-time interning of a new token takes the write lock.
+// first-time interning of a new token takes the write lock. A builder that
+// owns a fresh dictionary — no other goroutine can reach it until the build
+// returns — interns through Owned instead, which takes no lock and probes
+// the map once.
 //
 // Mutable collections additionally refcount their tokens through
 // Retain/Release: an engine retains every indexed set's token ids and
@@ -77,6 +80,12 @@ func (d *Dictionary) Intern(s string) ID {
 	if id, ok := d.ids[s]; ok { // raced with another writer
 		return id
 	}
+	return d.insert(s)
+}
+
+// insert assigns s, known to be absent, an id: a reclaimed slot if one is
+// free, else the next. The caller holds the write lock or owns d.
+func (d *Dictionary) insert(s string) ID {
 	if n := len(d.free); n > 0 {
 		id := d.free[n-1]
 		d.free = d.free[:n-1]
@@ -114,33 +123,47 @@ func (d *Dictionary) LookupBytes(b []byte) (ID, bool) {
 	return id, ok
 }
 
+// Owned returns an Interner over d that takes no lock: Intern probes the
+// map once and inserts on a miss, assigning exactly the ids d.Intern would.
+// It is for a builder that owns d — a fresh dictionary no other goroutine
+// can reach until the build returns — and only while it does.
+func (d *Dictionary) Owned() Interner { return owned{d} }
+
+// owned is the lock-free Interner Owned returns.
+type owned struct{ d *Dictionary }
+
+func (o owned) Intern(s string) ID {
+	if id, ok := o.d.ids[s]; ok {
+		return id
+	}
+	return o.d.insert(s)
+}
+
+func (o owned) InternBytes(b []byte) ID {
+	if id, ok := o.d.ids[string(b)]; ok {
+		return id
+	}
+	return o.d.insert(string(b))
+}
+
+func (o owned) Lookup(s string) (ID, bool) {
+	id, ok := o.d.ids[s]
+	return id, ok
+}
+
+func (o owned) LookupBytes(b []byte) (ID, bool) {
+	id, ok := o.d.ids[string(b)]
+	return id, ok
+}
+
 // Retain bumps the collection refcount of every id in ids. Engines retain
-// each indexed occurrence of a set's tokens (and chunks) so Release on
+// each indexed occurrence of a set's tokens and chunks (and, on the key
+// table, each of its element keys) in one call per set, so Release on
 // delete is exactly symmetric.
 func (d *Dictionary) Retain(ids []ID) {
 	d.mu.Lock()
 	for _, id := range ids {
 		d.refs[id]++
-	}
-	d.mu.Unlock()
-}
-
-// RetainID bumps the collection refcount of a single id — the per-element
-// form of Retain, used for interned element keys (one key per element).
-func (d *Dictionary) RetainID(id ID) {
-	d.mu.Lock()
-	d.refs[id]++
-	d.mu.Unlock()
-}
-
-// ReleaseID drops one refcount bumped by RetainID.
-func (d *Dictionary) ReleaseID(id ID) {
-	d.mu.Lock()
-	if d.refs[id] > 0 {
-		d.refs[id]--
-		if d.refs[id] == 0 {
-			d.pending = append(d.pending, id)
-		}
 	}
 	d.mu.Unlock()
 }

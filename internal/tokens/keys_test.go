@@ -3,7 +3,7 @@ package tokens
 import "testing"
 
 // TestKeyInternerLifecycle covers the element-key interner riding along
-// with the dictionary: dense ids, single-id retain/release symmetry, and
+// with the dictionary: dense ids, retain/release symmetry, and
 // reclamation recycling slots exactly like the token side.
 func TestKeyInternerLifecycle(t *testing.T) {
 	d := NewDictionary()
@@ -20,15 +20,13 @@ func TestKeyInternerLifecycle(t *testing.T) {
 		t.Fatalf("re-intern = %d, want %d", got, a)
 	}
 
-	keys.RetainID(a)
-	keys.RetainID(a)
-	keys.RetainID(b)
-	keys.ReleaseID(a)
+	keys.Retain([]ID{a, a, b})
+	keys.Release([]ID{a})
 	if keys.Refs(a) != 1 {
 		t.Fatalf("refs(a) = %d, want 1", keys.Refs(a))
 	}
 	// a is still retained: Reclaim must not free it.
-	keys.ReleaseID(b)
+	keys.Release([]ID{b})
 	if n := keys.Reclaim(); n != 1 {
 		t.Fatalf("Reclaim freed %d, want 1 (only b)", n)
 	}

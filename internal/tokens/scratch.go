@@ -13,7 +13,8 @@ import (
 // QChunks(...)) while staging every token in the scratch's buffers, so a
 // warmed-up scratch tokenizes with zero allocations as long as every token
 // is already interned (first-time tokens must still materialize the string
-// the dictionary retains).
+// the dictionary retains). They intern into any Interner: a shared
+// Dictionary, an owned one, or a builder range's Table.
 //
 // A Scratch is not safe for concurrent use; pool one per worker.
 type Scratch struct {
@@ -28,7 +29,7 @@ type Scratch struct {
 // strings.Fields.
 //
 //silkmoth:hotpath
-func (sc *Scratch) AppendWordIDs(dst []ID, d *Dictionary, s string) []ID {
+func (sc *Scratch) AppendWordIDs(dst []ID, d Interner, s string) []ID {
 	start := -1 // start of the current word, -1 while in whitespace
 	for i, c := range s {
 		if unicode.IsSpace(c) {
@@ -51,7 +52,7 @@ func (sc *Scratch) AppendWordIDs(dst []ID, d *Dictionary, s string) []ID {
 // slice. q must be positive.
 //
 //silkmoth:hotpath
-func (sc *Scratch) AppendQGramIDs(dst []ID, d *Dictionary, s string, q int) []ID {
+func (sc *Scratch) AppendQGramIDs(dst []ID, d Interner, s string, q int) []ID {
 	if q <= 0 {
 		panic("tokens: AppendQGramIDs requires q > 0")
 	}
@@ -68,7 +69,7 @@ func (sc *Scratch) AppendQGramIDs(dst []ID, d *Dictionary, s string, q int) []ID
 // slice. q must be positive.
 //
 //silkmoth:hotpath
-func (sc *Scratch) AppendQChunkIDs(dst []ID, d *Dictionary, s string, q int) []ID {
+func (sc *Scratch) AppendQChunkIDs(dst []ID, d Interner, s string, q int) []ID {
 	if q <= 0 {
 		panic("tokens: AppendQChunkIDs requires q > 0")
 	}

@@ -75,7 +75,7 @@ func padded(s string, q int) []rune {
 
 // InternAll interns each string of ss and returns the ids in order,
 // including duplicates.
-func InternAll(d *Dictionary, ss []string) []ID {
+func InternAll(d Interner, ss []string) []ID {
 	ids := make([]ID, len(ss))
 	for i, s := range ss {
 		ids[i] = d.Intern(s)

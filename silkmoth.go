@@ -323,11 +323,12 @@ type Config struct {
 	// start and claim the remaining chunks with the caller, each chunk
 	// collecting, refining and verifying its own candidates through posting
 	// lists cut to it. 0 means runtime.GOMAXPROCS(0), 1 keeps every pass on
-	// its worker's goroutine, and N caps it at N. The index build fills its lists from
-	// that many set-id ranges in parallel. There is one index at every
-	// width, so a durable engine reopens without an index build whatever
-	// width wrote it, and results are provably identical at every width
-	// (same matches, same scores, same order).
+	// its worker's goroutine, and N caps it at N. NewEngine tokenizes the
+	// sets and fills the index's lists from that many set-id ranges in
+	// parallel, with the ids and lists of a serial build. There is one
+	// index at every width, so a durable engine reopens without an index
+	// build whatever width wrote it, and results are provably identical at
+	// every width (same matches, same scores, same order).
 	Shards int
 	// StageSample controls per-stage wall timing of search passes: one in
 	// every StageSample passes records its signature/collect/refine/verify
