@@ -120,7 +120,6 @@ func TestCompressedEngineDifferentialGrid(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						defer replayed.Close()
 						if st := replayed.Stats(); st.WALReplayed == 0 {
 							t.Fatalf("reopen stats %+v, want WAL replay over the snapshot", st)
 						}
@@ -131,6 +130,9 @@ func TestCompressedEngineDifferentialGrid(t *testing.T) {
 						replayed.Compact()
 						compareEngineSurfaces(t, "compacted", ref, replayed, true)
 						if err := replayed.Snapshot(); err != nil {
+							t.Fatal(err)
+						}
+						if err := replayed.Close(); err != nil {
 							t.Fatal(err)
 						}
 						final, err := NewEngine(nil, ccfg)

@@ -14,18 +14,30 @@ import (
 // built without Config.DataDir.
 var ErrNoDataDir = errors.New("silkmoth: durability not enabled (Config.DataDir is empty)")
 
+// ErrDataDirLocked reports a NewEngine or NewEngineFromSaved on a
+// Config.DataDir that another open engine holds, in this process or
+// another: one engine owns a data directory, through flock on its LOCK
+// file, from open until Close (or the process's exit). The error wraps it
+// with the directory's path. Unix only; elsewhere nothing locks.
+var ErrDataDirLocked = wal.ErrLocked
+
 // newDurableEngine opens (or initializes) the snapshot/WAL store on fsys
 // and returns a recovered or bootstrapped engine. When the store holds a
 // snapshot, the engine is reconstructed from it — no re-tokenization and,
 // at any shard count, no re-indexing — and the paired log is replayed over
 // it; otherwise build supplies a fresh engine and the initial snapshot is
-// written before the first mutation can be logged.
-func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*Engine, error) {
+// written before the first mutation can be logged. On every error the
+// store is closed, which releases the directory.
+func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (e *Engine, err error) {
 	st, err := wal.Open(fsys)
 	if err != nil {
 		return nil, err
 	}
-	var e *Engine
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, st.Close())
+		}
+	}()
 	loaded, m, err := st.RecoverData(func(data []byte) error {
 		snap, err := dataset.LoadSnapshotBytes(data)
 		if err != nil {
@@ -53,7 +65,6 @@ func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (*
 	}
 	e.store = st
 	if err := e.writeSnapshotLocked(); err != nil {
-		st.Close()
 		return nil, fmt.Errorf("silkmoth: writing initial snapshot: %w", err)
 	}
 	return e, nil

@@ -15,8 +15,7 @@ import (
 // Engine indexes a collection of sets and answers related-set searches and
 // discoveries over it. Build once, query many times; an Engine is safe for
 // concurrent use, including Add concurrent with queries. Queries never
-// block each other: they share the read side of the engine's one lock, and
-// the token dictionary synchronizes its own interning.
+// block each other: they share the read side of the engine's one lock.
 //
 // An Engine holds one core engine, with one inverted index over its
 // collection, and a width. A search runs on the caller's goroutine and, once
@@ -32,8 +31,9 @@ type Engine struct {
 	width int
 	// mu is the engine's one lock. It serializes mutations (Add, Delete,
 	// Update, Compact, Snapshot) against queries: mutators take the write
-	// side, queries the read side — including query tokenization, which must
-	// not observe compaction's dictionary slot recycling mid-flight.
+	// side, queries the read side — including query tokenization, which
+	// reads the token dictionary. The dictionary has no lock of its own:
+	// this one orders its every write after the engine is shared.
 	mu sync.RWMutex
 
 	// Durability (nil/zero on a heap-only engine). store is the
@@ -122,12 +122,12 @@ func toRaw(sets []Set) []dataset.RawSet {
 // traffic allocation-free regardless of how many engines share it.
 var queryScratchPool = sync.Pool{New: func() any { return new(dataset.QueryScratch) }}
 
-// tokenizeQuery tokenizes query sets against the engine's dictionary. The
-// dictionary synchronizes its own interning; callers must hold at least the
-// engine's read lock (against concurrent Add — and against compaction's
-// key reclamation, which the lock orders before or after the whole query).
-// Element keys are looked up, never interned (dataset.QueryScratch follows
-// BuildQuery's contract), so query traffic cannot grow the key table.
+// tokenizeQuery tokenizes query sets against the engine's dictionary,
+// which it reads and never writes (dataset.QueryScratch): tokens and
+// element keys the collection never held get ids no posting list or key
+// has, so query traffic grows neither table. Callers must hold at least
+// the engine's read lock, which orders every dictionary write — Add's,
+// Update's and compaction's reclamation — before or after the whole query.
 //
 // The returned collection is built on the returned pooled scratch; the
 // caller must put the scratch back into queryScratchPool once nothing

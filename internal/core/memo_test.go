@@ -239,7 +239,7 @@ func TestMemoKeyRecycledBetweenSearches(t *testing.T) {
 			defer sr.Close()
 			ctx := context.Background()
 			query := func(c *dataset.Collection) *dataset.Set {
-				return &dataset.BuildQuery(c.Dict, []dataset.RawSet{sc.ref}, c.Mode, c.Q).Sets[0]
+				return &new(dataset.QueryScratch).Build(c.Dict, []dataset.RawSet{sc.ref}, c.Mode, c.Q).Sets[0]
 			}
 			if _, err := sr.Search(ctx, query(coll), -1); err != nil {
 				t.Fatal(err)
@@ -368,7 +368,7 @@ func TestOverlapFillEqualsDenseFill(t *testing.T) {
 						t.Fatalf("%s: the worker's verification is not set up to count overlaps", label)
 					}
 					var oracle verifyScratch // as BruteForceSearch's: the dense kernel fill
-					query := &dataset.BuildQuery(coll.Dict, []dataset.RawSet{queryRaw}, coll.Mode, coll.Q).Sets[0]
+					query := &new(dataset.QueryScratch).Build(coll.Dict, []dataset.RawSet{queryRaw}, coll.Mode, coll.Q).Sets[0]
 					refs := []*dataset.Set{query}
 					for si := range coll.Sets {
 						if eng.Alive(si) {

@@ -31,9 +31,8 @@ func InRanges(n, parts int, fn func(k, lo, hi int)) {
 }
 
 // build tokenizes raws into a collection over dict from parts set-id
-// ranges. toks and keys are dict and its key table, locked or owned; they
-// are what range 0 interns into. The build runs in five steps and produces
-// the one-range build id for id:
+// ranges. The build runs in five steps and produces the one-range build id
+// for id:
 //
 //  1. every range tokenizes its sets in parallel, range 0 into dict and
 //     the others into their own Tables, laying out each set's token run;
@@ -46,8 +45,9 @@ func InRanges(n, parts int, fn func(k, lo, hi int)) {
 //  4. the ranges' keys are interned into dict's key table in range order;
 //  5. every range but the first maps its element keys to dict's.
 //
-// intern false looks element keys up instead (query sets, one range only).
-func build(dict *tokens.Dictionary, toks, keys tokens.Interner, raws []RawSet, mode TokenMode, q, parts int, intern bool) *Collection {
+// Range 0 writes dict while the others run, which the dictionary allows:
+// it is the one writer, and nothing else reads dict until build returns.
+func build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int) *Collection {
 	if mode == ModeQGram && q <= 0 {
 		panic("dataset: BuildQGram requires q > 0")
 	}
@@ -59,8 +59,8 @@ func build(dict *tokens.Dictionary, toks, keys tokens.Interner, raws []RawSet, m
 	rs := make([]rangeBuild, parts)
 	for k := range rs {
 		r := &rs[k]
-		r.c, r.raws, r.intern = c, raws, intern
-		r.toks, r.keys = toks, keys
+		r.c, r.raws = c, raws
+		r.toks, r.keys = dict, dict.Keys()
 		if k > 0 {
 			r.toks, r.keys = &r.localToks, &r.localKeys
 			lo, hi := Range(k, parts, len(raws))
@@ -74,7 +74,7 @@ func build(dict *tokens.Dictionary, toks, keys tokens.Interner, raws []RawSet, m
 	})
 	remaps := make([][]tokens.ID, parts)
 	for k := 1; k < parts; k++ {
-		remaps[k] = tokens.InternAll(toks, rs[k].localToks.Strings())
+		remaps[k] = tokens.InternAll(dict, rs[k].localToks.Strings())
 	}
 	InRanges(len(raws), parts, func(k, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -82,7 +82,7 @@ func build(dict *tokens.Dictionary, toks, keys tokens.Interner, raws []RawSet, m
 		}
 	})
 	for k := 1; k < parts; k++ {
-		remaps[k] = tokens.InternAll(keys, rs[k].localKeys.Strings())
+		remaps[k] = tokens.InternAll(dict.Keys(), rs[k].localKeys.Strings())
 	}
 	InRanges(len(raws), parts, func(k, lo, hi int) {
 		if k == 0 {
@@ -101,11 +101,10 @@ func build(dict *tokens.Dictionary, toks, keys tokens.Interner, raws []RawSet, m
 
 // rangeBuild is one range's share of a build.
 type rangeBuild struct {
-	c      *Collection
-	raws   []RawSet
-	intern bool
-	// toks and keys are what the range interns into: the build's for
-	// range 0, localToks and localKeys for the others.
+	c    *Collection
+	raws []RawSet
+	// toks and keys are what the range interns into: the dictionary and
+	// its key table for range 0, localToks and localKeys for the others.
 	toks, keys           tokens.Interner
 	localToks, localKeys tokens.Table
 	// runs holds, for the ranges after the first, set lo+i's token run
@@ -182,7 +181,7 @@ func (r *rangeBuild) finish(i int, remap []tokens.ID) {
 	for j := range s.Elements {
 		el := &s.Elements[j]
 		el.Length = int32(elementLength(el, mode))
-		el.Key, r.key = resolveKey(r.keys, el, mode, r.key, r.intern)
+		el.Key, r.key = internKey(r.keys, el, mode, r.key)
 	}
 }
 

@@ -6,6 +6,7 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 
 	"silkmoth/internal/tokens"
 )
@@ -50,9 +51,10 @@ type Element struct {
 	// Key: the struct is 48 bytes, and TestLayoutGate holds it there — an
 	// indexed collection pays every byte of it once per element.
 	Length int32
-	// Key is the element's exact content key interned into the shared
-	// dictionary's key space (Dict.Keys()): two elements over the same
-	// dictionary are identical iff their Keys are equal and not NoKey.
+	// Key is the element's exact content key in the shared dictionary's
+	// key space (Dict.Keys()): interned by a build, looked up by a query.
+	// Two elements over the same dictionary are identical iff their Keys
+	// are equal and not NoKey.
 	// The §5.3 verification reduction compares these integers instead of
 	// materializing ElementKey strings per pair, and the filters memoize
 	// φ_α under them for the length of a pass. NoKey marks elements that
@@ -72,36 +74,40 @@ func appendWordKey(b []byte, ids []tokens.ID) []byte {
 	return b
 }
 
-// resolveKey resolves e's content key in keys (a dictionary's key table,
+// internKey interns e's content key into keys (a dictionary's key table,
 // or a range's own while a parallel build runs), staging word-mode key
 // bytes in buf (returned for reuse) so that only a key new to the table
-// materializes a string. Indexed collections intern (the engine retains
-// and releases their keys). Query collections only look up: a query key
-// absent from the dictionary proves the element identical to nothing
-// indexed, which is exactly what NoKey means to the reduction, and
-// interning it would grow the key table by one entry per distinct query
-// element for the life of the process. Empty elements get NoKey.
+// materializes a string. Indexed collections intern their keys (the
+// engine retains and releases them). Empty elements get NoKey.
 //
 //silkmoth:hotpath
-func resolveKey(keys tokens.Interner, e *Element, mode TokenMode, buf []byte, intern bool) (tokens.ID, []byte) {
-	var id tokens.ID
-	var ok bool
+func internKey(keys tokens.Interner, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {
 	if mode == ModeQGram {
 		if e.Raw == "" {
 			return NoKey, buf
 		}
-		if intern {
-			return keys.Intern(e.Raw), buf
-		}
+		return keys.Intern(e.Raw), buf
+	}
+	if len(e.Tokens) == 0 {
+		return NoKey, buf
+	}
+	buf = appendWordKey(buf[:0], e.Tokens)
+	return keys.InternBytes(buf), buf
+}
+
+// lookupKey is internKey for a query element: it looks e's key up in the
+// dictionary's key table and never writes it. A key the table does not
+// hold proves the element identical to nothing indexed, which is exactly
+// what NoKey means to the reduction.
+//
+//silkmoth:hotpath
+func lookupKey(keys *tokens.Dictionary, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {
+	id, ok := NoKey, false
+	switch {
+	case mode == ModeQGram && e.Raw != "":
 		id, ok = keys.Lookup(e.Raw)
-	} else {
-		if len(e.Tokens) == 0 {
-			return NoKey, buf
-		}
+	case mode == ModeWord && len(e.Tokens) > 0:
 		buf = appendWordKey(buf[:0], e.Tokens)
-		if intern {
-			return keys.InternBytes(buf), buf
-		}
 		id, ok = keys.LookupBytes(buf)
 	}
 	if !ok {
@@ -151,9 +157,11 @@ func (s *Set) ChunkIDs() []tokens.ID {
 	return s.chunks[len(s.Elements):]
 }
 
-// Drop releases the set's elements and its chunk run, keeping its name:
-// what compaction leaves of a dead slot.
-func (s *Set) Drop() { s.Elements, s.chunks = nil, nil }
+// Drop releases the set's elements and its chunk run, keeping a copy of
+// its name: what compaction leaves of a dead slot. The copy matters for a
+// set loaded from a snapshot, whose name shares one string with all of its
+// elements' text.
+func (s *Set) Drop() { s.Name, s.Elements, s.chunks = strings.Clone(s.Name), nil, nil }
 
 // Collection is a tokenized list of sets sharing one dictionary.
 type Collection struct {
@@ -171,18 +179,18 @@ type RawSet struct {
 }
 
 // BuildWord tokenizes raw sets by whitespace words for Jaccard similarity.
-// All sets share the dictionary dict; pass a fresh dictionary for a new
-// corpus, or the dictionary of an existing collection to tokenize query sets
-// against it (prefer BuildQuery for query sets — it keeps the key table
-// from growing). It interns under dict's lock, so dict may be shared.
+// All sets share the dictionary dict, which the build writes: pass a fresh
+// dictionary for a new corpus, or the dictionary of an existing collection
+// to add sets to it. Query sets are tokenized by QueryScratch instead,
+// which only reads it.
 func BuildWord(dict *tokens.Dictionary, raws []RawSet) *Collection {
-	return build(dict, dict, dict.Keys(), raws, ModeWord, 0, 1, true)
+	return build(dict, raws, ModeWord, 0, 1)
 }
 
 // BuildQGram tokenizes raw sets into q-grams (index tokens) and q-chunks
 // (signature tokens) for edit similarity. q must be positive.
 func BuildQGram(dict *tokens.Dictionary, raws []RawSet, q int) *Collection {
-	return build(dict, dict, dict.Keys(), raws, ModeQGram, q, 1, true)
+	return build(dict, raws, ModeQGram, q, 1)
 }
 
 // Build tokenizes raw sets according to mode: BuildWord for ModeWord,
@@ -196,22 +204,11 @@ func Build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Colle
 
 // BuildRanges is Build from parts contiguous set-id ranges (Range)
 // tokenized in parallel. The collection and the dictionary come out
-// exactly as Build leaves them, every token and key id the same. The
-// caller must own dict: no other goroutine may use it until BuildRanges
-// returns, because the first range interns into it without the lock.
-// parts < 2 is one range.
+// exactly as Build leaves them, every token and key id the same. Like
+// every build it is dict's writer until it returns. parts < 2 is one
+// range.
 func BuildRanges(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int) *Collection {
-	return build(dict, dict.Owned(), dict.Keys().Owned(), raws, mode, q, parts, true)
-}
-
-// BuildQuery tokenizes query sets against an existing collection's
-// dictionary. It differs from Build in one way: element keys are looked up,
-// never interned, so a steady stream of distinct queries cannot grow the
-// key table for the life of the process (a key absent from the dictionary
-// proves the element identical to nothing indexed, which is exactly what
-// NoKey means to the reduction).
-func BuildQuery(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Collection {
-	return build(dict, dict, dict.Keys(), raws, mode, q, 1, false)
+	return build(dict, raws, mode, q, parts)
 }
 
 // Append tokenizes raws with c's dictionary and mode and appends the
@@ -245,8 +242,9 @@ func runeLen(s string) int {
 // given mode, for the identical-element reduction of paper §5.3. Identical
 // elements get equal keys; the empty key marks non-reducible (empty)
 // elements. Nothing on a build or query path calls it: builders stage the
-// same bytes in a reused buffer (resolveKey) and intern them once into
-// Element.Key, and verification compares those dense ids instead.
+// same bytes in a reused buffer (internKey, lookupKey) and resolve them
+// once into Element.Key, and verification compares those dense ids
+// instead.
 func ElementKey(e *Element, mode TokenMode) string {
 	if mode == ModeQGram {
 		return e.Raw

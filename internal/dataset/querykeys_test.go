@@ -6,12 +6,12 @@ import (
 	"silkmoth/internal/tokens"
 )
 
-// TestBuildQueryKeysDoNotGrowTable pins the leak-free property of query
-// tokenization: BuildQuery resolves element keys by lookup, so serving any
-// number of distinct queries leaves the key table exactly as the indexed
-// collection built it, while still matching identical elements to their
-// indexed key ids.
-func TestBuildQueryKeysDoNotGrowTable(t *testing.T) {
+// TestQueryKeysDoNotGrowTable pins the leak-free property of query
+// tokenization: QueryScratch resolves element keys by lookup, so serving
+// any number of distinct queries leaves the key table exactly as the
+// indexed collection built it, while still matching identical elements to
+// their indexed key ids.
+func TestQueryKeysDoNotGrowTable(t *testing.T) {
 	dict := tokens.NewDictionary()
 	coll := BuildWord(dict, []RawSet{
 		{Name: "a", Elements: []string{"red bicycle", "blue kettle"}},
@@ -21,7 +21,7 @@ func TestBuildQueryKeysDoNotGrowTable(t *testing.T) {
 		t.Fatal("indexed build interned no keys")
 	}
 
-	q := BuildQuery(dict, []RawSet{
+	q := new(QueryScratch).Build(dict, []RawSet{
 		{Name: "q", Elements: []string{"red bicycle", "never seen before", "also novel"}},
 	}, ModeWord, 0)
 	if got := dict.Keys().Size(); got != indexedKeys {
@@ -39,7 +39,7 @@ func TestBuildQueryKeysDoNotGrowTable(t *testing.T) {
 	dict2 := tokens.NewDictionary()
 	BuildQGram(dict2, []RawSet{{Name: "a", Elements: []string{"kitten"}}}, 2)
 	n2 := dict2.Keys().Size()
-	q2 := BuildQuery(dict2, []RawSet{{Name: "q", Elements: []string{"kitten", "sitting"}}}, ModeQGram, 2)
+	q2 := new(QueryScratch).Build(dict2, []RawSet{{Name: "q", Elements: []string{"kitten", "sitting"}}}, ModeQGram, 2)
 	if got := dict2.Keys().Size(); got != n2 {
 		t.Fatalf("qgram query tokenization grew key table: %d -> %d", n2, got)
 	}

@@ -4,23 +4,28 @@ import (
 	"silkmoth/internal/tokens"
 )
 
-// QueryScratch builds query collections out of reusable buffers. It
-// produces exactly what BuildQuery produces — the equivalence is pinned by
-// TestQueryScratchMatchesBuildQuery — but stages every element's token ids
-// in one arena and every token's bytes in tokenizer scratch, so a warmed-up
-// scratch tokenizes a query with a handful of allocations instead of
-// several per element.
+// QueryScratch builds query collections out of reusable buffers. A query
+// reads the dictionary and never writes it: tokens tokenize through a
+// read-only tokens.Query (a token the collection never held gets an id
+// past the dictionary's size, which has no posting list) and element keys
+// are looked up, so no stream of queries grows either table. Otherwise it
+// produces what Build produces — pinned by TestQueryScratchMatchesSerialBuild
+// — but stages every element's token ids in one arena and every token's
+// bytes in tokenizer scratch, so a warmed-up scratch tokenizes a query
+// with a handful of allocations instead of several per element.
 //
 // The returned Collection, its Sets, and every Element slice alias the
 // scratch's buffers: they are valid only until the next Build on the same
 // scratch. Callers must not retain them past the query (the engine's
 // result types copy everything they report, so pooling a scratch per
-// in-flight query is safe). A QueryScratch is not safe for concurrent use.
+// in-flight query is safe). A QueryScratch is not safe for concurrent use,
+// but any number of them may read one dictionary at once.
 type QueryScratch struct {
 	tok   tokens.Scratch
-	ids   []tokens.ID // arena: all elements' Tokens, span-indexed
-	runs  []tokens.ID // arena: every set's chunk run (ModeQGram), back to back
-	key   []byte      // staging for word-mode element keys
+	in    tokens.Query // the read-only interner the tokens go through
+	ids   []tokens.ID  // arena: all elements' Tokens, span-indexed
+	runs  []tokens.ID  // arena: every set's chunk run (ModeQGram), back to back
+	key   []byte       // staging for word-mode element keys
 	spans []elemSpan
 	elems []Element
 	sets  []Set
@@ -36,12 +41,14 @@ type elemSpan struct {
 	length         int
 }
 
-// Build tokenizes query sets against an existing collection's dictionary,
-// like BuildQuery (element keys are looked up, never interned). The result
-// is valid until the next Build on this scratch.
+// Build tokenizes query sets against an existing collection's dictionary
+// without writing it. A novel token has one id across all the sets of one
+// Build, and distinct novel tokens have distinct ids. The result is valid
+// until the next Build on this scratch.
 //
 //silkmoth:hotpath
 func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) *Collection {
+	qs.in.Reset(dict)
 	qs.ids = qs.ids[:0]
 	qs.runs = qs.runs[:0]
 	qs.spans = qs.spans[:0]
@@ -61,10 +68,10 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 		for j, raw := range rs.Elements {
 			sp := elemSpan{raw: raw, tokOff: len(qs.ids)}
 			if mode == ModeWord {
-				qs.ids = qs.tok.AppendWordIDs(qs.ids, dict, raw)
+				qs.ids = qs.tok.AppendWordIDs(qs.ids, &qs.in, raw)
 			} else {
-				qs.ids = qs.tok.AppendQGramIDs(qs.ids, dict, raw, q)
-				qs.runs = qs.tok.AppendQChunkIDs(qs.runs, dict, raw, q)
+				qs.ids = qs.tok.AppendQGramIDs(qs.ids, &qs.in, raw, q)
+				qs.runs = qs.tok.AppendQChunkIDs(qs.runs, &qs.in, raw, q)
 				qs.runs[run+j] = tokens.ID(len(qs.runs) - run)
 			}
 			sp.tokEnd = sp.tokOff + len(tokens.SortUnique(qs.ids[sp.tokOff:]))
@@ -100,7 +107,7 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 				Tokens: qs.ids[sp.tokOff:sp.tokEnd:sp.tokEnd],
 				Length: int32(sp.length),
 			}
-			el.Key, qs.key = resolveKey(dict.Keys(), el, mode, qs.key, false)
+			el.Key, qs.key = lookupKey(dict.Keys(), el, mode, qs.key)
 			ei++
 		}
 		set := Set{Name: rs.Name, Elements: qs.elems[first:ei:ei]}

@@ -27,22 +27,26 @@ func queryScratchFixture(mode TokenMode, q int) (*tokens.Dictionary, []RawSet) {
 	return dict, queries
 }
 
-// TestQueryScratchMatchesBuildQuery pins the scratch query builder to
-// BuildQuery element by element: same raws, tokens, chunks, lengths, and
-// keys, in both token modes — including key lookups resolving for indexed
-// content and NoKey for novel content — and across scratch reuse, where a
-// second Build on the same scratch must not corrupt what the equivalence
-// checks see during the build that produced them. Each element's chunks
-// are also checked against QChunks itself, and word-mode sets must carry
-// no chunk run at all.
-func TestQueryScratchMatchesBuildQuery(t *testing.T) {
+// TestQueryScratchMatchesSerialBuild pins the scratch query builder to
+// serialBuild element by element: same raws, tokens, chunks and lengths in
+// both token modes, and the same keys for indexed content. The reference
+// builds into a twin of the dictionary, where a novel token is appended
+// and so gets the id the scratch gives it without writing (Size()+k for
+// the k-th), and a novel key is interned where the scratch gives NoKey.
+// Reuse must not change results: a second Build on the same scratch must
+// not corrupt what the checks see during the build that produced them.
+// Each element's chunks are also checked against QChunks itself, and
+// word-mode sets must carry no chunk run at all.
+func TestQueryScratchMatchesSerialBuild(t *testing.T) {
 	for _, tc := range []struct {
 		mode TokenMode
 		q    int
 	}{{ModeWord, 0}, {ModeQGram, 2}, {ModeQGram, 3}} {
 		t.Run(fmt.Sprintf("%v_q%d", tc.mode, tc.q), func(t *testing.T) {
 			dict, queries := queryScratchFixture(tc.mode, tc.q)
-			want := BuildQuery(dict, queries, tc.mode, tc.q)
+			twin, _ := queryScratchFixture(tc.mode, tc.q)
+			heldKeys := tokens.ID(twin.Keys().Size())
+			want := serialBuild(twin, queries, tc.mode, tc.q)
 			var qs QueryScratch
 			for round := 0; round < 3; round++ { // reuse must not change results
 				got := qs.Build(dict, queries, tc.mode, tc.q)
@@ -57,9 +61,13 @@ func TestQueryScratchMatchesBuildQuery(t *testing.T) {
 					}
 					for j := range ws.Elements {
 						we, ge := &ws.Elements[j], &gs.Elements[j]
-						if ge.Raw != we.Raw || ge.Length != we.Length || ge.Key != we.Key {
+						wantKey := we.Key
+						if wantKey >= heldKeys {
+							wantKey = NoKey
+						}
+						if ge.Raw != we.Raw || ge.Length != we.Length || ge.Key != wantKey {
 							t.Errorf("round %d set %d elem %d: scalar mismatch: got {%q %d %d}, want {%q %d %d}",
-								round, i, j, ge.Raw, ge.Length, ge.Key, we.Raw, we.Length, we.Key)
+								round, i, j, ge.Raw, ge.Length, ge.Key, we.Raw, we.Length, wantKey)
 						}
 						if !equalIDs(ge.Tokens, we.Tokens) {
 							t.Errorf("round %d set %d elem %d: tokens %v, want %v", round, i, j, ge.Tokens, we.Tokens)
@@ -68,7 +76,7 @@ func TestQueryScratchMatchesBuildQuery(t *testing.T) {
 							t.Errorf("round %d set %d elem %d: chunks %v, want %v", round, i, j, gc, wc)
 						}
 						if tc.mode == ModeQGram {
-							spec := tokens.InternAll(dict, tokens.QChunks(we.Raw, tc.q))
+							spec := tokens.InternAll(twin, tokens.QChunks(we.Raw, tc.q))
 							if wc := ws.Chunks(j); !equalIDs(wc, spec) {
 								t.Errorf("set %d elem %d: chunks %v, QChunks gives %v", i, j, wc, spec)
 							}
@@ -79,28 +87,79 @@ func TestQueryScratchMatchesBuildQuery(t *testing.T) {
 					}
 				}
 			}
+			if dict.Size() == twin.Size() {
+				t.Fatal("the fixture's queries hold no novel token")
+			}
 		})
 	}
 }
 
-// TestQueryScratchLooksUpNeverInterns pins BuildQuery's key contract on the
-// scratch path: building queries full of novel elements must not grow the
-// key table.
+// TestQueryScratchLooksUpNeverInterns pins that a query reads the
+// dictionary and never writes it: a thousand builds of queries full of
+// words, q-grams and elements the collection never held leave both the
+// token table and the key table as the indexed build left them. Within
+// one build a novel token keeps one id, distinct novel tokens get
+// distinct ids from the dictionary's size up, counted afresh per build,
+// and a build on a dictionary with freed slots lands on none of them.
 func TestQueryScratchLooksUpNeverInterns(t *testing.T) {
 	for _, tc := range []struct {
 		mode TokenMode
 		q    int
 	}{{ModeWord, 0}, {ModeQGram, 2}} {
 		dict, _ := queryScratchFixture(tc.mode, tc.q)
-		before := dict.Keys().Size()
+		// Free a slot on both tables: a novel token must not take it.
+		gone := Build(dict, []RawSet{{Name: "gone", Elements: []string{"zzgone"}}}, tc.mode, tc.q)
+		for _, el := range gone.Sets[0].Elements {
+			dict.Retain(el.Tokens)
+			dict.Release(el.Tokens)
+			dict.Keys().Retain([]tokens.ID{el.Key})
+			dict.Keys().Release([]tokens.ID{el.Key})
+		}
+		if dict.Reclaim() == 0 || dict.Keys().Reclaim() == 0 {
+			t.Fatalf("%v: no slot freed", tc.mode)
+		}
+		size, keys := dict.Size(), dict.Keys().Size()
 		var qs QueryScratch
-		qs.Build(dict, []RawSet{
-			{Name: "N", Elements: []string{"never seen before", "another novel one"}},
-		}, tc.mode, tc.q)
-		if after := dict.Keys().Size(); after != before {
-			t.Errorf("%v: query build grew the key table %d -> %d", tc.mode, before, after)
+		for i := 0; i < 1000; i++ {
+			novel := fmt.Sprintf("novel%d", i)
+			c := qs.Build(dict, []RawSet{
+				{Name: "N", Elements: []string{novel + " alpha", "alpha " + novel}},
+				{Name: "M", Elements: []string{novel, "never seen before"}},
+			}, tc.mode, tc.q)
+			a, b := c.Sets[0].Elements, c.Sets[1].Elements
+			if tc.mode == ModeWord && (!equalIDs(a[0].Tokens, a[1].Tokens) || !containsID(a[0].Tokens, b[0].Tokens[0])) {
+				t.Fatalf("%v build %d: one novel word got different ids: %v, %v, %v", tc.mode, i, a[0].Tokens, a[1].Tokens, b[0].Tokens)
+			}
+			if tc.mode == ModeWord && b[0].Tokens[0] != tokens.ID(size) {
+				t.Fatalf("build %d: the first novel word got id %d, want the dictionary's size %d", i, b[0].Tokens[0], size)
+			}
+			for _, s := range c.Sets {
+				for _, el := range s.Elements {
+					if el.Key != NoKey {
+						t.Fatalf("%v build %d: novel element %q got key %d", tc.mode, i, el.Raw, el.Key)
+					}
+					for _, id := range el.Tokens {
+						if int(id) < size && dict.String(id) == "" {
+							t.Fatalf("%v build %d: token of %q landed on freed slot %d", tc.mode, i, el.Raw, id)
+						}
+					}
+				}
+			}
+		}
+		if dict.Size() != size || dict.Keys().Size() != keys {
+			t.Errorf("%v: query builds grew the tables: tokens %d -> %d, keys %d -> %d",
+				tc.mode, size, dict.Size(), keys, dict.Keys().Size())
 		}
 	}
+}
+
+func containsID(ids []tokens.ID, id tokens.ID) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
 }
 
 func equalIDs(a, b []tokens.ID) bool {

@@ -612,7 +612,7 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 		}
 		e.Length = int32(n)
 		if mode == ModeQGram {
-			e.Key, _ = resolveKey(dict.Keys(), e, mode, nil, true)
+			e.Key, _ = internKey(dict.Keys(), e, mode, nil)
 		} else {
 			st.key = appendWordKey(st.key, e.Tokens)
 		}

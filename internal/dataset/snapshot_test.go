@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"silkmoth/internal/tokens"
 )
@@ -291,6 +292,27 @@ func TestSaveLoadWordCollection(t *testing.T) {
 		if got.Dict.String(tokens.ID(i)) != orig.Dict.String(tokens.ID(i)) {
 			t.Fatalf("token %d renamed", i)
 		}
+	}
+}
+
+// A loaded set's name and its elements' text are slices of one string, so
+// Drop must copy the name out: a compacted dead slot of a reopened engine
+// keeps only its name alive, not every element it held.
+func TestDropKeepsNameNotText(t *testing.T) {
+	orig := BuildWord(tokens.NewDictionary(), []RawSet{
+		{Name: "A", Elements: []string{"77 Mass Ave", "5th St"}},
+	})
+	s := &saveLoad(t, orig).Coll.Sets[0]
+	name := unsafe.StringData(s.Name)
+	if unsafe.Pointer(unsafe.StringData(s.Elements[0].Raw)) != unsafe.Add(unsafe.Pointer(name), len(s.Name)) {
+		t.Fatal("the loaded name and element text are not one string; the test no longer exercises Drop's copy")
+	}
+	s.Drop()
+	if s.Name != "A" || s.Elements != nil || s.ChunkIDs() != nil {
+		t.Fatalf("Drop left name %q, %d elements", s.Name, len(s.Elements))
+	}
+	if unsafe.StringData(s.Name) == name {
+		t.Fatal("the dropped set's name still points into the loaded text")
 	}
 }
 

@@ -164,7 +164,7 @@ func TestCountedCollectorMatchesUnarmed(t *testing.T) {
 				asked := map[int32]int{}
 				rejecting := func(set int32) bool { asked[set]++; return set%3 != 0 }
 				check := func(stage string) {
-					refs := []*dataset.Set{&dataset.BuildQuery(coll.Dict, []dataset.RawSet{queryRaw}, coll.Mode, coll.Q).Sets[0]}
+					refs := []*dataset.Set{&new(dataset.QueryScratch).Build(coll.Dict, []dataset.RawSet{queryRaw}, coll.Mode, coll.Q).Sets[0]}
 					for si := range coll.Sets {
 						refs = append(refs, &coll.Sets[si])
 					}

@@ -35,7 +35,7 @@ func retainSetup(t *testing.T, cold int) (r *dataset.Set, broad, narrow *signatu
 	for i := 0; i < cold; i++ {
 		allTokens = append(allTokens, fmt.Sprintf("tok%d", i))
 	}
-	refColl := dataset.BuildQuery(dict, []dataset.RawSet{{
+	refColl := new(dataset.QueryScratch).Build(dict, []dataset.RawSet{{
 		Name:     "ref",
 		Elements: []string{"hot", strings.Join(allTokens, " ")},
 	}}, coll.Mode, coll.Q)

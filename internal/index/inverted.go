@@ -142,7 +142,8 @@ func FromLists(c *dataset.Collection, lists [][]Posting) *Inverted {
 func (ix *Inverted) Collection() *dataset.Collection { return ix.coll }
 
 // List returns the posting list for token t, or nil when t never occurs in
-// the indexed collection (including ids interned after Build). In the
+// the indexed collection (including ids past the dictionary's size, which
+// a query gives the tokens the collection never held). In the
 // compressed form this materializes the container on first probe and holds
 // it in the LRU; prefer Cursor for one-shot scans of large lists.
 func (ix *Inverted) List(t tokens.ID) []Posting {

@@ -92,10 +92,15 @@ func TestSetRange(t *testing.T) {
 
 func TestUnknownTokens(t *testing.T) {
 	ix, _, dict := buildPaperIndex(t)
-	// A token interned after Build (e.g. from a query set) has no list.
+	// A token interned after Build has no list, and neither has an id
+	// past the dictionary's size, which a query gives a token the
+	// collection never held.
 	newID := dict.Intern("totally-new-token")
 	if ix.List(newID) != nil {
 		t.Error("post-build token should have a nil list")
+	}
+	if novel := tokens.ID(dict.Size() + 3); ix.List(novel) != nil || ix.ListLen(novel) != 0 || len(ix.SetRange(novel, 0)) != 0 {
+		t.Error("an id past the dictionary's size should have an empty list")
 	}
 	if ix.ListLen(newID) != 0 {
 		t.Error("post-build token should have length 0")

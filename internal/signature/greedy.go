@@ -193,8 +193,8 @@ func (g *Generator) bumpOccEpoch() {
 	}
 }
 
-// ensureTok sizes the token-keyed tables to cover id t (query sets can
-// intern tokens past the indexed dictionary's size).
+// ensureTok sizes the token-keyed tables to cover id t (a query's tokens
+// the collection never held have ids past the dictionary's size).
 func (g *Generator) ensureTok(t tokens.ID) {
 	if int(t) < len(g.stamp) {
 		return

@@ -4,22 +4,18 @@
 // edit similarity (paper §3 and §7).
 package tokens
 
-import "sync"
-
 // ID is a dense integer identifier for an interned token string.
 // Dense ids let the inverted index be a plain slice instead of a map.
 type ID int32
 
 // Dictionary interns token strings and assigns each distinct string a dense
-// ID starting from zero.
-//
-// A Dictionary is safe for concurrent use. Interning an already-known token
-// — the overwhelmingly common case at query time — takes only the read side
-// of the lock, so parallel queries do not serialize on each other; only
-// first-time interning of a new token takes the write lock. A builder that
-// owns a fresh dictionary — no other goroutine can reach it until the build
-// returns — interns through Owned instead, which takes no lock and probes
-// the map once.
+// ID starting from zero. It is an Interner, and it has no lock: it allows
+// one writer at a time (Intern, InternBytes, Retain, Release, Reclaim),
+// ordered against its readers by its owner's lock — an engine writes it
+// only before it is shared or under its write lock. Any number of readers
+// may use it at once (Lookup, LookupBytes, String, Size, Refs, FreeSlots,
+// and a Query interner over it): a query reads the dictionary and never
+// writes it.
 //
 // Mutable collections additionally refcount their tokens through
 // Retain/Release: an engine retains every indexed set's token ids and
@@ -30,12 +26,11 @@ type ID int32
 // new tokens, so the vocabulary shrinks with the data instead of growing
 // forever on a long-lived mutable engine.
 type Dictionary struct {
-	mu   sync.RWMutex
 	ids  map[string]ID
 	strs []string
 	// refs counts live collection references per id (Retain/Release).
-	// Query-time interning does not retain, so purely-query tokens sit at
-	// zero but are never pending and thus never reclaimed.
+	// An id interned but never retained sits at zero, but is never
+	// pending and thus never reclaimed.
 	refs []int32
 	// pending are ids whose refcount fell to zero since the last Reclaim;
 	// Reclaim frees those still at zero (a later Retain resurrects).
@@ -47,10 +42,9 @@ type Dictionary struct {
 	// keys is the element-key interner that rides along with the token
 	// dictionary: exact element content keys (dataset.ElementKey) interned
 	// to dense ids so verification compares integers instead of building
-	// strings per pair. It is itself a Dictionary — query keys follow the
-	// same "interned but never reclaimed until retained and released"
-	// lifecycle as query tokens — and shares the main dictionary's
-	// concurrency story. Nil on the keys dictionary itself.
+	// strings per pair. It is itself a Dictionary, with the same
+	// retain/release lifecycle and the same one-writer rule; queries only
+	// look keys up. Nil on the keys dictionary itself.
 	keys *Dictionary
 }
 
@@ -63,28 +57,33 @@ func NewDictionary() *Dictionary {
 }
 
 // Keys returns the element-key interner attached to this dictionary. Every
-// collection sharing the dictionary (including query collections tokenized
-// against it) interns element keys here, so two elements are identical iff
-// their key ids are equal — the integer form of the §5.3 reduction test.
+// collection sharing the dictionary interns element keys here (queries
+// look theirs up), so two elements are identical iff their key ids are
+// equal — the integer form of the §5.3 reduction test.
 func (d *Dictionary) Keys() *Dictionary { return d.keys }
 
 // Intern returns the ID for s, assigning a fresh one if s is new. New
 // tokens reuse reclaimed slots before growing the id space.
 func (d *Dictionary) Intern(s string) ID {
-	if id, ok := d.Lookup(s); ok { // fast path: shared lock only
-		return id
-	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id, ok := d.ids[s]; ok { // raced with another writer
+	if id, ok := d.ids[s]; ok {
 		return id
 	}
 	return d.insert(s)
 }
 
+// InternBytes is Intern for a token held in a byte buffer. A known token is
+// looked up through the compiler's zero-copy string([]byte) form and
+// nothing allocates; only a first-time token materializes a string (it
+// must outlive b, which callers reuse as scratch).
+func (d *Dictionary) InternBytes(b []byte) ID {
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	return d.insert(string(b))
+}
+
 // insert assigns s, known to be absent, an id: a reclaimed slot if one is
-// free, else the next. The caller holds the write lock or owns d.
+// free, else the next.
 func (d *Dictionary) insert(s string) ID {
 	if n := len(d.free); n > 0 {
 		id := d.free[n-1]
@@ -102,57 +101,17 @@ func (d *Dictionary) insert(s string) ID {
 	return id
 }
 
-// InternBytes is Intern for a token held in a byte buffer. On the fast path
-// — the token is already known, the overwhelmingly common case at query
-// time — the map lookup uses the compiler's zero-copy string([]byte) form
-// and nothing allocates; only a first-time token materializes a string (it
-// must outlive b, which callers reuse as scratch).
-func (d *Dictionary) InternBytes(b []byte) ID {
-	if id, ok := d.LookupBytes(b); ok {
-		return id
-	}
-	return d.Intern(string(b))
+// Lookup returns the ID for s without interning. The second return value
+// reports whether s is known.
+func (d *Dictionary) Lookup(s string) (ID, bool) {
+	id, ok := d.ids[s]
+	return id, ok
 }
 
 // LookupBytes is Lookup for a token held in a byte buffer; it never
 // allocates.
 func (d *Dictionary) LookupBytes(b []byte) (ID, bool) {
-	d.mu.RLock()
 	id, ok := d.ids[string(b)]
-	d.mu.RUnlock()
-	return id, ok
-}
-
-// Owned returns an Interner over d that takes no lock: Intern probes the
-// map once and inserts on a miss, assigning exactly the ids d.Intern would.
-// It is for a builder that owns d — a fresh dictionary no other goroutine
-// can reach until the build returns — and only while it does.
-func (d *Dictionary) Owned() Interner { return owned{d} }
-
-// owned is the lock-free Interner Owned returns.
-type owned struct{ d *Dictionary }
-
-func (o owned) Intern(s string) ID {
-	if id, ok := o.d.ids[s]; ok {
-		return id
-	}
-	return o.d.insert(s)
-}
-
-func (o owned) InternBytes(b []byte) ID {
-	if id, ok := o.d.ids[string(b)]; ok {
-		return id
-	}
-	return o.d.insert(string(b))
-}
-
-func (o owned) Lookup(s string) (ID, bool) {
-	id, ok := o.d.ids[s]
-	return id, ok
-}
-
-func (o owned) LookupBytes(b []byte) (ID, bool) {
-	id, ok := o.d.ids[string(b)]
 	return id, ok
 }
 
@@ -161,18 +120,15 @@ func (o owned) LookupBytes(b []byte) (ID, bool) {
 // table, each of its element keys) in one call per set, so Release on
 // delete is exactly symmetric.
 func (d *Dictionary) Retain(ids []ID) {
-	d.mu.Lock()
 	for _, id := range ids {
 		d.refs[id]++
 	}
-	d.mu.Unlock()
 }
 
 // Release drops collection refcounts bumped by Retain. Ids that reach zero
 // become reclamation candidates for the next Reclaim; their strings and
 // slots stay valid until then.
 func (d *Dictionary) Release(ids []ID) {
-	d.mu.Lock()
 	for _, id := range ids {
 		if d.refs[id] > 0 {
 			d.refs[id]--
@@ -181,7 +137,6 @@ func (d *Dictionary) Release(ids []ID) {
 			}
 		}
 	}
-	d.mu.Unlock()
 }
 
 // Reclaim frees every pending id whose refcount is still zero: the string
@@ -191,8 +146,6 @@ func (d *Dictionary) Release(ids []ID) {
 // right after posting lists are rebuilt. It returns the number of slots
 // freed.
 func (d *Dictionary) Reclaim() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	n := 0
 	for _, id := range d.pending {
 		if d.refs[id] != 0 || d.freed[id] {
@@ -209,42 +162,14 @@ func (d *Dictionary) Reclaim() int {
 }
 
 // FreeSlots returns the number of reclaimed ids currently awaiting reuse.
-func (d *Dictionary) FreeSlots() int {
-	d.mu.RLock()
-	n := len(d.free)
-	d.mu.RUnlock()
-	return n
-}
+func (d *Dictionary) FreeSlots() int { return len(d.free) }
 
 // Refs returns the current collection refcount of id.
-func (d *Dictionary) Refs(id ID) int {
-	d.mu.RLock()
-	n := int(d.refs[id])
-	d.mu.RUnlock()
-	return n
-}
-
-// Lookup returns the ID for s without interning. The second return value
-// reports whether s is known.
-func (d *Dictionary) Lookup(s string) (ID, bool) {
-	d.mu.RLock()
-	id, ok := d.ids[s]
-	d.mu.RUnlock()
-	return id, ok
-}
+func (d *Dictionary) Refs(id ID) int { return int(d.refs[id]) }
 
 // String returns the token string for id. It panics if id is out of range.
-func (d *Dictionary) String(id ID) string {
-	d.mu.RLock()
-	s := d.strs[id]
-	d.mu.RUnlock()
-	return s
-}
+func (d *Dictionary) String(id ID) string { return d.strs[id] }
 
-// Size returns the number of distinct tokens interned so far.
-func (d *Dictionary) Size() int {
-	d.mu.RLock()
-	n := len(d.strs)
-	d.mu.RUnlock()
-	return n
-}
+// Size returns the number of ids assigned so far, freed ones included: no
+// token the dictionary holds or has held has an id at or past it.
+func (d *Dictionary) Size() int { return len(d.strs) }

@@ -41,13 +41,14 @@ func TestKeyInternerLifecycle(t *testing.T) {
 	if c != b {
 		t.Fatalf("new key got id %d, want recycled slot %d", c, b)
 	}
-	// Query-style keys (interned, never retained) are never reclaimed.
-	q := keys.Intern("query-only")
+	// A key interned but never retained is never pending, so never
+	// reclaimed.
+	u := keys.Intern("unretained")
 	keys.Reclaim()
-	if _, ok := keys.Lookup("query-only"); !ok {
-		t.Fatal("unretained query key was reclaimed")
+	if _, ok := keys.Lookup("unretained"); !ok {
+		t.Fatal("unretained key was reclaimed")
 	}
-	if keys.Refs(q) != 0 {
-		t.Fatalf("refs(query) = %d, want 0", keys.Refs(q))
+	if keys.Refs(u) != 0 {
+		t.Fatalf("refs(unretained) = %d, want 0", keys.Refs(u))
 	}
 }

@@ -13,8 +13,8 @@ import (
 // QChunks(...)) while staging every token in the scratch's buffers, so a
 // warmed-up scratch tokenizes with zero allocations as long as every token
 // is already interned (first-time tokens must still materialize the string
-// the dictionary retains). They intern into any Interner: a shared
-// Dictionary, an owned one, or a builder range's Table.
+// the dictionary retains). They intern into any Interner: a Dictionary, a
+// builder range's Table, or a query's read-only Query.
 //
 // A Scratch is not safe for concurrent use; pool one per worker.
 type Scratch struct {

@@ -9,6 +9,7 @@
 package wal
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -59,6 +60,24 @@ type MapFS interface {
 	// the mapping and must Close it.
 	Map(name string) (*mmap.Mapping, error)
 }
+
+// LockFS is an optional capability an FS may add: holding its directory
+// for one store at a time. Open takes the lock when the FS has it, and
+// Close releases it, so two stores never write one directory's pairs —
+// the second Open fails instead. The production FS has it on unix; the
+// crash-injection FS, which never shares a directory, does not.
+type LockFS interface {
+	// Lock takes the directory's lock, failing with an error wrapping
+	// ErrLocked while another holder has it. Closing the returned Closer
+	// releases it.
+	Lock() (io.Closer, error)
+}
+
+// ErrLocked reports an Open of a directory another store holds.
+var ErrLocked = errors.New("data directory is held by another open store")
+
+// lockName is the file a LockFS locks.
+const lockName = "LOCK"
 
 // dirFS is the production FS: a real directory on the OS filesystem.
 type dirFS struct {

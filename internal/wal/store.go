@@ -32,6 +32,9 @@ type Store struct {
 	// or replay could resurrect the failed one under later ids.
 	broken error
 	closed bool
+	// lock holds the directory (LockFS) until Close; nil when the FS
+	// cannot lock.
+	lock io.Closer
 
 	appended  atomic.Int64 // records appended by this process
 	snapshots atomic.Int64 // snapshots written by this process
@@ -55,15 +58,24 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// Open scans fsys for existing snapshot/log pairs. It performs no
-// destructive operation: leftover temp files from an interrupted snapshot
-// are removed only once a later WriteSnapshot succeeds them, and the
-// choice of which snapshot to load belongs to RecoverData.
+// Open locks fsys's directory when the FS can (LockFS; a directory
+// another store holds fails with ErrLocked) and scans it for existing
+// snapshot/log pairs. It performs no destructive operation: leftover temp
+// files from an interrupted snapshot are removed only once a later
+// WriteSnapshot succeeds them, and the choice of which snapshot to load
+// belongs to RecoverData.
 func Open(fsys FS) (*Store, error) {
 	s := &Store{fsys: fsys}
+	if l, ok := fsys.(LockFS); ok {
+		lock, err := l.Lock()
+		if err != nil {
+			return nil, err
+		}
+		s.lock = lock
+	}
 	seqs, err := s.snapshotSeqs()
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, s.Close())
 	}
 	if len(seqs) > 0 {
 		s.seq = seqs[0]
@@ -345,16 +357,21 @@ func (s *Store) Appended() int64 { return s.appended.Load() }
 // Snapshots returns the number of snapshots this process wrote.
 func (s *Store) Snapshots() int64 { return s.snapshots.Load() }
 
-// Close releases the active log handle. The store refuses further writes.
+// Close releases the active log handle and the directory's lock. The
+// store refuses further writes.
 func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	var err error
 	if s.log != nil {
-		err := s.log.Close()
+		err = s.log.Close()
 		s.log = nil
-		return err
 	}
-	return nil
+	if s.lock != nil {
+		err = errors.Join(err, s.lock.Close())
+		s.lock = nil
+	}
+	return err
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"silkmoth/internal/mmap"
 )
 
 // openDir opens a store over a real temp directory.
@@ -14,12 +16,21 @@ func openDir(t *testing.T, dir string) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(fsys)
+	st, err := Open(crashedOwnerFS{fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
+
+// crashedOwnerFS hides the directory's lock (embedding the interface drops
+// dirFS.Lock) and keeps its mapping. The recovery tests reopen a directory
+// whose store they abandoned without Close, as a crashed process leaves it
+// — and the kernel drops a dead process's lock. TestOpenLocksDirectory
+// covers the lock.
+type crashedOwnerFS struct{ FS }
+
+func (f crashedOwnerFS) Map(name string) (*mmap.Mapping, error) { return f.FS.(MapFS).Map(name) }
 
 // writeString is a snapshot writer that emits a fixed payload.
 func writeString(s string) func(io.Writer) error {

@@ -356,7 +356,9 @@ func TestRetiredFormatsFailLoudly(t *testing.T) {
 	}
 	_, err = NewEngine(durableCorpus(), cfg)
 	requireRetired("v1 snapshot in DataDir", err, "version 1")
-	if left, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*")); len(left) != 1 || left[0] != name {
+	// Every open takes the directory's empty LOCK file; nothing else may
+	// appear, and the snapshot must stay.
+	if left, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*")); len(left) != 2 || left[0] != filepath.Join(cfg.DataDir, "LOCK") || left[1] != name {
 		t.Fatalf("failed open changed the directory: %v", left)
 	}
 }
