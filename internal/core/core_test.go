@@ -205,6 +205,7 @@ func TestDefaultQ(t *testing.T) {
 		{0.7, 0.7, 2},  // q < 7/3 → 2
 		{0.7, 0, 2},    // q < δ/(1-δ) = 7/3 → 2
 		{0.5, 0, 1},    // q < 1 floored at 1
+		{1, 0, 1},      // q < +Inf: decided as 1 on every platform
 	}
 	for _, c := range cases {
 		if got := DefaultQ(c.delta, c.alpha); got != c.want {

@@ -67,6 +67,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/signature"
@@ -310,10 +311,15 @@ func checkScheme(k signature.Kind) error {
 // DefaultQ returns the largest sound gram length for the given thresholds:
 // q < α/(1-α) when α > 0 (so sharing no q-gram forces φ_α = 0), else
 // q < δ/(1-δ) (so the weighted scheme is non-empty, §7.3), floored at 1.
+// At δ = 1 the bound is +Inf, which Go converts to an int differently on
+// each platform; every q is sound there, and DefaultQ answers 1.
 func DefaultQ(delta, alpha float64) int {
 	bound := delta / (1 - delta)
 	if alpha > 0 {
 		bound = alpha / (1 - alpha)
+	}
+	if math.IsInf(bound, 1) {
+		return 1
 	}
 	// The inequality is strict, and the bound may compute a hair above an
 	// exact integer (0.8/(1-0.8) = 4.000000000000001), so nudge down.

@@ -3,9 +3,9 @@ package index
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"silkmoth/internal/dataset"
+	"silkmoth/internal/lru"
 	"silkmoth/internal/tokens"
 )
 
@@ -29,10 +29,10 @@ func BuildCompressed(c *dataset.Collection, cacheBytes int64) *Inverted {
 // in BuildCompressed. No-op on a compressed index. Not safe concurrently
 // with readers.
 func (ix *Inverted) Compress(cacheBytes int64) {
-	if ix.compress {
+	if ix.cs != nil {
 		return
 	}
-	ix.compress, ix.cache = true, newListCache(cacheBytes)
+	ix.cache = newPostingCache(cacheBytes)
 	ix.adoptCompressed(ix.lists)
 }
 
@@ -51,14 +51,13 @@ func FromContainers(c *dataset.Collection, cs *dataset.ContainerStore, shared bo
 		dir:      buildDirectory(c),
 		cs:       cs,
 		csShared: shared,
-		compress: true,
 		encSets:  len(c.Sets),
-		cache:    newListCache(cacheBytes),
+		cache:    newPostingCache(cacheBytes),
 	}
 }
 
 // Compressed reports whether the index stores its lists as containers.
-func (ix *Inverted) Compressed() bool { return ix.compress }
+func (ix *Inverted) Compressed() bool { return ix.cs != nil }
 
 // SharesContainers reports whether the container store borrows its bytes
 // from an external backing (a memory-mapped snapshot): the owner must call
@@ -84,7 +83,7 @@ func (ix *Inverted) adoptCompressed(lists [][]Posting) {
 	ix.csShared = false
 	ix.lists = nil
 	ix.extras = nil
-	ix.cache.reset()
+	ix.cache.Reset()
 }
 
 // UnshareContainers copies a borrowed container store onto the heap so the
@@ -111,7 +110,7 @@ func (ix *Inverted) materialize(t int) []Posting {
 	if len(blob) == 0 {
 		return ex
 	}
-	if l, ok := ix.cache.get(t); ok {
+	if l, ok := ix.cache.Get(t); ok {
 		ix.cacheHits.Add(1)
 		return l
 	}
@@ -123,7 +122,7 @@ func (ix *Inverted) materialize(t int) []Posting {
 		ix.decodeErrs.Add(1)
 	}
 	out = append(out, ex...)
-	ix.cache.put(t, out)
+	ix.cache.Put(t, out)
 	return out
 }
 
@@ -157,7 +156,7 @@ func (ix *Inverted) SetRangeInto(t tokens.ID, set int32, scratch []Posting) (res
 	if len(blob) == 0 {
 		return nil, scratch
 	}
-	if l, ok := ix.cache.get(int(t)); ok {
+	if l, ok := ix.cache.Get(int(t)); ok {
 		ix.cacheHits.Add(1)
 		return setRangeOf(l, set), scratch
 	}
@@ -208,7 +207,7 @@ func (ix *Inverted) Cursor(t tokens.ID) Cursor {
 	if len(blob) == 0 {
 		return Cursor{slice: ex}
 	}
-	if l, ok := ix.cache.get(int(t)); ok {
+	if l, ok := ix.cache.Get(int(t)); ok {
 		ix.cacheHits.Add(1)
 		return Cursor{slice: l}
 	}
@@ -219,7 +218,7 @@ func (ix *Inverted) Cursor(t tokens.ID) Cursor {
 		ix.decodeErrs.Add(1)
 		return Cursor{slice: ex}
 	}
-	if int64(n)*postingBytes <= ix.cache.budget/4 {
+	if int64(n)*postingBytes <= ix.cache.Budget()/4 {
 		return Cursor{slice: ix.materialize(int(t))}
 	}
 	pl := dataset.NewPostingList(blob, ix.encBase())
@@ -309,14 +308,11 @@ func (c *Cursor) Next() (Posting, bool) {
 // containers verbatim when the image's element-id space matches.
 
 // EncodedContainer returns token t's container blob when it is exact —
-// encoded, with no extras overlay and no materialized override — so the
-// snapshot writer can copy it without a decode/encode round-trip. The
-// second result is false when the caller must fall back to AppendPostings.
+// encoded, with no extras overlay — so the snapshot writer can copy it
+// without a decode/encode round-trip. The second result is false when the
+// caller must fall back to AppendPostings.
 func (ix *Inverted) EncodedContainer(t int) ([]byte, bool) {
 	if ix.cs == nil {
-		return nil, false
-	}
-	if t < len(ix.lists) && ix.lists[t] != nil {
 		return nil, false
 	}
 	if t < len(ix.extras) && len(ix.extras[t]) > 0 {
@@ -369,7 +365,8 @@ func (ix *Inverted) Storage() StorageStats {
 		CacheHits:      ix.cacheHits.Load(),
 		CacheMisses:    ix.cacheMisses.Load(),
 		DecodeErrors:   ix.decodeErrs.Load(),
-		Compressed:     ix.compress,
+		ResidentBytes:  ix.cache.Cost(),
+		Compressed:     ix.cs != nil,
 	}
 	for _, l := range ix.lists {
 		st.HeapBytes += int64(cap(l)) * postingBytes
@@ -377,126 +374,20 @@ func (ix *Inverted) Storage() StorageStats {
 	for _, l := range ix.extras {
 		st.HeapBytes += int64(cap(l)) * postingBytes
 	}
-	if ix.cache != nil {
-		st.ResidentBytes = ix.cache.bytes()
-	}
 	return st
 }
 
-// listCache is a mutex-guarded LRU of materialized posting lists keyed by
-// token id, bounded by an approximate byte budget. Concurrent readers of a
-// compressed index synchronize only here.
-type listCache struct {
-	mu      sync.Mutex
-	budget  int64
-	size    int64
-	entries map[int]*cacheEntry
-	// Doubly-linked LRU ring through sentinel root: root.next is
-	// most-recent, root.prev least-recent.
-	root cacheEntry
-}
-
-type cacheEntry struct {
-	t          int
-	list       []Posting
-	prev, next *cacheEntry
-}
-
-func newListCache(budget int64) *listCache {
+// newPostingCache returns the LRU of materialized posting lists keyed by
+// token id, bounded by an approximate byte budget; budget <= 0 selects
+// DefaultPostingCacheBytes. Concurrent readers of a compressed index
+// synchronize only there.
+func newPostingCache(budget int64) *lru.Cache[int, []Posting] {
 	if budget <= 0 {
 		budget = DefaultPostingCacheBytes
 	}
-	c := &listCache{budget: budget, entries: make(map[int]*cacheEntry)}
-	c.root.prev, c.root.next = &c.root, &c.root
-	return c
+	return lru.New[int](budget, entryCost)
 }
 
 // entryCost approximates an entry's heap footprint: postings plus fixed
 // bookkeeping overhead.
 func entryCost(list []Posting) int64 { return int64(cap(list))*postingBytes + 64 }
-
-func (c *listCache) get(t int) ([]Posting, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[t]
-	if !ok {
-		return nil, false
-	}
-	c.unlink(e)
-	c.pushFront(e)
-	return e.list, true
-}
-
-func (c *listCache) put(t int, list []Posting) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[t]; ok {
-		// Concurrent miss on the same token: keep the incumbent.
-		c.unlink(e)
-		c.pushFront(e)
-		return
-	}
-	e := &cacheEntry{t: t, list: list}
-	c.entries[t] = e
-	c.pushFront(e)
-	c.size += entryCost(list)
-	// Evict cold entries past the budget, but always retain the newest:
-	// an over-budget single list stays until something displaces it.
-	for c.size > c.budget && len(c.entries) > 1 {
-		old := c.root.prev
-		c.unlink(old)
-		delete(c.entries, old.t)
-		c.size -= entryCost(old.list)
-	}
-}
-
-func (c *listCache) remove(t int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[t]; ok {
-		c.unlink(e)
-		delete(c.entries, t)
-		c.size -= entryCost(e.list)
-	}
-}
-
-func (c *listCache) reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[int]*cacheEntry)
-	c.root.prev, c.root.next = &c.root, &c.root
-	c.size = 0
-}
-
-func (c *listCache) bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
-func (c *listCache) unlink(e *cacheEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-}
-
-func (c *listCache) pushFront(e *cacheEntry) {
-	e.prev = &c.root
-	e.next = c.root.next
-	e.prev.next = e
-	e.next.prev = e
-}

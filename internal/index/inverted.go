@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"silkmoth/internal/dataset"
+	"silkmoth/internal/lru"
 	"silkmoth/internal/tokens"
 )
 
@@ -50,10 +51,10 @@ type Inverted struct {
 	// every constructor, AppendSets and Rebuild.
 	dir Directory
 
-	// Compressed-form state; cs == nil means pure heap form.
+	// Compressed-form state; cs == nil means pure heap form, and a
+	// compressed index holds no heap lists.
 	cs       *dataset.ContainerStore
 	csShared bool // cs may alias borrowed (mmap) memory
-	compress bool // Rebuild re-encodes instead of going to heap lists
 	// encSets is how many sets the containers in cs were encoded with:
 	// their element-base table is the directory's, up to that set.
 	encSets int
@@ -61,7 +62,7 @@ type Inverted struct {
 	// indexed by token id. Appended sets carry larger ids than anything
 	// in cs, so container postings followed by extras stay sorted.
 	extras [][]Posting
-	cache  *listCache
+	cache  *lru.Cache[int, []Posting]
 
 	cacheHits, cacheMisses, decodeErrs atomic.Int64
 }
@@ -211,10 +212,14 @@ func (ix *Inverted) AppendSets(from int) {
 		for len(ix.extras) < c.Dict.Size() {
 			ix.extras = append(ix.extras, nil)
 		}
+		// Appended postings go to the extras overlay, dropping any cached
+		// decode of their token so the next probe re-materializes container
+		// and overlay together.
 		for i := from; i < len(c.Sets); i++ {
 			for j := range c.Sets[i].Elements {
 				for _, t := range c.Sets[i].Elements[j].Tokens {
-					ix.addCompressed(t, Posting{Set: int32(i), Elem: int32(j)})
+					ix.extras[t] = append(ix.extras[t], Posting{Set: int32(i), Elem: int32(j)})
+					ix.cache.Remove(int(t))
 				}
 			}
 		}
@@ -232,19 +237,6 @@ func (ix *Inverted) AppendSets(from int) {
 	}
 }
 
-// addCompressed routes one appended posting in the compressed form: tokens
-// with a materialized heap list extend it directly; everything else goes to
-// the extras overlay, invalidating any cached decode of that token so the
-// next probe re-materializes container + overlay together.
-func (ix *Inverted) addCompressed(t tokens.ID, p Posting) {
-	if int(t) < len(ix.lists) && ix.lists[t] != nil {
-		ix.lists[t] = append(ix.lists[t], p)
-		return
-	}
-	ix.extras[t] = append(ix.extras[t], p)
-	ix.cache.remove(int(t))
-}
-
 // Rebuild recomputes every posting list and the element directory from the
 // collection's current contents in place, keeping the Inverted pointer stable for engines that
 // hold it. Sets whose Elements were cleared (tombstoned and compacted)
@@ -255,7 +247,7 @@ func (ix *Inverted) addCompressed(t tokens.ID, p Posting) {
 func (ix *Inverted) Rebuild() {
 	ix.dir = buildDirectory(ix.coll)
 	lists := buildLists(ix.coll, 1)
-	if ix.compress {
+	if ix.cs != nil {
 		ix.adoptCompressed(lists)
 		return
 	}
@@ -287,9 +279,6 @@ func (ix *Inverted) TotalPostings() int {
 	}
 	if ix.cs != nil {
 		for t := 0; t < ix.cs.NumTokens(); t++ {
-			if t < len(ix.lists) && ix.lists[t] != nil {
-				continue // materialized: already counted
-			}
 			if c, ok := dataset.ContainerLen(ix.cs.Blob(t)); ok {
 				n += c
 			}

@@ -88,7 +88,7 @@ func (sc *Scratch) Score(nR, nS int, wts Weights) float64 {
 //
 //silkmoth:hotpath
 func (sc *Scratch) fill(nR int, rows []int32, nC int, remap []int32, wts Weights) {
-	sc.w = growFloats(sc.w, nR*nC)
+	sc.w = grow(sc.w, nR*nC)
 	for k := 0; k < nR; k++ {
 		i := k
 		if rows != nil {
@@ -120,13 +120,13 @@ func (sc *Scratch) ScoreReduced(keyR, keyS []int32, wts Weights) float64 {
 	// same score, but keeping the order bit-stable keeps refactors
 	// trivially diffable.
 	tbl := tableSize(nS)
-	sc.tblKey = growInt32(sc.tblKey, tbl)
-	sc.tblHead = growInt32(sc.tblHead, tbl)
+	sc.tblKey = grow(sc.tblKey, tbl)
+	sc.tblHead = grow(sc.tblHead, tbl)
 	for i := 0; i < tbl; i++ {
 		sc.tblKey[i] = -1
 	}
-	sc.chain = growInt32(sc.chain, nS)
-	sc.usedS = growBools(sc.usedS, nS)
+	sc.chain = grow(sc.chain, nS)
+	sc.usedS = grow(sc.usedS, nS)
 	mask := int32(tbl - 1)
 	for j := 0; j < nS; j++ {
 		sc.usedS[j] = false
@@ -160,7 +160,7 @@ func (sc *Scratch) ScoreReduced(keyR, keyS []int32, wts Weights) float64 {
 		}
 		sc.leftRest = append(sc.leftRest, int32(i))
 	}
-	sc.remap = growInt32(sc.remap, nS)
+	sc.remap = grow(sc.remap, nS)
 	rr := 0
 	for j := 0; j < nS; j++ {
 		if sc.usedS[j] {
@@ -227,12 +227,12 @@ func (sc *Scratch) solve(nR, nS int) float64 {
 	}
 
 	const inf = math.MaxFloat64
-	sc.u = growFloats(sc.u, rows+1)
-	sc.v = growFloats(sc.v, cols+1)
-	sc.minv = growFloats(sc.minv, cols+1)
-	sc.p = growInt32(sc.p, cols+1)
-	sc.way = growInt32(sc.way, cols+1)
-	sc.used = growBools(sc.used, cols+1)
+	sc.u = grow(sc.u, rows+1)
+	sc.v = grow(sc.v, cols+1)
+	sc.minv = grow(sc.minv, cols+1)
+	sc.p = grow(sc.p, cols+1)
+	sc.way = grow(sc.way, cols+1)
+	sc.used = grow(sc.used, cols+1)
 	for i := 0; i <= rows; i++ {
 		sc.u[i] = 0
 	}
@@ -298,7 +298,7 @@ func (sc *Scratch) solve(nR, nS int) float64 {
 		}
 	}
 
-	sc.rowTo = growInt32(sc.rowTo, rows)
+	sc.rowTo = grow(sc.rowTo, rows)
 	for i := 0; i < rows; i++ {
 		sc.rowTo[i] = 0
 	}
@@ -315,23 +315,11 @@ func (sc *Scratch) solve(nR, nS int) float64 {
 	return score
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s with length n, reusing its capacity when that suffices;
+// the contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"silkmoth"
+	"silkmoth/internal/lru"
 )
 
 // TestCacheKeyHitAllocs pins that building a key into a reused buffer and
@@ -22,11 +23,11 @@ import (
 func TestCacheKeyHitAllocs(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	set := SetJSON{Elements: []string{"77 Mass Ave Boston MA", "5th St Seattle WA"}}
-	s.cache.put(s.appendKey(nil, "search", -1, "skyline", true, 0.5, set), []byte(`{"matches":[]}`))
+	s.cache.Put(string(s.appendKey(nil, "search", -1, "skyline", true, 0.5, set)), []byte(`{"matches":[]}`))
 	buf := make([]byte, 0, 256)
 	got := testing.AllocsPerRun(100, func() {
 		buf = s.appendKey(buf[:0], "search", -1, "skyline", true, 0.5, set)
-		if _, ok := s.cache.get(buf); !ok {
+		if _, ok := lru.GetBytes(s.cache, buf); !ok {
 			t.Fatal("key built twice misses")
 		}
 	})

@@ -393,7 +393,7 @@ func TestCacheEvictionMetric(t *testing.T) {
 	s, _ := newTestServer(t, Options{CacheSize: 1})
 	postJSON(t, s, "/v1/search", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`)
 	postJSON(t, s, "/v1/search", `{"set": {"elements": ["red bicycle"]}}`) // evicts the first
-	if got := s.cache.evictions(); got != 1 {
+	if got := s.cache.Evictions(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	w := get(t, s, "/metrics")
@@ -403,18 +403,27 @@ func TestCacheEvictionMetric(t *testing.T) {
 }
 
 // TestPoolFullRejection occupies the whole worker pool and checks a
-// request that never gets a slot is rejected and charged to pool_full.
+// request that never gets a slot is rejected and charged to pool_full, on
+// a search route and on both one-call routes.
 func TestPoolFullRejection(t *testing.T) {
-	s, _ := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: 20 * time.Millisecond})
-	s.sem <- struct{}{} // occupy the only slot
-	defer func() { <-s.sem }()
-	w := postJSON(t, s, "/v1/search", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`)
-	if w.Code != http.StatusGatewayTimeout {
-		t.Fatalf("code = %d, want 504", w.Code)
-	}
-	mw := get(t, s, "/metrics")
-	if !strings.Contains(mw.Body.String(), `silkmothd_rejections_total{cause="pool_full"} 1`) {
-		t.Errorf("pool_full rejection not counted:\n%s", mw.Body.String())
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/search", `{"set": {"elements": ["77 Mass Ave Boston MA"]}}`},
+		{"/v1/discover-against", `{"sets": [{"elements": ["77 Mass Ave Boston MA"]}]}`},
+		{"/v1/compare", `{"r": {"elements": ["77 Mass Ave Boston MA"]}, "s": {"elements": ["5th St Seattle WA"]}}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			s, _ := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: 20 * time.Millisecond})
+			s.sem <- struct{}{} // occupy the only slot
+			defer func() { <-s.sem }()
+			w := postJSON(t, s, tc.path, tc.body)
+			if w.Code != http.StatusGatewayTimeout {
+				t.Fatalf("code = %d, want 504", w.Code)
+			}
+			mw := get(t, s, "/metrics")
+			if !strings.Contains(mw.Body.String(), `silkmothd_rejections_total{cause="pool_full"} 1`) {
+				t.Errorf("pool_full rejection not counted:\n%s", mw.Body.String())
+			}
+		})
 	}
 }
 
@@ -422,8 +431,8 @@ func TestPoolFullRejection(t *testing.T) {
 // client cancellation.
 func TestRejectionCauses(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	s.writeCtxErr(httptest.NewRecorder(), context.DeadlineExceeded)
-	s.writeCtxErr(httptest.NewRecorder(), context.Canceled)
+	s.writeQueryErr(httptest.NewRecorder(), context.DeadlineExceeded)
+	s.writeQueryErr(httptest.NewRecorder(), context.Canceled)
 	w := get(t, s, "/metrics")
 	for _, want := range []string{
 		`silkmothd_rejections_total{cause="timeout"} 1`,

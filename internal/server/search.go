@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"silkmoth"
+	"silkmoth/internal/lru"
 )
 
 // queryParams are a search's options as every search route spells them:
@@ -270,8 +271,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "sets must be non-empty")
 		return
 	}
-	if max := s.opts.MaxBatchSize; max > 0 && len(req.Sets) > max {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch is limited to %d sets, got %d", max, len(req.Sets))
+	if len(req.Sets) > maxBatchSize {
+		writeError(w, http.StatusRequestEntityTooLarge, "batch is limited to %d sets, got %d", maxBatchSize, len(req.Sets))
 		return
 	}
 	if req.Schemes != nil && len(req.Schemes) != len(req.Sets) {
@@ -349,7 +350,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []sea
 		explained = explained || it.Explain
 		key := (*kb)[it.keyLo:it.keyHi]
 		if !it.Explain {
-			if body, ok := s.cache.get(key); ok {
+			if body, ok := lru.GetBytes(s.cache, key); ok {
 				s.met.cacheHit()
 				hits++
 				it.body = body
@@ -420,7 +421,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, items []sea
 			}
 			// An item that met a corrupt index is not an answer to keep.
 			if !it.Explain && res.Err == nil {
-				s.cache.put((*kb)[it.keyLo:it.keyHi], it.body)
+				lru.PutBytes(s.cache, (*kb)[it.keyLo:it.keyHi], it.body)
 			}
 		}
 		for i := range items {

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"silkmoth"
+	"silkmoth/internal/lru"
 	"silkmoth/internal/obs"
 )
 
@@ -54,16 +55,6 @@ type Options struct {
 	CacheSize int
 	// MaxBodyBytes bounds request body size. 0 means 64 MiB.
 	MaxBodyBytes int64
-	// MaxCompareElements bounds the per-set element count accepted by
-	// /v1/compare. Unlike search passes — which hit cancellation checks
-	// between candidates — one compare is a single O(n³) matching the
-	// context cannot interrupt, so its size must be bounded up front.
-	// 0 means 512; negative disables the bound.
-	MaxCompareElements int
-	// MaxBatchSize bounds the set count accepted by /v1/search/batch; a
-	// larger batch is rejected with 413 before any work starts. 0 means
-	// 256; negative disables the bound.
-	MaxBatchSize int
 	// DisableExplain turns off execution introspection: /v1/explain
 	// answers 404 and explain request fields are rejected with 400.
 	// Explained responses bypass the result cache (their wall-time field
@@ -108,23 +99,32 @@ func (o Options) normalize() Options {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 64 << 20
 	}
-	if o.MaxCompareElements == 0 {
-		o.MaxCompareElements = 512
-	}
-	if o.MaxBatchSize == 0 {
-		o.MaxBatchSize = 256
-	}
 	return o
 }
+
+const (
+	// maxCompareElements bounds each set /v1/compare accepts. Unlike search
+	// passes — which hit cancellation checks between candidates — one
+	// compare is a single O(n³) matching the context cannot interrupt, so
+	// its size must be bounded up front.
+	maxCompareElements = 512
+	// maxBatchSize bounds the sets /v1/search/batch accepts; a larger batch
+	// is rejected with 413 before any work starts.
+	maxBatchSize = 256
+)
 
 // Server is the HTTP serving layer over one engine. Create with New and
 // mount anywhere an http.Handler goes.
 type Server struct {
-	eng   *silkmoth.Engine
-	cfg   silkmoth.Config
-	opts  Options
-	sem   chan struct{}
-	cache *resultCache
+	eng  *silkmoth.Engine
+	cfg  silkmoth.Config
+	opts Options
+	sem  chan struct{}
+	// cache holds encoded answers, one entry per query, budgeted in entries
+	// and nil when caching is off. Keys encode the query's full identity
+	// (appendKey), so one cache serves every route; every mutation empties
+	// it, since any changed collection can change any result.
+	cache *lru.Cache[string, []byte]
 	met   *metrics
 	log   *obs.Logger
 	mux   *http.ServeMux
@@ -148,12 +148,14 @@ type Server struct {
 func New(eng *silkmoth.Engine, cfg silkmoth.Config, opts Options) *Server {
 	opts = opts.normalize()
 	s := &Server{
-		eng:   eng,
-		cfg:   cfg,
-		opts:  opts,
-		sem:   make(chan struct{}, opts.MaxInFlight),
-		cache: newResultCache(opts.CacheSize),
-		met:   newMetrics(),
+		eng:  eng,
+		cfg:  cfg,
+		opts: opts,
+		sem:  make(chan struct{}, opts.MaxInFlight),
+		met:  newMetrics(),
+	}
+	if opts.CacheSize > 0 {
+		s.cache = lru.New[string](int64(opts.CacheSize), func([]byte) int64 { return 1 })
 	}
 	if opts.LogWriter != nil {
 		s.log = obs.NewLogger(opts.LogWriter)
@@ -405,8 +407,7 @@ func (s *Server) acquire(ctx context.Context, w http.ResponseWriter) bool {
 		s.met.addInflight(1)
 		return true
 	case <-ctx.Done():
-		s.met.reject(causePoolFull)
-		s.writeHTTPCtxErr(w, ctx.Err())
+		s.writeCtxErr(w, causePoolFull, ctx.Err())
 		return false
 	}
 }
@@ -416,33 +417,34 @@ func (s *Server) release() {
 	<-s.sem
 }
 
+// badInput marks a call's error as its request's fault: a 400.
+type badInput struct{ error }
+
 // writeQueryErr reports a query the engine did not answer. A posting
 // container that failed to decode is the server's fault — its index is
-// corrupt and the honest answer is none — so it is a 500; every other
-// error a query returns is its context's.
+// corrupt and the honest answer is none — so it is a 500; a badInput is a
+// 400; every other error a query returns is its context's, charged to
+// whichever of the deadline and the client ended it.
 func (s *Server) writeQueryErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, silkmoth.ErrPostingDecode) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.writeCtxErr(w, err)
-}
-
-// writeCtxErr reports a query the engine abandoned mid-flight, splitting
-// the rejection counter by whether the deadline fired or the client hung
-// up.
-func (s *Server) writeCtxErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.met.reject(causeTimeout)
-	} else {
-		s.met.reject(causeCancelled)
+	if errors.As(err, new(badInput)) {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	s.writeHTTPCtxErr(w, err)
+	cause := causeCancelled
+	if errors.Is(err, context.DeadlineExceeded) {
+		cause = causeTimeout
+	}
+	s.writeCtxErr(w, cause, err)
 }
 
-// writeHTTPCtxErr maps a context error to its response without touching
-// rejection counters (callers attribute the cause).
-func (s *Server) writeHTTPCtxErr(w http.ResponseWriter, err error) {
+// writeCtxErr reports a request its context ended, charging the rejection
+// to cause: 504 once the deadline has fired, 503 when the client went away.
+func (s *Server) writeCtxErr(w http.ResponseWriter, cause string, err error) {
+	s.met.reject(cause)
 	if errors.Is(err, context.DeadlineExceeded) {
 		writeError(w, http.StatusGatewayTimeout, "request timed out")
 		return
@@ -512,27 +514,35 @@ func (s *Server) appendKey(b []byte, kind string, k int, scheme string, reportsS
 	return b
 }
 
-// serveCached writes the cached body for key if present, marking the cache
-// header, and reports whether it did.
-func (s *Server) serveCached(w http.ResponseWriter, key []byte) bool {
-	if body, ok := s.cache.get(key); ok {
+// serveCall answers a one-call route, /v1/discover-against or /v1/compare,
+// whose answer is cached under key: a hit is written as stored; a miss takes
+// the request's deadline and a worker slot, runs the call, and encodes,
+// stores and writes its answer.
+func (s *Server) serveCall(w http.ResponseWriter, r *http.Request, key []byte, run func(context.Context) (any, error)) {
+	if body, ok := lru.GetBytes(s.cache, key); ok {
 		s.met.cacheHit()
 		w.Header().Set("X-Silkmoth-Cache", "hit")
 		writeJSONBytes(w, http.StatusOK, body)
-		return true
+		return
 	}
 	s.met.cacheMiss()
-	return false
-}
-
-// finish marshals v, stores it under key, and writes it.
-func (s *Server) finish(w http.ResponseWriter, key []byte, v any) {
+	ctx, cancel := s.queryCtx(r)
+	defer cancel()
+	if !s.acquire(ctx, w) {
+		return
+	}
+	defer s.release()
+	v, err := run(ctx)
+	if err != nil {
+		s.writeQueryErr(w, err)
+		return
+	}
 	body, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal: encoding response")
 		return
 	}
-	s.cache.put(key, body)
+	lru.PutBytes(s.cache, key, body)
 	w.Header().Set("X-Silkmoth-Cache", "miss")
 	writeJSONBytes(w, http.StatusOK, body)
 }
@@ -569,37 +579,26 @@ func (s *Server) handleDiscoverAgainst(w http.ResponseWriter, r *http.Request) {
 		*kb = append(*kb, ':')
 		*kb = append(*kb, set.Name...)
 	}
-	key := *kb
-	if s.serveCached(w, key) {
-		return
-	}
-
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if !s.acquire(ctx, w) {
-		return
-	}
-	defer s.release()
-
-	refs := make([]silkmoth.Set, len(req.Sets))
-	for i, set := range req.Sets {
-		refs[i] = set.toSet()
-	}
-	var ex silkmoth.Explain
-	var opts []silkmoth.QueryOption
-	capture := s.captureSlow()
-	if capture {
-		opts = append(opts, silkmoth.WithExplain(&ex))
-	}
-	ps, err := s.eng.DiscoverAgainstContext(ctx, refs, opts...)
-	if err != nil {
-		s.writeQueryErr(w, err)
-		return
-	}
-	if capture {
-		s.logSlow(r, "/v1/discover-against", &ex, -1)
-	}
-	s.finish(w, key, discoverResponse{Pairs: pairsJSON(ps)})
+	s.serveCall(w, r, *kb, func(ctx context.Context) (any, error) {
+		refs := make([]silkmoth.Set, len(req.Sets))
+		for i, set := range req.Sets {
+			refs[i] = set.toSet()
+		}
+		var ex silkmoth.Explain
+		var opts []silkmoth.QueryOption
+		capture := s.captureSlow()
+		if capture {
+			opts = append(opts, silkmoth.WithExplain(&ex))
+		}
+		ps, err := s.eng.DiscoverAgainstContext(ctx, refs, opts...)
+		if err != nil {
+			return nil, err
+		}
+		if capture {
+			s.logSlow(r, "/v1/discover-against", &ex, -1)
+		}
+		return discoverResponse{Pairs: pairsJSON(ps)}, nil
+	})
 }
 
 type compareRequest struct {
@@ -621,37 +620,26 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "r.elements and s.elements must be non-empty")
 		return
 	}
-	if max := s.opts.MaxCompareElements; max > 0 &&
-		(len(req.R.Elements) > max || len(req.S.Elements) > max) {
-		writeError(w, http.StatusBadRequest, "compare sets are limited to %d elements each", max)
+	if len(req.R.Elements) > maxCompareElements || len(req.S.Elements) > maxCompareElements {
+		writeError(w, http.StatusBadRequest, "compare sets are limited to %d elements each", maxCompareElements)
 		return
 	}
 
 	kb := getBuf()
 	defer putBuf(kb)
 	*kb = s.appendKey(*kb, "compare", 0, "", false, 0, req.R, req.S)
-	key := *kb
-	if s.serveCached(w, key) {
-		return
-	}
-
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if !s.acquire(ctx, w) {
-		return
-	}
-	defer s.release()
-	if err := ctx.Err(); err != nil {
-		s.writeCtxErr(w, err)
-		return
-	}
-
-	rel, err := silkmoth.Compare(req.R.toSet(), req.S.toSet(), s.cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.finish(w, key, compareResponse{Relatedness: rel})
+	s.serveCall(w, r, *kb, func(ctx context.Context) (any, error) {
+		// One matching cannot be interrupted: a request whose context ended
+		// while it waited for a slot does not start one.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rel, err := silkmoth.Compare(req.R.toSet(), req.S.toSet(), s.cfg)
+		if err != nil {
+			return nil, badInput{err}
+		}
+		return compareResponse{Relatedness: rel}, nil
+	})
 }
 
 type addSetsRequest struct {
@@ -686,19 +674,15 @@ func (s *Server) handleAddSets(w http.ResponseWriter, r *http.Request) {
 		add[i] = set.toSet()
 	}
 	s.mutMu.Lock()
-	if err := s.eng.Add(add); err != nil {
-		s.mutMu.Unlock()
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	defer s.mutMu.Unlock()
+	if !s.applyMutation(w, false, 0, 0, func() error { return s.eng.Add(add) }) {
 		return
 	}
-	s.bumpGeneration()
-	resp := addSetsResponse{
+	writeJSON(w, http.StatusOK, addSetsResponse{
 		Added:      len(add),
 		Total:      s.eng.Len(),
 		Generation: atomic.LoadInt64(&s.gen),
-	}
-	s.mutMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 type snapshotResponse struct {
@@ -735,7 +719,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // invalidates the keys, the purge frees the memory. Callers hold mutMu.
 func (s *Server) bumpGeneration() {
 	atomic.AddInt64(&s.gen, 1)
-	s.cache.purge()
+	s.cache.Reset()
 }
 
 // pathID parses the {id} segment of a /v1/sets/{id} request. On failure it
@@ -771,8 +755,8 @@ func ifGeneration(w http.ResponseWriter, r *http.Request) (int64, bool, bool) {
 // the current generation (mismatch → 409), apply is invoked, ErrNotFound
 // maps to 404, and success bumps the generation and purges the cache. It
 // reports whether the mutation applied; on false the response has been
-// written. DELETE and PUT share it so their concurrency semantics cannot
-// drift apart.
+// written. Every mutation route shares it so their concurrency semantics
+// cannot drift apart (an add is never conditional and names no id).
 func (s *Server) applyMutation(w http.ResponseWriter, conditional bool, ifGen int64, id int, apply func() error) bool {
 	if conditional && ifGen != atomic.LoadInt64(&s.gen) {
 		writeError(w, http.StatusConflict, "generation is %d, not %d: collection changed since it was read",

@@ -287,15 +287,47 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestCompareSizeBound(t *testing.T) {
-	s, _ := newTestServer(t, Options{MaxCompareElements: 2})
-	body := `{"r": {"elements": ["a", "b", "c"]}, "s": {"elements": ["a"]}}`
-	w := postJSON(t, s, "/v1/compare", body)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("oversized compare code = %d, want 400 (body %s)", w.Code, w.Body)
+// TestCompareErrorIs400: an error Compare returns is the request's, not
+// its context's, so it answers 400 and charges no rejection.
+func TestCompareErrorIs400(t *testing.T) {
+	cfg := testConfig()
+	eng, err := silkmoth.NewEngine(testSets(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(decode[errorResponse](t, w).Error, "limited to 2") {
-		t.Fatalf("error should name the bound: %s", w.Body)
+	cfg.Delta = 2 // Compare validates the configuration it is handed
+	s := New(eng, cfg, Options{})
+	w := postJSON(t, s, "/v1/compare", `{"r": {"elements": ["a"]}, "s": {"elements": ["a"]}}`)
+	if w.Code != http.StatusBadRequest || !strings.Contains(decode[errorResponse](t, w).Error, "Delta") {
+		t.Fatalf("code = %d (body %s), want 400 naming Delta", w.Code, w.Body)
+	}
+	if m := get(t, s, "/metrics").Body.String(); strings.Contains(m, `silkmothd_rejections_total{cause="cancelled"} 1`) {
+		t.Errorf("a compare error was charged as a cancellation:\n%s", m)
+	}
+}
+
+// setOfN is the JSON of a set of n distinct one-word elements.
+func setOfN(n int) string {
+	els := make([]string, n)
+	for i := range els {
+		els[i] = fmt.Sprintf(`"e%d"`, i)
+	}
+	return `{"elements": [` + strings.Join(els, ", ") + `]}`
+}
+
+func TestCompareSizeBound(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	for _, body := range []string{
+		`{"r": ` + setOfN(513) + `, "s": {"elements": ["a"]}}`,
+		`{"r": {"elements": ["a"]}, "s": ` + setOfN(513) + `}`,
+	} {
+		w := postJSON(t, s, "/v1/compare", body)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("oversized compare code = %d, want 400 (body %s)", w.Code, w.Body)
+		}
+		if !strings.Contains(decode[errorResponse](t, w).Error, "limited to 512") {
+			t.Fatalf("error should name the bound: %s", w.Body)
+		}
 	}
 }
 
@@ -606,7 +638,11 @@ func TestSearchBatchPerItemErrors(t *testing.T) {
 }
 
 func TestSearchBatchRejects(t *testing.T) {
-	s, _ := newTestServer(t, Options{MaxBatchSize: 2})
+	s, _ := newTestServer(t, Options{})
+	oversized := make([]string, 257)
+	for i := range oversized {
+		oversized[i] = setOfN(1)
+	}
 	cases := []struct {
 		name, body string
 		code       int
@@ -614,8 +650,7 @@ func TestSearchBatchRejects(t *testing.T) {
 		{"empty batch", `{"sets": []}`, http.StatusBadRequest},
 		{"bad json", `{"sets": [`, http.StatusBadRequest},
 		{"negative k", `{"sets": [{"elements": ["x"]}], "k": -1}`, http.StatusBadRequest},
-		{"oversized", `{"sets": [{"elements": ["a"]}, {"elements": ["b"]}, {"elements": ["c"]}]}`,
-			http.StatusRequestEntityTooLarge},
+		{"oversized", `{"sets": [` + strings.Join(oversized, ", ") + `]}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -84,7 +84,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Compactions:  st.Compactions,
 			Scheme:       st.SchemeCounts,
 		},
-		Cache:      cacheStats{Entries: s.cache.len(), Hits: s.met.hits(), Misses: s.met.misses()},
+		Cache:      cacheStats{Entries: s.cache.Len(), Hits: s.met.hits(), Misses: s.met.misses()},
 		Storage:    st.PostingStorage,
 		Durability: durabilityStats{Enabled: s.cfg.DataDir != "", Durability: st.Durability},
 	})
@@ -136,8 +136,8 @@ func (s *Server) families(st *silkmoth.Stats) []obs.Family {
 			"scheme", []string{"weighted", "skyline", "dichotomy", "combunweighted"},
 			st.SchemeWeighted, st.SchemeSkyline, st.SchemeDichotomy, st.SchemeCombUnweighted),
 
-		obs.Gauge("silkmothd_result_cache_entries", "Entries in the result cache.", s.cache.len()),
-		obs.Counter("silkmothd_result_cache_evictions_total", "Cache entries evicted by capacity pressure (purges excluded).", s.cache.evictions()),
+		obs.Gauge("silkmothd_result_cache_entries", "Entries in the result cache.", s.cache.Len()),
+		obs.Counter("silkmothd_result_cache_evictions_total", "Cache entries evicted by capacity pressure (purges excluded).", s.cache.Evictions()),
 		stages,
 		obs.Counter("silkmothd_search_split_passes_total", "Search passes whose first set-id chunk ran long enough to start helpers.", st.SplitPasses),
 		obs.Counter("silkmothd_search_helper_chunks_total", "Set-id chunks of split search passes that helpers ran.", st.HelperChunks),

@@ -121,6 +121,31 @@ func TestEditSimilarityEngine(t *testing.T) {
 	}
 }
 
+// TestEditSimilarityDeltaOne: at δ = 1 the gram-length bound δ/(1-δ) is
+// infinite, and engines under both edit similarities still build and
+// answer, as does an Eds Compare handed a zero Delta (which it runs at 1).
+func TestEditSimilarityDeltaOne(t *testing.T) {
+	sets := []Set{
+		{Name: "t1", Elements: []string{"Database", "Systems"}},
+		{Name: "t2", Elements: []string{"Database", "Systems"}},
+		{Name: "t3", Elements: []string{"Databose", "Systens"}},
+	}
+	for _, sim := range []Similarity{Eds, NEds} {
+		eng, err := NewEngine(sets, Config{Similarity: sim, Delta: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", sim, err)
+		}
+		pairs := mustDiscover(t, eng)
+		if len(pairs) != 1 || pairs[0].RName != "t1" || pairs[0].SName != "t2" {
+			t.Errorf("%v at δ = 1: pairs = %+v, want only the identical t1, t2", sim, pairs)
+		}
+	}
+	rel, err := Compare(sets[0], sets[1], Config{Similarity: Eds})
+	if err != nil || rel != 1 {
+		t.Fatalf("Compare of identical sets = %v, %v; want 1", rel, err)
+	}
+}
+
 func TestDiscoverAgainst(t *testing.T) {
 	location, address := table1Sets()
 	eng, err := NewEngine([]Set{address}, Config{
