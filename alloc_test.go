@@ -137,3 +137,43 @@ func TestQueryAllocationBudgets(t *testing.T) {
 		})
 	}
 }
+
+// Compare allocation budgets for one 50×60 pair. Compare tokenizes both
+// sets into one fresh dictionary and scores them with one matching — no
+// engine, index or element directory — so what it allocates is the two
+// sets' tokenization — most of it the strings a fresh dictionary interns,
+// one per distinct token and one key per distinct element — plus one
+// matching's scratch, a constant for a fixed pair: 226 measured under
+// Jaccard, 112 under Eds, where building the engine cost 303 and 156.
+// The budgets are the measured cost plus headroom for runtime noise, and
+// below the engine's.
+const (
+	compareJaccardAllocBudget = 240
+	compareEdsAllocBudget     = 120
+)
+
+// TestCompareAllocGate pins what one Compare allocates, under a word and
+// an edit similarity, so that building an engine per call (its dictionary,
+// inverted index and element directory over s) cannot come back unseen.
+func TestCompareAllocGate(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
+	}
+	sets := allocCorpus(40)
+	var r, s Set
+	for _, x := range sets {
+		r.Elements = append(r.Elements, x.Elements...)
+	}
+	r.Elements, s.Elements = r.Elements[:50], r.Elements[50:110]
+	for _, tc := range []struct {
+		sim    Similarity
+		budget float64
+	}{{Jaccard, compareJaccardAllocBudget}, {Eds, compareEdsAllocBudget}} {
+		cfg := Config{Similarity: tc.sim, Delta: 0.5}
+		measureAllocs(t, fmt.Sprintf("Compare/%v", tc.sim), tc.budget, func() {
+			if _, err := Compare(r, s, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -1,10 +1,11 @@
 // Benchmarks for the mutable-collection lifecycle: what a Delete costs by
-// itself (tombstone + dictionary release), what a compaction pass costs
-// (index rebuild + reclamation), and what queries pay for carrying
-// tombstones versus running over a compacted index. Together they are the
-// tuning data for Config.CompactionThreshold: deletes are cheap and O(set),
-// compaction is O(corpus) but makes search stop paying the dead-posting
-// tax. cmd/silkbench's core.delete_ns / core.compact_s track the same costs.
+// itself (a tombstone), what a compaction pass costs (index rebuild, then
+// marking the ids the live sets use and reclaiming the rest of the
+// dictionary), and what queries pay for carrying tombstones versus running
+// over a compacted index. Together they are the tuning data for
+// Config.CompactionThreshold: deletes are cheap and O(1), compaction is
+// O(corpus) but makes search stop paying the dead-posting tax.
+// cmd/silkbench's core.delete_ns / core.compact_s track the same costs.
 package silkmoth_test
 
 import (
@@ -46,8 +47,8 @@ func mutateBenchEngine(b *testing.B, sets []silkmoth.Set) *silkmoth.Engine {
 	return eng
 }
 
-// BenchmarkDelete measures one tombstoning delete: the bitmap mark plus
-// the dictionary reference release, no index work.
+// BenchmarkDelete measures one tombstoning delete: the bitmap mark, no
+// index or dictionary work.
 func BenchmarkDelete(b *testing.B) {
 	sets := mutateBenchCorpus()
 	b.ReportAllocs()
@@ -85,8 +86,8 @@ func BenchmarkUpdate(b *testing.B) {
 }
 
 // BenchmarkCompact measures one full compaction pass over a corpus with a
-// quarter of its sets tombstoned: the posting rebuild plus dictionary
-// reclamation.
+// quarter of its sets tombstoned: the posting rebuild plus the mark of the
+// live sets' ids and the dictionary reclamation.
 func BenchmarkCompact(b *testing.B) {
 	sets := mutateBenchCorpus()
 	b.ReportAllocs()

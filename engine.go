@@ -80,11 +80,6 @@ func newHeapEngine(sets []Set, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildHeapEngine(sets, cfg, opts)
-}
-
-// buildHeapEngine is newHeapEngine over options already lowered from cfg.
-func buildHeapEngine(sets []Set, cfg Config, opts core.Options) (*Engine, error) {
 	mode := opts.Sim.TokenMode()
 	if mode == dataset.ModeQGram && opts.Q == 0 {
 		opts.Q = core.DefaultQ(opts.Delta, opts.Alpha)

@@ -3,6 +3,7 @@ package silkmoth
 import (
 	"io"
 
+	"silkmoth/internal/core"
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/wal"
 )
@@ -88,37 +89,10 @@ func Compare(r, s Set, cfg Config) (float64, error) {
 	if cfg.Delta == 0 {
 		cfg.Delta = 1 // Delta is irrelevant here but must validate
 	}
-	cfg.Shards = 1 // one pairwise matching has nothing to split
 	co, err := cfg.coreOptions()
 	if err != nil {
 		return 0, err
 	}
-	// A heap engine, whatever cfg.DataDir names (a durable server passes its
-	// own): the throwaway one-set engine neither recovers that collection in
-	// place of s nor writes there, and holds nothing to close.
-	eng, err := buildHeapEngine([]Set{s}, cfg, co)
-	if err != nil {
-		return 0, err
-	}
-	if len(r.Elements) > len(s.Elements) && cfg.Metric == SetContainment {
-		return 0, nil
-	}
-	score, nR, nS := eng.matchScore(r)
-	if nR == 0 {
-		return 0, nil
-	}
-	if cfg.Metric == SetContainment {
-		return score / float64(nR), nil
-	}
-	return score / (float64(nR+nS) - score), nil
-}
-
-// matchScore computes |r ∩̃ S0| between a query set and the engine's only
-// collection set, returning the score and both sizes.
-func (e *Engine) matchScore(r Set) (score float64, nR, nS int) {
-	scratch, qc := e.tokenizeQuery(toRaw([]Set{r}))
-	defer queryScratchPool.Put(scratch)
-	rs := &qc.Sets[0]
-	ss := &e.coll.Sets[0]
-	return e.eng.MatchScore(rs, ss), len(rs.Elements), len(ss.Elements)
+	raws := toRaw([]Set{r, s})
+	return core.Compare(raws[0], raws[1], co)
 }

@@ -96,9 +96,6 @@ type Engine struct {
 	numDead     int   // all dead sets (slots never resurrect)
 	tombstoned  int   // dead sets whose postings are still indexed
 	compactions int64 // compaction passes run
-	// refs stages a set's dictionary references for retainSets and
-	// releaseSet, which run under the callers' mutation serialization.
-	refs setRefs
 }
 
 // NewEngine validates opts, checks that the collection's tokenization
@@ -154,7 +151,6 @@ func newEngine(coll *dataset.Collection, opts Options) (*Engine, error) {
 	e := &Engine{opts: o, coll: coll}
 	e.phi = phiFunc(o)
 	e.fromOverlap = overlapFunc(o.Sim)
-	e.retainSets(0)
 	return e, nil
 }
 

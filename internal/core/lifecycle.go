@@ -2,9 +2,6 @@ package core
 
 import (
 	"errors"
-
-	"silkmoth/internal/dataset"
-	"silkmoth/internal/tokens"
 )
 
 // ErrNotFound reports a Delete or Update aimed at a set index that is out
@@ -42,12 +39,11 @@ func (e *Engine) Tombstones() int { return e.tombstoned }
 func (e *Engine) Compactions() int64 { return e.compactions }
 
 // AppendSets extends the engine's inverted index over sets appended to its
-// collection since index build (dataset.Append), retaining their dictionary
-// tokens and growing the tombstone bitmap. Not safe concurrently with
-// queries: callers must serialize appends against searches.
+// collection since index build (dataset.Append) and grows the tombstone
+// bitmap. Not safe concurrently with queries: callers must serialize
+// appends against searches.
 func (e *Engine) AppendSets(from int) {
 	e.ix.AppendSets(from)
-	e.retainSets(from)
 	if e.dead != nil { // stays nil (all-alive fast path) until first Delete
 		e.growDead()
 	}
@@ -55,10 +51,10 @@ func (e *Engine) AppendSets(from int) {
 
 // Delete tombstones collection set i: the slot keeps its index (stable
 // ids), but the set disappears from every query — candidate generation,
-// the full-scan fallback, and self-join discovery all skip it — and its
-// dictionary tokens are released so compaction can shrink the vocabulary.
-// Postings and element storage are reclaimed lazily by Compact, which
-// Delete triggers itself once the tombstone ratio reaches the engine's
+// the full-scan fallback, and self-join discovery all skip it. Delete
+// only marks the slot: postings, element storage and the dictionary ids
+// no live set uses are reclaimed lazily by Compact, which Delete triggers
+// itself once the tombstone ratio reaches the engine's
 // CompactionThreshold. Not safe concurrently with queries: callers must
 // serialize mutations, as with AppendSets.
 func (e *Engine) Delete(i int) error {
@@ -69,7 +65,6 @@ func (e *Engine) Delete(i int) error {
 	e.dead[i] = true
 	e.numDead++
 	e.tombstoned++
-	e.releaseSet(i)
 	e.maybeCompact()
 	return nil
 }
@@ -90,10 +85,10 @@ func (e *Engine) maybeCompact() {
 // Compact reclaims everything the engine's tombstones still hold: dead
 // sets' element storage is dropped, the inverted index is rebuilt over the
 // live sets (so stale postings disappear and signature selection costs
-// tighten back up), and dictionary slots no live set references are freed
-// for reuse. Set indices are unchanged — dead slots stay dead — so results
-// before and after compaction are identical. Not safe concurrently with
-// queries.
+// tighten back up), and the dictionary ids no live set uses — found by
+// marking the ids of the sets that remain — are freed for reuse. Set
+// indices are unchanged — dead slots stay dead — so results before and
+// after compaction are identical. Not safe concurrently with queries.
 func (e *Engine) Compact() {
 	if e.tombstoned == 0 {
 		return
@@ -104,46 +99,9 @@ func (e *Engine) Compact() {
 		}
 	}
 	e.ix.Rebuild()
-	e.coll.Dict.Reclaim()
-	e.coll.Dict.Keys().Reclaim()
+	toks, keys := e.coll.Used(nil) // dead sets were dropped above
+	e.coll.Dict.Reclaim(toks)
+	e.coll.Dict.Keys().Reclaim(keys)
 	e.tombstoned = 0
 	e.compactions++
-}
-
-// setRefs stages one set's dictionary references — every token and chunk
-// occurrence, every element key — in slices reused from set to set, so
-// that retaining or releasing a set takes the dictionary's lock twice
-// rather than twice per element.
-type setRefs struct{ toks, keys []tokens.ID }
-
-func (r *setRefs) stage(s *dataset.Set) {
-	r.toks, r.keys = r.toks[:0], r.keys[:0]
-	for j := range s.Elements {
-		el := &s.Elements[j]
-		r.toks = append(r.toks, el.Tokens...)
-		if el.Key != dataset.NoKey {
-			r.keys = append(r.keys, el.Key)
-		}
-	}
-	r.toks = append(r.toks, s.ChunkIDs()...)
-}
-
-// retainSets bumps dictionary refcounts for every token and chunk
-// occurrence and every element key of e.coll.Sets[from:], the exact
-// references releaseSet drops on delete.
-func (e *Engine) retainSets(from int) {
-	d := e.coll.Dict
-	for i := from; i < len(e.coll.Sets); i++ {
-		e.refs.stage(&e.coll.Sets[i])
-		d.Retain(e.refs.toks)
-		d.Keys().Retain(e.refs.keys)
-	}
-}
-
-// releaseSet drops the dictionary references retainSets took for set i.
-func (e *Engine) releaseSet(i int) {
-	d := e.coll.Dict
-	e.refs.stage(&e.coll.Sets[i])
-	d.Release(e.refs.toks)
-	d.Keys().Release(e.refs.keys)
 }

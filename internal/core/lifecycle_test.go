@@ -46,10 +46,9 @@ func TestDeleteTombstonesAndCompactReclaims(t *testing.T) {
 		t.Fatalf("reference should relate to several sets, got %v", before)
 	}
 
-	// Every set's tokens are retained; "zebra" is used only by set 3.
-	zebra, ok := coll.Dict.Lookup("zebra")
-	if !ok || coll.Dict.Refs(zebra) != 2 {
-		t.Fatalf("zebra should be retained twice, got %d", coll.Dict.Refs(zebra))
+	// "zebra" is used only by set 3.
+	if _, ok := coll.Dict.Lookup("zebra"); !ok {
+		t.Fatal("zebra is not in the dictionary")
 	}
 
 	if err := e.Delete(1); err != nil {
@@ -67,14 +66,11 @@ func TestDeleteTombstonesAndCompactReclaims(t *testing.T) {
 		}
 	}
 
-	// Deleting the unique-token set releases its dictionary refs…
+	// Deleting the unique-token set frees nothing yet…
 	if err := e.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	if coll.Dict.Refs(zebra) != 0 {
-		t.Fatalf("zebra refs after delete = %d, want 0", coll.Dict.Refs(zebra))
-	}
-	if coll.Dict.FreeSlots() != 0 {
+	if _, ok := coll.Dict.Lookup("zebra"); !ok || coll.Dict.FreeSlots() != 0 || coll.Dict.Keys().FreeSlots() != 0 {
 		t.Fatal("slots must not be freed before compaction")
 	}
 
@@ -85,8 +81,11 @@ func TestDeleteTombstonesAndCompactReclaims(t *testing.T) {
 	if e.Compactions() != 1 || e.Tombstones() != 0 {
 		t.Fatalf("after compact: compactions=%d tombstones=%d", e.Compactions(), e.Tombstones())
 	}
-	if coll.Dict.FreeSlots() == 0 {
-		t.Fatal("compaction should reclaim the unique tokens")
+	// Tokens zebra, quagga and okapi; keys of both elements of set 3 and
+	// of b's "green blue" (its "red green blue" is a's too).
+	if _, ok := coll.Dict.Lookup("zebra"); ok || coll.Dict.FreeSlots() != 3 || coll.Dict.Keys().FreeSlots() != 3 {
+		t.Fatalf("compaction should reclaim the unique tokens and keys: %d token and %d key slots free",
+			coll.Dict.FreeSlots(), coll.Dict.Keys().FreeSlots())
 	}
 	if coll.Sets[3].Elements != nil {
 		t.Fatal("compaction should drop dead element storage")
@@ -197,9 +196,9 @@ func TestAddAfterCompactReusesDictionarySlots(t *testing.T) {
 }
 
 // TestCompactDropsDeadChunkRun is compaction under Eds, where every set also
-// holds a q-chunk run: Delete releases the run's refcounts, Compact drops
-// it with the elements, and adding the same text again answers like a
-// fresh build.
+// holds a q-chunk run: Compact drops it with the elements, frees the ids
+// only the dead set used and keeps the others, and adding the same text
+// again answers like a fresh build.
 func TestCompactDropsDeadChunkRun(t *testing.T) {
 	raws := []dataset.RawSet{
 		{Name: "a", Elements: []string{"Boston", "Chicago", "Seattle"}},
@@ -218,24 +217,21 @@ func TestCompactDropsDeadChunkRun(t *testing.T) {
 	if len(s.ChunkIDs()) == 0 {
 		t.Fatal("fixture: the set to delete has no chunk run")
 	}
-	// What the dead set holds of each of its chunk ids (as a q-gram of an
-	// element or as a chunk), and what the whole collection does.
-	held := map[tokens.ID]int{}
+	// The ids the dead set holds (q-grams of its elements and its chunks),
+	// their strings, and which of them the other sets use too.
+	held := map[tokens.ID]string{}
 	for j := range s.Elements {
 		for _, id := range s.Elements[j].Tokens {
-			held[id]++
+			held[id] = d.String(id)
 		}
 	}
 	for _, id := range s.ChunkIDs() {
-		held[id]++
+		held[id] = d.String(id)
 	}
-	refs := map[tokens.ID]int{}
-	for id := range held {
-		refs[id] = d.Refs(id)
-	}
+	others, _ := coll.Used(func(i int) bool { return i != dead })
 	unique := 0
 	for _, id := range s.ChunkIDs() {
-		if refs[id] == held[id] {
+		if !others[id] {
 			unique++
 		}
 	}
@@ -250,9 +246,13 @@ func TestCompactDropsDeadChunkRun(t *testing.T) {
 	if s.Size() != 0 || s.ChunkIDs() != nil || s.Chunks(0) != nil {
 		t.Fatalf("dead slot after compaction: %d elements, chunk run %v", s.Size(), s.ChunkIDs())
 	}
-	for id, n := range held {
-		if got := d.Refs(id); got != refs[id]-n {
-			t.Errorf("token %d: refs %d after compaction, want %d - %d", id, got, refs[id], n)
+	for id, str := range held {
+		got, ok := d.Lookup(str)
+		if others[id] && (!ok || got != id) {
+			t.Errorf("token %d %q, still used, was reclaimed (Lookup %d, %v)", id, str, got, ok)
+		}
+		if !others[id] && ok {
+			t.Errorf("token %d %q, used by the dead set alone, survived compaction", id, str)
 		}
 	}
 

@@ -60,12 +60,11 @@ func (e *Engine) SnapshotData() *dataset.SnapshotData {
 }
 
 // markDeadSlots marks the slots with dead[i] true as deleted without
-// touching postings, refcounts, or the tombstone counter. It exists for
-// loading snapshots, whose dead slots are empty placeholders: they hold no
-// elements, carry no postings, and retained nothing at build time, so
-// there is nothing to release and nothing for a later compaction to
-// reclaim — the slot just has to stay invisible to queries and keep its
-// index reserved.
+// touching postings or the tombstone counter. It exists for loading
+// snapshots, whose dead slots are empty placeholders: they hold no
+// elements, carry no postings and use no dictionary id, so there is
+// nothing for a later compaction to reclaim — the slot just has to stay
+// invisible to queries and keep its index reserved.
 func (e *Engine) markDeadSlots(dead []bool) {
 	for i, d := range dead {
 		if d && i < len(e.coll.Sets) && e.alive(i) {

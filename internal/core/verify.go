@@ -6,6 +6,7 @@ import (
 	"silkmoth/internal/index"
 	"silkmoth/internal/matching"
 	"silkmoth/internal/sim"
+	"silkmoth/internal/tokens"
 )
 
 // scoreThreshold returns the minimum maximum-matching score for two sets of
@@ -124,7 +125,7 @@ func (e *Engine) verifyWith(r *dataset.Set, s int, vs *verifyScratch, o *Options
 		vs.os.r, vs.os.set = r, int32(s)
 		score = matchScore(r, sSet, vs, &vs.os, o.Reduction)
 	} else {
-		score = e.matchScoreDense(r, sSet, vs, o.Reduction)
+		score = pairScore(r, sSet, e.phi, o.Reduction, vs)
 	}
 	nR, nS := len(r.Elements), len(sSet.Elements)
 	t := scoreThreshold(o.Metric, o.Delta, nR, nS)
@@ -138,12 +139,14 @@ func (e *Engine) verifyWith(r *dataset.Set, s int, vs *verifyScratch, o *Options
 	}, true
 }
 
-// matchScoreDense computes |R ∩̃ S| between two tokenized sets, neither of
-// which need be indexed, with one φ_α kernel call per cell.
+// pairScore computes |R ∩̃ S| between two tokenized sets over one
+// dictionary, neither of which need be indexed, with one call of φ_α phi
+// per cell: the verification of the brute-force oracle and of the edit
+// similarities, MatchScore and Compare.
 //
 //silkmoth:hotpath
-func (e *Engine) matchScoreDense(r, s *dataset.Set, vs *verifyScratch, reduction bool) float64 {
-	vs.ps.phi = e.phi
+func pairScore(r, s *dataset.Set, phi filter.SimFunc, reduction bool, vs *verifyScratch) float64 {
+	vs.ps.phi = phi
 	vs.ps.r, vs.ps.s = r, s
 	return matchScore(r, s, vs, &vs.ps, reduction)
 }
@@ -233,5 +236,25 @@ func (e *Engine) BruteForceDiscover(refs *dataset.Collection) []Pair {
 // dictionary), applying the engine's reduction setting.
 func (e *Engine) MatchScore(r, s *dataset.Set) float64 {
 	var vs verifyScratch
-	return e.matchScoreDense(r, s, &vs, e.opts.Reduction)
+	return pairScore(r, s, e.phi, e.opts.Reduction, &vs)
+}
+
+// Compare returns the relatedness of two raw sets under opts, with no
+// engine: both are tokenized into one fresh dictionary, so identical
+// elements share a key for the §5.3 reduction, and the pair is scored as
+// MatchScore scores it. Delta is validated but not applied. The value is 0
+// for an empty r and, under SET-CONTAINMENT, for |r| > |s| (Definition 2).
+func Compare(r, s dataset.RawSet, opts Options) (float64, error) {
+	o, err := opts.normalize()
+	if err != nil {
+		return 0, err
+	}
+	nR, nS := len(r.Elements), len(s.Elements)
+	if nR == 0 || (o.Metric == SetContainment && nR > nS) {
+		return 0, nil
+	}
+	c := dataset.Build(tokens.NewDictionary(), []dataset.RawSet{r, s}, o.Sim.TokenMode(), o.Q)
+	var vs verifyScratch
+	score := pairScore(&c.Sets[0], &c.Sets[1], phiFunc(o), o.Reduction, &vs)
+	return relatedness(o.Metric, score, nR, nS), nil
 }

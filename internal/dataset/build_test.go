@@ -60,24 +60,12 @@ func serialBuild(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) 
 // the order a serial build does before it grows either table.
 func warmDict() *tokens.Dictionary {
 	d := tokens.NewDictionary()
-	var held, freed []tokens.ID
-	for i, w := range []string{"a", "zz", "old", "b c", "x y", "ab"} {
-		id := d.Intern(w)
-		if i%2 == 0 {
-			held = append(held, id)
-		} else {
-			freed = append(freed, id)
-		}
+	for _, w := range []string{"a", "zz", "old", "b c", "x y", "ab"} {
+		d.Intern(w)
 		d.Keys().Intern(w)
 	}
-	d.Retain(held)
-	d.Retain(freed)
-	d.Release(freed)
-	d.Reclaim()
-	k := d.Keys()
-	k.Retain([]tokens.ID{1, 2})
-	k.Release([]tokens.ID{1, 2})
-	k.Reclaim()
+	d.Reclaim([]bool{true, false, true, false, true, false})
+	d.Keys().Reclaim([]bool{true, false, false, true, true, true})
 	return d
 }
 

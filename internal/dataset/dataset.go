@@ -77,8 +77,8 @@ func appendWordKey(b []byte, ids []tokens.ID) []byte {
 // internKey interns e's content key into keys (a dictionary's key table,
 // or a range's own while a parallel build runs), staging word-mode key
 // bytes in buf (returned for reuse) so that only a key new to the table
-// materializes a string. Indexed collections intern their keys (the
-// engine retains and releases them). Empty elements get NoKey.
+// materializes a string. Indexed collections intern their keys. Empty
+// elements get NoKey.
 //
 //silkmoth:hotpath
 func internKey(keys tokens.Interner, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {
@@ -170,6 +170,35 @@ type Collection struct {
 	Mode TokenMode
 	// Q is the gram length used under ModeQGram, 0 under ModeWord.
 	Q int
+}
+
+// Used marks the ids the collection's sets use, one mark per id of the
+// dictionary's token table (element tokens and q-chunk ids) and of its key
+// table (element keys other than NoKey). A non-nil alive skips every set i
+// for which alive(i) is false. The marks are what compaction keeps
+// (tokens.Dictionary.Reclaim) and what a snapshot writes.
+func (c *Collection) Used(alive func(int) bool) (toks, keys []bool) {
+	toks = make([]bool, c.Dict.Size())
+	keys = make([]bool, c.Dict.Keys().Size())
+	for i := range c.Sets {
+		if alive != nil && !alive(i) {
+			continue
+		}
+		s := &c.Sets[i]
+		for j := range s.Elements {
+			el := &s.Elements[j]
+			for _, id := range el.Tokens {
+				toks[id] = true
+			}
+			if el.Key != NoKey {
+				keys[el.Key] = true
+			}
+		}
+		for _, id := range s.ChunkIDs() {
+			toks[id] = true
+		}
+	}
+	return toks, keys
 }
 
 // RawSet is an untokenized set: a name plus raw element strings.

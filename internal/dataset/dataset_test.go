@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -220,5 +221,41 @@ func TestAppend(t *testing.T) {
 	}
 	if _, ok := dict.Lookup("fresh"); !ok {
 		t.Error("new tokens not interned")
+	}
+}
+
+// TestUsedMarksTokensChunksAndKeys pins what Collection.Used marks: element
+// tokens, chunk ids — here ids no element holds as a token, which a build
+// never makes, so that a chunk is marked for being a chunk — and element
+// keys other than NoKey, of every set alive admits; never an id only a
+// skipped set uses or one no set uses.
+func TestUsedMarksTokensChunksAndKeys(t *testing.T) {
+	d := tokens.NewDictionary()
+	for _, w := range []string{"t0", "t1", "t2", "c3", "t4", "c5", "unused"} {
+		d.Intern(w)
+	}
+	for _, k := range []string{"k0", "k1", "k2", "unused"} {
+		d.Keys().Intern(k)
+	}
+	c := &Collection{Dict: d, Mode: ModeQGram, Q: 2, Sets: []Set{
+		{Elements: []Element{{Tokens: []tokens.ID{0, 1}, Key: 0}, {Tokens: []tokens.ID{2}, Key: NoKey}},
+			chunks: []tokens.ID{3, 3, 3}}, // element 0's chunk is id 3
+		{Elements: []Element{{Tokens: []tokens.ID{4}, Key: 1}}, chunks: []tokens.ID{2, 5}},
+		{Elements: []Element{{Tokens: []tokens.ID{1}, Key: 2}}},
+	}}
+	for _, tc := range []struct {
+		name       string
+		alive      func(int) bool
+		toks, keys []bool
+	}{
+		{"all", nil,
+			[]bool{true, true, true, true, true, true, false}, []bool{true, true, true, false}},
+		{"set 1 dead", func(i int) bool { return i != 1 },
+			[]bool{true, true, true, true, false, false, false}, []bool{true, false, true, false}},
+	} {
+		toks, keys := c.Used(tc.alive)
+		if !slices.Equal(toks, tc.toks) || !slices.Equal(keys, tc.keys) {
+			t.Errorf("%s: Used = tokens %v keys %v, want %v %v", tc.name, toks, keys, tc.toks, tc.keys)
+		}
 	}
 }

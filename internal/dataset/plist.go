@@ -214,9 +214,6 @@ func NewPostingList(blob []byte, eb []int32) PostingList {
 	return PostingList{blob: blob, eb: eb}
 }
 
-// Empty reports whether the list holds no postings.
-func (pl PostingList) Empty() bool { return len(pl.blob) == 0 }
-
 // Kind returns the container kind byte (ContainerArray for the empty
 // blob).
 func (pl PostingList) Kind() byte {

@@ -109,13 +109,13 @@ func TestQueryScratchLooksUpNeverInterns(t *testing.T) {
 		dict, _ := queryScratchFixture(tc.mode, tc.q)
 		// Free a slot on both tables: a novel token must not take it.
 		gone := Build(dict, []RawSet{{Name: "gone", Elements: []string{"zzgone"}}}, tc.mode, tc.q)
-		for _, el := range gone.Sets[0].Elements {
-			dict.Retain(el.Tokens)
-			dict.Release(el.Tokens)
-			dict.Keys().Retain([]tokens.ID{el.Key})
-			dict.Keys().Release([]tokens.ID{el.Key})
+		goneToks, goneKeys := gone.Used(nil)
+		for _, marks := range [][]bool{goneToks, goneKeys} {
+			for id := range marks {
+				marks[id] = !marks[id]
+			}
 		}
-		if dict.Reclaim() == 0 || dict.Keys().Reclaim() == 0 {
+		if dict.Reclaim(goneToks) == 0 || dict.Keys().Reclaim(goneKeys) == 0 {
 			t.Fatalf("%v: no slot freed", tc.mode)
 		}
 		size, keys := dict.Size(), dict.Keys().Size()

@@ -167,21 +167,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 
 	// Prune and monotonically renumber the token table (ascending old id →
 	// ascending new id; the identity when every token is in use).
-	used := make([]bool, c.Dict.Size())
-	for i := range c.Sets {
-		if !alive(i) {
-			continue
-		}
-		s := &c.Sets[i]
-		for j := range s.Elements {
-			for _, id := range s.Elements[j].Tokens {
-				used[id] = true
-			}
-		}
-		for _, id := range s.ChunkIDs() {
-			used[id] = true
-		}
-	}
+	used, _ := c.Used(alive)
 	remap := make([]int32, len(used))
 	var words []string
 	for old, u := range used {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"silkmoth/internal/dataset"
@@ -206,6 +207,46 @@ func TestCompressedAppendAndRebuild(t *testing.T) {
 	requireSameIndex(t, "rebuilt", heap, cx)
 	if st := cx.Storage(); st.HeapBytes != 0 {
 		t.Fatalf("rebuilt compressed index still holds %d heap bytes", st.HeapBytes)
+	}
+}
+
+// TestAppendDropsCachedDecode: a token whose decode is cached and which
+// sets appended in one call hold (the first drops the decode, the second
+// finds it dropped) lists every new posting, and so does the next append
+// after the decode, overlay included, is cached again.
+func TestAppendDropsCachedDecode(t *testing.T) {
+	coll := dataset.BuildWord(tokens.NewDictionary(), []dataset.RawSet{
+		{Name: "a", Elements: []string{"x y"}},
+		{Name: "b", Elements: []string{"y"}},
+	})
+	cx := BuildCompressed(coll, 1<<20)
+	x, _ := coll.Dict.Lookup("x")
+	want := []Posting{{Set: 0, Elem: 0}}
+	for _, step := range []struct {
+		name string
+		add  []dataset.RawSet
+	}{
+		{"two sets", []dataset.RawSet{{Name: "n1", Elements: []string{"x"}}, {Name: "n2", Elements: []string{"w", "x w"}}}},
+		{"one more", []dataset.RawSet{{Name: "n3", Elements: []string{"x"}}}},
+	} {
+		if got := cx.List(x); !slices.Equal(got, want) { // warms the cache
+			t.Fatalf("before %s: List = %v, want %v", step.name, got, want)
+		}
+		if cx.Storage().ResidentBytes == 0 {
+			t.Fatalf("before %s: the decode is not cached", step.name)
+		}
+		from := dataset.Append(coll, step.add)
+		cx.AppendSets(from)
+		for i := from; i < len(coll.Sets); i++ {
+			for j := range coll.Sets[i].Elements {
+				if slices.Contains(coll.Sets[i].Elements[j].Tokens, x) {
+					want = append(want, Posting{Set: int32(i), Elem: int32(j)})
+				}
+			}
+		}
+		if got := cx.List(x); !slices.Equal(got, want) {
+			t.Fatalf("after %s: List = %v, want %v", step.name, got, want)
+		}
 	}
 }
 

@@ -214,12 +214,17 @@ func (ix *Inverted) AppendSets(from int) {
 		}
 		// Appended postings go to the extras overlay, dropping any cached
 		// decode of their token so the next probe re-materializes container
-		// and overlay together.
+		// and overlay together: once per token, at its first posting here
+		// (an overlay already ending in a set at or past from has had its
+		// decode dropped).
 		for i := from; i < len(c.Sets); i++ {
 			for j := range c.Sets[i].Elements {
 				for _, t := range c.Sets[i].Elements[j].Tokens {
-					ix.extras[t] = append(ix.extras[t], Posting{Set: int32(i), Elem: int32(j)})
-					ix.cache.Remove(int(t))
+					l := ix.extras[t]
+					if len(l) == 0 || int(l[len(l)-1].Set) < from {
+						ix.cache.Remove(int(t))
+					}
+					ix.extras[t] = append(l, Posting{Set: int32(i), Elem: int32(j)})
 				}
 			}
 		}

@@ -10,31 +10,21 @@ type ID int32
 
 // Dictionary interns token strings and assigns each distinct string a dense
 // ID starting from zero. It is an Interner, and it has no lock: it allows
-// one writer at a time (Intern, InternBytes, Retain, Release, Reclaim),
-// ordered against its readers by its owner's lock — an engine writes it
-// only before it is shared or under its write lock. Any number of readers
-// may use it at once (Lookup, LookupBytes, String, Size, Refs, FreeSlots,
-// and a Query interner over it): a query reads the dictionary and never
-// writes it.
+// one writer at a time (Intern, InternBytes, Reclaim), ordered against its
+// readers by its owner's lock — an engine writes it only before it is
+// shared or under its write lock. Any number of readers may use it at once
+// (Lookup, LookupBytes, String, Size, FreeSlots, and a Query interner over
+// it): a query reads the dictionary and never writes it.
 //
-// Mutable collections additionally refcount their tokens through
-// Retain/Release: an engine retains every indexed set's token ids and
-// releases them when the set is deleted. An id whose refcount reaches zero
-// is only a reclamation *candidate*; Reclaim — called by the engine's
-// compaction, when the inverted index is rebuilt and the stale postings
-// disappear — actually frees the slot, and Intern reuses freed slots for
-// new tokens, so the vocabulary shrinks with the data instead of growing
-// forever on a long-lived mutable engine.
+// The dictionary is derived state: it keeps no count of who uses an id.
+// Only compaction frees ids — the engine rebuilds its inverted index over
+// the live sets, marks the ids they use (dataset.Collection.Used) and
+// hands the marks to Reclaim, which frees every other slot — and Intern
+// reuses freed slots for new tokens, so the vocabulary shrinks with the
+// data instead of growing forever on a long-lived mutable engine.
 type Dictionary struct {
 	ids  map[string]ID
 	strs []string
-	// refs counts live collection references per id (Retain/Release).
-	// An id interned but never retained sits at zero, but is never
-	// pending and thus never reclaimed.
-	refs []int32
-	// pending are ids whose refcount fell to zero since the last Reclaim;
-	// Reclaim frees those still at zero (a later Retain resurrects).
-	pending []ID
 	// free are reclaimed ids available for reuse; freed marks them so a
 	// slot cannot be double-freed.
 	free  []ID
@@ -42,9 +32,9 @@ type Dictionary struct {
 	// keys is the element-key interner that rides along with the token
 	// dictionary: exact element content keys (dataset.ElementKey) interned
 	// to dense ids so verification compares integers instead of building
-	// strings per pair. It is itself a Dictionary, with the same
-	// retain/release lifecycle and the same one-writer rule; queries only
-	// look keys up. Nil on the keys dictionary itself.
+	// strings per pair. It is itself a Dictionary, reclaimed by the same
+	// compaction under the same one-writer rule; queries only look keys
+	// up. Nil on the keys dictionary itself.
 	keys *Dictionary
 }
 
@@ -96,7 +86,6 @@ func (d *Dictionary) insert(s string) ID {
 	id := ID(len(d.strs))
 	d.ids[s] = id
 	d.strs = append(d.strs, s)
-	d.refs = append(d.refs, 0)
 	d.freed = append(d.freed, false)
 	return id
 }
@@ -115,57 +104,37 @@ func (d *Dictionary) LookupBytes(b []byte) (ID, bool) {
 	return id, ok
 }
 
-// Retain bumps the collection refcount of every id in ids. Engines retain
-// each indexed occurrence of a set's tokens and chunks (and, on the key
-// table, each of its element keys) in one call per set, so Release on
-// delete is exactly symmetric.
-func (d *Dictionary) Retain(ids []ID) {
-	for _, id := range ids {
-		d.refs[id]++
-	}
-}
-
-// Release drops collection refcounts bumped by Retain. Ids that reach zero
-// become reclamation candidates for the next Reclaim; their strings and
-// slots stay valid until then.
-func (d *Dictionary) Release(ids []ID) {
-	for _, id := range ids {
-		if d.refs[id] > 0 {
-			d.refs[id]--
-			if d.refs[id] == 0 {
-				d.pending = append(d.pending, id)
-			}
-		}
-	}
-}
-
-// Reclaim frees every pending id whose refcount is still zero: the string
-// is dropped from the intern map and the slot queued for reuse by future
-// Interns. Callers must only invoke it when no index still resolves the
-// freed ids to live postings — in practice, during engine compaction,
-// right after posting lists are rebuilt. It returns the number of slots
-// freed.
-func (d *Dictionary) Reclaim() int {
+// Reclaim frees every id below len(keep) that keep does not mark and that
+// is not free already: its string is dropped from the intern map and its
+// slot queued for reuse by later Interns, lowest id first. Ids at or past
+// len(keep), which must not exceed Size, stay. Callers must only invoke it
+// when no index still resolves an unmarked id to live postings — in
+// practice during engine compaction, right after the posting lists are
+// rebuilt over the sets whose ids keep marks. It returns the number of
+// slots freed.
+func (d *Dictionary) Reclaim(keep []bool) int {
 	n := 0
-	for _, id := range d.pending {
-		if d.refs[id] != 0 || d.freed[id] {
-			continue // resurrected by a later Retain, or already freed
+	for id, k := range keep {
+		if k || d.freed[id] {
+			continue
 		}
 		delete(d.ids, d.strs[id])
 		d.strs[id] = ""
 		d.freed[id] = true
-		d.free = append(d.free, id)
 		n++
 	}
-	d.pending = d.pending[:0]
+	// insert pops from the end: stack the free slots highest id first.
+	d.free = d.free[:0]
+	for id := len(d.freed) - 1; id >= 0; id-- {
+		if d.freed[id] {
+			d.free = append(d.free, ID(id))
+		}
+	}
 	return n
 }
 
 // FreeSlots returns the number of reclaimed ids currently awaiting reuse.
 func (d *Dictionary) FreeSlots() int { return len(d.free) }
-
-// Refs returns the current collection refcount of id.
-func (d *Dictionary) Refs(id ID) int { return int(d.refs[id]) }
 
 // String returns the token string for id. It panics if id is out of range.
 func (d *Dictionary) String(id ID) string { return d.strs[id] }

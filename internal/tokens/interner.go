@@ -12,7 +12,7 @@ type Interner interface {
 }
 
 // Table is an Interner for one goroutine: a map and the strings in id
-// order, with no lock, no refcounts and no slot reuse. A parallel builder
+// order, with no lock and no slot reuse. A parallel builder
 // interns each set-id range but the first into its own Table, then
 // replays Strings into the shared dictionary in range order, which assigns
 // the ids a serial build would have.

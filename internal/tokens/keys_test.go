@@ -3,8 +3,8 @@ package tokens
 import "testing"
 
 // TestKeyInternerLifecycle covers the element-key interner riding along
-// with the dictionary: dense ids, retain/release symmetry, and
-// reclamation recycling slots exactly like the token side.
+// with the dictionary: dense ids, and reclamation freeing exactly the
+// unmarked keys and recycling their slots like the token side.
 func TestKeyInternerLifecycle(t *testing.T) {
 	d := NewDictionary()
 	keys := d.Keys()
@@ -20,35 +20,33 @@ func TestKeyInternerLifecycle(t *testing.T) {
 		t.Fatalf("re-intern = %d, want %d", got, a)
 	}
 
-	keys.Retain([]ID{a, a, b})
-	keys.Release([]ID{a})
-	if keys.Refs(a) != 1 {
-		t.Fatalf("refs(a) = %d, want 1", keys.Refs(a))
-	}
-	// a is still retained: Reclaim must not free it.
-	keys.Release([]ID{b})
-	if n := keys.Reclaim(); n != 1 {
+	// a is marked: Reclaim must free only b. The token table is a
+	// separate id space and keeps everything.
+	d.Intern("alpha")
+	keep := make([]bool, keys.Size())
+	keep[a] = true
+	if n := keys.Reclaim(keep); n != 1 {
 		t.Fatalf("Reclaim freed %d, want 1 (only b)", n)
 	}
 	if _, ok := keys.Lookup("alpha"); !ok {
-		t.Fatal("retained key reclaimed")
+		t.Fatal("marked key reclaimed")
 	}
 	if _, ok := keys.Lookup("beta"); ok {
-		t.Fatal("released key survived reclaim")
+		t.Fatal("unmarked key survived reclaim")
+	}
+	if _, ok := d.Lookup("alpha"); !ok || d.FreeSlots() != 0 {
+		t.Fatal("reclaiming keys touched the token table")
 	}
 	// The freed slot is recycled for the next new key.
 	c := keys.Intern("gamma")
 	if c != b {
 		t.Fatalf("new key got id %d, want recycled slot %d", c, b)
 	}
-	// A key interned but never retained is never pending, so never
-	// reclaimed.
-	u := keys.Intern("unretained")
-	keys.Reclaim()
-	if _, ok := keys.Lookup("unretained"); !ok {
-		t.Fatal("unretained key was reclaimed")
-	}
-	if keys.Refs(u) != 0 {
-		t.Fatalf("refs(unretained) = %d, want 0", keys.Refs(u))
+	// A key interned after the marks were taken lies past len(keep) and
+	// is never reclaimed by them.
+	keys.Intern("late")
+	keys.Reclaim(keep[:1])
+	if _, ok := keys.Lookup("late"); !ok {
+		t.Fatal("a key past the marks was reclaimed")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"silkmoth/internal/tokens"
 )
 
 // The public-API exactness property: DiscoverContext's pairs are exactly the
@@ -234,6 +236,9 @@ func TestMutatedEngineMatchesFreshRebuild(t *testing.T) {
 
 				check("tombstoned", eng)
 				eng.Compact()
+				if err := checkDictionaryMatchesLiveSets(eng); err != nil {
+					t.Fatalf("%s/compacted: %v", label, err)
+				}
 				check("compacted", eng)
 
 				// The compacted mutated engine must survive a save/load
@@ -250,8 +255,42 @@ func TestMutatedEngineMatchesFreshRebuild(t *testing.T) {
 				if loaded.Len() != len(surviving) {
 					t.Fatalf("%s: loaded Len = %d, want %d", label, loaded.Len(), len(surviving))
 				}
+				if err := checkDictionaryMatchesLiveSets(loaded); err != nil {
+					t.Fatalf("%s/reloaded: %v", label, err)
+				}
 				check("reloaded", loaded)
 			}
 		}
 	}
+}
+
+// checkDictionaryMatchesLiveSets holds each of the engine's dictionary
+// tables — tokens (q-chunks included) and element keys — to the invariant a
+// compaction leaves: the ids that are not free are exactly the ids the live
+// sets use. Every used id must still resolve to itself, and the free slots
+// must number the ids no live set uses.
+func checkDictionaryMatchesLiveSets(e *Engine) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	toks, keys := e.coll.Used(e.eng.Alive)
+	for _, tab := range []struct {
+		name string
+		d    *tokens.Dictionary
+		used []bool
+	}{{"token", e.coll.Dict, toks}, {"key", e.coll.Dict.Keys(), keys}} {
+		n := 0
+		for id, u := range tab.used {
+			if !u {
+				continue
+			}
+			n++
+			if got, ok := tab.d.Lookup(tab.d.String(tokens.ID(id))); !ok || got != tokens.ID(id) {
+				return fmt.Errorf("%s %d is used by a live set but free", tab.name, id)
+			}
+		}
+		if free := tab.d.FreeSlots(); free != tab.d.Size()-n {
+			return fmt.Errorf("%s table: %d of %d ids free, but live sets use %d", tab.name, free, tab.d.Size(), n)
+		}
+	}
+	return nil
 }
