@@ -141,14 +141,13 @@ func TestQueryAllocationBudgets(t *testing.T) {
 // Compare allocation budgets for one 50×60 pair. Compare tokenizes both
 // sets into one fresh dictionary and scores them with one matching — no
 // engine, index or element directory — so what it allocates is the two
-// sets' tokenization — most of it the strings a fresh dictionary interns,
-// one per distinct token and one key per distinct element — plus one
-// matching's scratch, a constant for a fixed pair: 226 measured under
-// Jaccard, 112 under Eds, where building the engine cost 303 and 156.
-// The budgets are the measured cost plus headroom for runtime noise, and
-// below the engine's.
+// sets' tokenization — the dictionary's arena, spans and index growing,
+// with no string per token or key — plus one matching's scratch, a
+// constant for a fixed pair: 110 measured under Jaccard, 107 under Eds,
+// where building an engine cost 303 and 156. The budgets are the measured
+// cost plus headroom for runtime noise, and below the engine's.
 const (
-	compareJaccardAllocBudget = 240
+	compareJaccardAllocBudget = 125
 	compareEdsAllocBudget     = 120
 )
 

@@ -432,8 +432,8 @@ func TestSnapshotWhileMutatingRace(t *testing.T) {
 // rebuild. Decoding the image allocates the collection and posting
 // structures, a few objects per set; if tokenization or index construction
 // creeps into recovery, its cost stacks on top and trips the budget. The
-// budget is the load's own — 5.5 objects a set, where the 300-set corpus
-// loads in about 1 640 (directory lock and Close included) at any
+// budget is the load's own — 4.5 objects a set, where the 300-set corpus
+// loads in about 1 185 (directory lock and Close included) at any
 // GOMAXPROCS — so that a cheaper build cannot fail it with recovery
 // unchanged; the heap build is logged beside it for scale.
 func TestSnapshotLoadAllocationBudget(t *testing.T) {
@@ -468,7 +468,7 @@ func TestSnapshotLoadAllocationBudget(t *testing.T) {
 		loaded.Close()
 	})
 	t.Logf("snapshot load: %.0f allocs, heap build: %.0f", loadAllocs, buildAllocs)
-	const perSet = 5.5
+	const perSet = 4.5
 	if budget := perSet * float64(len(sets)); loadAllocs > budget {
 		t.Errorf("snapshot load allocates %.0f objects, over its budget of %.0f (%.1f a set; a heap build takes %.0f) — recovery is re-doing build work",
 			loadAllocs, budget, perSet, buildAllocs)

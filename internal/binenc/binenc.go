@@ -41,6 +41,13 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// StringBytes is String for bytes: it appends b as a uvarint length
+// followed by b, what Reader.StringBytes reads back.
+func (w *Writer) StringBytes(b []byte) {
+	w.Uvarint(uint64(len(b)))
+	w.buf = append(w.buf, b...)
+}
+
 // Byte appends one raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 

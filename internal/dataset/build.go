@@ -74,7 +74,7 @@ func build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int)
 	})
 	remaps := make([][]tokens.ID, parts)
 	for k := 1; k < parts; k++ {
-		remaps[k] = tokens.InternAll(dict, rs[k].localToks.Strings())
+		remaps[k] = dict.InternTable(&rs[k].localToks)
 	}
 	InRanges(len(raws), parts, func(k, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -82,7 +82,7 @@ func build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int)
 		}
 	})
 	for k := 1; k < parts; k++ {
-		remaps[k] = tokens.InternAll(dict.Keys(), rs[k].localKeys.Strings())
+		remaps[k] = dict.Keys().InternTable(&rs[k].localKeys)
 	}
 	InRanges(len(raws), parts, func(k, lo, hi int) {
 		if k == 0 {

@@ -76,9 +76,9 @@ func appendWordKey(b []byte, ids []tokens.ID) []byte {
 
 // internKey interns e's content key into keys (a dictionary's key table,
 // or a range's own while a parallel build runs), staging word-mode key
-// bytes in buf (returned for reuse) so that only a key new to the table
-// materializes a string. Indexed collections intern their keys. Empty
-// elements get NoKey.
+// bytes in buf (returned for reuse), which the table copies only when the
+// key is new to it. Indexed collections intern their keys. Empty elements
+// get NoKey.
 //
 //silkmoth:hotpath
 func internKey(keys tokens.Interner, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {

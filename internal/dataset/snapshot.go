@@ -169,11 +169,11 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	// ascending new id; the identity when every token is in use).
 	used, _ := c.Used(alive)
 	remap := make([]int32, len(used))
-	var words []string
+	var words []tokens.ID
 	for old, u := range used {
 		if u {
 			remap[old] = int32(len(words))
-			words = append(words, c.Dict.String(tokens.ID(old)))
+			words = append(words, tokens.ID(old))
 		}
 	}
 
@@ -201,7 +201,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 
 	var dict binenc.Writer
 	for _, word := range words {
-		dict.String(word)
+		dict.StringBytes(c.Dict.Bytes(word))
 	}
 	if err := writeSection(w, secDict, dict.Bytes()); err != nil {
 		return err
@@ -437,11 +437,11 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	}
 	dict := tokens.NewDictionary()
 	for i := 0; i < numWords; i++ {
-		word := dr.String()
+		word := dr.StringBytes()
 		if err := dr.Err(); err != nil {
 			return nil, corrupt("dictionary: %v", err)
 		}
-		if id := dict.Intern(word); int(id) != i {
+		if id := dict.InternBytes(word); int(id) != i {
 			return nil, corrupt("token table duplicate %q at %d", word, i)
 		}
 	}
@@ -506,18 +506,15 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 
 // setStage stages one set of a snapshot in buffers reused across sets, so
 // that a loaded set costs one allocation for its name and element strings
-// together, one for its token ids, one for its chunk run and, under
-// ModeWord, one for its element keys, instead of a string, a token slice
-// and a key per element. A key the dictionary interned from a loaded set
-// is a slice of that set's text (a q-gram key is its raw string) or of its
-// word keys, which it keeps alive for as long as any set still holds the
-// key.
+// together, one for its token ids and one for its chunk run, instead of a
+// string and a token slice per element. Element keys are copied into the
+// dictionary's key table, which keeps no string of the set alive.
 type setStage struct {
 	text  []byte      // the set's name, then each element's raw, back to back
 	toks  []tokens.ID // every element's token ids, back to back
 	run   []tokens.ID // the set's chunk run, laid out as Set.chunks
 	elems []stagedElem
-	key   []byte // the set's word-mode element keys, back to back
+	key   []byte // staging for one word-mode element key
 }
 
 // stagedElem is where one element ends in the stage's text and toks, and
@@ -597,31 +594,9 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 			return corrupt("set %d element %d length %d, content has %d", i, j, se.storedLen, n)
 		}
 		e.Length = int32(n)
-		if mode == ModeQGram {
-			e.Key, _ = internKey(dict.Keys(), e, mode, nil)
-		} else {
-			st.key = appendWordKey(st.key, e.Tokens)
-		}
-	}
-	if mode == ModeWord {
-		st.internWordKeys(s, dict.Keys())
+		e.Key, st.key = internKey(dict.Keys(), e, mode, st.key)
 	}
 	return nil
-}
-
-// internWordKeys interns the word-mode keys of s, staged back to back in
-// st.key, as slices of one string.
-func (st *setStage) internWordKeys(s *Set, keys *tokens.Dictionary) {
-	all, off := string(st.key), 0
-	for j := range s.Elements {
-		e := &s.Elements[j]
-		if len(e.Tokens) == 0 {
-			e.Key = NoKey
-			continue
-		}
-		end := off + 4*len(e.Tokens)
-		e.Key, off = keys.Intern(all[off:end]), end
-	}
 }
 
 // decodePostings wraps the container postings payload in place: a

@@ -26,7 +26,7 @@ func TestReclaimFreesUnmarked(t *testing.T) {
 	}
 	for _, w := range []string{"beta", "epsilon"} {
 		if _, ok := d.Lookup(w); ok {
-			t.Fatalf("%s should be gone from the intern map", w)
+			t.Fatalf("%s should be gone from the intern table", w)
 		}
 	}
 	for w, id := range map[string]ID{"alpha": a, "gamma": c, "late": late} {

@@ -12,9 +12,10 @@ import (
 // methods produce the same token streams as InternAll(dict, Words/QGrams/
 // QChunks(...)) while staging every token in the scratch's buffers, so a
 // warmed-up scratch tokenizes with zero allocations as long as every token
-// is already interned (first-time tokens must still materialize the string
-// the dictionary retains). They intern into any Interner: a Dictionary, a
-// builder range's Table, or a query's read-only Query.
+// is already interned (a first-time token is copied into its table's
+// arena, which allocates only when the table grows). They intern into any
+// Interner: a Dictionary, a builder range's Table, or a query's read-only
+// Query.
 //
 // A Scratch is not safe for concurrent use; pool one per worker.
 type Scratch struct {
