@@ -44,8 +44,9 @@ func snapshotIndex(snap *dataset.SnapshotData, width int, o Options) (*index.Inv
 // preserved verbatim — dead slots persist as empty placeholders — because
 // any WAL record appended after the snapshot references these ids. The image
 // carries the posting lists (imported, not rebuilt, at load): the index
-// itself is the source, so the writer pulls lists on demand (heap form) or
-// copies encoded containers verbatim (compressed form) and snapshotting a
+// itself is the source, so the writer copies a token's encoded container
+// verbatim when it is the whole list and pulls the list otherwise (no
+// container, or postings added since it was encoded), and snapshotting a
 // lazily loaded index never forces a full materialization. The caller must
 // keep mutations out until the image is written.
 func (e *Engine) SnapshotData() *dataset.SnapshotData {

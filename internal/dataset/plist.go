@@ -89,6 +89,18 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// readUvarint is binary.Uvarint restricted to the encoder's shortest form:
+// an encoding longer than uvarintLen(v) — one that ends in a zero byte,
+// like 0x80 0x00 for 0 — fails with sz 0, so that every container a
+// decoder accepts re-encodes to the same bytes.
+func readUvarint(b []byte) (v uint64, sz int) {
+	v, sz = binary.Uvarint(b)
+	if sz > 1 && b[sz-1] == 0 {
+		return 0, 0
+	}
+	return v, sz
+}
+
 // ContainerEncoder encodes posting lists into container blobs, reusing
 // internal scratch across calls. The zero value is ready to use.
 type ContainerEncoder struct {
@@ -190,7 +202,7 @@ func ContainerLen(blob []byte) (int, bool) {
 	if blob[0] > ContainerBitmap {
 		return 0, false
 	}
-	v, sz := binary.Uvarint(blob[1:])
+	v, sz := readUvarint(blob[1:])
 	// Every encoding spends ≥ 1 bit per posting (a bitmap word holds at
 	// most 64 postings in 8 bytes), so a declared count the blob cannot
 	// possibly back is rejected before anyone allocates on its behalf.
@@ -315,7 +327,7 @@ func (it *PostingIter) init(pl PostingList) {
 	}
 	it.kind = blob[0]
 	it.n = n
-	_, sz := binary.Uvarint(blob[1:])
+	_, sz := readUvarint(blob[1:])
 	rest := blob[1+sz:]
 	switch it.kind {
 	case ContainerArray:
@@ -329,7 +341,7 @@ func (it *PostingIter) init(pl PostingList) {
 		}
 		it.data = rest
 	case ContainerPacked:
-		nb, sz := binary.Uvarint(rest)
+		nb, sz := readUvarint(rest)
 		if sz <= 0 || nb != uint64((n+PackedBlockSize-1)/PackedBlockSize) {
 			it.fail("packed container block count")
 			return
@@ -344,13 +356,13 @@ func (it *PostingIter) init(pl PostingList) {
 		it.skip = rest[:skipLen]
 		it.data = rest[skipLen:]
 	case ContainerBitmap:
-		fw, sz := binary.Uvarint(rest)
+		fw, sz := readUvarint(rest)
 		if sz <= 0 || fw > math.MaxInt32>>6 {
 			it.fail("bitmap first word")
 			return
 		}
 		rest = rest[sz:]
-		nw, sz := binary.Uvarint(rest)
+		nw, sz := readUvarint(rest)
 		if sz <= 0 || nw == 0 || nw > uint64(len(rest)) {
 			it.fail("bitmap word count")
 			return
@@ -420,7 +432,7 @@ func (it *PostingIter) Next() (Posting, bool) {
 }
 
 func (it *PostingIter) uvarint() uint64 {
-	v, sz := binary.Uvarint(it.data[it.off:])
+	v, sz := readUvarint(it.data[it.off:])
 	if sz <= 0 {
 		it.fail("bad uvarint at offset %d", it.off)
 		return 0
@@ -652,12 +664,12 @@ func (pl PostingList) decodeBlock(it *PostingIter, b int, scratch *[PackedBlockS
 	prev := int32(0)
 	out := scratch[:0]
 	for k := 0; k < blockLen; k++ {
-		sv, sz := binary.Uvarint(data[off:])
+		sv, sz := readUvarint(data[off:])
 		if sz <= 0 {
 			return nil, badContainer("bad uvarint in block %d", b)
 		}
 		off += sz
-		ev, sz := binary.Uvarint(data[off:])
+		ev, sz := readUvarint(data[off:])
 		if sz <= 0 {
 			return nil, badContainer("bad uvarint in block %d", b)
 		}
@@ -721,8 +733,13 @@ func NewContainerStore(numTokens int, offs, data []byte) (*ContainerStore, error
 	return &ContainerStore{offs: offs, data: data, n: numTokens}, nil
 }
 
-// NumTokens returns the number of token slots.
-func (cs *ContainerStore) NumTokens() int { return cs.n }
+// NumTokens returns the number of token slots; none for a nil store.
+func (cs *ContainerStore) NumTokens() int {
+	if cs == nil {
+		return 0
+	}
+	return cs.n
+}
 
 // Blob returns token t's container blob (empty for an empty list or an
 // out-of-range token). The returned slice aliases the store.

@@ -29,6 +29,10 @@ func FuzzPostingContainer(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{ContainerPacked, 0x80, 0x02, 0x03})
 	f.Add([]byte{ContainerBitmap, 0x40, 0x00, 0x01})
+	// An array whose last element is the overlong uvarint 0x80 0x00: it
+	// reads as 0, and only a decoder that insists on the shortest encoding
+	// rejects it.
+	f.Add([]byte("\x00\x010\x80\x00"))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		pl := NewPostingList(blob, eb)

@@ -28,8 +28,9 @@ type PostingProvider interface {
 	// NumTokens returns the number of token slots.
 	NumTokens() int
 	// EncodedContainer returns token t's posting list as an encoded
-	// container blob when that blob is still exact (no overlay of
-	// unflushed appends, no materialized-only list), or false.
+	// container blob when that blob is the whole list (no postings
+	// appended since it was encoded, nor a list held only as a slice), or
+	// false.
 	EncodedContainer(t int) ([]byte, bool)
 	// AppendPostings appends token t's postings to dst in (Set, Elem)
 	// order.

@@ -24,16 +24,16 @@ func BuildCompressed(c *dataset.Collection, cacheBytes int64) *Inverted {
 	return ix
 }
 
-// Compress turns a heap-form index into the compressed form BuildCompressed
-// builds, encoding its lists as containers and dropping them; cacheBytes as
-// in BuildCompressed. No-op on a compressed index. Not safe concurrently
-// with readers.
+// Compress turns a heap index into the compressed index BuildCompressed
+// builds, encoding its lists as containers; cacheBytes as in
+// BuildCompressed. No-op on a compressed index. Not safe concurrently with
+// readers.
 func (ix *Inverted) Compress(cacheBytes int64) {
 	if ix.cs != nil {
 		return
 	}
 	ix.cache = newPostingCache(cacheBytes)
-	ix.adoptCompressed(ix.lists)
+	ix.encode()
 }
 
 // FromContainers wraps a loaded snapshot's container store as an index over
@@ -69,20 +69,19 @@ func (ix *Inverted) SharesContainers() bool { return ix.cs != nil && ix.csShared
 // set-range checks reject whatever the containers cannot hold.
 func (ix *Inverted) encBase() []int32 { return ix.dir.base[:ix.encSets+1] }
 
-// adoptCompressed replaces the index's storage with freshly encoded
-// containers for lists — computed, like the directory, from the
-// collection's current contents — dropping any extras overlay and cache.
-func (ix *Inverted) adoptCompressed(lists [][]Posting) {
+// encode moves the slices in lists — whole lists, computed like the
+// directory from the collection's current contents — into freshly encoded
+// containers, leaving every tail empty and the cache dropped.
+func (ix *Inverted) encode() {
 	ix.encSets = len(ix.coll.Sets)
 	eb := ix.encBase()
-	b := dataset.NewContainerStoreBuilder(len(lists))
-	for _, l := range lists {
+	b := dataset.NewContainerStoreBuilder(len(ix.lists))
+	for _, l := range ix.lists {
 		b.Add(l, eb)
 	}
 	ix.cs = b.Finish()
 	ix.csShared = false
 	ix.lists = nil
-	ix.extras = nil
 	ix.cache.Reset()
 }
 
@@ -97,18 +96,14 @@ func (ix *Inverted) UnshareContainers() {
 	}
 }
 
-// materialize decodes token t's container (plus any extras overlay) into a
-// heap list, serving repeats from the LRU. Decode errors — possible only
-// with a corrupted snapshot, since built containers are canonical by
-// construction — are counted and yield the valid prefix.
-func (ix *Inverted) materialize(t int) []Posting {
+// materialize decodes token t's container followed by its tail into one
+// list, serving repeats from the LRU. Decode errors — possible only with a
+// corrupted snapshot, since built containers are canonical by construction
+// — are counted and yield the valid prefix.
+func (ix *Inverted) materialize(t int, tail []Posting) []Posting {
 	blob := ix.cs.Blob(t)
-	var ex []Posting
-	if t < len(ix.extras) {
-		ex = ix.extras[t]
-	}
 	if len(blob) == 0 {
-		return ex
+		return tail
 	}
 	if l, ok := ix.cache.Get(t); ok {
 		ix.cacheHits.Add(1)
@@ -117,11 +112,11 @@ func (ix *Inverted) materialize(t int) []Posting {
 	ix.cacheMisses.Add(1)
 	n, _ := dataset.ContainerLen(blob)
 	pl := dataset.NewPostingList(blob, ix.encBase())
-	out, err := pl.Materialize(make([]Posting, 0, n+len(ex)))
+	out, err := pl.Materialize(make([]Posting, 0, n+len(tail)))
 	if err != nil {
 		ix.decodeErrs.Add(1)
 	}
-	out = append(out, ex...)
+	out = append(out, tail...)
 	ix.cache.Put(t, out)
 	return out
 }
@@ -133,24 +128,14 @@ func (ix *Inverted) DecodeErrors() int64 { return ix.decodeErrs.Load() }
 
 // SetRangeInto returns the postings of token t in the given set, plus a
 // scratch buffer for the caller to pass back next call. The result aliases
-// index storage (heap list, cached decode, or extras) when possible —
+// index storage (the slice tail or a cached decode) when possible —
 // zero-copy — and otherwise is decoded into scratch, so a worker reusing
-// its buffer probes compressed lists without steady-state allocation. The
+// its buffer probes containers without steady-state allocation. The
 // result is valid only until the next call with the same scratch.
 func (ix *Inverted) SetRangeInto(t tokens.ID, set int32, scratch []Posting) (res, scratch2 []Posting) {
-	if int(t) < len(ix.lists) {
-		if l := ix.lists[t]; l != nil {
-			return setRangeOf(l, set), scratch
-		}
-	}
-	if ix.cs == nil {
-		return nil, scratch
-	}
-	// Sets appended after the containers were built live only in extras.
-	if int(t) < len(ix.extras) {
-		if r := setRangeOf(ix.extras[t], set); len(r) > 0 {
-			return r, scratch
-		}
+	// A set's postings are all in the tail or all in the container.
+	if r := setRangeOf(ix.tail(t), set); len(r) > 0 || ix.cs == nil {
+		return r, scratch
 	}
 	blob := ix.cs.Blob(int(t))
 	if len(blob) == 0 {
@@ -170,59 +155,49 @@ func (ix *Inverted) SetRangeInto(t tokens.ID, set int32, scratch []Posting) (res
 }
 
 // Cursor iterates one posting list in (Set, Elem) order without requiring
-// it to be materialized: heap and cached lists are walked as slices, and
-// large cold containers are streamed directly off the compressed bytes.
-// The zero Cursor is an exhausted cursor. Not safe for concurrent use;
-// obtain with Inverted.Cursor, and cut it to a set range with Cut.
+// it to be materialized: slice tails and cached lists are walked as
+// slices, and large cold containers are streamed directly off the
+// compressed bytes, then their tails. The zero Cursor is an exhausted
+// cursor. Not safe for concurrent use; obtain with Inverted.Cursor, and cut
+// it to a set range with Cut.
 type Cursor struct {
 	slice  []Posting
 	i      int
 	stream bool
 	it     dataset.PostingIter
-	extras []Posting // streamed after the container's postings
+	tail   []Posting // the slice tail, walked after the streamed container
 	ix     *Inverted // decode-error accounting for the stream path
 	// lo and hi bound a stream to the sets [lo, hi); a slice is cut instead.
 	lo, hi int32
 }
 
-// Cursor returns a cursor over I[t]. Lists already materialized (heap form,
-// tiny, or cache-hot) cost nothing; a cold container either materializes
-// through the LRU (small enough to be worth keeping) or streams one posting
-// at a time, so scanning a huge long-tail list never allocates its decoded
-// form at all.
+// Cursor returns a cursor over I[t]. A list with no container, or one
+// cache-hot, costs nothing; a cold container either materializes through
+// the LRU (small enough to be worth keeping) or streams one posting at a
+// time, so scanning a huge long-tail list never allocates its decoded form
+// at all.
 func (ix *Inverted) Cursor(t tokens.ID) Cursor {
-	if int(t) < len(ix.lists) {
-		if l := ix.lists[t]; l != nil {
-			return Cursor{slice: l}
-		}
-	}
-	if ix.cs == nil {
-		return Cursor{}
-	}
-	blob := ix.cs.Blob(int(t))
-	var ex []Posting
-	if int(t) < len(ix.extras) {
-		ex = ix.extras[t]
-	}
+	l := ix.tail(t)
+	blob := ix.cs.Blob(int(t)) // empty in a heap index
 	if len(blob) == 0 {
-		return Cursor{slice: ex}
-	}
-	if l, ok := ix.cache.Get(int(t)); ok {
-		ix.cacheHits.Add(1)
 		return Cursor{slice: l}
+	}
+	if cached, ok := ix.cache.Get(int(t)); ok {
+		ix.cacheHits.Add(1)
+		return Cursor{slice: cached}
 	}
 	// Cold. Materialize mid-size lists (repeat probes hit the cache);
 	// stream anything that would claim an outsized share of the budget.
 	n, ok := dataset.ContainerLen(blob)
 	if !ok {
 		ix.decodeErrs.Add(1)
-		return Cursor{slice: ex}
+		return Cursor{slice: l}
 	}
 	if int64(n)*postingBytes <= ix.cache.Budget()/4 {
-		return Cursor{slice: ix.materialize(int(t))}
+		return Cursor{slice: ix.materialize(int(t), l)}
 	}
 	pl := dataset.NewPostingList(blob, ix.encBase())
-	return Cursor{stream: true, it: pl.Iter(), extras: ex, ix: ix, hi: math.MaxInt32}
+	return Cursor{stream: true, it: pl.Iter(), tail: l, ix: ix, hi: math.MaxInt32}
 }
 
 // Cut restricts an unstarted cursor to the postings whose set lies in
@@ -235,8 +210,8 @@ func (ix *Inverted) Cursor(t tokens.ID) Cursor {
 func (c *Cursor) Cut(lo, hi int32) {
 	if c.stream {
 		c.lo, c.hi = lo, hi
-		i, j := span(c.extras, lo, hi)
-		c.extras = c.extras[i:j]
+		i, j := span(c.tail, lo, hi)
+		c.tail = c.tail[i:j]
 	} else {
 		i, j := span(c.slice, lo, hi)
 		c.slice = c.slice[i:j]
@@ -297,9 +272,9 @@ func (c *Cursor) Next() (Posting, bool) {
 	if c.it.Err() != nil {
 		c.ix.decodeErrs.Add(1)
 	}
-	// Container exhausted: fall through to the extras overlay.
+	// Container exhausted: go on with the slice tail.
 	c.stream = false
-	c.slice, c.i = c.extras, 0
+	c.slice, c.i = c.tail, 0
 	return c.Next()
 }
 
@@ -307,19 +282,14 @@ func (c *Cursor) Next() (Posting, bool) {
 // snapshot writer pulls lists straight from the index, reusing encoded
 // containers verbatim when the image's element-id space matches.
 
-// EncodedContainer returns token t's container blob when it is exact —
-// encoded, with no extras overlay — so the snapshot writer can copy it
-// without a decode/encode round-trip. The second result is false when the
-// caller must fall back to AppendPostings.
+// EncodedContainer returns token t's container blob when it is the whole
+// list — the index has containers and t's slice tail is empty — so the
+// snapshot writer can copy it without a decode/encode round-trip (a token
+// past the store has the empty blob, exactly its empty list). The second
+// result is false when the caller must fall back to AppendPostings.
 func (ix *Inverted) EncodedContainer(t int) ([]byte, bool) {
-	if ix.cs == nil {
+	if ix.cs == nil || len(ix.tail(tokens.ID(t))) > 0 {
 		return nil, false
-	}
-	if t < len(ix.extras) && len(ix.extras[t]) > 0 {
-		return nil, false
-	}
-	if t >= ix.cs.NumTokens() {
-		return nil, true // token never indexed: exactly the empty list
 	}
 	return ix.cs.Blob(t), true
 }
@@ -333,22 +303,22 @@ func (ix *Inverted) AppendPostings(t int, dst []Posting) []Posting {
 type StorageStats struct {
 	// Postings is the logical posting count across all lists.
 	Postings int
-	// HeapBytes approximates materialized posting bytes outside the cache:
-	// heap-form lists and the extras overlay.
+	// HeapBytes approximates the bytes of the slice tails, outside the
+	// cache: every posting of a heap index, and the postings appended
+	// since the containers were encoded in a compressed one.
 	HeapBytes int64
-	// EncodedBytes is the compressed container store's size (0 for heap
-	// form).
+	// EncodedBytes is the container store's size (0 in a heap index).
 	EncodedBytes int64
 	// ResidentBytes is the LRU's current holding of decoded hot lists.
 	ResidentBytes int64
 	// DirectoryBytes is the element directory's heap footprint: 8 bytes an
-	// indexed element plus 4 a set, in either form. It is not part of
-	// HeapBytes, which counts postings only.
+	// indexed element plus 4 a set, with or without containers. It is not
+	// part of HeapBytes, which counts postings only.
 	DirectoryBytes int64
 	// CacheHits / CacheMisses / DecodeErrors count cache probes of
 	// compressed lists and container decode failures since build/load.
 	CacheHits, CacheMisses, DecodeErrors int64
-	// Compressed reports the index form.
+	// Compressed reports whether the index has a container store.
 	Compressed bool
 }
 
@@ -369,9 +339,6 @@ func (ix *Inverted) Storage() StorageStats {
 		Compressed:     ix.cs != nil,
 	}
 	for _, l := range ix.lists {
-		st.HeapBytes += int64(cap(l)) * postingBytes
-	}
-	for _, l := range ix.extras {
 		st.HeapBytes += int64(cap(l)) * postingBytes
 	}
 	return st

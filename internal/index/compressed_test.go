@@ -142,8 +142,8 @@ func requireSameIndex(t *testing.T, stage string, want, got *Inverted) {
 	}
 }
 
-// TestCompressedEquivalence: the compressed form answers every read
-// identically to the heap form, for cache budgets from "evict constantly"
+// TestCompressedEquivalence: a compressed index answers every read
+// identically to a heap index, for cache budgets from "evict constantly"
 // through "everything fits" — including budget 1, which forces the cursor's
 // streaming decode path.
 func TestCompressedEquivalence(t *testing.T) {
@@ -183,37 +183,68 @@ func TestCompressedCompressionRatio(t *testing.T) {
 	}
 }
 
-// TestCompressedAppendAndRebuild: incremental appends land in the extras
-// overlay and answer identically to a heap index over the same grown
-// collection; Rebuild folds them back into containers.
+// TestCompressedAppendAndRebuild: a heap index and compressed ones at cache
+// budgets that stream, evict and keep everything take two rounds of
+// appended sets into their slice tails, then a Rebuild, and after every
+// step answer identically to a fresh Build of the collection. EncodedContainer
+// offers a container verbatim exactly for the tokens with no slice postings,
+// so never in a heap index, whose slices are its lists.
 func TestCompressedAppendAndRebuild(t *testing.T) {
-	coll, _ := synthCorpus(40, 3)
-	cx := BuildCompressed(coll, 1<<10)
-	// Warm the cache so appends must invalidate stale materializations.
-	requireSameIndex(t, "prewarm", Build(coll), cx)
-
-	from := dataset.Append(coll, []dataset.RawSet{
-		{Name: "n1", Elements: []string{"common mid0 fresh0", "rare1 fresh1"}},
-		{Name: "n2", Elements: []string{"common fresh0 fresh2"}},
-	})
-	cx.AppendSets(from)
-	heap := Build(coll)
-	requireSameIndex(t, "appended", heap, cx)
-
-	cx.Rebuild()
-	if !cx.Compressed() {
-		t.Fatal("Rebuild dropped the compressed form")
+	rounds := [][]dataset.RawSet{
+		{
+			{Name: "n1", Elements: []string{"common mid0 fresh0", "rare1 fresh1"}},
+			{Name: "n2", Elements: []string{"common fresh0 fresh2"}},
+		},
+		{
+			{Name: "n3", Elements: []string{"fresh1 mid2", "common rare2 fresh3"}},
+		},
 	}
-	requireSameIndex(t, "rebuilt", heap, cx)
-	if st := cx.Storage(); st.HeapBytes != 0 {
-		t.Fatalf("rebuilt compressed index still holds %d heap bytes", st.HeapBytes)
+	forms := []struct {
+		name  string
+		build func(*dataset.Collection) *Inverted
+	}{
+		{"heap", Build},
+		{"budget=1", func(c *dataset.Collection) *Inverted { return BuildCompressed(c, 1) }},
+		{"budget=1KiB", func(c *dataset.Collection) *Inverted { return BuildCompressed(c, 1<<10) }},
+		{"budget=default", func(c *dataset.Collection) *Inverted { return BuildCompressed(c, 0) }},
+	}
+	for _, form := range forms {
+		t.Run(form.name, func(t *testing.T) {
+			coll, _ := synthCorpus(40, 3)
+			ix := form.build(coll)
+			compressed := ix.Compressed()
+			check := func(stage string) {
+				t.Helper()
+				requireSameIndex(t, stage, Build(coll), ix)
+				for tid := range ix.NumTokens() + 1 {
+					_, ok := ix.EncodedContainer(tid)
+					if want := compressed && len(ix.tail(tokens.ID(tid))) == 0; ok != want {
+						t.Fatalf("%s: token %d: EncodedContainer ok = %v with %d slice postings", stage, tid, ok, len(ix.tail(tokens.ID(tid))))
+					}
+				}
+			}
+			// Warm the cache so appends must drop stale materializations.
+			check("prewarm")
+			for r, add := range rounds {
+				ix.AppendSets(dataset.Append(coll, add))
+				check(fmt.Sprintf("round %d", r+1))
+			}
+			ix.Rebuild()
+			if ix.Compressed() != compressed {
+				t.Fatalf("Rebuild changed the index from compressed %v", compressed)
+			}
+			check("rebuilt")
+			if st := ix.Storage(); compressed && st.HeapBytes != 0 {
+				t.Fatalf("rebuilt compressed index still holds %d heap bytes", st.HeapBytes)
+			}
+		})
 	}
 }
 
 // TestAppendDropsCachedDecode: a token whose decode is cached and which
 // sets appended in one call hold (the first drops the decode, the second
 // finds it dropped) lists every new posting, and so does the next append
-// after the decode, overlay included, is cached again.
+// after the decode, slice tail included, is cached again.
 func TestAppendDropsCachedDecode(t *testing.T) {
 	coll := dataset.BuildWord(tokens.NewDictionary(), []dataset.RawSet{
 		{Name: "a", Elements: []string{"x y"}},

@@ -2,16 +2,27 @@
 // token t, I[t] is the list of ⟨set, element⟩ pairs containing t, used for
 // candidate selection, the check filter, and nearest-neighbor search.
 //
+// Postings are held one way, behind one read rule: I[t] is container t of
+// the index's container store, when it has one, followed by the slice
+// lists[t]. A heap index (Build, FromLists) has no container store, so its
+// slices are its lists. A compressed index (BuildCompressed, Compress,
+// FromContainers) encodes every list as an adaptive container — possibly
+// aliasing a memory-mapped snapshot — and its slices hold only the postings
+// of sets appended since: those sets carry larger ids than any set in a
+// container, so the two parts concatenate in (Set, Elem) order. Rebuild
+// re-encodes a compressed index from the collection, leaving its slices
+// empty.
+//
 // Beside the posting lists every index keeps an element directory
 // (Directory): per indexed element its content key and its size, in one
 // flat table addressed by global element id, base[Set]+Elem. It is what the
 // filters read per posting instead of the element itself. The directory is
-// derived state and independent of the posting form: every constructor
+// derived state and independent of the containers: every constructor
 // (Build, BuildCompressed, FromLists, FromContainers) derives it from the
 // collection, AppendSets extends it, Rebuild recomputes it, and nothing
 // persists it — a snapshot holds elements and postings only. Its base table
 // is dataset.ElemBase of the indexed sets, the id space bitmap containers
-// are defined over, so the compressed form keeps no table of its own: its
+// are defined over, so a compressed index keeps no table of its own: its
 // decoders are handed the prefix of the directory's base that covers the
 // sets the containers were encoded with (CheckDirectory verifies all of
 // this against the collection).
@@ -35,15 +46,16 @@ type Posting = dataset.Posting
 // are sorted by (Set, Elem), which Build guarantees by construction, so
 // per-set ranges can be located by binary search (paper footnote 7).
 //
-// The index stores its lists in one of two forms. The heap form (Build,
-// FromLists) keeps every list as a materialized []Posting in lists. The
-// compressed form (BuildCompressed, FromContainers) keeps lists as adaptive
-// container blobs in cs — possibly aliasing a memory-mapped snapshot — and
-// materializes a list only when a probe needs it, holding hot decodes in a
-// byte-budgeted LRU. Either form answers the same read API with identical
-// results; readers may run concurrently (the cache is internally locked),
-// while AppendSets/Rebuild require the caller's exclusive lock as before.
+// The postings of token t are container t of cs (when cs is set) followed
+// by lists[t], whatever constructor made the index; a compressed index
+// materializes a container only when a probe needs it, holding hot decodes
+// in a byte-budgeted LRU. Readers may run concurrently (the cache is
+// internally locked), while AppendSets/Rebuild require the caller's
+// exclusive lock.
 type Inverted struct {
+	// lists[t] is the slice tail of I[t], indexed by token id: the whole
+	// list when cs is nil, else the postings of sets appended since the
+	// containers were encoded.
 	lists [][]Posting
 	coll  *dataset.Collection
 
@@ -51,18 +63,16 @@ type Inverted struct {
 	// every constructor, AppendSets and Rebuild.
 	dir Directory
 
-	// Compressed-form state; cs == nil means pure heap form, and a
-	// compressed index holds no heap lists.
+	// cs holds the head of every list as an encoded container; nil in a
+	// heap index.
 	cs       *dataset.ContainerStore
 	csShared bool // cs may alias borrowed (mmap) memory
 	// encSets is how many sets the containers in cs were encoded with:
 	// their element-base table is the directory's, up to that set.
 	encSets int
-	// extras overlays postings of sets appended after cs was built,
-	// indexed by token id. Appended sets carry larger ids than anything
-	// in cs, so container postings followed by extras stay sorted.
-	extras [][]Posting
-	cache  *lru.Cache[int, []Posting]
+	// cache holds materialized lists (container and tail) of a compressed
+	// index; nil in a heap index, where its nil-safe methods do nothing.
+	cache *lru.Cache[int, []Posting]
 
 	cacheHits, cacheMisses, decodeErrs atomic.Int64
 }
@@ -142,44 +152,39 @@ func FromLists(c *dataset.Collection, lists [][]Posting) *Inverted {
 // Collection returns the collection this index was built over.
 func (ix *Inverted) Collection() *dataset.Collection { return ix.coll }
 
-// List returns the posting list for token t, or nil when t never occurs in
-// the indexed collection (including ids past the dictionary's size, which
-// a query gives the tokens the collection never held). In the
-// compressed form this materializes the container on first probe and holds
-// it in the LRU; prefer Cursor for one-shot scans of large lists.
-func (ix *Inverted) List(t tokens.ID) []Posting {
+// tail returns lists[t], the postings of t that no container holds (nil
+// for an id past the lists, which a query gives the tokens the collection
+// never held).
+func (ix *Inverted) tail(t tokens.ID) []Posting {
 	if int(t) < len(ix.lists) {
-		if l := ix.lists[t]; l != nil {
-			return l
-		}
+		return ix.lists[t]
 	}
+	return nil
+}
+
+// List returns the posting list for token t, or nil when t never occurs in
+// the indexed collection. A container is materialized on first probe and
+// held in the LRU; prefer Cursor for one-shot scans of large lists.
+func (ix *Inverted) List(t tokens.ID) []Posting {
+	l := ix.tail(t)
 	if ix.cs == nil {
-		return nil
+		return l
 	}
-	return ix.materialize(int(t))
+	return ix.materialize(int(t), l)
 }
 
 // ListLen returns |I[t]|, the signature selection cost of token t
-// (paper §4.3). In the compressed form this reads the container header —
-// no decode.
+// (paper §4.3). A container's length is read from its header — no decode.
 func (ix *Inverted) ListLen(t tokens.ID) int {
-	if int(t) < len(ix.lists) {
-		if l := ix.lists[t]; l != nil {
-			return len(l)
-		}
-	}
+	n := len(ix.tail(t))
 	if ix.cs == nil {
-		return 0
+		return n
 	}
-	n, ok := dataset.ContainerLen(ix.cs.Blob(int(t)))
+	c, ok := dataset.ContainerLen(ix.cs.Blob(int(t)))
 	if !ok {
 		ix.decodeErrs.Add(1)
-		n = 0
 	}
-	if int(t) < len(ix.extras) {
-		n += len(ix.extras[t])
-	}
-	return n
+	return n + c
 }
 
 // SetRange returns the postings of token t that belong to the given set,
@@ -202,41 +207,27 @@ func setRangeOf(l []Posting, set int32) []Posting {
 // AppendSets indexes the collection's sets from index `from` onward,
 // extending the token dimension to the dictionary's current size and the
 // element directory to the new sets. Because new sets carry the largest
-// ids, appending their postings preserves each list's (Set, Elem) order, so
-// lookups stay correct without re-sorting. Not safe concurrently with
-// readers.
+// ids, appending their postings to the slice tails preserves each list's
+// (Set, Elem) order, so lookups stay correct without re-sorting. Not safe
+// concurrently with readers.
 func (ix *Inverted) AppendSets(from int) {
 	c := ix.coll
 	ix.dir.extend(c)
-	if ix.cs != nil {
-		for len(ix.extras) < c.Dict.Size() {
-			ix.extras = append(ix.extras, nil)
-		}
-		// Appended postings go to the extras overlay, dropping any cached
-		// decode of their token so the next probe re-materializes container
-		// and overlay together: once per token, at its first posting here
-		// (an overlay already ending in a set at or past from has had its
-		// decode dropped).
-		for i := from; i < len(c.Sets); i++ {
-			for j := range c.Sets[i].Elements {
-				for _, t := range c.Sets[i].Elements[j].Tokens {
-					l := ix.extras[t]
-					if len(l) == 0 || int(l[len(l)-1].Set) < from {
-						ix.cache.Remove(int(t))
-					}
-					ix.extras[t] = append(l, Posting{Set: int32(i), Elem: int32(j)})
-				}
-			}
-		}
-		return
-	}
 	for len(ix.lists) < c.Dict.Size() {
 		ix.lists = append(ix.lists, nil)
 	}
+	// A cached decode holds container and tail together, so it is dropped
+	// once per token, at its first posting here (a tail already ending in
+	// a set at or past from has had its decode dropped); a heap index has
+	// no cache.
 	for i := from; i < len(c.Sets); i++ {
 		for j := range c.Sets[i].Elements {
 			for _, t := range c.Sets[i].Elements[j].Tokens {
-				ix.lists[t] = append(ix.lists[t], Posting{Set: int32(i), Elem: int32(j)})
+				l := ix.lists[t]
+				if len(l) == 0 || int(l[len(l)-1].Set) < from {
+					ix.cache.Remove(int(t))
+				}
+				ix.lists[t] = append(l, Posting{Set: int32(i), Elem: int32(j)})
 			}
 		}
 	}
@@ -246,30 +237,19 @@ func (ix *Inverted) AppendSets(from int) {
 // collection's current contents in place, keeping the Inverted pointer stable for engines that
 // hold it. Sets whose Elements were cleared (tombstoned and compacted)
 // contribute nothing, so their stale postings disappear and the memory is
-// reclaimed. A compressed index re-encodes fresh containers (absorbing the
-// extras overlay and detaching from any mapped snapshot); a heap index
-// rebuilds heap lists. Not safe concurrently with readers.
+// reclaimed. A compressed index then encodes the rebuilt lists as fresh
+// containers, detaching from any mapped snapshot. Not safe concurrently
+// with readers.
 func (ix *Inverted) Rebuild() {
 	ix.dir = buildDirectory(ix.coll)
-	lists := buildLists(ix.coll, 1)
+	ix.lists = buildLists(ix.coll, 1)
 	if ix.cs != nil {
-		ix.adoptCompressed(lists)
-		return
+		ix.encode()
 	}
-	ix.lists = lists
 }
 
 // NumTokens returns the number of token ids the index covers.
-func (ix *Inverted) NumTokens() int {
-	n := len(ix.lists)
-	if ix.cs != nil && ix.cs.NumTokens() > n {
-		n = ix.cs.NumTokens()
-	}
-	if len(ix.extras) > n {
-		n = len(ix.extras)
-	}
-	return n
-}
+func (ix *Inverted) NumTokens() int { return max(len(ix.lists), ix.cs.NumTokens()) }
 
 // TotalPostings returns the total number of postings across all lists,
 // which is the index's dominant logical size. Compressed containers are
@@ -279,15 +259,9 @@ func (ix *Inverted) TotalPostings() int {
 	for _, l := range ix.lists {
 		n += len(l)
 	}
-	for _, l := range ix.extras {
-		n += len(l)
-	}
-	if ix.cs != nil {
-		for t := 0; t < ix.cs.NumTokens(); t++ {
-			if c, ok := dataset.ContainerLen(ix.cs.Blob(t)); ok {
-				n += c
-			}
-		}
+	for t := range ix.cs.NumTokens() {
+		c, _ := dataset.ContainerLen(ix.cs.Blob(t))
+		n += c
 	}
 	return n
 }

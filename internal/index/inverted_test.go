@@ -173,19 +173,6 @@ func TestAppendSets(t *testing.T) {
 	if !ok || ix.ListLen(idW) != 1 {
 		t.Errorf("w postings = %d", ix.ListLen(idW))
 	}
-	// An incremental index equals a from-scratch rebuild.
-	fresh := Build(coll)
-	for tid := 0; tid < fresh.NumTokens(); tid++ {
-		a, b := ix.List(tokens.ID(tid)), fresh.List(tokens.ID(tid))
-		if len(a) != len(b) {
-			t.Fatalf("token %d: %v vs %v", tid, a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("token %d posting %d: %v vs %v", tid, i, a[i], b[i])
-			}
-		}
-	}
 }
 
 // TestCheckDirectoryCatchesDrift is the self-check's own check: the

@@ -358,14 +358,17 @@ type Config struct {
 	// automatic compaction, leaving reclamation to explicit Compact calls.
 	// Results are identical before and after compaction either way.
 	CompactionThreshold float64
-	// CompressedPostings stores posting lists as adaptive compressed
-	// containers (sorted array / delta-packed blocks / bitmap, whichever is
-	// smallest per list) instead of materialized slices. Queries decode a
-	// list only when a probe first touches it, holding hot decodes in a
-	// bounded LRU, so the index costs a fraction of the heap for identical
-	// results. With DataDir set, recovery from a container-format snapshot
-	// becomes zero-copy: the file is memory-mapped and posting bytes stay
-	// on disk until probed.
+	// CompressedPostings encodes every posting list as an adaptive
+	// compressed container (sorted array / delta-packed blocks / bitmap,
+	// whichever is smallest per list). A token's postings are its
+	// container followed by a slice of the postings of sets added since
+	// the containers were encoded (compaction encodes them afresh); without
+	// CompressedPostings there are no containers and the slices are the
+	// lists. Queries decode a container only when a probe first touches
+	// it, holding hot decodes in a bounded LRU, so the index costs a
+	// fraction of the heap for identical results. With DataDir set,
+	// recovery from a container-format snapshot becomes zero-copy: the file
+	// is memory-mapped and posting bytes stay on disk until probed.
 	CompressedPostings bool
 	// PostingCacheBytes bounds the compressed index's LRU of decoded hot
 	// posting lists, in bytes; 0 means the default (64 MiB). Ignored
@@ -501,8 +504,8 @@ type SchemeCounts struct {
 }
 
 // PostingStorage reports how the inverted index holds its posting lists:
-// materialized on the heap, or as adaptive compressed containers decoded
-// lazily through a bounded cache.
+// each is an adaptive compressed container, when the index has them,
+// decoded lazily through a bounded cache, followed by a materialized slice.
 type PostingStorage struct {
 	// CompressedPostings reports whether the index stores posting lists as
 	// compressed containers (Config.CompressedPostings, or a zero-copy
@@ -510,9 +513,10 @@ type PostingStorage struct {
 	CompressedPostings bool `json:"compressed"`
 	// Postings is the logical posting count across the index's lists.
 	Postings int `json:"postings"`
-	// PostingHeapBytes approximates the materialized posting storage held
-	// outside the decode cache: all lists on an uncompressed engine, only
-	// post-load appends on a compressed one.
+	// PostingHeapBytes approximates the materialized slices of postings
+	// held outside the decode cache: all lists on an uncompressed engine,
+	// only the sets added since the containers were encoded on a
+	// compressed one.
 	PostingHeapBytes int64 `json:"heap_bytes"`
 	// PostingEncodedBytes is the compressed container storage backing the
 	// index (zero on an uncompressed engine). The compression ratio is
