@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCorrupt is the sentinel wrapped by every decoder error.
@@ -26,6 +27,10 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the number of bytes encoded so far.
 func (w *Writer) Len() int { return len(w.buf) }
+
+// Grow makes room for n more bytes, so that a payload whose size is known,
+// or bounded, up front is encoded into one allocation.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Uvarint appends v in unsigned varint form.
 func (w *Writer) Uvarint(v uint64) {

@@ -130,8 +130,9 @@ func TestVerifyAllocs(t *testing.T) {
 		o := e.opts
 		o.Reduction = reduction
 		var dense verifyScratch // as the brute-force oracle's
+		rdir, _ := e.coll.LookupEntries(nil, ref, nil)
 		for _, vs := range []*verifyScratch{&dense, &w.vs} {
-			pair := func() { e.verifyWith(ref, 11, vs, &o) }
+			pair := func() { e.verifyWith(ref, rdir, 11, vs, &o) }
 			pair() // warm the scratch
 			if got := testing.AllocsPerRun(500, pair); got > 0 {
 				t.Errorf("steady-state verification (reduction=%v, from overlap counts=%v) allocates %.1f objects/pair, want 0",

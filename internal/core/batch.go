@@ -15,9 +15,12 @@ type BatchResult struct {
 	Err     error
 }
 
-// SearchBatchQueries answers one search per reference set, each under its own
-// query (qs, when non-nil, aligns with refs; a nil item inherits the engine's
-// configuration) and each in canonical order, cut to its query's best K.
+// SearchBatchQueries answers one search per set of refs, each under its own
+// query (qs, when non-nil, aligns with refs.Sets; a nil item inherits the
+// engine's configuration) and each in canonical order, cut to its query's
+// best K. refs shares the engine collection's dictionary — a QueryScratch
+// build, or the engine's own collection — and its element table gives the
+// references' keys to the §5.3 reduction.
 //
 // The items run as one fan-out (fanOut): up to Concurrency workers, each
 // with one reusable Searcher whose collector scratch amortizes across the
@@ -31,11 +34,12 @@ type BatchResult struct {
 // no matches and ErrPostingDecode in its Err, and the batch goes on. Any
 // other error — an invalid query, cancellation — aborts the whole batch and
 // is the second result.
-func (e *Engine) SearchBatchQueries(ctx context.Context, refs []dataset.Set, qs []*Query, width int) ([]BatchResult, error) {
-	if len(refs) == 0 {
+func (e *Engine) SearchBatchQueries(ctx context.Context, refs *dataset.Collection, qs []*Query, width int) ([]BatchResult, error) {
+	n := len(refs.Sets)
+	if n == 0 {
 		return nil, nil
 	}
-	if qs != nil && len(qs) != len(refs) {
+	if qs != nil && len(qs) != n {
 		return nil, errors.New("core: per-item queries must align with refs")
 	}
 	for _, q := range qs {
@@ -43,8 +47,8 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []dataset.Set, qs 
 			return nil, err
 		}
 	}
-	job := batchJob{e: e, refs: refs, qs: qs, out: make([]BatchResult, len(refs))}
-	if err := fanOut(e, ctx, len(refs), width, job); err != nil {
+	job := batchJob{e: e, refs: refs, qs: qs, out: make([]BatchResult, n)}
+	if err := fanOut(e, ctx, n, width, job); err != nil {
 		return nil, err
 	}
 	return job.out, nil
@@ -53,7 +57,7 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []dataset.Set, qs 
 // batchJob is a batch's fan-out: each item writes its own slot of out.
 type batchJob struct {
 	e    *Engine
-	refs []dataset.Set
+	refs *dataset.Collection
 	qs   []*Query
 	out  []BatchResult
 }
@@ -64,7 +68,7 @@ func (j batchJob) pass(ctx context.Context, sr *Searcher, _, i, width int) error
 		q = j.qs[i]
 	}
 	start := time.Now()
-	ms, err := j.e.searchPass(ctx, &j.refs[i], -1, sr.w, width, q)
+	ms, err := j.e.searchPass(ctx, &j.refs.Sets[i], j.refs.Dir.Set(int32(i)), -1, sr.w, width, q)
 	if errors.Is(err, ErrPostingDecode) {
 		j.out[i].Err = err
 		return nil

@@ -164,11 +164,11 @@ func phiFunc(o Options) filter.SimFunc {
 		}
 	case Eds:
 		return func(r, s *dataset.Element) float64 {
-			return sim.EdsAlphaLen(r.Raw, s.Raw, int(r.Length), int(s.Length), alpha)
+			return sim.EdsAlpha(r.Raw, s.Raw, alpha)
 		}
 	case NEds:
 		return func(r, s *dataset.Element) float64 {
-			return sim.NEdsAlphaLen(r.Raw, s.Raw, int(r.Length), int(s.Length), alpha)
+			return sim.NEdsAlpha(r.Raw, s.Raw, alpha)
 		}
 	case Dice:
 		return func(r, s *dataset.Element) float64 {
@@ -252,11 +252,12 @@ func (e *Engine) NewSearcher() *Searcher {
 }
 
 // Search runs one search pass for r, excluding candidate sets with
-// collection index ≤ skip (pass -1 to consider every set). Verification
+// collection index ≤ skip (pass -1 to consider every set). r's keys are
+// looked up as SearchSplitContext looks them up. Verification
 // runs serially within the pass: callers parallelize across passes, not
 // within them.
 func (s *Searcher) Search(ctx context.Context, r *dataset.Set, skip int) ([]Match, error) {
-	return s.e.searchPass(ctx, r, skip, s.w, 1, nil)
+	return s.e.searchPass(ctx, r, s.w.vs.lookup(s.e.coll, r), skip, s.w, 1, nil)
 }
 
 // Close folds the worker's running total into the engine's counters,
@@ -340,7 +341,7 @@ func (j discoverJob) pass(ctx context.Context, sr *Searcher, w, ri, width int) e
 	if j.selfJoin && j.e.opts.Metric == SetSimilarity {
 		selfSkip = ri
 	}
-	ms, err := j.e.searchPass(ctx, &j.refs.Sets[ri], selfSkip, sr.w, width, j.q)
+	ms, err := j.e.searchPass(ctx, &j.refs.Sets[ri], j.refs.Dir.Set(int32(ri)), selfSkip, sr.w, width, j.q)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func fanCalls(against []dataset.RawSet) []fanCall {
 	againstColl := func(e *Engine) *dataset.Collection {
 		return dataset.BuildWord(e.Collection().Dict, against)
 	}
-	batchRefs := func(e *Engine) []dataset.Set { return e.Collection().Sets[20:36] }
+	batchRefs := func(e *Engine) *dataset.Collection { return setsIn(e.Collection(), 20, 36) }
 	return []fanCall{
 		{
 			name: "self-join/similarity", metric: SetSimilarity, run: discoverCall(self),
@@ -107,7 +107,7 @@ func fanCalls(against []dataset.RawSet) []fanCall {
 			name: "batch", metric: SetSimilarity,
 			run: func(t *testing.T, e *Engine, width int) fanAnswer {
 				refs := batchRefs(e)
-				qs := make([]*Query, len(refs))
+				qs := make([]*Query, len(refs.Sets))
 				for i := range qs {
 					qs[i] = &Query{Stats: &Capture{}}
 				}
@@ -127,7 +127,7 @@ func fanCalls(against []dataset.RawSet) []fanCall {
 				}
 				return a
 			},
-			splits: func(e *Engine) int64 { return nonEmpty(batchRefs(e), func(int) bool { return true }) },
+			splits: func(e *Engine) int64 { return nonEmpty(batchRefs(e).Sets, func(int) bool { return true }) },
 		},
 	}
 }
@@ -260,7 +260,7 @@ func TestLateHelpersTouchNothingInFanOuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.SearchBatchQueries(ctx, e.Collection().Sets[:1], nil, width)
+		res, err := e.SearchBatchQueries(ctx, setsIn(e.Collection(), 0, 1), nil, width)
 		if err != nil || res[0].Err != nil {
 			t.Fatal(err, res[0].Err)
 		}

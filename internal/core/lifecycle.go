@@ -93,11 +93,7 @@ func (e *Engine) Compact() {
 	if e.tombstoned == 0 {
 		return
 	}
-	for i := range e.dead {
-		if e.dead[i] {
-			e.coll.Sets[i].Drop()
-		}
-	}
+	e.coll.DropSets(e.dead)
 	e.ix.Rebuild()
 	toks, keys := e.coll.Used(nil) // dead sets were dropped above
 	e.coll.Dict.Reclaim(toks)

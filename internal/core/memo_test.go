@@ -248,7 +248,7 @@ func TestMemoKeyRecycledBetweenSearches(t *testing.T) {
 				t.Fatalf("the first search had %d candidates, want %d: it must meet the set about to be deleted", sr.w.total.Candidates, sc.candidates)
 			}
 			freed := map[tokens.ID]bool{}
-			for _, e := range coll.Sets[2].Elements {
+			for _, e := range coll.Dir.Set(2) {
 				freed[e.Key] = true
 			}
 			if err := eng.Delete(2); err != nil {
@@ -258,10 +258,10 @@ func TestMemoKeyRecycledBetweenSearches(t *testing.T) {
 			from := dataset.Append(coll, []dataset.RawSet{sc.added})
 			eng.AppendSets(from)
 			recycled := false
-			for _, e := range coll.Sets[from].Elements {
+			for _, e := range coll.Dir.Set(int32(from)) {
 				live := false // the id counts as recycled only if its old content is gone
 				for si := range coll.Sets[:from] {
-					for _, o := range coll.Sets[si].Elements {
+					for _, o := range coll.Dir.Set(int32(si)) {
 						live = live || (eng.Alive(si) && o.Key == e.Key)
 					}
 				}
@@ -319,7 +319,7 @@ func TestMemoLazyAllocGate(t *testing.T) {
 	a0 := totalAlloc()
 	w := eng.newWorker()
 	a1 := totalAlloc()
-	if _, err := eng.searchPass(context.Background(), &coll.Sets[0], -1, w, 1, nil); err != nil {
+	if _, err := eng.searchPass(context.Background(), &coll.Sets[0], coll.Dir.Set(0), -1, w, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	a2 := totalAlloc()
@@ -377,6 +377,7 @@ func TestOverlapFillEqualsDenseFill(t *testing.T) {
 					}
 					nonZero := 0
 					for _, r := range refs {
+						rdir, _ := coll.LookupEntries(nil, r, nil)
 						for s := range coll.Sets {
 							if !eng.Alive(s) {
 								continue
@@ -421,8 +422,8 @@ func TestOverlapFillEqualsDenseFill(t *testing.T) {
 								o := opts
 								o.Reduction = reduction
 								o.Delta = 0.05 // nearly every pair is related, so Match carries the score
-								gm, gok := eng.verifyWith(r, s, &w.vs, &o)
-								wm, wok := eng.verifyWith(r, s, &oracle, &o)
+								gm, gok := eng.verifyWith(r, rdir, s, &w.vs, &o)
+								wm, wok := eng.verifyWith(r, rdir, s, &oracle, &o)
 								if gok != wok || gm != wm {
 									t.Fatalf("%s: R=%q × set %d reduction=%v: (%+v,%v) from overlap counts, (%+v,%v) from the kernel",
 										label, r.Name, s, reduction, gm, gok, wm, wok)

@@ -81,10 +81,11 @@ func BenchmarkPipelineSearch(b *testing.B) {
 func BenchmarkPipelineVerify(b *testing.B) {
 	e, ref := benchFixture(b, signature.Dichotomy, 0)
 	w := e.newWorker()
+	rdir, _ := e.coll.LookupEntries(nil, ref, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.verifyWith(ref, 11, &w.vs, &e.opts)
+		e.verifyWith(ref, rdir, 11, &w.vs, &e.opts)
 	}
 }
 

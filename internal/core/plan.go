@@ -101,9 +101,12 @@ func (e *Engine) newWorker() *worker {
 // engine and per query once the pass ends (endPass). All reusable state
 // belongs to the worker.
 type plan struct {
-	e        *Engine
-	w        *worker
-	r        *dataset.Set
+	e *Engine
+	w *worker
+	r *dataset.Set
+	// rdir is r's entries in the element table of the collection that
+	// holds it: what the §5.3 reduction reads r's keys from.
+	rdir     []dataset.DirEntry
 	selfSkip int
 	// width is the most goroutines the pass may run on: 1 keeps it on the
 	// caller's (see run).
@@ -133,15 +136,16 @@ type plan struct {
 }
 
 // searchPass generates r's signature, collects and refines candidates, and
-// verifies survivors, on at most width goroutines (run). Candidate sets with
-// index ≤ selfSkip are excluded (selfSkip = the reference's own index during
+// verifies survivors, on at most width goroutines (run); rdir is r's
+// element-table entries (plan.rdir). Candidate sets with index ≤ selfSkip
+// are excluded (selfSkip = the reference's own index during
 // self-join discovery under SET-SIMILARITY; -1 otherwise). Pass a reusable
 // worker; its running total absorbs the pass's counters. q, when non-nil,
 // overrides scheme/δ/filters for this pass and captures its funnel. A pass
 // that saw a posting container fail to decode returns ErrPostingDecode.
 //
 //silkmoth:hotpath
-func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, width int, q *Query) ([]Match, error) {
+func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, rdir []dataset.DirEntry, selfSkip int, w *worker, width int, q *Query) ([]Match, error) {
 	var capture *Capture
 	if q != nil {
 		capture = q.Stats
@@ -161,6 +165,7 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 		e:        e,
 		w:        w,
 		r:        r,
+		rdir:     rdir,
 		selfSkip: selfSkip,
 		width:    width,
 		opts:     e.queryOptions(q),
@@ -279,7 +284,7 @@ func (p *plan) fullScan(ctx context.Context) ([]Match, error) {
 			continue
 		}
 		w.pass.Verified++
-		if m, ok := e.verifyWith(p.r, s, &w.vs, &p.opts); ok {
+		if m, ok := e.verifyWith(p.r, p.rdir, s, &w.vs, &p.opts); ok {
 			out = append(out, m)
 		}
 	}
@@ -374,7 +379,7 @@ func (p *plan) refineAndVerify(c *filter.Candidate) (Match, bool) {
 	}
 	f.AfterNN++
 	f.Verified++
-	m, ok := p.e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
+	m, ok := p.e.verifyWith(p.r, p.rdir, int(c.Set), &w.vs, &p.opts)
 	f.VerifyNanos += lt.lap()
 	return m, ok
 }

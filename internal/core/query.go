@@ -89,7 +89,8 @@ func (e *Engine) queryOptions(q *Query) Options {
 // through posting lists cut to the chunk (see plan.run). The matches are the
 // one-goroutine pass's, in canonical order (descending relatedness, ties by
 // ascending index), and the query counts one pass, which all the chunks'
-// work is charged to.
+// work is charged to. r is a bare set: the keys the reduction compares are
+// looked up in the engine's key table (dataset.Collection.LookupEntries).
 func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Query, width int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -98,7 +99,7 @@ func (e *Engine) SearchSplitContext(ctx context.Context, r *dataset.Set, q *Quer
 		return nil, err
 	}
 	sr := e.NewSearcher()
-	ms, err := e.searchPass(ctx, r, -1, sr.w, width, q)
+	ms, err := e.searchPass(ctx, r, sr.w.vs.lookup(e.coll, r), -1, sr.w, width, q)
 	sr.Close()
 	if err != nil {
 		return nil, err

@@ -93,21 +93,34 @@ func (p *overlapSim) Row(i int, remap []int32, dst []float64) {
 
 // verifyScratch bundles the reusable state of exact verification: the
 // matching scratch (flat Hungarian buffers, reduction tables), the
-// interned element-key slices the §5.3 reduction compares, and the two
-// weight sources. One lives in every worker; verification performs no
+// interned element-key slices the §5.3 reduction compares, the two weight
+// sources, and the entries and key staging of a reference no element table
+// holds (lookup). One lives in every worker; verification performs no
 // per-pair heap allocations.
 type verifyScratch struct {
 	mat        matching.Scratch
 	keyR, keyS []int32
 	ps         pairSim
 	os         overlapSim
+	ents       []dataset.DirEntry
+	key        []byte
 }
 
-// verify computes the exact maximum matching score between r and collection
-// set s (with the §5.3 reduction when enabled) and reports whether the pair
-// is related under the engine's metric.
-func (e *Engine) verify(r *dataset.Set, s int, vs *verifyScratch) (Match, bool) {
-	return e.verifyWith(r, s, vs, &e.opts)
+// lookup returns r's element-table entries looked up in c
+// (dataset.Collection.LookupEntries): the reference of a caller that passed
+// a bare set, not the collection holding it. They stay valid until the next
+// lookup on vs.
+func (vs *verifyScratch) lookup(c *dataset.Collection, r *dataset.Set) []dataset.DirEntry {
+	vs.ents, vs.key = c.LookupEntries(vs.ents[:0], r, vs.key)
+	return vs.ents
+}
+
+// verify computes the exact maximum matching score between r, whose
+// element-table entries are rdir, and collection set s (with the §5.3
+// reduction when enabled) and reports whether the pair is related under the
+// engine's metric.
+func (e *Engine) verify(r *dataset.Set, rdir []dataset.DirEntry, s int, vs *verifyScratch) (Match, bool) {
+	return e.verifyWith(r, rdir, s, vs, &e.opts)
 }
 
 // verifyWith is verify under explicit effective options — the engine's
@@ -118,14 +131,14 @@ func (e *Engine) verify(r *dataset.Set, s int, vs *verifyScratch) (Match, bool) 
 // verifyScratch — the brute-force oracle's — calls the kernel on every cell.
 //
 //silkmoth:hotpath
-func (e *Engine) verifyWith(r *dataset.Set, s int, vs *verifyScratch, o *Options) (Match, bool) {
-	sSet := &e.coll.Sets[s]
+func (e *Engine) verifyWith(r *dataset.Set, rdir []dataset.DirEntry, s int, vs *verifyScratch, o *Options) (Match, bool) {
+	sSet, sdir := &e.coll.Sets[s], e.coll.Dir.Set(int32(s))
 	var score float64
 	if vs.os.fromOverlap != nil {
 		vs.os.r, vs.os.set = r, int32(s)
-		score = matchScore(r, sSet, vs, &vs.os, o.Reduction)
+		score = matchScore(rdir, sdir, vs, &vs.os, o.Reduction)
 	} else {
-		score = pairScore(r, sSet, e.phi, o.Reduction, vs)
+		score = pairScore(r, sSet, rdir, sdir, e.phi, o.Reduction, vs)
 	}
 	nR, nS := len(r.Elements), len(sSet.Elements)
 	t := scoreThreshold(o.Metric, o.Delta, nR, nS)
@@ -142,36 +155,38 @@ func (e *Engine) verifyWith(r *dataset.Set, s int, vs *verifyScratch, o *Options
 // pairScore computes |R ∩̃ S| between two tokenized sets over one
 // dictionary, neither of which need be indexed, with one call of φ_α phi
 // per cell: the verification of the brute-force oracle and of the edit
-// similarities, MatchScore and Compare.
+// similarities, MatchScore and Compare. rdir and sdir are the sets'
+// element-table entries.
 //
 //silkmoth:hotpath
-func pairScore(r, s *dataset.Set, phi filter.SimFunc, reduction bool, vs *verifyScratch) float64 {
+func pairScore(r, s *dataset.Set, rdir, sdir []dataset.DirEntry, phi filter.SimFunc, reduction bool, vs *verifyScratch) float64 {
 	vs.ps.phi = phi
 	vs.ps.r, vs.ps.s = r, s
-	return matchScore(r, s, vs, &vs.ps, reduction)
+	return matchScore(rdir, sdir, vs, &vs.ps, reduction)
 }
 
-// matchScore computes |R ∩̃ S| over the weights wts supplies. With the
-// reduction enabled it compares the elements' build-time interned keys
-// (dataset.Element.Key) — integers, never materialized strings.
+// matchScore computes |R ∩̃ S| over the weights wts supplies, for sets
+// whose element-table entries are rdir and sdir. With the reduction
+// enabled it compares the elements' content keys (dataset.DirEntry.Key) —
+// integers, never materialized strings.
 //
 //silkmoth:hotpath
-func matchScore(r, s *dataset.Set, vs *verifyScratch, wts matching.Weights, reduction bool) float64 {
+func matchScore(rdir, sdir []dataset.DirEntry, vs *verifyScratch, wts matching.Weights, reduction bool) float64 {
 	if reduction {
-		vs.keyR = appendElementKeys(vs.keyR[:0], r.Elements)
-		vs.keyS = appendElementKeys(vs.keyS[:0], s.Elements)
+		vs.keyR = appendElementKeys(vs.keyR[:0], rdir)
+		vs.keyS = appendElementKeys(vs.keyS[:0], sdir)
 		return vs.mat.ScoreReduced(vs.keyR, vs.keyS, wts)
 	}
-	return vs.mat.Score(len(r.Elements), len(s.Elements), wts)
+	return vs.mat.Score(len(rdir), len(sdir), wts)
 }
 
-// appendElementKeys copies the elements' interned content keys into dst
+// appendElementKeys copies the entries' content keys into dst
 // (dataset.NoKey becomes the reduction's negative "never reduce" marker).
 //
 //silkmoth:hotpath
-func appendElementKeys(dst []int32, els []dataset.Element) []int32 {
-	for i := range els {
-		dst = append(dst, int32(els[i].Key))
+func appendElementKeys(dst []int32, ents []dataset.DirEntry) []int32 {
+	for _, ent := range ents {
+		dst = append(dst, int32(ent.Key))
 	}
 	return dst
 }
@@ -187,11 +202,12 @@ func (e *Engine) BruteForceSearch(r *dataset.Set) []Match {
 	if nR == 0 {
 		return nil
 	}
+	rdir := vs.lookup(e.coll, r)
 	for s := range e.coll.Sets {
 		if !e.sizeAccept(nR, len(e.coll.Sets[s].Elements)) {
 			continue
 		}
-		if m, ok := e.verify(r, s, &vs); ok {
+		if m, ok := e.verify(r, rdir, s, &vs); ok {
 			out = append(out, m)
 		}
 	}
@@ -223,7 +239,7 @@ func (e *Engine) BruteForceDiscover(refs *dataset.Collection) []Pair {
 			if !e.sizeAccept(nR, len(e.coll.Sets[s].Elements)) {
 				continue
 			}
-			if m, ok := e.verify(r, s, &vs); ok {
+			if m, ok := e.verify(r, refs.Dir.Set(int32(ri)), s, &vs); ok {
 				pairs = append(pairs, Pair{R: ri, S: s, Relatedness: m.Relatedness, Score: m.Score})
 			}
 		}
@@ -233,10 +249,13 @@ func (e *Engine) BruteForceDiscover(refs *dataset.Collection) []Pair {
 
 // MatchScore exposes the exact maximum matching score |R ∩̃ S| between a
 // query set and an arbitrary tokenized set (both over the engine's
-// dictionary), applying the engine's reduction setting.
+// dictionary), applying the engine's reduction setting. Their keys are
+// looked up in the engine's key table (dataset.Collection.LookupEntries).
 func (e *Engine) MatchScore(r, s *dataset.Set) float64 {
 	var vs verifyScratch
-	return pairScore(r, s, e.phi, e.opts.Reduction, &vs)
+	rdir, key := e.coll.LookupEntries(nil, r, nil)
+	sdir, _ := e.coll.LookupEntries(nil, s, key)
+	return pairScore(r, s, rdir, sdir, e.phi, e.opts.Reduction, &vs)
 }
 
 // Compare returns the relatedness of two raw sets under opts, with no
@@ -255,6 +274,6 @@ func Compare(r, s dataset.RawSet, opts Options) (float64, error) {
 	}
 	c := dataset.Build(tokens.NewDictionary(), []dataset.RawSet{r, s}, o.Sim.TokenMode(), o.Q)
 	var vs verifyScratch
-	score := pairScore(&c.Sets[0], &c.Sets[1], phiFunc(o), o.Reduction, &vs)
+	score := pairScore(&c.Sets[0], &c.Sets[1], c.Dir.Set(0), c.Dir.Set(1), phiFunc(o), o.Reduction, &vs)
 	return relatedness(o.Metric, score, nR, nS), nil
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"sync"
+	"unicode/utf8"
 
 	"silkmoth/internal/tokens"
 )
@@ -45,6 +46,9 @@ func InRanges(n, parts int, fn func(k, lo, hi int)) {
 //  4. the ranges' keys are interned into dict's key table in range order;
 //  5. every range but the first maps its element keys to dict's.
 //
+// Element keys and lengths go to the collection's element table, laid out
+// up front from the raw sets' sizes, so each range writes its own entries.
+//
 // Range 0 writes dict while the others run, which the dictionary allows:
 // it is the one writer, and nothing else reads dict until build returns.
 func build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int) *Collection {
@@ -55,6 +59,7 @@ func build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int)
 		q = 0
 	}
 	c := &Collection{Sets: make([]Set, len(raws)), Dict: dict, Mode: mode, Q: q}
+	c.Dir = layoutDirectory(len(raws), func(i int) int { return len(raws[i].Elements) })
 	parts = max(1, min(parts, len(raws)))
 	rs := make([]rangeBuild, parts)
 	for k := range rs {
@@ -89,9 +94,10 @@ func build(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, parts int)
 			return
 		}
 		for i := lo; i < hi; i++ {
-			for j := range c.Sets[i].Elements {
-				if el := &c.Sets[i].Elements[j]; el.Key != NoKey {
-					el.Key = remaps[k][el.Key]
+			ents := c.Dir.Set(int32(i))
+			for j := range ents {
+				if ents[j].Key != NoKey {
+					ents[j].Key = remaps[k][ents[j].Key]
 				}
 			}
 		}
@@ -132,7 +138,7 @@ func (r *rangeBuild) tokenize(i int) {
 	if mode == ModeQGram {
 		size := n
 		for _, e := range rs.Elements {
-			size += tokens.NumQChunks(runeLen(e), q)
+			size += tokens.NumQChunks(utf8.RuneCountInString(e), q)
 		}
 		if size > n {
 			s.chunks = make([]tokens.ID, n, size)
@@ -171,17 +177,19 @@ func (r *rangeBuild) tokenize(i int) {
 }
 
 // finish maps set i's ids through remap, the range's token ids to the
-// dictionary's (nil for range 0), then sets every element's Length and Key.
+// dictionary's (nil for range 0), then writes every element's entry in the
+// element table: its Length and its key in the range's key table.
 func (r *rangeBuild) finish(i int, remap []tokens.ID) {
 	s, mode := &r.c.Sets[i], r.c.Mode
 	if remap != nil {
 		remapSet(s, r.runs[i-r.lo], remap)
 		r.runs[i-r.lo] = nil
 	}
+	ents := r.c.Dir.Set(int32(i))
 	for j := range s.Elements {
 		el := &s.Elements[j]
-		el.Length = int32(elementLength(el, mode))
-		el.Key, r.key = internKey(r.keys, el, mode, r.key)
+		ents[j].Size = int32(el.Length(mode))
+		ents[j].Key, r.key = internKey(r.keys, el, mode, r.key)
 	}
 }
 

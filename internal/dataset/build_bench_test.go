@@ -2,11 +2,13 @@ package dataset_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
+	"silkmoth/internal/index"
 	"silkmoth/internal/tokens"
 )
 
@@ -30,5 +32,20 @@ func BenchmarkBuildRanges(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/element")
 		})
+	}
+}
+
+// BenchmarkSaveSnapshot writes the image of a compressed index over the
+// same corpus to io.Discard: the encode cost a durable engine pays per
+// snapshot, its container blobs copied verbatim.
+func BenchmarkSaveSnapshot(b *testing.B) {
+	raws := datagen.WebTableColumns(datagen.ColumnConfig{NumColumns: 3000, Seed: 1})
+	coll := dataset.Build(tokens.NewDictionary(), raws, dataset.ModeWord, 0)
+	snap := &dataset.SnapshotData{Coll: coll, Source: index.BuildCompressed(coll, 0)}
+	b.ReportAllocs()
+	for range b.N {
+		if err := dataset.SaveSnapshot(io.Discard, snap); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

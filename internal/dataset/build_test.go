@@ -19,6 +19,7 @@ func serialBuild(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) 
 	if mode == ModeQGram {
 		c.Q = q
 	}
+	c.Dir = layoutDirectory(len(raws), func(i int) int { return len(raws[i].Elements) })
 	for i, rs := range raws {
 		s := Set{Name: rs.Name, Elements: make([]Element, len(rs.Elements))}
 		var chunks []tokens.ID
@@ -34,10 +35,10 @@ func serialBuild(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q int) 
 			if el.Tokens = tokens.SortUnique(el.Tokens); len(el.Tokens) == 0 {
 				el.Tokens = nil
 			}
-			el.Length = int32(elementLength(el, mode))
-			el.Key = NoKey
+			ent := &c.Dir.Set(int32(i))[j]
+			ent.Size, ent.Key = int32(el.Length(mode)), NoKey
 			if k := ElementKey(el, mode); k != "" {
-				el.Key = dict.Keys().Intern(k)
+				ent.Key = dict.Keys().Intern(k)
 			}
 			if mode == ModeQGram {
 				s.chunks = append(s.chunks, tokens.ID(len(chunks)))

@@ -5,8 +5,10 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"silkmoth/internal/tokens"
 )
@@ -36,7 +38,10 @@ func (m TokenMode) String() string {
 
 // Element is one tokenized element of a set: a row value, an attribute, or a
 // word, depending on the application. Its q-chunks live in the set's chunk
-// run (Set.Chunks), not here.
+// run (Set.Chunks), and its content key and size in the element table of
+// the collection that holds it (Collection.Dir): the struct is 40 bytes, and
+// TestLayoutGate holds it there — an indexed collection pays every byte of
+// it once per element.
 type Element struct {
 	// Raw is the original element text, used by edit similarity and for
 	// reporting.
@@ -44,32 +49,33 @@ type Element struct {
 	// Tokens are the sorted, deduplicated ids of the element's index
 	// tokens: words under ModeWord, q-grams under ModeQGram.
 	Tokens []tokens.ID
-	// Length is the size the similarity bounds divide by: the number of
-	// distinct word tokens under ModeWord, the rune length of Raw under
-	// ModeQGram. Like Key it is derived from the content, never taken from
-	// a file (elementLength). It is an int32 so that it shares a word with
-	// Key: the struct is 48 bytes, and TestLayoutGate holds it there — an
-	// indexed collection pays every byte of it once per element.
-	Length int32
-	// Key is the element's exact content key in the shared dictionary's
-	// key space (Dict.Keys()): interned by a build, looked up by a query.
-	// Two elements over the same dictionary are identical iff their Keys
-	// are equal and not NoKey.
-	// The §5.3 verification reduction compares these integers instead of
-	// materializing ElementKey strings per pair, and the filters memoize
-	// φ_α under them for the length of a pass. NoKey marks elements that
-	// can never be reduced (no tokens / empty raw).
-	Key tokens.ID
 }
 
-// NoKey is the Element.Key of a non-reducible element.
+// Length returns the size the similarity bounds divide by: the number of
+// distinct word tokens under ModeWord, the rune length of Raw under
+// ModeQGram. It is what the element table stores as DirEntry.Size, derived
+// from the content, never taken from a file.
+func (e *Element) Length(mode TokenMode) int {
+	if mode == ModeQGram {
+		return utf8.RuneCountInString(e.Raw)
+	}
+	return len(e.Tokens)
+}
+
+// NoKey is the DirEntry.Key of a non-reducible element: no tokens under
+// ModeWord, an empty Raw under ModeQGram, or a query element whose content
+// the key table does not hold.
 const NoKey = tokens.ID(-1)
 
 // appendWordKey appends the word-mode content key of an element with the
-// given tokens: their ids, four little-endian bytes each.
+// given tokens: the uvarint deltas of the sorted, duplicate-free ids, the
+// first from 0. Equal id lists give equal bytes and the deltas decode back
+// to the ids, so two keys are equal exactly when the token sets are.
 func appendWordKey(b []byte, ids []tokens.ID) []byte {
+	prev := tokens.ID(0)
 	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		b = binary.AppendUvarint(b, uint64(id-prev))
+		prev = id
 	}
 	return b
 }
@@ -124,7 +130,7 @@ type Set struct {
 	// per element, then every element's chunk ids back to back. Element
 	// i's chunks are chunks[chunks[i-1]:chunks[i]], the first starting
 	// at len(Elements). One run per set instead of a slice per element
-	// keeps Element at 48 bytes under both modes.
+	// keeps Element at 40 bytes under both modes.
 	chunks []tokens.ID
 }
 
@@ -166,6 +172,10 @@ func (s *Set) Drop() { s.Name, s.Elements, s.chunks = strings.Clone(s.Name), nil
 // Collection is a tokenized list of sets sharing one dictionary.
 type Collection struct {
 	Sets []Set
+	// Dir is the collection's element table: every element's content key
+	// and size, one DirEntry per element of Sets. Every builder, Append,
+	// DropSets, a snapshot load and QueryScratch keep it in step with Sets.
+	Dir  Directory
 	Dict *tokens.Dictionary
 	Mode TokenMode
 	// Q is the gram length used under ModeQGram, 0 under ModeWord.
@@ -186,12 +196,13 @@ func (c *Collection) Used(alive func(int) bool) (toks, keys []bool) {
 		}
 		s := &c.Sets[i]
 		for j := range s.Elements {
-			el := &s.Elements[j]
-			for _, id := range el.Tokens {
+			for _, id := range s.Elements[j].Tokens {
 				toks[id] = true
 			}
-			if el.Key != NoKey {
-				keys[el.Key] = true
+		}
+		for _, ent := range c.Dir.Set(int32(i)) {
+			if ent.Key != NoKey {
+				keys[ent.Key] = true
 			}
 		}
 		for _, id := range s.ChunkIDs() {
@@ -248,23 +259,41 @@ func Append(c *Collection, raws []RawSet) int {
 	from := len(c.Sets)
 	add := Build(c.Dict, raws, c.Mode, c.Q)
 	c.Sets = append(c.Sets, add.Sets...)
+	c.Dir.extend(&add.Dir)
 	return from
 }
 
-// elementLength derives Element.Length from the element's content.
-func elementLength(e *Element, mode TokenMode) int {
-	if mode == ModeQGram {
-		return runeLen(e.Raw)
+// DropSets drops every set i with dead[i] (Set.Drop) and lays the element
+// table out afresh over what remains, sized exactly: the entries of the
+// other sets keep their values, at the element ids the smaller collection
+// gives them. What compaction does to the collection before it rebuilds
+// the index.
+func (c *Collection) DropSets(dead []bool) {
+	for i, d := range dead {
+		if d {
+			c.Sets[i].Drop()
+		}
 	}
-	return len(e.Tokens)
+	old := c.Dir
+	c.Dir = layoutDirectory(len(c.Sets), func(i int) int { return len(c.Sets[i].Elements) })
+	for i := range c.Sets {
+		copy(c.Dir.Set(int32(i)), old.Set(int32(i)))
+	}
 }
 
-func runeLen(s string) int {
-	n := 0
-	for range s {
-		n++
+// Subset returns the collection of c's sets numbered idx, in that order,
+// over c's dictionary: the sets share their elements with c, and the
+// element table is the subset's own, copied from c's.
+func (c *Collection) Subset(idx []int) *Collection {
+	sub := &Collection{Sets: make([]Set, len(idx)), Dict: c.Dict, Mode: c.Mode, Q: c.Q}
+	for k, i := range idx {
+		sub.Sets[k] = c.Sets[i]
 	}
-	return n
+	sub.Dir = layoutDirectory(len(idx), func(k int) int { return len(sub.Sets[k].Elements) })
+	for k, i := range idx {
+		copy(sub.Dir.Set(int32(k)), c.Dir.Set(int32(i)))
+	}
+	return sub
 }
 
 // ElementKey returns the exact content key string for an element under the
@@ -272,8 +301,8 @@ func runeLen(s string) int {
 // elements get equal keys; the empty key marks non-reducible (empty)
 // elements. Nothing on a build or query path calls it: builders stage the
 // same bytes in a reused buffer (internKey, lookupKey) and resolve them
-// once into Element.Key, and verification compares those dense ids
-// instead.
+// once into the element table (DirEntry.Key), and verification compares
+// those dense ids instead.
 func ElementKey(e *Element, mode TokenMode) string {
 	if mode == ModeQGram {
 		return e.Raw

@@ -25,7 +25,7 @@ func TestBuildWord(t *testing.T) {
 		t.Fatalf("set A malformed: %+v", a)
 	}
 	e := a.Elements[0]
-	if len(e.Tokens) != 3 || e.Length != 3 || e.Raw != "77 Mass Ave" {
+	if len(e.Tokens) != 3 || c.Dir.Set(0)[0].Size != 3 || e.Raw != "77 Mass Ave" {
 		t.Errorf("element = %+v", e)
 	}
 	// Shared dictionary: "77" in both sets should have the same id.
@@ -54,7 +54,7 @@ func TestBuildWordDuplicateWords(t *testing.T) {
 	d := tokens.NewDictionary()
 	c := BuildWord(d, []RawSet{{Name: "A", Elements: []string{"go go go"}}})
 	e := c.Sets[0].Elements[0]
-	if len(e.Tokens) != 1 || e.Length != 1 {
+	if len(e.Tokens) != 1 || c.Dir.Set(0)[0].Size != 1 {
 		t.Errorf("duplicate words should dedupe: %+v", e)
 	}
 }
@@ -66,8 +66,8 @@ func TestBuildQGram(t *testing.T) {
 		t.Fatalf("mode/q = %v/%d", c.Mode, c.Q)
 	}
 	e := c.Sets[0].Elements[0]
-	if int(e.Length) != len("Database") {
-		t.Errorf("Length = %d, want rune length %d", e.Length, len("Database"))
+	if got := c.Dir.Set(0)[0].Size; int(got) != len("Database") {
+		t.Errorf("Length = %d, want rune length %d", got, len("Database"))
 	}
 	// 8 runes → 8 grams (some may collide after dedup) and ⌈8/3⌉ = 3 chunks.
 	chunks := c.Sets[0].Chunks(0)
@@ -89,7 +89,7 @@ func TestBuildQGramEmptyElement(t *testing.T) {
 	d := tokens.NewDictionary()
 	c := BuildQGram(d, []RawSet{{Name: "A", Elements: []string{""}}}, 3)
 	e := c.Sets[0].Elements[0]
-	if len(e.Tokens) != 0 || len(c.Sets[0].Chunks(0)) != 0 || e.Length != 0 {
+	if len(e.Tokens) != 0 || len(c.Sets[0].Chunks(0)) != 0 || c.Dir.Set(0)[0] != (DirEntry{Key: NoKey}) {
 		t.Errorf("empty element should have no tokens: %+v", e)
 	}
 }
@@ -124,13 +124,14 @@ func TestElementKeyWordMode(t *testing.T) {
 		t.Error("empty element must have the empty key")
 	}
 	// The builder interns exactly these keys, staged in its own buffer.
+	ents := c.Dir.Set(0)
 	for i, k := range []string{k0, k1, k2} {
-		if got := d.Keys().String(es[i].Key); got != k {
+		if got := d.Keys().String(ents[i].Key); got != k {
 			t.Errorf("element %d: interned key %q, ElementKey %q", i, got, k)
 		}
 	}
-	if es[3].Key != NoKey {
-		t.Errorf("empty element key %d, want NoKey", es[3].Key)
+	if ents[3].Key != NoKey {
+		t.Errorf("empty element key %d, want NoKey", ents[3].Key)
 	}
 }
 
@@ -222,6 +223,9 @@ func TestAppend(t *testing.T) {
 	if _, ok := dict.Lookup("fresh"); !ok {
 		t.Error("new tokens not interned")
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Errorf("element table after Append: %v", err)
+	}
 }
 
 // TestUsedMarksTokensChunksAndKeys pins what Collection.Used marks: element
@@ -238,11 +242,11 @@ func TestUsedMarksTokensChunksAndKeys(t *testing.T) {
 		d.Keys().Intern(k)
 	}
 	c := &Collection{Dict: d, Mode: ModeQGram, Q: 2, Sets: []Set{
-		{Elements: []Element{{Tokens: []tokens.ID{0, 1}, Key: 0}, {Tokens: []tokens.ID{2}, Key: NoKey}},
+		{Elements: []Element{{Tokens: []tokens.ID{0, 1}}, {Tokens: []tokens.ID{2}}},
 			chunks: []tokens.ID{3, 3, 3}}, // element 0's chunk is id 3
-		{Elements: []Element{{Tokens: []tokens.ID{4}, Key: 1}}, chunks: []tokens.ID{2, 5}},
-		{Elements: []Element{{Tokens: []tokens.ID{1}, Key: 2}}},
-	}}
+		{Elements: []Element{{Tokens: []tokens.ID{4}}}, chunks: []tokens.ID{2, 5}},
+		{Elements: []Element{{Tokens: []tokens.ID{1}}}},
+	}, Dir: Directory{base: []int32{0, 2, 3, 4}, ents: []DirEntry{{Key: 0}, {Key: NoKey}, {Key: 1}, {Key: 2}}}}
 	for _, tc := range []struct {
 		name       string
 		alive      func(int) bool

@@ -27,9 +27,9 @@ func TestQueryKeysDoNotGrowTable(t *testing.T) {
 	if got := dict.Keys().Size(); got != indexedKeys {
 		t.Fatalf("query tokenization grew key table: %d -> %d", indexedKeys, got)
 	}
-	els := q.Sets[0].Elements
-	if els[0].Key != coll.Sets[0].Elements[0].Key {
-		t.Fatalf("identical query element got key %d, indexed twin has %d", els[0].Key, coll.Sets[0].Elements[0].Key)
+	els := q.Dir.Set(0)
+	if held := coll.Dir.Set(0)[0].Key; els[0].Key != held {
+		t.Fatalf("identical query element got key %d, indexed twin has %d", els[0].Key, held)
 	}
 	if els[1].Key != NoKey || els[2].Key != NoKey {
 		t.Fatalf("novel query elements must get NoKey, got %d, %d", els[1].Key, els[2].Key)
@@ -43,7 +43,7 @@ func TestQueryKeysDoNotGrowTable(t *testing.T) {
 	if got := dict2.Keys().Size(); got != n2 {
 		t.Fatalf("qgram query tokenization grew key table: %d -> %d", n2, got)
 	}
-	if q2.Sets[0].Elements[0].Key == NoKey || q2.Sets[0].Elements[1].Key != NoKey {
-		t.Fatalf("qgram query keys wrong: %d, %d", q2.Sets[0].Elements[0].Key, q2.Sets[0].Elements[1].Key)
+	if ents := q2.Dir.Set(0); ents[0].Key == NoKey || ents[1].Key != NoKey {
+		t.Fatalf("qgram query keys wrong: %d, %d", ents[0].Key, ents[1].Key)
 	}
 }

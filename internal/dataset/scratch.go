@@ -14,11 +14,11 @@ import (
 // bytes in tokenizer scratch, so a warmed-up scratch tokenizes a query
 // with a handful of allocations instead of several per element.
 //
-// The returned Collection, its Sets, and every Element slice alias the
-// scratch's buffers: they are valid only until the next Build on the same
-// scratch. Callers must not retain them past the query (the engine's
-// result types copy everything they report, so pooling a scratch per
-// in-flight query is safe). A QueryScratch is not safe for concurrent use,
+// The returned Collection, its Sets, its element table and every Element
+// slice alias the scratch's buffers: they are valid only until the next
+// Build on the same scratch. Callers must not retain them past the query
+// (the engine's result types copy everything they report, so pooling a
+// scratch per in-flight query is safe). A QueryScratch is not safe for concurrent use,
 // but any number of them may read one dictionary at once.
 type QueryScratch struct {
 	tok   tokens.Scratch
@@ -29,6 +29,8 @@ type QueryScratch struct {
 	spans []elemSpan
 	elems []Element
 	sets  []Set
+	base  []int32    // the element table's base
+	ents  []DirEntry // the element table's entries
 	coll  Collection
 }
 
@@ -38,7 +40,6 @@ type QueryScratch struct {
 type elemSpan struct {
 	raw            string
 	tokOff, tokEnd int
-	length         int
 }
 
 // Build tokenizes query sets against an existing collection's dictionary
@@ -76,10 +77,6 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 			}
 			sp.tokEnd = sp.tokOff + len(tokens.SortUnique(qs.ids[sp.tokOff:]))
 			qs.ids = qs.ids[:sp.tokEnd]
-			sp.length = sp.tokEnd - sp.tokOff
-			if mode == ModeQGram {
-				sp.length = runeLen(raw)
-			}
 			qs.spans = append(qs.spans, sp)
 		}
 	}
@@ -96,20 +93,21 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 	} else {
 		qs.sets = qs.sets[:len(raws)]
 	}
+	qs.base = append(qs.base[:0], 0)
+	qs.ents = qs.ents[:0]
 	ei, run := 0, 0
 	for si, rs := range raws {
 		first := ei
 		for range rs.Elements {
 			sp := &qs.spans[ei]
 			el := &qs.elems[ei]
-			*el = Element{
-				Raw:    sp.raw,
-				Tokens: qs.ids[sp.tokOff:sp.tokEnd:sp.tokEnd],
-				Length: int32(sp.length),
-			}
-			el.Key, qs.key = lookupKey(dict.Keys(), el, mode, qs.key)
+			*el = Element{Raw: sp.raw, Tokens: qs.ids[sp.tokOff:sp.tokEnd:sp.tokEnd]}
+			ent := DirEntry{Size: int32(el.Length(mode))}
+			ent.Key, qs.key = lookupKey(dict.Keys(), el, mode, qs.key)
+			qs.ents = append(qs.ents, ent)
 			ei++
 		}
+		qs.base = append(qs.base, int32(ei))
 		set := Set{Name: rs.Name, Elements: qs.elems[first:ei:ei]}
 		if n := len(rs.Elements); mode == ModeQGram && n > 0 {
 			end := run + int(qs.runs[run+n-1])
@@ -124,6 +122,6 @@ func (qs *QueryScratch) Build(dict *tokens.Dictionary, raws []RawSet, mode Token
 	if mode == ModeWord {
 		cq = 0
 	}
-	qs.coll = Collection{Sets: qs.sets, Dict: dict, Mode: mode, Q: cq}
+	qs.coll = Collection{Sets: qs.sets, Dir: Directory{base: qs.base, ents: qs.ents}, Dict: dict, Mode: mode, Q: cq}
 	return &qs.coll
 }

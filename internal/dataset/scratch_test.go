@@ -61,13 +61,13 @@ func TestQueryScratchMatchesSerialBuild(t *testing.T) {
 					}
 					for j := range ws.Elements {
 						we, ge := &ws.Elements[j], &gs.Elements[j]
-						wantKey := we.Key
-						if wantKey >= heldKeys {
-							wantKey = NoKey
+						wantEnt, gotEnt := want.Dir.Set(int32(i))[j], got.Dir.Set(int32(i))[j]
+						if wantEnt.Key >= heldKeys {
+							wantEnt.Key = NoKey
 						}
-						if ge.Raw != we.Raw || ge.Length != we.Length || ge.Key != wantKey {
-							t.Errorf("round %d set %d elem %d: scalar mismatch: got {%q %d %d}, want {%q %d %d}",
-								round, i, j, ge.Raw, ge.Length, ge.Key, we.Raw, we.Length, wantKey)
+						if ge.Raw != we.Raw || gotEnt != wantEnt {
+							t.Errorf("round %d set %d elem %d: scalar mismatch: got {%q %+v}, want {%q %+v}",
+								round, i, j, ge.Raw, gotEnt, we.Raw, wantEnt)
 						}
 						if !equalIDs(ge.Tokens, we.Tokens) {
 							t.Errorf("round %d set %d elem %d: tokens %v, want %v", round, i, j, ge.Tokens, we.Tokens)
@@ -133,10 +133,10 @@ func TestQueryScratchLooksUpNeverInterns(t *testing.T) {
 			if tc.mode == ModeWord && b[0].Tokens[0] != tokens.ID(size) {
 				t.Fatalf("build %d: the first novel word got id %d, want the dictionary's size %d", i, b[0].Tokens[0], size)
 			}
-			for _, s := range c.Sets {
-				for _, el := range s.Elements {
-					if el.Key != NoKey {
-						t.Fatalf("%v build %d: novel element %q got key %d", tc.mode, i, el.Raw, el.Key)
+			for si, s := range c.Sets {
+				for j, el := range s.Elements {
+					if key := c.Dir.Set(int32(si))[j].Key; key != NoKey {
+						t.Fatalf("%v build %d: novel element %q got key %d", tc.mode, i, el.Raw, key)
 					}
 					for _, id := range el.Tokens {
 						if int(id) < size && dict.String(id) == "" {

@@ -68,7 +68,7 @@ func (sd *SnapshotData) DecodePostings() ([][]Posting, error) {
 	if sd.Containers == nil {
 		return nil, nil
 	}
-	eb := ElemBase(sd.Coll)
+	eb := sd.Coll.Dir.Base()
 	lists := make([][]Posting, sd.Containers.NumTokens())
 	for t := range lists {
 		blob := sd.Containers.Blob(t)
@@ -187,6 +187,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 
 	hasPostings := snap.Source != nil
 	var meta binenc.Writer
+	meta.Grow(4*binary.MaxVarintLen64 + 1)
 	meta.Uint(int(c.Mode))
 	meta.Uint(c.Q)
 	meta.Uint(len(c.Sets))
@@ -201,6 +202,12 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	}
 
 	var dict binenc.Writer
+	size := 0
+	for _, word := range words {
+		n := len(c.Dict.Bytes(word))
+		size += uvarintLen(uint64(n)) + n
+	}
+	dict.Grow(size)
 	for _, word := range words {
 		dict.StringBytes(c.Dict.Bytes(word))
 	}
@@ -209,13 +216,14 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	}
 
 	var sets binenc.Writer
+	sets.Grow(setsBound(c, alive, len(words)))
 	for i := range c.Sets {
 		if !alive(i) {
 			sets.Byte(0)
 			continue
 		}
 		sets.Byte(1)
-		s := &c.Sets[i]
+		s, ents := &c.Sets[i], c.Dir.Set(int32(i))
 		sets.String(s.Name)
 		sets.Uint(len(s.Elements))
 		for j := range s.Elements {
@@ -233,7 +241,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 			for _, id := range chunks {
 				sets.Uint(int(remap[id]))
 			}
-			sets.Uint(int(e.Length))
+			sets.Uint(int(ents[j].Size))
 		}
 	}
 	if err := writeSection(w, secSets, sets.Bytes()); err != nil {
@@ -241,7 +249,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	}
 
 	if hasPostings {
-		if err := writeSection(w, secPostings, encodePostingsSection(snap, used, len(words), alive)); err != nil {
+		if err := writeSection(w, secPostings, encodePostingsSection(snap, used, len(words), alive)...); err != nil {
 			return err
 		}
 	}
@@ -249,11 +257,38 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 	return writeSection(w, secEnd, nil)
 }
 
+// setsBound bounds the size of the sets section of c from above, from the
+// set and element lengths alone: every count and length is written as a
+// uvarint of its own size, and every token or chunk id (a delta, or an id
+// of the pruned table of numTok ids) in at most as many bytes as numTok.
+func setsBound(c *Collection, alive func(int) bool, numTok int) int {
+	idLen := uvarintLen(uint64(numTok))
+	n := 0
+	for i := range c.Sets {
+		n++ // the liveness flag
+		if !alive(i) {
+			continue
+		}
+		s := &c.Sets[i]
+		n += uvarintLen(uint64(len(s.Name))) + len(s.Name) + uvarintLen(uint64(len(s.Elements)))
+		for j := range s.Elements {
+			e := &s.Elements[j]
+			nc := len(s.Chunks(j))
+			n += uvarintLen(uint64(len(e.Raw))) + len(e.Raw) +
+				uvarintLen(uint64(len(e.Tokens))) + len(e.Tokens)*idLen +
+				uvarintLen(uint64(nc)) + nc*idLen + binary.MaxVarintLen32
+		}
+	}
+	return n
+}
+
 // encodePostingsSection builds the postings payload from snap.Source:
-// container blobs in remapped token order behind an offset table. Blobs
-// carry no token ids, so a still-exact container can be copied verbatim
-// even though the token table is renumbered.
-func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive func(int) bool) []byte {
+// container blobs in remapped token order behind an offset table, returned
+// as the parts writeSection writes back to back (the token count, the
+// table, the blobs). Blobs carry no token ids, so a still-exact container
+// can be copied verbatim even though the token table is renumbered; the
+// blob area is sized up front for the containers that are.
+func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive func(int) bool) [][]byte {
 	c := snap.Coll
 	src := snap.Source
 
@@ -279,6 +314,15 @@ func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive fu
 	}
 
 	b := NewContainerStoreBuilder(numTok)
+	if verbatimOK {
+		size := 0
+		for old, u := range used {
+			if blob, ok := src.EncodedContainer(old); u && ok {
+				size += len(blob)
+			}
+		}
+		b.data = make([]byte, 0, size)
+	}
 	var scratch []Posting
 	for old, u := range used {
 		if !u {
@@ -301,27 +345,31 @@ func encodePostingsSection(snap *SnapshotData, used []bool, numTok int, alive fu
 		b.Add(scratch[:k], saveEB)
 	}
 	cs := b.Finish()
-
-	payload := make([]byte, 0, uvarintLen(uint64(numTok))+len(cs.offs)+len(cs.data))
-	payload = binary.AppendUvarint(payload, uint64(numTok))
-	payload = append(payload, cs.offs...)
-	payload = append(payload, cs.data...)
-	return payload
+	return [][]byte{binary.AppendUvarint(nil, uint64(numTok)), cs.offs, cs.data}
 }
 
-func writeSection(w io.Writer, tag byte, payload []byte) error {
+// writeSection writes one section frame whose payload is parts back to
+// back, checksummed as one, without joining them.
+func writeSection(w io.Writer, tag byte, parts ...[]byte) error {
 	var hdr [5]byte
 	hdr[0] = tag
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	size, sum := 0, uint32(0)
+	for _, p := range parts {
+		size += len(p)
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(size))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(sum[:])
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], sum)
+	_, err := w.Write(tail[:])
 	return err
 }
 
@@ -459,6 +507,7 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 		return nil, corrupt("set count %d exceeds sets payload", numSets)
 	}
 	c := &Collection{Dict: dict, Mode: mode, Q: q, Sets: make([]Set, numSets)}
+	c.Dir.base = make([]int32, 1, numSets+1)
 	var dead []bool
 	var st setStage
 	for i := 0; i < numSets; i++ {
@@ -468,20 +517,23 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 				dead = make([]bool, numSets)
 			}
 			dead[i] = true
-			continue
 		case 1:
+			if err := st.read(sr, &c.Sets[i], &c.Dir, i, numWords, dict, mode); err != nil {
+				return nil, err
+			}
 		default:
 			if err := sr.Err(); err != nil {
 				return nil, corrupt("sets: %v", err)
 			}
 			return nil, corrupt("bad liveness flag for set %d", i)
 		}
-		if err := st.read(sr, &c.Sets[i], i, numWords, dict, mode); err != nil {
-			return nil, err
-		}
+		c.Dir.base = append(c.Dir.base, int32(len(c.Dir.ents)))
 	}
 	if sr.Remaining() != 0 {
 		return nil, corrupt("%d trailing set bytes", sr.Remaining())
+	}
+	if ents := c.Dir.ents; cap(ents) > len(ents) {
+		c.Dir.ents = append(make([]DirEntry, 0, len(ents)), ents...)
 	}
 
 	snap := &SnapshotData{Coll: c, Dead: dead}
@@ -524,11 +576,12 @@ type stagedElem struct {
 	rawEnd, tokEnd, storedLen int
 }
 
-// read decodes set i's slot into s. Length and Key are derived from the
-// content just read, never taken from the file (no tokenization happens
-// here): every signature bound divides by Length, so a stored value that
-// disagrees with the content is a corrupt image, not an input.
-func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *tokens.Dictionary, mode TokenMode) error {
+// read decodes set i's slot into s and appends its elements' entries to
+// the element table d. Length and Key are derived from the content just
+// read, never taken from the file (no tokenization happens here): every
+// signature bound divides by Length, so a stored value that disagrees with
+// the content is a corrupt image, not an input.
+func (st *setStage) read(sr *binenc.Reader, s *Set, d *Directory, i, numWords int, dict *tokens.Dictionary, mode TokenMode) error {
 	st.text = append(st.text[:0], sr.StringBytes()...)
 	nameEnd := len(st.text)
 	ne := sr.Count(2) // each element costs ≥ 2 bytes (raw len + token count)
@@ -590,12 +643,13 @@ func (st *setStage) read(sr *binenc.Reader, s *Set, i, numWords int, dict *token
 			e.Tokens = toks[tokOff:se.tokEnd:se.tokEnd]
 		}
 		rawOff, tokOff = se.rawEnd, se.tokEnd
-		n := elementLength(e, mode)
+		n := e.Length(mode)
 		if se.storedLen != n {
 			return corrupt("set %d element %d length %d, content has %d", i, j, se.storedLen, n)
 		}
-		e.Length = int32(n)
-		e.Key, st.key = internKey(dict.Keys(), e, mode, st.key)
+		ent := DirEntry{Size: int32(n)}
+		ent.Key, st.key = internKey(dict.Keys(), e, mode, st.key)
+		d.ents = append(d.ents, ent)
 	}
 	return nil
 }

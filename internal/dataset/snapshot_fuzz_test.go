@@ -82,11 +82,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 						t.Fatalf("set %d element %d token %d out of dictionary range", i, j, id)
 					}
 				}
-				// Derived, never trusted: the bounds divide by it.
-				if int(e.Length) != elementLength(e, c.Mode) {
-					t.Fatalf("set %d element %d loaded with Length %d, its content has %d", i, j, e.Length, elementLength(e, c.Mode))
-				}
 			}
+		}
+		// Derived, never trusted: the bounds divide by Length.
+		if err := c.CheckDirectory(); err != nil {
+			t.Fatalf("loaded element table: %v", err)
 		}
 		postings, err := got.DecodePostings()
 		if err != nil {

@@ -83,7 +83,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		for j := range s.Elements {
 			e, ge := &s.Elements[j], &gs.Elements[j]
-			if ge.Raw != e.Raw || ge.Length != e.Length || len(ge.Tokens) != len(e.Tokens) {
+			ent, gent := c.Dir.Set(int32(i))[j], gc.Dir.Set(int32(i))[j]
+			if ge.Raw != e.Raw || gent.Size != ent.Size || len(ge.Tokens) != len(e.Tokens) {
 				t.Fatalf("set %d element %d differs: %+v vs %+v", i, j, ge, e)
 			}
 			for k := range e.Tokens {
@@ -92,7 +93,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 			// Keys are re-interned, never NoKey for word mode.
-			if ge.Key == NoKey {
+			if gent.Key == NoKey {
 				t.Fatalf("set %d element %d lost its key", i, j)
 			}
 		}
@@ -161,7 +162,7 @@ func TestSnapshotRoundTripQGramNoPostings(t *testing.T) {
 	for j := range s.Elements {
 		e, ge := &s.Elements[j], &gs.Elements[j]
 		chunks, gchunks := s.Chunks(j), gs.Chunks(j)
-		if ge.Raw != e.Raw || ge.Length != e.Length ||
+		if ge.Raw != e.Raw || gc.Dir.Set(0)[j].Size != c.Dir.Set(0)[j].Size ||
 			len(ge.Tokens) != len(e.Tokens) || len(gchunks) != len(chunks) {
 			t.Fatalf("element %d shape differs", j)
 		}
@@ -223,7 +224,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
-// Element.Length is derived from the content, like Key: an image whose
+// Element.Length is derived from the content, like the key: an image whose
 // stored value disagrees with the content it sits beside is corrupt, however
 // valid its checksums — every signature bound divides by Length. Both modes:
 // the token count under ModeWord, the rune length of Raw under ModeQGram.
@@ -240,10 +241,10 @@ func TestLoadSnapshotRejectsWrongLength(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: the image as built does not load: %v", c.Mode, err)
 		}
-		if got, want := snap.Coll.Sets[0].Elements[0].Length, c.Sets[0].Elements[0].Length; got != want {
+		if got, want := snap.Coll.Dir.Set(0)[0].Size, c.Dir.Set(0)[0].Size; got != want {
 			t.Fatalf("%v: loaded Length %d, built %d", c.Mode, got, want)
 		}
-		c.Sets[0].Elements[1].Length++ // what a bug, or an editor, could have written
+		c.Dir.Set(0)[1].Size++ // what a bug, or an editor, could have written
 		buf.Reset()
 		if err := SaveSnapshot(&buf, &SnapshotData{Coll: c}); err != nil {
 			t.Fatal(err)
@@ -342,7 +343,7 @@ func compareSets(t *testing.T, got, want []Set) {
 		}
 		for j := range g.Elements {
 			ge, we := &g.Elements[j], &w.Elements[j]
-			if ge.Raw != we.Raw || ge.Length != we.Length ||
+			if ge.Raw != we.Raw ||
 				!reflect.DeepEqual(append([]tokens.ID{}, ge.Tokens...), append([]tokens.ID{}, we.Tokens...)) ||
 				!reflect.DeepEqual(append([]tokens.ID{}, g.Chunks(j)...), append([]tokens.ID{}, w.Chunks(j)...)) {
 				t.Fatalf("set %d element %d differs: %+v %v vs %+v %v", i, j, ge, g.Chunks(j), we, w.Chunks(j))
@@ -361,8 +362,8 @@ func compareSets(t *testing.T, got, want []Set) {
 // passes the length check and only its chunks give it away.
 func TestLoadSnapshotRejectsWordModeChunks(t *testing.T) {
 	qc := BuildQGram(tokens.NewDictionary(), []RawSet{{Name: "q", Elements: []string{"abcdef"}}}, 3)
-	if e := &qc.Sets[0].Elements[0]; len(e.Tokens) != int(e.Length) {
-		t.Fatalf("fixture: %d grams for %d runes", len(e.Tokens), e.Length)
+	if e := &qc.Sets[0].Elements[0]; len(e.Tokens) != e.Length(ModeQGram) {
+		t.Fatalf("fixture: %d grams for %d runes", len(e.Tokens), e.Length(ModeQGram))
 	}
 	var buf bytes.Buffer
 	if err := SaveSnapshot(&buf, &SnapshotData{Coll: qc}); err != nil {

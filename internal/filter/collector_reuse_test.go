@@ -163,17 +163,17 @@ func TestCollectorMatchesAlgorithm1(t *testing.T) {
 // cache footprint are multiples of, so that a field added to one of them
 // fails here by name and not as a drift of the benchmark's heap_live_mb:
 // an indexed collection pays dataset.Element once per element (a byte of it
-// is 1.05 MiB on the benchmark's largest corpus) and dataset.Set once per
-// set, the index one DirEntry per element, every collector one setState
-// per set.
+// is 1.05 MiB on the benchmark's largest corpus), dataset.Set once per set
+// and its element table one dataset.DirEntry per element, every collector
+// one setState per set.
 func TestLayoutGate(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"dataset.Element", unsafe.Sizeof(dataset.Element{}), 48},
+		{"dataset.Element", unsafe.Sizeof(dataset.Element{}), 40},
 		{"dataset.Set", unsafe.Sizeof(dataset.Set{}), 64},
-		{"index.DirEntry", unsafe.Sizeof(index.DirEntry{}), 8},
+		{"dataset.DirEntry", unsafe.Sizeof(dataset.DirEntry{}), 8},
 		{"filter.setState", unsafe.Sizeof(setState{}), 8},
 	} {
 		if c.got != c.want {

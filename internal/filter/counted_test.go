@@ -301,7 +301,7 @@ func TestLengthBoundedCollectorMatchesUnarmed(t *testing.T) {
 	} {
 		for _, alpha := range []float64{0, 0.5, 0.8} {
 			phi := func(r, e *dataset.Element) float64 {
-				return s.kernel(r.Raw, e.Raw, int(r.Length), int(e.Length), alpha)
+				return s.kernel(r.Raw, e.Raw, r.Length(dataset.ModeQGram), e.Length(dataset.ModeQGram), alpha)
 			}
 			for _, compressed := range []bool{false, true} {
 				coll := dataset.BuildQGram(tokens.NewDictionary(), raws[:55], 2)

@@ -39,7 +39,7 @@
 //
 // What both stages do per posting is kept to dense arrays. A posting names
 // an element; what the stages need of it — its memo key, its size — comes
-// from the index's element directory (index.Directory), not from the
+// from the index's element directory (index.Inverted.Directory), not from the
 // collection, and the element itself is loaded only when a kernel has to
 // run. The Collector's per-pass state is flat as well: an epoch-stamped
 // entry per set and arenas of one row per candidate. No object is kept per
@@ -303,7 +303,7 @@ func (cl *Collector) Collect(r *dataset.Set, sig *signature.Signature, phi SimFu
 		rElem := &r.Elements[i]
 		lo, hi := int32(0), int32(math.MaxInt32)
 		if cl.lenBound != nil && opts.CheckFilter {
-			lo, hi = lenWindow(cl.lenBound, rElem.Length, esig.Bound)
+			lo, hi = lenWindow(cl.lenBound, int32(rElem.Length(cl.ix.Collection().Mode)), esig.Bound)
 		}
 		for _, t := range esig.Tokens {
 			// Cursor instead of List: a compressed index streams huge cold
@@ -410,9 +410,10 @@ func (cl *Collector) CountOverlaps(f sim.OverlapFunc, alpha float64) {
 // BoundByLength makes the check filter drop a posting whose two elements'
 // lengths alone keep φ_α below the reference element's bound, before the
 // memo is probed and without loading the element (SimCounts.Bounded). ub
-// must bound the phi Collect is given — phi(r, s) ≤ ub(r.Length, s.Length)
-// for all elements — and must not rise as its second argument moves away
-// from its first; the index's directory holds every element's Length. What
+// must bound the phi Collect is given — phi(r, s) ≤ ub(|r|, |s|) for all
+// elements, lengths as dataset.Element.Length — and must not rise as its
+// second argument moves away from its first; the index's directory holds
+// every indexed element's Length. What
 // Collect returns changes as under CountOverlaps, except that the order
 // stays: the loop is the same.
 func (cl *Collector) BoundByLength(ub sim.LenBoundFunc) { cl.lenBound = ub }

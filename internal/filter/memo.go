@@ -63,8 +63,8 @@ func SetMemoSlotsForTest(n int) (restore func()) {
 
 // simMemo is a fixed-size, direct-mapped table of φ_α values that is valid
 // for exactly one pass (one reference set against one collection state). It
-// is keyed by ⟨reference element index, candidate Element.Key⟩: key
-// equality is content equality (dataset.Element.Key) and φ_α is a pure
+// is keyed by ⟨reference element index, candidate DirEntry.Key⟩: key
+// equality is content equality (dataset.DirEntry.Key) and φ_α is a pure
 // function of the two contents, so a hit returns the very float64 the
 // kernel returned earlier in the pass and results are bit-identical with
 // and without the table. A colliding store overwrites; NoKey elements (and

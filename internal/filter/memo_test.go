@@ -21,7 +21,7 @@ import (
 var memoRun atomic.Int64
 
 // memoFixture is one corpus indexed twice over one dictionary: coll/ix as
-// built, and bare/bareIx with every Element.Key overwritten by NoKey, which
+// built, and bare/bareIx with every element-table key overwritten by NoKey, which
 // is the un-memoized path — every φ_α request there reaches the kernel.
 type memoFixture struct {
 	coll, bare *dataset.Collection
@@ -45,8 +45,9 @@ func newMemoFixture(raws []dataset.RawSet, qgram bool, delta, alpha float64) *me
 	}
 	f := &memoFixture{coll: build(), bare: build()}
 	for si := range f.bare.Sets {
-		for ei := range f.bare.Sets[si].Elements {
-			f.bare.Sets[si].Elements[ei].Key = dataset.NoKey
+		ents := f.bare.Dir.Set(int32(si))
+		for ei := range ents {
+			ents[ei].Key = dataset.NoKey
 		}
 	}
 	f.ix, f.bareIx = index.Build(f.coll), index.Build(f.bare)
@@ -57,7 +58,7 @@ func newMemoFixture(raws []dataset.RawSet, qgram bool, delta, alpha float64) *me
 	if qgram {
 		f.params.Family = signature.FamilyEdit
 		f.phi = func(r, s *dataset.Element) float64 {
-			return sim.EdsAlphaLen(r.Raw, s.Raw, int(r.Length), int(s.Length), alpha)
+			return sim.EdsAlpha(r.Raw, s.Raw, alpha)
 		}
 	}
 	return f
@@ -170,7 +171,7 @@ func TestMemoTable(t *testing.T) {
 	// with 3: it must reach the kernel, and leave nothing behind.
 	calls := 0
 	phi := func(r, s *dataset.Element) float64 { calls++; return 0.5 }
-	one := &dataset.Collection{Sets: []dataset.Set{{Elements: []dataset.Element{{Key: 7}}}}}
+	one := &dataset.Collection{Sets: []dataset.Set{{Elements: []dataset.Element{{}}}}}
 	for range 2 {
 		if v := m.eval(phi, 3+memoMaxRef, nil, 7, one, dataset.Posting{}); v != 0.5 {
 			t.Errorf("eval past memoMaxRef = %v, want the kernel's 0.5", v)

@@ -183,12 +183,11 @@ func AppendNoShareFloors(dst []float64, r *dataset.Set, sig *signature.Signature
 		return floors
 	}
 	for i := range r.Elements {
-		el := &r.Elements[i]
-		chunks := len(r.Chunks(i))
-		if el.Length == 0 || chunks == 0 {
+		length, chunks := r.Elements[i].Length(mode), len(r.Chunks(i))
+		if length == 0 || chunks == 0 {
 			continue
 		}
-		raw := float64(el.Length) / float64(int(el.Length)+chunks)
+		raw := float64(length) / float64(length+chunks)
 		if raw < alpha {
 			raw = 0
 		}

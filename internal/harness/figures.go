@@ -226,17 +226,18 @@ func runFig7(scale float64, seed int64, out io.Writer) ([]Row, error) {
 // RefsFromLargeSets replaces a search workload's references with up to max
 // collection sets of at least minElems elements (Figure 7 uses ≥ 100).
 func RefsFromLargeSets(w Workload, minElems, max int) Workload {
-	var kept []dataset.Set
-	for _, s := range w.Coll.Sets {
-		if len(s.Elements) >= minElems {
-			kept = append(kept, s)
+	sets := w.Coll.Sets
+	var kept []int
+	for i := range sets {
+		if len(sets[i].Elements) >= minElems {
+			kept = append(kept, i)
 			if len(kept) == max {
 				break
 			}
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Name < kept[j].Name })
-	w.Refs = &dataset.Collection{Sets: kept, Dict: w.Coll.Dict, Mode: w.Coll.Mode, Q: w.Coll.Q}
+	sort.Slice(kept, func(i, j int) bool { return sets[kept[i]].Name < sets[kept[j]].Name })
+	w.Refs = w.Coll.Subset(kept)
 	w.SelfJoin = false
 	return w
 }

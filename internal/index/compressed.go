@@ -42,13 +42,12 @@ func (ix *Inverted) Compress(cacheBytes int64) {
 // borrowed (a memory-mapped snapshot); UnshareContainers must be called
 // before the backing goes away. cacheBytes as in BuildCompressed.
 //
-// The element-base table is the directory's, derived from c, which matches
+// The element-base table is the base of c's element table, which matches
 // the table the containers were encoded with: the snapshot writer encodes
 // dead slots as zero-element placeholders, exactly how they load back.
 func FromContainers(c *dataset.Collection, cs *dataset.ContainerStore, shared bool, cacheBytes int64) *Inverted {
 	return &Inverted{
 		coll:     c,
-		dir:      buildDirectory(c),
 		cs:       cs,
 		csShared: shared,
 		encSets:  len(c.Sets),
@@ -65,12 +64,12 @@ func (ix *Inverted) Compressed() bool { return ix.cs != nil }
 func (ix *Inverted) SharesContainers() bool { return ix.cs != nil && ix.csShared }
 
 // encBase is the element-base table the containers were encoded against:
-// the directory's base, cut to the sets that existed then, so a decoder's
+// the collection's element-table base, cut to the sets that existed then, so a decoder's
 // set-range checks reject whatever the containers cannot hold.
-func (ix *Inverted) encBase() []int32 { return ix.dir.base[:ix.encSets+1] }
+func (ix *Inverted) encBase() []int32 { return ix.coll.Dir.Base()[:ix.encSets+1] }
 
-// encode moves the slices in lists — whole lists, computed like the
-// directory from the collection's current contents — into freshly encoded
+// encode moves the slices in lists — whole lists, computed from the
+// collection's current contents — into freshly encoded
 // containers, leaving every tail empty and the cache dropped.
 func (ix *Inverted) encode() {
 	ix.encSets = len(ix.coll.Sets)
@@ -311,9 +310,10 @@ type StorageStats struct {
 	EncodedBytes int64
 	// ResidentBytes is the LRU's current holding of decoded hot lists.
 	ResidentBytes int64
-	// DirectoryBytes is the element directory's heap footprint: 8 bytes an
-	// indexed element plus 4 a set, with or without containers. It is not
-	// part of HeapBytes, which counts postings only.
+	// DirectoryBytes is the heap footprint of the element directory, the
+	// indexed collection's element table: 8 bytes an element plus 4 a set,
+	// with or without containers. It is not part of HeapBytes, which
+	// counts postings only.
 	DirectoryBytes int64
 	// CacheHits / CacheMisses / DecodeErrors count cache probes of
 	// compressed lists and container decode failures since build/load.
@@ -331,7 +331,7 @@ func (ix *Inverted) Storage() StorageStats {
 	st := StorageStats{
 		Postings:       ix.TotalPostings(),
 		EncodedBytes:   ix.cs.EncodedBytes(),
-		DirectoryBytes: ix.dir.bytes(),
+		DirectoryBytes: ix.coll.Dir.Bytes(),
 		CacheHits:      ix.cacheHits.Load(),
 		CacheMisses:    ix.cacheMisses.Load(),
 		DecodeErrors:   ix.decodeErrs.Load(),

@@ -13,19 +13,15 @@
 // re-encodes a compressed index from the collection, leaving its slices
 // empty.
 //
-// Beside the posting lists every index keeps an element directory
+// Beside the posting lists the filters read an element directory
 // (Directory): per indexed element its content key and its size, in one
-// flat table addressed by global element id, base[Set]+Elem. It is what the
-// filters read per posting instead of the element itself. The directory is
-// derived state and independent of the containers: every constructor
-// (Build, BuildCompressed, FromLists, FromContainers) derives it from the
-// collection, AppendSets extends it, Rebuild recomputes it, and nothing
-// persists it — a snapshot holds elements and postings only. Its base table
-// is dataset.ElemBase of the indexed sets, the id space bitmap containers
-// are defined over, so a compressed index keeps no table of its own: its
-// decoders are handed the prefix of the directory's base that covers the
-// sets the containers were encoded with (CheckDirectory verifies all of
-// this against the collection).
+// flat table addressed by global element id, base[Set]+Elem. It is the
+// indexed collection's element table (dataset.Collection.Dir), which the
+// index reads and never copies. Its base table is dataset.ElemBase of the
+// indexed sets, the id space bitmap containers are defined over, so a
+// compressed index keeps no table of its own: its decoders are handed the
+// prefix of that base that covers the sets the containers were encoded
+// with (CheckDirectory verifies all of this against the collection).
 package index
 
 import (
@@ -59,16 +55,12 @@ type Inverted struct {
 	lists [][]Posting
 	coll  *dataset.Collection
 
-	// dir is the element directory: derived from coll, maintained by
-	// every constructor, AppendSets and Rebuild.
-	dir Directory
-
 	// cs holds the head of every list as an encoded container; nil in a
 	// heap index.
 	cs       *dataset.ContainerStore
 	csShared bool // cs may alias borrowed (mmap) memory
 	// encSets is how many sets the containers in cs were encoded with:
-	// their element-base table is the directory's, up to that set.
+	// their element-base table is the collection's, up to that set.
 	encSets int
 	// cache holds materialized lists (container and tail) of a compressed
 	// index; nil in a heap index, where its nil-safe methods do nothing.
@@ -87,7 +79,7 @@ func Build(c *dataset.Collection) *Inverted { return BuildParallel(c, 1) }
 // one per contiguous set-id range (dataset.Range); the lists are Build's, posting for
 // posting. parts < 2 is Build.
 func BuildParallel(c *dataset.Collection, parts int) *Inverted {
-	return &Inverted{lists: buildLists(c, parts), coll: c, dir: buildDirectory(c)}
+	return &Inverted{lists: buildLists(c, parts), coll: c}
 }
 
 // buildLists computes the heap posting lists of c. Each of parts set-id
@@ -146,7 +138,7 @@ func FromLists(c *dataset.Collection, lists [][]Posting) *Inverted {
 	for len(lists) < c.Dict.Size() {
 		lists = append(lists, nil)
 	}
-	return &Inverted{lists: lists, coll: c, dir: buildDirectory(c)}
+	return &Inverted{lists: lists, coll: c}
 }
 
 // Collection returns the collection this index was built over.
@@ -204,15 +196,14 @@ func setRangeOf(l []Posting, set int32) []Posting {
 	return l[lo:hi]
 }
 
-// AppendSets indexes the collection's sets from index `from` onward,
-// extending the token dimension to the dictionary's current size and the
-// element directory to the new sets. Because new sets carry the largest
+// AppendSets indexes the collection's sets from index `from` onward
+// (dataset.Append has extended the element table already), extending the
+// token dimension to the dictionary's current size. Because new sets carry the largest
 // ids, appending their postings to the slice tails preserves each list's
 // (Set, Elem) order, so lookups stay correct without re-sorting. Not safe
 // concurrently with readers.
 func (ix *Inverted) AppendSets(from int) {
 	c := ix.coll
-	ix.dir.extend(c)
 	for len(ix.lists) < c.Dict.Size() {
 		ix.lists = append(ix.lists, nil)
 	}
@@ -233,15 +224,14 @@ func (ix *Inverted) AppendSets(from int) {
 	}
 }
 
-// Rebuild recomputes every posting list and the element directory from the
-// collection's current contents in place, keeping the Inverted pointer stable for engines that
-// hold it. Sets whose Elements were cleared (tombstoned and compacted)
-// contribute nothing, so their stale postings disappear and the memory is
-// reclaimed. A compressed index then encodes the rebuilt lists as fresh
+// Rebuild recomputes every posting list from the collection's current
+// contents in place, keeping the Inverted pointer stable for engines that
+// hold it. Sets whose Elements were cleared (dataset.Collection.DropSets,
+// which lays the element table out afresh first) contribute nothing, so
+// their stale postings disappear and the memory is reclaimed. A compressed index then encodes the rebuilt lists as fresh
 // containers, detaching from any mapped snapshot. Not safe concurrently
 // with readers.
 func (ix *Inverted) Rebuild() {
-	ix.dir = buildDirectory(ix.coll)
 	ix.lists = buildLists(ix.coll, 1)
 	if ix.cs != nil {
 		ix.encode()

@@ -176,9 +176,10 @@ func TestAppendSets(t *testing.T) {
 }
 
 // TestCheckDirectoryCatchesDrift is the self-check's own check: the
-// directory of a built index agrees with its collection, every way the two
-// can drift apart is reported, and the index's own maintenance (AppendSets,
-// Rebuild) is what brings them back together.
+// directory a built index reads — its collection's element table — agrees
+// with the collection's content, every way the two can drift apart is
+// reported, and the collection's own maintenance (Append, DropSets) keeps
+// them together.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	ix, coll, _ := buildPaperIndex(t)
 	requireDrift := func(what string, drifted bool) {
@@ -189,8 +190,10 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	}
 	requireDrift("as built", false)
 	el := &coll.Sets[1].Elements[0]
-	if got := ix.Directory().At(Posting{Set: 1, Elem: 0}); got.Key != el.Key || int(got.Size) != len(el.Tokens) {
-		t.Fatalf("entry of set 1 element 0 = %+v, element has key %d and %d tokens", got, el.Key, len(el.Tokens))
+	if key, ok := coll.Dict.Keys().LookupBytes([]byte(dataset.ElementKey(el, dataset.ModeWord))); !ok {
+		t.Fatal("set 1 element 0 has no key")
+	} else if got := ix.Directory().At(Posting{Set: 1, Elem: 0}); got.Key != key || int(got.Size) != len(el.Tokens) {
+		t.Fatalf("entry of set 1 element 0 = %+v, element has key %d and %d tokens", got, key, len(el.Tokens))
 	}
 	// Under ModeQGram the size is the rune length, not the q-gram count.
 	grams := dataset.BuildQGram(tokens.NewDictionary(), []dataset.RawSet{{Name: "g", Elements: []string{"héllo héllo"}}}, 3)
@@ -205,22 +208,30 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		t.Fatalf("directory lists %d elements for set 2, which has %d", got, len(coll.Sets[2].Elements))
 	}
 
-	key := el.Key
-	el.Key = dataset.NoKey
-	requireDrift("a key changed under the index", true)
-	el.Key = key
-	el.Length--
-	requireDrift("a length changed under the index", true)
-	el.Length++
+	ent := &coll.Dir.Set(1)[0]
+	key := ent.Key
+	ent.Key = dataset.NoKey
+	requireDrift("a key changed in the table", true)
+	ent.Key = key
+	ent.Size--
+	requireDrift("a length changed in the table", true)
+	ent.Size++
+	requireDrift("restored", false)
+	toks := el.Tokens
+	el.Tokens = toks[1:]
+	requireDrift("the content changed under the table", true)
+	el.Tokens = toks
 	requireDrift("restored", false)
 
 	from := dataset.Append(coll, []dataset.RawSet{{Name: "new", Elements: []string{"77 Mass Ave", "Boston"}}})
-	requireDrift("sets appended to the collection only", true)
+	requireDrift("sets appended to the collection", false)
 	ix.AppendSets(from)
 	requireDrift("after AppendSets", false)
 
-	coll.Sets[0].Elements = nil // what compaction does to a dead set
-	requireDrift("a set's elements dropped under the index", true)
+	coll.Sets[0].Elements = nil // what DropSets does to a dead set, table aside
+	requireDrift("a set's elements dropped under the table", true)
+	coll.DropSets([]bool{true})
+	requireDrift("after DropSets", false)
 	ix.Rebuild()
 	requireDrift("after Rebuild", false)
 }

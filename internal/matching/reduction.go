@@ -15,7 +15,7 @@ package matching
 //
 // This is the string-keyed convenience form: it interns the keys to dense
 // integers and delegates to Scratch.ScoreReduced, which the engine's hot
-// path calls directly with build-time interned keys (dataset.Element.Key).
+// path calls directly with build-time interned keys (dataset.DirEntry.Key).
 //
 // The caller is responsible for only using this when 1-φ satisfies the
 // triangle inequality and α = 0 (paper §6.5): Jaccard and Eds qualify,

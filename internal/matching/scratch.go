@@ -100,7 +100,7 @@ func (sc *Scratch) fill(nR int, rows []int32, nC int, remap []int32, wts Weights
 
 // ScoreReduced computes the maximum matching score with the §5.3
 // identical-element reduction, comparing interned integer keys instead of
-// strings: keyR[i] and keyS[j] are exact content keys (dataset.Element.Key);
+// strings: keyR[i] and keyS[j] are exact content keys (dataset.DirEntry.Key);
 // two elements are identical iff their keys are equal and non-negative. A
 // negative key marks an element that can never be reduced. Identical pairs
 // are matched outright (score 1 each) and the O(n³) matching runs only on

@@ -201,7 +201,7 @@ func TestDifferentialBatchMatchesSearch(t *testing.T) {
 	for _, n := range diffShardCounts {
 		e := newAt(t, coll, n, opts)
 		refs := coll.Sets
-		got, err := e.batch(ctx, refs)
+		got, err := e.batch(ctx, coll)
 		if err != nil {
 			t.Fatal(err)
 		}

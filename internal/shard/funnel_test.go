@@ -105,8 +105,8 @@ func TestFunnelConservation(t *testing.T) {
 		{name: "search/N=2", shards: 2, opts: jaccard, run: searchAll},
 		{name: "search/N=7", shards: 7, opts: jaccard, run: searchAll},
 		{name: "batch", shards: 2, opts: jaccard, run: func(e atWidth, q *core.Query) error {
-			refs := e.Collection().Sets
-			qs := make([]*core.Query, len(refs))
+			refs := e.Collection()
+			qs := make([]*core.Query, len(refs.Sets))
 			for i := range qs {
 				qs[i] = q
 			}

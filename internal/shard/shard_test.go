@@ -66,7 +66,7 @@ func (e atWidth) add(raws []dataset.RawSet) {
 
 // batch searches every ref in one SearchBatchQueries call, failing on any
 // item's error.
-func (e atWidth) batch(ctx context.Context, refs []dataset.Set) ([][]core.Match, error) {
+func (e atWidth) batch(ctx context.Context, refs *dataset.Collection) ([][]core.Match, error) {
 	res, err := e.SearchBatchQueries(ctx, refs, nil, e.width)
 	out := make([][]core.Match, len(res))
 	for i, r := range res {
@@ -226,7 +226,7 @@ func TestSearchContextCancelled(t *testing.T) {
 	if _, err := e.discover(ctx); err != context.Canceled {
 		t.Fatalf("discover err = %v, want context.Canceled", err)
 	}
-	if _, err := e.batch(ctx, coll.Sets[:1]); err != context.Canceled {
+	if _, err := e.batch(ctx, coll.Subset([]int{0})); err != context.Canceled {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}
 }

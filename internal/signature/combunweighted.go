@@ -101,17 +101,18 @@ func generateCombUnweighted(r *dataset.Set, p Params, ix *index.Inverted, q int)
 		// the kept distinct tokens under word mode, the kept chunk
 		// occurrences under edit mode.
 		var bound float64
+		length := p.Family.length(el)
 		if !p.Family.usesChunks() {
-			bound = contribAfter(p.Family, int(el.Length), len(keep))
+			bound = contribAfter(p.Family, length, len(keep))
 		} else {
-			bound = contribAfter(p.Family, int(el.Length), occs)
+			bound = contribAfter(p.Family, length, occs)
 		}
 		chunks := r.Chunks(i)
 		available := len(el.Tokens)
 		if p.Family.usesChunks() {
 			available = len(chunks)
 		}
-		if satSize, ok := simThreshSize(p.Family, p.Alpha, int(el.Length), available); ok {
+		if satSize, ok := simThreshSize(p.Family, p.Alpha, length, available); ok {
 			if cut, covered := cheapestCoveringAlloc(keep, chunks, p.Family, satSize, ix); covered {
 				keep = cut
 				bound = 0

@@ -270,7 +270,7 @@ func (g *Generator) buildStates(r *dataset.Set, p Params, ix *index.Inverted) fl
 	for i := range r.Elements {
 		el := &r.Elements[i]
 		s := &g.es[i]
-		s.length = int(el.Length)
+		s.length = p.Family.length(el)
 		s.picked = 0
 		s.saturated = false
 		s.pickedTokens = s.pickedTokens[:0]
@@ -393,7 +393,7 @@ func (g *Generator) applySkylineCut(r *dataset.Set, p Params, ix *index.Inverted
 		if p.Family.usesChunks() {
 			available = len(chunks)
 		}
-		satSize, ok := simThreshSize(p.Family, p.Alpha, int(el.Length), available)
+		satSize, ok := simThreshSize(p.Family, p.Alpha, p.Family.length(el), available)
 		if ok {
 			if cut, covered := g.cheapestCovering(esig.Tokens, chunks, p.Family, satSize, ix, &g.es[i]); covered {
 				esig.Tokens = cut

@@ -145,6 +145,16 @@ func (f Family) String() string {
 // rather than the element's word tokens.
 func (f Family) usesChunks() bool { return f == FamilyEdit }
 
+// length is el's dataset.Element.Length under the token mode of the
+// family's similarities: its rune length for the edit family, its token
+// count otherwise.
+func (f Family) length(el *dataset.Element) int {
+	if f.usesChunks() {
+		return el.Length(dataset.ModeQGram)
+	}
+	return el.Length(dataset.ModeWord)
+}
+
 // Params carries the thresholds a signature is generated for.
 type Params struct {
 	// Delta is the relatedness threshold δ > 0; the maximum matching

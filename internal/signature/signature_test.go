@@ -56,7 +56,8 @@ func TestWeightedBoundsMatchDefinition(t *testing.T) {
 	r, ix, _ := paperSetup(t)
 	sig := Generate(Weighted, r, Params{Delta: 0.7}, ix)
 	for i, es := range sig.Elements {
-		want := float64(int(r.Elements[i].Length)-len(es.Tokens)) / float64(r.Elements[i].Length)
+		n := r.Elements[i].Length(dataset.ModeWord)
+		want := float64(n-len(es.Tokens)) / float64(n)
 		if math.Abs(es.Bound-want) > 1e-12 {
 			t.Errorf("element %d bound = %v, want (|r|-|k|)/|r| = %v", i, es.Bound, want)
 		}
@@ -234,7 +235,7 @@ func TestEditWeightedScheme(t *testing.T) {
 		if es.Bound >= 1 || es.Bound <= 0 {
 			t.Errorf("element %d bound %v out of (0,1)", i, es.Bound)
 		}
-		if es.Bound < float64(el.Length)/float64(int(el.Length)+len(r.Chunks(i))) {
+		if n := el.Length(dataset.ModeQGram); es.Bound < float64(n)/float64(n+len(r.Chunks(i))) {
 			t.Errorf("element %d bound below the all-chunks floor", i)
 		}
 	}

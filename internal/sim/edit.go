@@ -42,7 +42,26 @@ func NEds(x, y string) float64 {
 // computation that abandons early once the distance bound implied by alpha
 // is exceeded: Eds(x,y) ≥ α ⟺ LD(x,y) ≤ (1-α)(|x|+|y|)/(1+α).
 func EdsAlpha(x, y string, alpha float64) float64 {
-	return EdsAlphaLen(x, y, utf8.RuneCountInString(x), utf8.RuneCountInString(y), alpha)
+	return EdsAlphaLen(x, y, runeLen(x), runeLen(y), alpha)
+}
+
+// runeLen is utf8.RuneCountInString with an ASCII fast path: eight bytes
+// at a time up to the first non-ASCII byte. The edit kernels count both
+// strings of every pair they are given, most of which the length check
+// rejects before a rune is decoded, so the count is most of their cost.
+//
+//silkmoth:hotpath
+func runeLen(s string) int {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		if w&0x8080808080808080 != 0 {
+			break
+		}
+	}
+	return i + utf8.RuneCountInString(s[i:])
 }
 
 // EdsAlphaLen is EdsAlpha for a caller that already holds the rune lengths
@@ -70,7 +89,7 @@ func EdsAlphaLen(x, y string, lx, ly int, alpha float64) float64 {
 // NEdsAlpha returns φ_α(x, y) under NEds, using a banded edit distance
 // computation for alpha > 0: NEds(x,y) ≥ α ⟺ LD(x,y) ≤ (1-α)·max(|x|,|y|).
 func NEdsAlpha(x, y string, alpha float64) float64 {
-	return NEdsAlphaLen(x, y, utf8.RuneCountInString(x), utf8.RuneCountInString(y), alpha)
+	return NEdsAlphaLen(x, y, runeLen(x), runeLen(y), alpha)
 }
 
 // NEdsAlphaLen is NEdsAlpha given the rune lengths, as EdsAlphaLen is

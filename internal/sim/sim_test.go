@@ -3,8 +3,10 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"silkmoth/internal/tokens"
 )
@@ -303,6 +305,23 @@ func TestNEdsAlphaMatchesNEds(t *testing.T) {
 			got := NEdsAlpha(a, b, alpha)
 			if math.Abs(got-want) > 1e-12 {
 				t.Fatalf("NEdsAlpha(%q,%q,%v) = %v, want %v", a, b, alpha, got, want)
+			}
+		}
+	}
+}
+
+// TestRuneLen holds the ASCII fast path to utf8.RuneCountInString around
+// its eight-byte blocks, with the first non-ASCII byte at every offset.
+func TestRuneLen(t *testing.T) {
+	for n := 0; n <= 20; n++ {
+		for at := -1; at < n; at++ {
+			b := []byte(strings.Repeat("a", n))
+			s := string(b)
+			if at >= 0 {
+				s = string(b[:at]) + "é" + string(b[at+1:])
+			}
+			if got, want := runeLen(s), utf8.RuneCountInString(s); got != want {
+				t.Fatalf("runeLen(%q) = %d, want %d", s, got, want)
 			}
 		}
 	}

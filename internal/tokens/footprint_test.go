@@ -1,6 +1,7 @@
 package tokens
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,12 +11,13 @@ import (
 )
 
 // TestInternTableFootprintGate pins what the key table costs beyond the
-// bytes of its keys on a word-mode corpus — each element's key being its
-// sorted token ids, four bytes each, as dataset interns them — and that
-// the table's arena, spans and index hold no pointer, so the garbage
-// collector never scans them. The bound is 24 bytes a key: 8 for the span,
-// at most 10.7 for the index at its lowest load, the rest for the slack of
-// append growth.
+// bytes of its keys on a word-mode corpus — each element's key being the
+// uvarint deltas of its sorted token ids, as dataset interns them — and
+// that the table's arena, spans and index hold no pointer, so the garbage
+// collector never scans them. The bounds are 24 bytes a key at most: 8 for
+// the span, at most 10.7 for the index at its lowest load, the rest for
+// the slack of append growth; and 13.3 at least, the span and the index at
+// its highest load, below which the measurement itself is broken.
 func TestInternTableFootprintGate(t *testing.T) {
 	d := NewDictionary()
 	var sc Scratch
@@ -31,9 +33,10 @@ func TestInternTableFootprintGate(t *testing.T) {
 			fmt.Fprintf(&text, "w%d ", vocab.Uint64())
 		}
 		ids = SortUnique(sc.AppendWordIDs(ids[:0], d, text.String()))
-		key = key[:0]
+		key, prev := key[:0], ID(0)
 		for _, id := range ids {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+			key = binary.AppendUvarint(key, uint64(id-prev))
+			prev = id
 		}
 		if n := d.Keys().Size(); d.Keys().InternBytes(key) == ID(n) {
 			keyBytes += len(key)
@@ -44,8 +47,8 @@ func TestInternTableFootprintGate(t *testing.T) {
 	held := cap(k.arena) + cap(k.spans)*int(unsafe.Sizeof(span{})) + cap(k.index)*4 + cap(k.free)*4
 	per := float64(held-keyBytes) / float64(n)
 	t.Logf("%d keys of %d bytes: the table holds %d bytes, %.1f a key beyond the keys", n, keyBytes, held, per)
-	if n < 40000 || per > 24 {
-		t.Errorf("the key table holds %.1f bytes a key beyond the keys' own over %d keys, want at most 24", per, n)
+	if n < 40000 || per > 24 || per < 8+4.0/0.75 {
+		t.Errorf("the key table holds %.1f bytes a key beyond the keys' own over %d keys, want 13.3 to 24", per, n)
 	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(k.arena), reflect.TypeOf(k.spans), reflect.TypeOf(k.index)} {
 		if !pointerFree(typ.Elem()) {

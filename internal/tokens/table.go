@@ -10,9 +10,10 @@ import (
 // has to scan. Every string lives in one byte arena, back to back; spans
 // gives each id the offset and length of its bytes there; and index, an
 // open-addressing hash table over the arena (hash/maphash, triangular
-// probing, at most three quarters full), holds id+1 in an occupied slot
-// and 0 in an empty one. A table costs its strings' bytes plus 8 bytes an
-// id for its span and 5.3 to 10.7 for the index.
+// probing, occupied and tombstoned slots at most three quarters of it),
+// holds id+1 in an occupied slot, 0 in an empty one and tombstone in the
+// slot of a freed id. A table costs its strings' bytes plus 8 bytes an id
+// for its span and 5.3 to 10.7 for the index.
 //
 // Reclaim frees ids; Intern reuses them lowest id first before it grows
 // the id space. The zero Table is empty and ready to use. Like the
@@ -26,6 +27,8 @@ type Table struct {
 	seed  maphash.Seed
 	// free are the reclaimed ids, highest first: intern pops the lowest.
 	free []ID
+	// tombs counts the index's tombstone slots.
+	tombs int
 }
 
 // span locates an id's bytes in the arena. A freed id has off freeOff.
@@ -35,6 +38,9 @@ const (
 	freeOff = math.MaxUint32
 	// minIndex is the smallest index a table hashes into.
 	minIndex = 8
+	// tombstone marks the index slot of a freed id: a probe goes past it,
+	// and an insert may take it.
+	tombstone = -1
 )
 
 // text is what a table interns and looks up: a string, or bytes a caller
@@ -87,16 +93,20 @@ func (t *Table) InternTable(src *Table) (remap []ID) {
 
 // Reclaim frees every id below len(keep) that keep does not mark and that
 // is not free already, queues its slot for reuse by later Interns, lowest
-// id first, and compacts the arena and the index over the ids it keeps.
-// Ids at or past len(keep), which must not exceed Size, stay. Callers must
-// only invoke it when no index still resolves an unmarked id to live
-// postings — in practice during engine compaction, right after the posting
-// lists are rebuilt over the sets whose ids keep marks. It returns the
-// number of slots freed.
+// id first, and compacts the arena over the ids it keeps. Only the freed
+// strings are hashed, to tombstone their index slots; the kept ones move
+// in the arena, which rewrites their spans and leaves the index as it is.
+// The index is rebuilt only once tombstones fill a quarter of it. Ids at
+// or past len(keep), which must not exceed Size, stay. Callers must only
+// invoke it when no index still resolves an unmarked id to live postings —
+// in practice during engine compaction, right after the posting lists are
+// rebuilt over the sets whose ids keep marks. It returns the number of
+// slots freed.
 func (t *Table) Reclaim(keep []bool) int {
 	n := 0
 	for id, k := range keep {
 		if !k && t.spans[id].off != freeOff {
+			t.bury(ID(id))
 			t.spans[id] = span{off: freeOff}
 			n++
 		}
@@ -126,12 +136,26 @@ func (t *Table) Reclaim(keep []bool) int {
 		}
 	}
 	t.arena = arena
-	slots := minIndex
-	for slots*3 < live*4 {
-		slots *= 2
+	if t.tombs*4 > len(t.index) {
+		slots := minIndex
+		for slots*3 < live*4 {
+			slots *= 2
+		}
+		t.rehash(slots)
 	}
-	t.rehash(slots)
 	return n
+}
+
+// bury tombstones the index slot of id, which is not free.
+func (t *Table) bury(id ID) {
+	sp := t.spans[id]
+	mask := len(t.index) - 1
+	i := int(maphash.Bytes(t.seed, t.arena[sp.off:sp.off+sp.n])) & mask
+	for step := 1; t.index[i] != int32(id)+1; step++ {
+		i = (i + step) & mask
+	}
+	t.index[i] = tombstone
+	t.tombs++
 }
 
 // FreeSlots returns the number of reclaimed ids awaiting reuse.
@@ -160,7 +184,7 @@ func (t *Table) Bytes(id ID) []byte {
 func (t *Table) reset() {
 	if len(t.spans) > 0 {
 		clear(t.index)
-		t.arena, t.spans, t.free = t.arena[:0], t.spans[:0], t.free[:0]
+		t.arena, t.spans, t.free, t.tombs = t.arena[:0], t.spans[:0], t.free[:0], 0
 	}
 }
 
@@ -172,18 +196,28 @@ func (t *Table) init() {
 	}
 }
 
-// find returns the id of s, whose hash is h, or -1 and the empty slot of
-// the index where s would go.
+// find returns the id of s, whose hash is h, or -1 and the slot of the
+// index where s would go: the first tombstone its probe passed, else the
+// empty slot that ended it.
 func find[T text](t *Table, s T, h uint64) (ID, int) {
 	mask := len(t.index) - 1
 	i := int(h) & mask
+	free := -1
 	for step := 1; ; step++ {
-		v := t.index[i]
-		if v == 0 {
-			return -1, i
-		}
-		if sp := t.spans[v-1]; int(sp.n) == len(s) && string(t.arena[sp.off:sp.off+sp.n]) == string(s) {
-			return ID(v - 1), i
+		switch v := t.index[i]; {
+		case v == 0:
+			if free < 0 {
+				free = i
+			}
+			return -1, free
+		case v == tombstone:
+			if free < 0 {
+				free = i
+			}
+		default:
+			if sp := t.spans[v-1]; int(sp.n) == len(s) && string(t.arena[sp.off:sp.off+sp.n]) == string(s) {
+				return ID(v - 1), i
+			}
 		}
 		i = (i + step) & mask
 	}
@@ -195,8 +229,14 @@ func intern[T text](t *Table, s T, h uint64) ID {
 	if id >= 0 {
 		return id
 	}
-	if live := len(t.spans) - len(t.free); (live+1)*4 > len(t.index)*3 {
-		t.rehash(2 * len(t.index))
+	if live := len(t.spans) - len(t.free); (live+t.tombs+1)*4 > len(t.index)*3 {
+		// Past the load bound: double for the live ids, or clear the
+		// tombstones at the same size when they are what fills it.
+		slots := len(t.index)
+		if (live+1)*2 > slots {
+			slots *= 2
+		}
+		t.rehash(slots)
 		_, slot = find(t, s, h)
 	}
 	if uint64(len(t.arena))+uint64(len(s)) >= freeOff {
@@ -211,14 +251,18 @@ func intern[T text](t *Table, s T, h uint64) ID {
 		id = ID(len(t.spans))
 		t.spans = append(t.spans, sp)
 	}
+	if t.index[slot] == tombstone {
+		t.tombs--
+	}
 	t.index[slot] = int32(id) + 1
 	return id
 }
 
 // rehash rebuilds the index at slots slots, a power of two, over every id
-// not free.
+// not free, leaving no tombstone.
 func (t *Table) rehash(slots int) {
 	t.index = make([]int32, slots)
+	t.tombs = 0
 	mask := slots - 1
 	for id, sp := range t.spans {
 		if sp.off == freeOff {

@@ -94,7 +94,7 @@ func (e *Engine) search(ctx context.Context, queries []BatchQuery) ([]Result, er
 	defer e.mu.RUnlock()
 	scratch, qc := e.tokenizeQuery(raws)
 	defer queryScratchPool.Put(scratch)
-	per, err := e.eng.SearchBatchQueries(ctx, qc.Sets, qs, e.width)
+	per, err := e.eng.SearchBatchQueries(ctx, qc, qs, e.width)
 	if err != nil {
 		return nil, err
 	}
