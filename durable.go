@@ -21,6 +21,23 @@ var ErrNoDataDir = errors.New("silkmoth: durability not enabled (Config.DataDir 
 // with the directory's path. Unix only; elsewhere nothing locks.
 var ErrDataDirLocked = wal.ErrLocked
 
+// ErrConfigMismatch reports a NewEngine or NewEngineFromSaved on a
+// Config.DataDir whose snapshot was written under another Metric,
+// Similarity or Alpha: the same sets would answer differently, so the
+// directory does not reopen under them. The error wraps it with both
+// configurations. A snapshot that records none, written before snapshots
+// recorded it, opens under any Config, and an engine opened from it goes
+// on recording none, so its snapshots and saves stay byte for byte what
+// they were.
+var ErrConfigMismatch = errors.New("silkmoth: data directory written under another configuration")
+
+// scoring is what a snapshot records of c (dataset.Scoring): the fields
+// that change answers over the same sets. The enums go by value, so their
+// constants keep their values for as long as images carry them.
+func (c Config) scoring() dataset.Scoring {
+	return dataset.Scoring{Metric: int(c.Metric), Similarity: int(c.Similarity), Alpha: c.Alpha}
+}
+
 // newDurableEngine opens (or initializes) the snapshot/WAL store on fsys
 // and returns a recovered or bootstrapped engine. When the store holds a
 // snapshot, the engine is reconstructed from it — no re-tokenization and,
@@ -38,16 +55,28 @@ func newDurableEngine(build func() (*Engine, error), cfg Config, fsys wal.FS) (e
 			err = errors.Join(err, st.Close())
 		}
 	}()
+	var mismatch error
 	loaded, m, err := st.RecoverData(func(data []byte) error {
 		snap, err := dataset.LoadSnapshotBytes(data)
 		if err != nil {
 			return err
+		}
+		if rec, want := snap.Scoring, cfg.scoring(); rec != nil && *rec != want {
+			// A sound image this Config would reinterpret: refuse the
+			// open, not the snapshot, which would send recovery on to an
+			// older one.
+			mismatch = fmt.Errorf("%w: %q was written under metric %v, similarity %v, alpha %v; Config asks for %v, %v, %v",
+				ErrConfigMismatch, cfg.DataDir, Metric(rec.Metric), Similarity(rec.Similarity), rec.Alpha, cfg.Metric, cfg.Similarity, cfg.Alpha)
+			return nil
 		}
 		e, err = engineFromSnapshot(snap, cfg)
 		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if mismatch != nil {
+		return nil, errors.Join(mismatch, m.Close())
 	}
 	if loaded {
 		// The store handed over the snapshot's bytes, memory-mapped when it
@@ -107,7 +136,11 @@ func engineFromSnapshot(snap *dataset.SnapshotData, cfg Config) (*Engine, error)
 	if opts.Q == 0 {
 		opts.Q = snap.Coll.Q
 	}
-	return newEngine(snap, cfg, opts)
+	e, err := newEngine(snap, cfg, opts)
+	if err == nil && snap.Scoring == nil {
+		e.scoring = nil // an image that records no Config saves as it was
+	}
+	return e, err
 }
 
 // applyRecord replays one WAL record against the engine's in-memory state.
@@ -197,8 +230,16 @@ func (e *Engine) Snapshot() error {
 // mutations out while the writer reads the index.
 func (e *Engine) writeSnapshotLocked() error {
 	return e.store.WriteSnapshot(func(w io.Writer) error {
-		return dataset.SaveSnapshot(w, e.eng.SnapshotData())
+		return dataset.SaveSnapshot(w, e.snapshotData())
 	})
+}
+
+// snapshotData is the engine's durable image (core.Engine.SnapshotData)
+// with the Config it answers under.
+func (e *Engine) snapshotData() *dataset.SnapshotData {
+	sd := e.eng.SnapshotData()
+	sd.Scoring = e.scoring
+	return sd
 }
 
 // Close releases the engine's durability resources (the open write-ahead

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -472,5 +473,57 @@ func TestSnapshotLoadAllocationBudget(t *testing.T) {
 	if budget := perSet * float64(len(sets)); loadAllocs > budget {
 		t.Errorf("snapshot load allocates %.0f objects, over its budget of %.0f (%.1f a set; a heap build takes %.0f) — recovery is re-doing build work",
 			loadAllocs, budget, perSet, buildAllocs)
+	}
+}
+
+// TestDataDirConfigMismatch reopens a Jaccard data directory written at
+// δ = ½ under each Config that would answer differently over the same
+// sets — Dice, α = 0.6 and set-containment — and each is refused with
+// ErrConfigMismatch, holding no lock. δ is not recorded (every query can
+// set its own), so a reopen at another δ opens, and so does the original
+// Config afterwards, with the original answers.
+func TestDataDirConfigMismatch(t *testing.T) {
+	cfg := Config{Similarity: Jaccard, Delta: 0.5, DataDir: t.TempDir()}
+	ref := Set{Name: "q", Elements: []string{"77 Mass Ave", "5th St Seattle"}}
+	eng, err := NewEngine(durableCorpus(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.SearchContext(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, change := range map[string]func(*Config){
+		"dice":        func(c *Config) { c.Similarity = Dice },
+		"alpha":       func(c *Config) { c.Alpha = 0.6 },
+		"containment": func(c *Config) { c.Metric = SetContainment },
+	} {
+		other := cfg
+		change(&other)
+		if e, err := NewEngine(nil, other); !errors.Is(err, ErrConfigMismatch) {
+			if err == nil {
+				e.Close()
+			}
+			t.Errorf("%s: reopening the Jaccard directory: error %v, want ErrConfigMismatch", name, err)
+		}
+	}
+	for _, delta := range []float64{0.7, cfg.Delta} {
+		reopen := cfg
+		reopen.Delta = delta
+		e, err := NewEngine(nil, reopen)
+		if err != nil {
+			t.Fatalf("reopening at δ = %v: %v", delta, err)
+		}
+		got, err := e.SearchContext(context.Background(), ref, WithDelta(cfg.Delta))
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("reopened at δ = %v: %v, want %v", delta, got, want)
+		}
 	}
 }

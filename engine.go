@@ -29,6 +29,9 @@ type Engine struct {
 	// width is the most goroutines one search runs on: Config.Shards
 	// resolved.
 	width int
+	// scoring is what the engine's snapshots record of its Config: nil
+	// on an engine recovered from a snapshot that records none.
+	scoring *dataset.Scoring
 	// mu is the engine's one lock. It serializes mutations (Add, Delete,
 	// Update, Compact, Snapshot) against queries: mutators take the write
 	// side, queries the read side — including query tokenization, which
@@ -96,7 +99,8 @@ func newEngine(snap *dataset.SnapshotData, cfg Config, opts core.Options) (*Engi
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: eng, coll: snap.Coll, width: width}, nil
+	sc := cfg.scoring()
+	return &Engine{eng: eng, coll: snap.Coll, width: width, scoring: &sc}, nil
 }
 
 // Shards returns the engine's width: the most goroutines one search runs

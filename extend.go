@@ -40,7 +40,7 @@ func (e *Engine) Add(sets []Set) error {
 func (e *Engine) SaveCollection(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return dataset.SaveSnapshot(w, e.eng.SnapshotData())
+	return dataset.SaveSnapshot(w, e.snapshotData())
 }
 
 // NewEngineFromSaved builds an engine from an image written by

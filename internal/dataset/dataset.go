@@ -1,7 +1,13 @@
 // Package dataset defines SilkMoth's tokenized data model: collections of
 // sets, where each set is a list of elements and each element is a bag of
-// tokens (paper §2). It also provides builders that turn raw strings into
-// tokenized collections, plain-text file I/O, and summary statistics.
+// tokens (paper §2). One writer (writer.go) lays every collection out —
+// each set's element backing, token run and q-chunk run, and the
+// collection's element table — under one of three policies: intern into
+// the dictionary (a build's first range, Append, a snapshot load), intern
+// into a range-local table (a parallel build's later ranges), or look up
+// only (QueryScratch). Builds, Append, the query scratch and the snapshot
+// loader drive it; the package also provides plain-text file I/O and
+// summary statistics.
 package dataset
 
 import (
@@ -80,48 +86,6 @@ func appendWordKey(b []byte, ids []tokens.ID) []byte {
 	return b
 }
 
-// internKey interns e's content key into keys (a dictionary's key table,
-// or a range's own while a parallel build runs), staging word-mode key
-// bytes in buf (returned for reuse), which the table copies only when the
-// key is new to it. Indexed collections intern their keys. Empty elements
-// get NoKey.
-//
-//silkmoth:hotpath
-func internKey(keys tokens.Interner, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {
-	if mode == ModeQGram {
-		if e.Raw == "" {
-			return NoKey, buf
-		}
-		return keys.Intern(e.Raw), buf
-	}
-	if len(e.Tokens) == 0 {
-		return NoKey, buf
-	}
-	buf = appendWordKey(buf[:0], e.Tokens)
-	return keys.InternBytes(buf), buf
-}
-
-// lookupKey is internKey for a query element: it looks e's key up in the
-// dictionary's key table and never writes it. A key the table does not
-// hold proves the element identical to nothing indexed, which is exactly
-// what NoKey means to the reduction.
-//
-//silkmoth:hotpath
-func lookupKey(keys *tokens.Dictionary, e *Element, mode TokenMode, buf []byte) (tokens.ID, []byte) {
-	id, ok := NoKey, false
-	switch {
-	case mode == ModeQGram && e.Raw != "":
-		id, ok = keys.Lookup(e.Raw)
-	case mode == ModeWord && len(e.Tokens) > 0:
-		buf = appendWordKey(buf[:0], e.Tokens)
-		id, ok = keys.LookupBytes(buf)
-	}
-	if !ok {
-		return NoKey, buf
-	}
-	return id, buf
-}
-
 // Set is an ordered list of elements with an external name.
 type Set struct {
 	Name     string
@@ -173,8 +137,8 @@ func (s *Set) Drop() { s.Name, s.Elements, s.chunks = strings.Clone(s.Name), nil
 type Collection struct {
 	Sets []Set
 	// Dir is the collection's element table: every element's content key
-	// and size, one DirEntry per element of Sets. Every builder, Append,
-	// DropSets, a snapshot load and QueryScratch keep it in step with Sets.
+	// and size, one DirEntry per element of Sets. The collection writer,
+	// DropSets and Subset keep it in step with Sets.
 	Dir  Directory
 	Dict *tokens.Dictionary
 	Mode TokenMode
@@ -252,14 +216,19 @@ func BuildRanges(dict *tokens.Dictionary, raws []RawSet, mode TokenMode, q, part
 }
 
 // Append tokenizes raws with c's dictionary and mode and appends the
-// resulting sets to c, returning the index of the first appended set.
+// resulting sets to c, and their entries to its element table, through a
+// writer that continues on c. It returns the index of the first appended
+// set.
 // Callers holding an inverted index over c must extend it afterwards
 // (index.Inverted.AppendSets).
 func Append(c *Collection, raws []RawSet) int {
 	from := len(c.Sets)
-	add := Build(c.Dict, raws, c.Mode, c.Q)
-	c.Sets = append(c.Sets, add.Sets...)
-	c.Dir.extend(&add.Dir)
+	var w writer
+	w.start(c, internDict, from)
+	for _, rs := range raws {
+		w.writeRaw(rs)
+	}
+	w.finish(nil)
 	return from
 }
 
@@ -299,10 +268,10 @@ func (c *Collection) Subset(idx []int) *Collection {
 // ElementKey returns the exact content key string for an element under the
 // given mode, for the identical-element reduction of paper §5.3. Identical
 // elements get equal keys; the empty key marks non-reducible (empty)
-// elements. Nothing on a build or query path calls it: builders stage the
-// same bytes in a reused buffer (internKey, lookupKey) and resolve them
-// once into the element table (DirEntry.Key), and verification compares
-// those dense ids instead.
+// elements. Nothing on a build or query path calls it: the collection
+// writer stages the same bytes in a reused buffer (entry) and resolves
+// them once into the element table (DirEntry.Key), and verification
+// compares those dense ids instead.
 func ElementKey(e *Element, mode TokenMode) string {
 	if mode == ModeQGram {
 		return e.Raw

@@ -34,8 +34,9 @@ type DirEntry struct {
 // coll.Sets[Set].Elements[Elem] is three dependent loads ending in a
 // 40-byte struct.
 //
-// Builds, Append, DropSets, a snapshot load and QueryScratch write it;
-// readers hold it under the engine's lock, as they do the sets.
+// The collection writer writes it (a build, Append, a snapshot load and
+// QueryScratch), DropSets and Subset lay it out afresh; readers hold it
+// under the engine's lock, as they do the sets.
 type Directory struct {
 	base []int32 // ElemBase of the sets: len(sets)+1 entries
 	ents []DirEntry
@@ -70,18 +71,6 @@ func layoutDirectory(n int, count func(i int) int) Directory {
 		base[i+1] = base[i] + int32(count(i))
 	}
 	return Directory{base: base, ents: make([]DirEntry, base[n])}
-}
-
-// extend appends src's sets to d's. A zero d is the table of no sets.
-func (d *Directory) extend(src *Directory) {
-	if len(d.base) == 0 {
-		d.base = append(d.base, 0)
-	}
-	off := d.base[len(d.base)-1]
-	for _, b := range src.base[1:] {
-		d.base = append(d.base, off+b)
-	}
-	d.ents = append(d.ents, src.ents...)
 }
 
 // CheckDirectory verifies the element table against the content it was
@@ -124,11 +113,10 @@ func (c *Collection) CheckDirectory() error {
 // entries of the table that holds s, whichever collection over c's
 // dictionary that is. buf stages word-mode keys and is returned for reuse.
 func (c *Collection) LookupEntries(dst []DirEntry, s *Set, buf []byte) ([]DirEntry, []byte) {
+	keys := keyLookup{c.Dict.Keys()}
 	for j := range s.Elements {
-		e := &s.Elements[j]
 		var ent DirEntry
-		ent.Key, buf = lookupKey(c.Dict.Keys(), e, c.Mode, buf)
-		ent.Size = int32(e.Length(c.Mode))
+		ent, buf = entry(keys, &s.Elements[j], c.Mode, buf)
 		dst = append(dst, ent)
 	}
 	return dst, buf

@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"silkmoth/internal/raceflag"
 	"silkmoth/internal/tokens"
 )
 
@@ -149,6 +151,40 @@ func TestQueryScratchLooksUpNeverInterns(t *testing.T) {
 		if dict.Size() != size || dict.Keys().Size() != keys {
 			t.Errorf("%v: query builds grew the tables: tokens %d -> %d, keys %d -> %d",
 				tc.mode, size, dict.Size(), keys, dict.Keys().Size())
+		}
+	}
+}
+
+// TestQueryScratchAllocGate pins that a warmed QueryScratch allocates
+// nothing, under both modes, for content the collection holds and for
+// tokens and keys it has never seen: a novel token's id comes from the
+// scratch's own table, which the warm-up grew, and a novel key is NoKey.
+func TestQueryScratchAllocGate(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
+	}
+	raws, _ := buildAllocCorpus()
+	novel := make([]RawSet, 100)
+	for i, rs := range raws[:len(novel)] {
+		es := make([]string, len(rs.Elements))
+		for j, e := range rs.Elements {
+			es[j] = strings.ReplaceAll(e, "w", "x")
+		}
+		novel[i] = RawSet{Name: rs.Name, Elements: es}
+	}
+	for _, mode := range []TokenMode{ModeWord, ModeQGram} {
+		q := 3
+		dict := tokens.NewDictionary()
+		Build(dict, raws, mode, q)
+		for _, tc := range []struct {
+			name  string
+			query []RawSet
+		}{{"indexed", raws[:100]}, {"novel", novel}} {
+			var qs QueryScratch
+			qs.Build(dict, tc.query, mode, q)
+			if got := testing.AllocsPerRun(5, func() { qs.Build(dict, tc.query, mode, q) }); got != 0 {
+				t.Errorf("%v %s: a warmed QueryScratch.Build allocates %.2f objects, want 0", mode, tc.name, got)
+			}
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"unicode/utf8"
 
 	"silkmoth/internal/binenc"
 	"silkmoth/internal/tokens"
@@ -59,6 +61,19 @@ type SnapshotData struct {
 	// Set by LoadSnapshot(Bytes) when the snapshot carries postings;
 	// SaveSnapshot does not read it.
 	Containers *ContainerStore
+	// Scoring is the configuration the image was written under, nil when
+	// it records none (a writer that passed none, or an image from before
+	// the field).
+	Scoring *Scoring
+}
+
+// Scoring is what an engine's answers over the same sets depend on beyond
+// the tokenization: the relatedness metric and the element similarity, as
+// codes the engine assigns, and α. It travels as trailing fields of the
+// meta section, which version-2 readers that predate them skip.
+type Scoring struct {
+	Metric, Similarity int
+	Alpha              float64
 }
 
 // DecodePostings materializes every posting list from Containers (nil
@@ -105,6 +120,12 @@ func (e *UnsupportedVersionError) Error() string {
 //
 // so every byte of content is covered by a checksum and a reader can
 // verify each section before trusting its lengths structurally.
+//
+// The meta section holds uvarints — the token mode, q, the set and word
+// counts — and a postings flag byte, then, when the writer recorded its
+// Scoring, the metric, the similarity and α's float64 bits as uvarints.
+// A reader takes no notice of meta bytes past what it knows, so the
+// Scoring fields needed no version of their own.
 //
 // The postings section holds adaptive container blobs behind a fixed-width
 // offset table:
@@ -187,7 +208,7 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 
 	hasPostings := snap.Source != nil
 	var meta binenc.Writer
-	meta.Grow(4*binary.MaxVarintLen64 + 1)
+	meta.Grow(7*binary.MaxVarintLen64 + 1)
 	meta.Uint(int(c.Mode))
 	meta.Uint(c.Q)
 	meta.Uint(len(c.Sets))
@@ -196,6 +217,11 @@ func SaveSnapshot(w io.Writer, snap *SnapshotData) error {
 		meta.Byte(1)
 	} else {
 		meta.Byte(0)
+	}
+	if sc := snap.Scoring; sc != nil {
+		meta.Uint(sc.Metric)
+		meta.Uint(sc.Similarity)
+		meta.Uvarint(math.Float64bits(sc.Alpha))
 	}
 	if err := writeSection(w, secMeta, meta.Bytes()); err != nil {
 		return err
@@ -466,6 +492,10 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	numSets := meta.Uint()
 	numWords := meta.Uint()
 	hasPostings := meta.Byte()
+	var scoring *Scoring
+	if meta.Remaining() > 0 {
+		scoring = &Scoring{Metric: meta.Uint(), Similarity: meta.Uint(), Alpha: math.Float64frombits(meta.Uvarint())}
+	}
 	if err := meta.Err(); err != nil {
 		return nil, corrupt("meta: %v", err)
 	}
@@ -509,7 +539,8 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	c := &Collection{Dict: dict, Mode: mode, Q: q, Sets: make([]Set, numSets)}
 	c.Dir.base = make([]int32, 1, numSets+1)
 	var dead []bool
-	var st setStage
+	sl := setReader{numWords: numWords}
+	sl.w.start(c, internDict, 0)
 	for i := 0; i < numSets; i++ {
 		switch sr.Byte() {
 		case 0:
@@ -517,8 +548,10 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 				dead = make([]bool, numSets)
 			}
 			dead[i] = true
+			sl.w.beginSet("", 0) // an empty placeholder
+			sl.w.endSet()
 		case 1:
-			if err := st.read(sr, &c.Sets[i], &c.Dir, i, numWords, dict, mode); err != nil {
+			if err := sl.read(sr, i); err != nil {
 				return nil, err
 			}
 		default:
@@ -527,16 +560,16 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 			}
 			return nil, corrupt("bad liveness flag for set %d", i)
 		}
-		c.Dir.base = append(c.Dir.base, int32(len(c.Dir.ents)))
 	}
 	if sr.Remaining() != 0 {
 		return nil, corrupt("%d trailing set bytes", sr.Remaining())
 	}
+	sl.w.finish(nil)
 	if ents := c.Dir.ents; cap(ents) > len(ents) {
 		c.Dir.ents = append(make([]DirEntry, 0, len(ents)), ents...)
 	}
 
-	snap := &SnapshotData{Coll: c, Dead: dead}
+	snap := &SnapshotData{Coll: c, Dead: dead, Scoring: scoring}
 	if hasPostings == 1 {
 		postPayload, err := r.expect(secPostings)
 		if err != nil {
@@ -557,101 +590,89 @@ func LoadSnapshotBytes(data []byte) (*SnapshotData, error) {
 	return snap, nil
 }
 
-// setStage stages one set of a snapshot in buffers reused across sets, so
-// that a loaded set costs one allocation for its name and element strings
-// together, one for its token ids and one for its chunk run, instead of a
-// string and a token slice per element. Element keys are copied into the
-// dictionary's key table, which keeps no string of the set alive.
-type setStage struct {
-	text  []byte      // the set's name, then each element's raw, back to back
-	toks  []tokens.ID // every element's token ids, back to back
-	run   []tokens.ID // the set's chunk run, laid out as Set.chunks
-	elems []stagedElem
-	key   []byte // staging for one word-mode element key
+// setReader writes the live set slots of a snapshot through one writer
+// under internDict. The ids are read, never tokenized; each element's
+// Length and key are derived from what was read when the writer finishes.
+type setReader struct {
+	w        writer
+	numWords int
+	text     []byte // one slot's name and element texts, back to back
+	ends     []int  // where the name and each element's text end in text
 }
 
-// stagedElem is where one element ends in the stage's text and toks, and
-// the length the image stores for it.
-type stagedElem struct {
-	rawEnd, tokEnd, storedLen int
-}
-
-// read decodes set i's slot into s and appends its elements' entries to
-// the element table d. Length and Key are derived from the content just
-// read, never taken from the file (no tokenization happens here): every
-// signature bound divides by Length, so a stored value that disagrees with
-// the content is a corrupt image, not an input.
-func (st *setStage) read(sr *binenc.Reader, s *Set, d *Directory, i, numWords int, dict *tokens.Dictionary, mode TokenMode) error {
-	st.text = append(st.text[:0], sr.StringBytes()...)
-	nameEnd := len(st.text)
+// read decodes set slot i. The writer lays out its ids; its name and its
+// elements' text become slices of one string.
+func (sl *setReader) read(sr *binenc.Reader, i int) error {
+	sl.text = append(sl.text[:0], sr.StringBytes()...)
 	ne := sr.Count(2) // each element costs ≥ 2 bytes (raw len + token count)
 	if err := sr.Err(); err != nil {
 		return corrupt("set %d: %v", i, err)
 	}
-	st.toks, st.run, st.elems, st.key = st.toks[:0], st.run[:0], st.elems[:0], st.key[:0]
-	for range ne {
-		st.run = append(st.run, 0) // the end offsets, filled below
+	sl.ends = append(sl.ends[:0], len(sl.text))
+	sl.w.beginSet("", ne)
+	for j := range ne {
+		raw, err := sl.element(sr, i, j)
+		if err != nil {
+			return err
+		}
+		sl.text = append(sl.text, raw...)
+		sl.ends = append(sl.ends, len(sl.text))
+		sl.w.element("")
 	}
-	for j := 0; j < ne; j++ {
-		st.text = append(st.text, sr.StringBytes()...)
-		nt := sr.Count(1)
-		if err := sr.Err(); err != nil {
-			return corrupt("set %d element %d: %v", i, j, err)
-		}
-		id := int32(0)
-		for k := 0; k < nt; k++ {
-			id += int32(sr.Uint())
-			if sr.Err() == nil && (int(id) >= numWords || id < 0) {
-				return corrupt("set %d element %d token id %d out of range", i, j, id)
-			}
-			st.toks = append(st.toks, tokens.ID(id))
-		}
-		nc := sr.Count(1)
-		if err := sr.Err(); err != nil {
-			return corrupt("set %d element %d: %v", i, j, err)
-		}
-		if nc > 0 && mode == ModeWord {
-			// The writer never writes one: word mode has no chunks.
-			return corrupt("set %d element %d carries %d chunk ids under word mode", i, j, nc)
-		}
-		for k := 0; k < nc; k++ {
-			cid := sr.Uint()
-			if sr.Err() == nil && cid >= numWords {
-				return corrupt("set %d element %d chunk id %d out of range", i, j, cid)
-			}
-			st.run = append(st.run, tokens.ID(cid))
-		}
-		st.run[j] = tokens.ID(len(st.run))
-		storedLen := sr.Uint()
-		if err := sr.Err(); err != nil {
-			return corrupt("set %d element %d: %v", i, j, err)
-		}
-		st.elems = append(st.elems, stagedElem{rawEnd: len(st.text), tokEnd: len(st.toks), storedLen: storedLen})
-	}
-
-	text := string(st.text)
-	toks := cloneIDs(st.toks)
-	*s = Set{Name: text[:nameEnd], Elements: make([]Element, ne)}
-	if len(st.run) > ne {
-		s.chunks = cloneIDs(st.run)
-	}
-	rawOff, tokOff := nameEnd, 0
-	for j, se := range st.elems {
-		e := &s.Elements[j]
-		e.Raw = text[rawOff:se.rawEnd]
-		if se.tokEnd > tokOff {
-			e.Tokens = toks[tokOff:se.tokEnd:se.tokEnd]
-		}
-		rawOff, tokOff = se.rawEnd, se.tokEnd
-		n := e.Length(mode)
-		if se.storedLen != n {
-			return corrupt("set %d element %d length %d, content has %d", i, j, se.storedLen, n)
-		}
-		ent := DirEntry{Size: int32(n)}
-		ent.Key, st.key = internKey(dict.Keys(), e, mode, st.key)
-		d.ents = append(d.ents, ent)
+	sl.w.endSet()
+	text, s := string(sl.text), &sl.w.c.Sets[i]
+	s.Name = text[:sl.ends[0]]
+	for j := range s.Elements {
+		s.Elements[j].Raw = text[sl.ends[j]:sl.ends[j+1]]
 	}
 	return nil
+}
+
+// element reads element j of set i, appending its token ids to the
+// writer's ids and its chunk ids to its run, and returns its text, a view
+// of the image. The token ids are deltas, the first from 0, and must
+// ascend strictly inside the token table; chunk ids must be in it too. The
+// stored length must equal the content's Length: every signature bound
+// divides by it, so one that disagrees is a corrupt image, not an input.
+func (sl *setReader) element(sr *binenc.Reader, i, j int) ([]byte, error) {
+	w := &sl.w
+	raw := sr.StringBytes()
+	nt := sr.Count(1)
+	for k, id := 0, 0; k < nt && sr.Err() == nil; k++ {
+		d := sr.Uint()
+		if sr.Err() == nil && ((k > 0 && d == 0) || d >= sl.numWords-id) {
+			return nil, corrupt("set %d element %d token %d: delta %d after id %d, in a table of %d", i, j, k, d, id, sl.numWords)
+		}
+		id += d
+		w.ids = append(w.ids, tokens.ID(id))
+	}
+	nc := sr.Count(1)
+	if err := sr.Err(); err != nil {
+		return nil, corrupt("set %d element %d: %v", i, j, err)
+	}
+	if nc > 0 && w.c.Mode == ModeWord {
+		// The writer never writes one: word mode has no chunks.
+		return nil, corrupt("set %d element %d carries %d chunk ids under word mode", i, j, nc)
+	}
+	for k := 0; k < nc; k++ {
+		cid := sr.Uint()
+		if sr.Err() == nil && cid >= sl.numWords {
+			return nil, corrupt("set %d element %d chunk id %d out of range", i, j, cid)
+		}
+		w.run = append(w.run, tokens.ID(cid))
+	}
+	storedLen := sr.Uint()
+	if err := sr.Err(); err != nil {
+		return nil, corrupt("set %d element %d: %v", i, j, err)
+	}
+	n := nt
+	if w.c.Mode == ModeQGram {
+		n = utf8.RuneCount(raw)
+	}
+	if storedLen != n {
+		return nil, corrupt("set %d element %d length %d, content has %d", i, j, storedLen, n)
+	}
+	return raw, nil
 }
 
 // decodePostings wraps the container postings payload in place: a

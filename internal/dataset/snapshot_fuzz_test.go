@@ -42,6 +42,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// Token ids that repeat, and a delta that wraps 32 bits.
+	f.Add(tokenDeltaImage(1, 0, 0))
+	f.Add(tokenDeltaImage(2, 1<<32-1))
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte(snapshotMagic + "\x01"))
 	// A header declaring a huge meta section.
@@ -77,9 +80,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 			for j := range s.Elements {
 				e := &s.Elements[j]
-				for _, id := range e.Tokens {
+				for k, id := range e.Tokens {
 					if int(id) >= c.Dict.Size() {
 						t.Fatalf("set %d element %d token %d out of dictionary range", i, j, id)
+					}
+					if k > 0 && id <= e.Tokens[k-1] {
+						t.Fatalf("set %d element %d tokens %v do not ascend strictly", i, j, e.Tokens)
 					}
 				}
 			}

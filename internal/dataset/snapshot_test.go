@@ -11,6 +11,7 @@ import (
 	"testing/iotest"
 	"unsafe"
 
+	"silkmoth/internal/binenc"
 	"silkmoth/internal/tokens"
 )
 
@@ -251,6 +252,71 @@ func TestLoadSnapshotRejectsWrongLength(t *testing.T) {
 		}
 		if _, err := LoadSnapshot(&buf); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Errorf("%v: an image whose stored Length disagrees with its content: error %v, want ErrSnapshotCorrupt", c.Mode, err)
+		}
+	}
+}
+
+// tokenDeltaImage is a word-mode image, checksums valid, of one set
+// holding one element over a table of three words, whose token ids are
+// written as the given deltas (the first from 0).
+func tokenDeltaImage(deltas ...uint64) []byte {
+	var img bytes.Buffer
+	img.WriteString(snapshotMagic)
+	img.WriteByte(snapshotVersion)
+	var meta, dict, sets binenc.Writer
+	meta.Uint(int(ModeWord))
+	meta.Uint(0)
+	meta.Uint(1) // sets
+	meta.Uint(3) // words
+	meta.Byte(0) // no postings
+	for _, w := range []string{"a", "b", "c"} {
+		dict.String(w)
+	}
+	sets.Byte(1)
+	sets.String("s")
+	sets.Uint(1)
+	sets.String("a b c")
+	sets.Uint(len(deltas))
+	for _, d := range deltas {
+		sets.Uvarint(d)
+	}
+	sets.Uint(0)           // chunks
+	sets.Uint(len(deltas)) // the stored length: the token count
+	for _, sec := range []struct {
+		tag     byte
+		payload []byte
+	}{{secMeta, meta.Bytes()}, {secDict, dict.Bytes()}, {secSets, sets.Bytes()}, {secEnd, nil}} {
+		if err := writeSection(&img, sec.tag, sec.payload); err != nil {
+			panic(err)
+		}
+	}
+	return img.Bytes()
+}
+
+// An element's token ids load only as the writer writes them: strictly
+// ascending, inside the token table. A zero delta after the first gives a
+// repeated id, and a delta of 2³²−1 wraps a 32-bit sum to a smaller one;
+// either would load with a Length and key that agree with the bad ids.
+func TestLoadSnapshotRejectsUnsortedTokens(t *testing.T) {
+	snap, err := LoadSnapshotBytes(tokenDeltaImage(0, 1, 1))
+	if err != nil {
+		t.Fatalf("the well-formed image: %v", err)
+	}
+	if got := snap.Coll.Sets[0].Elements[0].Tokens; !equalIDs(got, []tokens.ID{0, 1, 2}) {
+		t.Fatalf("the well-formed image loads tokens %v, want [0 1 2]", got)
+	}
+	for name, deltas := range map[string][]uint64{
+		"repeated id":    {1, 0, 0},
+		"wrapped delta":  {2, 1<<32 - 1},
+		"past the table": {1, 2},
+	} {
+		snap, err := LoadSnapshotBytes(tokenDeltaImage(deltas...))
+		if !errors.Is(err, ErrSnapshotCorrupt) {
+			var toks []tokens.ID
+			if err == nil {
+				toks = snap.Coll.Sets[0].Elements[0].Tokens
+			}
+			t.Errorf("%s (deltas %v): loaded tokens %v, error %v; want ErrSnapshotCorrupt", name, deltas, toks, err)
 		}
 	}
 }
