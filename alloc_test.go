@@ -42,7 +42,8 @@ func allocCorpus(n int) []Set {
 // count, so what remains is query tokenization plus result assembly — a
 // constant for a fixed query. If a budget trips, a per-candidate or
 // per-pair allocation crept back into the pipeline; find it with
-// `go test -bench BenchmarkPipeline -benchmem ./internal/core`.
+// `go test -run <the gate> -memprofile mem.out -memprofilerate 1 .` and
+// `go tool pprof -sample_index=alloc_objects mem.out`.
 // The single-query budgets dropped from 100/110 to low double digits when
 // query tokenization moved onto pooled scratch (dataset.QueryScratch): a
 // serial SearchContext steady-states at 6 objects, so the budget is the

@@ -1,7 +1,12 @@
 // Command experiments regenerates the paper's evaluation tables and figures
 // (§8) on the synthetic corpora. Each row reports one variant at one
-// parameter point: wall time, the candidate funnel (signature → check →
-// nearest-neighbor → verified), and the result count.
+// parameter point: the candidate funnel (signature → check →
+// nearest-neighbor → verified), simCalls (the φ_α kernel calls the filters
+// asked for, memo hits included), the result count and wall time. Every
+// column but the time repeats exactly for a scale and seed; at -scale 0.05
+// -seed 1 they are the rows internal/harness/testdata/figures.golden pins.
+// A scale that is not a positive number, or that gives a figure an empty
+// corpus, is an error.
 //
 // Usage:
 //

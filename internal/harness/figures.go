@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
+	"math"
 	"sort"
 
 	"silkmoth/internal/core"
@@ -12,221 +12,198 @@ import (
 	"silkmoth/internal/signature"
 )
 
-// DeltaSweep is the relatedness threshold axis of Figures 5-9.
-var DeltaSweep = []float64{0.7, 0.75, 0.8, 0.85}
+// deltaSweep is the relatedness threshold axis of Figures 5-9.
+var deltaSweep = []float64{0.7, 0.75, 0.8, 0.85}
 
-// AlphaSweepString is the similarity threshold axis of Figure 8b.
-var AlphaSweepString = []float64{0.7, 0.75, 0.8, 0.85}
+// alphaSweepString is the similarity threshold axis of Figure 8b.
+var alphaSweepString = []float64{0.7, 0.75, 0.8, 0.85}
 
-// ScaleSweep multiplies the base corpus size in Figure 9.
-var ScaleSweep = []float64{0.25, 0.5, 1, 2}
+// scaleSweep multiplies the base corpus size in Figure 9.
+var scaleSweep = []float64{0.25, 0.5, 1, 2}
+
+// figure is one table or figure of §8: the applications it builds, the
+// smallest multiple of the scale it builds them at, and its sweep, which
+// reports every row to rs.
+type figure struct {
+	id       string
+	apps     []app
+	minScale float64
+	run      func(f figure, scale float64, seed int64, rs *rowSink)
+}
+
+// figures is every experiment RunFigure runs, in paper order. A figure of
+// one application sweeps apps[0].
+var figures = []figure{
+	{"table3", allApps, 1, runTable3},
+	{"fig4", allApps, 1, runFig4},
+	{"fig5a", []app{stringMatching}, 1, runFig5},
+	{"fig5b", []app{schemaMatching}, 1, runFig5},
+	{"fig5c", []app{inclusionDependency}, 1, runFig5},
+	{"fig6a", []app{stringMatching}, 1, runFig6},
+	{"fig6b", []app{schemaMatching}, 1, runFig6},
+	{"fig6c", []app{inclusionDependency}, 1, runFig6},
+	{"fig7", []app{inclusionDependency}, 1, runFig7},
+	{"fig8a", []app{stringMatching}, 1, runFig8a},
+	{"fig8b", []app{stringMatching}, 1, runFig8b},
+	{"fig9a", []app{stringMatching}, scaleSweep[0], runFig9},
+	{"fig9b", []app{schemaMatching}, scaleSweep[0], runFig9},
+	{"fig9c", []app{inclusionDependency}, scaleSweep[0], runFig9},
+}
 
 // Figures lists every experiment id RunFigure accepts, in paper order.
-var Figures = []string{
-	"table3",
-	"fig4",
-	"fig5a", "fig5b", "fig5c",
-	"fig6a", "fig6b", "fig6c",
-	"fig7",
-	"fig8a", "fig8b",
-	"fig9a", "fig9b", "fig9c",
-}
+var Figures = func() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}()
 
 // RunFigure regenerates one table/figure of §8 (or "all") at the given
 // corpus scale, writing rows to out as they complete and returning them.
-func RunFigure(figure string, scale float64, seed int64, out io.Writer) ([]Row, error) {
-	if figure == "all" {
-		var all []Row
-		for _, f := range Figures {
-			rows, err := RunFigure(f, scale, seed, out)
-			if err != nil {
-				return all, err
+// It runs nothing when the scale is not a positive finite number or gives
+// a figure it would run an empty corpus.
+func RunFigure(id string, scale float64, seed int64, out io.Writer) ([]Row, error) {
+	run := figures
+	if id != "all" {
+		run = nil
+		for _, f := range figures {
+			if f.id == id {
+				run = []figure{f}
 			}
-			all = append(all, rows...)
 		}
-		return all, nil
+		if run == nil {
+			return nil, fmt.Errorf("harness: unknown figure %q (have %v)", id, Figures)
+		}
 	}
-	switch figure {
-	case "table3":
-		return runTable3(scale, seed, out)
-	case "fig4":
-		return runFig4(scale, seed, out)
-	case "fig5a":
-		return runFig5(StringMatching, DefaultAlphaString, scale, seed, "fig5a", out)
-	case "fig5b":
-		return runFig5(SchemaMatching, DefaultAlphaSchema, scale, seed, "fig5b", out)
-	case "fig5c":
-		return runFig5(InclusionDependency, DefaultAlphaInclusion, scale, seed, "fig5c", out)
-	case "fig6a":
-		return runFig6(StringMatching, DefaultAlphaString, scale, seed, "fig6a", out)
-	case "fig6b":
-		return runFig6(SchemaMatching, DefaultAlphaSchema, scale, seed, "fig6b", out)
-	case "fig6c":
-		return runFig6(InclusionDependency, DefaultAlphaInclusion, scale, seed, "fig6c", out)
-	case "fig7":
-		return runFig7(scale, seed, out)
-	case "fig8a":
-		return runFig8a(scale, seed, out)
-	case "fig8b":
-		return runFig8b(scale, seed, out)
-	case "fig9a":
-		return runFig9(StringMatching, DefaultAlphaString, scale, seed, "fig9a", out)
-	case "fig9b":
-		return runFig9(SchemaMatching, DefaultAlphaSchema, scale, seed, "fig9b", out)
-	case "fig9c":
-		return runFig9(InclusionDependency, DefaultAlphaInclusion, scale, seed, "fig9c", out)
-	default:
-		return nil, fmt.Errorf("harness: unknown figure %q (have %v)", figure, Figures)
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
+		return nil, fmt.Errorf("harness: scale %v is not a positive number", scale)
 	}
+	for _, f := range run {
+		for _, a := range f.apps {
+			if corpusSize(a, scale*f.minScale) == 0 {
+				return nil, fmt.Errorf("harness: scale %v gives %s an empty %s corpus", scale, f.id, a)
+			}
+		}
+	}
+	rs := &rowSink{out: out}
+	for _, f := range run {
+		f.run(f, scale, seed, rs)
+	}
+	return rs.rows, nil
 }
 
-// emit writes and collects one row.
-func emit(out io.Writer, rows *[]Row, r Row) {
-	if out != nil {
-		r.Write(out)
+// rowSink collects a run's rows, writing each to out (when set) as it
+// completes.
+type rowSink struct {
+	out  io.Writer
+	rows []Row
+}
+
+func (rs *rowSink) emit(r Row) {
+	if rs.out != nil {
+		r.Write(rs.out)
 	}
-	*rows = append(*rows, r)
+	rs.rows = append(rs.rows, r)
 }
 
 // runTable3 reports dataset statistics in the shape of the paper's Table 3.
-func runTable3(scale float64, seed int64, out io.Writer) ([]Row, error) {
-	type entry struct {
-		app   App
-		delta float64
-		alpha float64
-	}
-	entries := []entry{
-		{StringMatching, DefaultDeltaString, DefaultAlphaString},
-		{SchemaMatching, DefaultDeltaSchema, DefaultAlphaSchema},
-		{InclusionDependency, DefaultDeltaInclusion, DefaultAlphaInclusion},
-	}
-	var rows []Row
-	for _, e := range entries {
-		before := heapInUse()
-		w := BuildWorkload(e.app, scale, e.delta, e.alpha, seed)
-		ix := w.Index
+func runTable3(f figure, scale float64, seed int64, rs *rowSink) {
+	for _, a := range f.apps {
+		w := buildWorkload(a, scale, defaultDelta, defaultAlpha[a], seed)
+		ix := w.index
 		if ix == nil {
-			ix = index.Build(w.Coll)
+			ix = index.Build(w.coll)
 		}
-		after := heapInUse()
-		st := dataset.ComputeStats(w.Coll)
-		if out != nil {
-			fmt.Fprintf(out, "table3   %-22s %s postings=%d mem≈%.1fMB\n",
-				e.app.String(), st.String(), ix.TotalPostings(),
-				float64(after-before)/(1<<20))
+		st := dataset.ComputeStats(w.coll)
+		if rs.out != nil {
+			fmt.Fprintf(rs.out, "table3   %-22s %s postings=%d\n", a, st.String(), ix.TotalPostings())
 		}
-		rows = append(rows, Row{
-			Figure: "table3", App: e.app.String(), Variant: "stats",
-			Delta: e.delta, Alpha: e.alpha, Sets: st.NumSets,
+		rs.rows = append(rs.rows, Row{
+			Figure: f.id, App: a.String(), Variant: "stats",
+			Delta: defaultDelta, Alpha: defaultAlpha[a], Sets: st.NumSets,
 		})
 	}
-	return rows, nil
-}
-
-// heapInUse samples live heap bytes after a GC, approximating the paper's
-// §8.1 memory consumption report (dominated by the dataset and the index).
-func heapInUse() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
 }
 
 // runFig4 compares NOOPT (FastJoin-style signature, no refinement, no
 // reduction) against OPT (full SilkMoth) on all three applications.
-func runFig4(scale float64, seed int64, out io.Writer) ([]Row, error) {
-	type entry struct {
-		app   App
-		delta float64
-		alpha float64
+func runFig4(f figure, scale float64, seed int64, rs *rowSink) {
+	for _, a := range f.apps {
+		delta, alpha := defaultDelta, defaultAlpha[a]
+		w := buildWorkload(a, scale, delta, alpha, seed)
+		noopt := core.FastJoinOptions(w.base.Metric, w.base.Sim, delta, alpha)
+		rs.emit(runConfig(w, noopt, variantNoOpt, f.id))
+		opt := core.DefaultOptions(w.base.Metric, w.base.Sim, delta, alpha)
+		rs.emit(runConfig(w, opt, variantOpt, f.id))
 	}
-	entries := []entry{
-		{StringMatching, DefaultDeltaString, DefaultAlphaString},
-		{SchemaMatching, DefaultDeltaSchema, DefaultAlphaSchema},
-		{InclusionDependency, DefaultDeltaInclusion, DefaultAlphaInclusion},
-	}
-	var rows []Row
-	for _, e := range entries {
-		w := BuildWorkload(e.app, scale, e.delta, e.alpha, seed)
-		noopt := core.FastJoinOptions(w.Base.Metric, w.Base.Sim, e.delta, e.alpha)
-		emit(out, &rows, RunConfig(w, noopt, VariantNoOpt, "fig4"))
-		opt := core.DefaultOptions(w.Base.Metric, w.Base.Sim, e.delta, e.alpha)
-		emit(out, &rows, RunConfig(w, opt, VariantOpt, "fig4"))
-	}
-	return rows, nil
 }
 
 // runFig5 sweeps the four signature schemes over δ with refinement filters
 // and reduction disabled, isolating signature selectivity (§8.2).
-func runFig5(app App, alpha float64, scale float64, seed int64, figure string, out io.Writer) ([]Row, error) {
-	var rows []Row
-	for _, delta := range DeltaSweep {
-		w := BuildWorkload(app, scale, delta, alpha, seed)
+func runFig5(f figure, scale float64, seed int64, rs *rowSink) {
+	a := f.apps[0]
+	alpha := defaultAlpha[a]
+	for _, delta := range deltaSweep {
+		w := buildWorkload(a, scale, delta, alpha, seed)
 		for _, scheme := range []signature.Kind{
 			signature.Weighted, signature.CombUnweighted, signature.Skyline, signature.Dichotomy,
 		} {
-			opts := core.Options{
-				Delta: delta, Alpha: alpha, Scheme: scheme,
-				CheckFilter: false, NNFilter: false, Reduction: false,
-			}
-			emit(out, &rows, RunConfig(w, opts, schemeVariant(scheme), figure))
+			opts := core.Options{Delta: delta, Alpha: alpha, Scheme: scheme}
+			rs.emit(runConfig(w, opts, scheme.String(), f.id))
 		}
 	}
-	return rows, nil
 }
 
 // runFig6 sweeps the refinement filters over δ with the dichotomy signature
 // and no reduction (§8.3).
-func runFig6(app App, alpha float64, scale float64, seed int64, figure string, out io.Writer) ([]Row, error) {
-	var rows []Row
-	for _, delta := range DeltaSweep {
-		w := BuildWorkload(app, scale, delta, alpha, seed)
-		variants := []struct {
+func runFig6(f figure, scale float64, seed int64, rs *rowSink) {
+	a := f.apps[0]
+	alpha := defaultAlpha[a]
+	for _, delta := range deltaSweep {
+		w := buildWorkload(a, scale, delta, alpha, seed)
+		for _, v := range []struct {
 			name      string
 			check, nn bool
 		}{
-			{VariantNoFilter, false, false},
-			{VariantCheck, true, false},
-			{VariantNN, true, true},
-		}
-		for _, v := range variants {
+			{variantNoFilter, false, false},
+			{variantCheck, true, false},
+			{variantNN, true, true},
+		} {
 			opts := core.Options{
 				Delta: delta, Alpha: alpha, Scheme: signature.Dichotomy,
-				CheckFilter: v.check, NNFilter: v.nn, Reduction: false,
+				CheckFilter: v.check, NNFilter: v.nn,
 			}
-			emit(out, &rows, RunConfig(w, opts, v.name, figure))
+			rs.emit(runConfig(w, opts, v.name, f.id))
 		}
 	}
-	return rows, nil
 }
 
 // runFig7 measures reduction-based verification on the inclusion dependency
 // application at α = 0, using only reference sets with at least 100
 // elements (§8.4).
-func runFig7(scale float64, seed int64, out io.Writer) ([]Row, error) {
-	var rows []Row
-	for _, delta := range DeltaSweep {
-		w := BuildWorkload(InclusionDependency, scale, delta, 0, seed)
-		w = RefsFromLargeSets(w, 100, 50)
+func runFig7(f figure, scale float64, seed int64, rs *rowSink) {
+	for _, delta := range deltaSweep {
+		w := buildWorkload(f.apps[0], scale, delta, 0, seed)
+		w.refs = refsFromLargeSets(w.coll, 100, 50)
 		for _, reduction := range []bool{false, true} {
-			name := VariantNoRed
+			name := variantNoRed
 			if reduction {
-				name = VariantRed
+				name = variantRed
 			}
 			opts := core.Options{
 				Delta: delta, Alpha: 0, Scheme: signature.Dichotomy,
 				CheckFilter: true, NNFilter: true, Reduction: reduction,
 			}
-			emit(out, &rows, RunConfig(w, opts, name, "fig7"))
+			rs.emit(runConfig(w, opts, name, f.id))
 		}
 	}
-	return rows, nil
 }
 
-// RefsFromLargeSets replaces a search workload's references with up to max
-// collection sets of at least minElems elements (Figure 7 uses ≥ 100).
-func RefsFromLargeSets(w Workload, minElems, max int) Workload {
-	sets := w.Coll.Sets
+// refsFromLargeSets returns up to max of coll's sets with at least
+// minElems elements, in name order (Figure 7 uses ≥ 100).
+func refsFromLargeSets(coll *dataset.Collection, minElems, max int) *dataset.Collection {
+	sets := coll.Sets
 	var kept []int
 	for i := range sets {
 		if len(sets[i].Elements) >= minElems {
@@ -237,50 +214,46 @@ func RefsFromLargeSets(w Workload, minElems, max int) Workload {
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool { return sets[kept[i]].Name < sets[kept[j]].Name })
-	w.Refs = w.Coll.Subset(kept)
-	w.SelfJoin = false
-	return w
+	return coll.Subset(kept)
 }
 
 // runFig8a compares full SilkMoth against the FastJoin-style baseline on
 // string matching over δ at α = 0.8 (§8.5).
-func runFig8a(scale float64, seed int64, out io.Writer) ([]Row, error) {
-	var rows []Row
-	for _, delta := range DeltaSweep {
-		w := BuildWorkload(StringMatching, scale, delta, DefaultAlphaString, seed)
-		sm := core.DefaultOptions(w.Base.Metric, w.Base.Sim, delta, DefaultAlphaString)
-		emit(out, &rows, RunConfig(w, sm, VariantSilkmoth, "fig8a"))
-		fj := core.FastJoinOptions(w.Base.Metric, w.Base.Sim, delta, DefaultAlphaString)
-		emit(out, &rows, RunConfig(w, fj, VariantFastJoin, "fig8a"))
+func runFig8a(f figure, scale float64, seed int64, rs *rowSink) {
+	alpha := defaultAlpha[f.apps[0]]
+	for _, delta := range deltaSweep {
+		runVersusFastJoin(f, buildWorkload(f.apps[0], scale, delta, alpha, seed), delta, alpha, rs)
 	}
-	return rows, nil
 }
 
 // runFig8b compares the same two systems over α at δ = 0.8; each α
 // retokenizes the corpus with its own maximal sound q (footnote 11).
-func runFig8b(scale float64, seed int64, out io.Writer) ([]Row, error) {
+func runFig8b(f figure, scale float64, seed int64, rs *rowSink) {
 	const delta = 0.8
-	var rows []Row
-	for _, alpha := range AlphaSweepString {
-		w := BuildWorkload(StringMatching, scale, delta, alpha, seed)
-		sm := core.DefaultOptions(w.Base.Metric, w.Base.Sim, delta, alpha)
-		emit(out, &rows, RunConfig(w, sm, VariantSilkmoth, "fig8b"))
-		fj := core.FastJoinOptions(w.Base.Metric, w.Base.Sim, delta, alpha)
-		emit(out, &rows, RunConfig(w, fj, VariantFastJoin, "fig8b"))
+	for _, alpha := range alphaSweepString {
+		runVersusFastJoin(f, buildWorkload(f.apps[0], scale, delta, alpha, seed), delta, alpha, rs)
 	}
-	return rows, nil
+}
+
+// runVersusFastJoin reports full SilkMoth's row and the FastJoin-style
+// baseline's on w at one (δ, α).
+func runVersusFastJoin(f figure, w workload, delta, alpha float64, rs *rowSink) {
+	sm := core.DefaultOptions(w.base.Metric, w.base.Sim, delta, alpha)
+	rs.emit(runConfig(w, sm, variantSilkmoth, f.id))
+	fj := core.FastJoinOptions(w.base.Metric, w.base.Sim, delta, alpha)
+	rs.emit(runConfig(w, fj, variantFastJoin, f.id))
 }
 
 // runFig9 measures scalability: full SilkMoth over growing corpus sizes for
 // each δ (§8.6).
-func runFig9(app App, alpha float64, scale float64, seed int64, figure string, out io.Writer) ([]Row, error) {
-	var rows []Row
-	for _, mult := range ScaleSweep {
-		for _, delta := range DeltaSweep {
-			w := BuildWorkload(app, scale*mult, delta, alpha, seed)
-			opts := core.DefaultOptions(w.Base.Metric, w.Base.Sim, delta, alpha)
-			emit(out, &rows, RunConfig(w, opts, VariantSilkmoth, figure))
+func runFig9(f figure, scale float64, seed int64, rs *rowSink) {
+	a := f.apps[0]
+	alpha := defaultAlpha[a]
+	for _, mult := range scaleSweep {
+		for _, delta := range deltaSweep {
+			w := buildWorkload(a, scale*mult, delta, alpha, seed)
+			opts := core.DefaultOptions(w.base.Metric, w.base.Sim, delta, alpha)
+			rs.emit(runConfig(w, opts, variantSilkmoth, f.id))
 		}
 	}
-	return rows, nil
 }

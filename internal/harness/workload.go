@@ -13,134 +13,101 @@ import (
 	"silkmoth/internal/datagen"
 	"silkmoth/internal/dataset"
 	"silkmoth/internal/index"
-	"silkmoth/internal/signature"
 	"silkmoth/internal/tokens"
 )
 
-// App identifies one of the paper's three evaluation applications (§8.1).
-type App int
+// app identifies one of the paper's three evaluation applications (§8.1).
+type app int
 
 const (
-	// StringMatching: RELATED SET DISCOVERY, SET-SIMILARITY, Eds on a
+	// stringMatching: RELATED SET DISCOVERY, SET-SIMILARITY, Eds on a
 	// DBLP-like title corpus.
-	StringMatching App = iota
-	// SchemaMatching: RELATED SET DISCOVERY, SET-SIMILARITY, Jac on a
+	stringMatching app = iota
+	// schemaMatching: RELATED SET DISCOVERY, SET-SIMILARITY, Jac on a
 	// WebTable-like schema corpus.
-	SchemaMatching
-	// InclusionDependency: RELATED SET SEARCH, SET-CONTAINMENT, Jac on a
+	schemaMatching
+	// inclusionDependency: RELATED SET SEARCH, SET-CONTAINMENT, Jac on a
 	// WebTable-like column corpus.
-	InclusionDependency
+	inclusionDependency
 )
 
-func (a App) String() string {
+func (a app) String() string {
 	switch a {
-	case StringMatching:
+	case stringMatching:
 		return "string-matching"
-	case SchemaMatching:
+	case schemaMatching:
 		return "schema-matching"
-	case InclusionDependency:
+	case inclusionDependency:
 		return "inclusion-dependency"
 	default:
 		return fmt.Sprintf("App(%d)", int(a))
 	}
 }
 
-// Paper default parameters per application (Table 3; α of the figure
-// captions, δ middle of the sweep).
-const (
-	DefaultDeltaString    = 0.75
-	DefaultAlphaString    = 0.8
-	DefaultDeltaSchema    = 0.75
-	DefaultAlphaSchema    = 0.0
-	DefaultDeltaInclusion = 0.75
-	DefaultAlphaInclusion = 0.5
-)
+// allApps lists the applications in the paper's order.
+var allApps = []app{stringMatching, schemaMatching, inclusionDependency}
 
-// Base corpus sizes at scale 1. The paper uses 100K titles and 500K
-// tables/columns on a 64-core server; these defaults keep every figure
-// regenerable in minutes on a laptop. Scale up via the scale parameter
-// (paper sizes ≈ scale 50-170).
-const (
-	baseTitles  = 2000
-	baseTables  = 3000
-	baseColumns = 3000
-	baseRefs    = 100
-)
+// Paper default parameters (Table 3): every application's δ is the middle
+// of the sweep, and its α, indexed by app, that of the figure captions.
+const defaultDelta = 0.75
 
-// Workload is a built, tokenized corpus ready for engines.
-type Workload struct {
-	App  App
-	Coll *dataset.Collection
-	// Refs are the reference sets: the collection itself for discovery
+var defaultAlpha = [...]float64{stringMatching: 0.8, schemaMatching: 0, inclusionDependency: 0.5}
+
+// baseSets is each application's corpus size at scale 1: titles, tables
+// and columns. The paper uses 100K titles and 500K tables/columns on a
+// 64-core server; these defaults keep every figure regenerable in minutes
+// on a laptop. Scale up via the scale parameter (paper sizes ≈ scale
+// 50-170).
+var baseSets = [...]float64{stringMatching: 2000, schemaMatching: 3000, inclusionDependency: 3000}
+
+// baseRefs is the number of reference columns a search workload draws.
+const baseRefs = 100
+
+// corpusSize is the number of raw sets app's corpus has at scale.
+func corpusSize(a app, scale float64) int { return int(baseSets[a] * scale) }
+
+// workload is a built, tokenized corpus ready for engines.
+type workload struct {
+	app  app
+	coll *dataset.Collection
+	// refs are the reference sets: the collection itself for discovery
 	// applications, the drawn reference columns for search.
-	Refs *dataset.Collection
-	// SelfJoin reports whether Refs is the collection itself.
-	SelfJoin bool
-	// Search reports search mode (per-reference passes, index excluded
+	refs *dataset.Collection
+	// search reports search mode (per-reference passes, index excluded
 	// from timing) versus discovery mode (index build included, §8.2).
-	Search bool
-	// Base carries the application's metric, similarity, α, and q.
-	Base core.Options
-	// Index is the pre-built inverted index, shared by search-mode runs.
-	Index *index.Inverted
+	search bool
+	// base carries the application's metric, similarity and q.
+	base core.Options
+	// index is the pre-built inverted index, shared by search-mode runs.
+	index *index.Inverted
 }
 
-// BuildWorkload constructs the corpus for app at the given scale with the
+// buildWorkload constructs the corpus for a at the given scale with the
 // given thresholds. Alpha participates in tokenization for string matching
 // (q = the largest sound gram length, footnote 11), so workloads are built
 // per (app, scale, alpha).
-func BuildWorkload(app App, scale float64, delta, alpha float64, seed int64) Workload {
-	if scale <= 0 {
-		scale = 1
-	}
-	switch app {
-	case StringMatching:
-		raws := datagen.DBLP(datagen.DBLPConfig{
-			NumTitles: int(float64(baseTitles) * scale),
-			Seed:      seed,
-		})
-		opts := core.Options{
-			Metric: core.SetSimilarity,
-			Sim:    core.Eds,
-			Delta:  delta,
-			Alpha:  alpha,
-			Q:      core.DefaultQ(delta, alpha),
-		}
-		coll := dataset.BuildQGram(tokens.NewDictionary(), raws, opts.Q)
-		return Workload{App: app, Coll: coll, Refs: coll, SelfJoin: true, Base: opts}
-	case SchemaMatching:
-		raws := datagen.WebTableSchemas(datagen.SchemaConfig{
-			NumTables: int(float64(baseTables) * scale),
-			Seed:      seed,
-		})
-		opts := core.Options{
-			Metric: core.SetSimilarity,
-			Sim:    core.Jaccard,
-			Delta:  delta,
-			Alpha:  alpha,
-		}
+func buildWorkload(a app, scale float64, delta, alpha float64, seed int64) workload {
+	n := corpusSize(a, scale)
+	switch a {
+	case stringMatching:
+		raws := datagen.DBLP(datagen.DBLPConfig{NumTitles: n, Seed: seed})
+		q := core.DefaultQ(delta, alpha)
+		coll := dataset.BuildQGram(tokens.NewDictionary(), raws, q)
+		return workload{app: a, coll: coll, refs: coll,
+			base: core.Options{Metric: core.SetSimilarity, Sim: core.Eds, Q: q}}
+	case schemaMatching:
+		raws := datagen.WebTableSchemas(datagen.SchemaConfig{NumTables: n, Seed: seed})
 		coll := dataset.BuildWord(tokens.NewDictionary(), raws)
-		return Workload{App: app, Coll: coll, Refs: coll, SelfJoin: true, Base: opts}
-	case InclusionDependency:
-		raws := datagen.WebTableColumns(datagen.ColumnConfig{
-			NumColumns: int(float64(baseColumns) * scale),
-			Seed:       seed,
-		})
+		return workload{app: a, coll: coll, refs: coll,
+			base: core.Options{Metric: core.SetSimilarity, Sim: core.Jaccard}}
+	case inclusionDependency:
+		raws := datagen.WebTableColumns(datagen.ColumnConfig{NumColumns: n, Seed: seed})
 		dict := tokens.NewDictionary()
 		coll := dataset.BuildWord(dict, raws)
-		refRaws := datagen.PickReferences(raws, baseRefs, 4)
-		refs := dataset.BuildWord(dict, refRaws)
-		opts := core.Options{
-			Metric: core.SetContainment,
-			Sim:    core.Jaccard,
-			Delta:  delta,
-			Alpha:  alpha,
-		}
-		return Workload{
-			App: app, Coll: coll, Refs: refs, Search: true,
-			Base:  opts,
-			Index: index.Build(coll),
-		}
+		refs := dataset.BuildWord(dict, datagen.PickReferences(raws, baseRefs, 4))
+		return workload{app: a, coll: coll, refs: refs, search: true,
+			base:  core.Options{Metric: core.SetContainment, Sim: core.Jaccard},
+			index: index.Build(coll)}
 	default:
 		panic("harness: unknown app")
 	}
@@ -148,16 +115,13 @@ func BuildWorkload(app App, scale float64, delta, alpha float64, seed int64) Wor
 
 // Variant names shared with the paper's figures.
 const (
-	VariantNoOpt    = "NOOPT"
-	VariantOpt      = "OPT"
-	VariantNoFilter = "NOFILTER"
-	VariantCheck    = "CHECK"
-	VariantNN       = "NEARESTNEIGHBOR"
-	VariantNoRed    = "NOREDUCTION"
-	VariantRed      = "REDUCTION"
-	VariantSilkmoth = "SILKMOTH"
-	VariantFastJoin = "FASTJOIN"
+	variantNoOpt    = "NOOPT"
+	variantOpt      = "OPT"
+	variantNoFilter = "NOFILTER"
+	variantCheck    = "CHECK"
+	variantNN       = "NEARESTNEIGHBOR"
+	variantNoRed    = "NOREDUCTION"
+	variantRed      = "REDUCTION"
+	variantSilkmoth = "SILKMOTH"
+	variantFastJoin = "FASTJOIN"
 )
-
-// schemeVariant maps scheme kinds to figure series names.
-func schemeVariant(k signature.Kind) string { return k.String() }

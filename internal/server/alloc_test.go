@@ -27,35 +27,45 @@ type gateBody struct{ strings.Reader }
 
 func (*gateBody) Close() error { return nil }
 
-// TestSearchHandlerAllocGate pins the steady-state allocations of one POST
-// /v1/search through ServeHTTP: a cache hit, and a miss on a server without a
-// cache, which decodes, runs the engine and encodes every time. Each budget is
-// the count measured when /v1/search still had a handler of its own, before
-// every search route went through serveSearch, plus two of headroom; a rise
-// past it is a per-request allocation the shared path added.
+// TestSearchHandlerAllocGate pins the steady-state allocations of the
+// search routes through ServeHTTP: a POST /v1/search cache hit, and misses
+// on a server without a cache, which decode, run the engine and encode
+// every time — a /v1/search, a two-item /v1/search/batch and a /v1/explain
+// (whose answer bypasses the cache). Each budget is the count measured
+// when the row was added, the larger of three runs, plus two of headroom
+// (for hit and miss, when /v1/search still had a handler of its own,
+// before every search route went through serveSearch); a rise past it is
+// a per-request allocation the shared path added.
 func TestSearchHandlerAllocGate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; budgets hold only in plain builds")
 	}
-	const query = `{"set": {"elements": ["77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL"]}}`
+	const (
+		query = `{"set": {"elements": ["77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL"]}}`
+		batch = `{"sets": [{"elements": ["77 Mass Ave Boston MA", "5th St Seattle WA", "State St Chicago IL"]}, {"elements": ["5th St Seattle WA"]}]}`
+	)
 	for _, tc := range []struct {
-		name      string
-		cacheSize int
-		// measured is the count before the routes shared one path (the
-		// larger of three runs: a run reads 27 or 28 hitting, 42 or 43
-		// missing).
+		name, route, body string
+		cacheSize         int
+		// cache is the X-Silkmoth-Cache header of a steady-state run.
+		cache string
+		// measured is the larger of three runs when the row was added
+		// (a run then read 27 or 28 hitting, 42 or 43 missing, 65 or 66
+		// for the batch and 54 or 55 for the explain).
 		measured, budget float64
 	}{
-		{"hit", 0, 28, 30},
-		{"miss", -1, 43, 45},
+		{"hit", "/v1/search", query, 0, "hit", 28, 30},
+		{"miss", "/v1/search", query, -1, "miss", 43, 45},
+		{"batch miss", "/v1/search/batch", batch, -1, "miss", 65, 67},
+		{"explain miss", "/v1/explain", query, -1, "", 55, 57},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, _ := newTestServer(t, Options{CacheSize: tc.cacheSize})
 			body := &gateBody{}
-			r := httptest.NewRequest(http.MethodPost, "/v1/search", body)
+			r := httptest.NewRequest(http.MethodPost, tc.route, body)
 			w := &gateWriter{h: make(http.Header)}
 			run := func() {
-				body.Reset(query)
+				body.Reset(tc.body)
 				clear(w.h)
 				w.body.Reset()
 				s.ServeHTTP(w, r)
@@ -65,13 +75,13 @@ func TestSearchHandlerAllocGate(t *testing.T) {
 			}
 			run() // fills the cache, warms the pools
 			run()
-			if want := map[int]string{0: "hit", -1: "miss"}[tc.cacheSize]; w.h.Get("X-Silkmoth-Cache") != want {
-				t.Fatalf("cache %q, want %q", w.h.Get("X-Silkmoth-Cache"), want)
+			if got := w.h.Get("X-Silkmoth-Cache"); got != tc.cache {
+				t.Fatalf("cache %q, want %q", got, tc.cache)
 			}
 			got := testing.AllocsPerRun(200, run)
-			t.Logf("%s: %.1f allocs (measured %.0f before, budget %.0f)", tc.name, got, tc.measured, tc.budget)
+			t.Logf("%s: %.1f allocs (measured %.0f, budget %.0f)", tc.name, got, tc.measured, tc.budget)
 			if got > tc.budget {
-				t.Errorf("a /v1/search %s allocates %.1f objects, budget %.0f", tc.name, got, tc.budget)
+				t.Errorf("a %s %s allocates %.1f objects, budget %.0f", tc.route, tc.name, got, tc.budget)
 			}
 		})
 	}
